@@ -3,12 +3,12 @@
 from .matcore import (Circuit, CircuitElement, EntanglerApp, LocalPair,
                       ToleranceConfig, DEFAULT_TOL, evaluate, interaction,
                       phase_distance, project_special, tensor, zz_interaction)
-from .kak import (CanonicalVector, GateClass, KakDecomposition, canonicalize,
-                  classify, kak_decompose, locally_equivalent)
-from .zzsynth import ZzResource, amplify, extract_zz, prepare_resource, reduce_angle, reflect_angle
+from .kak import (CanonicalVector, GateClass, KakDecomposition, classify,
+                  kak_decompose, locally_equivalent)
+from .zzsynth import ZzResource, amplify, extract_zz, prepare_resource
 from .blocksynth import (AxisAngle, BlockParams, block_params,
                          controlled_u_circuit, controlled_u_gamma,
-                         synth_zz_block, u1_u2)
+                         synth_zz_block)
 from .compiler import (SynthesisReport, efficient_as_cnot, merge_locals,
                        synthesize, upper_bound)
 

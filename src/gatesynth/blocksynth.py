@@ -13,7 +13,7 @@ from .kak import kak_decompose
 from .matcore import (DEFAULT_TOL, ID2, Circuit, EntanglerApp, LocalPair,
                       SIGMA_X, SIGMA_Y, SIGMA_Z, ToleranceConfig, dagger,
                       exp_pauli, require_unitary)
-from .zzsynth import ZzResource
+from .zzsynth import ZzResource, reflected
 
 
 @dataclass(frozen=True)
@@ -66,9 +66,10 @@ def block_params(c: float, gamma: float) -> BlockParams:
         raise ValueError(f"c = {c} exceeds reachable range 2*gamma = {2 * gamma}")
     if not np.pi / 4 - 1e-12 <= gamma <= np.pi / 2 + 1e-12:
         raise ValueError(f"resource gamma = {gamma} outside [pi/4, pi/2]")
-    # cos(b) hits -1 up to roundoff at c = 2*gamma; clamp before arccos.
-    cos_b = (np.cos(c) - np.cos(gamma) ** 2) / np.sin(gamma) ** 2
-    b = float(np.arccos(np.clip(cos_b, -1.0, 1.0)))
+    # Half-angle form sin(c/2) = sin(gamma) sin(b/2): keeps every digit as
+    # c -> 0, unlike arccos of a cos(c) difference. The ratio hits 1 up to
+    # roundoff at c = 2*gamma; clamp before arcsin.
+    b = 2 * float(np.arcsin(min(np.sin(c / 2) / np.sin(gamma), 1.0)))
     # cot(gamma) * tan(c/2) instead of tan(c/2)/tan(gamma): exact 0 at the
     # gamma = pi/2 endpoint where tan diverges.
     ratio = (np.cos(gamma) / np.sin(gamma)) * np.tan(c / 2)
@@ -97,13 +98,7 @@ def synth_zz_block(c: float, resource: ZzResource) -> Circuit:
     if not 0.0 < c < np.pi:
         raise ValueError(f"block angle c = {c} outside (0, pi]")
     if c > np.pi / 2:
-        inner = synth_zz_block(np.pi - c, resource)
-        elems = ([LocalPair(ID2, exp_pauli("z", -np.pi / 2)),
-                  LocalPair(exp_pauli("y", -np.pi / 2), ID2)]
-                 + inner.elements
-                 + [LocalPair(exp_pauli("y", np.pi / 2), ID2),
-                    LocalPair(exp_pauli("z", -np.pi / 2), ID2)])
-        return Circuit(elems, phase=-1j * inner.phase)
+        return reflected(synth_zz_block(np.pi - c, resource))
 
     params = block_params(c, resource.gamma)
     u1, u2 = u1_u2(params)
@@ -147,8 +142,6 @@ def controlled_u_gamma(u: np.ndarray, tol: ToleranceConfig = DEFAULT_TOL) -> flo
     u = require_unitary(u, tol.unitarity_tol, "input")
     cu = np.eye(4, dtype=complex)
     cu[2:, 2:] = u
-    c1 = kak_decompose(cu, tol).c.c1
-    # Controlled gates sit on the c3 = 0 base where the chamber folds at
-    # pi/2; the canonical c1 already lands in [0, pi/2], but reduce
-    # defensively in case of boundary roundoff.
-    return float(min(c1, np.pi - c1))
+    # Controlled gates sit on the c3 = 0 base, where canonicalization
+    # already folds c1 into [0, pi/2].
+    return float(kak_decompose(cu, tol).c.c1)

@@ -12,13 +12,10 @@ import numpy as np
 
 from .blocksynth import controlled_u_gamma, synth_zz_block
 from .kak import kak_decompose, snap_angle
-from .matcore import (DEFAULT_TOL, Circuit, LocalPair, ToleranceConfig,
-                      dagger, evaluate, exp_pauli, phase_distance,
+from .matcore import (DEFAULT_TOL, SIGMA_X, Circuit, LocalPair,
+                      ToleranceConfig, dagger, evaluate, phase_distance,
                       require_unitary)
-from .zzsynth import prepare_resource
-
-_KX = exp_pauli("y", np.pi / 4)
-_KY = exp_pauli("x", np.pi / 4)
+from .zzsynth import KX_FACTOR, KY_FACTOR, ZzResource, prepare_resource
 
 
 @dataclass
@@ -39,16 +36,20 @@ class SynthesisReport:
     residual: float | None = None
 
 
-def upper_bound(entangler: np.ndarray,
-                tol: ToleranceConfig = DEFAULT_TOL) -> SynthesisReport:
-    """Uniform bound on entangler applications for any two-qubit target."""
-    resource = prepare_resource(entangler, tol)
+def _report(resource: ZzResource, **outcome) -> SynthesisReport:
     return SynthesisReport(
         gamma=resource.gamma,
         apps_per_unit=resource.apps_per_unit,
         n=resource.reps,
         bound=6 * resource.reps * resource.apps_per_unit,
+        **outcome,
     )
+
+
+def upper_bound(entangler: np.ndarray,
+                tol: ToleranceConfig = DEFAULT_TOL) -> SynthesisReport:
+    """Uniform bound on entangler applications for any two-qubit target."""
+    return _report(prepare_resource(entangler, tol))
 
 
 def merge_locals(circuit: Circuit) -> Circuit:
@@ -91,9 +92,13 @@ def synthesize(target: np.ndarray, entangler: np.ndarray,
     resource = prepare_resource(entangler, tol)
 
     c1, c2, c3 = (snap_angle(c, tol.snap_tol) for c in dec.c.as_tuple())
+    k1, phase = dec.k1, dec.phase
+    if c1 == np.pi:
+        # A(pi e1) = i XX is local: fold it into k1 instead of a block.
+        k1 = LocalPair(k1.a @ SIGMA_X, k1.b @ SIGMA_X)
+        phase, c1 = 1j * phase, 0.0
 
     elements: list = [dec.k2]
-    phase = dec.phase
     # Application order per the three-block form: c3 block, k_y,
     # c2 block, k_x k_y^dag, c1 block, k1 k_x^dag; identity-angle blocks
     # drop out and their neighbors merge.
@@ -101,17 +106,18 @@ def synthesize(target: np.ndarray, entangler: np.ndarray,
         block = synth_zz_block(c3, resource)
         elements += block.elements
         phase *= block.phase
-    elements.append(LocalPair(_KY, _KY))
+    elements.append(LocalPair(KY_FACTOR, KY_FACTOR))
     if c2 > 0:
         block = synth_zz_block(c2, resource)
         elements += block.elements
         phase *= block.phase
-    elements.append(LocalPair(_KX @ dagger(_KY), _KX @ dagger(_KY)))
+    kx_ky = KX_FACTOR @ dagger(KY_FACTOR)
+    elements.append(LocalPair(kx_ky, kx_ky))
     if c1 > 0:
         block = synth_zz_block(c1, resource)
         elements += block.elements
         phase *= block.phase
-    elements.append(LocalPair(dec.k1.a @ dagger(_KX), dec.k1.b @ dagger(_KX)))
+    elements.append(LocalPair(k1.a @ dagger(KX_FACTOR), k1.b @ dagger(KX_FACTOR)))
 
     circuit = merge_locals(Circuit(elements, phase))
 
@@ -119,15 +125,8 @@ def synthesize(target: np.ndarray, entangler: np.ndarray,
     if residual >= tol.verify_tol:
         raise ArithmeticError(f"synthesis verification failed: residual {residual:g}")
 
-    report = SynthesisReport(
-        gamma=resource.gamma,
-        apps_per_unit=resource.apps_per_unit,
-        n=resource.reps,
-        bound=6 * resource.reps * resource.apps_per_unit,
-        entangler_count=circuit.entangler_count,
-        local_count=circuit.local_count,
-        residual=residual,
-    )
+    report = _report(resource, entangler_count=circuit.entangler_count,
+                     local_count=circuit.local_count, residual=residual)
     assert report.entangler_count <= report.bound
     return circuit, report
 

@@ -12,10 +12,16 @@ The algorithm conjugates into the magic (Bell) basis, where local gates
 become real orthogonal matrices and the interaction factor becomes
 diagonal, then simultaneously diagonalizes the real and imaginary parts
 of the symmetric product M = V^T V.
+
+The raw triple read off the eigenphases is moved into the chamber in
+closed form (Zhang, Vala, Sastry and Whaley, "Geometric theory of nonlocal
+two-qubit operations", quant-ph/0209120): reduce each coordinate mod pi,
+sort descending, reflect through the face c1 + c2 = pi, and fold the
+c3 = 0 base onto c1 <= pi/2. Every move is an exact local identity
+(axis swap, sign flip of a pair, pi shift), tracked into the local factors.
 """
 
 import enum
-import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -39,6 +45,10 @@ _DIAG_ZZ = np.array([1.0, -1.0, -1.0, 1.0])
 
 _SNAP_POINTS = (0.0, np.pi / 4, np.pi / 2, np.pi)
 
+# Roundoff slack of the chamber reduction: coordinates within _TIE of a
+# chamber face count as on it, and such near-ties keep the identity move.
+_TIE = 1e-12
+
 # Seed for breaking eigenvalue degeneracies; fresh generator per call so
 # results do not depend on call ordering.
 _DIAG_SEED = 7
@@ -54,9 +64,6 @@ _AXIS_SWAP = {
 
 # Pauli on qubit 1 whose conjugation negates the other two coefficients.
 _PAIR_NEGATE = {(0, 1): SIGMA_Z, (0, 2): SIGMA_Y, (1, 2): SIGMA_X}
-
-# Even sign patterns and the coefficient pair each one negates.
-_SIGN_PATTERNS = ((1, 1, 1), (-1, -1, 1), (-1, 1, -1), (1, -1, -1))
 
 _SHIFT_PHASE = (1.0 + 0j, -1j, -1.0 + 0j, 1j)  # (-i)**m for m mod 4
 
@@ -114,11 +121,6 @@ def snap_vector(c: CanonicalVector, tol: float = DEFAULT_TOL.snap_tol) -> tuple[
     return tuple(snap_angle(x, tol) for x in c.as_tuple())
 
 
-def _in_chamber(c1: float, c2: float, c3: float, slack: float = 1e-12) -> bool:
-    return (np.pi - c2 + slack >= c1 >= c2 - slack
-            and c2 + slack >= c3 >= -slack)
-
-
 class _MoveTracker:
     """Accumulates local corrections while reducing an interaction triple.
 
@@ -135,7 +137,7 @@ class _MoveTracker:
         self.phase = 1.0 + 0j
 
     def swap(self, i: int, j: int) -> None:
-        h = _AXIS_SWAP[(min(i, j), max(i, j))]
+        h = _AXIS_SWAP[(i, j)]
         self.pre_a = self.pre_a @ h
         self.pre_b = self.pre_b @ h
         self.post_a = h @ self.post_a
@@ -143,7 +145,7 @@ class _MoveTracker:
         self.c[i], self.c[j] = self.c[j], self.c[i]
 
     def negate_pair(self, i: int, j: int) -> None:
-        s = _PAIR_NEGATE[(min(i, j), max(i, j))]
+        s = _PAIR_NEGATE[(i, j)]
         self.pre_a = self.pre_a @ s
         self.post_a = s @ self.post_a
         self.c[i] = -self.c[i]
@@ -161,86 +163,56 @@ class _MoveTracker:
         self.c[k] = self.c[k] + m * np.pi
 
 
-def _component_options(x: float, slack: float) -> list[tuple[float, int]]:
-    """Residues of x mod pi usable as a chamber coordinate, with shift counts.
-
-    Normally just the representative in [0, pi); a residue within slack of
-    pi also offers its tiny-negative twin, so that roundoff noise sitting
-    just below zero cannot hide an otherwise-valid chamber candidate.
-    """
-    m0 = -int(np.floor(x / np.pi))
-    r = x + m0 * np.pi
-    options = [(r, m0)]
-    if r > np.pi - slack:
-        options.append((x + (m0 - 1) * np.pi, m0 - 1))
-    return options
-
-
-def _chamber_candidates(raw: tuple[float, float, float], slack: float = 1e-12):
-    """All chamber representatives reachable from raw by exact local moves.
-
-    The move group is permutations x even sign flips x per-axis pi shifts,
-    so the orbit inside [0, pi)^3 is exactly the points enumerated here.
-    """
-    for perm in itertools.permutations((0, 1, 2)):
-        for signs in _SIGN_PATTERNS:
-            base = [s * raw[p] for s, p in zip(signs, perm)]
-            for picks in itertools.product(*(_component_options(x, slack) for x in base)):
-                cand = tuple(v for v, _ in picks)
-                if _in_chamber(*cand, slack=slack):
-                    yield cand, perm, signs, tuple(m for _, m in picks)
-
-
-def _canonicalize_tracked(raw: tuple[float, float, float]) -> tuple[
-        CanonicalVector, LocalPair, LocalPair, complex]:
-    choices = list(_chamber_candidates(raw))
-    if not choices:
-        choices = list(_chamber_candidates(raw, slack=DEFAULT_TOL.snap_tol))
-    if not choices:
-        raise ArithmeticError(f"no chamber representative found for {raw}")
-    # Lexicographically smallest representative, with candidates within
-    # roundoff of the minimum treated as ties: the first tie in enumeration
-    # order wins, so identity moves are preferred and an already-canonical
-    # triple maps exactly to itself.
-    best = min(choice[0] for choice in choices)
-    cand, perm, signs, shifts = next(
-        choice for choice in choices
-        if all(abs(x - y) <= 1e-12 for x, y in zip(choice[0], best)))
-
-    tracker = _MoveTracker(raw)
-    # Realize the permutation as position swaps: src[k] tracks which raw
-    # component currently sits at position k; stop when src == perm.
-    src = [0, 1, 2]
-    for i in range(3):
-        if src[i] != perm[i]:
-            j = src.index(perm[i], i + 1)
-            tracker.swap(i, j)
-            src[i], src[j] = src[j], src[i]
-    neg = [i for i in range(3) if signs[i] < 0]
-    if neg:
-        tracker.negate_pair(neg[0], neg[1])
-    for k in range(3):
-        tracker.shift(k, shifts[k])
-
-    vec = CanonicalVector(*(x + 0.0 for x in tracker.c))  # -0.0 -> +0.0
-    return (vec, LocalPair(tracker.pre_a, tracker.pre_b),
-            LocalPair(tracker.post_a, tracker.post_b), tracker.phase)
+def _sort_descending(t: _MoveTracker) -> None:
+    # Exact comparisons: equal values never swap, and a near-tie must not
+    # hide the true smallest coordinate from the base test below.
+    for i, j in ((0, 1), (1, 2), (0, 1)):
+        if t.c[i] < t.c[j]:
+            t.swap(i, j)
 
 
 def canonicalize(raw: tuple[float, float, float]) -> tuple[
-        CanonicalVector, LocalPair, LocalPair]:
+        CanonicalVector, LocalPair, LocalPair, complex]:
     """Reduce an interaction triple to its Weyl-chamber representative.
 
-    Returns (c, pre, post) with
+    Returns (c, pre, post, phase) with
 
-        A(raw) = (pre.a (x) pre.b) @ A(c) @ (post.a (x) post.b)
+        A(raw) = phase * (pre.a (x) pre.b) @ A(c) @ (post.a (x) post.b)
 
-    exactly; the accumulated scalar phase is folded into pre.a. Chamber
-    ties (which occur on the boundary and on the c3 = 0 base) are broken
-    by choosing the lexicographically smallest representative.
+    exactly. Chamber points are unique except on the c3 = 0 base, where
+    (c1, c2, 0) ~ (pi - c1, c2, 0); there the representative with
+    c1 <= pi/2 is kept. Near-ties within 1e-12 of a chamber face or of
+    the fold keep the identity move, so a canonical triple maps to
+    itself with identity locals and unit phase.
     """
-    vec, pre, post, phase = _canonicalize_tracked(tuple(float(x) for x in raw))
-    return vec, LocalPair(phase * pre.a, pre.b), post
+    t = _MoveTracker(tuple(float(x) for x in raw))
+    # (1) Each coordinate into [-_TIE, pi - _TIE) by whole pi shifts.
+    for k in range(3):
+        m = -int(np.floor((t.c[k] + _TIE) / np.pi))
+        # x + m*pi can round across an edge; land inside so that a second
+        # pass over the result shifts nothing.
+        if t.c[k] + m * np.pi < -_TIE:
+            m += 1
+        elif t.c[k] + m * np.pi >= np.pi - _TIE:
+            m -= 1
+        t.shift(k, m)
+    # (2) c1 >= c2 >= c3.
+    _sort_descending(t)
+    # (3) Reflect through the face c1 + c2 = pi: (pi - c2, pi - c1, c3).
+    if t.c[0] + t.c[1] > np.pi + _TIE:
+        t.negate_pair(0, 1)
+        t.shift(0, 1)
+        t.shift(1, 1)
+        t.swap(0, 1)
+        _sort_descending(t)
+    # (4) Base identification on c3 = 0: (pi - c1, c2, -c3).
+    if abs(t.c[2]) <= _TIE and t.c[0] > np.pi / 2 + _TIE:
+        t.negate_pair(0, 2)
+        t.shift(0, 1)
+        _sort_descending(t)
+
+    vec = CanonicalVector(*(x + 0.0 for x in t.c))  # -0.0 -> +0.0
+    return vec, LocalPair(t.pre_a, t.pre_b), LocalPair(t.post_a, t.post_b), t.phase
 
 
 def _simultaneous_diagonalize(m2: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -338,7 +310,7 @@ def kak_decompose(u: np.ndarray, tol: ToleranceConfig = DEFAULT_TOL) -> KakDecom
         float(phases @ _DIAG_YY) / 4,
         float(phases @ _DIAG_ZZ) / 4,
     )
-    vec, pre, post, move_phase = _canonicalize_tracked(raw)
+    vec, pre, post, move_phase = canonicalize(raw)
 
     k1 = LocalPair(a1 @ pre.a, b1 @ pre.b)
     k2 = LocalPair(post.a @ a2, post.b @ b2)

@@ -125,22 +125,28 @@ def reduce_angle(r: ZzResource) -> ZzResource:
     return replace(r, circuit=circuit, gamma=r.gamma - np.pi)
 
 
+def reflected(circ: Circuit) -> Circuit:
+    """Turn a circuit for exp(g (i/2) ZZ) into one for exp((pi-g)(i/2) ZZ).
+
+    Uses -i e^{-i pi/2 sz^1} e^{i pi/2 sy^1} exp(g (i/2) ZZ)
+    e^{-i pi/2 sy^1} e^{-i pi/2 sz^2} = exp((pi-g)(i/2) ZZ).
+    """
+    elems = ([LocalPair(ID2, exp_pauli("z", -np.pi / 2)),
+              LocalPair(exp_pauli("y", -np.pi / 2), ID2)]
+             + circ.elements
+             + [LocalPair(exp_pauli("y", np.pi / 2), ID2),
+                LocalPair(exp_pauli("z", -np.pi / 2), ID2)])
+    return Circuit(elems, phase=-1j * circ.phase)
+
+
 def reflect_angle(r: ZzResource) -> ZzResource:
     """Reflect gamma in (pi/2, pi) down to pi - gamma in (0, pi/2).
 
-    Uses -i e^{-i pi/2 sz^1} e^{i pi/2 sy^1} exp(g (i/2) ZZ)
-    e^{-i pi/2 sy^1} e^{-i pi/2 sz^2} = exp((pi-g)(i/2) ZZ); the boundary
-    gamma = pi/2 is kept as is.
+    The boundary gamma = pi/2 is kept as is.
     """
     if r.gamma <= np.pi / 2:
         return r
-    elems = ([LocalPair(ID2, exp_pauli("z", -np.pi / 2)),
-              LocalPair(exp_pauli("y", -np.pi / 2), ID2)]
-             + r.circuit.elements
-             + [LocalPair(exp_pauli("y", np.pi / 2), ID2),
-                LocalPair(exp_pauli("z", -np.pi / 2), ID2)])
-    circuit = Circuit(elems, phase=-1j * r.circuit.phase)
-    return replace(r, circuit=circuit, gamma=np.pi - r.gamma)
+    return replace(r, circuit=reflected(r.circuit), gamma=np.pi - r.gamma)
 
 
 def amplify(r: ZzResource) -> ZzResource:

@@ -5,6 +5,7 @@ from hypothesis import given, settings, strategies as st
 from gatesynth.blocksynth import (AxisAngle, block_params, controlled_u_circuit,
                                   controlled_u_gamma, synth_zz_block, u1_u2)
 from gatesynth.gates import CNOT, cphase, phase_gate
+from gatesynth.kak import kak_decompose
 from gatesynth.matcore import (Circuit, EntanglerApp, SIGMA_X, evaluate,
                                phase_distance, tensor, zz_interaction)
 from gatesynth.zzsynth import ZzResource, prepare_resource
@@ -40,6 +41,12 @@ class TestBlockParams:
         assert p * p + q * q == pytest.approx(1.0, abs=1e-12)
         assert np.sin(c / 2) == pytest.approx(np.sin(gamma) * np.sin(b / 2), abs=1e-12)
         assert p * q == pytest.approx(np.cos(b / 2) / (2 * np.cos(c / 2)), abs=1e-12)
+
+    @pytest.mark.parametrize("c", [1e-10, 1e-8, 1e-4])
+    @pytest.mark.parametrize("gamma", [np.pi / 4, np.pi / 3, np.pi / 2])
+    def test_half_angle_identity_small_c(self, c, gamma):
+        b = block_params(c, gamma).b
+        assert np.sin(gamma) * np.sin(b / 2) == pytest.approx(np.sin(c / 2), rel=1e-9)
 
     def test_rejects_unreachable(self):
         with pytest.raises(ValueError, match="reachable"):
@@ -182,6 +189,16 @@ class TestControlledUGamma:
     @pytest.mark.parametrize("phi", [0.3, np.pi / 4, np.pi / 2, np.pi])
     def test_phase_gate_coordinate(self, phi):
         assert controlled_u_gamma(phase_gate(phi)) == pytest.approx(phi / 2, abs=1e-10)
+
+    def test_controlled_gates_land_on_lower_half(self, rng):
+        # The chamber fold on the c3 = 0 base keeps c1 <= pi/2 (up to the
+        # 1e-12 tie window), so the coordinate needs no further folding.
+        gates = [phase_gate(phi) for phi in np.linspace(0.0, 2 * np.pi, 721)]
+        gates += [haar_unitary(rng, 2) for _ in range(200)]
+        for u in gates:
+            cu = np.eye(4, dtype=complex)
+            cu[2:, 2:] = u
+            assert kak_decompose(cu).c.c1 <= np.pi / 2 + 1e-12
 
     def test_conjugation_invariance(self, rng):
         for _ in range(10):

@@ -5,7 +5,10 @@ import pytest
 
 from gatesynth.cli import EXIT_INPUT, EXIT_OK, EXIT_VERIFY, main
 from gatesynth.gates import CNOT
+from gatesynth.matcore import interaction
 from gatesynth.serialize import format_matrix
+
+from conftest import dress
 
 
 def run(capsys, *argv):
@@ -36,6 +39,19 @@ class TestSynth:
         code, out, _ = run(capsys, "synth", "--target", f"MATRIX({path})",
                            "--entangler", "CNOT")
         assert code == EXIT_OK
+        assert json.loads(out)["report"]["entangler_count"] == 0
+
+    @pytest.mark.parametrize("triple", [(np.pi - 1e-11, 0.0, 0.0), (-1e-11, 2e-11, 3e-11)])
+    @pytest.mark.parametrize("dressed", [False, True])
+    def test_near_identity_matrix_target(self, capsys, tmp_path, rng, triple, dressed):
+        target = interaction(*triple)
+        if dressed:
+            target = dress(target, rng)
+        path = tmp_path / "near_id.json"
+        path.write_text(format_matrix(target))
+        code, out, err = run(capsys, "synth", "--target", f"MATRIX({path})",
+                             "--entangler", "CNOT")
+        assert code == EXIT_OK, err
         assert json.loads(out)["report"]["entangler_count"] == 0
 
     def test_rejects_unknown_target(self, capsys):

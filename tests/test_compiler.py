@@ -5,9 +5,9 @@ from gatesynth.compiler import (efficient_as_cnot, merge_locals, synthesize,
                                 upper_bound)
 from gatesynth.gates import CNOT, SQRT_SWAP, cphase, phase_gate
 from gatesynth.kak import kak_decompose
-from gatesynth.matcore import (Circuit, EntanglerApp, LocalPair, SIGMA_X,
-                               evaluate, interaction, phase_distance, tensor,
-                               zz_interaction)
+from gatesynth.matcore import (DEFAULT_TOL, Circuit, EntanglerApp, LocalPair,
+                               SIGMA_X, evaluate, interaction, phase_distance,
+                               tensor, zz_interaction)
 
 from conftest import dress, haar_unitary, random_local
 
@@ -58,6 +58,33 @@ class TestSynthesize:
         circuit, report = synthesize(SWAP, CNOT)
         assert report.entangler_count == 6
         assert report.residual < 1e-10
+
+
+NEAR_IDENTITY = [(np.pi - 1e-11, 0.0, 0.0), (-1e-11, 2e-11, 3e-11)]
+
+
+class TestNearLandmarkTargets:
+    @pytest.mark.parametrize("triple", NEAR_IDENTITY)
+    @pytest.mark.parametrize("dressed", [False, True])
+    def test_near_identity_is_local(self, triple, dressed, rng):
+        # The canonical c1 lands within snap_tol of pi; A(pi e1) = i XX is
+        # local, so no block may be requested for it.
+        target = interaction(*triple)
+        if dressed:
+            target = dress(target, rng)
+        _, report = synthesize(target, CNOT)
+        assert report.entangler_count == 0
+        assert report.residual < DEFAULT_TOL.verify_tol
+
+    @pytest.mark.parametrize("entangler", [CNOT, cphase(np.pi / 9)], ids=["cnot", "cphase_pi_9"])
+    def test_tiny_block_angles_verify(self, entangler, rng):
+        # Coordinates of order 1e-8 sit above snap_tol, so blocks with
+        # c ~ 1e-8 are synthesized and must still meet verify_tol.
+        for _ in range(20):
+            c = 1e-8 * rng.uniform(0.5, 2.0, size=3) * rng.choice([-1.0, 1.0], size=3)
+            target = dress(interaction(*c), rng)
+            _, report = synthesize(target, entangler)
+            assert report.residual < DEFAULT_TOL.verify_tol
 
 
 class TestUpperBound:

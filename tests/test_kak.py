@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -5,7 +7,8 @@ from hypothesis import given, settings, strategies as st
 from gatesynth.gates import CNOT, CZ, SWAP
 from gatesynth.kak import (CanonicalVector, GateClass, canonicalize, classify,
                            kak_decompose, locally_equivalent, snap_angle)
-from gatesynth.matcore import interaction, phase_distance, tensor
+from gatesynth.matcore import (SIGMA_X, SIGMA_Y, SIGMA_Z, interaction,
+                               phase_distance, tensor)
 
 from conftest import dress, haar_unitary, random_local
 
@@ -67,42 +70,157 @@ class TestKakDecompose:
 
 class TestCanonicalize:
     def test_zero_identity_corrections(self):
-        vec, pre, post = canonicalize((0.0, 0.0, 0.0))
+        vec, pre, post, phase = canonicalize((0.0, 0.0, 0.0))
         assert vec.as_tuple() == (0.0, 0.0, 0.0)
+        assert phase == 1.0
         np.testing.assert_allclose(pre.matrix(), np.eye(4), atol=1e-15)
         np.testing.assert_allclose(post.matrix(), np.eye(4), atol=1e-15)
 
     def test_already_canonical(self):
-        vec, _, _ = canonicalize((np.pi / 2, 0.0, 0.0))
+        vec, _, _, _ = canonicalize((np.pi / 2, 0.0, 0.0))
         assert vec.as_tuple() == (np.pi / 2, 0.0, 0.0)
 
     def test_out_of_chamber_reflection(self):
         raw = (3 * np.pi / 4, np.pi / 2, np.pi / 4)
-        vec, pre, post = canonicalize(raw)
+        vec, pre, post, phase = canonicalize(raw)
         c1, c2, c3 = vec.as_tuple()
         assert np.pi - c2 + 1e-12 >= c1 >= c2 >= c3 >= 0
-        recon = pre.matrix() @ interaction(*vec.as_tuple()) @ post.matrix()
+        recon = phase * pre.matrix() @ interaction(*vec.as_tuple()) @ post.matrix()
         np.testing.assert_allclose(recon, interaction(*raw), atol=1e-12)
 
     def test_base_plane_prefers_smaller_c1(self):
-        vec, _, _ = canonicalize((2 * np.pi / 3, 0.0, 0.0))
+        vec, _, _, _ = canonicalize((2 * np.pi / 3, 0.0, 0.0))
         assert vec.c1 == pytest.approx(np.pi / 3, abs=1e-12)
 
     @settings(max_examples=200, deadline=None)
     @given(angles, angles, angles)
     def test_reconstruction_property(self, a, b, c):
-        vec, pre, post = canonicalize((a, b, c))
-        recon = pre.matrix() @ interaction(*vec.as_tuple()) @ post.matrix()
+        vec, pre, post, phase = canonicalize((a, b, c))
+        recon = phase * pre.matrix() @ interaction(*vec.as_tuple()) @ post.matrix()
         assert np.abs(recon - interaction(a, b, c)).max() < 1e-10
 
     @settings(max_examples=200, deadline=None)
     @given(angles, angles, angles)
     def test_idempotent(self, a, b, c):
-        vec, _, _ = canonicalize((a, b, c))
-        again, pre, post = canonicalize(vec.as_tuple())
+        vec, _, _, _ = canonicalize((a, b, c))
+        again, pre, post, phase = canonicalize(vec.as_tuple())
         assert again.as_tuple() == vec.as_tuple()
+        assert phase == 1.0
         np.testing.assert_allclose(pre.matrix(), np.eye(4), atol=1e-15)
         np.testing.assert_allclose(post.matrix(), np.eye(4), atol=1e-15)
+
+
+_TIE = 1e-12
+_ORBIT_SIGNS = np.array([(1, 1, 1), (-1, -1, 1), (-1, 1, -1), (1, -1, -1)], dtype=float)
+_ORBIT_PERMS = list(itertools.permutations(range(3)))
+_LANDMARKS = (0.0, np.pi / 4, -np.pi / 4, np.pi / 2, -np.pi / 2, 3 * np.pi / 4,
+              np.pi, -np.pi, 2 * np.pi / 3, 5 * np.pi / 4, 0.3)
+_LANDMARK_TRIPLES = np.array(list(itertools.product(_LANDMARKS, repeat=3)))
+
+
+def _reference_chamber_points(raw: np.ndarray) -> np.ndarray:
+    """Brute-force chamber representatives of an (N, 3) batch of triples.
+
+    Enumerates the orbit by value only (permutations x even sign flips x
+    pi shifts, a residue within _TIE below pi also offering its negative
+    twin), keeps the points in the chamber with slack _TIE and returns
+    the first one, in enumeration order, within _TIE of the
+    lexicographic minimum.
+    """
+    base = np.stack([raw[:, perm] * signs for perm in _ORBIT_PERMS
+                     for signs in _ORBIT_SIGNS], axis=1)            # (N, 24, 3)
+    resid = base - np.floor(base / np.pi) * np.pi
+    twin = resid - np.pi
+    twin_ok = resid > np.pi - _TIE
+    picks = list(itertools.product((0, 1), repeat=3))
+    cands = np.stack([np.stack([twin[..., k] if p else resid[..., k]
+                                for k, p in enumerate(pick)], axis=-1)
+                      for pick in picks], axis=2)                  # (N, 24, 8, 3)
+    valid = np.stack([np.logical_and.reduce([twin_ok[..., k] | (not p)
+                                             for k, p in enumerate(pick)])
+                      for pick in picks], axis=2)
+    cands = cands.reshape(len(raw), -1, 3)
+    valid = valid.reshape(len(raw), -1)
+    c1, c2, c3 = cands[..., 0], cands[..., 1], cands[..., 2]
+    valid &= ((np.pi - c2 + _TIE >= c1) & (c1 >= c2 - _TIE)
+              & (c2 + _TIE >= c3) & (c3 >= -_TIE))
+    assert valid.any(axis=1).all()
+    best = np.full((len(raw), 3), np.inf)
+    keep = valid.copy()
+    for k in range(3):
+        best[:, k] = np.where(keep, cands[..., k], np.inf).min(axis=1)
+        keep &= cands[..., k] == best[:, k:k + 1]
+    near = valid & np.all(np.abs(cands - best[:, None, :]) <= _TIE, axis=2)
+    return cands[np.arange(len(raw)), near.argmax(axis=1)]
+
+
+def _batched_interaction(c: np.ndarray) -> np.ndarray:
+    """A(c) for an (N, 3) batch, as the product of its three commuting factors."""
+    out = np.broadcast_to(np.eye(4, dtype=complex), (len(c), 4, 4))
+    for k, s in enumerate((SIGMA_X, SIGMA_Y, SIGMA_Z)):
+        half = c[:, k, None, None] / 2
+        out = out @ (np.cos(half) * np.eye(4) + 1j * np.sin(half) * np.kron(s, s))
+    return out
+
+
+def _batched_pair(pairs) -> np.ndarray:
+    a = np.array([p.a for p in pairs])
+    b = np.array([p.b for p in pairs])
+    return np.einsum("nij,nkl->nikjl", a, b).reshape(len(pairs), 4, 4)
+
+
+def _check_against_reference(raw: np.ndarray) -> None:
+    results = [canonicalize(tuple(t)) for t in raw]
+    got = np.array([vec.as_tuple() for vec, _, _, _ in results])
+    ref = _reference_chamber_points(raw)
+    gap = np.abs(got - ref).max(axis=1)
+    assert gap.max() <= 1e-11, raw[gap.argmax()]
+
+    phase = np.array([ph for _, _, _, ph in results])[:, None, None]
+    recon = (phase * _batched_pair([pre for _, pre, _, _ in results])
+             @ _batched_interaction(got)
+             @ _batched_pair([post for _, _, post, _ in results]))
+    err = np.abs(recon - _batched_interaction(raw)).max(axis=(1, 2))
+    assert err.max() < 1e-10, raw[err.argmax()]
+
+    for vec, _, _, _ in results:
+        again, pre, post, ph = canonicalize(vec.as_tuple())
+        assert again.as_tuple() == vec.as_tuple()
+        assert ph == 1.0
+        for m in (pre.a, pre.b, post.a, post.b):
+            assert np.array_equal(m, np.eye(2))
+
+
+class TestCanonicalizeAgainstOrbitSearch:
+    """Closed-form reduction versus a brute-force search of the local orbit."""
+
+    def test_random_triples(self):
+        raw = np.random.default_rng(2002).uniform(-8.0, 8.0, size=(20_000, 3))
+        for chunk in np.array_split(raw, 10):
+            _check_against_reference(chunk)
+
+    def test_landmark_triples(self):
+        _check_against_reference(_LANDMARK_TRIPLES)
+
+    @pytest.mark.parametrize("eps", [1e-15, 1e-13, 1e-12, 1e-11, 1e-10, 1e-9])
+    def test_perturbed_landmarks(self, eps):
+        rng = np.random.default_rng(int(-np.log10(eps)))
+        noise = rng.choice([-1.0, 1.0], size=_LANDMARK_TRIPLES.shape)
+        noise *= rng.uniform(0.5, 2.0, size=_LANDMARK_TRIPLES.shape)
+        _check_against_reference(_LANDMARK_TRIPLES + eps * noise)
+
+
+    def test_shift_boundary_roundoff(self):
+        # x + m*pi rounds across the shift window's lower edge for some x
+        # within a few ulps of j*pi - 1e-12; the result must still be a
+        # fixed point, not shifted by pi again on the second pass.
+        for j in range(-3, 4):
+            edge = j * np.pi - _TIE
+            for x in edge + np.arange(-32, 33) * np.spacing(abs(edge)):
+                for raw in [(x, 0.3, 0.2), (x, 0.0, 0.0), (1.0, 0.5, x)]:
+                    vec, _, _, _ = canonicalize(raw)
+                    again, _, _, phase = canonicalize(vec.as_tuple())
+                    assert again.as_tuple() == vec.as_tuple() and phase == 1.0, raw
 
 
 class TestClassify:
