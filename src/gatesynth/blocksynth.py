@@ -87,16 +87,14 @@ def u1_u2(params: BlockParams) -> tuple[np.ndarray, np.ndarray]:
 
 
 def synth_zz_block(c: float, resource: ZzResource) -> Circuit:
-    """Simulate exp(c (i/2) ZZ), c in (0, pi], with two resource insertions.
+    """Simulate exp(c (i/2) ZZ), c in (0, pi), with two resource insertions.
 
     For c in (pi/2, pi) the block is reflected to pi - c first and wrapped
-    with the reflection locals; c = pi is locally trivial and never reaches
-    this operation.
+    with the reflection locals; c = pi is locally trivial, and synthesize
+    folds a c1 snapped to pi into the locals before it gets here.
     """
-    if abs(c - np.pi) < 1e-9:
-        raise ValueError("c = pi is a local gate, not a synthesizable block")
     if not 0.0 < c < np.pi:
-        raise ValueError(f"block angle c = {c} outside (0, pi]")
+        raise ValueError(f"block angle c = {c} outside (0, pi)")
     if c > np.pi / 2:
         return reflected(synth_zz_block(np.pi - c, resource))
 

@@ -2,20 +2,21 @@
 
 A target decomposes into at most three ZZ blocks interleaved with fixed
 local layers; each block costs two insertions of the amplified resource,
-so the entangler count never exceeds 6 * n * apps_per_unit. That bound
+so the entangler count never exceeds zzsynth.uniform_bound. That bound
 depends only on the entangler's canonical vector.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .blocksynth import controlled_u_gamma, synth_zz_block
-from .kak import kak_decompose, snap_angle
+from .kak import kak_decompose, snap_vector
 from .matcore import (DEFAULT_TOL, SIGMA_X, Circuit, LocalPair,
                       ToleranceConfig, dagger, evaluate, phase_distance,
                       require_unitary)
-from .zzsynth import KX_FACTOR, KY_FACTOR, ZzResource, prepare_resource
+from .zzsynth import (KX_FACTOR, KY_FACTOR, extract_zz, prepare_resource,
+                      repetitions, uniform_bound)
 
 
 @dataclass
@@ -23,33 +24,31 @@ class SynthesisReport:
     """Audit record of one synthesis run.
 
     gamma, apps_per_unit and n describe the amplified resource; bound is
-    6 * n * apps_per_unit. entangler_count, local_count and residual are
-    None for bound-only reports.
+    derived from them. entangler_count, local_count and residual are None
+    for bound-only reports.
     """
 
     gamma: float
     apps_per_unit: int
     n: int
-    bound: int
+    bound: int = field(init=False)
     entangler_count: int | None = None
     local_count: int | None = None
     residual: float | None = None
 
-
-def _report(resource: ZzResource, **outcome) -> SynthesisReport:
-    return SynthesisReport(
-        gamma=resource.gamma,
-        apps_per_unit=resource.apps_per_unit,
-        n=resource.reps,
-        bound=6 * resource.reps * resource.apps_per_unit,
-        **outcome,
-    )
+    def __post_init__(self) -> None:
+        self.bound = uniform_bound(self.n, self.apps_per_unit)
 
 
 def upper_bound(entangler: np.ndarray,
                 tol: ToleranceConfig = DEFAULT_TOL) -> SynthesisReport:
-    """Uniform bound on entangler applications for any two-qubit target."""
-    return _report(prepare_resource(entangler, tol))
+    """Uniform bound on entangler applications for any two-qubit target.
+
+    Computed from the unamplified resource; the n-fold circuit is never built.
+    """
+    unit = extract_zz(entangler, tol)
+    n = repetitions(unit.gamma)
+    return SynthesisReport(n * unit.gamma, unit.apps_per_unit, n)
 
 
 def merge_locals(circuit: Circuit) -> Circuit:
@@ -67,15 +66,13 @@ def merge_locals(circuit: Circuit) -> Circuit:
         else:
             merged.append(elem)
     phase = circuit.phase
-    out: list = []
-    for elem in merged:
+    for i, elem in enumerate(merged):
         if isinstance(elem, LocalPair):
             scale_a = np.sqrt(np.linalg.det(elem.a))
             scale_b = np.sqrt(np.linalg.det(elem.b))
             phase *= scale_a * scale_b
-            elem = LocalPair(elem.a / scale_a, elem.b / scale_b)
-        out.append(elem)
-    return Circuit(out, phase)
+            merged[i] = LocalPair(elem.a / scale_a, elem.b / scale_b)
+    return Circuit(merged, phase)
 
 
 def synthesize(target: np.ndarray, entangler: np.ndarray,
@@ -91,33 +88,26 @@ def synthesize(target: np.ndarray, entangler: np.ndarray,
     dec = kak_decompose(target, tol)
     resource = prepare_resource(entangler, tol)
 
-    c1, c2, c3 = (snap_angle(c, tol.snap_tol) for c in dec.c.as_tuple())
+    c1, c2, c3 = snap_vector(dec.c, tol.snap_tol)
     k1, phase = dec.k1, dec.phase
     if c1 == np.pi:
         # A(pi e1) = i XX is local: fold it into k1 instead of a block.
         k1 = LocalPair(k1.a @ SIGMA_X, k1.b @ SIGMA_X)
         phase, c1 = 1j * phase, 0.0
 
-    elements: list = [dec.k2]
     # Application order per the three-block form: c3 block, k_y,
     # c2 block, k_x k_y^dag, c1 block, k1 k_x^dag; identity-angle blocks
     # drop out and their neighbors merge.
-    if c3 > 0:
-        block = synth_zz_block(c3, resource)
-        elements += block.elements
-        phase *= block.phase
-    elements.append(LocalPair(KY_FACTOR, KY_FACTOR))
-    if c2 > 0:
-        block = synth_zz_block(c2, resource)
-        elements += block.elements
-        phase *= block.phase
-    kx_ky = KX_FACTOR @ dagger(KY_FACTOR)
-    elements.append(LocalPair(kx_ky, kx_ky))
-    if c1 > 0:
-        block = synth_zz_block(c1, resource)
-        elements += block.elements
-        phase *= block.phase
-    elements.append(LocalPair(k1.a @ dagger(KX_FACTOR), k1.b @ dagger(KX_FACTOR)))
+    kx_ky, kx_dag = KX_FACTOR @ dagger(KY_FACTOR), dagger(KX_FACTOR)
+    elements: list = [dec.k2]
+    for c, interleaver in ((c3, LocalPair(KY_FACTOR, KY_FACTOR)),
+                           (c2, LocalPair(kx_ky, kx_ky)),
+                           (c1, LocalPair(k1.a @ kx_dag, k1.b @ kx_dag))):
+        if c > 0:
+            block = synth_zz_block(c, resource)
+            elements += block.elements
+            phase *= block.phase
+        elements.append(interleaver)
 
     circuit = merge_locals(Circuit(elements, phase))
 
@@ -125,8 +115,9 @@ def synthesize(target: np.ndarray, entangler: np.ndarray,
     if residual >= tol.verify_tol:
         raise ArithmeticError(f"synthesis verification failed: residual {residual:g}")
 
-    report = _report(resource, entangler_count=circuit.entangler_count,
-                     local_count=circuit.local_count, residual=residual)
+    report = SynthesisReport(resource.gamma, resource.apps_per_unit, resource.reps,
+                             entangler_count=circuit.entangler_count,
+                             local_count=circuit.local_count, residual=residual)
     assert report.entangler_count <= report.bound
     return circuit, report
 

@@ -12,7 +12,7 @@ from pathlib import Path
 import numpy as np
 
 from .matcore import DEFAULT_TOL, ToleranceConfig, interaction, require_unitary, zz_interaction
-from .serialize import parse_matrix_text
+from .serialize import decode_matrix, encode_matrix, parse_matrix_text
 
 CNOT = np.array([[1, 0, 0, 0],
                  [0, 1, 0, 0],
@@ -80,7 +80,7 @@ class GateSpec:
     def descriptor(self) -> dict:
         """JSON-ready description; MATRIX gates embed their entries."""
         if self.name == "MATRIX":
-            return {"matrix": [[[z.real, z.imag] for z in row] for row in self.matrix]}
+            return {"matrix": encode_matrix(self.matrix)}
         out: dict = {"name": self.name}
         if self.angle is not None:
             out["angle"] = self.angle
@@ -128,13 +128,17 @@ def resolve_gate(text: str, tol: ToleranceConfig = DEFAULT_TOL) -> tuple[np.ndar
 
 
 def resolve_descriptor(desc: dict, tol: ToleranceConfig = DEFAULT_TOL) -> np.ndarray:
-    """Rebuild a gate matrix from a document descriptor."""
-    if "matrix" in desc:
-        entries = np.array([[complex(re_, im_) for re_, im_ in row] for row in desc["matrix"]])
-        return require_unitary(entries, tol.unitarity_tol, "embedded matrix")
-    name = desc["name"]
-    if name in _FIXED_GATES:
-        return _FIXED_GATES[name]().copy()
-    if name in _PARAM_GATES:
-        return _PARAM_GATES[name](float(desc["angle"]))
+    """Rebuild a gate matrix from a document descriptor; ValueError if malformed."""
+    try:
+        if "matrix" in desc:
+            matrix = decode_matrix(desc["matrix"], (4, 4))
+            return require_unitary(matrix, tol.unitarity_tol, "embedded matrix")
+        name = desc["name"]
+        if name in _FIXED_GATES:
+            return _FIXED_GATES[name]().copy()
+        if name in _PARAM_GATES:
+            return _PARAM_GATES[name](float(desc["angle"]))
+    except (KeyError, TypeError) as exc:
+        raise ValueError(f"malformed gate descriptor {desc!r}: "
+                         f"{type(exc).__name__} {exc}") from exc
     raise ValueError(f"unknown gate descriptor {desc!r}")

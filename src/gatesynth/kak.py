@@ -102,11 +102,8 @@ class KakDecomposition:
     k2: LocalPair
     phase: complex
 
-    def interaction_matrix(self) -> np.ndarray:
-        return interaction(*self.c.as_tuple())
-
     def reconstruct(self) -> np.ndarray:
-        return self.phase * self.k1.matrix() @ self.interaction_matrix() @ self.k2.matrix()
+        return self.phase * self.k1.matrix() @ interaction(*self.c.as_tuple()) @ self.k2.matrix()
 
 
 def snap_angle(x: float, tol: float = DEFAULT_TOL.snap_tol) -> float:

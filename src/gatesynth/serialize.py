@@ -7,7 +7,7 @@ document can be re-verified without any outside context.
 """
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -17,20 +17,25 @@ from .matcore import (DEFAULT_TOL, Circuit, EntanglerApp, LocalPair,
 DOCUMENT_FORMAT = "gatesynth-circuit-v1"
 
 
-def _complex_rows(m: np.ndarray) -> list:
+def encode_matrix(m: np.ndarray) -> list:
+    """A complex matrix as JSON-ready row-major [re, im] pairs."""
     return [[[float(z.real), float(z.imag)] for z in row] for row in np.asarray(m, dtype=complex)]
 
 
-def _rows_complex(rows: list) -> np.ndarray:
+def decode_matrix(rows: list, shape: tuple[int, int] | None = None) -> np.ndarray:
+    """Inverse of encode_matrix; ValueError if malformed or not of the given shape."""
     try:
-        return np.array([[complex(pair[0], pair[1]) for pair in row] for row in rows])
+        m = np.array([[complex(pair[0], pair[1]) for pair in row] for row in rows])
     except (TypeError, IndexError) as exc:
         raise ValueError(f"malformed matrix entries: {exc}") from exc
+    if shape is not None and m.shape != shape:
+        raise ValueError(f"matrix has shape {m.shape}, expected {shape[0]}x{shape[1]}")
+    return m
 
 
 def format_matrix(m: np.ndarray) -> str:
     """Serialize a complex matrix as row-major [re, im] pairs."""
-    return json.dumps(_complex_rows(m), indent=1)
+    return json.dumps(encode_matrix(m), indent=1)
 
 
 def parse_matrix_text(text: str, tol: ToleranceConfig = DEFAULT_TOL) -> np.ndarray:
@@ -39,7 +44,7 @@ def parse_matrix_text(text: str, tol: ToleranceConfig = DEFAULT_TOL) -> np.ndarr
         rows = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ValueError(f"malformed matrix document: {exc}") from exc
-    m = _rows_complex(rows)
+    m = decode_matrix(rows)
     if m.shape not in ((2, 2), (4, 4)):
         raise ValueError(f"matrix must be 2x2 or 4x4, got {m.shape}")
     return require_unitary(m, tol.unitarity_tol, "matrix file contents")
@@ -58,18 +63,14 @@ class CircuitDocument:
 def _element_record(elem) -> dict:
     if isinstance(elem, EntanglerApp):
         return {"kind": "entangler"}
-    return {"kind": "local", "a": _complex_rows(elem.a), "b": _complex_rows(elem.b)}
+    return {"kind": "local", "a": encode_matrix(elem.a), "b": encode_matrix(elem.b)}
 
 
 def emit_circuit_document(doc: CircuitDocument) -> str:
     payload = {
         "format": DOCUMENT_FORMAT,
         "entangler": doc.entangler,
-        "tolerances": {
-            "unitarity_tol": doc.tolerances.unitarity_tol,
-            "snap_tol": doc.tolerances.snap_tol,
-            "verify_tol": doc.tolerances.verify_tol,
-        },
+        "tolerances": asdict(doc.tolerances),
         "elements": [_element_record(e) for e in doc.circuit.elements],
         "phase": [doc.circuit.phase.real, doc.circuit.phase.imag],
         "report": doc.report,
@@ -91,8 +92,8 @@ def parse_circuit_document(text: str) -> CircuitDocument:
             if record["kind"] == "entangler":
                 elements.append(EntanglerApp())
             elif record["kind"] == "local":
-                elements.append(LocalPair(_rows_complex(record["a"]),
-                                          _rows_complex(record["b"])))
+                elements.append(LocalPair(decode_matrix(record["a"], (2, 2)),
+                                          decode_matrix(record["b"], (2, 2))))
             else:
                 raise ValueError(f"unknown element kind {record['kind']!r}")
         phase = complex(payload["phase"][0], payload["phase"][1])

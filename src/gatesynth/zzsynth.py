@@ -6,8 +6,8 @@ split runs on the entangler's canonical vector (g1, g2, g3):
 
   case 1: g2 = g3 = 0            -- one application, axis moved x -> z
   case 2: g1 = g2 = pi/2, g3 = 0 -- the special two-application circuit
-  case 3: g3 = 0, 0 < g2 < pi/2  -- two applications, sigma_x conjugation
-  case 4: g3 > 0                 -- two applications, sigma_z conjugation
+  case 3: g3 = 0, 0 < g2 < pi/2  -- two applications, doubling g1 (g2 at g1 = pi/2)
+  case 4: g3 > 0                 -- two applications, doubling g3
 
 followed by angle reduction and reflection so gamma lands in (0, pi/2],
 and repetition until the amplified angle reaches [pi/4, pi/2].
@@ -17,7 +17,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .kak import GateClass, classify, kak_decompose, snap_angle
+from .kak import GateClass, classify, kak_decompose, snap_vector
 from .matcore import (DEFAULT_TOL, ID2, Circuit, EntanglerApp, LocalPair,
                       ToleranceConfig, dagger, exp_pauli)
 
@@ -40,11 +40,10 @@ class ZzResource:
     reps: int = 1
 
 
-def _conjugated(circ: Circuit, left_a: np.ndarray, left_b: np.ndarray) -> Circuit:
-    """Wrap a circuit as L . circ . L^dag with L = left_a (x) left_b."""
-    pre = LocalPair(dagger(left_a), dagger(left_b))
-    post = LocalPair(left_a, left_b)
-    return Circuit([pre] + circ.elements + [post], circ.phase)
+def _conjugated(circ: Circuit, k: np.ndarray) -> Circuit:
+    """Wrap a circuit as L . circ . L^dag with L = k (x) k."""
+    return Circuit([LocalPair(dagger(k), dagger(k))] + circ.elements + [LocalPair(k, k)],
+                   circ.phase)
 
 
 def extract_zz(entangler: np.ndarray, tol: ToleranceConfig = DEFAULT_TOL) -> ZzResource:
@@ -62,11 +61,11 @@ def extract_zz(entangler: np.ndarray, tol: ToleranceConfig = DEFAULT_TOL) -> ZzR
     # A = k_l^dag U_g k_r^dag, KAK locals folded into flanking layers.
     a_circ = Circuit([dec.k2.dag(), EntanglerApp(), dec.k1.dag()],
                      phase=np.conj(dec.phase))
-    g1, g2, g3 = (snap_angle(g, tol.snap_tol) for g in dec.c.as_tuple())
+    g1, g2, g3 = snap_vector(dec.c, tol.snap_tol)
 
     if g3 == 0.0 and g2 == 0.0:
         # case 1: A is a pure XX rotation; k_x conjugation moves it to ZZ
-        circuit = _conjugated(a_circ, KX_FACTOR, KX_FACTOR)
+        circuit = _conjugated(a_circ, KX_FACTOR)
         resource = ZzResource(circuit, g1, apps_per_unit=1)
     elif g3 == 0.0 and g1 == np.pi / 2 and g2 == np.pi / 2:
         # case 2: two applications interleaved with fixed locals
@@ -81,28 +80,19 @@ def extract_zz(entangler: np.ndarray, tol: ToleranceConfig = DEFAULT_TOL) -> ZzR
         )
         circuit = Circuit(elems, phase=a_circ.phase ** 2)
         resource = ZzResource(circuit, np.pi / 2, apps_per_unit=2)
-    elif g3 == 0.0:
-        # case 3: A e^{i pi/2 sx^1} A e^{-i pi/2 sx^1} doubles the XX angle.
-        # At g1 = pi/2 that angle is pi (locally trivial), so the sigma_y
-        # variant doubling g2 is substituted on that subfamily.
-        if g1 == np.pi / 2:
-            axis, angle, wrap = "y", 2 * g2, KY_FACTOR
-        else:
-            axis, angle, wrap = "x", 2 * g1, KX_FACTOR
+    else:
+        # cases 3 and 4: A e^{i pi/2 s_k^1} A e^{-i pi/2 s_k^1} doubles g_k:
+        # z if g3 > 0, else x, or y at g1 = pi/2 where 2 g1 = pi is local.
+        k = 2 if g3 > 0.0 else 1 if g1 == np.pi / 2 else 0
+        axis = "xyz"[k]
         elems = ([LocalPair(exp_pauli(axis, -np.pi / 2), ID2)]
                  + a_circ.elements
                  + [LocalPair(exp_pauli(axis, np.pi / 2), ID2)]
                  + a_circ.elements)
         doubled = Circuit(elems, phase=a_circ.phase ** 2)
-        resource = ZzResource(_conjugated(doubled, wrap, wrap), angle, apps_per_unit=2)
-    else:
-        # case 4: sigma_z conjugation doubles the ZZ angle, axis already right
-        elems = ([LocalPair(exp_pauli("z", -np.pi / 2), ID2)]
-                 + a_circ.elements
-                 + [LocalPair(exp_pauli("z", np.pi / 2), ID2)]
-                 + a_circ.elements)
-        resource = ZzResource(Circuit(elems, phase=a_circ.phase ** 2),
-                              2 * g3, apps_per_unit=2)
+        if k < 2:  # k_x or k_y moves the doubled XX or YY angle onto ZZ
+            doubled = _conjugated(doubled, (KX_FACTOR, KY_FACTOR)[k])
+        resource = ZzResource(doubled, 2 * (g1, g2, g3)[k], apps_per_unit=2)
 
     return reflect_angle(reduce_angle(resource))
 
@@ -113,6 +103,10 @@ def reduce_angle(r: ZzResource) -> ZzResource:
     exp(g (i/2) ZZ) = i e^{i pi/2 sz^1} exp((pi+g)(i/2) ZZ) e^{i pi/2 sz^2},
     so a resource with angle pi + g also realizes angle g with two extra
     local layers. gamma = pi is locally trivial and rejected.
+
+    Fires only for c3 in (1e-12, snap_tol] with c1 > pi/2: the chamber's
+    base fold (window 1e-12) leaves c1 > pi/2, case 3 snaps c3 to 0 and
+    doubles c1 past pi, e.g. interaction(2.6, 0.13, 5e-11) -> 5.2.
     """
     if not 0.0 < r.gamma < 2 * np.pi or r.gamma == np.pi:
         raise ValueError(f"gamma = {r.gamma} has no entangling reduction")
@@ -149,22 +143,36 @@ def reflect_angle(r: ZzResource) -> ZzResource:
     return replace(r, circuit=reflected(r.circuit), gamma=np.pi - r.gamma)
 
 
-def amplify(r: ZzResource) -> ZzResource:
-    """Repeat the resource n times until n*gamma lands in [pi/4, pi/2].
+# Larger uniform bounds are refused before amplifying: the repeated circuit
+# holds an element per application and grows without limit near local gates.
+MAX_APPLICATIONS = 100_000
 
-    The minimal such n exists for every gamma in (0, pi/2]: steps of at
-    most pi/4 cannot jump over an interval of width pi/4.
-    """
-    if not 0.0 < r.gamma <= np.pi / 2:
-        raise ValueError(f"gamma = {r.gamma} outside (0, pi/2]")
-    n = max(1, int(np.ceil(np.pi / 4 / r.gamma)))
-    if n == 1:
-        return r
+
+def repetitions(gamma: float) -> int:
+    """Minimal n with n*gamma in [pi/4, pi/2]; steps of gamma <= pi/2 cannot skip it."""
+    if not 0.0 < gamma <= np.pi / 2:
+        raise ValueError(f"gamma = {gamma} outside (0, pi/2]")
+    return max(1, int(np.ceil(np.pi / 4 / gamma)))
+
+
+def uniform_bound(n: int, apps_per_unit: int) -> int:
+    """Applications for any target: 3 blocks x 2 insertions x n repetitions."""
+    return 6 * n * apps_per_unit
+
+
+def amplify(r: ZzResource) -> ZzResource:
+    """Repeat the resource n = repetitions(gamma) times."""
+    n = repetitions(r.gamma)
     circuit = Circuit(r.circuit.elements * n, phase=r.circuit.phase ** n)
     return ZzResource(circuit, n * r.gamma, r.apps_per_unit, reps=n * r.reps)
 
 
 def prepare_resource(entangler: np.ndarray,
                      tol: ToleranceConfig = DEFAULT_TOL) -> ZzResource:
-    """Full resource pipeline: extract, reduce, reflect, amplify."""
-    return amplify(extract_zz(entangler, tol))
+    """Extract, reduce, reflect, amplify; ValueError if the bound exceeds the cap."""
+    r = extract_zz(entangler, tol)
+    bound = uniform_bound(repetitions(r.gamma), r.apps_per_unit)
+    if bound > MAX_APPLICATIONS:
+        raise ValueError(f"entangler needs up to {bound} applications per target, "
+                         f"above the cap of {MAX_APPLICATIONS}")
+    return amplify(r)

@@ -67,6 +67,13 @@ class TestSynth:
         assert code == EXIT_INPUT
         assert "unitary" in err
 
+    def test_refuses_bound_above_cap(self, capsys):
+        # n = ceil(pi/4 / 4e-5) = 19635, bound 117810: refused before amplifying
+        code, _, err = run(capsys, "synth", "--target", "CNOT", "--entangler", "ZZ(4e-5)")
+        assert code == EXIT_INPUT
+        assert err.startswith("error:")
+        assert "117810" in err and "100000" in err
+
     def test_rejects_local_entangler(self, capsys, tmp_path):
         path = tmp_path / "local.json"
         path.write_text(format_matrix(np.diag([1, 1j, 1, 1j])))
@@ -95,6 +102,14 @@ class TestClassify:
         assert code == EXIT_OK
         assert "bound: 18" in out
         assert format(np.pi / 10, ".17g") in out
+
+    def test_weak_entangler_bound_is_computed(self, capsys):
+        # The bound comes from arithmetic: building the 78,539,817-fold
+        # resource would need several GB.
+        code, out, _ = run(capsys, "classify", "--gate", "ZZ(1e-8)")
+        assert code == EXIT_OK
+        assert "n: 78539817" in out
+        assert "bound: 471238902" in out
 
 
 class TestVerify:
@@ -125,6 +140,29 @@ class TestVerify:
                            "--target", "CNOT")
         assert code == EXIT_INPUT
         assert "malformed" in err
+
+    @pytest.mark.parametrize("entangler", [
+        {"matrix": [[1, 2]]}, {}, {"name": "CPHASE"}, {"matrix": [[[1, 0], [0, 0]], [[0, 0], [1, 0]]]},
+    ], ids=["matrix_of_numbers", "empty", "cphase_without_angle", "matrix_2x2"])
+    def test_malformed_entangler_descriptor(self, capsys, emitted, entangler):
+        doc = json.loads(emitted.read_text())
+        doc["entangler"] = entangler
+        emitted.write_text(json.dumps(doc))
+        code, _, err = run(capsys, "verify", "--circuit", str(emitted),
+                           "--target", "SQRT_SWAP")
+        assert code == EXIT_INPUT
+        assert err.startswith("error:")
+
+    def test_non_2x2_local_layer(self, capsys, emitted):
+        doc = json.loads(emitted.read_text())
+        layer = next(e for e in doc["elements"] if e["kind"] == "local")
+        layer["a"] = layer["a"][:1]
+        emitted.write_text(json.dumps(doc))
+        code, _, err = run(capsys, "verify", "--circuit", str(emitted),
+                           "--target", "SQRT_SWAP")
+        assert code == EXIT_INPUT
+        assert err.startswith("error:")
+        assert "2x2" in err
 
     def test_missing_document(self, capsys, tmp_path):
         code, _, err = run(capsys, "verify", "--circuit", str(tmp_path / "nope.json"),

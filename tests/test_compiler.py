@@ -6,8 +6,8 @@ from gatesynth.compiler import (efficient_as_cnot, merge_locals, synthesize,
 from gatesynth.gates import CNOT, SQRT_SWAP, cphase, phase_gate
 from gatesynth.kak import kak_decompose
 from gatesynth.matcore import (DEFAULT_TOL, Circuit, EntanglerApp, LocalPair,
-                               SIGMA_X, evaluate, interaction, phase_distance,
-                               tensor, zz_interaction)
+                               SIGMA_X, ToleranceConfig, evaluate, interaction,
+                               phase_distance, tensor, zz_interaction)
 
 from conftest import dress, haar_unitary, random_local
 
@@ -86,6 +86,15 @@ class TestNearLandmarkTargets:
             _, report = synthesize(target, entangler)
             assert report.residual < DEFAULT_TOL.verify_tol
 
+    @pytest.mark.parametrize("entangler", [CNOT, cphase(np.pi / 9)], ids=["cnot", "cphase_pi_9"])
+    def test_near_pi_block_under_tight_snap_tol(self, entangler):
+        # c1 = pi - 5e-10 is not snapped at snap_tol 1e-10, so it is a
+        # block angle just below pi, reflected to a 5e-10 block.
+        tol = ToleranceConfig(snap_tol=1e-10)
+        target = interaction(np.pi - 5e-10, 3e-10, 2e-10)
+        _, report = synthesize(target, entangler, tol)
+        assert report.residual < tol.verify_tol
+
 
 class TestUpperBound:
     def test_cnot(self):
@@ -108,6 +117,17 @@ class TestUpperBound:
             b1 = upper_bound(dress(base, rng))
             assert (b1.bound, b1.n, b1.apps_per_unit) == (b0.bound, b0.n, b0.apps_per_unit)
             assert b1.gamma == pytest.approx(b0.gamma, abs=1e-9)
+
+    def test_never_amplifies(self, monkeypatch):
+        import gatesynth.zzsynth
+
+        def refuse(_):
+            raise AssertionError("upper_bound built the amplified circuit")
+
+        monkeypatch.setattr(gatesynth.zzsynth, "amplify", refuse)
+        report = upper_bound(zz_interaction(1e-8))
+        assert (report.n, report.bound) == (78539817, 471238902)
+        assert report.gamma == pytest.approx(np.pi / 4, rel=1e-7)
 
     def test_partial_report_fields(self):
         report = upper_bound(CNOT)

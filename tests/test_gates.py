@@ -134,3 +134,14 @@ class TestDescriptors:
     def test_rejects_unknown(self):
         with pytest.raises(ValueError):
             resolve_descriptor({"name": "NOT_A_GATE"})
+
+    @pytest.mark.parametrize("desc", [{}, {"name": "CPHASE"}, {"name": "ZZ", "angle": None},
+                                      {"name": ["CNOT"]}, {"matrix": [[1, 2]]},
+                                      {"matrix": 5}, "CNOT"])
+    def test_malformed_descriptor_is_value_error(self, desc):
+        with pytest.raises(ValueError):
+            resolve_descriptor(desc)
+
+    def test_rejects_embedded_2x2(self):
+        with pytest.raises(ValueError, match="4x4"):
+            resolve_descriptor(GateSpec("MATRIX", matrix=np.eye(2)).descriptor())

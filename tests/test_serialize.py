@@ -110,3 +110,11 @@ class TestCircuitDocument:
         payload["phase"] = [2.0, 0.0]
         with pytest.raises(ValueError, match="modulus"):
             parse_circuit_document(json.dumps(payload))
+
+    def test_rejects_non_2x2_local_layer(self, rng):
+        doc = self._sample_doc(rng)
+        import json
+        payload = json.loads(emit_circuit_document(doc))
+        payload["elements"][0]["a"] = payload["elements"][0]["a"][:1]
+        with pytest.raises(ValueError, match="2x2"):
+            parse_circuit_document(json.dumps(payload))

@@ -6,8 +6,9 @@ from gatesynth.gates import CNOT
 from gatesynth.kak import snap_angle
 from gatesynth.matcore import (Circuit, EntanglerApp, evaluate,
                                interaction, phase_distance, zz_interaction)
-from gatesynth.zzsynth import (ZzResource, amplify, extract_zz,
-                               prepare_resource, reduce_angle, reflect_angle)
+from gatesynth.zzsynth import (MAX_APPLICATIONS, ZzResource, amplify, extract_zz,
+                               prepare_resource, reduce_angle, reflect_angle,
+                               repetitions, uniform_bound)
 
 from conftest import dress, random_local
 
@@ -62,8 +63,11 @@ class TestExtractZz:
         check_resource(r, ent)
 
     def test_gamma_always_in_range(self, rng):
+        # (2.6, 0.13, 5e-11): c3 snaps to 0 but escapes the base fold, so
+        # case 3 doubles c1 = 2.6 to 5.2 and reduce_angle fires
         triples = [(0.4, 0, 0), (2.5, 0, 0), (np.pi / 2, 1.2, 0),
-                   (1.0, 0.8, 0.7), (np.pi / 2, np.pi / 2, 0), (2.0, 1.0, 0.2)]
+                   (1.0, 0.8, 0.7), (np.pi / 2, np.pi / 2, 0), (2.0, 1.0, 0.2),
+                   (2.6, 0.13, 5e-11)]
         for triple in triples:
             ent = dress(interaction(*triple), rng)
             r = extract_zz(ent)
@@ -160,10 +164,25 @@ class TestAmplify:
             amplify(raw_zz_resource(2.0))
 
 
+class TestResourceCap:
+    def test_refuses_above_cap(self):
+        with pytest.raises(ValueError, match="117810.*100000"):
+            prepare_resource(zz_interaction(4e-5))
+
+    def test_accepts_bound_at_cap(self, monkeypatch):
+        # ZZ(pi/4/16666) needs n = 16666, bound 99996 <= MAX_APPLICATIONS;
+        # amplify is stubbed so the test does not build the 16666-fold circuit.
+        import gatesynth.zzsynth as zzsynth
+        monkeypatch.setattr(zzsynth, "amplify", lambda r: r)
+        gamma = np.pi / 4 / 16666 * (1 + 1e-9)
+        r = prepare_resource(zz_interaction(gamma))
+        assert uniform_bound(repetitions(r.gamma), r.apps_per_unit) == 99996 <= MAX_APPLICATIONS
+
+
 def test_full_pipeline_over_case_corpus(rng):
     triples = [(np.pi / 2, 0, 0), (np.pi / 2, np.pi / 2, 0), (np.pi / 3, np.pi / 4, 0),
                (np.pi / 2, np.pi / 4, 0), (np.pi / 3, np.pi / 4, np.pi / 6),
-               (np.pi / 7, 0, 0), (1.2, 0.5, 0.4)]
+               (np.pi / 7, 0, 0), (1.2, 0.5, 0.4), (2.6, 0.13, 5e-11)]
     for triple in triples:
         ent = dress(interaction(*triple), rng)
         r = prepare_resource(ent)
