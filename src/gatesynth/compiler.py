@@ -6,6 +6,7 @@ so the entangler count never exceeds zzsynth.uniform_bound. That bound
 depends only on the entangler's canonical vector.
 """
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -15,8 +16,8 @@ from .kak import kak_decompose, snap_vector
 from .matcore import (DEFAULT_TOL, SIGMA_X, Circuit, LocalPair,
                       ToleranceConfig, dagger, evaluate, phase_distance,
                       require_unitary)
-from .zzsynth import (KX_FACTOR, KY_FACTOR, extract_zz, prepare_resource,
-                      repetitions, uniform_bound)
+from .zzsynth import (KX_FACTOR, KY_FACTOR, ZzResource, extract_zz,
+                      prepare_resource, repetitions, uniform_bound)
 
 
 @dataclass
@@ -51,6 +52,53 @@ def upper_bound(entangler: np.ndarray,
     return SynthesisReport(n * unit.gamma, unit.apps_per_unit, n)
 
 
+# Entanglers (with their tolerances) whose amplified resource synthesize keeps,
+# least recently used dropped first; a caller cycling through a few still hits.
+RESOURCE_MEMO_SIZE = 8
+
+
+@functools.lru_cache(maxsize=RESOURCE_MEMO_SIZE)
+def _prepared_resource(shape: tuple, data: bytes, tol: ToleranceConfig) -> ZzResource:
+    """prepare_resource for an entangler given by its shape and complex128 bytes.
+
+    The resource depends on the entangler alone, so synthesize prepares it
+    once per entangler and tolerance set. Errors are not cached. Callers
+    only read the result: every layer synthesize emits is a fresh array.
+    """
+    return prepare_resource(np.frombuffer(data, dtype=complex).reshape(shape), tol)
+
+
+# Runs fused per stacked batch; bounds the stacked copies of the layers
+# for circuits near the application cap.
+_RUN_CHUNK = 4096
+
+
+def _fused_runs(layers: list, starts: list) -> np.ndarray:
+    """Products, stacked (qubit, run, 2, 2), of the runs of adjacent local layers.
+
+    Run r is layers[starts[r]:starts[r + 1]], each layer left-multiplying
+    the product so far. Step t multiplies layer t of every run that long,
+    longest runs first, so one stacked matmul per step does the same 2x2
+    products in the same order as a loop over the layers.
+    """
+    ends = starts + [len(layers)]
+    parts = []
+    for lo in range(0, len(starts), _RUN_CHUNK):
+        hi = min(lo + _RUN_CHUNK, len(starts))
+        chunk = layers[ends[lo]:ends[hi]]
+        mats = np.array([[e.a for e in chunk], [e.b for e in chunk]], dtype=complex)
+        lengths = np.diff(ends[lo:hi + 1])
+        order = np.argsort(-lengths, kind="stable")
+        first = np.subtract(ends[lo:hi], ends[lo])[order]
+        at_least = np.cumsum(np.bincount(lengths)[::-1])[::-1]   # [t]: runs of length >= t
+        out = mats[:, first]
+        for t in range(1, len(at_least) - 1):
+            k = at_least[t + 1]
+            out[:, :k] = mats[:, first[:k] + t] @ out[:, :k]
+        parts.append(out[:, np.argsort(order)])
+    return np.concatenate(parts, axis=1)
+
+
 def merge_locals(circuit: Circuit) -> Circuit:
     """Fuse adjacent local layers and move scalar factors into the phase.
 
@@ -59,19 +107,29 @@ def merge_locals(circuit: Circuit) -> Circuit:
     output layers are canonical and no two local layers are adjacent.
     """
     merged: list = []
+    layers: list = []
+    starts: list = []   # index in layers of the first layer of each run
+    slots: list = []    # index in merged of each run's fused layer
     for elem in circuit.elements:
-        if isinstance(elem, LocalPair) and merged and isinstance(merged[-1], LocalPair):
-            prev = merged[-1]
-            merged[-1] = LocalPair(elem.a @ prev.a, elem.b @ prev.b)
-        else:
+        if not isinstance(elem, LocalPair):
             merged.append(elem)
+            continue
+        if not slots or slots[-1] != len(merged) - 1:
+            starts.append(len(layers))
+            slots.append(len(merged))
+            merged.append(elem)
+        layers.append(elem)
     phase = circuit.phase
-    for i, elem in enumerate(merged):
-        if isinstance(elem, LocalPair):
-            scale_a = np.sqrt(np.linalg.det(elem.a))
-            scale_b = np.sqrt(np.linalg.det(elem.b))
-            phase *= scale_a * scale_b
-            merged[i] = LocalPair(elem.a / scale_a, elem.b / scale_b)
+    if not layers:
+        return Circuit(merged, phase)
+    fused = _fused_runs(layers, starts)
+    # Stacked det, sqrt and divide: the same per-matrix arithmetic as a
+    # loop, without a LAPACK call per layer.
+    scale = np.sqrt(np.linalg.det(fused))
+    fused /= scale[..., None, None]
+    for k, i in enumerate(slots):
+        phase *= scale[0, k] * scale[1, k]
+        merged[i] = LocalPair(fused[0, k], fused[1, k])
     return Circuit(merged, phase)
 
 
@@ -86,7 +144,8 @@ def synthesize(target: np.ndarray, entangler: np.ndarray,
     """
     target = require_unitary(target, tol.unitarity_tol, "target")
     dec = kak_decompose(target, tol)
-    resource = prepare_resource(entangler, tol)
+    entangler = np.asarray(entangler, dtype=complex)
+    resource = _prepared_resource(entangler.shape, entangler.tobytes(), tol)
 
     c1, c2, c3 = snap_vector(dec.c, tol.snap_tol)
     k1, phase = dec.k1, dec.phase

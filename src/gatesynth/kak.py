@@ -28,7 +28,7 @@ import numpy as np
 
 from .matcore import (DEFAULT_TOL, ID2, SIGMA_X, SIGMA_Y, SIGMA_Z, LocalPair,
                       ToleranceConfig, interaction, project_special,
-                      require_unitary)
+                      require_unitary, tensor)
 
 MAGIC = np.array([[1, 0, 0, 1j],
                   [0, 1j, 1, 0],
@@ -258,7 +258,7 @@ def _factor_local(m: np.ndarray, atol: float = 1e-8) -> tuple[complex, np.ndarra
     if g.real < 0:
         f1 = -f1
         g = -g
-    if np.abs(m - g * np.kron(f1, f2)).max() > atol:
+    if np.abs(m - g * tensor(f1, f2)).max() > atol:
         raise ArithmeticError("matrix is not a tensor product of single-qubit gates")
     return complex(g), f1, f2
 

@@ -42,13 +42,24 @@ class ToleranceConfig:
 DEFAULT_TOL = ToleranceConfig()
 
 
+def unitarity_error(m: np.ndarray) -> np.ndarray:
+    """max |m m^dag - I| of each square matrix over the last two axes.
+
+    Any non-finite entry makes its matrix's error inf or nan, which fails
+    every `<= tol` test.
+    """
+    m = np.asarray(m, dtype=complex)
+    gram = m @ np.swapaxes(m.conj(), -1, -2)
+    return np.abs(gram - np.eye(m.shape[-1])).max(axis=(-2, -1))
+
+
 def is_unitary(m: np.ndarray, tol: float = DEFAULT_TOL.unitarity_tol) -> bool:
     m = np.asarray(m, dtype=complex)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         return False
     if not np.all(np.isfinite(m)):
         return False
-    return bool(np.abs(m @ m.conj().T - np.eye(m.shape[0])).max() <= tol)
+    return bool(unitarity_error(m) <= tol)
 
 
 def require_unitary(m: np.ndarray, tol: float = DEFAULT_TOL.unitarity_tol,
@@ -67,8 +78,15 @@ def dagger(m: np.ndarray) -> np.ndarray:
 
 
 def tensor(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Kronecker product a (x) b; a acts on qubit 1, b on qubit 2."""
-    return np.kron(np.asarray(a, dtype=complex), np.asarray(b, dtype=complex))
+    """Kronecker product a (x) b of 2-D arrays; a acts on qubit 1, b on qubit 2.
+
+    Broadcasts one multiply per entry, as np.kron does, so the result is
+    bit-identical to it at a fraction of the call overhead.
+    """
+    a = np.asarray(a, dtype=complex)
+    b = np.asarray(b, dtype=complex)
+    out = a[:, None, :, None] * b[None, :, None, :]
+    return out.reshape(a.shape[0] * b.shape[0], a.shape[1] * b.shape[1])
 
 
 def exp_pauli(axis: str | np.ndarray, alpha: float) -> np.ndarray:

@@ -12,7 +12,7 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from .matcore import (DEFAULT_TOL, Circuit, EntanglerApp, LocalPair,
-                      ToleranceConfig, require_unitary)
+                      ToleranceConfig, require_unitary, unitarity_error)
 
 DOCUMENT_FORMAT = "gatesynth-circuit-v1"
 
@@ -22,11 +22,20 @@ def encode_matrix(m: np.ndarray) -> list:
     return [[[float(z.real), float(z.imag)] for z in row] for row in np.asarray(m, dtype=complex)]
 
 
+def _decode_entry(pair) -> complex:
+    if isinstance(pair, list) and len(pair) == 2:
+        re, im = pair
+        if (isinstance(re, (int, float)) and isinstance(im, (int, float))
+                and not isinstance(re, bool) and not isinstance(im, bool)):
+            return complex(re, im)
+    raise ValueError(f"malformed matrix entry {pair!r}: expected [re, im], two real numbers")
+
+
 def decode_matrix(rows: list, shape: tuple[int, int] | None = None) -> np.ndarray:
     """Inverse of encode_matrix; ValueError if malformed or not of the given shape."""
     try:
-        m = np.array([[complex(pair[0], pair[1]) for pair in row] for row in rows])
-    except (TypeError, IndexError) as exc:
+        m = np.array([[_decode_entry(pair) for pair in row] for row in rows])
+    except TypeError as exc:
         raise ValueError(f"malformed matrix entries: {exc}") from exc
     if shape is not None and m.shape != shape:
         raise ValueError(f"matrix has shape {m.shape}, expected {shape[0]}x{shape[1]}")
@@ -78,6 +87,19 @@ def emit_circuit_document(doc: CircuitDocument) -> str:
     return json.dumps(payload, indent=1)
 
 
+def _require_unitary_layers(elements: list, tol: float) -> None:
+    """ValueError naming the first local layer not unitary within tol; one stacked check."""
+    slots = [i for i, e in enumerate(elements) if isinstance(e, LocalPair)]
+    if not slots:
+        return
+    stack = np.array([m for i in slots for m in (elements[i].a, elements[i].b)], dtype=complex)
+    with np.errstate(invalid="ignore", over="ignore"):  # non-finite entries fail below
+        bad = np.flatnonzero(~(unitarity_error(stack) <= tol))
+    if bad.size:
+        raise ValueError(f"local layer at element {slots[bad[0] // 2]} is not unitary "
+                         f"within tolerance {tol:g}")
+
+
 def parse_circuit_document(text: str) -> CircuitDocument:
     try:
         payload = json.loads(text)
@@ -96,6 +118,7 @@ def parse_circuit_document(text: str) -> CircuitDocument:
                                           decode_matrix(record["b"], (2, 2))))
             else:
                 raise ValueError(f"unknown element kind {record['kind']!r}")
+        _require_unitary_layers(elements, tolerances.unitarity_tol)
         phase = complex(payload["phase"][0], payload["phase"][1])
         if abs(abs(phase) - 1.0) > 1e-9:
             raise ValueError(f"circuit phase has modulus {abs(phase)!r}, expected 1")

@@ -67,6 +67,16 @@ class TestSynth:
         assert code == EXIT_INPUT
         assert "unitary" in err
 
+    def test_rejects_matrix_entry_with_extra_numbers(self, capsys, tmp_path):
+        rows = json.loads(format_matrix(np.eye(4)))
+        rows[0][0] = [1.0, 0.0, 123.0]
+        path = tmp_path / "extra.json"
+        path.write_text(json.dumps(rows))
+        code, _, err = run(capsys, "synth", "--target", f"MATRIX({path})",
+                           "--entangler", "CNOT")
+        assert code == EXIT_INPUT
+        assert err.startswith("error:")
+
     def test_refuses_bound_above_cap(self, capsys):
         # n = ceil(pi/4 / 4e-5) = 19635, bound 117810: refused before amplifying
         code, _, err = run(capsys, "synth", "--target", "CNOT", "--entangler", "ZZ(4e-5)")
@@ -163,6 +173,17 @@ class TestVerify:
         assert code == EXIT_INPUT
         assert err.startswith("error:")
         assert "2x2" in err
+
+    def test_non_unitary_local_layer(self, capsys, emitted):
+        doc = json.loads(emitted.read_text())
+        layer = next(e for e in doc["elements"] if e["kind"] == "local")
+        layer["a"] = [[[0.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [0.0, 0.0]]]
+        emitted.write_text(json.dumps(doc))
+        code, _, err = run(capsys, "verify", "--circuit", str(emitted),
+                           "--target", "SQRT_SWAP")
+        assert code == EXIT_INPUT
+        assert err.startswith("error:")
+        assert "not unitary" in err
 
     def test_missing_document(self, capsys, tmp_path):
         code, _, err = run(capsys, "verify", "--circuit", str(tmp_path / "nope.json"),

@@ -1,13 +1,16 @@
 import numpy as np
 import pytest
 
+from gatesynth import compiler
+from gatesynth.blocksynth import synth_zz_block
 from gatesynth.compiler import (efficient_as_cnot, merge_locals, synthesize,
                                 upper_bound)
-from gatesynth.gates import CNOT, SQRT_SWAP, cphase, phase_gate
+from gatesynth.gates import CNOT, SQRT_SWAP, SWAP, cphase, phase_gate
 from gatesynth.kak import kak_decompose
 from gatesynth.matcore import (DEFAULT_TOL, Circuit, EntanglerApp, LocalPair,
                                SIGMA_X, ToleranceConfig, evaluate, interaction,
                                phase_distance, tensor, zz_interaction)
+from gatesynth.zzsynth import prepare_resource
 
 from conftest import dress, haar_unitary, random_local
 
@@ -166,6 +169,123 @@ class TestMergeLocals:
     def test_preserves_entangler_count(self, rng):
         circ, _ = synthesize(haar_unitary(rng), CNOT)
         assert merge_locals(circ).entangler_count == circ.entangler_count
+
+
+def merge_locals_loop(circuit: Circuit) -> Circuit:
+    """Reference merge_locals: one det, sqrt and divide per layer, in a loop."""
+    merged: list = []
+    for elem in circuit.elements:
+        if isinstance(elem, LocalPair) and merged and isinstance(merged[-1], LocalPair):
+            prev = merged[-1]
+            merged[-1] = LocalPair(elem.a @ prev.a, elem.b @ prev.b)
+        else:
+            merged.append(elem)
+    phase = circuit.phase
+    for i, elem in enumerate(merged):
+        if isinstance(elem, LocalPair):
+            scale_a = np.sqrt(np.linalg.det(elem.a))
+            scale_b = np.sqrt(np.linalg.det(elem.b))
+            phase *= scale_a * scale_b
+            merged[i] = LocalPair(elem.a / scale_a, elem.b / scale_b)
+    return Circuit(merged, phase)
+
+
+def assert_bit_identical(x: Circuit, y: Circuit) -> None:
+    assert x.phase == y.phase
+    assert [type(e) for e in x.elements] == [type(e) for e in y.elements]
+    for ex, ey in zip(x.elements, y.elements):
+        if isinstance(ex, LocalPair):
+            assert np.array_equal(ex.a, ey.a) and np.array_equal(ex.b, ey.b)
+
+
+class TestMergeLocalsBitIdentity:
+    def test_random_circuits(self, rng):
+        for _ in range(50):
+            elements = [EntanglerApp() if rng.random() < 0.3
+                        else LocalPair(haar_unitary(rng, 2), haar_unitary(rng, 2))
+                        for _ in range(rng.integers(1, 40))]
+            circ = Circuit(elements, phase=complex(np.exp(1j * rng.uniform(0, 2 * np.pi))))
+            assert_bit_identical(merge_locals(circ), merge_locals_loop(circ))
+
+    def test_unmerged_block_circuits(self, rng):
+        for ent in (CNOT, cphase(np.pi / 9), dress(interaction(1.0, 0.6, 0.3), rng)):
+            resource = prepare_resource(ent)
+            circ = synth_zz_block(0.7, resource).concat(synth_zz_block(2.1, resource))
+            assert_bit_identical(merge_locals(circ), merge_locals_loop(circ))
+
+    def test_more_runs_than_one_chunk(self, rng):
+        elements = []
+        for _ in range(compiler._RUN_CHUNK + 5):
+            elements += [LocalPair(haar_unitary(rng, 2), haar_unitary(rng, 2))
+                         for _ in range(rng.integers(1, 4))] + [EntanglerApp()]
+        circ = Circuit(elements, phase=1j)
+        assert_bit_identical(merge_locals(circ), merge_locals_loop(circ))
+
+    def test_entangler_only(self):
+        circ = Circuit([EntanglerApp(), EntanglerApp()], phase=1j)
+        assert_bit_identical(merge_locals(circ), merge_locals_loop(circ))
+
+    def test_empty(self):
+        assert_bit_identical(merge_locals(Circuit()), merge_locals_loop(Circuit()))
+
+
+class TestResourceMemo:
+    @pytest.fixture
+    def preparations(self, monkeypatch):
+        """Clears the memo and counts the preparations synthesize makes."""
+        calls = []
+        original = compiler.prepare_resource
+
+        def counting(entangler, tol=DEFAULT_TOL):
+            calls.append(tol)
+            return original(entangler, tol)
+
+        compiler._prepared_resource.cache_clear()
+        monkeypatch.setattr(compiler, "prepare_resource", counting)
+        yield calls
+        compiler._prepared_resource.cache_clear()
+
+    def test_one_preparation_per_entangler(self, preparations, rng):
+        for k in range(5):
+            # Equal bytes, not the same object, select the memo entry.
+            synthesize(haar_unitary(rng), CNOT.copy() if k % 2 else CNOT)
+        assert len(preparations) == 1
+
+    def test_tolerances_are_part_of_the_key(self, preparations, rng):
+        target = haar_unitary(rng)
+        synthesize(target, CNOT)
+        synthesize(target, CNOT, ToleranceConfig(verify_tol=1e-9))
+        synthesize(target, CNOT)
+        assert len(preparations) == 2
+
+    def test_memo_stays_bounded(self, preparations, rng):
+        target = haar_unitary(rng)
+        for _ in range(50):
+            synthesize(target, dress(interaction(1.0, 0.6, 0.3), rng))
+        assert len(preparations) == 50
+        assert compiler._prepared_resource.cache_info().currsize <= compiler.RESOURCE_MEMO_SIZE
+
+    @pytest.mark.parametrize("entangler", [SWAP, zz_interaction(4e-5), np.ones((4, 4))],
+                             ids=["swap_class", "above_cap", "non_unitary"])
+    def test_errors_are_not_cached(self, preparations, rng, entangler):
+        target = haar_unitary(rng)
+        for _ in range(3):
+            with pytest.raises(ValueError):
+                synthesize(target, entangler)
+        assert len(preparations) == 3
+
+    def test_mutating_a_result_leaves_the_memo_intact(self, preparations, rng):
+        target = haar_unitary(rng)
+        first, _ = synthesize(target, cphase(np.pi / 9))
+        snapshot = Circuit([LocalPair(e.a.copy(), e.b.copy()) if isinstance(e, LocalPair)
+                            else e for e in first.elements], first.phase)
+        for elem in first.elements:
+            if isinstance(elem, LocalPair):
+                elem.a[...] = 0
+                elem.b[...] = 0
+        second, _ = synthesize(target, cphase(np.pi / 9))
+        assert len(preparations) == 1
+        assert_bit_identical(second, snapshot)
 
 
 class TestEfficientAsCnot:

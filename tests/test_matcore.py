@@ -43,6 +43,15 @@ class TestTensor:
             np.testing.assert_allclose(tensor(a, b) @ tensor(c, d),
                                        tensor(a @ c, b @ d), atol=1e-12)
 
+    def test_bit_identical_to_kron(self, rng):
+        def cplx(*shape):
+            return rng.normal(size=shape) + 1j * rng.normal(size=shape)
+        for _ in range(200):
+            a, b = cplx(2, 2), cplx(2, 2)
+            assert np.array_equal(tensor(a, b), np.kron(a, b))
+        a, b = cplx(3, 2), cplx(2, 5)
+        assert np.array_equal(tensor(a, b), np.kron(a, b))
+
 
 class TestPhaseDistance:
     def test_self(self, rng):

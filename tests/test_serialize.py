@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -42,6 +44,15 @@ class TestMatrixFormat:
     def test_rejects_bad_entries(self):
         with pytest.raises(ValueError):
             parse_matrix_text('[[[1,0],"x"],[[0,0],[1,0]]]')
+
+    @pytest.mark.parametrize("entry", [[1.0, 0.0, 123.0], [1.0], [True, 0.0], ["1", 0.0],
+                                       {"re": 1.0, "im": 0.0}],
+                             ids=["three_numbers", "one_number", "bool", "string", "object"])
+    def test_entry_must_be_two_real_numbers(self, entry):
+        rows = json.loads(format_matrix(np.eye(4)))
+        rows[0][0] = entry
+        with pytest.raises(ValueError, match="entry"):
+            parse_matrix_text(json.dumps(rows))
 
 
 class TestCircuitDocument:
@@ -118,3 +129,21 @@ class TestCircuitDocument:
         payload["elements"][0]["a"] = payload["elements"][0]["a"][:1]
         with pytest.raises(ValueError, match="2x2"):
             parse_circuit_document(json.dumps(payload))
+
+    @pytest.mark.parametrize("layer", [np.zeros((2, 2)), 1.5 * np.eye(2),
+                                       np.array([[1, 0], [0, np.nan]])],
+                             ids=["zero", "scaled", "nan"])
+    def test_rejects_non_unitary_local_layer(self, rng, layer):
+        doc = self._sample_doc(rng)
+        doc.circuit.elements[2].b = layer
+        with pytest.raises(ValueError, match="element 2 is not unitary"):
+            parse_circuit_document(emit_circuit_document(doc))
+
+    def test_unitarity_uses_document_tolerance(self, rng):
+        doc = self._sample_doc(rng)
+        doc.circuit.elements[0].a = doc.circuit.elements[0].a * (1 + 1e-8)
+        loose = CircuitDocument(doc.entangler, doc.circuit,
+                                ToleranceConfig(unitarity_tol=1e-7, snap_tol=1e-7))
+        assert parse_circuit_document(emit_circuit_document(loose)).tolerances == loose.tolerances
+        with pytest.raises(ValueError, match="element 0 is not unitary"):
+            parse_circuit_document(emit_circuit_document(doc))
