@@ -10,9 +10,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .kak import kak_decompose
-from .matcore import (DEFAULT_TOL, ID2, Circuit, EntanglerApp, LocalPair,
-                      SIGMA_X, SIGMA_Y, SIGMA_Z, ToleranceConfig, dagger,
-                      exp_pauli, require_unitary)
+from .matcore import (DEFAULT_TOL, ID2, ROUNDOFF, SIGMA_X, SIGMA_Y, SIGMA_Z,
+                      Circuit, EntanglerApp, LocalPair, ToleranceConfig,
+                      dagger, exp_pauli, require_unitary)
 from .zzsynth import ZzResource, reflected
 
 
@@ -41,7 +41,7 @@ class AxisAngle:
     def __post_init__(self) -> None:
         if self.gamma <= 0:
             raise ValueError("gamma must be positive")
-        if abs(np.linalg.norm(self.axis) - 1.0) > 1e-12:
+        if abs(np.linalg.norm(self.axis) - 1.0) > ROUNDOFF:
             raise ValueError("axis must have unit norm")
 
     def matrix(self) -> np.ndarray:
@@ -60,11 +60,11 @@ def block_params(c: float, gamma: float) -> BlockParams:
     Requires c in (0, pi/2], gamma in [pi/4, pi/2] and c <= 2*gamma,
     which is exactly the reachable range of the two-insertion block.
     """
-    if not 0.0 < c <= np.pi / 2 + 1e-12:
+    if not 0.0 < c <= np.pi / 2 + ROUNDOFF:
         raise ValueError(f"block angle c = {c} outside (0, pi/2]")
-    if c > 2 * gamma + 1e-12:
+    if c > 2 * gamma + ROUNDOFF:
         raise ValueError(f"c = {c} exceeds reachable range 2*gamma = {2 * gamma}")
-    if not np.pi / 4 - 1e-12 <= gamma <= np.pi / 2 + 1e-12:
+    if not np.pi / 4 - ROUNDOFF <= gamma <= np.pi / 2 + ROUNDOFF:
         raise ValueError(f"resource gamma = {gamma} outside [pi/4, pi/2]")
     # Half-angle form sin(c/2) = sin(gamma) sin(b/2): keeps every digit as
     # c -> 0, unlike arccos of a cos(c) difference. The ratio hits 1 up to

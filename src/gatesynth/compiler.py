@@ -14,9 +14,8 @@ import numpy as np
 from .blocksynth import controlled_u_gamma, synth_zz_block
 from .kak import kak_decompose, snap_vector
 from .matcore import (DEFAULT_TOL, SIGMA_X, Circuit, LocalPair,
-                      ToleranceConfig, dagger, evaluate, phase_distance,
-                      require_unitary)
-from .zzsynth import (KX_FACTOR, KY_FACTOR, ZzResource, extract_zz,
+                      ToleranceConfig, evaluate, phase_distance)
+from .zzsynth import (KX_DAG, KX_KY_DAG, KY_FACTOR, ZzResource, extract_zz,
                       prepare_resource, repetitions, uniform_bound)
 
 
@@ -142,7 +141,6 @@ def synthesize(target: np.ndarray, entangler: np.ndarray,
     blocks whose coefficient snaps to zero are omitted. The result is
     verified against the target before returning.
     """
-    target = require_unitary(target, tol.unitarity_tol, "target")
     dec = kak_decompose(target, tol)
     entangler = np.asarray(entangler, dtype=complex)
     resource = _prepared_resource(entangler.shape, entangler.tobytes(), tol)
@@ -157,11 +155,10 @@ def synthesize(target: np.ndarray, entangler: np.ndarray,
     # Application order per the three-block form: c3 block, k_y,
     # c2 block, k_x k_y^dag, c1 block, k1 k_x^dag; identity-angle blocks
     # drop out and their neighbors merge.
-    kx_ky, kx_dag = KX_FACTOR @ dagger(KY_FACTOR), dagger(KX_FACTOR)
     elements: list = [dec.k2]
     for c, interleaver in ((c3, LocalPair(KY_FACTOR, KY_FACTOR)),
-                           (c2, LocalPair(kx_ky, kx_ky)),
-                           (c1, LocalPair(k1.a @ kx_dag, k1.b @ kx_dag))):
+                           (c2, LocalPair(KX_KY_DAG, KX_KY_DAG)),
+                           (c1, LocalPair(k1.a @ KX_DAG, k1.b @ KX_DAG))):
         if c > 0:
             block = synth_zz_block(c, resource)
             elements += block.elements

@@ -26,9 +26,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .matcore import (DEFAULT_TOL, ID2, SIGMA_X, SIGMA_Y, SIGMA_Z, LocalPair,
-                      ToleranceConfig, interaction, project_special,
-                      require_unitary, tensor)
+from .matcore import (DEFAULT_TOL, ID2, ROUNDOFF, SIGMA_X, SIGMA_Y, SIGMA_Z,
+                      LocalPair, ToleranceConfig, interaction, project_special,
+                      tensor)
 
 MAGIC = np.array([[1, 0, 0, 1j],
                   [0, 1j, 1, 0],
@@ -44,10 +44,6 @@ _DIAG_YY = np.array([-1.0, 1.0, -1.0, 1.0])
 _DIAG_ZZ = np.array([1.0, -1.0, -1.0, 1.0])
 
 _SNAP_POINTS = (0.0, np.pi / 4, np.pi / 2, np.pi)
-
-# Roundoff slack of the chamber reduction: coordinates within _TIE of a
-# chamber face count as on it, and such near-ties keep the identity move.
-_TIE = 1e-12
 
 # Seed for breaking eigenvalue degeneracies; fresh generator per call so
 # results do not depend on call ordering.
@@ -85,7 +81,7 @@ class CanonicalVector:
     c3: float
 
     def __post_init__(self) -> None:
-        slack = 1e-9
+        slack = DEFAULT_TOL.snap_tol
         ok = (np.pi - self.c2 + slack >= self.c1 >= self.c2 - slack
               and self.c2 + slack >= self.c3 >= -slack)
         if not ok:
@@ -178,32 +174,32 @@ def canonicalize(raw: tuple[float, float, float]) -> tuple[
 
     exactly. Chamber points are unique except on the c3 = 0 base, where
     (c1, c2, 0) ~ (pi - c1, c2, 0); there the representative with
-    c1 <= pi/2 is kept. Near-ties within 1e-12 of a chamber face or of
+    c1 <= pi/2 is kept. Near-ties within ROUNDOFF of a chamber face or of
     the fold keep the identity move, so a canonical triple maps to
     itself with identity locals and unit phase.
     """
     t = _MoveTracker(tuple(float(x) for x in raw))
-    # (1) Each coordinate into [-_TIE, pi - _TIE) by whole pi shifts.
+    # (1) Each coordinate into [-ROUNDOFF, pi - ROUNDOFF) by whole pi shifts.
     for k in range(3):
-        m = -int(np.floor((t.c[k] + _TIE) / np.pi))
+        m = -int(np.floor((t.c[k] + ROUNDOFF) / np.pi))
         # x + m*pi can round across an edge; land inside so that a second
         # pass over the result shifts nothing.
-        if t.c[k] + m * np.pi < -_TIE:
+        if t.c[k] + m * np.pi < -ROUNDOFF:
             m += 1
-        elif t.c[k] + m * np.pi >= np.pi - _TIE:
+        elif t.c[k] + m * np.pi >= np.pi - ROUNDOFF:
             m -= 1
         t.shift(k, m)
     # (2) c1 >= c2 >= c3.
     _sort_descending(t)
     # (3) Reflect through the face c1 + c2 = pi: (pi - c2, pi - c1, c3).
-    if t.c[0] + t.c[1] > np.pi + _TIE:
+    if t.c[0] + t.c[1] > np.pi + ROUNDOFF:
         t.negate_pair(0, 1)
         t.shift(0, 1)
         t.shift(1, 1)
         t.swap(0, 1)
         _sort_descending(t)
     # (4) Base identification on c3 = 0: (pi - c1, c2, -c3).
-    if abs(t.c[2]) <= _TIE and t.c[0] > np.pi / 2 + _TIE:
+    if abs(t.c[2]) <= ROUNDOFF and t.c[0] > np.pi / 2 + ROUNDOFF:
         t.negate_pair(0, 2)
         t.shift(0, 1)
         _sort_descending(t)
@@ -212,12 +208,13 @@ def canonicalize(raw: tuple[float, float, float]) -> tuple[
     return vec, LocalPair(t.pre_a, t.pre_b), LocalPair(t.post_a, t.post_b), t.phase
 
 
-def _simultaneous_diagonalize(m2: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _simultaneous_diagonalize(m2: np.ndarray, atol: float) -> tuple[np.ndarray, np.ndarray]:
     """Diagonalize a complex-symmetric unitary M2 = P D P^T, P real orthogonal.
 
     Real and imaginary parts of M2 commute, so a random real combination
-    (fixed seed, redrawn on failure) is diagonalized instead; this breaks
-    eigenvalue degeneracies deterministically.
+    (fixed seed, redrawn until the off-diagonal part of P^T M2 P is below
+    atol in Frobenius norm) is diagonalized instead; this breaks eigenvalue
+    degeneracies deterministically.
     """
     rng = np.random.default_rng(_DIAG_SEED)
     re, im = m2.real.copy(), m2.imag.copy()
@@ -228,7 +225,7 @@ def _simultaneous_diagonalize(m2: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         wr, wi = rng.normal(size=2)
         _, p = np.linalg.eigh(wr * re + wi * im)
         d = p.T @ m2 @ p
-        if np.abs(d - np.diag(np.diag(d))).max() < 1e-10:
+        if np.linalg.norm(d - np.diag(np.diag(d))) < atol:
             break
     else:
         raise ArithmeticError("failed to diagonalize the magic-basis symmetric product")
@@ -237,8 +234,8 @@ def _simultaneous_diagonalize(m2: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return p[:, order], theta[order]
 
 
-def _factor_local(m: np.ndarray, atol: float = 1e-8) -> tuple[complex, np.ndarray, np.ndarray]:
-    """Split m = g * (a (x) b) with det(a) = det(b) = 1.
+def _factor_local(m: np.ndarray, atol: float) -> tuple[complex, np.ndarray, np.ndarray]:
+    """Split m = g * (a (x) b) with det(a) = det(b) = 1, to Frobenius residual < atol.
 
     Builds both factors from the rows/columns through the largest-magnitude
     entry, which is safe because a true tensor product has rank-1 block
@@ -258,7 +255,7 @@ def _factor_local(m: np.ndarray, atol: float = 1e-8) -> tuple[complex, np.ndarra
     if g.real < 0:
         f1 = -f1
         g = -g
-    if np.abs(m - g * tensor(f1, f2)).max() > atol:
+    if not np.linalg.norm(m - g * tensor(f1, f2)) < atol:
         raise ArithmeticError("matrix is not a tensor product of single-qubit gates")
     return complex(g), f1, f2
 
@@ -266,17 +263,18 @@ def _factor_local(m: np.ndarray, atol: float = 1e-8) -> tuple[complex, np.ndarra
 def kak_decompose(u: np.ndarray, tol: ToleranceConfig = DEFAULT_TOL) -> KakDecomposition:
     """Decompose a 4x4 unitary into local pairs and a canonical interaction.
 
-    Raises ValueError for non-unitary input and ArithmeticError if the
-    reconstruction misses verify_tol (an internal failure, never a property
-    of valid input).
+    Raises ValueError for input that is not a 4x4 unitary and
+    ArithmeticError if an internal step or the reconstruction misses
+    verify_tol in Frobenius norm (an internal failure, never a property of
+    valid input).
     """
-    u = require_unitary(u, tol.unitarity_tol, "input")
+    u = np.asarray(u, dtype=complex)
     if u.shape != (4, 4):
         raise ValueError("expected a 4x4 matrix")
     su, proj_phase = project_special(u, tol)
 
     v = MAGIC_DAG @ su @ MAGIC
-    p, theta = _simultaneous_diagonalize(v.T @ v)
+    p, theta = _simultaneous_diagonalize(v.T @ v, tol.verify_tol)
 
     # Eigenphases of M2 are twice the interaction phases. det(M2) = 1, so
     # the principal angles sum to a multiple of 2*pi; shift one phase by a
@@ -292,12 +290,12 @@ def kak_decompose(u: np.ndarray, tol: ToleranceConfig = DEFAULT_TOL) -> KakDecom
     delta = np.exp(0.5j * phases)
     q2 = p.T
     q1 = v @ p @ np.diag(delta.conj())
-    if np.abs(q1.imag).max() > 1e-6:
+    if not np.linalg.norm(q1.imag) < tol.verify_tol:
         raise ArithmeticError("local factor failed to come out real in the magic basis")
     q1 = q1.real
 
-    g1, a1, b1 = _factor_local(MAGIC @ q1 @ MAGIC_DAG)
-    g2, a2, b2 = _factor_local(MAGIC @ q2 @ MAGIC_DAG)
+    g1, a1, b1 = _factor_local(MAGIC @ q1 @ MAGIC_DAG, tol.verify_tol)
+    g2, a2, b2 = _factor_local(MAGIC @ q2 @ MAGIC_DAG, tol.verify_tol)
 
     # Resolve the phase vector against the orthogonal basis {1, dXX, dYY, dZZ}:
     # identity component becomes global phase, the rest the raw triple.
@@ -314,7 +312,7 @@ def kak_decompose(u: np.ndarray, tol: ToleranceConfig = DEFAULT_TOL) -> KakDecom
     phase = proj_phase * g1 * g2 * np.exp(0.5j * c0) * move_phase
     decomp = KakDecomposition(k1, vec, k2, complex(phase))
 
-    if np.abs(decomp.reconstruct() - u).max() > tol.verify_tol:
+    if not np.linalg.norm(decomp.reconstruct() - u) < tol.verify_tol:
         raise ArithmeticError("KAK reconstruction failed verification")
     return decomp
 

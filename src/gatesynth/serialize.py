@@ -120,6 +120,8 @@ def parse_circuit_document(text: str) -> CircuitDocument:
                 raise ValueError(f"unknown element kind {record['kind']!r}")
         _require_unitary_layers(elements, tolerances.unitarity_tol)
         phase = complex(payload["phase"][0], payload["phase"][1])
+        # Not unitarity_tol: the phase of a circuit near the application cap
+        # is a product of ~1e5 factors and drifts ~1e-10 off unit modulus.
         if abs(abs(phase) - 1.0) > 1e-9:
             raise ValueError(f"circuit phase has modulus {abs(phase)!r}, expected 1")
         circuit = Circuit(elements, phase)

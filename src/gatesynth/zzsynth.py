@@ -21,8 +21,16 @@ from .kak import GateClass, classify, kak_decompose, snap_vector
 from .matcore import (DEFAULT_TOL, ID2, Circuit, EntanglerApp, LocalPair,
                       ToleranceConfig, dagger, exp_pauli)
 
-KX_FACTOR = exp_pauli("y", np.pi / 4)  # k_x = this on both qubits moves ZZ <-> XX
-KY_FACTOR = exp_pauli("x", np.pi / 4)  # k_y = this on both qubits moves ZZ <-> YY
+# Fixed rotations, built once: _QUARTER[axis, s] = exp(i s (pi/4) sigma_axis)
+# and _HALF[axis, s] = exp(i s (pi/2) sigma_axis) for s = +1 or -1.
+_QUARTER = {(axis, s): exp_pauli(axis, s * np.pi / 4) for axis in "xyz" for s in (1, -1)}
+_HALF = {(axis, s): exp_pauli(axis, s * np.pi / 2) for axis in "xyz" for s in (1, -1)}
+
+KX_FACTOR = _QUARTER["y", 1]  # k_x = this on both qubits moves ZZ <-> XX
+KY_FACTOR = _QUARTER["x", 1]  # k_y = this on both qubits moves ZZ <-> YY
+# The interleavers synthesize places between its c3, c2 and c1 blocks.
+KX_KY_DAG = KX_FACTOR @ dagger(KY_FACTOR)
+KX_DAG = dagger(KX_FACTOR)
 
 
 @dataclass(eq=False)
@@ -70,13 +78,13 @@ def extract_zz(entangler: np.ndarray, tol: ToleranceConfig = DEFAULT_TOL) -> ZzR
     elif g3 == 0.0 and g1 == np.pi / 2 and g2 == np.pi / 2:
         # case 2: two applications interleaved with fixed locals
         elems = (
-            [LocalPair(exp_pauli("y", np.pi / 4), ID2),
-             LocalPair(exp_pauli("z", -np.pi / 4), exp_pauli("z", np.pi / 4))]
+            [LocalPair(_QUARTER["y", 1], ID2),
+             LocalPair(_QUARTER["z", -1], _QUARTER["z", 1])]
             + a_circ.elements
-            + [LocalPair(exp_pauli("z", np.pi / 4), exp_pauli("z", -np.pi / 4)),
-               LocalPair(ID2, exp_pauli("y", np.pi / 4))]
+            + [LocalPair(_QUARTER["z", 1], _QUARTER["z", -1]),
+               LocalPair(ID2, _QUARTER["y", 1])]
             + a_circ.elements
-            + [LocalPair(exp_pauli("y", -np.pi / 4), ID2)]
+            + [LocalPair(_QUARTER["y", -1], ID2)]
         )
         circuit = Circuit(elems, phase=a_circ.phase ** 2)
         resource = ZzResource(circuit, np.pi / 2, apps_per_unit=2)
@@ -85,9 +93,9 @@ def extract_zz(entangler: np.ndarray, tol: ToleranceConfig = DEFAULT_TOL) -> ZzR
         # z if g3 > 0, else x, or y at g1 = pi/2 where 2 g1 = pi is local.
         k = 2 if g3 > 0.0 else 1 if g1 == np.pi / 2 else 0
         axis = "xyz"[k]
-        elems = ([LocalPair(exp_pauli(axis, -np.pi / 2), ID2)]
+        elems = ([LocalPair(_HALF[axis, -1], ID2)]
                  + a_circ.elements
-                 + [LocalPair(exp_pauli(axis, np.pi / 2), ID2)]
+                 + [LocalPair(_HALF[axis, 1], ID2)]
                  + a_circ.elements)
         doubled = Circuit(elems, phase=a_circ.phase ** 2)
         if k < 2:  # k_x or k_y moves the doubled XX or YY angle onto ZZ
@@ -112,9 +120,9 @@ def reduce_angle(r: ZzResource) -> ZzResource:
         raise ValueError(f"gamma = {r.gamma} has no entangling reduction")
     if r.gamma < np.pi:
         return r
-    elems = ([LocalPair(ID2, exp_pauli("z", np.pi / 2))]
+    elems = ([LocalPair(ID2, _HALF["z", 1])]
              + r.circuit.elements
-             + [LocalPair(exp_pauli("z", np.pi / 2), ID2)])
+             + [LocalPair(_HALF["z", 1], ID2)])
     circuit = Circuit(elems, phase=1j * r.circuit.phase)
     return replace(r, circuit=circuit, gamma=r.gamma - np.pi)
 
@@ -125,11 +133,11 @@ def reflected(circ: Circuit) -> Circuit:
     Uses -i e^{-i pi/2 sz^1} e^{i pi/2 sy^1} exp(g (i/2) ZZ)
     e^{-i pi/2 sy^1} e^{-i pi/2 sz^2} = exp((pi-g)(i/2) ZZ).
     """
-    elems = ([LocalPair(ID2, exp_pauli("z", -np.pi / 2)),
-              LocalPair(exp_pauli("y", -np.pi / 2), ID2)]
+    elems = ([LocalPair(ID2, _HALF["z", -1]),
+              LocalPair(_HALF["y", -1], ID2)]
              + circ.elements
-             + [LocalPair(exp_pauli("y", np.pi / 2), ID2),
-                LocalPair(exp_pauli("z", -np.pi / 2), ID2)])
+             + [LocalPair(_HALF["y", 1], ID2),
+                LocalPair(_HALF["z", -1], ID2)])
     return Circuit(elems, phase=-1j * circ.phase)
 
 

@@ -19,6 +19,13 @@ def dress(u: np.ndarray, rng: np.random.Generator) -> np.ndarray:
     return random_local(rng) @ u @ random_local(rng)
 
 
+def near_edge(u: np.ndarray, error: float, rng: np.random.Generator) -> np.ndarray:
+    """u plus a random perturbation whose unitarity error is `error` (to first order)."""
+    e = rng.normal(size=u.shape) + 1j * rng.normal(size=u.shape)
+    first_order = np.abs(e @ u.conj().T + u @ e.conj().T).max()
+    return u + e * (error / first_order)
+
+
 @pytest.fixture
 def rng() -> np.random.Generator:
     return np.random.default_rng(1234)

@@ -8,7 +8,7 @@ from gatesynth.gates import CNOT
 from gatesynth.matcore import interaction
 from gatesynth.serialize import format_matrix
 
-from conftest import dress
+from conftest import dress, haar_unitary, near_edge
 
 
 def run(capsys, *argv):
@@ -53,6 +53,16 @@ class TestSynth:
                              "--entangler", "CNOT")
         assert code == EXIT_OK, err
         assert json.loads(out)["report"]["entangler_count"] == 0
+
+    def test_near_edge_matrix_targets(self, capsys, tmp_path, rng):
+        # Unitarity error in (5e-11, 1e-10]: accepted as valid, so it must compile.
+        path = tmp_path / "near_edge.json"
+        for _ in range(40):
+            target = near_edge(haar_unitary(rng), rng.uniform(6e-11, 1e-10), rng)
+            path.write_text(format_matrix(target))
+            code, _, err = run(capsys, "synth", "--target", f"MATRIX({path})",
+                               "--entangler", "CNOT")
+            assert code == EXIT_OK, err
 
     def test_rejects_unknown_target(self, capsys):
         code, _, err = run(capsys, "synth", "--target", "NOPE", "--entangler", "CNOT")

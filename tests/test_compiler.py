@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from gatesynth import compiler
+from gatesynth import blocksynth, compiler, gates, kak, matcore, serialize
 from gatesynth.blocksynth import synth_zz_block
 from gatesynth.compiler import (efficient_as_cnot, merge_locals, synthesize,
                                 upper_bound)
@@ -9,10 +9,11 @@ from gatesynth.gates import CNOT, SQRT_SWAP, SWAP, cphase, phase_gate
 from gatesynth.kak import kak_decompose
 from gatesynth.matcore import (DEFAULT_TOL, Circuit, EntanglerApp, LocalPair,
                                SIGMA_X, ToleranceConfig, evaluate, interaction,
-                               phase_distance, tensor, zz_interaction)
+                               phase_distance, tensor, unitarity_error,
+                               zz_interaction)
 from gatesynth.zzsynth import prepare_resource
 
-from conftest import dress, haar_unitary, random_local
+from conftest import dress, haar_unitary, near_edge, random_local
 
 
 class TestSynthesize:
@@ -61,6 +62,50 @@ class TestSynthesize:
         circuit, report = synthesize(SWAP, CNOT)
         assert report.entangler_count == 6
         assert report.residual < 1e-10
+
+    def test_checks_target_unitarity_once(self, monkeypatch, rng):
+        target, checked, real = haar_unitary(rng), [], matcore.require_unitary
+
+        def counting(m, *args, **kwargs):
+            checked.append(np.array_equal(m, target))
+            return real(m, *args, **kwargs)
+
+        for module in (matcore, kak, compiler, blocksynth, gates, serialize):
+            if hasattr(module, "require_unitary"):
+                monkeypatch.setattr(module, "require_unitary", counting)
+        synthesize(target, CNOT)
+        assert sum(checked) == 1
+
+    def test_rejects_non_unitary_target(self):
+        with pytest.raises(ValueError, match="not unitary"):
+            synthesize(np.ones((4, 4)), CNOT)
+
+
+LOOSE_TOL = ToleranceConfig(unitarity_tol=1e-7, snap_tol=1e-7, verify_tol=1e-6)
+
+
+class TestNearEdgeTargets:
+    """Targets whose unitarity error is just inside unitarity_tol are valid and compile."""
+
+    def test_default_tolerances(self, rng):
+        for i in range(100):
+            core = haar_unitary(rng) if i % 2 else interaction(*rng.uniform(0, np.pi, 3))
+            target = near_edge(dress(core, rng), rng.uniform(6e-11, 1e-10), rng)
+            assert 5e-11 < unitarity_error(target) <= DEFAULT_TOL.unitarity_tol
+            _, report = synthesize(target, (CNOT, cphase(np.pi / 9))[i % 2])
+            assert report.residual < DEFAULT_TOL.verify_tol
+
+    @pytest.mark.parametrize("entangler", [CNOT, cphase(np.pi / 9)], ids=["cnot", "cphase_pi_9"])
+    def test_loose_tolerances(self, entangler, rng):
+        for _ in range(10):
+            target = near_edge(haar_unitary(rng), 1e-9, rng)
+            _, report = synthesize(target, entangler, LOOSE_TOL)
+            assert report.residual < LOOSE_TOL.verify_tol
+
+    def test_near_edge_entangler(self, rng):
+        entangler = near_edge(dress(cphase(np.pi / 3), rng), 1e-9, rng)
+        _, report = synthesize(haar_unitary(rng), entangler, LOOSE_TOL)
+        assert report.residual < LOOSE_TOL.verify_tol
 
 
 NEAR_IDENTITY = [(np.pi - 1e-11, 0.0, 0.0), (-1e-11, 2e-11, 3e-11)]
@@ -210,7 +255,8 @@ class TestMergeLocalsBitIdentity:
     def test_unmerged_block_circuits(self, rng):
         for ent in (CNOT, cphase(np.pi / 9), dress(interaction(1.0, 0.6, 0.3), rng)):
             resource = prepare_resource(ent)
-            circ = synth_zz_block(0.7, resource).concat(synth_zz_block(2.1, resource))
+            first, second = synth_zz_block(0.7, resource), synth_zz_block(2.1, resource)
+            circ = Circuit(first.elements + second.elements, first.phase * second.phase)
             assert_bit_identical(merge_locals(circ), merge_locals_loop(circ))
 
     def test_more_runs_than_one_chunk(self, rng):

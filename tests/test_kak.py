@@ -55,6 +55,10 @@ class TestKakDecompose:
         with pytest.raises(ValueError):
             kak_decompose(np.eye(2, dtype=complex))
 
+    def test_rejects_non_finite(self):
+        with pytest.raises(ValueError, match="non-finite"):
+            kak_decompose(np.full((4, 4), np.nan))
+
     def test_local_gates_classify_local(self, rng):
         for _ in range(20):
             d = kak_decompose(random_local(rng))

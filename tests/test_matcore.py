@@ -4,8 +4,9 @@ from hypothesis import given, settings, strategies as st
 
 from gatesynth.matcore import (Circuit, EntanglerApp, LocalPair,
                                SIGMA_X, SIGMA_Y, SIGMA_Z, ToleranceConfig,
-                               evaluate, exp_pauli, interaction, is_unitary,
-                               phase_distance, project_special, tensor,
+                               evaluate, exp_pauli, interaction,
+                               phase_distance, project_special,
+                               require_unitary, tensor, unitarity_error,
                                zz_interaction)
 
 from conftest import haar_unitary
@@ -117,7 +118,7 @@ class TestEvaluate:
         b = Circuit([EntanglerApp(), LocalPair(haar_unitary(rng, 2), haar_unitary(rng, 2))])
         ent = haar_unitary(rng)
         np.testing.assert_allclose(
-            evaluate(a.concat(b), ent),
+            evaluate(Circuit(a.elements + b.elements, a.phase * b.phase), ent),
             evaluate(b, ent) @ evaluate(a, ent), atol=1e-13)
 
     def test_rejects_nonunitary_entangler(self):
@@ -178,7 +179,16 @@ class TestToleranceConfig:
 
 def test_is_unitary_rejects_nan():
     bad = np.full((4, 4), np.nan, dtype=complex)
-    assert not is_unitary(bad)
+    assert not unitarity_error(bad) <= 1.0
+    with pytest.raises(ValueError, match="non-finite"):
+        require_unitary(bad)
+
+
+class TestRequireUnitary:
+    @pytest.mark.parametrize("m", [np.ones((4, 4)), np.eye(4)[:2], np.eye(8).reshape(2, 4, 8)])
+    def test_rejects_non_unitary_and_non_square(self, m):
+        with pytest.raises(ValueError, match="not unitary"):
+            require_unitary(m)
 
 
 def test_interaction_is_commuting_product():
