@@ -4,7 +4,7 @@ from .matcore import (Circuit, CircuitElement, EntanglerApp, LocalPair,
                       ToleranceConfig, DEFAULT_TOL, evaluate, interaction,
                       phase_distance, project_special, tensor, zz_interaction)
 from .kak import (CanonicalVector, GateClass, KakDecomposition, classify,
-                  kak_decompose, locally_equivalent)
+                  kak_decompose)
 from .zzsynth import ZzResource, amplify, extract_zz, prepare_resource
 from .blocksynth import (AxisAngle, BlockParams, block_params,
                          controlled_u_circuit, controlled_u_gamma,

@@ -7,7 +7,7 @@ depends only on the entangler's canonical vector.
 """
 
 import functools
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -58,44 +58,15 @@ RESOURCE_MEMO_SIZE = 8
 
 @functools.lru_cache(maxsize=RESOURCE_MEMO_SIZE)
 def _prepared_resource(shape: tuple, data: bytes, tol: ToleranceConfig) -> ZzResource:
-    """prepare_resource for an entangler given by its shape and complex128 bytes.
+    """prepare_resource, merged, for an entangler given by its shape and complex128 bytes.
 
-    The resource depends on the entangler alone, so synthesize prepares it
-    once per entangler and tolerance set. Errors are not cached. Callers
-    only read the result: every layer synthesize emits is a fresh array.
+    The resource depends on the entangler alone, so synthesize prepares and
+    merges it once per entangler and tolerance set; each call then fuses only
+    the short runs at block boundaries. Errors are not cached. Callers only
+    read the result: every layer synthesize emits is a fresh array.
     """
-    return prepare_resource(np.frombuffer(data, dtype=complex).reshape(shape), tol)
-
-
-# Runs fused per stacked batch; bounds the stacked copies of the layers
-# for circuits near the application cap.
-_RUN_CHUNK = 4096
-
-
-def _fused_runs(layers: list, starts: list) -> np.ndarray:
-    """Products, stacked (qubit, run, 2, 2), of the runs of adjacent local layers.
-
-    Run r is layers[starts[r]:starts[r + 1]], each layer left-multiplying
-    the product so far. Step t multiplies layer t of every run that long,
-    longest runs first, so one stacked matmul per step does the same 2x2
-    products in the same order as a loop over the layers.
-    """
-    ends = starts + [len(layers)]
-    parts = []
-    for lo in range(0, len(starts), _RUN_CHUNK):
-        hi = min(lo + _RUN_CHUNK, len(starts))
-        chunk = layers[ends[lo]:ends[hi]]
-        mats = np.array([[e.a for e in chunk], [e.b for e in chunk]], dtype=complex)
-        lengths = np.diff(ends[lo:hi + 1])
-        order = np.argsort(-lengths, kind="stable")
-        first = np.subtract(ends[lo:hi], ends[lo])[order]
-        at_least = np.cumsum(np.bincount(lengths)[::-1])[::-1]   # [t]: runs of length >= t
-        out = mats[:, first]
-        for t in range(1, len(at_least) - 1):
-            k = at_least[t + 1]
-            out[:, :k] = mats[:, first[:k] + t] @ out[:, :k]
-        parts.append(out[:, np.argsort(order)])
-    return np.concatenate(parts, axis=1)
+    r = prepare_resource(np.frombuffer(data, dtype=complex).reshape(shape), tol)
+    return replace(r, circuit=merge_locals(r.circuit))
 
 
 def merge_locals(circuit: Circuit) -> Circuit:
@@ -103,27 +74,24 @@ def merge_locals(circuit: Circuit) -> Circuit:
 
     Every surviving local pair is renormalized to unit determinant per
     qubit, with the extracted scalars folded into the circuit phase, so
-    output layers are canonical and no two local layers are adjacent.
+    output layers are canonical, freshly allocated, and no two local
+    layers are adjacent.
     """
     merged: list = []
-    layers: list = []
-    starts: list = []   # index in layers of the first layer of each run
-    slots: list = []    # index in merged of each run's fused layer
     for elem in circuit.elements:
-        if not isinstance(elem, LocalPair):
+        prev = merged[-1] if merged else None
+        if isinstance(elem, LocalPair) and isinstance(prev, LocalPair):
+            merged[-1] = LocalPair(elem.a @ prev.a, elem.b @ prev.b)
+        else:
             merged.append(elem)
-            continue
-        if not slots or slots[-1] != len(merged) - 1:
-            starts.append(len(layers))
-            slots.append(len(merged))
-            merged.append(elem)
-        layers.append(elem)
     phase = circuit.phase
-    if not layers:
+    slots = [i for i, e in enumerate(merged) if isinstance(e, LocalPair)]
+    if not slots:
         return Circuit(merged, phase)
-    fused = _fused_runs(layers, starts)
     # Stacked det, sqrt and divide: the same per-matrix arithmetic as a
     # loop, without a LAPACK call per layer.
+    fused = np.array([[merged[i].a for i in slots], [merged[i].b for i in slots]],
+                     dtype=complex)
     scale = np.sqrt(np.linalg.det(fused))
     fused /= scale[..., None, None]
     for k, i in enumerate(slots):

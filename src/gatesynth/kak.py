@@ -326,10 +326,3 @@ def classify(c: CanonicalVector, tol: ToleranceConfig = DEFAULT_TOL) -> GateClas
         return GateClass.SWAP_CLASS
     return GateClass.ENTANGLING
 
-
-def locally_equivalent(u: np.ndarray, v: np.ndarray,
-                       tol: ToleranceConfig = DEFAULT_TOL) -> bool:
-    """Whether two gates share a canonical vector within snap_tol."""
-    cu = kak_decompose(u, tol).c.as_tuple()
-    cv = kak_decompose(v, tol).c.as_tuple()
-    return all(abs(a - b) <= tol.snap_tol for a, b in zip(cu, cv))

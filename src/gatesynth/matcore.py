@@ -27,6 +27,7 @@ class ToleranceConfig:
     values before discrete decisions (classification, case selection), and
     verify_tol bounds every residual: a reconstruction passes when its
     Frobenius distance is below it, and so does each internal KAK step.
+    All three must be finite and positive.
     """
 
     unitarity_tol: float = 1e-10
@@ -34,8 +35,9 @@ class ToleranceConfig:
     verify_tol: float = 1e-8
 
     def __post_init__(self) -> None:
-        if not (self.unitarity_tol > 0 and self.snap_tol > 0 and self.verify_tol > 0):
-            raise ValueError("tolerances must be strictly positive")
+        # Rejects NaN too: every comparison with NaN is false.
+        if not all(0 < t < np.inf for t in (self.unitarity_tol, self.snap_tol, self.verify_tol)):
+            raise ValueError("tolerances must be finite and strictly positive")
         if self.snap_tol < self.unitarity_tol:
             raise ValueError("snap_tol must be >= unitarity_tol")
 

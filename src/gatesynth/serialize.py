@@ -122,7 +122,8 @@ def parse_circuit_document(text: str) -> CircuitDocument:
         phase = complex(payload["phase"][0], payload["phase"][1])
         # Not unitarity_tol: the phase of a circuit near the application cap
         # is a product of ~1e5 factors and drifts ~1e-10 off unit modulus.
-        if abs(abs(phase) - 1.0) > 1e-9:
+        # Written so that a NaN modulus fails too.
+        if not abs(abs(phase) - 1.0) <= 1e-9:
             raise ValueError(f"circuit phase has modulus {abs(phase)!r}, expected 1")
         circuit = Circuit(elements, phase)
         return CircuitDocument(entangler=payload["entangler"], circuit=circuit,

@@ -94,6 +94,13 @@ class TestSynth:
         assert err.startswith("error:")
         assert "117810" in err and "100000" in err
 
+    @pytest.mark.parametrize("tol", ["inf", "nan"])
+    def test_rejects_invalid_tol(self, capsys, tol):
+        code, _, err = run(capsys, "synth", "--target", "SWAP", "--entangler", "CNOT",
+                           "--tol", tol)
+        assert code == EXIT_INPUT
+        assert "finite and strictly positive" in err
+
     def test_rejects_local_entangler(self, capsys, tmp_path):
         path = tmp_path / "local.json"
         path.write_text(format_matrix(np.diag([1, 1j, 1, 1j])))
@@ -194,6 +201,30 @@ class TestVerify:
         assert code == EXIT_INPUT
         assert err.startswith("error:")
         assert "not unitary" in err
+
+    def test_nan_phase_is_invalid_input(self, capsys, emitted):
+        doc = json.loads(emitted.read_text())
+        doc["phase"] = [float("nan"), 0.0]
+        emitted.write_text(json.dumps(doc))
+        code, out, err = run(capsys, "verify", "--circuit", str(emitted),
+                             "--target", "SQRT_SWAP")
+        assert code == EXIT_INPUT
+        assert "modulus" in err
+        assert "residual" not in out
+
+    def test_infinite_verify_tol_is_invalid_input(self, capsys, tmp_path):
+        # With verify_tol = inf any circuit would PASS against any target.
+        path = tmp_path / "cnot.json"
+        code, _, _ = run(capsys, "synth", "--target", "CNOT", "--entangler", "CNOT",
+                         "--out", str(path))
+        assert code == EXIT_OK
+        doc = json.loads(path.read_text())
+        doc["tolerances"]["verify_tol"] = float("inf")
+        path.write_text(json.dumps(doc))
+        code, out, err = run(capsys, "verify", "--circuit", str(path), "--target", "SWAP")
+        assert code == EXIT_INPUT
+        assert "finite" in err
+        assert "PASS" not in out
 
     def test_missing_document(self, capsys, tmp_path):
         code, _, err = run(capsys, "verify", "--circuit", str(tmp_path / "nope.json"),

@@ -5,7 +5,7 @@ from gatesynth import blocksynth, compiler, gates, kak, matcore, serialize
 from gatesynth.blocksynth import synth_zz_block
 from gatesynth.compiler import (efficient_as_cnot, merge_locals, synthesize,
                                 upper_bound)
-from gatesynth.gates import CNOT, SQRT_SWAP, SWAP, cphase, phase_gate
+from gatesynth.gates import B_GATE, CNOT, SQRT_SWAP, SWAP, cphase, phase_gate
 from gatesynth.kak import kak_decompose
 from gatesynth.matcore import (DEFAULT_TOL, Circuit, EntanglerApp, LocalPair,
                                SIGMA_X, ToleranceConfig, evaluate, interaction,
@@ -79,6 +79,34 @@ class TestSynthesize:
     def test_rejects_non_unitary_target(self):
         with pytest.raises(ValueError, match="not unitary"):
             synthesize(np.ones((4, 4)), CNOT)
+
+
+NORMAL_FORM_ENTANGLERS = {
+    "cnot": lambda rng: CNOT,
+    "b": lambda rng: B_GATE,
+    "sqrt_swap": lambda rng: SQRT_SWAP,
+    "case3_dressed": lambda rng: dress(interaction(1.0, 0.6, 0.0), rng),
+    "case4_dressed": lambda rng: dress(interaction(1.0, 0.6, 0.3), rng),
+    "cphase_pi_9": lambda rng: cphase(np.pi / 9),
+}
+
+
+class TestNormalForm:
+    """synthesize emits L (E L)*: one canonical local layer around every application."""
+
+    @pytest.mark.parametrize("name", NORMAL_FORM_ENTANGLERS)
+    def test_alternating_unit_determinant_layers(self, name, rng):
+        entangler = NORMAL_FORM_ENTANGLERS[name](rng)
+        for _ in range(5):
+            circuit, report = synthesize(haar_unitary(rng), entangler)
+            kinds = [isinstance(e, LocalPair) for e in circuit.elements]
+            assert kinds == [k % 2 == 0 for k in range(len(kinds))]
+            assert report.local_count == report.entangler_count + 1
+            for layer in circuit.elements[::2]:
+                assert abs(np.linalg.det(layer.a) - 1) < 1e-12
+                assert abs(np.linalg.det(layer.b) - 1) < 1e-12
+        if name == "cphase_pi_9":
+            assert report.n == 5
 
 
 LOOSE_TOL = ToleranceConfig(unitarity_tol=1e-7, snap_tol=1e-7, verify_tol=1e-6)
@@ -258,14 +286,6 @@ class TestMergeLocalsBitIdentity:
             first, second = synth_zz_block(0.7, resource), synth_zz_block(2.1, resource)
             circ = Circuit(first.elements + second.elements, first.phase * second.phase)
             assert_bit_identical(merge_locals(circ), merge_locals_loop(circ))
-
-    def test_more_runs_than_one_chunk(self, rng):
-        elements = []
-        for _ in range(compiler._RUN_CHUNK + 5):
-            elements += [LocalPair(haar_unitary(rng, 2), haar_unitary(rng, 2))
-                         for _ in range(rng.integers(1, 4))] + [EntanglerApp()]
-        circ = Circuit(elements, phase=1j)
-        assert_bit_identical(merge_locals(circ), merge_locals_loop(circ))
 
     def test_entangler_only(self):
         circ = Circuit([EntanglerApp(), EntanglerApp()], phase=1j)

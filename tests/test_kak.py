@@ -6,9 +6,9 @@ from hypothesis import given, settings, strategies as st
 
 from gatesynth.gates import CNOT, CZ, SWAP
 from gatesynth.kak import (CanonicalVector, GateClass, canonicalize, classify,
-                           kak_decompose, locally_equivalent, snap_angle)
-from gatesynth.matcore import (SIGMA_X, SIGMA_Y, SIGMA_Z, interaction,
-                               phase_distance, tensor)
+                           kak_decompose, snap_angle)
+from gatesynth.matcore import (DEFAULT_TOL, SIGMA_X, SIGMA_Y, SIGMA_Z,
+                               interaction, phase_distance, tensor)
 
 from conftest import dress, haar_unitary, random_local
 
@@ -249,6 +249,13 @@ class TestClassify:
             CanonicalVector(0.1, 0.5, 0.0)  # c1 < c2
         with pytest.raises(ValueError):
             CanonicalVector(3.0, 0.5, 0.0)  # c1 > pi - c2
+
+
+def locally_equivalent(u: np.ndarray, v: np.ndarray) -> bool:
+    """Whether two gates share a canonical vector within snap_tol."""
+    cu = kak_decompose(u).c.as_tuple()
+    cv = kak_decompose(v).c.as_tuple()
+    return all(abs(a - b) <= DEFAULT_TOL.snap_tol for a, b in zip(cu, cv))
 
 
 class TestLocallyEquivalent:

@@ -171,6 +171,8 @@ class TestToleranceConfig:
     @pytest.mark.parametrize("kwargs", [
         {"unitarity_tol": 0.0}, {"snap_tol": -1e-9}, {"verify_tol": 0.0},
         {"unitarity_tol": 1e-8, "snap_tol": 1e-10},
+        {"verify_tol": float("inf")}, {"snap_tol": float("inf")},
+        {"unitarity_tol": float("nan")}, {"verify_tol": float("nan")},
     ])
     def test_rejects_bad_values(self, kwargs):
         with pytest.raises(ValueError):

@@ -122,6 +122,12 @@ class TestCircuitDocument:
         with pytest.raises(ValueError, match="modulus"):
             parse_circuit_document(json.dumps(payload))
 
+    def test_rejects_nan_phase(self, rng):
+        payload = json.loads(emit_circuit_document(self._sample_doc(rng)))
+        payload["phase"] = [float("nan"), 0.0]
+        with pytest.raises(ValueError, match="modulus"):
+            parse_circuit_document(json.dumps(payload))
+
     def test_rejects_non_2x2_local_layer(self, rng):
         doc = self._sample_doc(rng)
         import json
