@@ -13,7 +13,7 @@ from .kak import kak_decompose
 from .matcore import (DEFAULT_TOL, ID2, ROUNDOFF, SIGMA_X, SIGMA_Y, SIGMA_Z,
                       Circuit, EntanglerApp, LocalPair, ToleranceConfig,
                       dagger, exp_pauli, require_unitary)
-from .zzsynth import ZzResource, reflected
+from .zzsynth import ZzResource, fold_angle
 
 
 @dataclass(frozen=True)
@@ -87,26 +87,25 @@ def u1_u2(params: BlockParams) -> tuple[np.ndarray, np.ndarray]:
 
 
 def synth_zz_block(c: float, resource: ZzResource) -> Circuit:
-    """Simulate exp(c (i/2) ZZ), c in (0, pi), with two resource insertions.
+    """Simulate exp(c (i/2) ZZ), c in [0, pi], with two resource insertions.
 
-    For c in (pi/2, pi) the block is reflected to pi - c first and wrapped
-    with the reflection locals; c = pi is locally trivial, and synthesize
-    folds a c1 snapped to pi into the locals before it gets here.
+    fold_angle's Pauli layers join the u2 and u1 layers, so folding adds no
+    layer; at h = 0 (c = 0 or pi) the block is one local layer.
     """
-    if not 0.0 < c < np.pi:
-        raise ValueError(f"block angle c = {c} outside (0, pi)")
-    if c > np.pi / 2:
-        return reflected(synth_zz_block(np.pi - c, resource))
-
-    params = block_params(c, resource.gamma)
+    if not 0.0 <= c <= np.pi:
+        raise ValueError(f"block angle c = {c} outside [0, pi]")
+    h, pre, post, phase = fold_angle(c)
+    if h == 0.0:
+        return Circuit([LocalPair(post.a @ pre.a, post.b @ pre.b)], phase)
+    params = block_params(h, resource.gamma)
     u1, u2 = u1_u2(params)
     mid = LocalPair(ID2, exp_pauli("y", (params.b + np.pi) / 2))
-    elems = ([LocalPair(ID2, u2)]
-             + resource.circuit.elements
-             + [mid]
-             + resource.circuit.elements
-             + [LocalPair(ID2, u1)])
-    return Circuit(elems, phase=resource.circuit.phase ** 2)
+    block_phase = resource.circuit.phase ** 2
+    if h != c:  # join the fold's Pauli layers; their products round nothing
+        u1, u2, block_phase = post.b @ u1, u2 @ pre.b, phase * block_phase
+    elems = ([LocalPair(pre.a, u2)] + resource.circuit.elements + [mid]
+             + resource.circuit.elements + [LocalPair(post.a, u1)])
+    return Circuit(elems, phase=block_phase)
 
 
 def _controlled_u1(axis: tuple[float, float, float], snap: float) -> np.ndarray:

@@ -13,8 +13,8 @@ import numpy as np
 
 from .blocksynth import controlled_u_gamma, synth_zz_block
 from .kak import kak_decompose, snap_vector
-from .matcore import (DEFAULT_TOL, SIGMA_X, Circuit, LocalPair,
-                      ToleranceConfig, evaluate, phase_distance)
+from .matcore import (DEFAULT_TOL, Circuit, LocalPair, ToleranceConfig,
+                      evaluate, phase_distance)
 from .zzsynth import (KX_DAG, KX_KY_DAG, KY_FACTOR, ZzResource, extract_zz,
                       prepare_resource, repetitions, uniform_bound)
 
@@ -106,31 +106,24 @@ def synthesize(target: np.ndarray, entangler: np.ndarray,
 
     The target's canonical blocks are emitted in application order c3,
     c2, c1 with the fixed interleavers from the three-block rewriting;
-    blocks whose coefficient snaps to zero are omitted. The result is
-    verified against the target before returning.
+    a block whose coefficient snaps to 0 or pi costs no application.
+    The result is verified against the target before returning.
     """
     dec = kak_decompose(target, tol)
     entangler = np.asarray(entangler, dtype=complex)
     resource = _prepared_resource(entangler.shape, entangler.tobytes(), tol)
 
     c1, c2, c3 = snap_vector(dec.c, tol.snap_tol)
-    k1, phase = dec.k1, dec.phase
-    if c1 == np.pi:
-        # A(pi e1) = i XX is local: fold it into k1 instead of a block.
-        k1 = LocalPair(k1.a @ SIGMA_X, k1.b @ SIGMA_X)
-        phase, c1 = 1j * phase, 0.0
-
     # Application order per the three-block form: c3 block, k_y,
-    # c2 block, k_x k_y^dag, c1 block, k1 k_x^dag; identity-angle blocks
-    # drop out and their neighbors merge.
-    elements: list = [dec.k2]
+    # c2 block, k_x k_y^dag, c1 block, k1 k_x^dag; a block at angle 0 or
+    # pi is one local layer and merges with its neighbors.
+    elements, phase = [dec.k2], dec.phase
     for c, interleaver in ((c3, LocalPair(KY_FACTOR, KY_FACTOR)),
                            (c2, LocalPair(KX_KY_DAG, KX_KY_DAG)),
-                           (c1, LocalPair(k1.a @ KX_DAG, k1.b @ KX_DAG))):
-        if c > 0:
-            block = synth_zz_block(c, resource)
-            elements += block.elements
-            phase *= block.phase
+                           (c1, LocalPair(dec.k1.a @ KX_DAG, dec.k1.b @ KX_DAG))):
+        block = synth_zz_block(c, resource)
+        elements += block.elements
+        phase *= block.phase
         elements.append(interleaver)
 
     circuit = merge_locals(Circuit(elements, phase))

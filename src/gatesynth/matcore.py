@@ -6,7 +6,7 @@ Circuits are ordered element lists; element 0 acts first on the state, so
 the evaluated matrix is the right-to-left product of the element matrices.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import astuple, dataclass, field
 
 import numpy as np
 
@@ -27,7 +27,8 @@ class ToleranceConfig:
     values before discrete decisions (classification, case selection), and
     verify_tol bounds every residual: a reconstruction passes when its
     Frobenius distance is below it, and so does each internal KAK step.
-    All three must be finite and positive.
+    All three must be positive and below MAX_TOLERANCE, and snap_tol at
+    least unitarity_tol and ROUNDOFF.
     """
 
     unitarity_tol: float = 1e-10
@@ -36,17 +37,21 @@ class ToleranceConfig:
 
     def __post_init__(self) -> None:
         # Rejects NaN too: every comparison with NaN is false.
-        if not all(0 < t < np.inf for t in (self.unitarity_tol, self.snap_tol, self.verify_tol)):
-            raise ValueError("tolerances must be finite and strictly positive")
-        if self.snap_tol < self.unitarity_tol:
-            raise ValueError("snap_tol must be >= unitarity_tol")
+        if not all(0 < t < MAX_TOLERANCE for t in astuple(self)):
+            raise ValueError(f"tolerances must be finite and strictly positive, < {MAX_TOLERANCE}")
+        # Chamber coordinates may lie ROUNDOFF outside [0, pi]; snapping must catch them.
+        if self.snap_tol < max(self.unitarity_tol, ROUNDOFF):
+            raise ValueError(f"snap_tol must be >= unitarity_tol and >= {ROUNDOFF:g}")
 
-
-DEFAULT_TOL = ToleranceConfig()
 
 # Floating-point slack of exact comparisons (chamber faces, block-angle
 # ranges, unit axes): about 2,000 ulps at pi, far below every tolerance.
 ROUNDOFF = 1e-12
+# Every tolerance is below this. Correct residuals are near 1e-13; a looser
+# verify_tol passes wrong circuits (at 3, a CNOT circuit against SWAP).
+MAX_TOLERANCE = 1e-3
+
+DEFAULT_TOL = ToleranceConfig()
 
 
 def unitarity_error(m: np.ndarray) -> np.ndarray:

@@ -42,11 +42,6 @@ def decode_matrix(rows: list, shape: tuple[int, int] | None = None) -> np.ndarra
     return m
 
 
-def format_matrix(m: np.ndarray) -> str:
-    """Serialize a complex matrix as row-major [re, im] pairs."""
-    return json.dumps(encode_matrix(m), indent=1)
-
-
 def parse_matrix_text(text: str, tol: ToleranceConfig = DEFAULT_TOL) -> np.ndarray:
     """Parse and validate a matrix file; rejects non-unitary contents."""
     try:

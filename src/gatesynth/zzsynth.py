@@ -9,8 +9,8 @@ split runs on the entangler's canonical vector (g1, g2, g3):
   case 3: g3 = 0, 0 < g2 < pi/2  -- two applications, doubling g1 (g2 at g1 = pi/2)
   case 4: g3 > 0                 -- two applications, doubling g3
 
-followed by angle reduction and reflection so gamma lands in (0, pi/2],
-and repetition until the amplified angle reaches [pi/4, pi/2].
+followed by one exact Pauli fold (fold_angle) so gamma lands in
+(0, pi/2], and repetition until the amplified angle reaches [pi/4, pi/2].
 """
 
 from dataclasses import dataclass, replace
@@ -18,13 +18,16 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .kak import GateClass, classify, kak_decompose, snap_vector
-from .matcore import (DEFAULT_TOL, ID2, Circuit, EntanglerApp, LocalPair,
-                      ToleranceConfig, dagger, exp_pauli)
+from .matcore import (DEFAULT_TOL, ID2, PAULIS, SIGMA_X, SIGMA_Z, Circuit,
+                      EntanglerApp, LocalPair, ToleranceConfig, dagger, exp_pauli)
 
-# Fixed rotations, built once: _QUARTER[axis, s] = exp(i s (pi/4) sigma_axis)
-# and _HALF[axis, s] = exp(i s (pi/2) sigma_axis) for s = +1 or -1.
+# Fixed rotations, built once: _QUARTER[axis, s] = exp(i s (pi/4) sigma_axis).
 _QUARTER = {(axis, s): exp_pauli(axis, s * np.pi / 4) for axis in "xyz" for s in (1, -1)}
-_HALF = {(axis, s): exp_pauli(axis, s * np.pi / 2) for axis in "xyz" for s in (1, -1)}
+# fold_angle's Pauli layers.
+_NO_FOLD = LocalPair(ID2, ID2)
+_X1 = LocalPair(SIGMA_X, ID2)
+_ZZ = LocalPair(SIGMA_Z, SIGMA_Z)
+_ZZ_X1 = LocalPair(SIGMA_Z @ SIGMA_X, SIGMA_Z)
 
 KX_FACTOR = _QUARTER["y", 1]  # k_x = this on both qubits moves ZZ <-> XX
 KY_FACTOR = _QUARTER["x", 1]  # k_y = this on both qubits moves ZZ <-> YY
@@ -89,66 +92,50 @@ def extract_zz(entangler: np.ndarray, tol: ToleranceConfig = DEFAULT_TOL) -> ZzR
         circuit = Circuit(elems, phase=a_circ.phase ** 2)
         resource = ZzResource(circuit, np.pi / 2, apps_per_unit=2)
     else:
-        # cases 3 and 4: A e^{i pi/2 s_k^1} A e^{-i pi/2 s_k^1} doubles g_k:
-        # z if g3 > 0, else x, or y at g1 = pi/2 where 2 g1 = pi is local.
+        # cases 3 and 4: A s_k^1 A s_k^1 doubles g_k: z if g3 > 0, else x,
+        # or y at g1 = pi/2 where 2 g1 = pi is local.
         k = 2 if g3 > 0.0 else 1 if g1 == np.pi / 2 else 0
-        axis = "xyz"[k]
-        elems = ([LocalPair(_HALF[axis, -1], ID2)]
-                 + a_circ.elements
-                 + [LocalPair(_HALF[axis, 1], ID2)]
-                 + a_circ.elements)
-        doubled = Circuit(elems, phase=a_circ.phase ** 2)
+        s_k = LocalPair(PAULIS["xyz"[k]], ID2)
+        doubled = Circuit(([s_k] + a_circ.elements) * 2, phase=a_circ.phase ** 2)
         if k < 2:  # k_x or k_y moves the doubled XX or YY angle onto ZZ
             doubled = _conjugated(doubled, (KX_FACTOR, KY_FACTOR)[k])
         resource = ZzResource(doubled, 2 * (g1, g2, g3)[k], apps_per_unit=2)
 
-    return reflect_angle(reduce_angle(resource))
+    return fold_resource(resource)
 
 
-def reduce_angle(r: ZzResource) -> ZzResource:
-    """Bring gamma from (0, 2pi) into (0, pi) by a full-pi rewrite.
+def fold_angle(g: float) -> tuple[float, LocalPair, LocalPair, complex]:
+    """Return (h, pre, post, phase): exp(g (i/2) ZZ) = phase * post exp(h (i/2) ZZ) pre.
 
-    exp(g (i/2) ZZ) = i e^{i pi/2 sz^1} exp((pi+g)(i/2) ZZ) e^{i pi/2 sz^2},
-    so a resource with angle pi + g also realizes angle g with two extra
-    local layers. gamma = pi is locally trivial and rejected.
-
-    Fires only for c3 in (1e-12, snap_tol] with c1 > pi/2: the chamber's
-    base fold (window 1e-12) leaves c1 > pi/2, case 3 snaps c3 to 0 and
-    doubles c1 past pi, e.g. interaction(2.6, 0.13, 5e-11) -> 5.2.
+    Two Weyl-group moves (quant-ph/0209120) fold g in [0, 2pi) to h in
+    [0, pi/2]: exp((h + pi)(i/2) ZZ) = i ZZ exp(h (i/2) ZZ), and X on qubit
+    1 negates the angle. pre and post are Pauli layers, so wrapping with
+    them rounds nothing; they are identities when h is g. h = 0: g = 0 or pi.
     """
-    if not 0.0 < r.gamma < 2 * np.pi or r.gamma == np.pi:
+    if not 0.0 <= g < 2 * np.pi:
+        raise ValueError(f"ZZ angle {g} outside [0, 2pi)")
+    if g <= np.pi / 2:
+        return g, _NO_FOLD, _NO_FOLD, 1.0
+    if g <= np.pi:  # negate, then shift by pi
+        return np.pi - g, _X1, _ZZ_X1, 1j
+    if g <= 3 * np.pi / 2:  # shift by pi
+        return g - np.pi, _NO_FOLD, _ZZ, 1j
+    return 2 * np.pi - g, _X1, _X1, -1.0  # negate, then shift by 2 pi
+
+
+def fold_resource(r: ZzResource) -> ZzResource:
+    """Fold gamma from [0, 2pi) into (0, pi/2]; r itself if already there.
+
+    gamma = 0 or pi is local and rejected. gamma passes pi only when case 3
+    doubles a c1 > pi/2 whose c3 snapped to 0, e.g. (2.6, 0.13, 5e-11).
+    """
+    h, pre, post, phase = fold_angle(r.gamma)
+    if h == 0.0:
         raise ValueError(f"gamma = {r.gamma} has no entangling reduction")
-    if r.gamma < np.pi:
+    if h == r.gamma:
         return r
-    elems = ([LocalPair(ID2, _HALF["z", 1])]
-             + r.circuit.elements
-             + [LocalPair(_HALF["z", 1], ID2)])
-    circuit = Circuit(elems, phase=1j * r.circuit.phase)
-    return replace(r, circuit=circuit, gamma=r.gamma - np.pi)
-
-
-def reflected(circ: Circuit) -> Circuit:
-    """Turn a circuit for exp(g (i/2) ZZ) into one for exp((pi-g)(i/2) ZZ).
-
-    Uses -i e^{-i pi/2 sz^1} e^{i pi/2 sy^1} exp(g (i/2) ZZ)
-    e^{-i pi/2 sy^1} e^{-i pi/2 sz^2} = exp((pi-g)(i/2) ZZ).
-    """
-    elems = ([LocalPair(ID2, _HALF["z", -1]),
-              LocalPair(_HALF["y", -1], ID2)]
-             + circ.elements
-             + [LocalPair(_HALF["y", 1], ID2),
-                LocalPair(_HALF["z", -1], ID2)])
-    return Circuit(elems, phase=-1j * circ.phase)
-
-
-def reflect_angle(r: ZzResource) -> ZzResource:
-    """Reflect gamma in (pi/2, pi) down to pi - gamma in (0, pi/2).
-
-    The boundary gamma = pi/2 is kept as is.
-    """
-    if r.gamma <= np.pi / 2:
-        return r
-    return replace(r, circuit=reflected(r.circuit), gamma=np.pi - r.gamma)
+    elems = [pre.dag()] + r.circuit.elements + [post.dag()]
+    return replace(r, circuit=Circuit(elems, np.conj(phase) * r.circuit.phase), gamma=h)
 
 
 # Larger uniform bounds are refused before amplifying: the repeated circuit
@@ -177,7 +164,7 @@ def amplify(r: ZzResource) -> ZzResource:
 
 def prepare_resource(entangler: np.ndarray,
                      tol: ToleranceConfig = DEFAULT_TOL) -> ZzResource:
-    """Extract, reduce, reflect, amplify; ValueError if the bound exceeds the cap."""
+    """Extract, fold, amplify; ValueError if the bound exceeds the cap."""
     r = extract_zz(entangler, tol)
     bound = uniform_bound(repetitions(r.gamma), r.apps_per_unit)
     if bound > MAX_APPLICATIONS:

@@ -1,5 +1,9 @@
+import json
+
 import numpy as np
 import pytest
+
+from gatesynth.serialize import encode_matrix
 
 
 def haar_unitary(rng: np.random.Generator, dim: int = 4) -> np.ndarray:
@@ -24,6 +28,11 @@ def near_edge(u: np.ndarray, error: float, rng: np.random.Generator) -> np.ndarr
     e = rng.normal(size=u.shape) + 1j * rng.normal(size=u.shape)
     first_order = np.abs(e @ u.conj().T + u @ e.conj().T).max()
     return u + e * (error / first_order)
+
+
+def matrix_json(m: np.ndarray) -> str:
+    """A matrix file's text: row-major JSON array of [re, im] pairs."""
+    return json.dumps(encode_matrix(m))
 
 
 @pytest.fixture

@@ -6,8 +6,8 @@ from gatesynth.blocksynth import (AxisAngle, block_params, controlled_u_circuit,
                                   controlled_u_gamma, synth_zz_block, u1_u2)
 from gatesynth.gates import CNOT, cphase, phase_gate
 from gatesynth.kak import kak_decompose
-from gatesynth.matcore import (Circuit, EntanglerApp, SIGMA_X, evaluate,
-                               phase_distance, tensor, zz_interaction)
+from gatesynth.matcore import (Circuit, EntanglerApp, LocalPair, SIGMA_X, SIGMA_Z,
+                               evaluate, exp_pauli, phase_distance, tensor, zz_interaction)
 from gatesynth.zzsynth import ZzResource, prepare_resource
 
 from conftest import haar_unitary
@@ -17,6 +17,19 @@ ID2 = np.eye(2, dtype=complex)
 
 def exact_resource(gamma: float) -> ZzResource:
     return ZzResource(Circuit([EntanglerApp()]), gamma, apps_per_unit=1)
+
+
+def unfolded_block(c: float, resource: ZzResource) -> Circuit:
+    """Reference block for c in (0, pi/2]: u2, resource, mid, resource, u1; no fold."""
+    params = block_params(c, resource.gamma)
+    u1, u2 = u1_u2(params)
+    mid = LocalPair(ID2, exp_pauli("y", (params.b + np.pi) / 2))
+    elems = ([LocalPair(ID2, u2)]
+             + resource.circuit.elements
+             + [mid]
+             + resource.circuit.elements
+             + [LocalPair(ID2, u1)])
+    return Circuit(elems, phase=resource.circuit.phase ** 2)
 
 
 class TestBlockParams:
@@ -106,7 +119,7 @@ class TestSynthZzBlock:
         assert phase_distance(got, zz_interaction(2 * gamma)) < 1e-6
 
     def test_reflected_range(self):
-        # c in (pi/2, pi) goes through the reflection identity
+        # c in (pi/2, pi) folds to pi - c through Pauli layers
         c = 2.5
         circ = synth_zz_block(c, exact_resource(np.pi / 2))
         got = evaluate(circ, zz_interaction(np.pi / 2))
@@ -127,9 +140,41 @@ class TestSynthZzBlock:
             w, v = got[:2, :2], got[2:, 2:]
             np.testing.assert_allclose(w @ v, ID2, atol=1e-10)
 
-    def test_rejects_pi(self):
-        with pytest.raises(ValueError):
-            synth_zz_block(np.pi, exact_resource(np.pi / 2))
+    def test_pi_is_local(self):
+        # exp(pi (i/2) ZZ) = i ZZ: one local layer, no insertion
+        circ = synth_zz_block(np.pi, exact_resource(np.pi / 2))
+        assert circ.entangler_count == 0
+        assert circ.local_count == 1
+        np.testing.assert_array_equal(evaluate(circ, zz_interaction(np.pi / 2)),
+                                      1j * np.kron(SIGMA_Z, SIGMA_Z))
+
+    def test_zero_is_identity_layer(self):
+        circ = synth_zz_block(0.0, exact_resource(np.pi / 2))
+        assert (circ.entangler_count, circ.local_count) == (0, 1)
+        np.testing.assert_array_equal(evaluate(circ, zz_interaction(np.pi / 2)), np.eye(4))
+
+    @pytest.mark.parametrize("c", [-1e-12, np.nextafter(np.pi, 4.0)])
+    def test_rejects_outside_range(self, c):
+        with pytest.raises(ValueError, match="outside"):
+            synth_zz_block(c, exact_resource(np.pi / 2))
+
+    def test_unfolded_blocks_bit_identical(self, rng):
+        # c <= pi/2 needs no fold, so the block is the unfolded construction
+        # to the bit; includes the q = 0 corner c = 2 gamma = pi/2.
+        resources = [exact_resource(g) for g in (np.pi / 4, np.pi / 3, np.pi / 2)]
+        resources += [prepare_resource(ent) for ent in (CNOT, cphase(np.pi / 9))]
+        angles = [np.pi / 2, np.pi / 4, 1e-10] + list(rng.uniform(0.0, np.pi / 2, 40))
+        for resource in resources:
+            for c in angles:
+                if c > 2 * resource.gamma:
+                    continue
+                got, want = synth_zz_block(c, resource), unfolded_block(c, resource)
+                assert np.complex128(got.phase).tobytes() == np.complex128(want.phase).tobytes()
+                assert [type(e) for e in got.elements] == [type(e) for e in want.elements]
+                for g, w in zip(got.elements, want.elements):
+                    if isinstance(g, LocalPair):
+                        assert g.a.tobytes() == w.a.tobytes()
+                        assert g.b.tobytes() == w.b.tobytes()
 
     def test_rejects_out_of_range_gamma(self):
         with pytest.raises(ValueError):

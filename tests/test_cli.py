@@ -6,9 +6,8 @@ import pytest
 from gatesynth.cli import EXIT_INPUT, EXIT_OK, EXIT_VERIFY, main
 from gatesynth.gates import CNOT
 from gatesynth.matcore import interaction
-from gatesynth.serialize import format_matrix
 
-from conftest import dress, haar_unitary, near_edge
+from conftest import dress, haar_unitary, matrix_json, near_edge
 
 
 def run(capsys, *argv):
@@ -35,7 +34,7 @@ class TestSynth:
 
     def test_identity_matrix_target(self, capsys, tmp_path):
         path = tmp_path / "id.json"
-        path.write_text(format_matrix(np.eye(4)))
+        path.write_text(matrix_json(np.eye(4)))
         code, out, _ = run(capsys, "synth", "--target", f"MATRIX({path})",
                            "--entangler", "CNOT")
         assert code == EXIT_OK
@@ -48,7 +47,7 @@ class TestSynth:
         if dressed:
             target = dress(target, rng)
         path = tmp_path / "near_id.json"
-        path.write_text(format_matrix(target))
+        path.write_text(matrix_json(target))
         code, out, err = run(capsys, "synth", "--target", f"MATRIX({path})",
                              "--entangler", "CNOT")
         assert code == EXIT_OK, err
@@ -59,7 +58,7 @@ class TestSynth:
         path = tmp_path / "near_edge.json"
         for _ in range(40):
             target = near_edge(haar_unitary(rng), rng.uniform(6e-11, 1e-10), rng)
-            path.write_text(format_matrix(target))
+            path.write_text(matrix_json(target))
             code, _, err = run(capsys, "synth", "--target", f"MATRIX({path})",
                                "--entangler", "CNOT")
             assert code == EXIT_OK, err
@@ -71,14 +70,14 @@ class TestSynth:
 
     def test_rejects_nonunitary_matrix(self, capsys, tmp_path):
         path = tmp_path / "bad.json"
-        path.write_text(format_matrix(np.ones((4, 4))))
+        path.write_text(matrix_json(np.ones((4, 4))))
         code, _, err = run(capsys, "synth", "--target", f"MATRIX({path})",
                            "--entangler", "CNOT")
         assert code == EXIT_INPUT
         assert "unitary" in err
 
     def test_rejects_matrix_entry_with_extra_numbers(self, capsys, tmp_path):
-        rows = json.loads(format_matrix(np.eye(4)))
+        rows = json.loads(matrix_json(np.eye(4)))
         rows[0][0] = [1.0, 0.0, 123.0]
         path = tmp_path / "extra.json"
         path.write_text(json.dumps(rows))
@@ -94,7 +93,7 @@ class TestSynth:
         assert err.startswith("error:")
         assert "117810" in err and "100000" in err
 
-    @pytest.mark.parametrize("tol", ["inf", "nan"])
+    @pytest.mark.parametrize("tol", ["inf", "nan", "0.01"])
     def test_rejects_invalid_tol(self, capsys, tol):
         code, _, err = run(capsys, "synth", "--target", "SWAP", "--entangler", "CNOT",
                            "--tol", tol)
@@ -103,7 +102,7 @@ class TestSynth:
 
     def test_rejects_local_entangler(self, capsys, tmp_path):
         path = tmp_path / "local.json"
-        path.write_text(format_matrix(np.diag([1, 1j, 1, 1j])))
+        path.write_text(matrix_json(np.diag([1, 1j, 1, 1j])))
         code, _, err = run(capsys, "synth", "--target", "CNOT",
                            "--entangler", f"MATRIX({path})")
         assert code == EXIT_INPUT
@@ -159,6 +158,16 @@ class TestVerify:
                            "--target", "SWAP")
         assert code == EXIT_VERIFY
         assert "FAIL" in out
+
+    def test_loose_document_tolerance_rejected(self, capsys, emitted):
+        # A verify_tol of 3 would pass this circuit against SWAP.
+        doc = json.loads(emitted.read_text())
+        doc["tolerances"]["verify_tol"] = 3
+        emitted.write_text(json.dumps(doc))
+        code, out, err = run(capsys, "verify", "--circuit", str(emitted), "--target", "SWAP")
+        assert code == EXIT_INPUT
+        assert "PASS" not in out
+        assert err.startswith("error:")
 
     def test_malformed_document(self, capsys, tmp_path):
         path = tmp_path / "junk.json"

@@ -7,7 +7,8 @@ from gatesynth.gates import (B_GATE, CNOT, CZ, SQRT_SWAP, SWAP, GateSpec,
                              resolve_descriptor, resolve_gate)
 from gatesynth.kak import kak_decompose
 from gatesynth.matcore import exp_pauli, interaction, tensor, unitarity_error
-from gatesynth.serialize import format_matrix
+
+from conftest import matrix_json
 
 
 class TestClosedForms:
@@ -92,14 +93,14 @@ class TestResolveGate:
 
     def test_matrix_file(self, tmp_path):
         path = tmp_path / "gate.json"
-        path.write_text(format_matrix(SWAP))
+        path.write_text(matrix_json(SWAP))
         m, spec = resolve_gate(f"MATRIX({path})")
         np.testing.assert_allclose(m, SWAP, atol=1e-15)
         assert spec.name == "MATRIX"
 
     def test_matrix_file_rejects_nonunitary(self, tmp_path):
         path = tmp_path / "bad.json"
-        path.write_text(format_matrix(np.ones((4, 4))))
+        path.write_text(matrix_json(np.ones((4, 4))))
         with pytest.raises(ValueError, match="unitary"):
             resolve_gate(f"MATRIX({path})")
 
@@ -113,7 +114,7 @@ class TestResolveGate:
 
     def test_matrix_rejects_2x2_for_gate(self, tmp_path):
         path = tmp_path / "small.json"
-        path.write_text(format_matrix(np.eye(2)))
+        path.write_text(matrix_json(np.eye(2)))
         with pytest.raises(ValueError, match="4x4"):
             resolve_gate(f"MATRIX({path})")
 
@@ -126,7 +127,7 @@ class TestDescriptors:
 
     def test_matrix_roundtrip(self, tmp_path):
         path = tmp_path / "gate.json"
-        path.write_text(format_matrix(SQRT_SWAP))
+        path.write_text(matrix_json(SQRT_SWAP))
         _, spec = resolve_gate(f"MATRIX({path})")
         m = resolve_descriptor(spec.descriptor())
         np.testing.assert_allclose(m, SQRT_SWAP, atol=1e-15)

@@ -173,6 +173,8 @@ class TestToleranceConfig:
         {"unitarity_tol": 1e-8, "snap_tol": 1e-10},
         {"verify_tol": float("inf")}, {"snap_tol": float("inf")},
         {"unitarity_tol": float("nan")}, {"verify_tol": float("nan")},
+        {"verify_tol": 3.0}, {"snap_tol": 0.5},
+        {"unitarity_tol": 1e-13, "snap_tol": 1e-13},
     ])
     def test_rejects_bad_values(self, kwargs):
         with pytest.raises(ValueError):

@@ -6,10 +6,9 @@ import pytest
 from gatesynth.gates import CNOT, SQRT_SWAP
 from gatesynth.matcore import Circuit, EntanglerApp, LocalPair, ToleranceConfig
 from gatesynth.serialize import (CircuitDocument, emit_circuit_document,
-                                 format_matrix, parse_circuit_document,
-                                 parse_matrix_text)
+                                 parse_circuit_document, parse_matrix_text)
 
-from conftest import haar_unitary
+from conftest import haar_unitary, matrix_json
 
 
 def circuits_equal(a: Circuit, b: Circuit) -> bool:
@@ -27,11 +26,11 @@ def circuits_equal(a: Circuit, b: Circuit) -> bool:
 class TestMatrixFormat:
     def test_roundtrip_exact(self, rng):
         for m in (CNOT, SQRT_SWAP, haar_unitary(rng), haar_unitary(rng, 2)):
-            np.testing.assert_array_equal(parse_matrix_text(format_matrix(m)), m)
+            np.testing.assert_array_equal(parse_matrix_text(matrix_json(m)), m)
 
     def test_rejects_nonunitary(self):
         with pytest.raises(ValueError, match="unitary"):
-            parse_matrix_text(format_matrix(np.ones((4, 4))))
+            parse_matrix_text(matrix_json(np.ones((4, 4))))
 
     def test_rejects_malformed_json(self):
         with pytest.raises(ValueError, match="malformed"):
@@ -49,7 +48,7 @@ class TestMatrixFormat:
                                        {"re": 1.0, "im": 0.0}],
                              ids=["three_numbers", "one_number", "bool", "string", "object"])
     def test_entry_must_be_two_real_numbers(self, entry):
-        rows = json.loads(format_matrix(np.eye(4)))
+        rows = json.loads(matrix_json(np.eye(4)))
         rows[0][0] = entry
         with pytest.raises(ValueError, match="entry"):
             parse_matrix_text(json.dumps(rows))
@@ -100,7 +99,6 @@ class TestCircuitDocument:
 
     def test_rejects_missing_fields(self, rng):
         doc = self._sample_doc(rng)
-        import json
         payload = json.loads(emit_circuit_document(doc))
         del payload["phase"]
         with pytest.raises(ValueError, match="malformed"):
@@ -108,7 +106,6 @@ class TestCircuitDocument:
 
     def test_rejects_unknown_element_kind(self, rng):
         doc = self._sample_doc(rng)
-        import json
         payload = json.loads(emit_circuit_document(doc))
         payload["elements"][0]["kind"] = "mystery"
         with pytest.raises(ValueError):
@@ -116,7 +113,6 @@ class TestCircuitDocument:
 
     def test_rejects_nonunit_phase(self, rng):
         doc = self._sample_doc(rng)
-        import json
         payload = json.loads(emit_circuit_document(doc))
         payload["phase"] = [2.0, 0.0]
         with pytest.raises(ValueError, match="modulus"):
@@ -130,7 +126,6 @@ class TestCircuitDocument:
 
     def test_rejects_non_2x2_local_layer(self, rng):
         doc = self._sample_doc(rng)
-        import json
         payload = json.loads(emit_circuit_document(doc))
         payload["elements"][0]["a"] = payload["elements"][0]["a"][:1]
         with pytest.raises(ValueError, match="2x2"):

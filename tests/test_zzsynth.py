@@ -7,7 +7,7 @@ from gatesynth.kak import snap_angle
 from gatesynth.matcore import (Circuit, EntanglerApp, evaluate,
                                interaction, phase_distance, zz_interaction)
 from gatesynth.zzsynth import (MAX_APPLICATIONS, ZzResource, amplify, extract_zz,
-                               prepare_resource, reduce_angle, reflect_angle,
+                               fold_angle, fold_resource, prepare_resource,
                                repetitions, uniform_bound)
 
 from conftest import dress, random_local
@@ -64,7 +64,7 @@ class TestExtractZz:
 
     def test_gamma_always_in_range(self, rng):
         # (2.6, 0.13, 5e-11): c3 snaps to 0 but escapes the base fold, so
-        # case 3 doubles c1 = 2.6 to 5.2 and reduce_angle fires
+        # case 3 doubles c1 = 2.6 to 5.2, which the fold takes to 2pi - 5.2
         triples = [(0.4, 0, 0), (2.5, 0, 0), (np.pi / 2, 1.2, 0),
                    (1.0, 0.8, 0.7), (np.pi / 2, np.pi / 2, 0), (2.0, 1.0, 0.2),
                    (2.6, 0.13, 5e-11)]
@@ -107,37 +107,80 @@ class TestExtractZz:
                     assert sum(hits) == 1, (g1, g2, g3, hits)
 
 
+class TestFoldAngle:
+    @staticmethod
+    def angles():
+        rng = np.random.default_rng(2024)
+        landmarks = [0.0, np.pi / 2, np.pi, 3 * np.pi / 2]
+        near = [np.nextafter(x, d) for x in landmarks for d in (-np.inf, np.inf)]
+        grid = [g for g in landmarks + near if 0.0 <= g < 2 * np.pi]
+        return grid + list(rng.uniform(0.0, 2 * np.pi, 400)) + [np.nextafter(2 * np.pi, 0.0)]
+
+    def test_identity_and_range(self):
+        for g in self.angles():
+            h, pre, post, phase = fold_angle(g)
+            assert 0.0 <= h <= np.pi / 2, g
+            folded = phase * post.matrix() @ zz_interaction(h) @ pre.matrix()
+            np.testing.assert_allclose(folded, zz_interaction(g), rtol=0, atol=1e-15)
+
+    def test_layers_are_pauli(self):
+        entries = {0, 1, -1, 1j, -1j}
+        for g in self.angles():
+            _, pre, post, _ = fold_angle(g)
+            for m in (pre.a, pre.b, post.a, post.b):
+                assert set(m.ravel().tolist()) <= entries, g
+
+    def test_identity_below_half_pi(self):
+        for g in (0.0, np.pi / 5, np.pi / 2):
+            h, pre, post, phase = fold_angle(g)
+            assert (h, phase) == (g, 1.0)
+            for m in (pre.a, pre.b, post.a, post.b):
+                np.testing.assert_array_equal(m, np.eye(2))
+
+    def test_local_angles_fold_to_zero(self):
+        assert fold_angle(0.0)[0] == fold_angle(np.pi)[0] == 0.0
+
+    @pytest.mark.parametrize("g", [-1e-300, 2 * np.pi, np.nan])
+    def test_rejects_outside_domain(self, g):
+        with pytest.raises(ValueError, match="outside"):
+            fold_angle(g)
+
+
 class TestReduceAngle:
+    """fold_resource shifting gamma in (pi, 3pi/2] down by pi."""
+
     def test_reduces_three_half_pi(self):
         r = raw_zz_resource(3 * np.pi / 2)
-        out = reduce_angle(r)
+        out = fold_resource(r)
         assert out.gamma == pytest.approx(np.pi / 2, abs=1e-15)
         got = evaluate(out.circuit, zz_interaction(3 * np.pi / 2))
         np.testing.assert_allclose(got, zz_interaction(np.pi / 2), atol=1e-14)
 
     def test_below_pi_unchanged(self):
         r = raw_zz_resource(np.pi / 3)
-        assert reduce_angle(r) is r
+        assert fold_resource(r) is r
 
     def test_pi_rejected(self):
         with pytest.raises(ValueError):
-            reduce_angle(raw_zz_resource(np.pi))
+            fold_resource(raw_zz_resource(np.pi))
 
 
 class TestReflectAngle:
+    """fold_resource reflecting gamma in (pi/2, pi) to pi - gamma."""
+
     def test_reflects(self):
-        out = reflect_angle(raw_zz_resource(3 * np.pi / 4))
+        out = fold_resource(raw_zz_resource(3 * np.pi / 4))
         assert out.gamma == pytest.approx(np.pi / 4, abs=1e-15)
         got = evaluate(out.circuit, zz_interaction(3 * np.pi / 4))
         np.testing.assert_allclose(got, zz_interaction(np.pi / 4), atol=1e-14)
 
     def test_boundary_kept(self):
         r = raw_zz_resource(np.pi / 2)
-        assert reflect_angle(r) is r
+        assert fold_resource(r) is r
 
     def test_below_half_pi_unchanged(self):
         r = raw_zz_resource(np.pi / 5)
-        assert reflect_angle(r) is r
+        assert fold_resource(r) is r
 
 
 class TestAmplify:
