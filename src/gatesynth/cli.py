@@ -1,6 +1,7 @@
 """Command-line front end: synth, classify, verify."""
 
 import argparse
+import functools
 import sys
 from dataclasses import asdict
 from pathlib import Path
@@ -79,7 +80,9 @@ def _run_verify(args) -> int:
     return EXIT_OK if verdict == "PASS" else EXIT_VERIFY
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI's parser, built once per process: main() may run many times in one."""
     parser = argparse.ArgumentParser(
         prog="gatesynth",
         description="Compile two-qubit unitaries into a fixed entangling gate plus local gates.",

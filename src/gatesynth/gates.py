@@ -137,8 +137,12 @@ def resolve_descriptor(desc: dict, tol: ToleranceConfig = DEFAULT_TOL) -> np.nda
         if name in _FIXED_GATES:
             return _FIXED_GATES[name]().copy()
         if name in _PARAM_GATES:
-            return _PARAM_GATES[name](float(desc["angle"]))
-    except (KeyError, TypeError) as exc:
+            angle = desc["angle"]
+            if isinstance(angle, bool) or not isinstance(angle, (int, float)):
+                raise ValueError(f"malformed gate descriptor {desc!r}: "
+                                 "angle must be a real number")
+            return _PARAM_GATES[name](float(angle))
+    except (KeyError, TypeError, OverflowError) as exc:
         raise ValueError(f"malformed gate descriptor {desc!r}: "
                          f"{type(exc).__name__} {exc}") from exc
     raise ValueError(f"unknown gate descriptor {desc!r}")

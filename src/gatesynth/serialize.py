@@ -17,9 +17,10 @@ from .matcore import (DEFAULT_TOL, Circuit, EntanglerApp, LocalPair,
 DOCUMENT_FORMAT = "gatesynth-circuit-v1"
 
 
-def encode_matrix(m: np.ndarray) -> list:
-    """A complex matrix as JSON-ready row-major [re, im] pairs."""
-    return [[[float(z.real), float(z.imag)] for z in row] for row in np.asarray(m, dtype=complex)]
+def encode_matrix(m) -> list:
+    """A complex matrix, or a stack of them, as JSON-ready row-major [re, im] pairs."""
+    m = np.asarray(m, dtype=complex)
+    return np.stack((m.real, m.imag), axis=-1).tolist()
 
 
 def _decode_entry(pair) -> complex:
@@ -27,8 +28,11 @@ def _decode_entry(pair) -> complex:
         re, im = pair
         if (isinstance(re, (int, float)) and isinstance(im, (int, float))
                 and not isinstance(re, bool) and not isinstance(im, bool)):
-            return complex(re, im)
-    raise ValueError(f"malformed matrix entry {pair!r}: expected [re, im], two real numbers")
+            try:
+                return complex(re, im)
+            except OverflowError:  # a JSON integer too large for a float
+                pass
+    raise ValueError(f"malformed entry {pair!r}: expected [re, im], two real numbers")
 
 
 def decode_matrix(rows: list, shape: tuple[int, int] | None = None) -> np.ndarray:
@@ -64,22 +68,30 @@ class CircuitDocument:
     report: dict | None = None
 
 
-def _element_record(elem) -> dict:
-    if isinstance(elem, EntanglerApp):
-        return {"kind": "entangler"}
-    return {"kind": "local", "a": encode_matrix(elem.a), "b": encode_matrix(elem.b)}
+def _element_records(elements: list) -> list:
+    """One record per element; all local layers are encoded in one stacked call."""
+    layers = iter(encode_matrix([(e.a, e.b) for e in elements if isinstance(e, LocalPair)]))
+    records = []
+    for elem in elements:
+        if isinstance(elem, LocalPair):
+            a, b = next(layers)
+            records.append({"kind": "local", "a": a, "b": b})
+        else:
+            records.append({"kind": "entangler"})
+    return records
 
 
 def emit_circuit_document(doc: CircuitDocument) -> str:
+    """The document as one line of compact JSON (json's C encoder)."""
     payload = {
         "format": DOCUMENT_FORMAT,
         "entangler": doc.entangler,
         "tolerances": asdict(doc.tolerances),
-        "elements": [_element_record(e) for e in doc.circuit.elements],
+        "elements": _element_records(doc.circuit.elements),
         "phase": [doc.circuit.phase.real, doc.circuit.phase.imag],
         "report": doc.report,
     }
-    return json.dumps(payload, indent=1)
+    return json.dumps(payload)
 
 
 def _require_unitary_layers(elements: list, tol: float) -> None:
@@ -114,7 +126,7 @@ def parse_circuit_document(text: str) -> CircuitDocument:
             else:
                 raise ValueError(f"unknown element kind {record['kind']!r}")
         _require_unitary_layers(elements, tolerances.unitarity_tol)
-        phase = complex(payload["phase"][0], payload["phase"][1])
+        phase = _decode_entry(payload["phase"])
         # Not unitarity_tol: the phase of a circuit near the application cap
         # is a product of ~1e5 factors and drifts ~1e-10 off unit modulus.
         # Written so that a NaN modulus fails too.

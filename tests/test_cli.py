@@ -1,9 +1,10 @@
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from gatesynth.cli import EXIT_INPUT, EXIT_OK, EXIT_VERIFY, main
+from gatesynth.cli import EXIT_INPUT, EXIT_OK, EXIT_VERIFY, build_parser, main
 from gatesynth.gates import CNOT
 from gatesynth.matcore import interaction
 
@@ -179,7 +180,9 @@ class TestVerify:
 
     @pytest.mark.parametrize("entangler", [
         {"matrix": [[1, 2]]}, {}, {"name": "CPHASE"}, {"matrix": [[[1, 0], [0, 0]], [[0, 0], [1, 0]]]},
-    ], ids=["matrix_of_numbers", "empty", "cphase_without_angle", "matrix_2x2"])
+        {"name": "CPHASE", "angle": True},
+    ], ids=["matrix_of_numbers", "empty", "cphase_without_angle", "matrix_2x2",
+            "cphase_bool_angle"])
     def test_malformed_entangler_descriptor(self, capsys, emitted, entangler):
         doc = json.loads(emitted.read_text())
         doc["entangler"] = entangler
@@ -211,6 +214,24 @@ class TestVerify:
         assert err.startswith("error:")
         assert "not unitary" in err
 
+    def test_phase_with_extra_number_is_invalid_input(self, capsys, emitted):
+        doc = json.loads(emitted.read_text())
+        doc["phase"] = [1.0, 0.0, 123.0]
+        emitted.write_text(json.dumps(doc))
+        code, out, err = run(capsys, "verify", "--circuit", str(emitted),
+                             "--target", "SQRT_SWAP")
+        assert code == EXIT_INPUT
+        assert err.startswith("error:")
+        assert "PASS" not in out
+
+    def test_indented_document_of_earlier_version(self, capsys):
+        # Written by an earlier version's `synth --target CNOT --entangler "ZZ(pi/3)"`;
+        # that version's verify printed this residual line.
+        path = Path(__file__).parent / "data" / "cnot_from_zz_pi3_indented.json"
+        code, out, _ = run(capsys, "verify", "--circuit", str(path), "--target", "CNOT")
+        assert code == EXIT_OK
+        assert out.splitlines()[0] == "residual: 5.6844649472618385e-15"
+
     def test_nan_phase_is_invalid_input(self, capsys, emitted):
         doc = json.loads(emitted.read_text())
         doc["phase"] = [float("nan"), 0.0]
@@ -239,6 +260,40 @@ class TestVerify:
         code, _, err = run(capsys, "verify", "--circuit", str(tmp_path / "nope.json"),
                            "--target", "CNOT")
         assert code == EXIT_INPUT
+
+
+class TestRepeatedMain:
+    """main() reuses one parser per process; reuse must not change any call."""
+
+    def test_usage_error_then_commands_match_first_calls(self, capsys, tmp_path):
+        path = tmp_path / "circ.json"
+        commands = [
+            ("synth", "--target", "CNOT", "--entangler", "ZZ(pi/3)", "--out", str(path)),
+            ("classify", "--gate", "B"),
+            ("verify", "--circuit", str(path), "--target", "CNOT"),
+        ]
+        first = []
+        for argv in commands:
+            build_parser.cache_clear()
+            first.append(run(capsys, *argv))
+        with pytest.raises(SystemExit) as exc:
+            main(["synth", "--entangler", "CNOT"])
+        assert exc.value.code == 2
+        assert "--target" in capsys.readouterr().err
+        again = [run(capsys, *argv) for argv in commands]
+        assert again == first
+        assert [code for code, _, _ in first] == [EXIT_OK] * 3
+
+    @pytest.mark.parametrize("argv", [["--help"], ["synth", "--help"]], ids=["main", "synth"])
+    def test_help_identical_on_consecutive_calls(self, capsys, argv):
+        outputs = []
+        for _ in range(2):
+            with pytest.raises(SystemExit) as exc:
+                main(argv)
+            assert exc.value.code == 0
+            outputs.append(capsys.readouterr().out)
+        assert outputs[0] == outputs[1]
+        assert "usage: gatesynth" in outputs[0]
 
 
 def test_exit_codes_distinct():

@@ -138,7 +138,9 @@ class TestDescriptors:
 
     @pytest.mark.parametrize("desc", [{}, {"name": "CPHASE"}, {"name": "ZZ", "angle": None},
                                       {"name": ["CNOT"]}, {"matrix": [[1, 2]]},
-                                      {"matrix": 5}, "CNOT"])
+                                      {"matrix": 5}, "CNOT", {"name": "CPHASE", "angle": True},
+                                      {"name": "CPHASE", "angle": "1.0"},
+                                      {"name": "CPHASE", "angle": 10**400}])
     def test_malformed_descriptor_is_value_error(self, desc):
         with pytest.raises(ValueError):
             resolve_descriptor(desc)

@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -9,6 +10,9 @@ from gatesynth.serialize import (CircuitDocument, emit_circuit_document,
                                  parse_circuit_document, parse_matrix_text)
 
 from conftest import haar_unitary, matrix_json
+
+# Written by an earlier version (indented JSON): CNOT from ZZ(pi/3).
+INDENTED_DOCUMENT = Path(__file__).parent / "data" / "cnot_from_zz_pi3_indented.json"
 
 
 def circuits_equal(a: Circuit, b: Circuit) -> bool:
@@ -21,6 +25,13 @@ def circuits_equal(a: Circuit, b: Circuit) -> bool:
             if not (np.array_equal(x.a, y.a) and np.array_equal(x.b, y.b)):
                 return False
     return True
+
+
+def _bits(circuit: Circuit) -> bytes:
+    """Every local entry and the phase, as raw IEEE bits (tells -0.0 from 0.0)."""
+    layers = [np.asarray(m, dtype=complex).tobytes() for e in circuit.elements
+              if isinstance(e, LocalPair) for m in (e.a, e.b)]
+    return b"".join(layers) + np.complex128(circuit.phase).tobytes()
 
 
 class TestMatrixFormat:
@@ -45,8 +56,9 @@ class TestMatrixFormat:
             parse_matrix_text('[[[1,0],"x"],[[0,0],[1,0]]]')
 
     @pytest.mark.parametrize("entry", [[1.0, 0.0, 123.0], [1.0], [True, 0.0], ["1", 0.0],
-                                       {"re": 1.0, "im": 0.0}],
-                             ids=["three_numbers", "one_number", "bool", "string", "object"])
+                                       {"re": 1.0, "im": 0.0}, [10**400, 0]],
+                             ids=["three_numbers", "one_number", "bool", "string", "object",
+                                  "int_beyond_float"])
     def test_entry_must_be_two_real_numbers(self, entry):
         rows = json.loads(matrix_json(np.eye(4)))
         rows[0][0] = entry
@@ -72,11 +84,25 @@ class TestCircuitDocument:
 
     def test_roundtrip_lossless(self, rng):
         doc = self._sample_doc(rng)
-        back = parse_circuit_document(emit_circuit_document(doc))
+        # Signed zeros and subnormals must survive the stacked encode.
+        doc.circuit.elements.append(LocalPair(np.array([[1, -0.0], [5e-324j, -1]]),
+                                              np.array([[-0.0 - 0.0j, 1], [1, 2.2e-308]])))
+        text = emit_circuit_document(doc)
+        assert "\n" not in text
+        assert text == json.dumps(json.loads(text))
+        back = parse_circuit_document(text)
         assert back.entangler == doc.entangler
         assert back.tolerances == doc.tolerances
         assert back.report == doc.report
         assert circuits_equal(back.circuit, doc.circuit)
+        assert _bits(back.circuit) == _bits(doc.circuit)
+
+    def test_reads_indented_document_of_earlier_version(self):
+        text = INDENTED_DOCUMENT.read_text()
+        assert text.count("\n") > 100
+        doc = parse_circuit_document(text)
+        assert doc.report["entangler_count"] == 2
+        assert emit_circuit_document(doc) == json.dumps(json.loads(text))
 
     def test_double_roundtrip_stable(self, rng):
         doc = self._sample_doc(rng)
@@ -117,6 +143,21 @@ class TestCircuitDocument:
         payload["phase"] = [2.0, 0.0]
         with pytest.raises(ValueError, match="modulus"):
             parse_circuit_document(json.dumps(payload))
+
+    @pytest.mark.parametrize("phase", [[1.0, 0.0, 123.0], [True, 0], [1.0], ["1", 0],
+                                       [10**400, 0]],
+                             ids=["three_numbers", "bool", "one_number", "string",
+                                  "int_beyond_float"])
+    def test_rejects_malformed_phase(self, rng, phase):
+        payload = json.loads(emit_circuit_document(self._sample_doc(rng)))
+        payload["phase"] = phase
+        with pytest.raises(ValueError, match="entry"):
+            parse_circuit_document(json.dumps(payload))
+
+    def test_integer_phase_accepted(self, rng):
+        payload = json.loads(emit_circuit_document(self._sample_doc(rng)))
+        payload["phase"] = [1, 0]
+        assert parse_circuit_document(json.dumps(payload)).circuit.phase == 1
 
     def test_rejects_nan_phase(self, rng):
         payload = json.loads(emit_circuit_document(self._sample_doc(rng)))
