@@ -13,8 +13,8 @@ import numpy as np
 
 from .blocksynth import controlled_u_gamma, synth_zz_block
 from .kak import kak_decompose, snap_vector
-from .matcore import (DEFAULT_TOL, Circuit, LocalPair, ToleranceConfig,
-                      evaluate, phase_distance)
+from .matcore import (DEFAULT_TOL, Circuit, CompiledRun, LocalPair,
+                      ToleranceConfig, evaluate, phase_distance)
 from .zzsynth import (KX_DAG, KX_KY_DAG, KY_FACTOR, ZzResource, extract_zz,
                       prepare_resource, repetitions, uniform_bound)
 
@@ -58,15 +58,41 @@ RESOURCE_MEMO_SIZE = 8
 
 @functools.lru_cache(maxsize=RESOURCE_MEMO_SIZE)
 def _prepared_resource(shape: tuple, data: bytes, tol: ToleranceConfig) -> ZzResource:
-    """prepare_resource, merged, for an entangler given by its shape and complex128 bytes.
+    """The resource template for an entangler given by its shape and complex128 bytes.
 
-    The resource depends on the entangler alone, so synthesize prepares and
-    merges it once per entangler and tolerance set; each call then fuses only
-    the short runs at block boundaries. Errors are not cached. Callers only
-    read the result: every layer synthesize emits is a fresh array.
+    prepare_resource, merged to [F, E, L..., E, La], becomes [F, run, La]:
+    the interior run is a CompiledRun whose product against the entangler
+    is evaluated here, once per entangler and tolerance set, so each call
+    fuses and multiplies only the layers at block boundaries, whatever n.
+    Errors are not cached. Callers only read the result: synthesize emits
+    fresh copies of every layer.
     """
-    r = prepare_resource(np.frombuffer(data, dtype=complex).reshape(shape), tol)
-    return replace(r, circuit=merge_locals(r.circuit))
+    entangler = np.frombuffer(data, dtype=complex).reshape(shape)
+    r = prepare_resource(entangler, tol)
+    merged = merge_locals(r.circuit)
+    first, *interior, last = merged.elements
+    # A merge of a whole target circuit normalizes the interior layers once
+    # more; merge_locals multiplies in their scalars at every insertion.
+    elements, factors = _unit_determinant(interior)
+    run = CompiledRun(elements, evaluate(Circuit(elements), entangler, tol), factors)
+    return replace(r, circuit=Circuit([first, run, last], merged.phase))
+
+
+def _unit_determinant(elements: list) -> tuple[list, list]:
+    """The elements with each local layer scaled to unit determinant per qubit,
+    and the scalar taken out of each layer, in order."""
+    slots = [i for i, e in enumerate(elements) if isinstance(e, LocalPair)]
+    out = list(elements)
+    if not slots:
+        return out, []
+    # Stacked det, sqrt and divide: the same per-matrix arithmetic as a
+    # loop, without a LAPACK call per layer.
+    fused = np.array([[out[i].a for i in slots], [out[i].b for i in slots]], dtype=complex)
+    scale = np.sqrt(np.linalg.det(fused))
+    fused /= scale[..., None, None]
+    for k, i in enumerate(slots):
+        out[i] = LocalPair(fused[0, k], fused[1, k])
+    return out, [scale[0, k] * scale[1, k] for k in range(len(slots))]
 
 
 def merge_locals(circuit: Circuit) -> Circuit:
@@ -75,7 +101,8 @@ def merge_locals(circuit: Circuit) -> Circuit:
     Every surviving local pair is renormalized to unit determinant per
     qubit, with the extracted scalars folded into the circuit phase, so
     output layers are canonical, freshly allocated, and no two local
-    layers are adjacent.
+    layers are adjacent. A CompiledRun passes through, and its layers'
+    scalars are folded in where it stands, as if it were expanded.
     """
     merged: list = []
     for elem in circuit.elements:
@@ -84,20 +111,28 @@ def merge_locals(circuit: Circuit) -> Circuit:
             merged[-1] = LocalPair(elem.a @ prev.a, elem.b @ prev.b)
         else:
             merged.append(elem)
+    merged, factors = _unit_determinant(merged)
+    own = iter(factors)
     phase = circuit.phase
-    slots = [i for i, e in enumerate(merged) if isinstance(e, LocalPair)]
-    if not slots:
-        return Circuit(merged, phase)
-    # Stacked det, sqrt and divide: the same per-matrix arithmetic as a
-    # loop, without a LAPACK call per layer.
-    fused = np.array([[merged[i].a for i in slots], [merged[i].b for i in slots]],
-                     dtype=complex)
-    scale = np.sqrt(np.linalg.det(fused))
-    fused /= scale[..., None, None]
-    for k, i in enumerate(slots):
-        phase *= scale[0, k] * scale[1, k]
-        merged[i] = LocalPair(fused[0, k], fused[1, k])
+    for elem in merged:
+        if isinstance(elem, LocalPair):
+            phase *= next(own)
+        elif isinstance(elem, CompiledRun):
+            for factor in elem.factors:
+                phase *= factor
     return Circuit(merged, phase)
+
+
+def _expanded(skeleton: Circuit) -> Circuit:
+    """The circuit with every CompiledRun replaced by fresh copies of its elements."""
+    elements: list = []
+    for elem in skeleton.elements:
+        if isinstance(elem, CompiledRun):
+            elements += [LocalPair(e.a.copy(), e.b.copy()) if isinstance(e, LocalPair) else e
+                         for e in elem.elements]
+        else:
+            elements.append(elem)
+    return Circuit(elements, skeleton.phase)
 
 
 def synthesize(target: np.ndarray, entangler: np.ndarray,
@@ -107,7 +142,8 @@ def synthesize(target: np.ndarray, entangler: np.ndarray,
     The target's canonical blocks are emitted in application order c3,
     c2, c1 with the fixed interleavers from the three-block rewriting;
     a block whose coefficient snaps to 0 or pi costs no application.
-    The result is verified against the target before returning.
+    The result is verified against the target before returning, with the
+    resource interior's cached product, and then expanded.
     """
     dec = kak_decompose(target, tol)
     entangler = np.asarray(entangler, dtype=complex)
@@ -126,11 +162,12 @@ def synthesize(target: np.ndarray, entangler: np.ndarray,
         phase *= block.phase
         elements.append(interleaver)
 
-    circuit = merge_locals(Circuit(elements, phase))
+    skeleton = merge_locals(Circuit(elements, phase))
 
-    residual = phase_distance(evaluate(circuit, entangler, tol), target)
+    residual = phase_distance(evaluate(skeleton, entangler, tol), target)
     if residual >= tol.verify_tol:
         raise ArithmeticError(f"synthesis verification failed: residual {residual:g}")
+    circuit = _expanded(skeleton)
 
     report = SynthesisReport(resource.gamma, resource.apps_per_unit, resource.reps,
                              entangler_count=circuit.entangler_count,

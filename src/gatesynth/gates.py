@@ -66,6 +66,8 @@ def parse_angle(text: str) -> float:
         if divisor == 0:
             raise ValueError(f"zero divisor in angle {text!r}")
         value /= divisor
+    if not np.isfinite(value):
+        raise ValueError(f"angle {text!r} is not finite")
     return -value if m.group("sign") else value
 
 
@@ -141,6 +143,8 @@ def resolve_descriptor(desc: dict, tol: ToleranceConfig = DEFAULT_TOL) -> np.nda
             if isinstance(angle, bool) or not isinstance(angle, (int, float)):
                 raise ValueError(f"malformed gate descriptor {desc!r}: "
                                  "angle must be a real number")
+            if not np.isfinite(float(angle)):
+                raise ValueError(f"malformed gate descriptor {desc!r}: angle is not finite")
             return _PARAM_GATES[name](float(angle))
     except (KeyError, TypeError, OverflowError) as exc:
         raise ValueError(f"malformed gate descriptor {desc!r}: "

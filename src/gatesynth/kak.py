@@ -45,9 +45,11 @@ _DIAG_ZZ = np.array([1.0, -1.0, -1.0, 1.0])
 
 _SNAP_POINTS = (0.0, np.pi / 4, np.pi / 2, np.pi)
 
-# Seed for breaking eigenvalue degeneracies; fresh generator per call so
-# results do not depend on call ordering.
+# Real combinations for breaking eigenvalue degeneracies, drawn once from a
+# fixed seed: every call tries them in the same order, so results do not
+# depend on call ordering.
 _DIAG_SEED = 7
+_DIAG_DRAWS = np.random.default_rng(_DIAG_SEED).normal(size=(32, 2))
 
 # Hermitian involution exchanging two Pauli axes: (s_i + s_j)/sqrt(2)
 # conjugates sigma_i <-> sigma_j and negates the third axis, so applying
@@ -216,13 +218,11 @@ def _simultaneous_diagonalize(m2: np.ndarray, atol: float) -> tuple[np.ndarray, 
     atol in Frobenius norm) is diagonalized instead; this breaks eigenvalue
     degeneracies deterministically.
     """
-    rng = np.random.default_rng(_DIAG_SEED)
     re, im = m2.real.copy(), m2.imag.copy()
     # Symmetrize against roundoff so eigh sees exactly symmetric input.
     re = (re + re.T) / 2
     im = (im + im.T) / 2
-    for _ in range(32):
-        wr, wi = rng.normal(size=2)
+    for wr, wi in _DIAG_DRAWS:
         _, p = np.linalg.eigh(wr * re + wi * im)
         d = p.T @ m2 @ p
         if np.linalg.norm(d - np.diag(np.diag(d))) < atol:
@@ -241,16 +241,15 @@ def _factor_local(m: np.ndarray, atol: float) -> tuple[complex, np.ndarray, np.n
     entry, which is safe because a true tensor product has rank-1 block
     structure everywhere.
     """
-    r, c = max(((i, j) for i in range(4) for j in range(4)), key=lambda t: abs(m[t]))
-    f1 = np.zeros((2, 2), dtype=complex)
-    f2 = np.zeros((2, 2), dtype=complex)
-    for i in range(2):
-        for j in range(2):
-            f1[(r >> 1) ^ i, (c >> 1) ^ j] = m[r ^ (i << 1), c ^ (j << 1)]
-            f2[(r & 1) ^ i, (c & 1) ^ j] = m[r ^ i, c ^ j]
+    mags = [abs(z) for z in m.ravel().tolist()]
+    r, c = divmod(mags.index(max(mags)), 4)  # first maximum in row-major order
+    # f1[i, j] = m[2i + r%2, 2j + c%2] and f2[i, j] = m[r - r%2 + i, c - c%2 + j].
+    f = np.array([m[r & 1::2, c & 1::2], m[r & 2:(r & 2) + 2, c & 2:(c & 2) + 2]])
     with np.errstate(divide="ignore", invalid="ignore"):
-        f1 /= np.sqrt(np.linalg.det(f1)) or 1
-        f2 /= np.sqrt(np.linalg.det(f2)) or 1
+        scale = np.sqrt(np.linalg.det(f))
+        scale[scale == 0] = 1
+        f /= scale[:, None, None]
+    f1, f2 = f
     g = m[r, c] / (f1[r >> 1, c >> 1] * f2[r & 1, c & 1])
     if g.real < 0:
         f1 = -f1

@@ -92,6 +92,10 @@ def tensor(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return out.reshape(a.shape[0] * b.shape[0], a.shape[1] * b.shape[1])
 
 
+# The commuting axes of the canonical interaction, built once.
+_XX, _YY, _ZZ = (tensor(s, s) for s in (SIGMA_X, SIGMA_Y, SIGMA_Z))
+
+
 def exp_pauli(axis: str | np.ndarray, alpha: float) -> np.ndarray:
     """exp(i * alpha * sigma) for a Pauli axis or any 2x2 involution sigma."""
     sigma = PAULIS[axis] if isinstance(axis, str) else np.asarray(axis, dtype=complex)
@@ -105,8 +109,7 @@ def interaction(c1: float, c2: float, c3: float) -> np.ndarray:
     cos + i*sin factor per axis; no general matrix exponential is needed.
     """
     out = ID4.copy()
-    for c, s in ((c1, SIGMA_X), (c2, SIGMA_Y), (c3, SIGMA_Z)):
-        ss = tensor(s, s)
+    for c, ss in ((c1, _XX), (c2, _YY), (c3, _ZZ)):
         out = out @ (np.cos(c / 2) * ID4 + 1j * np.sin(c / 2) * ss)
     return out
 
@@ -160,7 +163,25 @@ class EntanglerApp:
     """Opaque application of the circuit's single fixed entangling gate."""
 
 
-CircuitElement = LocalPair | EntanglerApp
+@dataclass(eq=False)
+class CompiledRun:
+    """A fixed run of elements standing in as one, with its product evaluated once.
+
+    product is the run's matrix against one entangler; evaluate uses it in
+    place of the elements, so a run is only valid in circuits over that
+    entangler. factors are scalars its layers owe the circuit phase, which
+    product leaves out. Emitted circuits hold the elements instead.
+    """
+
+    elements: list
+    product: np.ndarray
+    factors: list
+
+    def matrix(self) -> np.ndarray:
+        return self.product
+
+
+CircuitElement = LocalPair | EntanglerApp | CompiledRun
 
 
 @dataclass(eq=False)

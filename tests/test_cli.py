@@ -101,6 +101,14 @@ class TestSynth:
         assert code == EXIT_INPUT
         assert "finite and strictly positive" in err
 
+    @pytest.mark.parametrize("entangler", ["CPHASE(1e400)", "ZZ(-1e400)"])
+    def test_rejects_non_finite_angle(self, capsys, entangler):
+        code, out, err = run(capsys, "synth", "--target", "CNOT", "--entangler", entangler)
+        assert code == EXIT_INPUT
+        assert out == ""
+        assert err.splitlines() == [f"error: angle {entangler[entangler.index('(') + 1:-1]!r} "
+                                    "is not finite"]
+
     def test_rejects_local_entangler(self, capsys, tmp_path):
         path = tmp_path / "local.json"
         path.write_text(matrix_json(np.diag([1, 1j, 1, 1j])))
@@ -129,6 +137,12 @@ class TestClassify:
         assert code == EXIT_OK
         assert "bound: 18" in out
         assert format(np.pi / 10, ".17g") in out
+
+    def test_rejects_non_finite_angle(self, capsys):
+        code, out, err = run(capsys, "classify", "--gate", "ZZ(1e400)")
+        assert code == EXIT_INPUT
+        assert out == ""
+        assert err.splitlines() == ["error: angle '1e400' is not finite"]
 
     def test_weak_entangler_bound_is_computed(self, capsys):
         # The bound comes from arithmetic: building the 78,539,817-fold
@@ -191,6 +205,20 @@ class TestVerify:
                            "--target", "SQRT_SWAP")
         assert code == EXIT_INPUT
         assert err.startswith("error:")
+
+    @pytest.mark.parametrize("angle", ["Infinity", "-Infinity", "NaN"])
+    def test_non_finite_entangler_angle(self, capsys, emitted, angle):
+        # json reads these non-standard literals as floats; none may reach cphase.
+        doc = json.loads(emitted.read_text())
+        emitted.write_text(json.dumps(doc).replace('"angle": 2.0943951023931953',
+                                                   f'"angle": {angle}'))
+        assert json.loads(emitted.read_text())["entangler"]["angle"] != 2.0943951023931953
+        code, out, err = run(capsys, "verify", "--circuit", str(emitted),
+                             "--target", "SQRT_SWAP")
+        assert code == EXIT_INPUT
+        assert out == ""
+        assert len(err.splitlines()) == 1
+        assert err.startswith("error: malformed gate descriptor") and "not finite" in err
 
     def test_non_2x2_local_layer(self, capsys, emitted):
         doc = json.loads(emitted.read_text())

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -11,7 +13,8 @@ from gatesynth.matcore import (DEFAULT_TOL, Circuit, EntanglerApp, LocalPair,
                                SIGMA_X, ToleranceConfig, evaluate, interaction,
                                phase_distance, tensor, unitarity_error,
                                zz_interaction)
-from gatesynth.zzsynth import prepare_resource
+from gatesynth.kak import snap_vector
+from gatesynth.zzsynth import KX_DAG, KX_KY_DAG, KY_FACTOR, prepare_resource
 
 from conftest import dress, haar_unitary, near_edge, random_local
 
@@ -345,6 +348,17 @@ class TestResourceMemo:
         first, _ = synthesize(target, cphase(np.pi / 9))
         snapshot = Circuit([LocalPair(e.a.copy(), e.b.copy()) if isinstance(e, LocalPair)
                             else e for e in first.elements], first.phase)
+        # Element 2 lies inside the first resource insertion (n = 5: E L E L E
+        # L E L E); its 4 interior layers recur in all 6 insertions, and only
+        # this one may change.
+        inner = first.elements[2]
+        repeats = [i for i, e in enumerate(snapshot.elements) if isinstance(e, LocalPair)
+                   and np.array_equal(e.a, inner.a) and np.array_equal(e.b, inner.b)]
+        assert len(repeats) == 24
+        inner.a[...] = 0
+        for i, (elem, kept) in enumerate(zip(first.elements, snapshot.elements)):
+            if isinstance(elem, LocalPair) and i != 2:
+                assert np.array_equal(elem.a, kept.a) and np.array_equal(elem.b, kept.b)
         for elem in first.elements:
             if isinstance(elem, LocalPair):
                 elem.a[...] = 0
@@ -352,6 +366,78 @@ class TestResourceMemo:
         second, _ = synthesize(target, cphase(np.pi / 9))
         assert len(preparations) == 1
         assert_bit_identical(second, snapshot)
+
+
+def synthesize_expanded(target: np.ndarray, entangler: np.ndarray,
+                        tol: ToleranceConfig = DEFAULT_TOL) -> Circuit:
+    """Reference assembly: blocks built on the whole merged resource, then one merge."""
+    dec = kak_decompose(target, tol)
+    r = prepare_resource(entangler, tol)
+    resource = replace(r, circuit=merge_locals(r.circuit))
+    c1, c2, c3 = snap_vector(dec.c, tol.snap_tol)
+    elements, phase = [dec.k2], dec.phase
+    for c, interleaver in ((c3, LocalPair(KY_FACTOR, KY_FACTOR)),
+                           (c2, LocalPair(KX_KY_DAG, KX_KY_DAG)),
+                           (c1, LocalPair(dec.k1.a @ KX_DAG, dec.k1.b @ KX_DAG))):
+        block = synth_zz_block(c, resource)
+        elements += block.elements + [interleaver]
+        phase *= block.phase
+    return merge_locals(Circuit(elements, phase))
+
+
+TEMPLATE_ENTANGLERS = {
+    "cnot": lambda rng: CNOT,
+    "cphase_pi_9": lambda rng: cphase(np.pi / 9),
+    "sqrt_swap": lambda rng: SQRT_SWAP,
+    "b": lambda rng: B_GATE,
+    "zz_pi_5": lambda rng: zz_interaction(np.pi / 5),
+    "case2_dressed": lambda rng: dress(interaction(np.pi / 2, np.pi / 2, 0.0), rng),
+    "case3_dressed": lambda rng: dress(interaction(1.0, 0.6, 0.0), rng),
+    "case4_dressed": lambda rng: dress(interaction(1.0, 0.6, 0.3), rng),
+}
+
+
+class TestResourceTemplate:
+    """synthesize verifies on the memo's compiled run, then emits it expanded."""
+
+    @pytest.mark.parametrize("name", TEMPLATE_ENTANGLERS)
+    def test_matches_reference_assembly(self, name, rng):
+        entangler = TEMPLATE_ENTANGLERS[name](rng)
+        targets = [haar_unitary(rng) for _ in range(6)] + [CNOT, SWAP, SQRT_SWAP, B_GATE]
+        for target in targets:
+            circuit, report = synthesize(target, entangler)
+            reference = synthesize_expanded(target, entangler)
+            assert [type(e) for e in circuit.elements] == [type(e) for e in reference.elements]
+            for got, want in zip(circuit.elements, reference.elements):
+                if isinstance(got, LocalPair):
+                    assert np.array_equal(got.a, want.a) and np.array_equal(got.b, want.b)
+            assert circuit.phase == reference.phase
+            assert phase_distance(evaluate(circuit, entangler), target) < DEFAULT_TOL.verify_tol
+            assert report.entangler_count == sum(isinstance(e, EntanglerApp)
+                                                 for e in circuit.elements)
+            assert report.local_count == sum(isinstance(e, LocalPair) for e in circuit.elements)
+
+    def test_per_target_tensor_calls_independent_of_n(self, monkeypatch, rng):
+        calls, real = [], matcore.tensor
+
+        def counting(a, b):
+            calls.append(1)
+            return real(a, b)
+
+        target = haar_unitary(rng)
+        made = {}
+        for name, entangler in (("cnot", CNOT), ("cphase_pi_9", cphase(np.pi / 9)),
+                                ("zz_pi_800", zz_interaction(np.pi / 4 / 200))):
+            synthesize(target, entangler)  # memo miss: builds the template
+            with monkeypatch.context() as patch:
+                for module in (matcore, kak, compiler, blocksynth, gates, serialize):
+                    if getattr(module, "tensor", None) is real:
+                        patch.setattr(module, "tensor", counting)
+                calls.clear()
+                _, report = synthesize(target, entangler)
+            made[name] = (len(calls), report.n)
+        assert [n for _, n in made.values()] == [1, 5, 200]
+        assert len({count for count, _ in made.values()}) == 1, made
 
 
 class TestEfficientAsCnot:

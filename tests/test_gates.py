@@ -65,6 +65,11 @@ class TestParseAngle:
         with pytest.raises(ValueError):
             parse_angle(text)
 
+    @pytest.mark.parametrize("text", ["1e400", "-1e400", "1e308pi", "1e400/1e400"])
+    def test_rejects_non_finite(self, text):
+        with pytest.raises(ValueError, match="not finite"):
+            parse_angle(text)
+
     @settings(max_examples=100, deadline=None)
     @given(st.floats(min_value=0, max_value=100, allow_nan=False))
     def test_decimal_roundtrip(self, x):
@@ -144,6 +149,12 @@ class TestDescriptors:
     def test_malformed_descriptor_is_value_error(self, desc):
         with pytest.raises(ValueError):
             resolve_descriptor(desc)
+
+    @pytest.mark.parametrize("name", ["CPHASE", "ZZ"])
+    @pytest.mark.parametrize("angle", [float("inf"), float("-inf"), float("nan")])
+    def test_rejects_non_finite_angle(self, name, angle):
+        with pytest.raises(ValueError, match="angle is not finite"):
+            resolve_descriptor({"name": name, "angle": angle})
 
     def test_rejects_embedded_2x2(self):
         with pytest.raises(ValueError, match="4x4"):

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from gatesynth.gates import CNOT, CZ, SWAP
+from gatesynth import kak
+from gatesynth.gates import B_GATE, CNOT, CZ, SQRT_SWAP, SWAP, cphase
 from gatesynth.kak import (CanonicalVector, GateClass, canonicalize, classify,
                            kak_decompose, snap_angle)
 from gatesynth.matcore import (DEFAULT_TOL, SIGMA_X, SIGMA_Y, SIGMA_Z,
@@ -279,6 +280,94 @@ class TestLocallyEquivalent:
                 and locally_equivalent(u, w)
         for (u, _, _), (v, _, _) in zip(corpus, corpus[1:]):
             assert not locally_equivalent(u, v)
+
+
+def factor_local_loop(m: np.ndarray, atol: float):
+    """Reference _factor_local: per-entry pivot search and per-entry factor copies."""
+    r, c = max(((i, j) for i in range(4) for j in range(4)), key=lambda t: abs(m[t]))
+    f1 = np.zeros((2, 2), dtype=complex)
+    f2 = np.zeros((2, 2), dtype=complex)
+    for i in range(2):
+        for j in range(2):
+            f1[(r >> 1) ^ i, (c >> 1) ^ j] = m[r ^ (i << 1), c ^ (j << 1)]
+            f2[(r & 1) ^ i, (c & 1) ^ j] = m[r ^ i, c ^ j]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        f1 /= np.sqrt(np.linalg.det(f1)) or 1
+        f2 /= np.sqrt(np.linalg.det(f2)) or 1
+    g = m[r, c] / (f1[r >> 1, c >> 1] * f2[r & 1, c & 1])
+    if g.real < 0:
+        f1 = -f1
+        g = -g
+    if not np.linalg.norm(m - g * tensor(f1, f2)) < atol:
+        raise ArithmeticError("matrix is not a tensor product of single-qubit gates")
+    return complex(g), f1, f2
+
+
+def diagonalize_fresh_rng(m2: np.ndarray, atol: float):
+    """Reference _simultaneous_diagonalize: a fresh seeded generator per call."""
+    rng = np.random.default_rng(kak._DIAG_SEED)
+    re, im = m2.real.copy(), m2.imag.copy()
+    re = (re + re.T) / 2
+    im = (im + im.T) / 2
+    for _ in range(32):
+        wr, wi = rng.normal(size=2)
+        _, p = np.linalg.eigh(wr * re + wi * im)
+        d = p.T @ m2 @ p
+        if np.linalg.norm(d - np.diag(np.diag(d))) < atol:
+            break
+    else:
+        raise ArithmeticError("failed to diagonalize the magic-basis symmetric product")
+    theta = np.angle(np.diag(d))
+    order = np.argsort(theta)
+    return p[:, order], theta[order]
+
+
+ISWAP = np.array([[1, 0, 0, 0], [0, 0, 1j, 0], [0, 1j, 0, 0], [0, 0, 0, 1]], dtype=complex)
+HADAMARD = np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2)
+KAK_LANDMARKS = (np.eye(4, dtype=complex), CNOT, CZ, SWAP, SQRT_SWAP, B_GATE, ISWAP,
+                 cphase(np.pi / 9), tensor(HADAMARD, SIGMA_X), interaction(np.pi / 4, 0, 0))
+
+
+class TestKakHelpersBitIdentical:
+    """The constant-building rewrites of the KAK helpers change no bit."""
+
+    def test_seeded_haar_and_dressed_landmarks(self, monkeypatch, rng):
+        targets = [haar_unitary(rng) for _ in range(100)]
+        targets += list(KAK_LANDMARKS) + [dress(u, rng) for u in KAK_LANDMARKS for _ in range(3)]
+        recorded = {"_factor_local": [], "_simultaneous_diagonalize": []}
+        with monkeypatch.context() as patch:
+            for name, inputs in recorded.items():
+                def spy(m, atol, real=getattr(kak, name), inputs=inputs):
+                    inputs.append((m.copy(), atol))
+                    return real(m, atol)
+                patch.setattr(kak, name, spy)
+            for u in targets:
+                kak_decompose(u)
+        assert len(recorded["_factor_local"]) == 2 * len(targets)
+        ties = 0
+        for m, atol in recorded["_factor_local"]:
+            mags = np.abs(m).ravel()
+            ties += np.count_nonzero(mags == mags.max()) > 1
+            want, got = factor_local_loop(m, atol), kak._factor_local(m, atol)
+            assert want[0] == got[0]
+            assert np.array_equal(want[1], got[1]) and np.array_equal(want[2], got[2])
+        assert ties > 0  # undressed landmarks tie for the pivot
+        for m2, atol in recorded["_simultaneous_diagonalize"]:
+            want, got = diagonalize_fresh_rng(m2, atol), kak._simultaneous_diagonalize(m2, atol)
+            assert np.array_equal(want[0], got[0]) and np.array_equal(want[1], got[1])
+
+    def test_exact_tensor_products_with_ties(self):
+        # Every entry of H (x) H has magnitude 1/2: the pivot is the first one.
+        for a, b in ((HADAMARD, HADAMARD), (SIGMA_X, SIGMA_Y), (HADAMARD, SIGMA_Z),
+                     (np.eye(2, dtype=complex), SIGMA_Y)):
+            m = 1j * tensor(a, b)
+            want, got = factor_local_loop(m, 1e-8), kak._factor_local(m, 1e-8)
+            assert want[0] == got[0]
+            assert np.array_equal(want[1], got[1]) and np.array_equal(want[2], got[2])
+
+    def test_draws_match_per_call_generator(self):
+        rng = np.random.default_rng(kak._DIAG_SEED)
+        assert np.array_equal(kak._DIAG_DRAWS, [rng.normal(size=2) for _ in range(32)])
 
 
 def test_snap_angle():
