@@ -39,9 +39,10 @@ class AxisAngle:
     axis: tuple[float, float, float]
 
     def __post_init__(self) -> None:
-        if self.gamma <= 0:
-            raise ValueError("gamma must be positive")
-        if abs(np.linalg.norm(self.axis) - 1.0) > ROUNDOFF:
+        # Negated comparisons: NaN fails every test, so it is rejected too.
+        if not 0 < self.gamma < np.inf:
+            raise ValueError("gamma must be positive and finite")
+        if not abs(np.linalg.norm(self.axis) - 1.0) <= ROUNDOFF:
             raise ValueError("axis must have unit norm")
 
     def matrix(self) -> np.ndarray:
@@ -137,6 +138,8 @@ def controlled_u_circuit(spec: AxisAngle,
 def controlled_u_gamma(u: np.ndarray, tol: ToleranceConfig = DEFAULT_TOL) -> float:
     """Interval coordinate in [0, pi/2] of the Controlled-u local class."""
     u = require_unitary(u, tol.unitarity_tol, "input")
+    if u.shape != (2, 2):
+        raise ValueError("expected a 2x2 matrix")
     cu = np.eye(4, dtype=complex)
     cu[2:, 2:] = u
     # Controlled gates sit on the c3 = 0 base, where canonicalization

@@ -13,8 +13,8 @@ import numpy as np
 
 from .blocksynth import controlled_u_gamma, synth_zz_block
 from .kak import kak_decompose, snap_vector
-from .matcore import (DEFAULT_TOL, Circuit, CompiledRun, LocalPair,
-                      ToleranceConfig, evaluate, phase_distance)
+from .matcore import (DEFAULT_TOL, Circuit, LocalPair, ToleranceConfig,
+                      evaluate, phase_distance)
 from .zzsynth import (KX_DAG, KX_KY_DAG, KY_FACTOR, ZzResource, extract_zz,
                       prepare_resource, repetitions, uniform_bound)
 
@@ -56,43 +56,35 @@ def upper_bound(entangler: np.ndarray,
 RESOURCE_MEMO_SIZE = 8
 
 
+@dataclass(eq=False)
+class _Run:
+    """Template interior standing in as one element, with its product against
+    the one entangler it was built for; evaluate reads the product."""
+
+    elements: list
+    product: np.ndarray
+
+    def matrix(self) -> np.ndarray:
+        return self.product
+
+
 @functools.lru_cache(maxsize=RESOURCE_MEMO_SIZE)
 def _prepared_resource(shape: tuple, data: bytes, tol: ToleranceConfig) -> ZzResource:
     """The resource template for an entangler given by its shape and complex128 bytes.
 
     prepare_resource, merged to [F, E, L..., E, La], becomes [F, run, La]:
-    the interior run is a CompiledRun whose product against the entangler
-    is evaluated here, once per entangler and tolerance set, so each call
-    fuses and multiplies only the layers at block boundaries, whatever n.
-    Errors are not cached. Callers only read the result: synthesize emits
-    fresh copies of every layer.
+    the interior layers are normalized once, by that merge, and their
+    product against the entangler is evaluated here, once per entangler
+    and tolerance set, so each call fuses and multiplies only the layers
+    at block boundaries, whatever n. Errors are not cached. Callers only
+    read the result: synthesize emits fresh copies of every layer.
     """
     entangler = np.frombuffer(data, dtype=complex).reshape(shape)
     r = prepare_resource(entangler, tol)
     merged = merge_locals(r.circuit)
     first, *interior, last = merged.elements
-    # A merge of a whole target circuit normalizes the interior layers once
-    # more; merge_locals multiplies in their scalars at every insertion.
-    elements, factors = _unit_determinant(interior)
-    run = CompiledRun(elements, evaluate(Circuit(elements), entangler, tol), factors)
+    run = _Run(interior, evaluate(Circuit(interior), entangler, tol))
     return replace(r, circuit=Circuit([first, run, last], merged.phase))
-
-
-def _unit_determinant(elements: list) -> tuple[list, list]:
-    """The elements with each local layer scaled to unit determinant per qubit,
-    and the scalar taken out of each layer, in order."""
-    slots = [i for i, e in enumerate(elements) if isinstance(e, LocalPair)]
-    out = list(elements)
-    if not slots:
-        return out, []
-    # Stacked det, sqrt and divide: the same per-matrix arithmetic as a
-    # loop, without a LAPACK call per layer.
-    fused = np.array([[out[i].a for i in slots], [out[i].b for i in slots]], dtype=complex)
-    scale = np.sqrt(np.linalg.det(fused))
-    fused /= scale[..., None, None]
-    for k, i in enumerate(slots):
-        out[i] = LocalPair(fused[0, k], fused[1, k])
-    return out, [scale[0, k] * scale[1, k] for k in range(len(slots))]
 
 
 def merge_locals(circuit: Circuit) -> Circuit:
@@ -101,8 +93,7 @@ def merge_locals(circuit: Circuit) -> Circuit:
     Every surviving local pair is renormalized to unit determinant per
     qubit, with the extracted scalars folded into the circuit phase, so
     output layers are canonical, freshly allocated, and no two local
-    layers are adjacent. A CompiledRun passes through, and its layers'
-    scalars are folded in where it stands, as if it were expanded.
+    layers are adjacent. Every other element passes through.
     """
     merged: list = []
     for elem in circuit.elements:
@@ -111,23 +102,27 @@ def merge_locals(circuit: Circuit) -> Circuit:
             merged[-1] = LocalPair(elem.a @ prev.a, elem.b @ prev.b)
         else:
             merged.append(elem)
-    merged, factors = _unit_determinant(merged)
-    own = iter(factors)
     phase = circuit.phase
-    for elem in merged:
-        if isinstance(elem, LocalPair):
-            phase *= next(own)
-        elif isinstance(elem, CompiledRun):
-            for factor in elem.factors:
-                phase *= factor
+    slots = [i for i, e in enumerate(merged) if isinstance(e, LocalPair)]
+    if not slots:
+        return Circuit(merged, phase)
+    # Stacked det, sqrt and divide: the same per-matrix arithmetic as a
+    # loop, without a LAPACK call per layer.
+    fused = np.array([[merged[i].a for i in slots], [merged[i].b for i in slots]],
+                     dtype=complex)
+    scale = np.sqrt(np.linalg.det(fused))
+    fused /= scale[..., None, None]
+    for k, i in enumerate(slots):
+        phase *= scale[0, k] * scale[1, k]
+        merged[i] = LocalPair(fused[0, k], fused[1, k])
     return Circuit(merged, phase)
 
 
 def _expanded(skeleton: Circuit) -> Circuit:
-    """The circuit with every CompiledRun replaced by fresh copies of its elements."""
+    """The circuit with every template run replaced by fresh copies of its elements."""
     elements: list = []
     for elem in skeleton.elements:
-        if isinstance(elem, CompiledRun):
+        if isinstance(elem, _Run):
             elements += [LocalPair(e.a.copy(), e.b.copy()) if isinstance(e, LocalPair) else e
                          for e in elem.elements]
         else:

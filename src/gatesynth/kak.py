@@ -26,9 +26,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .matcore import (DEFAULT_TOL, ID2, ROUNDOFF, SIGMA_X, SIGMA_Y, SIGMA_Z,
-                      LocalPair, ToleranceConfig, interaction, project_special,
-                      tensor)
+from .matcore import (DEFAULT_TOL, ID2, PAULIS, ROUNDOFF, SIGMA_X, SIGMA_Y,
+                      SIGMA_Z, LocalPair, ToleranceConfig, interaction,
+                      project_special, tensor)
 
 MAGIC = np.array([[1, 0, 0, 1j],
                   [0, 1j, 1, 0],
@@ -64,8 +64,6 @@ _AXIS_SWAP = {
 _PAIR_NEGATE = {(0, 1): SIGMA_Z, (0, 2): SIGMA_Y, (1, 2): SIGMA_X}
 
 _SHIFT_PHASE = (1.0 + 0j, -1j, -1.0 + 0j, 1j)  # (-i)**m for m mod 4
-
-_PAULI_BY_AXIS = (SIGMA_X, SIGMA_Y, SIGMA_Z)
 
 
 class GateClass(enum.Enum):
@@ -152,7 +150,7 @@ class _MoveTracker:
             return
         self.phase *= _SHIFT_PHASE[m % 4]
         if m % 2:
-            s = _PAULI_BY_AXIS[k]
+            s = PAULIS["xyz"[k]]
             self.post_a = s @ self.post_a
             self.post_b = s @ self.post_b
         self.c[k] = self.c[k] + m * np.pi

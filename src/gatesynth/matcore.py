@@ -163,25 +163,7 @@ class EntanglerApp:
     """Opaque application of the circuit's single fixed entangling gate."""
 
 
-@dataclass(eq=False)
-class CompiledRun:
-    """A fixed run of elements standing in as one, with its product evaluated once.
-
-    product is the run's matrix against one entangler; evaluate uses it in
-    place of the elements, so a run is only valid in circuits over that
-    entangler. factors are scalars its layers owe the circuit phase, which
-    product leaves out. Emitted circuits hold the elements instead.
-    """
-
-    elements: list
-    product: np.ndarray
-    factors: list
-
-    def matrix(self) -> np.ndarray:
-        return self.product
-
-
-CircuitElement = LocalPair | EntanglerApp | CompiledRun
+CircuitElement = LocalPair | EntanglerApp
 
 
 @dataclass(eq=False)

@@ -218,10 +218,11 @@ class TestControlledU:
             assert phase_distance(got, spec.controlled_matrix()) < 1e-10
 
     def test_rejects_bad_axis(self):
-        with pytest.raises(ValueError):
-            AxisAngle(gamma=1.0, axis=(1.0, 1.0, 0.0))
-        with pytest.raises(ValueError):
-            AxisAngle(gamma=-1.0, axis=(1.0, 0.0, 0.0))
+        for gamma, axis in ((1.0, (1.0, 1.0, 0.0)), (-1.0, (1.0, 0.0, 0.0)),
+                            (np.nan, (1.0, 0.0, 0.0)), (np.inf, (1.0, 0.0, 0.0)),
+                            (1.0, (np.nan, 0.0, 0.0)), (1.0, (1.0, np.nan, np.nan))):
+            with pytest.raises(ValueError):
+                AxisAngle(gamma=gamma, axis=axis)
 
 
 class TestControlledUGamma:
@@ -230,6 +231,11 @@ class TestControlledUGamma:
 
     def test_identity(self):
         assert controlled_u_gamma(ID2) == pytest.approx(0.0, abs=1e-10)
+
+    def test_rejects_two_qubit_input(self):
+        # A 4x4 unitary passes the unitarity check; it must not reach the 2x2 slot.
+        with pytest.raises(ValueError, match="expected a 2x2 matrix"):
+            controlled_u_gamma(CNOT)
 
     @pytest.mark.parametrize("phi", [0.3, np.pi / 4, np.pi / 2, np.pi])
     def test_phase_gate_coordinate(self, phi):
