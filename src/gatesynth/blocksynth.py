@@ -42,8 +42,8 @@ class AxisAngle:
         # Negated comparisons: NaN fails every test, so it is rejected too.
         if not 0 < self.gamma < np.inf:
             raise ValueError("gamma must be positive and finite")
-        if not abs(np.linalg.norm(self.axis) - 1.0) <= ROUNDOFF:
-            raise ValueError("axis must have unit norm")
+        if np.shape(self.axis) != (3,) or not abs(np.linalg.norm(self.axis) - 1.0) <= ROUNDOFF:
+            raise ValueError("axis must be a 3-vector of unit norm")
 
     def matrix(self) -> np.ndarray:
         nx, ny, nz = self.axis

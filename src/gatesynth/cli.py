@@ -30,10 +30,10 @@ def _tolerances(args) -> ToleranceConfig:
 def _run_synth(args) -> int:
     tol = _tolerances(args)
     target, _ = resolve_gate(args.target, tol)
-    entangler, entangler_spec = resolve_gate(args.entangler, tol)
+    entangler, entangler_desc = resolve_gate(args.entangler, tol)
     circuit, report = synthesize(target, entangler, tol)
     doc = CircuitDocument(
-        entangler=entangler_spec.descriptor(),
+        entangler=entangler_desc,
         circuit=circuit,
         tolerances=tol,
         report=asdict(report),

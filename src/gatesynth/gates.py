@@ -3,16 +3,18 @@
 Gate arguments on the command line are either a bare name (CNOT, CZ,
 SWAP, SQRT_SWAP, B), a parameterized name (CPHASE(2pi/3), ZZ(pi/5)) with
 angles written as pi-expressions, or MATRIX(path) loading a matrix file.
+Each becomes a descriptor ({"name"}, {"name", "angle"} or {"matrix"}), and
+resolve_descriptor alone turns a descriptor into a checked matrix.
 """
 
+import json
 import re
-from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
 from .matcore import DEFAULT_TOL, ToleranceConfig, interaction, require_unitary, zz_interaction
-from .serialize import decode_matrix, encode_matrix, parse_matrix_text
+from .serialize import decode_matrix, encode_matrix
 
 CNOT = np.array([[1, 0, 0, 0],
                  [0, 1, 0, 0],
@@ -71,73 +73,52 @@ def parse_angle(text: str) -> float:
     return -value if m.group("sign") else value
 
 
-@dataclass
-class GateSpec:
-    """Resolved gate argument: canonical name plus parameter or matrix."""
-
-    name: str
-    angle: float | None = None
-    matrix: np.ndarray | None = None
-
-    def descriptor(self) -> dict:
-        """JSON-ready description; MATRIX gates embed their entries."""
-        if self.name == "MATRIX":
-            return {"matrix": encode_matrix(self.matrix)}
-        out: dict = {"name": self.name}
-        if self.angle is not None:
-            out["angle"] = self.angle
-        return out
-
-
-_FIXED_GATES = {
-    "CNOT": lambda: CNOT,
-    "CZ": lambda: CZ,
-    "SWAP": lambda: SWAP,
-    "SQRT_SWAP": lambda: SQRT_SWAP,
-    "B": lambda: B_GATE,
-}
+_FIXED_GATES = {"CNOT": CNOT, "CZ": CZ, "SWAP": SWAP, "SQRT_SWAP": SQRT_SWAP, "B": B_GATE}
 
 _PARAM_GATES = {"CPHASE": cphase, "ZZ": zz_interaction}
 
 _CALL_RE = re.compile(r"^\s*(?P<name>[A-Za-z_]+)\s*\(\s*(?P<arg>.*?)\s*\)\s*$")
 
 
-def resolve_gate(text: str, tol: ToleranceConfig = DEFAULT_TOL) -> tuple[np.ndarray, GateSpec]:
-    """Resolve a gate argument to its matrix plus a re-emittable spec."""
+def resolve_gate(text: str, tol: ToleranceConfig = DEFAULT_TOL) -> tuple[np.ndarray, dict]:
+    """A gate argument's matrix plus the descriptor a document records for it."""
     bare = text.strip().upper()
-    if bare in _FIXED_GATES:
-        return _FIXED_GATES[bare]().copy(), GateSpec(bare)
-
     call = _CALL_RE.match(text.strip())
-    if call:
-        name = call.group("name").upper()
-        if name == "MATRIX":
-            path = Path(call.group("arg"))
-            try:
-                content = path.read_text()
-            except OSError as exc:
-                raise ValueError(f"cannot read matrix file {path}: {exc}") from exc
-            matrix = parse_matrix_text(content, tol)
-            if matrix.shape != (4, 4):
-                raise ValueError(f"{path} holds a {matrix.shape} matrix, expected 4x4")
-            return matrix, GateSpec("MATRIX", matrix=matrix)
-        if name in _PARAM_GATES:
-            angle = parse_angle(call.group("arg"))
-            return _PARAM_GATES[name](angle), GateSpec(name, angle=angle)
-
-    raise ValueError(f"unknown gate {text!r}; expected one of "
-                     f"{sorted(_FIXED_GATES)} or CPHASE(..), ZZ(..), MATRIX(path)")
+    name = call.group("name").upper() if call else None
+    if bare in _FIXED_GATES:
+        desc = {"name": bare}
+    elif name in _PARAM_GATES:
+        desc = {"name": name, "angle": parse_angle(call.group("arg"))}
+    elif name == "MATRIX":
+        path = Path(call.group("arg"))
+        try:
+            desc = {"matrix": json.loads(path.read_text())}
+        except OSError as exc:
+            raise ValueError(f"cannot read matrix file {path}: {exc}") from exc
+        except json.JSONDecodeError as exc:
+            raise ValueError(f"malformed matrix file {path}: {exc}") from exc
+    else:
+        raise ValueError(f"unknown gate {text!r}; expected one of "
+                         f"{sorted(_FIXED_GATES)} or CPHASE(..), ZZ(..), MATRIX(path)")
+    matrix = resolve_descriptor(desc, tol)
+    if "matrix" in desc:  # the file's entries, written back as floats
+        desc = {"matrix": encode_matrix(matrix)}
+    return matrix, desc
 
 
 def resolve_descriptor(desc: dict, tol: ToleranceConfig = DEFAULT_TOL) -> np.ndarray:
-    """Rebuild a gate matrix from a document descriptor; ValueError if malformed."""
+    """The checked matrix of a gate descriptor; ValueError if malformed.
+
+    A descriptor is {"name"} for a named gate, {"name", "angle"} for a
+    parameterized one, or {"matrix"} holding a unitary 4x4 as [re, im] rows.
+    """
     try:
         if "matrix" in desc:
             matrix = decode_matrix(desc["matrix"], (4, 4))
-            return require_unitary(matrix, tol.unitarity_tol, "embedded matrix")
+            return require_unitary(matrix, tol.unitarity_tol, "gate matrix")
         name = desc["name"]
         if name in _FIXED_GATES:
-            return _FIXED_GATES[name]().copy()
+            return _FIXED_GATES[name].copy()
         if name in _PARAM_GATES:
             angle = desc["angle"]
             if isinstance(angle, bool) or not isinstance(angle, (int, float)):

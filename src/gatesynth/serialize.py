@@ -1,4 +1,4 @@
-"""Text formats: matrix files and circuit documents.
+"""Text formats: matrices and circuit documents.
 
 Matrices travel as row-major JSON arrays of [re, im] pairs. A circuit
 document bundles the entangler descriptor, tolerances, the ordered
@@ -11,8 +11,7 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .matcore import (DEFAULT_TOL, Circuit, EntanglerApp, LocalPair,
-                      ToleranceConfig, require_unitary, unitarity_error)
+from .matcore import Circuit, EntanglerApp, LocalPair, ToleranceConfig, unitarity_error
 
 DOCUMENT_FORMAT = "gatesynth-circuit-v1"
 
@@ -44,18 +43,6 @@ def decode_matrix(rows: list, shape: tuple[int, int] | None = None) -> np.ndarra
     if shape is not None and m.shape != shape:
         raise ValueError(f"matrix has shape {m.shape}, expected {shape[0]}x{shape[1]}")
     return m
-
-
-def parse_matrix_text(text: str, tol: ToleranceConfig = DEFAULT_TOL) -> np.ndarray:
-    """Parse and validate a matrix file; rejects non-unitary contents."""
-    try:
-        rows = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ValueError(f"malformed matrix document: {exc}") from exc
-    m = decode_matrix(rows)
-    if m.shape not in ((2, 2), (4, 4)):
-        raise ValueError(f"matrix must be 2x2 or 4x4, got {m.shape}")
-    return require_unitary(m, tol.unitarity_tol, "matrix file contents")
 
 
 @dataclass

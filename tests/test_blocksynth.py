@@ -220,7 +220,8 @@ class TestControlledU:
     def test_rejects_bad_axis(self):
         for gamma, axis in ((1.0, (1.0, 1.0, 0.0)), (-1.0, (1.0, 0.0, 0.0)),
                             (np.nan, (1.0, 0.0, 0.0)), (np.inf, (1.0, 0.0, 0.0)),
-                            (1.0, (np.nan, 0.0, 0.0)), (1.0, (1.0, np.nan, np.nan))):
+                            (1.0, (np.nan, 0.0, 0.0)), (1.0, (1.0, np.nan, np.nan)),
+                            (1.0, (0.6, 0.8)), (1.0, (0.6, 0.8, 0.0, 0.0))):
             with pytest.raises(ValueError):
                 AxisAngle(gamma=gamma, axis=axis)
 

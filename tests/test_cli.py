@@ -7,6 +7,7 @@ import pytest
 from gatesynth.cli import EXIT_INPUT, EXIT_OK, EXIT_VERIFY, build_parser, main
 from gatesynth.gates import CNOT
 from gatesynth.matcore import interaction
+from gatesynth.serialize import encode_matrix
 
 from conftest import dress, haar_unitary, matrix_json, near_edge
 
@@ -194,9 +195,9 @@ class TestVerify:
 
     @pytest.mark.parametrize("entangler", [
         {"matrix": [[1, 2]]}, {}, {"name": "CPHASE"}, {"matrix": [[[1, 0], [0, 0]], [[0, 0], [1, 0]]]},
-        {"name": "CPHASE", "angle": True},
+        {"name": "CPHASE", "angle": True}, {"matrix": encode_matrix(np.ones((4, 4)))},
     ], ids=["matrix_of_numbers", "empty", "cphase_without_angle", "matrix_2x2",
-            "cphase_bool_angle"])
+            "cphase_bool_angle", "matrix_nonunitary"])
     def test_malformed_entangler_descriptor(self, capsys, emitted, entangler):
         doc = json.loads(emitted.read_text())
         doc["entangler"] = entangler
@@ -205,6 +206,23 @@ class TestVerify:
                            "--target", "SQRT_SWAP")
         assert code == EXIT_INPUT
         assert err.startswith("error:")
+        assert len(err.splitlines()) == 1
+
+    def test_matrix_entangler_roundtrip(self, capsys, tmp_path, rng):
+        # A MATRIX entangler is embedded as its [re, im] rows, and verify
+        # rebuilds it from them alone.
+        entangler = haar_unitary(rng)
+        gate_path, doc_path = tmp_path / "entangler.json", tmp_path / "circ.json"
+        gate_path.write_text(matrix_json(entangler))
+        code, _, err = run(capsys, "synth", "--target", "SQRT_SWAP",
+                           "--entangler", f"MATRIX({gate_path})", "--out", str(doc_path))
+        assert code == EXIT_OK, err
+        assert json.loads(doc_path.read_text())["entangler"] == {"matrix": encode_matrix(entangler)}
+        gate_path.unlink()
+        code, out, err = run(capsys, "verify", "--circuit", str(doc_path),
+                             "--target", "SQRT_SWAP")
+        assert code == EXIT_OK, err
+        assert "PASS" in out
 
     @pytest.mark.parametrize("angle", ["Infinity", "-Infinity", "NaN"])
     def test_non_finite_entangler_angle(self, capsys, emitted, angle):

@@ -1,12 +1,14 @@
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from gatesynth.gates import (B_GATE, CNOT, CZ, SQRT_SWAP, SWAP, GateSpec,
-                             cphase, parse_angle, phase_gate,
-                             resolve_descriptor, resolve_gate)
+from gatesynth.gates import (B_GATE, CNOT, CZ, SQRT_SWAP, SWAP, cphase, parse_angle,
+                             phase_gate, resolve_descriptor, resolve_gate)
 from gatesynth.kak import kak_decompose
 from gatesynth.matcore import exp_pauli, interaction, tensor, unitarity_error
+from gatesynth.serialize import encode_matrix
 
 from conftest import matrix_json
 
@@ -78,30 +80,32 @@ class TestParseAngle:
 
 class TestResolveGate:
     def test_named(self):
-        m, spec = resolve_gate("CNOT")
+        m, desc = resolve_gate("CNOT")
         np.testing.assert_array_equal(m, CNOT)
-        assert spec.name == "CNOT" and spec.angle is None
+        assert desc == {"name": "CNOT"}
 
     def test_case_insensitive(self):
         m, _ = resolve_gate("sqrt_swap")
         np.testing.assert_array_equal(m, SQRT_SWAP)
 
     def test_parameterized(self):
-        m, spec = resolve_gate("CPHASE(2pi/3)")
+        m, desc = resolve_gate("CPHASE(2pi/3)")
         np.testing.assert_allclose(m, cphase(2 * np.pi / 3), atol=1e-15)
-        assert spec.name == "CPHASE"
-        assert spec.angle == 2 * np.pi / 3
+        assert desc == {"name": "CPHASE", "angle": 2 * np.pi / 3}
 
     def test_zz(self):
         m, _ = resolve_gate("ZZ(pi/3)")
         np.testing.assert_allclose(m, interaction(0, 0, np.pi / 3), atol=1e-15)
 
     def test_matrix_file(self, tmp_path):
+        # The descriptor holds floats even where the file has integers.
         path = tmp_path / "gate.json"
-        path.write_text(matrix_json(SWAP))
-        m, spec = resolve_gate(f"MATRIX({path})")
-        np.testing.assert_allclose(m, SWAP, atol=1e-15)
-        assert spec.name == "MATRIX"
+        as_ints = json.dumps(np.stack((SWAP.real, SWAP.imag), -1).astype(int).tolist())
+        for text in (matrix_json(SWAP), as_ints):
+            path.write_text(text)
+            m, desc = resolve_gate(f"MATRIX({path})")
+            np.testing.assert_allclose(m, SWAP, atol=1e-15)
+            assert json.dumps(desc) == json.dumps({"matrix": encode_matrix(SWAP)})
 
     def test_matrix_file_rejects_nonunitary(self, tmp_path):
         path = tmp_path / "bad.json"
@@ -126,16 +130,16 @@ class TestResolveGate:
 
 class TestDescriptors:
     def test_named_roundtrip(self):
-        _, spec = resolve_gate("CPHASE(pi/5)")
-        m = resolve_descriptor(spec.descriptor())
+        _, desc = resolve_gate("CPHASE(pi/5)")
+        m = resolve_descriptor(desc)
         np.testing.assert_allclose(m, cphase(np.pi / 5), atol=1e-15)
 
     def test_matrix_roundtrip(self, tmp_path):
         path = tmp_path / "gate.json"
         path.write_text(matrix_json(SQRT_SWAP))
-        _, spec = resolve_gate(f"MATRIX({path})")
-        m = resolve_descriptor(spec.descriptor())
-        np.testing.assert_allclose(m, SQRT_SWAP, atol=1e-15)
+        _, desc = resolve_gate(f"MATRIX({path})")
+        m = resolve_descriptor(desc)
+        np.testing.assert_array_equal(m, SQRT_SWAP)
 
     def test_rejects_unknown(self):
         with pytest.raises(ValueError):
@@ -158,4 +162,4 @@ class TestDescriptors:
 
     def test_rejects_embedded_2x2(self):
         with pytest.raises(ValueError, match="4x4"):
-            resolve_descriptor(GateSpec("MATRIX", matrix=np.eye(2)).descriptor())
+            resolve_descriptor({"matrix": encode_matrix(np.eye(2))})

@@ -4,10 +4,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from gatesynth.gates import CNOT, SQRT_SWAP
+from gatesynth.gates import CNOT, SQRT_SWAP, resolve_descriptor, resolve_gate
 from gatesynth.matcore import Circuit, EntanglerApp, LocalPair, ToleranceConfig
 from gatesynth.serialize import (CircuitDocument, emit_circuit_document,
-                                 parse_circuit_document, parse_matrix_text)
+                                 parse_circuit_document)
 
 from conftest import haar_unitary, matrix_json
 
@@ -34,26 +34,36 @@ def _bits(circuit: Circuit) -> bytes:
     return b"".join(layers) + np.complex128(circuit.phase).tobytes()
 
 
+def matrix_descriptor(text: str) -> dict:
+    """The descriptor a MATRIX(path) argument gives for a file holding `text`."""
+    return {"matrix": json.loads(text)}
+
+
 class TestMatrixFormat:
+    """Matrix files and embedded matrices are decoded and checked by resolve_descriptor."""
+
     def test_roundtrip_exact(self, rng):
-        for m in (CNOT, SQRT_SWAP, haar_unitary(rng), haar_unitary(rng, 2)):
-            np.testing.assert_array_equal(parse_matrix_text(matrix_json(m)), m)
+        for m in (CNOT, SQRT_SWAP, haar_unitary(rng)):
+            np.testing.assert_array_equal(resolve_descriptor(matrix_descriptor(matrix_json(m))), m)
 
     def test_rejects_nonunitary(self):
         with pytest.raises(ValueError, match="unitary"):
-            parse_matrix_text(matrix_json(np.ones((4, 4))))
+            resolve_descriptor(matrix_descriptor(matrix_json(np.ones((4, 4)))))
 
-    def test_rejects_malformed_json(self):
+    def test_rejects_malformed_json(self, tmp_path):
+        path = tmp_path / "gate.json"
+        path.write_text("{not json")
         with pytest.raises(ValueError, match="malformed"):
-            parse_matrix_text("{not json")
+            resolve_gate(f"MATRIX({path})")
 
     def test_rejects_wrong_shape(self):
-        with pytest.raises(ValueError, match="2x2 or 4x4"):
-            parse_matrix_text("[[[1,0],[0,0],[0,0]],[[0,0],[1,0],[0,0]],[[0,0],[0,0],[1,0]]]")
+        with pytest.raises(ValueError, match="4x4"):
+            resolve_descriptor(matrix_descriptor(
+                "[[[1,0],[0,0],[0,0]],[[0,0],[1,0],[0,0]],[[0,0],[0,0],[1,0]]]"))
 
     def test_rejects_bad_entries(self):
         with pytest.raises(ValueError):
-            parse_matrix_text('[[[1,0],"x"],[[0,0],[1,0]]]')
+            resolve_descriptor(matrix_descriptor('[[[1,0],"x"],[[0,0],[1,0]]]'))
 
     @pytest.mark.parametrize("entry", [[1.0, 0.0, 123.0], [1.0], [True, 0.0], ["1", 0.0],
                                        {"re": 1.0, "im": 0.0}, [10**400, 0]],
@@ -63,7 +73,7 @@ class TestMatrixFormat:
         rows = json.loads(matrix_json(np.eye(4)))
         rows[0][0] = entry
         with pytest.raises(ValueError, match="entry"):
-            parse_matrix_text(json.dumps(rows))
+            resolve_descriptor(matrix_descriptor(json.dumps(rows)))
 
 
 class TestCircuitDocument:
