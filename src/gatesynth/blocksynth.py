@@ -1,7 +1,7 @@
 """Closed-form synthesis of ZZ blocks and Controlled-U gates.
 
 An arbitrary block exp(c (i/2) ZZ) is built from exactly two insertions
-of an amplified ZZ resource with gamma in [pi/4, pi/2]; any Controlled-U
+of a ZZ resource with c <= 2*gamma and gamma <= pi/2; any Controlled-U
 gate is built from a single ZZ interaction plus locals.
 """
 
@@ -58,15 +58,15 @@ class AxisAngle:
 def block_params(c: float, gamma: float) -> BlockParams:
     """Solve for the inner rotation angle b and the U1/U2 entries p, q.
 
-    Requires c in (0, pi/2], gamma in [pi/4, pi/2] and c <= 2*gamma,
-    which is exactly the reachable range of the two-insertion block.
+    Requires gamma in (0, pi/2] and c in (0, 2*gamma], which is exactly
+    the reachable range of the two-insertion block.
     """
-    if not 0.0 < c <= np.pi / 2 + ROUNDOFF:
-        raise ValueError(f"block angle c = {c} outside (0, pi/2]")
+    if not 0.0 < gamma <= np.pi / 2 + ROUNDOFF:
+        raise ValueError(f"resource gamma = {gamma} outside (0, pi/2]")
+    if not 0.0 < c:
+        raise ValueError(f"block angle c = {c} is not positive")
     if c > 2 * gamma + ROUNDOFF:
         raise ValueError(f"c = {c} exceeds reachable range 2*gamma = {2 * gamma}")
-    if not np.pi / 4 - ROUNDOFF <= gamma <= np.pi / 2 + ROUNDOFF:
-        raise ValueError(f"resource gamma = {gamma} outside [pi/4, pi/2]")
     # Half-angle form sin(c/2) = sin(gamma) sin(b/2): keeps every digit as
     # c -> 0, unlike arccos of a cos(c) difference. The ratio hits 1 up to
     # roundoff at c = 2*gamma; clamp before arcsin.
@@ -74,8 +74,8 @@ def block_params(c: float, gamma: float) -> BlockParams:
     # cot(gamma) * tan(c/2) instead of tan(c/2)/tan(gamma): exact 0 at the
     # gamma = pi/2 endpoint where tan diverges.
     ratio = (np.cos(gamma) / np.sin(gamma)) * np.tan(c / 2)
-    p = float(np.sqrt(np.clip((1 + ratio) / 2, 0.0, 1.0)))
-    q = float(np.sqrt(np.clip((1 - ratio) / 2, 0.0, 1.0)))
+    p = float(np.sqrt(min(max((1 + ratio) / 2, 0.0), 1.0)))
+    q = float(np.sqrt(min(max((1 - ratio) / 2, 0.0), 1.0)))
     return BlockParams(c=float(c), gamma=float(gamma), b=b, p=p, q=q)
 
 

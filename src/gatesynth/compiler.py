@@ -1,22 +1,24 @@
 """Top-level synthesis pipeline and the uniform application bound.
 
 A target decomposes into at most three ZZ blocks interleaved with fixed
-local layers; each block costs two insertions of the amplified resource,
-so the entangler count never exceeds zzsynth.uniform_bound. That bound
-depends only on the entangler's canonical vector.
+local layers; each block costs two insertions of the entangler's folded
+unit repeated m <= n times, m set by the block's angle, so the entangler
+count never exceeds zzsynth.uniform_bound. That bound depends only on the
+entangler's canonical vector.
 """
 
 import functools
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .blocksynth import controlled_u_gamma, synth_zz_block
 from .kak import kak_decompose, snap_vector
-from .matcore import (DEFAULT_TOL, Circuit, LocalPair, ToleranceConfig,
-                      evaluate, phase_distance)
-from .zzsynth import (KX_DAG, KX_KY_DAG, KY_FACTOR, ZzResource, extract_zz,
-                      prepare_resource, repetitions, uniform_bound)
+from .matcore import (DEFAULT_TOL, Circuit, EntanglerApp, LocalPair, ToleranceConfig,
+                      _product, evaluate, phase_distance)
+from .zzsynth import (KX_DAG, KX_KY_DAG, KY_FACTOR, ZzResource, block_repetitions,
+                      extract_zz, fold_angle, prepare_resource, repetitions,
+                      uniform_bound)
 
 
 @dataclass
@@ -51,40 +53,95 @@ def upper_bound(entangler: np.ndarray,
     return SynthesisReport(n * unit.gamma, unit.apps_per_unit, n)
 
 
-# Entanglers (with their tolerances) whose amplified resource synthesize keeps,
+# Entanglers (with their tolerances) whose resource template synthesize keeps,
 # least recently used dropped first; a caller cycling through a few still hits.
 RESOURCE_MEMO_SIZE = 8
 
 
 @dataclass(eq=False)
 class _Run:
-    """Template interior standing in as one element, with its product against
-    the one entangler it was built for; evaluate reads the product."""
+    """reps copies of a template core, joined by its seam layer, standing in
+    as one element with its product against the one entangler it was built
+    for; evaluate reads the product."""
 
-    elements: list
+    core: list
+    seam: LocalPair | None
+    reps: int
     product: np.ndarray
 
     def matrix(self) -> np.ndarray:
         return self.product
 
+    def expanded(self) -> list:
+        """Fresh copies of the run's elements: core, then (seam, core) reps - 1 times."""
+        elements = self.core + ([self.seam] + self.core) * (self.reps - 1)
+        return [LocalPair(e.a.copy(), e.b.copy()) if isinstance(e, LocalPair) else e
+                for e in elements]
+
+
+@dataclass(eq=False)
+class _Template:
+    """An entangler's folded unit, merged to [first, core, last], ready to repeat.
+
+    m repetitions are first, core, then (seam, core) m - 1 times, then last,
+    with phase * step_phase ** (m - 1); the seam is the unit's last layer
+    fused with its first, normalized once. powers[k] is (seam . core)^(2^k)
+    up to the largest m = n needs, so a run's product C (S C)^(m-1) takes
+    O(log m) matmuls and the entry holds O(log n) matrices whatever n.
+    """
+
+    gamma: float
+    apps_per_unit: int
+    n: int
+    first: LocalPair
+    core: list
+    last: LocalPair
+    phase: complex
+    core_product: np.ndarray
+    seam: LocalPair | None = None
+    step_phase: complex = 1.0
+    powers: list = field(default_factory=list)
+
+    def resource(self, m: int) -> ZzResource:
+        """The m-fold unit as a [first, run, last] resource of angle m * gamma."""
+        product = self.core_product
+        for k, power in enumerate(self.powers):
+            if (m - 1) >> k & 1:
+                product = product @ power
+        phase = self.phase if m == 1 else self.phase * self.step_phase ** (m - 1)
+        run = _Run(self.core, self.seam, m, product)
+        return ZzResource(Circuit([self.first, run, self.last], phase), m * self.gamma,
+                          self.apps_per_unit, reps=m)
+
 
 @functools.lru_cache(maxsize=RESOURCE_MEMO_SIZE)
-def _prepared_resource(shape: tuple, data: bytes, tol: ToleranceConfig) -> ZzResource:
+def _prepared_resource(shape: tuple, data: bytes, tol: ToleranceConfig) -> _Template:
     """The resource template for an entangler given by its shape and complex128 bytes.
 
-    prepare_resource, merged to [F, E, L..., E, La], becomes [F, run, La]:
-    the interior layers are normalized once, by that merge, and their
-    product against the entangler is evaluated here, once per entangler
-    and tolerance set, so each call fuses and multiplies only the layers
-    at block boundaries, whatever n. Errors are not cached. Callers only
-    read the result: synthesize emits fresh copies of every layer.
+    Built from the unit that prepare_resource amplified: its layers are
+    merged and normalized, and its products against the entangler taken,
+    once per entangler and tolerance set, so each call fuses and multiplies
+    only the layers at block boundaries, whatever n. The entangler was
+    checked by prepare_resource. Errors are not cached. Callers only read
+    the result: synthesize emits fresh copies of every layer.
     """
     entangler = np.frombuffer(data, dtype=complex).reshape(shape)
     r = prepare_resource(entangler, tol)
-    merged = merge_locals(r.circuit)
-    first, *interior, last = merged.elements
-    run = _Run(interior, evaluate(Circuit(interior), entangler, tol))
-    return replace(r, circuit=Circuit([first, run, last], merged.phase))
+    unit = r.unit.circuit
+    merged = merge_locals(unit)
+    first, *core, last = merged.elements
+    template = _Template(r.unit.gamma, r.apps_per_unit, r.reps, first, core, last,
+                         merged.phase, _product(core, entangler))
+    if r.reps > 1:
+        # The unit rotated to start at its first application merges to
+        # [core, seam], with the phase one more repetition adds.
+        k = next(i for i, e in enumerate(unit.elements) if isinstance(e, EntanglerApp))
+        step = merge_locals(Circuit(unit.elements[k:] + unit.elements[:k], unit.phase))
+        template.seam, template.step_phase = step.elements[-1], step.phase
+        template.powers.append(template.seam.matrix() @ template.core_product)
+        while len(template.powers) < (r.reps - 1).bit_length():
+            template.powers.append(template.powers[-1] @ template.powers[-1])
+    return template
 
 
 def merge_locals(circuit: Circuit) -> Circuit:
@@ -123,8 +180,7 @@ def _expanded(skeleton: Circuit) -> Circuit:
     elements: list = []
     for elem in skeleton.elements:
         if isinstance(elem, _Run):
-            elements += [LocalPair(e.a.copy(), e.b.copy()) if isinstance(e, LocalPair) else e
-                         for e in elem.elements]
+            elements += elem.expanded()
         else:
             elements.append(elem)
     return Circuit(elements, skeleton.phase)
@@ -136,13 +192,14 @@ def synthesize(target: np.ndarray, entangler: np.ndarray,
 
     The target's canonical blocks are emitted in application order c3,
     c2, c1 with the fixed interleavers from the three-block rewriting;
-    a block whose coefficient snaps to 0 or pi costs no application.
-    The result is verified against the target before returning, with the
-    resource interior's cached product, and then expanded.
+    a block whose coefficient snaps to 0 or pi costs no application. A
+    block of folded angle h inserts block_repetitions(h, ...) <= n units,
+    not the n of the uniform bound. The result is verified against the
+    target before returning, with the runs' products, and then expanded.
     """
     dec = kak_decompose(target, tol)
     entangler = np.asarray(entangler, dtype=complex)
-    resource = _prepared_resource(entangler.shape, entangler.tobytes(), tol)
+    template = _prepared_resource(entangler.shape, entangler.tobytes(), tol)
 
     c1, c2, c3 = snap_vector(dec.c, tol.snap_tol)
     # Application order per the three-block form: c3 block, k_y,
@@ -152,7 +209,8 @@ def synthesize(target: np.ndarray, entangler: np.ndarray,
     for c, interleaver in ((c3, LocalPair(KY_FACTOR, KY_FACTOR)),
                            (c2, LocalPair(KX_KY_DAG, KX_KY_DAG)),
                            (c1, LocalPair(dec.k1.a @ KX_DAG, dec.k1.b @ KX_DAG))):
-        block = synth_zz_block(c, resource)
+        m = block_repetitions(fold_angle(c)[0], template.gamma, template.n)
+        block = synth_zz_block(c, template.resource(m))
         elements += block.elements
         phase *= block.phase
         elements.append(interleaver)
@@ -164,7 +222,7 @@ def synthesize(target: np.ndarray, entangler: np.ndarray,
         raise ArithmeticError(f"synthesis verification failed: residual {residual:g}")
     circuit = _expanded(skeleton)
 
-    report = SynthesisReport(resource.gamma, resource.apps_per_unit, resource.reps,
+    report = SynthesisReport(template.n * template.gamma, template.apps_per_unit, template.n,
                              entangler_count=circuit.entangler_count,
                              local_count=circuit.local_count, residual=residual)
     assert report.entangler_count <= report.bound

@@ -100,7 +100,10 @@ def resolve_gate(text: str, tol: ToleranceConfig = DEFAULT_TOL) -> tuple[np.ndar
     else:
         raise ValueError(f"unknown gate {text!r}; expected one of "
                          f"{sorted(_FIXED_GATES)} or CPHASE(..), ZZ(..), MATRIX(path)")
-    matrix = resolve_descriptor(desc, tol)
+    try:
+        matrix = resolve_descriptor(desc, tol)
+    except ValueError as exc:  # name the argument: a command takes two gates
+        raise ValueError(f"{text.strip()}: {exc}") from exc
     if "matrix" in desc:  # the file's entries, written back as floats
         desc = {"matrix": encode_matrix(matrix)}
     return matrix, desc

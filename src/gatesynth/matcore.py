@@ -190,8 +190,13 @@ def evaluate(circuit: Circuit, entangler: np.ndarray,
              tol: ToleranceConfig = DEFAULT_TOL) -> np.ndarray:
     """Multiply out a circuit against a concrete entangler matrix."""
     entangler = require_unitary(entangler, tol.unitarity_tol, "entangler")
+    return circuit.phase * _product(circuit.elements, entangler)
+
+
+def _product(elements: list, entangler: np.ndarray) -> np.ndarray:
+    """The elements' matrix product, entangler already checked; evaluate's loop."""
     out = ID4.copy()
-    for elem in circuit.elements:
+    for elem in elements:
         m = entangler if isinstance(elem, EntanglerApp) else elem.matrix()
         out = m @ out
-    return circuit.phase * out
+    return out

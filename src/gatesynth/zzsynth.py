@@ -11,14 +11,17 @@ split runs on the entangler's canonical vector (g1, g2, g3):
 
 followed by one exact Pauli fold (fold_angle) so gamma lands in
 (0, pi/2], and repetition until the amplified angle reaches [pi/4, pi/2].
+That n-fold repetition sets the paper's uniform bound; a block of folded
+angle h needs only block_repetitions(h, ...) <= n of the folded unit.
 """
 
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .kak import GateClass, classify, kak_decompose, snap_vector
-from .matcore import (DEFAULT_TOL, ID2, PAULIS, SIGMA_X, SIGMA_Z, Circuit,
+from .matcore import (DEFAULT_TOL, ID2, PAULIS, ROUNDOFF, SIGMA_X, SIGMA_Z, Circuit,
                       EntanglerApp, LocalPair, ToleranceConfig, dagger, exp_pauli)
 
 # Fixed rotations, built once: _QUARTER[axis, s] = exp(i s (pi/4) sigma_axis).
@@ -42,13 +45,15 @@ class ZzResource:
 
     apps_per_unit is the entangler count of one unamplified unit (1 or 2);
     reps counts amplification repetitions, so the circuit holds exactly
-    apps_per_unit * reps entangler applications.
+    apps_per_unit * reps entangler applications. amplify keeps the folded
+    unit it repeated in unit.
     """
 
     circuit: Circuit
     gamma: float
     apps_per_unit: int
     reps: int = 1
+    unit: "ZzResource | None" = None
 
 
 def _conjugated(circ: Circuit, k: np.ndarray) -> Circuit:
@@ -150,16 +155,29 @@ def repetitions(gamma: float) -> int:
     return max(1, int(np.ceil(np.pi / 4 / gamma)))
 
 
+def block_repetitions(h: float, gamma: float, n: int) -> int:
+    """Unit repetitions a block of folded angle h needs: the fewest m with
+    h <= 2 m gamma, with block_params's ROUNDOFF slack; 1 at h = 0.
+
+    Never above n = repetitions(gamma), since h <= pi/2 <= 2 n gamma: the
+    uniform bound is the worst case over h.
+    """
+    m = max(1, math.ceil(h / (2 * gamma)))
+    if m > 1 and h <= 2 * ((m - 1) * gamma) + ROUNDOFF:
+        m -= 1
+    return min(m, n)
+
+
 def uniform_bound(n: int, apps_per_unit: int) -> int:
     """Applications for any target: 3 blocks x 2 insertions x n repetitions."""
     return 6 * n * apps_per_unit
 
 
 def amplify(r: ZzResource) -> ZzResource:
-    """Repeat the resource n = repetitions(gamma) times."""
+    """Repeat the resource n = repetitions(gamma) times; r becomes the result's unit."""
     n = repetitions(r.gamma)
     circuit = Circuit(r.circuit.elements * n, phase=r.circuit.phase ** n)
-    return ZzResource(circuit, n * r.gamma, r.apps_per_unit, reps=n * r.reps)
+    return ZzResource(circuit, n * r.gamma, r.apps_per_unit, reps=n * r.reps, unit=r)
 
 
 def prepare_resource(entangler: np.ndarray,

@@ -41,7 +41,7 @@ class TestBlockParams:
             assert params.q == pytest.approx(1 / np.sqrt(2), abs=1e-12)
 
     def test_reachability_boundary(self):
-        # c = 2*gamma forces arccos(-1); inside the domain only at gamma = pi/4
+        # c = 2*gamma forces b = pi and q = 0
         gamma = np.pi / 4
         params = block_params(2 * gamma, gamma)
         assert params.p == pytest.approx(1.0, abs=1e-12)
@@ -68,8 +68,20 @@ class TestBlockParams:
     def test_rejects_bad_ranges(self):
         with pytest.raises(ValueError):
             block_params(0.0, np.pi / 2)
-        with pytest.raises(ValueError):
-            block_params(0.15, 0.1)
+        with pytest.raises(ValueError, match="reachable"):
+            block_params(0.25, 0.1)
+        for gamma in (0.0, -0.1, np.pi / 2 + 1e-9, np.nan):
+            with pytest.raises(ValueError, match="gamma"):
+                block_params(0.1, gamma)
+
+    @pytest.mark.parametrize("gamma", [1e-3, 0.1, np.pi / 5])
+    def test_weak_gamma_reaches_twice_gamma(self, gamma):
+        # Below pi/4 the equations still hold up to c = 2 gamma.
+        for c in (gamma / 7, gamma, 2 * gamma):
+            params = block_params(c, gamma)
+            assert params.p ** 2 + params.q ** 2 == pytest.approx(1.0, abs=1e-12)
+            assert np.sin(gamma) * np.sin(params.b / 2) == pytest.approx(np.sin(c / 2),
+                                                                         rel=1e-12)
 
 
 class TestU1U2:
@@ -177,8 +189,16 @@ class TestSynthZzBlock:
                         assert g.b.tobytes() == w.b.tobytes()
 
     def test_rejects_out_of_range_gamma(self):
-        with pytest.raises(ValueError):
-            synth_zz_block(0.3, exact_resource(0.2))
+        for c, gamma in ((0.5, 0.2), (0.3, 0.0), (0.3, np.pi / 2 + 1e-9)):
+            with pytest.raises(ValueError):
+                synth_zz_block(c, exact_resource(gamma))
+
+    def test_weak_resource_block(self):
+        # c <= 2 gamma suffices: 0.3 from two insertions of ZZ(0.2).
+        circ = synth_zz_block(0.3, exact_resource(0.2))
+        got = evaluate(circ, zz_interaction(0.2))
+        assert phase_distance(got, zz_interaction(0.3)) < 1e-12
+        assert circ.entangler_count == 2
 
 
 class TestControlledU:

@@ -110,6 +110,18 @@ class TestSynth:
         assert err.splitlines() == [f"error: angle {entangler[entangler.index('(') + 1:-1]!r} "
                                     "is not finite"]
 
+    def test_names_the_failing_matrix_argument(self, capsys, tmp_path, rng):
+        target, entangler = tmp_path / "target.json", tmp_path / "entangler.json"
+        target.write_text(matrix_json(haar_unitary(rng)))
+        entangler.write_text(matrix_json(np.ones((4, 4))))
+        code, out, err = run(capsys, "synth", "--target", f"MATRIX({target})",
+                             "--entangler", f"MATRIX({entangler})")
+        assert code == EXIT_INPUT
+        assert out == ""
+        assert len(err.splitlines()) == 1
+        assert err.startswith(f"error: MATRIX({entangler}): ") and "not unitary" in err
+        assert str(target) not in err
+
     def test_rejects_local_entangler(self, capsys, tmp_path):
         path = tmp_path / "local.json"
         path.write_text(matrix_json(np.diag([1, 1j, 1, 1j])))

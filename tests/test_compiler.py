@@ -1,4 +1,4 @@
-from dataclasses import replace
+import itertools
 
 import numpy as np
 import pytest
@@ -9,12 +9,13 @@ from gatesynth.compiler import (efficient_as_cnot, merge_locals, synthesize,
                                 upper_bound)
 from gatesynth.gates import B_GATE, CNOT, SQRT_SWAP, SWAP, cphase, phase_gate
 from gatesynth.kak import kak_decompose
-from gatesynth.matcore import (DEFAULT_TOL, Circuit, EntanglerApp, LocalPair,
+from gatesynth.matcore import (DEFAULT_TOL, ROUNDOFF, Circuit, EntanglerApp, LocalPair,
                                SIGMA_X, ToleranceConfig, evaluate, interaction,
                                phase_distance, tensor, unitarity_error,
                                zz_interaction)
 from gatesynth.kak import snap_vector
-from gatesynth.zzsynth import KX_DAG, KX_KY_DAG, KY_FACTOR, prepare_resource
+from gatesynth.zzsynth import (KX_DAG, KX_KY_DAG, KY_FACTOR, ZzResource, extract_zz,
+                               prepare_resource)
 
 from conftest import dress, haar_unitary, near_edge, random_local
 
@@ -50,10 +51,14 @@ class TestSynthesize:
         assert report.entangler_count <= report.bound
 
     def test_report_arithmetic(self, rng):
-        ent = cphase(np.pi / 5)
-        _, report = synthesize(haar_unitary(rng), ent)
+        # Each block inserts its own m_h units twice; the bound stays the
+        # paper's uniform 6 n apps, the worst case over the block angles.
+        ent, target = cphase(np.pi / 5), haar_unitary(rng)
+        _, report = synthesize(target, ent)
+        ms = block_units(target, extract_zz(ent).gamma)
         assert report.bound == 6 * report.n * report.apps_per_unit
-        assert report.entangler_count == 6 * report.n * report.apps_per_unit
+        assert report.entangler_count == 2 * report.apps_per_unit * sum(ms)
+        assert report.entangler_count < report.bound
 
     def test_rejects_local_resource(self, rng):
         with pytest.raises(ValueError):
@@ -348,16 +353,21 @@ class TestResourceMemo:
         first, _ = synthesize(target, cphase(np.pi / 9))
         snapshot = Circuit([LocalPair(e.a.copy(), e.b.copy()) if isinstance(e, LocalPair)
                             else e for e in first.elements], first.phase)
-        # Element 2 lies inside the first resource insertion (n = 5: E L E L E
-        # L E L E); its 4 interior layers recur in all 6 insertions, and only
-        # this one may change.
-        inner = first.elements[2]
-        repeats = [i for i, e in enumerate(snapshot.elements) if isinstance(e, LocalPair)
-                   and np.array_equal(e.a, inner.a) and np.array_equal(e.b, inner.b)]
-        assert len(repeats) == 24
+        # A block of m units (E L E ... E) holds m - 1 seam layers per
+        # insertion, all equal to the memo's seam; the first one is mutated,
+        # and only it may change.
+        ms = block_units(target, np.pi / 18)
+        assert max(ms) > 1
+        same = lambda e, f: (isinstance(e, LocalPair) and np.array_equal(e.a, f.a)
+                             and np.array_equal(e.b, f.b))
+        index = next(i for i, e in enumerate(snapshot.elements) if isinstance(e, LocalPair)
+                     and sum(same(f, e) for f in snapshot.elements) > 1)
+        inner = first.elements[index]
+        repeats = [i for i, e in enumerate(snapshot.elements) if same(e, inner)]
+        assert len(repeats) == 2 * sum(m - 1 for m in ms if m)
         inner.a[...] = 0
         for i, (elem, kept) in enumerate(zip(first.elements, snapshot.elements)):
-            if isinstance(elem, LocalPair) and i != 2:
+            if isinstance(elem, LocalPair) and i != index:
                 assert np.array_equal(elem.a, kept.a) and np.array_equal(elem.b, kept.b)
         for elem in first.elements:
             if isinstance(elem, LocalPair):
@@ -368,17 +378,32 @@ class TestResourceMemo:
         assert_bit_identical(second, snapshot)
 
 
+def block_units(target: np.ndarray, unit_gamma: float,
+                tol: ToleranceConfig = DEFAULT_TOL) -> list[int]:
+    """Units each of the target's blocks needs: the fewest m with h <= 2 m gamma
+    (up to ROUNDOFF) for its folded angle h; 0 for a block of angle 0 or pi."""
+    ms = []
+    for c in snap_vector(kak_decompose(target, tol).c, tol.snap_tol):
+        h = min(c, np.pi - c)
+        ms.append(0 if h == 0 else next(m for m in itertools.count(1)
+                                        if h <= 2 * m * unit_gamma + ROUNDOFF))
+    return ms
+
+
 def synthesize_expanded(target: np.ndarray, entangler: np.ndarray,
                         tol: ToleranceConfig = DEFAULT_TOL) -> Circuit:
-    """Reference assembly: blocks built on the whole merged resource, then one merge."""
+    """Reference assembly: each block built on its unit repeated m times and
+    merged whole, then one merge of the circuit; no template, no powers."""
     dec = kak_decompose(target, tol)
-    r = prepare_resource(entangler, tol)
-    resource = replace(r, circuit=merge_locals(r.circuit))
+    unit = prepare_resource(entangler, tol).unit
     c1, c2, c3 = snap_vector(dec.c, tol.snap_tol)
     elements, phase = [dec.k2], dec.phase
     for c, interleaver in ((c3, LocalPair(KY_FACTOR, KY_FACTOR)),
                            (c2, LocalPair(KX_KY_DAG, KX_KY_DAG)),
                            (c1, LocalPair(dec.k1.a @ KX_DAG, dec.k1.b @ KX_DAG))):
+        m = max(1, int(np.ceil(min(c, np.pi - c) / (2 * unit.gamma))))
+        repeated = Circuit(unit.circuit.elements * m, unit.circuit.phase ** m)
+        resource = ZzResource(merge_locals(repeated), m * unit.gamma, unit.apps_per_unit, m)
         block = synth_zz_block(c, resource)
         elements += block.elements + [interleaver]
         phase *= block.phase
@@ -398,11 +423,11 @@ TEMPLATE_ENTANGLERS = {
 
 
 class TestResourceTemplate:
-    """synthesize verifies on the memo's template run, then emits it expanded."""
+    """synthesize verifies on the memo's template runs, then emits them expanded."""
 
     @pytest.mark.parametrize("name", TEMPLATE_ENTANGLERS)
     def test_matches_reference_assembly(self, name, rng):
-        # The reference merges the run's interior layers a second time; those
+        # The reference merges the runs' interior layers a second time; those
         # already have unit determinant, so only last places may move. CNOT's
         # run is one bare application, with no layer to move.
         layer_tol, phase_tol = (0.0, 0.0) if name == "cnot" else (1e-15, 1e-13)
@@ -443,6 +468,72 @@ class TestResourceTemplate:
             made[name] = (len(calls), report.n)
         assert [n for _, n in made.values()] == [1, 5, 200]
         assert len({count for count, _ in made.values()}) == 1, made
+
+
+def chamber_boundary_points(rng: np.random.Generator) -> list[tuple[float, float, float]]:
+    """The chamber's four vertices, points on its six edges and on its four faces
+    (pi - c2 >= c1 >= c2 >= c3 >= 0)."""
+    h = np.pi / 2
+    points = [(0.0, 0.0, 0.0), (np.pi, 0.0, 0.0), (h, h, 0.0), (h, h, h)]
+    for t in rng.uniform(0.0, h, 2):
+        points += [(2 * t, 0.0, 0.0), (t, t, 0.0), (t, t, t),
+                   (np.pi - t, t, 0.0), (np.pi - t, t, t), (h, h, t)]
+    for _ in range(2):
+        c3, c2 = np.sort(rng.uniform(0.0, h, 2))
+        c1 = rng.uniform(c2, np.pi - c2)
+        points += [(c1, c2, 0.0), (c2, c2, c3), (c1, c3, c3), (np.pi - c2, c2, c3)]
+    return points
+
+
+def bounded_haar_entanglers(rng: np.random.Generator, count: int) -> list[np.ndarray]:
+    """Seeded Haar entanglers whose uniform bound is at most 600; circuits
+    grow with the bound, and this keeps the sweep to a second."""
+    entanglers = []
+    while len(entanglers) < count:
+        entangler = haar_unitary(rng)
+        if upper_bound(entangler).bound <= 600:
+            entanglers.append(entangler)
+    return entanglers
+
+
+class TestPerBlockRepetition:
+    """A block of folded angle h inserts m_h <= n units; the bound stays 6 n apps."""
+
+    def test_counts_follow_the_block_angles(self, rng):
+        entanglers = [cphase(np.pi / 9), zz_interaction(np.pi / 20), CNOT, B_GATE]
+        entanglers += bounded_haar_entanglers(rng, 3)
+        targets = [haar_unitary(rng) for _ in range(8)]
+        targets += [dress(interaction(*c), rng) for c in chamber_boundary_points(rng)]
+        below_bound = 0
+        for entangler in entanglers:
+            unit = extract_zz(entangler)
+            for target in targets:
+                circuit, report = synthesize(target, entangler)
+                ms = block_units(target, unit.gamma)
+                assert report.entangler_count == 2 * unit.apps_per_unit * sum(ms)
+                assert report.entangler_count == circuit.entangler_count <= report.bound
+                assert report.bound == 6 * report.n * unit.apps_per_unit
+                assert report.residual < DEFAULT_TOL.verify_tol
+                assert phase_distance(evaluate(circuit, entangler), target) < DEFAULT_TOL.verify_tol
+                below_bound += report.entangler_count < report.bound
+        assert below_bound > 0
+
+    def test_cap_case_memo_entry_stays_the_same_size(self, rng):
+        entangler = zz_interaction(np.pi / 4 / 16666)
+        compiler._prepared_resource.cache_clear()
+        try:
+            synthesize(haar_unitary(rng), entangler)
+            entry = compiler._prepared_resource(entangler.shape, entangler.tobytes(), DEFAULT_TOL)
+            size = (len(entry.core), len(entry.powers))
+            assert entry.n == 16666 and len(entry.powers) == (entry.n - 1).bit_length()
+            for _ in range(3):
+                _, report = synthesize(haar_unitary(rng), entangler)
+                assert report.residual < DEFAULT_TOL.verify_tol
+                assert report.entangler_count <= report.bound == 99996
+            assert compiler._prepared_resource.cache_info().hits == 4
+            assert (len(entry.core), len(entry.powers)) == size
+        finally:
+            compiler._prepared_resource.cache_clear()
 
 
 class TestEfficientAsCnot:

@@ -4,10 +4,10 @@ from hypothesis import given, settings, strategies as st
 
 from gatesynth.gates import CNOT
 from gatesynth.kak import snap_angle
-from gatesynth.matcore import (Circuit, EntanglerApp, evaluate,
+from gatesynth.matcore import (ROUNDOFF, Circuit, EntanglerApp, evaluate,
                                interaction, phase_distance, zz_interaction)
-from gatesynth.zzsynth import (MAX_APPLICATIONS, ZzResource, amplify, extract_zz,
-                               fold_angle, fold_resource, prepare_resource,
+from gatesynth.zzsynth import (MAX_APPLICATIONS, ZzResource, amplify, block_repetitions,
+                               extract_zz, fold_angle, fold_resource, prepare_resource,
                                repetitions, uniform_bound)
 
 from conftest import dress, random_local
@@ -205,6 +205,31 @@ class TestAmplify:
     def test_rejects_out_of_range(self):
         with pytest.raises(ValueError):
             amplify(raw_zz_resource(2.0))
+
+
+class TestBlockRepetitions:
+    @settings(max_examples=300, deadline=None)
+    @given(st.floats(min_value=0.0, max_value=np.pi / 2),
+           st.floats(min_value=1e-4, max_value=np.pi / 2))
+    def test_fewest_units_within_n(self, h, gamma):
+        n = repetitions(gamma)
+        m = block_repetitions(h, gamma, n)
+        assert 1 <= m <= n
+        assert h <= 2 * (m * gamma) + ROUNDOFF
+        assert m == 1 or h > 2 * ((m - 1) * gamma) + ROUNDOFF
+
+    def test_roundoff_slack_at_twice_gamma(self):
+        gamma = np.pi / 18
+        assert block_repetitions(0.0, gamma, 5) == 1
+        assert block_repetitions(2 * gamma + ROUNDOFF / 2, gamma, 5) == 1
+        assert block_repetitions(2 * gamma + 1e-9, gamma, 5) == 2
+        assert block_repetitions(np.pi / 2, gamma, 5) == 5
+
+    def test_weakest_unit_at_the_cap(self):
+        gamma = np.pi / 4 / 16666
+        n = repetitions(gamma)
+        assert block_repetitions(np.pi / 2, gamma, n) == n == 16666
+        assert block_repetitions(np.pi / 4, gamma, n) == 8333
 
 
 class TestResourceCap:
