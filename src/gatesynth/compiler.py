@@ -17,7 +17,7 @@ from .kak import kak_decompose, snap_vector
 from .matcore import (DEFAULT_TOL, Circuit, EntanglerApp, LocalPair, ToleranceConfig,
                       _product, evaluate, phase_distance)
 from .zzsynth import (KX_DAG, KX_KY_DAG, KY_FACTOR, ZzResource, block_repetitions,
-                      extract_zz, fold_angle, prepare_resource, repetitions,
+                      choose_unit, fold_angle, prepare_resource, repetitions,
                       uniform_bound)
 
 
@@ -25,9 +25,10 @@ from .zzsynth import (KX_DAG, KX_KY_DAG, KY_FACTOR, ZzResource, block_repetition
 class SynthesisReport:
     """Audit record of one synthesis run.
 
-    gamma, apps_per_unit and n describe the amplified resource; bound is
-    derived from them. entangler_count, local_count and residual are None
-    for bound-only reports.
+    gamma, apps_per_unit and n describe the amplified resource built from
+    zzsynth.choose_unit's unit; bound is derived from them.
+    entangler_count, local_count and residual are None for bound-only
+    reports.
     """
 
     gamma: float
@@ -46,9 +47,10 @@ def upper_bound(entangler: np.ndarray,
                 tol: ToleranceConfig = DEFAULT_TOL) -> SynthesisReport:
     """Uniform bound on entangler applications for any two-qubit target.
 
-    Computed from the unamplified resource; the n-fold circuit is never built.
+    Computed from the unit synthesize would repeat; the n-fold circuit is
+    never built.
     """
-    unit = extract_zz(entangler, tol)
+    unit = choose_unit(entangler, tol)
     n = repetitions(unit.gamma)
     return SynthesisReport(n * unit.gamma, unit.apps_per_unit, n)
 
@@ -62,11 +64,12 @@ RESOURCE_MEMO_SIZE = 8
 class _Run:
     """reps copies of a template core, joined by its seam layer, standing in
     as one element with its product against the one entangler it was built
-    for; evaluate reads the product."""
+    for; evaluate reads the product. The core holds apps applications."""
 
     core: list
     seam: LocalPair | None
     reps: int
+    apps: int
     product: np.ndarray
 
     def matrix(self) -> np.ndarray:
@@ -109,7 +112,7 @@ class _Template:
             if (m - 1) >> k & 1:
                 product = product @ power
         phase = self.phase if m == 1 else self.phase * self.step_phase ** (m - 1)
-        run = _Run(self.core, self.seam, m, product)
+        run = _Run(self.core, self.seam, m, self.apps_per_unit, product)
         return ZzResource(Circuit([self.first, run, self.last], phase), m * self.gamma,
                           self.apps_per_unit, reps=m)
 
@@ -175,6 +178,21 @@ def merge_locals(circuit: Circuit) -> Circuit:
     return Circuit(merged, phase)
 
 
+def _counts(skeleton: Circuit) -> tuple[int, int]:
+    """(entangler, local) counts of _expanded(skeleton), without expanding:
+    a run is reps cores joined by reps - 1 seam layers."""
+    apps = layers = 0
+    for elem in skeleton.elements:
+        if isinstance(elem, LocalPair):
+            layers += 1
+        elif isinstance(elem, _Run):
+            apps += elem.reps * elem.apps
+            layers += elem.reps * (len(elem.core) - elem.apps + 1) - 1
+        else:
+            apps += 1
+    return apps, layers
+
+
 def _expanded(skeleton: Circuit) -> Circuit:
     """The circuit with every template run replaced by fresh copies of its elements."""
     elements: list = []
@@ -220,13 +238,13 @@ def synthesize(target: np.ndarray, entangler: np.ndarray,
     residual = phase_distance(evaluate(skeleton, entangler, tol), target)
     if residual >= tol.verify_tol:
         raise ArithmeticError(f"synthesis verification failed: residual {residual:g}")
-    circuit = _expanded(skeleton)
+    entangler_count, local_count = _counts(skeleton)
 
     report = SynthesisReport(template.n * template.gamma, template.apps_per_unit, template.n,
-                             entangler_count=circuit.entangler_count,
-                             local_count=circuit.local_count, residual=residual)
+                             entangler_count=entangler_count,
+                             local_count=local_count, residual=residual)
     assert report.entangler_count <= report.bound
-    return circuit, report
+    return _expanded(skeleton), report
 
 
 def efficient_as_cnot(u: np.ndarray, tol: ToleranceConfig = DEFAULT_TOL) -> bool:

@@ -13,6 +13,10 @@ followed by one exact Pauli fold (fold_angle) so gamma lands in
 (0, pi/2], and repetition until the amplified angle reaches [pi/4, pi/2].
 That n-fold repetition sets the paper's uniform bound; a block of folded
 angle h needs only block_repetitions(h, ...) <= n of the folded unit.
+
+Doubling works on every axis, A s_k A s_k = exp(i g_k s_k s_k), so
+choose_unit keeps the paper's unit unless doubling another coordinate
+gives a smaller uniform bound.
 """
 
 import math
@@ -46,7 +50,9 @@ class ZzResource:
     apps_per_unit is the entangler count of one unamplified unit (1 or 2);
     reps counts amplification repetitions, so the circuit holds exactly
     apps_per_unit * reps entangler applications. amplify keeps the folded
-    unit it repeated in unit.
+    unit it repeated in unit. extract_zz keeps the circuit of the
+    entangler's interaction factor and its snapped canonical vector in
+    interaction and vector, so another doubling needs no second KAK.
     """
 
     circuit: Circuit
@@ -54,6 +60,8 @@ class ZzResource:
     apps_per_unit: int
     reps: int = 1
     unit: "ZzResource | None" = None
+    interaction: Circuit | None = None
+    vector: tuple[float, float, float] | None = None
 
 
 def _conjugated(circ: Circuit, k: np.ndarray) -> Circuit:
@@ -97,16 +105,22 @@ def extract_zz(entangler: np.ndarray, tol: ToleranceConfig = DEFAULT_TOL) -> ZzR
         circuit = Circuit(elems, phase=a_circ.phase ** 2)
         resource = ZzResource(circuit, np.pi / 2, apps_per_unit=2)
     else:
-        # cases 3 and 4: A s_k^1 A s_k^1 doubles g_k: z if g3 > 0, else x,
-        # or y at g1 = pi/2 where 2 g1 = pi is local.
+        # cases 3 and 4 double g_k: z if g3 > 0, else x, or y at g1 = pi/2
+        # where 2 g1 = pi is local.
         k = 2 if g3 > 0.0 else 1 if g1 == np.pi / 2 else 0
-        s_k = LocalPair(PAULIS["xyz"[k]], ID2)
-        doubled = Circuit(([s_k] + a_circ.elements) * 2, phase=a_circ.phase ** 2)
-        if k < 2:  # k_x or k_y moves the doubled XX or YY angle onto ZZ
-            doubled = _conjugated(doubled, (KX_FACTOR, KY_FACTOR)[k])
-        resource = ZzResource(doubled, 2 * (g1, g2, g3)[k], apps_per_unit=2)
+        resource = _doubling(a_circ, (g1, g2, g3), k)
 
+    resource.interaction, resource.vector = a_circ, (g1, g2, g3)
     return fold_resource(resource)
+
+
+def _doubling(a_circ: Circuit, g: tuple[float, float, float], k: int) -> ZzResource:
+    """A s_k^1 A s_k^1 = exp(i g_k s_k s_k), its axis moved onto ZZ, before the fold."""
+    s_k = LocalPair(PAULIS["xyz"[k]], ID2)
+    doubled = Circuit(([s_k] + a_circ.elements) * 2, phase=a_circ.phase ** 2)
+    if k < 2:  # k_x or k_y moves the doubled XX or YY angle onto ZZ
+        doubled = _conjugated(doubled, (KX_FACTOR, KY_FACTOR)[k])
+    return ZzResource(doubled, 2 * g[k], apps_per_unit=2)
 
 
 def fold_angle(g: float) -> tuple[float, LocalPair, LocalPair, complex]:
@@ -131,8 +145,9 @@ def fold_angle(g: float) -> tuple[float, LocalPair, LocalPair, complex]:
 def fold_resource(r: ZzResource) -> ZzResource:
     """Fold gamma from [0, 2pi) into (0, pi/2]; r itself if already there.
 
-    gamma = 0 or pi is local and rejected. gamma passes pi only when case 3
-    doubles a c1 > pi/2 whose c3 snapped to 0, e.g. (2.6, 0.13, 5e-11).
+    gamma = 0 or pi is local and rejected. gamma passes pi only when a
+    doubling takes c1 > pi/2: case 3 where c3 snapped to 0, e.g.
+    (2.6, 0.13, 5e-11), or choose_unit's doubling on x.
     """
     h, pre, post, phase = fold_angle(r.gamma)
     if h == 0.0:
@@ -152,7 +167,7 @@ def repetitions(gamma: float) -> int:
     """Minimal n with n*gamma in [pi/4, pi/2]; steps of gamma <= pi/2 cannot skip it."""
     if not 0.0 < gamma <= np.pi / 2:
         raise ValueError(f"gamma = {gamma} outside (0, pi/2]")
-    return max(1, int(np.ceil(np.pi / 4 / gamma)))
+    return max(1, math.ceil(np.pi / 4 / gamma))
 
 
 def block_repetitions(h: float, gamma: float, n: int) -> int:
@@ -180,10 +195,36 @@ def amplify(r: ZzResource) -> ZzResource:
     return ZzResource(circuit, n * r.gamma, r.apps_per_unit, reps=n * r.reps, unit=r)
 
 
+def _unit_cost(gamma: float, apps_per_unit: int) -> tuple[int, int, float]:
+    """choose_unit's order: smallest uniform bound, then fewer applications,
+    then the larger angle, whose blocks never need more repetitions."""
+    return uniform_bound(repetitions(gamma), apps_per_unit), apps_per_unit, -gamma
+
+
+def choose_unit(entangler: np.ndarray, tol: ToleranceConfig = DEFAULT_TOL) -> ZzResource:
+    """The folded unit of smallest uniform bound: extract_zz's, or a doubling.
+
+    Candidates are the paper's unit, then the doubling of each coordinate
+    whose folded angle is not 0, ranked by _unit_cost; ties keep the
+    paper's unit. A winning doubling is the only one built, from the
+    interaction circuit extract_zz kept. A moved unit doubles like the paper's case 3
+    or 4 with no smaller gamma and no larger n, so no block needs more
+    applications; case 1 and case 2 never move.
+    """
+    r = extract_zz(entangler, tol)
+    costs = {None: _unit_cost(r.gamma, r.apps_per_unit)}
+    for k, g in enumerate(r.vector):
+        h = fold_angle(2 * g)[0]
+        if h > 0.0:
+            costs[k] = _unit_cost(h, 2)
+    k = min(costs, key=costs.get)  # the first of equal costs: the paper's on a tie
+    return r if k is None else fold_resource(_doubling(r.interaction, r.vector, k))
+
+
 def prepare_resource(entangler: np.ndarray,
                      tol: ToleranceConfig = DEFAULT_TOL) -> ZzResource:
-    """Extract, fold, amplify; ValueError if the bound exceeds the cap."""
-    r = extract_zz(entangler, tol)
+    """Choose the unit, amplify; ValueError if its bound exceeds the cap."""
+    r = choose_unit(entangler, tol)
     bound = uniform_bound(repetitions(r.gamma), r.apps_per_unit)
     if bound > MAX_APPLICATIONS:
         raise ValueError(f"entangler needs up to {bound} applications per target, "

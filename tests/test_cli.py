@@ -166,6 +166,60 @@ class TestClassify:
         assert "bound: 471238902" in out
 
 
+NAMED_GATE_CLASSIFY = {
+    "CNOT": ((np.pi / 2, 0, 0), ["class: entangling", "gamma: 1.5707963267948966",
+                                 "apps_per_unit: 1", "n: 1", "bound: 6"]),
+    "CZ": ((np.pi / 2, 0, 0), ["class: entangling", "gamma: 1.5707963267948966",
+                               "apps_per_unit: 1", "n: 1", "bound: 6"]),
+    "SWAP": ((np.pi / 2, np.pi / 2, np.pi / 2), ["class: swap"]),
+    "SQRT_SWAP": ((np.pi / 4, np.pi / 4, np.pi / 4), [
+        "class: entangling", "gamma: 1.5707963267948966", "apps_per_unit: 2", "n: 1",
+        "bound: 12"]),
+    "B": ((np.pi / 2, np.pi / 4, 0), ["class: entangling", "gamma: 1.5707963267948966",
+                                      "apps_per_unit: 2", "n: 1", "bound: 12"]),
+}
+
+
+class TestClassifyChosenUnit:
+    """classify reports the unit synth repeats: the smallest-bound extraction."""
+
+    @pytest.fixture
+    def miscalibrated_cnot(self, tmp_path):
+        # The paper's unit doubles c3 = 1e-5: bound 471,240, above the cap.
+        # Doubling c1 folds to 2e-3: bound 4,716.
+        path = tmp_path / "miscalibrated_cnot.json"
+        path.write_text(matrix_json(interaction(np.pi / 2 - 1e-3, 1e-4, 1e-5)))
+        return f"MATRIX({path})"
+
+    def test_miscalibrated_cnot_bound(self, capsys, miscalibrated_cnot):
+        code, out, _ = run(capsys, "classify", "--gate", miscalibrated_cnot)
+        assert code == EXIT_OK
+        assert "apps_per_unit: 2" in out.splitlines()
+        assert "n: 393" in out.splitlines()
+        assert "bound: 4716" in out.splitlines()
+
+    def test_miscalibrated_cnot_synth_then_verify(self, capsys, tmp_path, miscalibrated_cnot):
+        doc = tmp_path / "circuit.json"
+        code, _, err = run(capsys, "synth", "--target", "CNOT",
+                           "--entangler", miscalibrated_cnot, "--out", str(doc))
+        assert (code, err) == (EXIT_OK, "")
+        assert json.loads(doc.read_text())["report"]["bound"] == 4716
+        code, out, _ = run(capsys, "verify", "--circuit", str(doc), "--target", "CNOT")
+        assert code == EXIT_OK
+        assert "verdict: PASS" in out
+
+    @pytest.mark.parametrize("name", NAMED_GATE_CLASSIFY)
+    def test_named_gates_unchanged(self, capsys, name):
+        canonical, lines = NAMED_GATE_CLASSIFY[name]
+        code, out, _ = run(capsys, "classify", "--gate", name)
+        assert code == EXIT_OK
+        first, *rest = out.splitlines()
+        assert first.startswith("canonical: (")
+        got = [float(x) for x in first[len("canonical: ("):-1].split(",")]
+        assert got == pytest.approx(canonical, abs=1e-12)
+        assert rest == lines
+
+
 class TestVerify:
     @pytest.fixture
     def emitted(self, capsys, tmp_path):

@@ -14,8 +14,9 @@ from gatesynth.matcore import (DEFAULT_TOL, ROUNDOFF, Circuit, EntanglerApp, Loc
                                phase_distance, tensor, unitarity_error,
                                zz_interaction)
 from gatesynth.kak import snap_vector
-from gatesynth.zzsynth import (KX_DAG, KX_KY_DAG, KY_FACTOR, ZzResource, extract_zz,
-                               prepare_resource)
+from gatesynth.zzsynth import (KX_DAG, KX_KY_DAG, KY_FACTOR, MAX_APPLICATIONS, ZzResource,
+                               block_repetitions, choose_unit, extract_zz, fold_angle,
+                               prepare_resource, repetitions, uniform_bound)
 
 from conftest import dress, haar_unitary, near_edge, random_local
 
@@ -506,11 +507,16 @@ class TestPerBlockRepetition:
         targets += [dress(interaction(*c), rng) for c in chamber_boundary_points(rng)]
         below_bound = 0
         for entangler in entanglers:
-            unit = extract_zz(entangler)
+            # The unit synthesize repeats (choose_unit), against the paper's.
+            unit, paper = choose_unit(entangler), extract_zz(entangler)
             for target in targets:
                 circuit, report = synthesize(target, entangler)
+                assert report.apps_per_unit == unit.apps_per_unit
+                assert report.gamma == report.n * unit.gamma
                 ms = block_units(target, unit.gamma)
                 assert report.entangler_count == 2 * unit.apps_per_unit * sum(ms)
+                paper_ms = block_units(target, paper.gamma)
+                assert report.entangler_count <= 2 * paper.apps_per_unit * sum(paper_ms)
                 assert report.entangler_count == circuit.entangler_count <= report.bound
                 assert report.bound == 6 * report.n * unit.apps_per_unit
                 assert report.residual < DEFAULT_TOL.verify_tol
@@ -534,6 +540,116 @@ class TestPerBlockRepetition:
             assert (len(entry.core), len(entry.powers)) == size
         finally:
             compiler._prepared_resource.cache_clear()
+
+
+ISWAP = np.array([[1, 0, 0, 0], [0, 0, 1j, 0], [0, 1j, 0, 0], [0, 0, 0, 1]], dtype=complex)
+
+
+def paper_bound(unit: ZzResource) -> int:
+    return uniform_bound(repetitions(unit.gamma), unit.apps_per_unit)
+
+
+def paper_count(target: np.ndarray, paper: ZzResource) -> int:
+    """Applications the paper's unit needs for a target, by arithmetic."""
+    n = repetitions(paper.gamma)
+    hs = [fold_angle(c)[0] for c in snap_vector(kak_decompose(target).c, DEFAULT_TOL.snap_tol)]
+    return 2 * paper.apps_per_unit * sum(block_repetitions(h, paper.gamma, n)
+                                         for h in hs if h > 0.0)
+
+
+def near_boundary_triples(rng: np.random.Generator) -> list[tuple[float, float, float]]:
+    """Entangler classes within eps of the extraction-case boundaries and of
+    the chamber faces, plus the miscalibrated CNOT (pi/2 - d, d/10, d/100)."""
+    h = np.pi / 2
+    triples = []
+    for eps in (1e-7, 1e-5, 1e-3):
+        g1, g2, g3 = np.sort(rng.uniform(0.2, 1.3, 3))[::-1]
+        triples += [(g1, eps, 0.0), (g1, eps, eps), (g1, g2, eps),    # cases 1|3, 1|4, 3|4
+                    (h, h - eps, 0.0), (h, h - eps, eps), (h + eps, h - eps, 0.0),  # near case 2
+                    (h - eps, g2, 0.0), (h + eps, g2, g3),            # g1 doubles to near pi
+                    (np.pi - g2 - eps, g2, g3), (g2 + eps, g2, g3), (g1, g3 + eps, g3)]  # faces
+    triples += [(h - d, d / 10, d / 100) for d in np.logspace(-6, -3, 7)]
+    return triples
+
+
+class TestSmallestBoundUnit:
+    """synthesize repeats the unit of smallest uniform bound (choose_unit); no
+    bound and no count exceeds the paper's unit's."""
+
+    @pytest.mark.parametrize("gate, expected", [
+        (CNOT, (np.pi / 2, 1, 1, 6)), (gates.CZ, (np.pi / 2, 1, 1, 6)),
+        (B_GATE, (np.pi / 2, 2, 1, 12)), (SQRT_SWAP, (np.pi / 2, 2, 1, 12)),
+        (ISWAP, (np.pi / 2, 2, 1, 12))])
+    def test_named_gates_keep_their_bound(self, gate, expected):
+        report = upper_bound(gate)
+        gamma, apps, n, bound = expected
+        assert report.gamma == pytest.approx(gamma, abs=1e-12)
+        assert (report.apps_per_unit, report.n, report.bound) == (apps, n, bound)
+
+    @pytest.mark.parametrize("make", [cphase, zz_interaction])
+    def test_cphase_and_zz_keep_the_paper_unit(self, make):
+        # Case 1 (g2 = g3 = 0) never moves: its one-application unit wins or
+        # ties on the bound and wins on applications.
+        for k in range(1, 96):
+            if make is zz_interaction and k == 48:  # ZZ(pi) is local
+                continue
+            gate = make(k * np.pi / 48)
+            paper, report = extract_zz(gate), upper_bound(gate)
+            n = repetitions(paper.gamma)
+            assert (report.gamma, report.apps_per_unit, report.n, report.bound) == (
+                n * paper.gamma, paper.apps_per_unit, n, uniform_bound(n, paper.apps_per_unit))
+
+    def test_never_above_the_paper_unit(self, rng):
+        entanglers = [haar_unitary(rng) for _ in range(10)]
+        entanglers += [dress(interaction(*g), rng) for g in near_boundary_triples(rng)]
+        targets = [haar_unitary(rng) for _ in range(6)]
+        targets += [dress(interaction(*c), rng) for c in chamber_boundary_points(rng)]
+        moved = 0
+        for entangler in entanglers:
+            paper, bound = extract_zz(entangler), upper_bound(entangler).bound
+            assert bound <= paper_bound(paper)
+            moved += bound < paper_bound(paper)
+            if bound > MAX_APPLICATIONS:
+                with pytest.raises(ValueError, match="above the cap"):
+                    synthesize(targets[0], entangler)
+                continue
+            # Long circuits meet only the worst target (every block at pi/2) and one other.
+            chosen = targets if bound <= 5000 else [dress(SWAP, rng), targets[0]]
+            for target in chosen:
+                _, report = synthesize(target, entangler)
+                assert report.bound == bound == 6 * report.n * report.apps_per_unit
+                assert report.entangler_count <= min(bound, paper_count(target, paper))
+                assert report.residual < DEFAULT_TOL.verify_tol
+        assert moved > 0
+
+    def test_miscalibrated_cnot_compiles(self, rng):
+        entangler = interaction(np.pi / 2 - 1e-3, 1e-4, 1e-5)
+        assert paper_bound(extract_zz(entangler)) == 471240
+        _, report = synthesize(haar_unitary(rng), entangler)
+        assert report.bound == 4716
+        assert report.residual < DEFAULT_TOL.verify_tol
+
+
+class TestReportCounts:
+    """synthesize reads its counts off the template runs, never the expanded circuit."""
+
+    @pytest.mark.parametrize("target, entangler", [
+        (SWAP, CNOT),                                      # m = n = 1
+        (SWAP, cphase(np.pi / 9)),                         # every block m = n = 5
+        (CNOT, cphase(np.pi / 9)),                         # one block, m = 3 of n = 5
+        (SWAP, zz_interaction(np.pi / 4 / 16666)),         # the cap case, m = n = 16666
+    ])
+    def test_counts_match_the_expanded_circuit(self, monkeypatch, target, entangler):
+        def scan(_):
+            raise AssertionError("synthesize scanned the expanded circuit")
+
+        with monkeypatch.context() as patch:
+            patch.setattr(Circuit, "entangler_count", property(scan))
+            patch.setattr(Circuit, "local_count", property(scan))
+            circuit, report = synthesize(target, entangler)
+        assert report.entangler_count == circuit.entangler_count
+        assert report.local_count == circuit.local_count
+        assert report.residual < DEFAULT_TOL.verify_tol
 
 
 class TestEfficientAsCnot:
