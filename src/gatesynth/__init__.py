@@ -5,7 +5,7 @@ from .matcore import (Circuit, CircuitElement, EntanglerApp, LocalPair,
                       phase_distance, project_special, tensor, zz_interaction)
 from .kak import (CanonicalVector, GateClass, KakDecomposition, classify,
                   kak_decompose)
-from .zzsynth import ZzResource, amplify, extract_zz, prepare_resource
+from .zzsynth import ZzResource, ZzTemplate, amplify, extract_zz, prepare_resource
 from .blocksynth import (AxisAngle, BlockParams, block_params,
                          controlled_u_circuit, controlled_u_gamma,
                          synth_zz_block)

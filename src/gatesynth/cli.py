@@ -8,7 +8,7 @@ from pathlib import Path
 
 from .compiler import synthesize, upper_bound
 from .gates import resolve_descriptor, resolve_gate
-from .kak import GateClass, classify, kak_decompose
+from .kak import GateClass, classify, kak_decompose, snap_vector
 from .matcore import DEFAULT_TOL, ToleranceConfig, evaluate, phase_distance
 from .serialize import CircuitDocument, emit_circuit_document, parse_circuit_document
 
@@ -53,7 +53,8 @@ def _run_classify(args) -> int:
     gate, _ = resolve_gate(args.gate, tol)
     c = kak_decompose(gate, tol).c
     kind = classify(c, tol)
-    print(f"canonical: ({_fmt(c.c1)}, {_fmt(c.c2)}, {_fmt(c.c3)})")
+    # Snapped, as every decision reads it: roundoff never leaves the chamber.
+    print(f"canonical: ({', '.join(map(_fmt, snap_vector(c, tol.snap_tol)))})")
     print(f"class: {kind.value}")
     if kind is GateClass.ENTANGLING:
         report = upper_bound(gate, tol)

@@ -200,3 +200,34 @@ def _product(elements: list, entangler: np.ndarray) -> np.ndarray:
         m = entangler if isinstance(elem, EntanglerApp) else elem.matrix()
         out = m @ out
     return out
+
+
+def merge_locals(circuit: Circuit) -> Circuit:
+    """Fuse adjacent local layers and move scalar factors into the phase.
+
+    Every surviving local pair is renormalized to unit determinant per
+    qubit, with the extracted scalars folded into the circuit phase, so
+    output layers are canonical, freshly allocated, and no two local
+    layers are adjacent. Every other element passes through.
+    """
+    merged: list = []
+    for elem in circuit.elements:
+        prev = merged[-1] if merged else None
+        if isinstance(elem, LocalPair) and isinstance(prev, LocalPair):
+            merged[-1] = LocalPair(elem.a @ prev.a, elem.b @ prev.b)
+        else:
+            merged.append(elem)
+    phase = circuit.phase
+    slots = [i for i, e in enumerate(merged) if isinstance(e, LocalPair)]
+    if not slots:
+        return Circuit(merged, phase)
+    # Stacked det, sqrt and divide: the same per-matrix arithmetic as a
+    # loop, without a LAPACK call per layer.
+    fused = np.array([[merged[i].a for i in slots], [merged[i].b for i in slots]],
+                     dtype=complex)
+    scale = np.sqrt(np.linalg.det(fused))
+    fused /= scale[..., None, None]
+    for k, i in enumerate(slots):
+        phase *= scale[0, k] * scale[1, k]
+        merged[i] = LocalPair(fused[0, k], fused[1, k])
+    return Circuit(merged, phase)

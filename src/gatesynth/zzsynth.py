@@ -10,23 +10,28 @@ split runs on the entangler's canonical vector (g1, g2, g3):
   case 4: g3 > 0                 -- two applications, doubling g3
 
 followed by one exact Pauli fold (fold_angle) so gamma lands in
-(0, pi/2], and repetition until the amplified angle reaches [pi/4, pi/2].
-That n-fold repetition sets the paper's uniform bound; a block of folded
-angle h needs only block_repetitions(h, ...) <= n of the folded unit.
+(0, pi/2]. Repeating the folded unit n = repetitions(gamma) times lifts
+the angle into [pi/4, pi/2] and sets the paper's uniform bound; a block
+of folded angle h needs only block_repetitions(h, ...) <= n units.
+amplify returns that repetition as a ZzTemplate, the unit merged once
+with the products any m <= n repetitions need; the n-fold circuit is
+never built.
 
 Doubling works on every axis, A s_k A s_k = exp(i g_k s_k s_k), so
 choose_unit keeps the paper's unit unless doubling another coordinate
-gives a smaller uniform bound.
+gives a smaller uniform bound. It shares extract_zz's one KAK and
+builds only the unit it returns.
 """
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from .kak import GateClass, classify, kak_decompose, snap_vector
 from .matcore import (DEFAULT_TOL, ID2, PAULIS, ROUNDOFF, SIGMA_X, SIGMA_Z, Circuit,
-                      EntanglerApp, LocalPair, ToleranceConfig, dagger, exp_pauli)
+                      EntanglerApp, LocalPair, ToleranceConfig, _product, dagger,
+                      exp_pauli, merge_locals)
 
 # Fixed rotations, built once: _QUARTER[axis, s] = exp(i s (pi/4) sigma_axis).
 _QUARTER = {(axis, s): exp_pauli(axis, s * np.pi / 4) for axis in "xyz" for s in (1, -1)}
@@ -47,21 +52,12 @@ KX_DAG = dagger(KX_FACTOR)
 class ZzResource:
     """A circuit over one fixed entangler realizing exp(gamma (i/2) ZZ).
 
-    apps_per_unit is the entangler count of one unamplified unit (1 or 2);
-    reps counts amplification repetitions, so the circuit holds exactly
-    apps_per_unit * reps entangler applications. amplify keeps the folded
-    unit it repeated in unit. extract_zz keeps the circuit of the
-    entangler's interaction factor and its snapped canonical vector in
-    interaction and vector, so another doubling needs no second KAK.
+    apps_per_unit is the entangler count of one unamplified unit (1 or 2).
     """
 
     circuit: Circuit
     gamma: float
     apps_per_unit: int
-    reps: int = 1
-    unit: "ZzResource | None" = None
-    interaction: Circuit | None = None
-    vector: tuple[float, float, float] | None = None
 
 
 def _conjugated(circ: Circuit, k: np.ndarray) -> Circuit:
@@ -70,12 +66,15 @@ def _conjugated(circ: Circuit, k: np.ndarray) -> Circuit:
                    circ.phase)
 
 
-def extract_zz(entangler: np.ndarray, tol: ToleranceConfig = DEFAULT_TOL) -> ZzResource:
-    """Build exp(gamma (i/2) ZZ), gamma in (0, pi/2], from <= 2 applications.
+def _paper_axis(g: tuple[float, float, float]) -> int:
+    """Cases 3 and 4 double g_k: z if g3 > 0, else x, or y at g1 = pi/2
+    where 2 g1 = pi is local."""
+    return 2 if g[2] > 0.0 else 1 if g[0] == np.pi / 2 else 0
 
-    Raises ValueError when the gate is local or in the SWAP class, which
-    cannot serve as the entangling resource.
-    """
+
+def _folded_unit(entangler: np.ndarray, tol: ToleranceConfig, axis) -> ZzResource:
+    """The folded unit of case 1 or 2, or in cases 3 and 4 the doubling of
+    g_k, k = axis(g), on the snapped canonical vector g: one KAK, one unit."""
     dec = kak_decompose(entangler, tol)
     kind = classify(dec.c, tol)
     if kind is not GateClass.ENTANGLING:
@@ -85,7 +84,7 @@ def extract_zz(entangler: np.ndarray, tol: ToleranceConfig = DEFAULT_TOL) -> ZzR
     # A = k_l^dag U_g k_r^dag, KAK locals folded into flanking layers.
     a_circ = Circuit([dec.k2.dag(), EntanglerApp(), dec.k1.dag()],
                      phase=np.conj(dec.phase))
-    g1, g2, g3 = snap_vector(dec.c, tol.snap_tol)
+    g1, g2, g3 = g = snap_vector(dec.c, tol.snap_tol)
 
     if g3 == 0.0 and g2 == 0.0:
         # case 1: A is a pure XX rotation; k_x conjugation moves it to ZZ
@@ -105,13 +104,18 @@ def extract_zz(entangler: np.ndarray, tol: ToleranceConfig = DEFAULT_TOL) -> ZzR
         circuit = Circuit(elems, phase=a_circ.phase ** 2)
         resource = ZzResource(circuit, np.pi / 2, apps_per_unit=2)
     else:
-        # cases 3 and 4 double g_k: z if g3 > 0, else x, or y at g1 = pi/2
-        # where 2 g1 = pi is local.
-        k = 2 if g3 > 0.0 else 1 if g1 == np.pi / 2 else 0
-        resource = _doubling(a_circ, (g1, g2, g3), k)
-
-    resource.interaction, resource.vector = a_circ, (g1, g2, g3)
+        resource = _doubling(a_circ, g, axis(g))
     return fold_resource(resource)
+
+
+def extract_zz(entangler: np.ndarray, tol: ToleranceConfig = DEFAULT_TOL) -> ZzResource:
+    """Build exp(gamma (i/2) ZZ), gamma in (0, pi/2], from <= 2 applications
+    by the paper's four cases.
+
+    Raises ValueError when the gate is local or in the SWAP class, which
+    cannot serve as the entangling resource.
+    """
+    return _folded_unit(entangler, tol, _paper_axis)
 
 
 def _doubling(a_circ: Circuit, g: tuple[float, float, float], k: int) -> ZzResource:
@@ -158,7 +162,7 @@ def fold_resource(r: ZzResource) -> ZzResource:
     return replace(r, circuit=Circuit(elems, np.conj(phase) * r.circuit.phase), gamma=h)
 
 
-# Larger uniform bounds are refused before amplifying: the repeated circuit
+# Larger uniform bounds are refused before amplifying: an emitted circuit
 # holds an element per application and grows without limit near local gates.
 MAX_APPLICATIONS = 100_000
 
@@ -188,45 +192,115 @@ def uniform_bound(n: int, apps_per_unit: int) -> int:
     return 6 * n * apps_per_unit
 
 
-def amplify(r: ZzResource) -> ZzResource:
-    """Repeat the resource n = repetitions(gamma) times; r becomes the result's unit."""
-    n = repetitions(r.gamma)
-    circuit = Circuit(r.circuit.elements * n, phase=r.circuit.phase ** n)
-    return ZzResource(circuit, n * r.gamma, r.apps_per_unit, reps=n * r.reps, unit=r)
-
-
-def _unit_cost(gamma: float, apps_per_unit: int) -> tuple[int, int, float]:
-    """choose_unit's order: smallest uniform bound, then fewer applications,
-    then the larger angle, whose blocks never need more repetitions."""
-    return uniform_bound(repetitions(gamma), apps_per_unit), apps_per_unit, -gamma
+def _best_axis(g: tuple[float, float, float]) -> int:
+    """The doubling of smallest uniform bound, then of larger folded angle,
+    whose blocks never need more repetitions. The paper's axis comes first,
+    so a tie keeps it; an axis whose folded angle is 0 is local."""
+    paper, h = _paper_axis(g), [fold_angle(2 * x)[0] for x in g]
+    axes = [k for k in sorted(range(3), key=lambda k: k != paper) if h[k] > 0.0]
+    return min(axes, key=lambda k: (uniform_bound(repetitions(h[k]), 2), -h[k]))
 
 
 def choose_unit(entangler: np.ndarray, tol: ToleranceConfig = DEFAULT_TOL) -> ZzResource:
-    """The folded unit of smallest uniform bound: extract_zz's, or a doubling.
+    """The folded unit of smallest uniform bound: extract_zz's, or another doubling.
 
-    Candidates are the paper's unit, then the doubling of each coordinate
-    whose folded angle is not 0, ranked by _unit_cost; ties keep the
-    paper's unit. A winning doubling is the only one built, from the
-    interaction circuit extract_zz kept. A moved unit doubles like the paper's case 3
-    or 4 with no smaller gamma and no larger n, so no block needs more
-    applications; case 1 and case 2 never move.
+    Case 1 and case 2 keep the paper's unit: no doubling beats case 1's
+    one application, and every doubling in case 2 is local. In cases 3
+    and 4 every doubling is ranked by arithmetic on the snapped vector,
+    and only the winner is built. A moved unit doubles like the paper's case 3 or 4
+    with no smaller gamma and no larger n, so no block needs more
+    applications.
     """
-    r = extract_zz(entangler, tol)
-    costs = {None: _unit_cost(r.gamma, r.apps_per_unit)}
-    for k, g in enumerate(r.vector):
-        h = fold_angle(2 * g)[0]
-        if h > 0.0:
-            costs[k] = _unit_cost(h, 2)
-    k = min(costs, key=costs.get)  # the first of equal costs: the paper's on a tie
-    return r if k is None else fold_resource(_doubling(r.interaction, r.vector, k))
+    return _folded_unit(entangler, tol, _best_axis)
+
+
+@dataclass(eq=False)
+class _Run:
+    """reps copies of a template core, joined by its seam layer, standing in
+    as one element with its product against the one entangler it was built
+    for; evaluate reads the product. The core holds apps applications."""
+
+    core: list
+    seam: LocalPair | None
+    reps: int
+    apps: int
+    product: np.ndarray
+
+    def matrix(self) -> np.ndarray:
+        return self.product
+
+    def expanded(self) -> list:
+        """Fresh copies of the run's elements: core, then (seam, core) reps - 1 times."""
+        elements = self.core + ([self.seam] + self.core) * (self.reps - 1)
+        return [LocalPair(e.a.copy(), e.b.copy()) if isinstance(e, LocalPair) else e
+                for e in elements]
+
+
+@dataclass(eq=False)
+class ZzTemplate:
+    """An entangler's folded unit, merged to [first, core, last], ready to repeat.
+
+    m repetitions are first, core, then (seam, core) m - 1 times, then last,
+    with phase * step_phase ** (m - 1); the seam is the unit's last layer
+    fused with its first, normalized once. powers[k] is (seam . core)^(2^k)
+    up to the largest m = n needs, so a run's product C (S C)^(m-1) takes
+    O(log m) matmuls and the template holds O(log n) matrices whatever n.
+    """
+
+    gamma: float
+    apps_per_unit: int
+    n: int
+    first: LocalPair
+    core: list
+    last: LocalPair
+    phase: complex
+    core_product: np.ndarray
+    seam: LocalPair | None = None
+    step_phase: complex = 1.0
+    powers: list = field(default_factory=list)
+
+    def resource(self, m: int) -> ZzResource:
+        """The m-fold unit as a [first, run, last] resource of angle m * gamma."""
+        product = self.core_product
+        for k, power in enumerate(self.powers):
+            if (m - 1) >> k & 1:
+                product = product @ power
+        phase = self.phase if m == 1 else self.phase * self.step_phase ** (m - 1)
+        run = _Run(self.core, self.seam, m, self.apps_per_unit, product)
+        return ZzResource(Circuit([self.first, run, self.last], phase), m * self.gamma,
+                          self.apps_per_unit)
+
+
+def amplify(unit: ZzResource, entangler: np.ndarray) -> ZzTemplate:
+    """The template repeating a folded unit up to n = repetitions(gamma) times.
+
+    The unit's layers are merged and normalized, and its products against
+    the entangler taken, once; the n-fold circuit is never built.
+    """
+    n = repetitions(unit.gamma)
+    merged = merge_locals(unit.circuit)
+    first, *core, last = merged.elements
+    template = ZzTemplate(unit.gamma, unit.apps_per_unit, n, first, core, last,
+                          merged.phase, _product(core, entangler))
+    if n > 1:
+        # The unit rotated to start at its first application merges to
+        # [core, seam], with the phase one more repetition adds.
+        elements = unit.circuit.elements
+        k = next(i for i, e in enumerate(elements) if isinstance(e, EntanglerApp))
+        step = merge_locals(Circuit(elements[k:] + elements[:k], unit.circuit.phase))
+        template.seam, template.step_phase = step.elements[-1], step.phase
+        template.powers.append(template.seam.matrix() @ template.core_product)
+        while len(template.powers) < (n - 1).bit_length():
+            template.powers.append(template.powers[-1] @ template.powers[-1])
+    return template
 
 
 def prepare_resource(entangler: np.ndarray,
-                     tol: ToleranceConfig = DEFAULT_TOL) -> ZzResource:
-    """Choose the unit, amplify; ValueError if its bound exceeds the cap."""
+                     tol: ToleranceConfig = DEFAULT_TOL) -> ZzTemplate:
+    """Choose the unit and return its template; ValueError if its bound exceeds the cap."""
     r = choose_unit(entangler, tol)
     bound = uniform_bound(repetitions(r.gamma), r.apps_per_unit)
     if bound > MAX_APPLICATIONS:
         raise ValueError(f"entangler needs up to {bound} applications per target, "
                          f"above the cap of {MAX_APPLICATIONS}")
-    return amplify(r)
+    return amplify(r, entangler)

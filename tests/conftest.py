@@ -3,7 +3,9 @@ import json
 import numpy as np
 import pytest
 
+from gatesynth.matcore import Circuit
 from gatesynth.serialize import encode_matrix
+from gatesynth.zzsynth import ZzResource, ZzTemplate, _Run
 
 
 def haar_unitary(rng: np.random.Generator, dim: int = 4) -> np.ndarray:
@@ -28,6 +30,24 @@ def near_edge(u: np.ndarray, error: float, rng: np.random.Generator) -> np.ndarr
     e = rng.normal(size=u.shape) + 1j * rng.normal(size=u.shape)
     first_order = np.abs(e @ u.conj().T + u @ e.conj().T).max()
     return u + e * (error / first_order)
+
+
+def expanded(circuit: Circuit) -> Circuit:
+    """The circuit with each template run replaced by its elements.
+
+    Circuit.entangler_count does not see inside a run, so a count must be
+    read from this.
+    """
+    elements = []
+    for elem in circuit.elements:
+        elements += elem.expanded() if isinstance(elem, _Run) else [elem]
+    return Circuit(elements, circuit.phase)
+
+
+def repeated(template: ZzTemplate, m: int) -> ZzResource:
+    """template.resource(m) with its run expanded: the m-fold unit as a plain circuit."""
+    r = template.resource(m)
+    return ZzResource(expanded(r.circuit), r.gamma, r.apps_per_unit)
 
 
 def matrix_json(m: np.ndarray) -> str:

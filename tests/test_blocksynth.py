@@ -8,9 +8,9 @@ from gatesynth.gates import CNOT, cphase, phase_gate
 from gatesynth.kak import kak_decompose
 from gatesynth.matcore import (Circuit, EntanglerApp, LocalPair, SIGMA_X, SIGMA_Z,
                                evaluate, exp_pauli, phase_distance, tensor, zz_interaction)
-from gatesynth.zzsynth import ZzResource, prepare_resource
+from gatesynth.zzsynth import ZzResource, choose_unit, prepare_resource, repetitions
 
-from conftest import haar_unitary
+from conftest import expanded, haar_unitary, repeated
 
 ID2 = np.eye(2, dtype=complex)
 
@@ -118,7 +118,8 @@ class TestSynthZzBlock:
     def test_cphase_derived_resource(self):
         # the worked example: quarter-pi block from a controlled-PHASE gate
         for phi in (np.pi / 2, 2 * np.pi / 3, np.pi):
-            resource = prepare_resource(cphase(phi))
+            resource = choose_unit(cphase(phi))
+            assert repetitions(resource.gamma) == 1
             assert resource.gamma == pytest.approx(phi / 2, abs=1e-9)
             circ = synth_zz_block(np.pi / 4, resource)
             got = evaluate(circ, cphase(phi))
@@ -139,9 +140,10 @@ class TestSynthZzBlock:
         assert circ.entangler_count == 2
 
     def test_exactly_two_insertions(self):
-        resource = prepare_resource(cphase(np.pi / 5))
-        circ = synth_zz_block(0.3, resource)
-        assert circ.entangler_count == 2 * resource.circuit.entangler_count
+        template = prepare_resource(cphase(np.pi / 5))
+        resource = template.resource(template.n)
+        circ = expanded(synth_zz_block(0.3, resource))
+        assert circ.entangler_count == 2 * expanded(resource.circuit).entangler_count == 6
 
     def test_block_diagonal_structure(self):
         # evaluated block is diag(W, V) with V = W^{-1} = e^{-c(i/2)sz}
@@ -174,7 +176,8 @@ class TestSynthZzBlock:
         # c <= pi/2 needs no fold, so the block is the unfolded construction
         # to the bit; includes the q = 0 corner c = 2 gamma = pi/2.
         resources = [exact_resource(g) for g in (np.pi / 4, np.pi / 3, np.pi / 2)]
-        resources += [prepare_resource(ent) for ent in (CNOT, cphase(np.pi / 9))]
+        templates = [prepare_resource(ent) for ent in (CNOT, cphase(np.pi / 9))]
+        resources += [repeated(t, t.n) for t in templates]
         angles = [np.pi / 2, np.pi / 4, 1e-10] + list(rng.uniform(0.0, np.pi / 2, 40))
         for resource in resources:
             for c in angles:

@@ -151,6 +151,12 @@ class TestClassify:
         assert "bound: 18" in out
         assert format(np.pi / 10, ".17g") in out
 
+    def test_prints_the_snapped_vector(self, capsys):
+        # Unsnapped, roundoff puts c3 at -5.6e-17, outside the chamber.
+        code, out, _ = run(capsys, "classify", "--gate", "CPHASE(2pi/3)")
+        assert code == EXIT_OK
+        assert out.splitlines()[0] == "canonical: (1.0471975511965979, 0, 0)"
+
     def test_rejects_non_finite_angle(self, capsys):
         code, out, err = run(capsys, "classify", "--gate", "ZZ(1e400)")
         assert code == EXIT_INPUT

@@ -18,7 +18,7 @@ from gatesynth.zzsynth import (KX_DAG, KX_KY_DAG, KY_FACTOR, MAX_APPLICATIONS, Z
                                block_repetitions, choose_unit, extract_zz, fold_angle,
                                prepare_resource, repetitions, uniform_bound)
 
-from conftest import dress, haar_unitary, near_edge, random_local
+from conftest import dress, haar_unitary, near_edge, random_local, repeated
 
 
 class TestSynthesize:
@@ -291,7 +291,8 @@ class TestMergeLocalsBitIdentity:
 
     def test_unmerged_block_circuits(self, rng):
         for ent in (CNOT, cphase(np.pi / 9), dress(interaction(1.0, 0.6, 0.3), rng)):
-            resource = prepare_resource(ent)
+            template = prepare_resource(ent)
+            resource = repeated(template, template.n)
             first, second = synth_zz_block(0.7, resource), synth_zz_block(2.1, resource)
             circ = Circuit(first.elements + second.elements, first.phase * second.phase)
             assert_bit_identical(merge_locals(circ), merge_locals_loop(circ))
@@ -396,15 +397,15 @@ def synthesize_expanded(target: np.ndarray, entangler: np.ndarray,
     """Reference assembly: each block built on its unit repeated m times and
     merged whole, then one merge of the circuit; no template, no powers."""
     dec = kak_decompose(target, tol)
-    unit = prepare_resource(entangler, tol).unit
+    unit = choose_unit(entangler, tol)
     c1, c2, c3 = snap_vector(dec.c, tol.snap_tol)
     elements, phase = [dec.k2], dec.phase
     for c, interleaver in ((c3, LocalPair(KY_FACTOR, KY_FACTOR)),
                            (c2, LocalPair(KX_KY_DAG, KX_KY_DAG)),
                            (c1, LocalPair(dec.k1.a @ KX_DAG, dec.k1.b @ KX_DAG))):
         m = max(1, int(np.ceil(min(c, np.pi - c) / (2 * unit.gamma))))
-        repeated = Circuit(unit.circuit.elements * m, unit.circuit.phase ** m)
-        resource = ZzResource(merge_locals(repeated), m * unit.gamma, unit.apps_per_unit, m)
+        m_units = Circuit(unit.circuit.elements * m, unit.circuit.phase ** m)
+        resource = ZzResource(merge_locals(m_units), m * unit.gamma, unit.apps_per_unit)
         block = synth_zz_block(c, resource)
         elements += block.elements + [interleaver]
         phase *= block.phase

@@ -4,13 +4,14 @@ from hypothesis import given, settings, strategies as st
 
 from gatesynth.gates import CNOT
 from gatesynth.kak import snap_angle
-from gatesynth.matcore import (ROUNDOFF, Circuit, EntanglerApp, evaluate,
+from gatesynth.matcore import (ID2, ROUNDOFF, Circuit, EntanglerApp, LocalPair, evaluate,
                                interaction, phase_distance, zz_interaction)
+from gatesynth import zzsynth
 from gatesynth.zzsynth import (MAX_APPLICATIONS, ZzResource, amplify, block_repetitions,
-                               extract_zz, fold_angle, fold_resource, prepare_resource,
-                               repetitions, uniform_bound)
+                               choose_unit, extract_zz, fold_angle, fold_resource,
+                               prepare_resource, repetitions, uniform_bound)
 
-from conftest import dress, random_local
+from conftest import dress, random_local, repeated
 
 
 def raw_zz_resource(gamma: float) -> ZzResource:
@@ -18,10 +19,17 @@ def raw_zz_resource(gamma: float) -> ZzResource:
     return ZzResource(Circuit([EntanglerApp()]), gamma, apps_per_unit=1)
 
 
+def flanked_zz_unit(gamma: float) -> ZzResource:
+    """Unit whose circuit is one application of zz_interaction(gamma) between
+    identity layers; every extracted unit starts and ends with a local layer."""
+    return ZzResource(Circuit([LocalPair(ID2, ID2), EntanglerApp(), LocalPair(ID2, ID2)]),
+                      gamma, apps_per_unit=1)
+
+
 def check_resource(r: ZzResource, entangler: np.ndarray, tol: float = 1e-9) -> None:
     got = evaluate(r.circuit, entangler)
     assert phase_distance(got, zz_interaction(r.gamma)) < tol
-    assert r.circuit.entangler_count == r.apps_per_unit * r.reps
+    assert r.circuit.entangler_count == r.apps_per_unit
 
 
 class TestExtractZz:
@@ -107,6 +115,30 @@ class TestExtractZz:
                     assert sum(hits) == 1, (g1, g2, g3, hits)
 
 
+class TestChooseUnit:
+    @pytest.mark.parametrize("triple", [(np.pi / 3, np.pi / 4, 0.0),
+                                        (np.pi / 2 - 1e-3, 1e-4, 1e-5)],
+                             ids=["dressed_case3", "miscalibrated_cnot"])
+    def test_builds_one_unit(self, monkeypatch, rng, triple):
+        # Both units move off the paper's axis; only the winner is built,
+        # from the one KAK.
+        ent = dress(interaction(*triple), rng)
+        calls = {"kak_decompose": 0, "_doubling": 0}
+        with monkeypatch.context() as patch:
+            for name in calls:
+                def counting(*args, _name=name, _original=getattr(zzsynth, name), **kwargs):
+                    calls[_name] += 1
+                    return _original(*args, **kwargs)
+                patch.setattr(zzsynth, name, counting)
+            unit = choose_unit(ent)
+        assert calls == {"kak_decompose": 1, "_doubling": 1}
+        # choose_unit's order: bound, then applications, then the larger angle.
+        cost = lambda r: (uniform_bound(repetitions(r.gamma), r.apps_per_unit),
+                          r.apps_per_unit, -r.gamma)
+        assert cost(unit) < cost(extract_zz(ent))
+        check_resource(unit, ent)
+
+
 class TestFoldAngle:
     @staticmethod
     def angles():
@@ -188,23 +220,30 @@ class TestAmplify:
         (np.pi / 3, 1), (np.pi / 5, 2), (np.pi / 10, 3), (np.pi / 2, 1), (np.pi / 4, 1),
     ])
     def test_repetition_counts(self, gamma, n):
-        out = amplify(raw_zz_resource(gamma))
-        assert out.reps == n
-        assert out.gamma == pytest.approx(n * gamma)
-        assert out.circuit.entangler_count == n
-        got = evaluate(out.circuit, zz_interaction(gamma))
-        np.testing.assert_allclose(got, zz_interaction(n * gamma), atol=1e-13)
+        template = amplify(flanked_zz_unit(gamma), zz_interaction(gamma))
+        assert template.n == n
+        assert len(template.powers) == (n - 1).bit_length()
+        for m in range(1, n + 1):
+            run, out = template.resource(m), repeated(template, m)
+            assert out.gamma == pytest.approx(m * gamma)
+            assert out.circuit.entangler_count == m
+            got = evaluate(out.circuit, zz_interaction(gamma))
+            np.testing.assert_allclose(got, zz_interaction(m * gamma), atol=1e-13)
+            # The run's product stands for its expanded elements.
+            np.testing.assert_allclose(evaluate(run.circuit, zz_interaction(gamma)), got,
+                                       atol=1e-13)
 
     @settings(max_examples=300, deadline=None)
     @given(st.floats(min_value=1e-4, max_value=np.pi / 2))
     def test_minimality_and_range(self, gamma):
-        out = amplify(raw_zz_resource(gamma))
+        template = amplify(flanked_zz_unit(gamma), zz_interaction(gamma))
+        out = template.resource(template.n)
         assert np.pi / 4 <= out.gamma <= np.pi / 2 + 1e-12
-        assert (out.reps - 1) * gamma < np.pi / 4
+        assert (template.n - 1) * gamma < np.pi / 4
 
     def test_rejects_out_of_range(self):
         with pytest.raises(ValueError):
-            amplify(raw_zz_resource(2.0))
+            amplify(flanked_zz_unit(2.0), zz_interaction(2.0))
 
 
 class TestBlockRepetitions:
@@ -237,14 +276,14 @@ class TestResourceCap:
         with pytest.raises(ValueError, match="117810.*100000"):
             prepare_resource(zz_interaction(4e-5))
 
-    def test_accepts_bound_at_cap(self, monkeypatch):
+    def test_accepts_bound_at_cap(self):
         # ZZ(pi/4/16666) needs n = 16666, bound 99996 <= MAX_APPLICATIONS;
-        # amplify is stubbed so the test does not build the 16666-fold circuit.
-        import gatesynth.zzsynth as zzsynth
-        monkeypatch.setattr(zzsynth, "amplify", lambda r: r)
+        # the template holds O(log n) matrices, never the 16666-fold circuit.
         gamma = np.pi / 4 / 16666 * (1 + 1e-9)
-        r = prepare_resource(zz_interaction(gamma))
-        assert uniform_bound(repetitions(r.gamma), r.apps_per_unit) == 99996 <= MAX_APPLICATIONS
+        template = prepare_resource(zz_interaction(gamma))
+        assert template.n == repetitions(template.gamma) == 16666
+        assert uniform_bound(template.n, template.apps_per_unit) == 99996 <= MAX_APPLICATIONS
+        assert len(template.powers) == (template.n - 1).bit_length()
 
 
 def test_full_pipeline_over_case_corpus(rng):
@@ -253,8 +292,9 @@ def test_full_pipeline_over_case_corpus(rng):
                (np.pi / 7, 0, 0), (1.2, 0.5, 0.4), (2.6, 0.13, 5e-11)]
     for triple in triples:
         ent = dress(interaction(*triple), rng)
-        r = prepare_resource(ent)
+        template = prepare_resource(ent)
+        r = repeated(template, template.n)
         assert np.pi / 4 - 1e-12 <= r.gamma <= np.pi / 2 + 1e-12
         got = evaluate(r.circuit, ent)
         assert phase_distance(got, zz_interaction(r.gamma)) < 1e-9
-        assert r.circuit.entangler_count == r.reps * r.apps_per_unit <= 2 * r.reps
+        assert r.circuit.entangler_count == template.n * r.apps_per_unit <= 2 * template.n
