@@ -18,10 +18,12 @@ closed form (Zhang, Vala, Sastry and Whaley, "Geometric theory of nonlocal
 two-qubit operations", quant-ph/0209120): reduce each coordinate mod pi,
 sort descending, reflect through the face c1 + c2 = pi, and fold the
 c3 = 0 base onto c1 <= pi/2. Every move is an exact local identity
-(axis swap, sign flip of a pair, pi shift), tracked into the local factors.
+(axis swap, sign flip of a pair, pi shift), tracked into the local factors;
+those factors are built once per distinct move sequence and memoized.
 """
 
 import enum
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -115,45 +117,66 @@ def snap_vector(c: CanonicalVector, tol: float = DEFAULT_TOL.snap_tol) -> tuple[
 
 
 class _MoveTracker:
-    """Accumulates local corrections while reducing an interaction triple.
+    """Reduces an interaction triple, recording each exact local move.
 
-    Maintains A(raw) = phase * (pre.a (x) pre.b) @ A(c) @ (post.a (x) post.b)
-    exactly through every move.
+    The moves are ("swap", i, j), ("negate", i, j) and ("shift", k, m % 4);
+    the local corrections depend on that sequence alone, and _move_locals
+    builds them once per distinct sequence.
     """
 
     def __init__(self, raw: tuple[float, float, float]):
         self.c = list(raw)
-        self.pre_a = ID2.copy()
-        self.pre_b = ID2.copy()
-        self.post_a = ID2.copy()
-        self.post_b = ID2.copy()
-        self.phase = 1.0 + 0j
+        self.moves: list[tuple] = []
 
     def swap(self, i: int, j: int) -> None:
-        h = _AXIS_SWAP[(i, j)]
-        self.pre_a = self.pre_a @ h
-        self.pre_b = self.pre_b @ h
-        self.post_a = h @ self.post_a
-        self.post_b = h @ self.post_b
+        self.moves.append(("swap", i, j))
         self.c[i], self.c[j] = self.c[j], self.c[i]
 
     def negate_pair(self, i: int, j: int) -> None:
-        s = _PAIR_NEGATE[(i, j)]
-        self.pre_a = self.pre_a @ s
-        self.post_a = s @ self.post_a
+        self.moves.append(("negate", i, j))
         self.c[i] = -self.c[i]
         self.c[j] = -self.c[j]
 
     def shift(self, k: int, m: int) -> None:
-        # A(c) = A(c + m*pi e_k) * (-i)^m (sigma_k (x) sigma_k)^m
         if m == 0:
             return
-        self.phase *= _SHIFT_PHASE[m % 4]
-        if m % 2:
-            s = PAULIS["xyz"[k]]
-            self.post_a = s @ self.post_a
-            self.post_b = s @ self.post_b
+        self.moves.append(("shift", k, m % 4))
         self.c[k] = self.c[k] + m * np.pi
+
+
+# Distinct move sequences a sweep of raw triples in [-30, 30]^3 and around
+# chamber landmarks produced: about 4,700. The bound caps memory regardless.
+_MOVE_MEMO_SIZE = 8192
+
+
+@functools.lru_cache(maxsize=_MOVE_MEMO_SIZE)
+def _move_locals(moves: tuple) -> tuple[tuple[np.ndarray, ...], complex]:
+    """((pre_a, pre_b, post_a, post_b), phase) of a move sequence, read-only.
+
+    Maintains A(raw) = phase * (pre.a (x) pre.b) @ A(c) @ (post.a (x) post.b)
+    exactly through every move. The chamber reduction is an action of the
+    finite Weyl group, so only finitely many sequences occur.
+    """
+    pre_a, pre_b, post_a, post_b = ID2.copy(), ID2.copy(), ID2.copy(), ID2.copy()
+    phase = 1.0 + 0j
+    for kind, i, j in moves:
+        if kind == "swap":
+            h = _AXIS_SWAP[(i, j)]
+            pre_a, pre_b = pre_a @ h, pre_b @ h
+            post_a, post_b = h @ post_a, h @ post_b
+        elif kind == "negate":
+            s = _PAIR_NEGATE[(i, j)]
+            pre_a, post_a = pre_a @ s, s @ post_a
+        else:
+            # A(c) = A(c + m*pi e_k) * (-i)^m (sigma_k (x) sigma_k)^m, j = m % 4
+            phase *= _SHIFT_PHASE[j]
+            if j % 2:
+                s = PAULIS["xyz"[i]]
+                post_a, post_b = s @ post_a, s @ post_b
+    locals_ = (pre_a, pre_b, post_a, post_b)
+    for m in locals_:
+        m.flags.writeable = False
+    return locals_, phase
 
 
 def _sort_descending(t: _MoveTracker) -> None:
@@ -176,7 +199,8 @@ def canonicalize(raw: tuple[float, float, float]) -> tuple[
     (c1, c2, 0) ~ (pi - c1, c2, 0); there the representative with
     c1 <= pi/2 is kept. Near-ties within ROUNDOFF of a chamber face or of
     the fold keep the identity move, so a canonical triple maps to
-    itself with identity locals and unit phase.
+    itself with identity locals and unit phase. The local matrices are
+    read-only: calls with the same moves share them.
     """
     t = _MoveTracker(tuple(float(x) for x in raw))
     # (1) Each coordinate into [-ROUNDOFF, pi - ROUNDOFF) by whole pi shifts.
@@ -205,7 +229,8 @@ def canonicalize(raw: tuple[float, float, float]) -> tuple[
         _sort_descending(t)
 
     vec = CanonicalVector(*(x + 0.0 for x in t.c))  # -0.0 -> +0.0
-    return vec, LocalPair(t.pre_a, t.pre_b), LocalPair(t.post_a, t.post_b), t.phase
+    (pre_a, pre_b, post_a, post_b), phase = _move_locals(tuple(t.moves))
+    return vec, LocalPair(pre_a, pre_b), LocalPair(post_a, post_b), phase
 
 
 def _simultaneous_diagonalize(m2: np.ndarray, atol: float) -> tuple[np.ndarray, np.ndarray]:
@@ -232,29 +257,35 @@ def _simultaneous_diagonalize(m2: np.ndarray, atol: float) -> tuple[np.ndarray, 
     return p[:, order], theta[order]
 
 
-def _factor_local(m: np.ndarray, atol: float) -> tuple[complex, np.ndarray, np.ndarray]:
-    """Split m = g * (a (x) b) with det(a) = det(b) = 1, to Frobenius residual < atol.
+def _factor_locals(ms: np.ndarray, atol: float) -> tuple[list[complex], np.ndarray]:
+    """Split each m of a stack as g * (a (x) b) with det(a) = det(b) = 1.
 
-    Builds both factors from the rows/columns through the largest-magnitude
-    entry, which is safe because a true tensor product has rank-1 block
-    structure everywhere.
+    Returns the gs and f with f[i] = (a, b) of ms[i]; every residual must be
+    below atol in Frobenius norm. Each matrix's factors come from the
+    rows/columns through its largest-magnitude entry, which is safe because
+    a true tensor product has rank-1 block structure everywhere.
     """
-    mags = [abs(z) for z in m.ravel().tolist()]
-    r, c = divmod(mags.index(max(mags)), 4)  # first maximum in row-major order
+    mags = [abs(z) for z in ms.ravel().tolist()]
+    pivots = [divmod(row.index(max(row)), 4)  # first maximum in row-major order
+              for row in (mags[k:k + 16] for k in range(0, len(mags), 16))]
     # f1[i, j] = m[2i + r%2, 2j + c%2] and f2[i, j] = m[r - r%2 + i, c - c%2 + j].
-    f = np.array([m[r & 1::2, c & 1::2], m[r & 2:(r & 2) + 2, c & 2:(c & 2) + 2]])
+    f = np.array([(m[r & 1::2, c & 1::2], m[r & 2:(r & 2) + 2, c & 2:(c & 2) + 2])
+                  for m, (r, c) in zip(ms, pivots)])
     with np.errstate(divide="ignore", invalid="ignore"):
         scale = np.sqrt(np.linalg.det(f))
         scale[scale == 0] = 1
-        f /= scale[:, None, None]
-    f1, f2 = f
-    g = m[r, c] / (f1[r >> 1, c >> 1] * f2[r & 1, c & 1])
-    if g.real < 0:
-        f1 = -f1
-        g = -g
-    if not np.linalg.norm(m - g * tensor(f1, f2)) < atol:
+        f /= scale[..., None, None]
+    gs = []
+    for m, (f1, f2), (r, c) in zip(ms, f, pivots):
+        g = m[r, c] / (f1[r >> 1, c >> 1] * f2[r & 1, c & 1])
+        if g.real < 0:
+            np.negative(f1, out=f1)
+            g = -g
+        gs.append(g)
+    residual = ms - np.array(gs)[:, None, None] * tensor(f[:, 0], f[:, 1])
+    if not np.all(np.linalg.norm(residual, axis=(1, 2)) < atol):
         raise ArithmeticError("matrix is not a tensor product of single-qubit gates")
-    return complex(g), f1, f2
+    return [complex(g) for g in gs], f
 
 
 def kak_decompose(u: np.ndarray, tol: ToleranceConfig = DEFAULT_TOL) -> KakDecomposition:
@@ -291,8 +322,8 @@ def kak_decompose(u: np.ndarray, tol: ToleranceConfig = DEFAULT_TOL) -> KakDecom
         raise ArithmeticError("local factor failed to come out real in the magic basis")
     q1 = q1.real
 
-    g1, a1, b1 = _factor_local(MAGIC @ q1 @ MAGIC_DAG, tol.verify_tol)
-    g2, a2, b2 = _factor_local(MAGIC @ q2 @ MAGIC_DAG, tol.verify_tol)
+    (g1, g2), ((a1, b1), (a2, b2)) = _factor_locals(
+        MAGIC @ np.array((q1, q2)) @ MAGIC_DAG, tol.verify_tol)
 
     # Resolve the phase vector against the orthogonal basis {1, dXX, dYY, dZZ}:
     # identity component becomes global phase, the rest the raw triple.

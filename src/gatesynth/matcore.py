@@ -81,15 +81,16 @@ def dagger(m: np.ndarray) -> np.ndarray:
 
 
 def tensor(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Kronecker product a (x) b of 2-D arrays; a acts on qubit 1, b on qubit 2.
+    """Kronecker product a (x) b over the last two axes; a acts on qubit 1, b on qubit 2.
 
-    Broadcasts one multiply per entry, as np.kron does, so the result is
-    bit-identical to it at a fraction of the call overhead.
+    Leading axes broadcast, so a stack of pairs takes one call. Each entry
+    is one multiply, as in np.kron, so every product is bit-identical to
+    it at a fraction of the call overhead.
     """
     a = np.asarray(a, dtype=complex)
     b = np.asarray(b, dtype=complex)
-    out = a[:, None, :, None] * b[None, :, None, :]
-    return out.reshape(a.shape[0] * b.shape[0], a.shape[1] * b.shape[1])
+    out = a[..., :, None, :, None] * b[..., None, :, None, :]
+    return out.reshape(out.shape[:-4] + (a.shape[-2] * b.shape[-2], a.shape[-1] * b.shape[-1]))
 
 
 # The commuting axes of the canonical interaction, built once.
@@ -194,10 +195,19 @@ def evaluate(circuit: Circuit, entangler: np.ndarray,
 
 
 def _product(elements: list, entangler: np.ndarray) -> np.ndarray:
-    """The elements' matrix product, entangler already checked; evaluate's loop."""
+    """The elements' matrix product, entangler already checked; evaluate's loop.
+
+    Every local layer's Kronecker product comes from one stacked tensor call.
+    """
+    pairs = [e for e in elements if isinstance(e, LocalPair)]
+    layers = iter(tensor(np.array([p.a for p in pairs]), np.array([p.b for p in pairs]))
+                  if pairs else ())
     out = ID4.copy()
     for elem in elements:
-        m = entangler if isinstance(elem, EntanglerApp) else elem.matrix()
+        if isinstance(elem, LocalPair):
+            m = next(layers)
+        else:
+            m = entangler if isinstance(elem, EntanglerApp) else elem.matrix()
         out = m @ out
     return out
 
@@ -210,24 +220,32 @@ def merge_locals(circuit: Circuit) -> Circuit:
     output layers are canonical, freshly allocated, and no two local
     layers are adjacent. Every other element passes through.
     """
+    # Every local layer is stacked as its (a, b) in one array, so a fusion
+    # is one batched matmul: the same per-matrix arithmetic as two 2x2 matmuls.
+    pairs = [e for e in circuit.elements if isinstance(e, LocalPair)]
+    stacked = iter(np.array([m for e in pairs for m in (e.a, e.b)],
+                            dtype=complex).reshape(-1, 2, 2, 2))
     merged: list = []
+    layers: list = []
+    slots: list = []
     for elem in circuit.elements:
-        prev = merged[-1] if merged else None
-        if isinstance(elem, LocalPair) and isinstance(prev, LocalPair):
-            merged[-1] = LocalPair(elem.a @ prev.a, elem.b @ prev.b)
-        else:
+        if not isinstance(elem, LocalPair):
             merged.append(elem)
+        elif slots and slots[-1] == len(merged) - 1:
+            layers[-1] = next(stacked) @ layers[-1]
+        else:
+            slots.append(len(merged))
+            merged.append(None)  # the fused layer, once normalized below
+            layers.append(next(stacked))
     phase = circuit.phase
-    slots = [i for i, e in enumerate(merged) if isinstance(e, LocalPair)]
     if not slots:
         return Circuit(merged, phase)
     # Stacked det, sqrt and divide: the same per-matrix arithmetic as a
     # loop, without a LAPACK call per layer.
-    fused = np.array([[merged[i].a for i in slots], [merged[i].b for i in slots]],
-                     dtype=complex)
+    fused = np.array(layers)
     scale = np.sqrt(np.linalg.det(fused))
     fused /= scale[..., None, None]
     for k, i in enumerate(slots):
-        phase *= scale[0, k] * scale[1, k]
-        merged[i] = LocalPair(fused[0, k], fused[1, k])
+        phase *= scale[k, 0] * scale[k, 1]
+        merged[i] = LocalPair(fused[k, 0], fused[k, 1])
     return Circuit(merged, phase)

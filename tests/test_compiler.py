@@ -18,7 +18,7 @@ from gatesynth.zzsynth import (KX_DAG, KX_KY_DAG, KY_FACTOR, MAX_APPLICATIONS, Z
                                block_repetitions, choose_unit, extract_zz, fold_angle,
                                prepare_resource, repetitions, uniform_bound)
 
-from conftest import dress, haar_unitary, near_edge, random_local, repeated
+from conftest import dress, expanded, haar_unitary, near_edge, random_local, repeated
 
 
 class TestSynthesize:
@@ -303,6 +303,84 @@ class TestMergeLocalsBitIdentity:
 
     def test_empty(self):
         assert_bit_identical(merge_locals(Circuit()), merge_locals_loop(Circuit()))
+
+
+def product_loop(elements: list, entangler: np.ndarray) -> np.ndarray:
+    """Reference evaluate loop: one np.kron and one matmul per local layer."""
+    out = np.eye(4, dtype=complex)
+    for elem in elements:
+        if isinstance(elem, EntanglerApp):
+            m = entangler
+        elif isinstance(elem, LocalPair):
+            m = np.kron(elem.a, elem.b)
+        else:
+            m = elem.matrix()  # a template run's product
+        out = m @ out
+    return out
+
+
+SKELETON_ENTANGLERS = ("cnot", "cphase_pi_9", "b", "sqrt_swap", "case3_dressed",
+                       "case4_dressed")
+
+
+def captured_calls(monkeypatch, rng) -> list:
+    """(entangler, merge_locals input, evaluate input) of synthesize calls
+    against each SKELETON_ENTANGLERS entry, on Haar and dressed landmark targets."""
+    calls = []
+    with monkeypatch.context() as patch:
+        def merge_spy(circuit):
+            calls.append([circuit])
+            return merge_locals(circuit)
+
+        def evaluate_spy(circuit, entangler, tol=DEFAULT_TOL):
+            calls[-1] += [circuit, entangler]
+            return evaluate(circuit, entangler, tol)
+        patch.setattr(compiler, "merge_locals", merge_spy)
+        patch.setattr(compiler, "evaluate", evaluate_spy)
+        for name in SKELETON_ENTANGLERS:
+            entangler = TEMPLATE_ENTANGLERS[name](rng)
+            targets = [haar_unitary(rng) for _ in range(4)]
+            targets += [dress(u, rng) for u in (CNOT, SWAP, SQRT_SWAP, B_GATE)]
+            for target in targets:
+                synthesize(target, entangler)
+    return [(entangler, raw, skeleton) for raw, skeleton, entangler in calls]
+
+
+class TestStackedLayersBitIdentical:
+    """Stacked fusion, evaluation and Kronecker products change no bit."""
+
+    def test_merge_locals(self, monkeypatch, rng):
+        for _, raw, skeleton in captured_calls(monkeypatch, rng):
+            merged = merge_locals(raw)
+            assert_bit_identical(merged, merge_locals_loop(raw))
+            assert_bit_identical(merged, skeleton)
+
+    def test_evaluate(self, monkeypatch, rng):
+        for entangler, _, skeleton in captured_calls(monkeypatch, rng):
+            for circ in (skeleton, expanded(skeleton)):
+                want = circ.phase * product_loop(circ.elements, entangler)
+                assert evaluate(circ, entangler).tobytes() == want.tobytes()
+
+    def test_template_core_product(self):
+        for name in SKELETON_ENTANGLERS:
+            entangler = TEMPLATE_ENTANGLERS[name](np.random.default_rng(5))
+            template = prepare_resource(entangler)
+            want = product_loop(template.core, entangler)
+            assert template.core_product.tobytes() == want.tobytes()
+
+    def test_stacked_tensor(self, monkeypatch, rng):
+        layers = [e for _, _, skeleton in captured_calls(monkeypatch, rng)
+                  for e in expanded(skeleton).elements if isinstance(e, LocalPair)]
+        a = np.array([e.a for e in layers])
+        b = np.array([e.b for e in layers])
+        want = np.array([np.kron(x, y) for x, y in zip(a, b)])
+        assert tensor(a, b).tobytes() == want.tobytes()
+        # One side broadcasts against the other's stack.
+        assert tensor(a[0], b).tobytes() == np.array([np.kron(a[0], y) for y in b]).tobytes()
+        stack = np.array([[a[:3], a[3:6]]])  # two leading axes
+        got = tensor(stack, b[0])
+        assert got.shape == (1, 2, 3, 4, 4)
+        assert np.array_equal(got[0, 1, 2], np.kron(a[5], b[0]))
 
 
 class TestResourceMemo:

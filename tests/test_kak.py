@@ -1,3 +1,4 @@
+import contextlib
 import itertools
 
 import numpy as np
@@ -8,7 +9,7 @@ from gatesynth import kak
 from gatesynth.gates import B_GATE, CNOT, CZ, SQRT_SWAP, SWAP, cphase
 from gatesynth.kak import (CanonicalVector, GateClass, canonicalize, classify,
                            kak_decompose, snap_angle)
-from gatesynth.matcore import (DEFAULT_TOL, SIGMA_X, SIGMA_Y, SIGMA_Z,
+from gatesynth.matcore import (DEFAULT_TOL, ROUNDOFF, SIGMA_X, SIGMA_Y, SIGMA_Z,
                                interaction, phase_distance, tensor)
 
 from conftest import dress, haar_unitary, random_local
@@ -196,36 +197,187 @@ def _check_against_reference(raw: np.ndarray) -> None:
             assert np.array_equal(m, np.eye(2))
 
 
+def _sweep_triples() -> np.ndarray:
+    return np.random.default_rng(2002).uniform(-8.0, 8.0, size=(20_000, 3))
+
+
+def _perturbed_landmarks(eps: float) -> np.ndarray:
+    rng = np.random.default_rng(int(-np.log10(eps)))
+    noise = rng.choice([-1.0, 1.0], size=_LANDMARK_TRIPLES.shape)
+    noise *= rng.uniform(0.5, 2.0, size=_LANDMARK_TRIPLES.shape)
+    return _LANDMARK_TRIPLES + eps * noise
+
+
+_PERTURBATIONS = [1e-15, 1e-13, 1e-12, 1e-11, 1e-10, 1e-9]
+
+
+def _shift_boundary_triples() -> list:
+    """Triples with a coordinate within a few ulps of j*pi - 1e-12, where
+    x + m*pi can round across the shift window's lower edge."""
+    triples = []
+    for j in range(-3, 4):
+        edge = j * np.pi - _TIE
+        for x in edge + np.arange(-32, 33) * np.spacing(abs(edge)):
+            triples += [(x, 0.3, 0.2), (x, 0.0, 0.0), (1.0, 0.5, x)]
+    return triples
+
+
 class TestCanonicalizeAgainstOrbitSearch:
     """Closed-form reduction versus a brute-force search of the local orbit."""
 
     def test_random_triples(self):
-        raw = np.random.default_rng(2002).uniform(-8.0, 8.0, size=(20_000, 3))
-        for chunk in np.array_split(raw, 10):
+        for chunk in np.array_split(_sweep_triples(), 10):
             _check_against_reference(chunk)
 
     def test_landmark_triples(self):
         _check_against_reference(_LANDMARK_TRIPLES)
 
-    @pytest.mark.parametrize("eps", [1e-15, 1e-13, 1e-12, 1e-11, 1e-10, 1e-9])
+    @pytest.mark.parametrize("eps", _PERTURBATIONS)
     def test_perturbed_landmarks(self, eps):
-        rng = np.random.default_rng(int(-np.log10(eps)))
-        noise = rng.choice([-1.0, 1.0], size=_LANDMARK_TRIPLES.shape)
-        noise *= rng.uniform(0.5, 2.0, size=_LANDMARK_TRIPLES.shape)
-        _check_against_reference(_LANDMARK_TRIPLES + eps * noise)
-
+        _check_against_reference(_perturbed_landmarks(eps))
 
     def test_shift_boundary_roundoff(self):
-        # x + m*pi rounds across the shift window's lower edge for some x
-        # within a few ulps of j*pi - 1e-12; the result must still be a
-        # fixed point, not shifted by pi again on the second pass.
-        for j in range(-3, 4):
-            edge = j * np.pi - _TIE
-            for x in edge + np.arange(-32, 33) * np.spacing(abs(edge)):
-                for raw in [(x, 0.3, 0.2), (x, 0.0, 0.0), (1.0, 0.5, x)]:
-                    vec, _, _, _ = canonicalize(raw)
-                    again, _, _, phase = canonicalize(vec.as_tuple())
-                    assert again.as_tuple() == vec.as_tuple() and phase == 1.0, raw
+        # The result must still be a fixed point, not shifted by pi again
+        # on the second pass.
+        for raw in _shift_boundary_triples():
+            vec, _, _, _ = canonicalize(raw)
+            again, _, _, phase = canonicalize(vec.as_tuple())
+            assert again.as_tuple() == vec.as_tuple() and phase == 1.0, raw
+
+
+class MoveTrackerLoop:
+    """Reference move tracker: one 2x2 matmul per move and local factor.
+
+    Maintains A(raw) = phase * (pre.a (x) pre.b) @ A(c) @ (post.a (x) post.b)
+    exactly through every move.
+    """
+
+    def __init__(self, raw):
+        self.c = list(raw)
+        self.pre_a = np.eye(2, dtype=complex)
+        self.pre_b = np.eye(2, dtype=complex)
+        self.post_a = np.eye(2, dtype=complex)
+        self.post_b = np.eye(2, dtype=complex)
+        self.phase = 1.0 + 0j
+
+    def swap(self, i, j):
+        h = kak._AXIS_SWAP[(i, j)]
+        self.pre_a = self.pre_a @ h
+        self.pre_b = self.pre_b @ h
+        self.post_a = h @ self.post_a
+        self.post_b = h @ self.post_b
+        self.c[i], self.c[j] = self.c[j], self.c[i]
+
+    def negate_pair(self, i, j):
+        s = kak._PAIR_NEGATE[(i, j)]
+        self.pre_a = self.pre_a @ s
+        self.post_a = s @ self.post_a
+        self.c[i] = -self.c[i]
+        self.c[j] = -self.c[j]
+
+    def shift(self, k, m):
+        if m == 0:
+            return
+        self.phase *= kak._SHIFT_PHASE[m % 4]
+        if m % 2:
+            s = (SIGMA_X, SIGMA_Y, SIGMA_Z)[k]
+            self.post_a = s @ self.post_a
+            self.post_b = s @ self.post_b
+        self.c[k] = self.c[k] + m * np.pi
+
+    def sort_descending(self):
+        for i, j in ((0, 1), (1, 2), (0, 1)):
+            if self.c[i] < self.c[j]:
+                self.swap(i, j)
+
+
+def canonicalize_loop(raw):
+    """Reference canonicalize: the same reduction, replaying every move as matmuls."""
+    t = MoveTrackerLoop(tuple(float(x) for x in raw))
+    for k in range(3):
+        m = -int(np.floor((t.c[k] + ROUNDOFF) / np.pi))
+        if t.c[k] + m * np.pi < -ROUNDOFF:
+            m += 1
+        elif t.c[k] + m * np.pi >= np.pi - ROUNDOFF:
+            m -= 1
+        t.shift(k, m)
+    t.sort_descending()
+    if t.c[0] + t.c[1] > np.pi + ROUNDOFF:
+        t.negate_pair(0, 1)
+        t.shift(0, 1)
+        t.shift(1, 1)
+        t.swap(0, 1)
+        t.sort_descending()
+    if abs(t.c[2]) <= ROUNDOFF and t.c[0] > np.pi / 2 + ROUNDOFF:
+        t.negate_pair(0, 2)
+        t.shift(0, 1)
+        t.sort_descending()
+    return (tuple(x + 0.0 for x in t.c), (t.pre_a, t.pre_b, t.post_a, t.post_b), t.phase)
+
+
+def _assert_matches_loop(raws) -> None:
+    for raw in raws:
+        raw = tuple(float(x) for x in raw)
+        vec, pre, post, phase = canonicalize(raw)
+        want_vec, want_locals, want_phase = canonicalize_loop(raw)
+        assert vec.as_tuple() == want_vec, raw
+        assert np.complex128(phase).tobytes() == np.complex128(want_phase).tobytes(), raw
+        for got, want in zip((pre.a, pre.b, post.a, post.b), want_locals, strict=True):
+            assert got.tobytes() == want.tobytes(), raw
+
+
+class TestCanonicalizeMemoBitIdentical:
+    """Memoized move locals versus replaying each move as 2x2 matmuls."""
+
+    def test_random_triples(self):
+        kak._move_locals.cache_clear()
+        _assert_matches_loop(_sweep_triples())
+        # The Weyl group is finite: the sweep's sequences keep the memo small.
+        assert kak._move_locals.cache_info().currsize <= 2048
+
+    def test_landmark_triples(self):
+        _assert_matches_loop(_LANDMARK_TRIPLES)
+
+    @pytest.mark.parametrize("eps", _PERTURBATIONS)
+    def test_perturbed_landmarks(self, eps):
+        _assert_matches_loop(_perturbed_landmarks(eps))
+
+    def test_shift_boundary_triples(self):
+        _assert_matches_loop(_shift_boundary_triples())
+
+
+class TestMoveMemoIsolation:
+    """Results share no writable array with the memo."""
+
+    @staticmethod
+    def _scribble(m: np.ndarray) -> None:
+        with contextlib.suppress(ValueError):  # memo arrays are read-only
+            m[...] = 0
+
+    def test_writing_into_canonicalize_results(self):
+        raw = (2.5, -1.0, 4.0)
+        vec, pre, post, phase = canonicalize(raw)
+        kept = [m.copy() for m in (pre.a, pre.b, post.a, post.b)]
+        assert not np.array_equal(kept[0], np.eye(2))
+        for m in (pre.a, pre.b, post.a, post.b):
+            self._scribble(m)
+        pre.a = post.b = np.zeros((2, 2), dtype=complex)
+        again, pre, post, again_phase = canonicalize(raw)
+        assert (again.as_tuple(), again_phase) == (vec.as_tuple(), phase)
+        for got, want in zip((pre.a, pre.b, post.a, post.b), kept, strict=True):
+            assert np.array_equal(got, want)
+
+    def test_writing_into_kak_factors(self, rng):
+        u = haar_unitary(rng)
+        first = kak_decompose(u)
+        kept = [m.copy() for m in (first.k1.a, first.k1.b, first.k2.a, first.k2.b)]
+        for m in (first.k1.a, first.k1.b, first.k2.a, first.k2.b):
+            self._scribble(m)
+        second = kak_decompose(u)
+        assert (second.c, second.phase) == (first.c, first.phase)
+        for got, want in zip((second.k1.a, second.k1.b, second.k2.a, second.k2.b), kept,
+                             strict=True):
+            assert np.array_equal(got, want)
 
 
 class TestClassify:
@@ -329,12 +481,12 @@ KAK_LANDMARKS = (np.eye(4, dtype=complex), CNOT, CZ, SWAP, SQRT_SWAP, B_GATE, IS
 
 
 class TestKakHelpersBitIdentical:
-    """The constant-building rewrites of the KAK helpers change no bit."""
+    """The constant-building and stacking rewrites of the KAK helpers change no bit."""
 
     def test_seeded_haar_and_dressed_landmarks(self, monkeypatch, rng):
         targets = [haar_unitary(rng) for _ in range(100)]
         targets += list(KAK_LANDMARKS) + [dress(u, rng) for u in KAK_LANDMARKS for _ in range(3)]
-        recorded = {"_factor_local": [], "_simultaneous_diagonalize": []}
+        recorded = {"_factor_locals": [], "_simultaneous_diagonalize": []}
         with monkeypatch.context() as patch:
             for name, inputs in recorded.items():
                 def spy(m, atol, real=getattr(kak, name), inputs=inputs):
@@ -343,14 +495,17 @@ class TestKakHelpersBitIdentical:
                 patch.setattr(kak, name, spy)
             for u in targets:
                 kak_decompose(u)
-        assert len(recorded["_factor_local"]) == 2 * len(targets)
+        assert len(recorded["_factor_locals"]) == len(targets)
         ties = 0
-        for m, atol in recorded["_factor_local"]:
-            mags = np.abs(m).ravel()
-            ties += np.count_nonzero(mags == mags.max()) > 1
-            want, got = factor_local_loop(m, atol), kak._factor_local(m, atol)
-            assert want[0] == got[0]
-            assert np.array_equal(want[1], got[1]) and np.array_equal(want[2], got[2])
+        for ms, atol in recorded["_factor_locals"]:
+            assert ms.shape == (2, 4, 4)
+            gs, f = kak._factor_locals(ms, atol)
+            for m, g, (a, b) in zip(ms, gs, f, strict=True):
+                mags = np.abs(m).ravel()
+                ties += np.count_nonzero(mags == mags.max()) > 1
+                want = factor_local_loop(m, atol)
+                assert want[0] == g
+                assert np.array_equal(want[1], a) and np.array_equal(want[2], b)
         assert ties > 0  # undressed landmarks tie for the pivot
         for m2, atol in recorded["_simultaneous_diagonalize"]:
             want, got = diagonalize_fresh_rng(m2, atol), kak._simultaneous_diagonalize(m2, atol)
@@ -358,12 +513,22 @@ class TestKakHelpersBitIdentical:
 
     def test_exact_tensor_products_with_ties(self):
         # Every entry of H (x) H has magnitude 1/2: the pivot is the first one.
-        for a, b in ((HADAMARD, HADAMARD), (SIGMA_X, SIGMA_Y), (HADAMARD, SIGMA_Z),
-                     (np.eye(2, dtype=complex), SIGMA_Y)):
-            m = 1j * tensor(a, b)
-            want, got = factor_local_loop(m, 1e-8), kak._factor_local(m, 1e-8)
-            assert want[0] == got[0]
-            assert np.array_equal(want[1], got[1]) and np.array_equal(want[2], got[2])
+        ms = np.array([1j * tensor(a, b) for a, b in (
+            (HADAMARD, HADAMARD), (SIGMA_X, SIGMA_Y), (HADAMARD, SIGMA_Z),
+            (np.eye(2, dtype=complex), SIGMA_Y))])
+        # One call per matrix, and all of them in one stack: stacking mixes nothing.
+        calls = [kak._factor_locals(m[None], 1e-8) for m in ms]
+        stacked = kak._factor_locals(ms, 1e-8)
+        for k, m in enumerate(ms):
+            want = factor_local_loop(m, 1e-8)
+            for gs, f in calls[k:k + 1] + [(stacked[0][k:k + 1], stacked[1][k:k + 1])]:
+                assert want[0] == gs[0]
+                assert np.array_equal(want[1], f[0, 0]) and np.array_equal(want[2], f[0, 1])
+
+    def test_rejects_a_stack_with_one_non_product(self, rng):
+        good = tensor(haar_unitary(rng, 2), haar_unitary(rng, 2))
+        with pytest.raises(ArithmeticError, match="not a tensor product"):
+            kak._factor_locals(np.array([good, CNOT]), 1e-8)
 
     def test_draws_match_per_call_generator(self):
         rng = np.random.default_rng(kak._DIAG_SEED)
