@@ -69,8 +69,9 @@ def _prepared_resource(shape: tuple, data: bytes, tol: ToleranceConfig) -> ZzTem
     """prepare_resource's template for an entangler given by its shape and
     complex128 bytes, once per entangler and tolerance set.
 
-    Errors are not cached. Callers only read the result: synthesize emits
-    fresh copies of every layer.
+    Errors are not cached. Building the template checks the entangler's
+    unitarity (its KAK does), so a memo hit does not check it again. Callers
+    only read the result: synthesize emits fresh copies of every layer.
     """
     return prepare_resource(np.frombuffer(data, dtype=complex).reshape(shape), tol)
 

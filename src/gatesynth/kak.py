@@ -24,6 +24,7 @@ those factors are built once per distinct move sequence and memoized.
 
 import enum
 import functools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -52,6 +53,7 @@ _SNAP_POINTS = (0.0, np.pi / 4, np.pi / 2, np.pi)
 # depend on call ordering.
 _DIAG_SEED = 7
 _DIAG_DRAWS = np.random.default_rng(_DIAG_SEED).normal(size=(32, 2))
+_OFF_DIAGONAL = ~np.eye(4, dtype=bool)
 
 # Hermitian involution exchanging two Pauli axes: (s_i + s_j)/sqrt(2)
 # conjugates sigma_i <-> sigma_j and negates the third axis, so applying
@@ -205,7 +207,7 @@ def canonicalize(raw: tuple[float, float, float]) -> tuple[
     t = _MoveTracker(tuple(float(x) for x in raw))
     # (1) Each coordinate into [-ROUNDOFF, pi - ROUNDOFF) by whole pi shifts.
     for k in range(3):
-        m = -int(np.floor((t.c[k] + ROUNDOFF) / np.pi))
+        m = -math.floor((t.c[k] + ROUNDOFF) / np.pi)
         # x + m*pi can round across an edge; land inside so that a second
         # pass over the result shifts nothing.
         if t.c[k] + m * np.pi < -ROUNDOFF:
@@ -241,20 +243,28 @@ def _simultaneous_diagonalize(m2: np.ndarray, atol: float) -> tuple[np.ndarray, 
     atol in Frobenius norm) is diagonalized instead; this breaks eigenvalue
     degeneracies deterministically.
     """
-    re, im = m2.real.copy(), m2.imag.copy()
-    # Symmetrize against roundoff so eigh sees exactly symmetric input.
-    re = (re + re.T) / 2
-    im = (im + im.T) / 2
+    # Symmetrize against roundoff so eigh sees exactly symmetric input; a
+    # complex sum adds the real and imaginary parts exactly as apart.
+    sym = m2 + m2.T
+    re, im = sym.real / 2, sym.imag / 2
     for wr, wi in _DIAG_DRAWS:
         _, p = np.linalg.eigh(wr * re + wi * im)
         d = p.T @ m2 @ p
-        if np.linalg.norm(d - np.diag(np.diag(d))) < atol:
+        if np.linalg.norm(d[_OFF_DIAGONAL]) < atol:
             break
     else:
         raise ArithmeticError("failed to diagonalize the magic-basis symmetric product")
-    theta = np.angle(np.diag(d))
+    theta = np.angle(d.diagonal())
     order = np.argsort(theta)
     return p[:, order], theta[order]
+
+
+# Flat indices of both factors read off a 4x4 tensor product through each
+# pivot (r, c), at row 4r + c: f1[i, j] = m[2i + r%2, 2j + c%2] and
+# f2[i, j] = m[r - r%2 + i, c - c%2 + j].
+_FLAT = np.arange(16).reshape(4, 4)
+_PIVOT_GATHER = np.array([(_FLAT[r & 1::2, c & 1::2], _FLAT[r & 2:(r & 2) + 2, c & 2:(c & 2) + 2])
+                          for r in range(4) for c in range(4)])
 
 
 def _factor_locals(ms: np.ndarray, atol: float) -> tuple[list[complex], np.ndarray]:
@@ -266,17 +276,15 @@ def _factor_locals(ms: np.ndarray, atol: float) -> tuple[list[complex], np.ndarr
     a true tensor product has rank-1 block structure everywhere.
     """
     mags = [abs(z) for z in ms.ravel().tolist()]
-    pivots = [divmod(row.index(max(row)), 4)  # first maximum in row-major order
-              for row in (mags[k:k + 16] for k in range(0, len(mags), 16))]
-    # f1[i, j] = m[2i + r%2, 2j + c%2] and f2[i, j] = m[r - r%2 + i, c - c%2 + j].
-    f = np.array([(m[r & 1::2, c & 1::2], m[r & 2:(r & 2) + 2, c & 2:(c & 2) + 2])
-                  for m, (r, c) in zip(ms, pivots)])
+    # First maximum in row-major order.
+    pivots = [row.index(max(row)) for row in (mags[k:k + 16] for k in range(0, len(mags), 16))]
+    f = ms.reshape(-1, 16)[np.arange(len(ms))[:, None, None, None], _PIVOT_GATHER[pivots]]
     with np.errstate(divide="ignore", invalid="ignore"):
         scale = np.sqrt(np.linalg.det(f))
         scale[scale == 0] = 1
         f /= scale[..., None, None]
     gs = []
-    for m, (f1, f2), (r, c) in zip(ms, f, pivots):
+    for m, (f1, f2), (r, c) in zip(ms, f, (divmod(p, 4) for p in pivots)):
         g = m[r, c] / (f1[r >> 1, c >> 1] * f2[r & 1, c & 1])
         if g.real < 0:
             np.negative(f1, out=f1)

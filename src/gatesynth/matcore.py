@@ -189,8 +189,14 @@ class Circuit:
 
 def evaluate(circuit: Circuit, entangler: np.ndarray,
              tol: ToleranceConfig = DEFAULT_TOL) -> np.ndarray:
-    """Multiply out a circuit against a concrete entangler matrix."""
-    entangler = require_unitary(entangler, tol.unitarity_tol, "entangler")
+    """Multiply out a circuit against a concrete entangler matrix.
+
+    The entangler is checked for unitarity only when the circuit applies it
+    bare, as an EntanglerApp element. A template run carries its product
+    against the entangler it was built from, which was checked then.
+    """
+    if any(isinstance(e, EntanglerApp) for e in circuit.elements):
+        entangler = require_unitary(entangler, tol.unitarity_tol, "entangler")
     return circuit.phase * _product(circuit.elements, entangler)
 
 
@@ -219,33 +225,47 @@ def merge_locals(circuit: Circuit) -> Circuit:
     qubit, with the extracted scalars folded into the circuit phase, so
     output layers are canonical, freshly allocated, and no two local
     layers are adjacent. Every other element passes through.
+
+    All chains of adjacent layers fuse at once: one stacked matmul per
+    depth d multiplies layer d of every chain that has one onto that
+    chain's product of layers 0 to d - 1. Each product is the same 2x2
+    matmul, in the same order, as fusing one chain at a time.
     """
-    # Every local layer is stacked as its (a, b) in one array, so a fusion
-    # is one batched matmul: the same per-matrix arithmetic as two 2x2 matmuls.
-    pairs = [e for e in circuit.elements if isinstance(e, LocalPair)]
-    stacked = iter(np.array([m for e in pairs for m in (e.a, e.b)],
-                            dtype=complex).reshape(-1, 2, 2, 2))
     merged: list = []
-    layers: list = []
     slots: list = []
+    chains: list = []
     for elem in circuit.elements:
         if not isinstance(elem, LocalPair):
             merged.append(elem)
         elif slots and slots[-1] == len(merged) - 1:
-            layers[-1] = next(stacked) @ layers[-1]
+            chains[-1].append(elem)
         else:
             slots.append(len(merged))
             merged.append(None)  # the fused layer, once normalized below
-            layers.append(next(stacked))
+            chains.append([elem])
     phase = circuit.phase
     if not slots:
         return Circuit(merged, phase)
+    # Longest chains first, so the chains with a layer at depth d are a
+    # prefix of the stack. No chain is padded: a product with an identity
+    # can flip the sign of an exact zero.
+    order = sorted(range(len(chains)), key=lambda k: -len(chains[k]))
+    counts = [sum(len(chain) > d for chain in chains) for d in range(len(chains[order[0]]))]
+    layers = np.concatenate([m for d, count in enumerate(counts) for k in order[:count]
+                             for m in (chains[k][d].a, chains[k][d].b)],
+                            dtype=complex).reshape(-1, 2, 2, 2)
+    fused = layers[:counts[0]]
+    start = counts[0]
+    for count in counts[1:]:
+        fused[:count] = layers[start:start + count] @ fused[:count]
+        start += count
     # Stacked det, sqrt and divide: the same per-matrix arithmetic as a
     # loop, without a LAPACK call per layer.
-    fused = np.array(layers)
     scale = np.sqrt(np.linalg.det(fused))
     fused /= scale[..., None, None]
-    for k, i in enumerate(slots):
-        phase *= scale[k, 0] * scale[k, 1]
-        merged[i] = LocalPair(fused[k, 0], fused[k, 1])
+    # Slots in circuit order, so the phase takes its factors in that order;
+    # slot k's chain sits at stack position j.
+    for k, j in enumerate(sorted(range(len(chains)), key=order.__getitem__)):
+        phase *= scale[j, 0] * scale[j, 1]
+        merged[slots[k]] = LocalPair(fused[j, 0], fused[j, 1])
     return Circuit(merged, phase)

@@ -3,7 +3,7 @@ import itertools
 import numpy as np
 import pytest
 
-from gatesynth import blocksynth, compiler, gates, kak, matcore, serialize
+from gatesynth import blocksynth, compiler, gates, kak, matcore, serialize, zzsynth
 from gatesynth.blocksynth import synth_zz_block
 from gatesynth.compiler import (efficient_as_cnot, merge_locals, synthesize,
                                 upper_bound)
@@ -84,6 +84,28 @@ class TestSynthesize:
                 monkeypatch.setattr(module, "require_unitary", counting)
         synthesize(target, CNOT)
         assert sum(checked) == 1
+
+    def test_checks_entangler_once_per_template(self, monkeypatch, rng):
+        checked, real = [], matcore.require_unitary
+
+        def counting(m, *args, **kwargs):
+            checked.append(m)
+            return real(m, *args, **kwargs)
+
+        for module in (matcore, kak, compiler, blocksynth, gates, serialize):
+            if hasattr(module, "require_unitary"):
+                monkeypatch.setattr(module, "require_unitary", counting)
+        compiler._prepared_resource.cache_clear()
+        synthesize(haar_unitary(rng), CNOT)  # a memo miss checks the entangler once
+        assert len(checked) == 2
+        target = haar_unitary(rng)
+        checked.clear()
+        synthesize(target, CNOT)  # a memo hit checks only the target
+        assert len(checked) == 1 and np.array_equal(checked[0], target)
+        # Errors are not cached: every call refuses a non-unitary entangler.
+        for _ in range(3):
+            with pytest.raises(ValueError, match="not unitary"):
+                synthesize(target, np.ones((4, 4)))
 
     def test_rejects_non_unitary_target(self):
         with pytest.raises(ValueError, match="not unitary"):
@@ -273,11 +295,12 @@ def merge_locals_loop(circuit: Circuit) -> Circuit:
 
 
 def assert_bit_identical(x: Circuit, y: Circuit) -> None:
-    assert x.phase == y.phase
+    """Equal bytes, so a zero of the other sign differs too."""
+    assert np.complex128(x.phase).tobytes() == np.complex128(y.phase).tobytes()
     assert [type(e) for e in x.elements] == [type(e) for e in y.elements]
     for ex, ey in zip(x.elements, y.elements):
         if isinstance(ex, LocalPair):
-            assert np.array_equal(ex.a, ey.a) and np.array_equal(ex.b, ey.b)
+            assert ex.a.tobytes() == ey.a.tobytes() and ex.b.tobytes() == ey.b.tobytes()
 
 
 class TestMergeLocalsBitIdentity:
@@ -354,6 +377,35 @@ class TestStackedLayersBitIdentical:
             merged = merge_locals(raw)
             assert_bit_identical(merged, merge_locals_loop(raw))
             assert_bit_identical(merged, skeleton)
+
+    def test_merge_locals_in_amplify(self, monkeypatch, rng):
+        # The unit and, for n > 1, the rotated unit that zzsynth.amplify
+        # merges; synthesize's merges never see these.
+        raws = []
+        with monkeypatch.context() as patch:
+            def merge_spy(circuit):
+                raws.append(circuit)
+                return merge_locals(circuit)
+            patch.setattr(zzsynth, "merge_locals", merge_spy)
+            for make in TEMPLATE_ENTANGLERS.values():
+                prepare_resource(make(rng))
+        # cphase_pi_9 and zz_pi_5 repeat their unit (n > 1): two merges each.
+        assert len(raws) == len(TEMPLATE_ENTANGLERS) + 2
+        layer = LocalPair(haar_unitary(rng, 2), haar_unitary(rng, 2))
+        raws += [Circuit([EntanglerApp()], phase=1j), Circuit([layer], phase=-1j),
+                 Circuit([EntanglerApp(), layer, EntanglerApp()])]
+        for raw in raws:
+            assert_bit_identical(merge_locals(raw), merge_locals_loop(raw))
+
+    def test_exact_zeros_keep_their_sign(self, rng):
+        # A product with an identity turns -0.0 into +0.0, so a one-layer
+        # chain beside longer ones must not be padded to their depth.
+        signed = np.array([[1, complex(-0.0, -0.0)], [complex(-0.0, 0.0), 1]])
+        long = [LocalPair(haar_unitary(rng, 2), haar_unitary(rng, 2)) for _ in range(3)]
+        circ = Circuit(long + [EntanglerApp(), LocalPair(signed, signed.copy())])
+        merged = merge_locals(circ)
+        assert np.signbit(merged.elements[-1].a[0, 1].real)
+        assert_bit_identical(merged, merge_locals_loop(circ))
 
     def test_evaluate(self, monkeypatch, rng):
         for entangler, _, skeleton in captured_calls(monkeypatch, rng):

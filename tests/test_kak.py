@@ -525,6 +525,24 @@ class TestKakHelpersBitIdentical:
                 assert want[0] == gs[0]
                 assert np.array_equal(want[1], f[0, 0]) and np.array_equal(want[2], f[0, 1])
 
+    def test_every_pivot_position(self):
+        # a (x) b has its one largest entry at (r, c) when a's is at
+        # (r >> 1, c >> 1) and b's at (r & 1, c & 1), so each of the 16
+        # pivots, and each row of the gather table, is read once.
+        def peaked(i, j):
+            m = np.array([[1, 0.5], [0.25, 0.75]]) * np.exp(1j * np.array([[0.3, 1.1], [-0.7, 2.0]]))
+            m[i, j] = 2 * np.exp(0.9j)
+            return m
+        ms = np.array([tensor(peaked(r >> 1, c >> 1), peaked(r & 1, c & 1))
+                       for r in range(4) for c in range(4)])
+        assert [int(np.argmax(np.abs(m))) for m in ms] == list(range(16))
+        stacked = kak._factor_locals(ms, 1e-8)
+        for k, m in enumerate(ms):
+            want = factor_local_loop(m, 1e-8)
+            for gs, f in (kak._factor_locals(m[None], 1e-8), (stacked[0][k:], stacked[1][k:])):
+                assert want[0] == gs[0]
+                assert np.array_equal(want[1], f[0, 0]) and np.array_equal(want[2], f[0, 1])
+
     def test_rejects_a_stack_with_one_non_product(self, rng):
         good = tensor(haar_unitary(rng, 2), haar_unitary(rng, 2))
         with pytest.raises(ArithmeticError, match="not a tensor product"):
