@@ -31,7 +31,7 @@ import numpy as np
 
 from .matcore import (DEFAULT_TOL, ID2, PAULIS, ROUNDOFF, SIGMA_X, SIGMA_Y,
                       SIGMA_Z, LocalPair, ToleranceConfig, interaction,
-                      project_special, tensor)
+                      project_special_rows, tensor)
 
 MAGIC = np.array([[1, 0, 0, 1j],
                   [0, 1j, 1, 0],
@@ -45,6 +45,7 @@ MAGIC_DAG = MAGIC.conj().T
 _DIAG_XX = np.array([1.0, 1.0, -1.0, -1.0])
 _DIAG_YY = np.array([-1.0, 1.0, -1.0, 1.0])
 _DIAG_ZZ = np.array([1.0, -1.0, -1.0, 1.0])
+_DIAG_XYZ = np.array([_DIAG_XX, _DIAG_YY, _DIAG_ZZ])
 
 _SNAP_POINTS = (0.0, np.pi / 4, np.pi / 2, np.pi)
 
@@ -53,7 +54,10 @@ _SNAP_POINTS = (0.0, np.pi / 4, np.pi / 2, np.pi)
 # depend on call ordering.
 _DIAG_SEED = 7
 _DIAG_DRAWS = np.random.default_rng(_DIAG_SEED).normal(size=(32, 2))
-_OFF_DIAGONAL = ~np.eye(4, dtype=bool)
+# Entry weights of _squared_norms: every entry, or the off-diagonal ones.
+_ALL_ENTRIES = np.ones(16)
+_OFF_DIAGONAL = 1.0 - np.eye(4).ravel()
+_MATRIX_ROWS = np.arange(4)[:, None]  # row index of a gather over a stack of 4x4s
 
 # Hermitian involution exchanging two Pauli axes: (s_i + s_j)/sqrt(2)
 # conjugates sigma_i <-> sigma_j and negates the third axis, so applying
@@ -101,6 +105,7 @@ class KakDecomposition:
     c: CanonicalVector
     k2: LocalPair
     phase: complex
+    unitarity_error: float  # of the decomposed matrix: max |U U^dag - I|
 
     def reconstruct(self) -> np.ndarray:
         return self.phase * self.k1.matrix() @ interaction(*self.c.as_tuple()) @ self.k2.matrix()
@@ -236,27 +241,50 @@ def canonicalize(raw: tuple[float, float, float]) -> tuple[
 
 
 def _simultaneous_diagonalize(m2: np.ndarray, atol: float) -> tuple[np.ndarray, np.ndarray]:
-    """Diagonalize a complex-symmetric unitary M2 = P D P^T, P real orthogonal.
+    """Diagonalize each complex-symmetric unitary M2 of a stack as P D P^T, P real orthogonal.
 
     Real and imaginary parts of M2 commute, so a random real combination
     (fixed seed, redrawn until the off-diagonal part of P^T M2 P is below
     atol in Frobenius norm) is diagonalized instead; this breaks eigenvalue
-    degeneracies deterministically.
+    degeneracies deterministically. The whole stack takes the first draw
+    in one eigh; only the matrices that fail it are redrawn, each through
+    the same draws in the same order as alone.
     """
     # Symmetrize against roundoff so eigh sees exactly symmetric input; a
     # complex sum adds the real and imaginary parts exactly as apart.
-    sym = m2 + m2.T
+    sym = m2 + m2.transpose(0, 2, 1)
     re, im = sym.real / 2, sym.imag / 2
-    for wr, wi in _DIAG_DRAWS:
-        _, p = np.linalg.eigh(wr * re + wi * im)
-        d = p.T @ m2 @ p
-        if np.linalg.norm(d[_OFF_DIAGONAL]) < atol:
-            break
-    else:
-        raise ArithmeticError("failed to diagonalize the magic-basis symmetric product")
-    theta = np.angle(d.diagonal())
-    order = np.argsort(theta)
-    return p[:, order], theta[order]
+    wr, wi = _DIAG_DRAWS[0]
+    _, p = np.linalg.eigh(wr * re + wi * im)
+    d = p.transpose(0, 2, 1) @ m2 @ p
+    ok = _squared_norms(d, _OFF_DIAGONAL) < atol * atol
+    if not ok.all():
+        _redraw(m2, re, im, p, d, np.flatnonzero(~ok), atol)
+    diagonal = d.diagonal(0, 1, 2)
+    theta = np.arctan2(diagonal.imag, diagonal.real)  # np.angle
+    order = theta.argsort(axis=1)
+    stack = np.arange(len(m2))[:, None]
+    return p[stack[:, :, None], _MATRIX_ROWS, order[:, None, :]], theta[stack, order]
+
+
+def _redraw(m2, re, im, p, d, todo: np.ndarray, atol: float) -> None:
+    """Diagonalize the rows todo of the stack again through the later draws, in
+    order, writing each row's first success into p and d."""
+    for wr, wi in _DIAG_DRAWS[1:]:
+        _, pk = np.linalg.eigh(wr * re[todo] + wi * im[todo])
+        dk = pk.transpose(0, 2, 1) @ m2[todo] @ pk
+        ok = _squared_norms(dk, _OFF_DIAGONAL) < atol * atol
+        p[todo[ok]], d[todo[ok]] = pk[ok], dk[ok]
+        todo = todo[~ok]
+        if not todo.size:
+            return
+    raise ArithmeticError("failed to diagonalize the magic-basis symmetric product")
+
+
+def _squared_norms(ms: np.ndarray, weights: np.ndarray = _ALL_ENTRIES) -> np.ndarray:
+    """Squared Frobenius norm of each 4x4 matrix of a stack, over the entries
+    weights selects; the checks compare it with the square of their tolerance."""
+    return (abs(ms) ** 2).reshape(len(ms), 16) @ weights
 
 
 # Flat indices of both factors read off a 4x4 tensor product through each
@@ -279,10 +307,9 @@ def _factor_locals(ms: np.ndarray, atol: float) -> tuple[list[complex], np.ndarr
     # First maximum in row-major order.
     pivots = [row.index(max(row)) for row in (mags[k:k + 16] for k in range(0, len(mags), 16))]
     f = ms.reshape(-1, 16)[np.arange(len(ms))[:, None, None, None], _PIVOT_GATHER[pivots]]
-    with np.errstate(divide="ignore", invalid="ignore"):
-        scale = np.sqrt(np.linalg.det(f))
-        scale[scale == 0] = 1
-        f /= scale[..., None, None]
+    det = np.linalg.det(f)
+    det[det == 0] = 1  # a singular factor: not a product, the residual check refuses it
+    f /= np.sqrt(det)[..., None, None]
     gs = []
     for m, (f1, f2), (r, c) in zip(ms, f, (divmod(p, 4) for p in pivots)):
         g = m[r, c] / (f1[r >> 1, c >> 1] * f2[r & 1, c & 1])
@@ -291,66 +318,94 @@ def _factor_locals(ms: np.ndarray, atol: float) -> tuple[list[complex], np.ndarr
             g = -g
         gs.append(g)
     residual = ms - np.array(gs)[:, None, None] * tensor(f[:, 0], f[:, 1])
-    if not np.all(np.linalg.norm(residual, axis=(1, 2)) < atol):
+    if not _squared_norms(residual).max() < atol * atol:
         raise ArithmeticError("matrix is not a tensor product of single-qubit gates")
     return [complex(g) for g in gs], f
 
 
-def kak_decompose(u: np.ndarray, tol: ToleranceConfig = DEFAULT_TOL) -> KakDecomposition:
-    """Decompose a 4x4 unitary into local pairs and a canonical interaction.
+def kak_decompose(u: np.ndarray, tol: ToleranceConfig = DEFAULT_TOL,
+                  names=None) -> KakDecomposition | list[KakDecomposition]:
+    """Decompose a 4x4 unitary, or each of an (N, 4, 4) stack, into local
+    pairs and a canonical interaction.
 
-    Raises ValueError for input that is not a 4x4 unitary and
-    ArithmeticError if an internal step or the reconstruction misses
-    verify_tol in Frobenius norm (an internal failure, never a property of
-    valid input).
+    A 4x4 gives one KakDecomposition, a stack a list whose row i is
+    bit-identical to the decomposition of u[i] alone: every stage runs once
+    on the whole stack. Raises ValueError for input that is not a 4x4
+    unitary or a stack of them, naming the first bad matrix by names[i]
+    (default "input", or "input row i" in a stack), and ArithmeticError if
+    an internal step or the reconstruction misses verify_tol in Frobenius
+    norm (an internal failure, never a property of valid input).
     """
     u = np.asarray(u, dtype=complex)
-    if u.shape != (4, 4):
-        raise ValueError("expected a 4x4 matrix")
-    su, proj_phase = project_special(u, tol)
+    if u.shape[-2:] != (4, 4) or u.ndim not in (2, 3) or not u.size:
+        raise ValueError("expected a 4x4 matrix or an (N, 4, 4) stack with N >= 1")
+    us = u[None] if u.ndim == 2 else u
+    n = len(us)
+    if names is None and u.ndim == 2:
+        names = ("input",)
+    su, proj_phases, errors = project_special_rows(us, tol, names)
 
     v = MAGIC_DAG @ su @ MAGIC
-    p, theta = _simultaneous_diagonalize(v.T @ v, tol.verify_tol)
+    p, phases = _simultaneous_diagonalize(v.transpose(0, 2, 1) @ v, tol.verify_tol)
 
     # Eigenphases of M2 are twice the interaction phases. det(M2) = 1, so
     # the principal angles sum to a multiple of 2*pi; shift one phase by a
     # full turn when needed so that det(Delta) = +1 below.
-    phases = theta.copy()
-    turns = round(float(theta.sum()) / (2 * np.pi))
-    if turns % 2:
-        phases[0] -= 2 * np.pi * np.sign(turns)
-    if np.linalg.det(p) < 0:
-        p = p.copy()
-        p[:, 0] = -p[:, 0]
+    for i, total in enumerate(phases.sum(axis=1).tolist()):
+        turns = round(total / (2 * np.pi))
+        if turns % 2:
+            phases[i, 0] -= 2 * np.pi * np.sign(turns)
+    flip = np.linalg.det(p) < 0
+    if flip.any():
+        p[flip, :, 0] = -p[flip, :, 0]
 
-    delta = np.exp(0.5j * phases)
-    q2 = p.T
-    q1 = v @ p @ np.diag(delta.conj())
-    if not np.linalg.norm(q1.imag) < tol.verify_tol:
+    # Delta^dag, built as an exact diagonal so that q1 is the same matmul
+    # as for one matrix.
+    delta_dag = np.zeros((n, 16), dtype=complex)
+    delta_dag[:, ::5] = np.exp(0.5j * phases).conj()
+    q1 = v @ p @ delta_dag.reshape(n, 4, 4)
+    if not _squared_norms(q1.imag).max() < tol.verify_tol ** 2:
         raise ArithmeticError("local factor failed to come out real in the magic basis")
-    q1 = q1.real
 
-    (g1, g2), ((a1, b1), (a2, b2)) = _factor_locals(
-        MAGIC @ np.array((q1, q2)) @ MAGIC_DAG, tol.verify_tol)
+    # Rows 0..n-1 are the q1 factors, rows n..2n-1 the q2 = p^T factors.
+    gs, f = _factor_locals(MAGIC @ np.concatenate((q1.real, p.transpose(0, 2, 1))) @ MAGIC_DAG,
+                           tol.verify_tol)
 
-    # Resolve the phase vector against the orthogonal basis {1, dXX, dYY, dZZ}:
-    # identity component becomes global phase, the rest the raw triple.
-    c0 = float(phases.sum()) / 4
-    raw = (
-        float(phases @ _DIAG_XX) / 4,
-        float(phases @ _DIAG_YY) / 4,
-        float(phases @ _DIAG_ZZ) / 4,
-    )
-    vec, pre, post, move_phase = canonicalize(raw)
+    decomps = []
+    for i, (proj_phase, error) in enumerate(zip(proj_phases.tolist(), errors.tolist())):
+        # Resolve the phase vector against the orthogonal basis {1, dXX, dYY, dZZ}:
+        # identity component becomes global phase, the rest the raw triple.
+        row = phases[i]
+        c0 = float(row.sum()) / 4
+        raw = (
+            float(row @ _DIAG_XX) / 4,
+            float(row @ _DIAG_YY) / 4,
+            float(row @ _DIAG_ZZ) / 4,
+        )
+        vec, pre, post, move_phase = canonicalize(raw)
+        (a1, b1), (a2, b2) = f[i], f[n + i]
+        k1 = LocalPair(a1 @ pre.a, b1 @ pre.b)
+        k2 = LocalPair(post.a @ a2, post.b @ b2)
+        phase = proj_phase * gs[i] * gs[n + i] * np.exp(0.5j * c0) * move_phase
+        decomps.append(KakDecomposition(k1, vec, k2, complex(phase), error))
 
-    k1 = LocalPair(a1 @ pre.a, b1 @ pre.b)
-    k2 = LocalPair(post.a @ a2, post.b @ b2)
-    phase = proj_phase * g1 * g2 * np.exp(0.5j * c0) * move_phase
-    decomp = KakDecomposition(k1, vec, k2, complex(phase))
-
-    if not np.linalg.norm(decomp.reconstruct() - u) < tol.verify_tol:
+    if not _reconstruction_error(decomps, us).max() < tol.verify_tol ** 2:
         raise ArithmeticError("KAK reconstruction failed verification")
-    return decomp
+    return decomps[0] if u.ndim == 2 else decomps
+
+
+def _reconstruction_error(decomps: list[KakDecomposition], us: np.ndarray) -> np.ndarray:
+    """Squared Frobenius distance of each decomposition's product from its matrix.
+
+    The interaction is diagonal in the magic basis, with phases
+    (c1 dXX + c2 dYY + c3 dZZ) / 2, so the stack takes one exp.
+    """
+    c = np.array([d.c.as_tuple() for d in decomps])
+    phase = np.array([d.phase for d in decomps])
+    inter = (MAGIC * (phase[:, None] * np.exp(0.5j * (c @ _DIAG_XYZ)))[:, None, :]) @ MAGIC_DAG
+    factors = np.array([(d.k1.a, d.k1.b, d.k2.a, d.k2.b) for d in decomps])
+    k = tensor(factors[:, 0::2], factors[:, 1::2])  # k[i] = (k1, k2) of row i
+    return _squared_norms(k[:, 0] @ inter @ k[:, 1] - us)
 
 
 def classify(c: CanonicalVector, tol: ToleranceConfig = DEFAULT_TOL) -> GateClass:

@@ -61,8 +61,10 @@ def unitarity_error(m: np.ndarray) -> np.ndarray:
     every `<= tol` test.
     """
     m = np.asarray(m, dtype=complex)
-    gram = m @ np.swapaxes(m.conj(), -1, -2)
-    return np.abs(gram - np.eye(m.shape[-1])).max(axis=(-2, -1))
+    n = m.shape[-1]
+    gram = (m @ m.conj().swapaxes(-1, -2)).reshape(m.shape[:-2] + (n * n,))
+    gram[..., ::n + 1] -= 1  # minus the identity
+    return np.abs(gram).max(axis=-1)
 
 
 def require_unitary(m: np.ndarray, tol: float = DEFAULT_TOL.unitarity_tol,
@@ -139,10 +141,32 @@ def project_special(u: np.ndarray,
     Returns (v, phase) with u = phase * v, det(v) = 1 and phase the
     principal fourth root of det(u).
     """
-    u = require_unitary(u, tol.unitarity_tol, "input")
-    det = np.linalg.det(u)
-    phase = complex(np.exp(1j * np.angle(det) / 4))
-    return u / phase, phase
+    v, phases, _ = project_special_rows(np.asarray(u, dtype=complex)[None], tol, ("input",))
+    return v[0], complex(phases[0])
+
+
+def project_special_rows(us: np.ndarray, tol: ToleranceConfig = DEFAULT_TOL,
+                         names=None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Check a complex (N, 4, 4) stack and rescale each matrix to unit determinant.
+
+    Returns (v, phases, errors) with us[i] = phases[i] * v[i], det(v[i]) = 1,
+    phases[i] the principal fourth root of det(us[i]) and errors[i] its
+    unitarity_error. The first matrix that is not a finite unitary raises
+    ValueError naming it by names[i] ("input row i" without names);
+    non-finite entries are reported before unitarity.
+    """
+    def name(i) -> str:
+        return names[i] if names else f"input row {i}"
+
+    if not np.isfinite(us).all():
+        raise ValueError(f"{name(np.isfinite(us).all(axis=(1, 2)).argmin())} has non-finite entries")
+    errors = unitarity_error(us)
+    if not errors.max() <= tol.unitarity_tol:
+        raise ValueError(f"{name(np.argmax(~(errors <= tol.unitarity_tol)))} is not unitary "
+                         f"within tolerance {tol.unitarity_tol:g}")
+    det = np.linalg.det(us)
+    phases = np.exp(1j * np.arctan2(det.imag, det.real) / 4)  # np.angle
+    return us / phases[:, None, None], phases, errors
 
 
 @dataclass(eq=False)

@@ -20,7 +20,8 @@ never built.
 Doubling works on every axis, A s_k A s_k = exp(i g_k s_k s_k), so
 choose_unit keeps the paper's unit unless doubling another coordinate
 gives a smaller uniform bound. It shares extract_zz's one KAK and
-builds only the unit it returns.
+builds only the unit it returns. prepare_resource takes the entangler's
+KAK from a caller that has it (synthesize decomposes it with the target).
 """
 
 import math
@@ -28,7 +29,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .kak import GateClass, classify, kak_decompose, snap_vector
+from .kak import GateClass, KakDecomposition, classify, kak_decompose, snap_vector
 from .matcore import (DEFAULT_TOL, ID2, PAULIS, ROUNDOFF, SIGMA_X, SIGMA_Z, Circuit,
                       EntanglerApp, LocalPair, ToleranceConfig, _product, dagger,
                       exp_pauli, merge_locals)
@@ -72,10 +73,10 @@ def _paper_axis(g: tuple[float, float, float]) -> int:
     return 2 if g[2] > 0.0 else 1 if g[0] == np.pi / 2 else 0
 
 
-def _folded_unit(entangler: np.ndarray, tol: ToleranceConfig, axis) -> ZzResource:
+def _folded_unit(dec: KakDecomposition, tol: ToleranceConfig, axis) -> ZzResource:
     """The folded unit of case 1 or 2, or in cases 3 and 4 the doubling of
-    g_k, k = axis(g), on the snapped canonical vector g: one KAK, one unit."""
-    dec = kak_decompose(entangler, tol)
+    g_k, k = axis(g), on the snapped canonical vector g of the entangler's
+    KAK: one unit."""
     kind = classify(dec.c, tol)
     if kind is not GateClass.ENTANGLING:
         raise ValueError(f"resource gate is {kind.value}, not entangling")
@@ -115,7 +116,7 @@ def extract_zz(entangler: np.ndarray, tol: ToleranceConfig = DEFAULT_TOL) -> ZzR
     Raises ValueError when the gate is local or in the SWAP class, which
     cannot serve as the entangling resource.
     """
-    return _folded_unit(entangler, tol, _paper_axis)
+    return _folded_unit(kak_decompose(entangler, tol), tol, _paper_axis)
 
 
 def _doubling(a_circ: Circuit, g: tuple[float, float, float], k: int) -> ZzResource:
@@ -211,7 +212,7 @@ def choose_unit(entangler: np.ndarray, tol: ToleranceConfig = DEFAULT_TOL) -> Zz
     with no smaller gamma and no larger n, so no block needs more
     applications.
     """
-    return _folded_unit(entangler, tol, _best_axis)
+    return _folded_unit(kak_decompose(entangler, tol), tol, _best_axis)
 
 
 @dataclass(eq=False)
@@ -258,6 +259,7 @@ class ZzTemplate:
     seam: LocalPair | None = None
     step_phase: complex = 1.0
     powers: list = field(default_factory=list)
+    unitarity_error: float = 0.0  # the entangler's, set by prepare_resource
 
     def resource(self, m: int) -> ZzResource:
         """The m-fold unit as a [first, run, last] resource of angle m * gamma."""
@@ -295,12 +297,22 @@ def amplify(unit: ZzResource, entangler: np.ndarray) -> ZzTemplate:
     return template
 
 
-def prepare_resource(entangler: np.ndarray,
+def prepare_resource(entangler: np.ndarray, dec: KakDecomposition | None = None,
                      tol: ToleranceConfig = DEFAULT_TOL) -> ZzTemplate:
-    """Choose the unit and return its template; ValueError if its bound exceeds the cap."""
-    r = choose_unit(entangler, tol)
+    """choose_unit's unit as a template; ValueError if its bound exceeds the cap.
+
+    dec is the entangler's KAK when the caller has it already (synthesize
+    decomposes the target and the entangler in one call); without it the
+    entangler is decomposed here. The template keeps the entangler's
+    unitarity error.
+    """
+    if dec is None:
+        dec = kak_decompose(entangler, tol)
+    r = _folded_unit(dec, tol, _best_axis)
     bound = uniform_bound(repetitions(r.gamma), r.apps_per_unit)
     if bound > MAX_APPLICATIONS:
         raise ValueError(f"entangler needs up to {bound} applications per target, "
                          f"above the cap of {MAX_APPLICATIONS}")
-    return amplify(r, entangler)
+    template = amplify(r, entangler)
+    template.unitarity_error = dec.unitarity_error
+    return template

@@ -6,7 +6,7 @@ import pytest
 
 from gatesynth.cli import EXIT_INPUT, EXIT_OK, EXIT_VERIFY, build_parser, main
 from gatesynth.gates import CNOT
-from gatesynth.matcore import interaction
+from gatesynth.matcore import interaction, zz_interaction
 from gatesynth.serialize import encode_matrix
 
 from conftest import dress, haar_unitary, matrix_json, near_edge
@@ -184,6 +184,43 @@ NAMED_GATE_CLASSIFY = {
     "B": ((np.pi / 2, np.pi / 4, 0), ["class: entangling", "gamma: 1.5707963267948966",
                                       "apps_per_unit: 2", "n: 1", "bound: 12"]),
 }
+
+
+class TestAmplifiedEntanglerError:
+    """An entangler inside unitarity_tol whose error, amplified over the
+    circuit's applications, fails the final check is invalid input."""
+
+    @pytest.fixture
+    def rounded_weak_zz(self, tmp_path):
+        # ZZ(pi/400) rounded to 10 decimals: unitarity error 3.7e-11, bound 606.
+        path = tmp_path / "zz_pi_400_rounded.json"
+        path.write_text(matrix_json(np.round(zz_interaction(np.pi / 400), 10)))
+        return f"MATRIX({path})"
+
+    def test_swap_exits_2_with_the_cause(self, capsys, tmp_path, rounded_weak_zz):
+        code, out, err = run(capsys, "synth", "--target", "SWAP", "--entangler", rounded_weak_zz,
+                             "--out", str(tmp_path / "circuit.json"))
+        assert (code, out) == (EXIT_INPUT, "")
+        assert err.startswith("error: entangler unitarity error 3.7e-11 over 606 applications "
+                              "exceeds verify_tol 1e-08 (residual 4.4")
+        assert len(err.splitlines()) == 1
+
+    @pytest.mark.parametrize("target,count", [("CPHASE(pi/2)", 102), ("ZZ(pi/8)", 52)])
+    def test_fewer_applications_still_compile(self, capsys, tmp_path, rounded_weak_zz,
+                                              target, count):
+        doc = tmp_path / "circuit.json"
+        code, _, err = run(capsys, "synth", "--target", target,
+                           "--entangler", rounded_weak_zz, "--out", str(doc))
+        assert (code, err) == (EXIT_OK, "")
+        assert json.loads(doc.read_text())["report"]["entangler_count"] == count
+
+    def test_fewer_applications_verify(self, capsys, tmp_path, rounded_weak_zz):
+        doc = tmp_path / "circuit.json"
+        code, _, _ = run(capsys, "synth", "--target", "ZZ(pi/8)",
+                         "--entangler", rounded_weak_zz, "--out", str(doc))
+        assert code == EXIT_OK
+        code, out, _ = run(capsys, "verify", "--circuit", str(doc), "--target", "ZZ(pi/8)")
+        assert code == EXIT_OK and "verdict: PASS" in out
 
 
 class TestClassifyChosenUnit:

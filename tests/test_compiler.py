@@ -21,6 +21,39 @@ from gatesynth.zzsynth import (KX_DAG, KX_KY_DAG, KY_FACTOR, MAX_APPLICATIONS, Z
 from conftest import dress, expanded, haar_unitary, near_edge, random_local, repeated
 
 
+def spy_unitarity_checks(monkeypatch) -> list:
+    """Every matrix an input check sees from now on, in order: each row of a
+    stacked check (kak_decompose's) and each require_unitary argument."""
+    checked = []
+    real_rows, real_one = matcore.project_special_rows, matcore.require_unitary
+
+    def rows(us, *args, **kwargs):
+        checked.extend(us)
+        return real_rows(us, *args, **kwargs)
+
+    def one(m, *args, **kwargs):
+        checked.append(m)
+        return real_one(m, *args, **kwargs)
+
+    for module in (matcore, kak, compiler, blocksynth, gates, serialize, zzsynth):
+        for name, spy in (("project_special_rows", rows), ("require_unitary", one)):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, spy)
+    return checked
+
+
+def spy_kak_rows(monkeypatch) -> list:
+    """The row count of each stack synthesize passes to kak_decompose from now on."""
+    rows, real = [], compiler.kak_decompose
+
+    def counting(us, *args, **kwargs):
+        rows.append(len(us))
+        return real(us, *args, **kwargs)
+
+    monkeypatch.setattr(compiler, "kak_decompose", counting)
+    return rows
+
+
 class TestSynthesize:
     def test_cnot_from_zz_pi3(self):
         circuit, report = synthesize(CNOT, zz_interaction(np.pi / 3))
@@ -73,43 +106,98 @@ class TestSynthesize:
         assert report.residual < 1e-10
 
     def test_checks_target_unitarity_once(self, monkeypatch, rng):
-        target, checked, real = haar_unitary(rng), [], matcore.require_unitary
-
-        def counting(m, *args, **kwargs):
-            checked.append(np.array_equal(m, target))
-            return real(m, *args, **kwargs)
-
-        for module in (matcore, kak, compiler, blocksynth, gates, serialize):
-            if hasattr(module, "require_unitary"):
-                monkeypatch.setattr(module, "require_unitary", counting)
+        target = haar_unitary(rng)
+        checked = spy_unitarity_checks(monkeypatch)
         synthesize(target, CNOT)
-        assert sum(checked) == 1
+        assert sum(np.array_equal(m, target) for m in checked) == 1
 
     def test_checks_entangler_once_per_template(self, monkeypatch, rng):
-        checked, real = [], matcore.require_unitary
-
-        def counting(m, *args, **kwargs):
-            checked.append(m)
-            return real(m, *args, **kwargs)
-
-        for module in (matcore, kak, compiler, blocksynth, gates, serialize):
-            if hasattr(module, "require_unitary"):
-                monkeypatch.setattr(module, "require_unitary", counting)
-        compiler._prepared_resource.cache_clear()
-        synthesize(haar_unitary(rng), CNOT)  # a memo miss checks the entangler once
+        checked = spy_unitarity_checks(monkeypatch)
+        compiler._resource_memo.clear()
+        first = haar_unitary(rng)
+        synthesize(first, CNOT)  # a memo miss checks the target and the entangler once each
         assert len(checked) == 2
+        assert np.array_equal(checked[0], first) and np.array_equal(checked[1], CNOT)
         target = haar_unitary(rng)
         checked.clear()
         synthesize(target, CNOT)  # a memo hit checks only the target
         assert len(checked) == 1 and np.array_equal(checked[0], target)
         # Errors are not cached: every call refuses a non-unitary entangler.
         for _ in range(3):
-            with pytest.raises(ValueError, match="not unitary"):
+            with pytest.raises(ValueError, match="^entangler is not unitary"):
                 synthesize(target, np.ones((4, 4)))
+
+    @pytest.mark.parametrize("bad,wording", [(np.ones((4, 4)), "is not unitary"),
+                                             (np.full((4, 4), np.nan), "has non-finite")],
+                             ids=["non_unitary", "non_finite"])
+    def test_input_errors_name_the_argument(self, bad, wording, rng):
+        synthesize(haar_unitary(rng), CNOT)
+        with pytest.raises(ValueError, match=f"^target {wording}"):
+            synthesize(bad, CNOT)  # a memo hit: the target alone is decomposed
+        with pytest.raises(ValueError, match=f"^target {wording}"):
+            synthesize(bad, cphase(rng.uniform(0.5, 1.0)))  # a miss: target and entangler
+        with pytest.raises(ValueError, match=f"^entangler {wording}"):
+            synthesize(haar_unitary(rng), bad)
+        with pytest.raises(ValueError, match=f"^target {wording}"):
+            synthesize(bad, bad)  # the first failing one is named
+
+    @pytest.mark.parametrize("target_shape,entangler_shape,name", [
+        ((4, 4), (2, 2), "entangler"), ((2, 2), (4, 4), "target"), ((4, 4), (1, 4, 4), "entangler")])
+    def test_mis_shaped_input_names_the_argument(self, target_shape, entangler_shape, name):
+        with pytest.raises(ValueError, match=f"^expected a 4x4 matrix as the {name}"):
+            synthesize(np.ones(target_shape), np.ones(entangler_shape))
 
     def test_rejects_non_unitary_target(self):
         with pytest.raises(ValueError, match="not unitary"):
             synthesize(np.ones((4, 4)), CNOT)
+
+
+class TestAmplifiedEntanglerError:
+    """A failed final check that the entangler's own unitarity error, amplified
+    over its applications, accounts for is invalid input (ValueError); any
+    other failed check stays an internal failure (ArithmeticError)."""
+
+    ROUNDED_WEAK_ZZ = np.round(zz_interaction(np.pi / 400), 10)  # error 3.7e-11, bound 606
+
+    def test_rounded_weak_entangler(self):
+        ent = self.ROUNDED_WEAK_ZZ
+        assert 3e-11 < unitarity_error(ent) <= DEFAULT_TOL.unitarity_tol
+        with pytest.raises(ValueError, match=r"^entangler unitarity error 3\.7e-11 over 606 "
+                                             r"applications exceeds verify_tol 1e-08"):
+            synthesize(SWAP, ent)
+        _, report = synthesize(cphase(np.pi / 2), ent)
+        assert report.entangler_count == 102 and report.residual < DEFAULT_TOL.verify_tol
+
+    def test_a_memo_hit_keeps_the_entanglers_error(self, monkeypatch):
+        synthesize(cphase(np.pi / 2), self.ROUNDED_WEAK_ZZ)
+        checked = spy_unitarity_checks(monkeypatch)
+        with pytest.raises(ValueError, match="over 606 applications"):
+            synthesize(SWAP, self.ROUNDED_WEAK_ZZ)
+        assert len(checked) == 1 and np.array_equal(checked[0], SWAP)
+
+    def test_perturbed_entanglers_verify_or_name_the_cause(self, rng):
+        # Unitarity errors up to unitarity_tol, n from 2 to 200.
+        outcomes = set()
+        for gamma in (np.pi / 7, np.pi / 40, np.pi / 800):
+            for error in (1e-12, 1e-11, 9e-11):
+                entangler = near_edge(zz_interaction(gamma), error, rng)
+                for target in (SWAP, haar_unitary(rng)):
+                    try:
+                        _, report = synthesize(target, entangler)
+                    except ValueError as exc:
+                        assert "applications exceeds verify_tol" in str(exc)
+                        outcomes.add("refused")
+                    else:
+                        assert report.residual < DEFAULT_TOL.verify_tol
+                        outcomes.add("verified")
+        assert outcomes == {"refused", "verified"}
+
+    @pytest.mark.parametrize("entangler", [CNOT, ROUNDED_WEAK_ZZ], ids=["cnot", "rounded_weak_zz"])
+    def test_internal_failures_stay_arithmetic(self, monkeypatch, rng, entangler):
+        # A residual no unitarity error accounts for: an internal failure.
+        monkeypatch.setattr(compiler, "phase_distance", lambda a, b: 1e-3)
+        with pytest.raises(ArithmeticError, match="synthesis verification failed"):
+            synthesize(SWAP, entangler)
 
 
 NORMAL_FORM_ENTANGLERS = {
@@ -442,20 +530,28 @@ class TestResourceMemo:
         calls = []
         original = compiler.prepare_resource
 
-        def counting(entangler, tol=DEFAULT_TOL):
+        def counting(entangler, dec=None, tol=DEFAULT_TOL):
             calls.append(tol)
-            return original(entangler, tol)
+            return original(entangler, dec, tol)
 
-        compiler._prepared_resource.cache_clear()
+        compiler._resource_memo.clear()
         monkeypatch.setattr(compiler, "prepare_resource", counting)
         yield calls
-        compiler._prepared_resource.cache_clear()
+        compiler._resource_memo.clear()
 
     def test_one_preparation_per_entangler(self, preparations, rng):
         for k in range(5):
             # Equal bytes, not the same object, select the memo entry.
             synthesize(haar_unitary(rng), CNOT.copy() if k % 2 else CNOT)
         assert len(preparations) == 1
+
+    def test_miss_decomposes_target_and_entangler_in_one_call(self, preparations, monkeypatch,
+                                                              rng):
+        rows = spy_kak_rows(monkeypatch)
+        synthesize(haar_unitary(rng), B_GATE)  # a miss: one KAK of the stacked pair
+        assert rows == [2] and len(preparations) == 1
+        synthesize(haar_unitary(rng), B_GATE)  # a hit: one KAK of the target alone
+        assert rows == [2, 1] and len(preparations) == 1
 
     def test_tolerances_are_part_of_the_key(self, preparations, rng):
         target = haar_unitary(rng)
@@ -469,16 +565,34 @@ class TestResourceMemo:
         for _ in range(50):
             synthesize(target, dress(interaction(1.0, 0.6, 0.3), rng))
         assert len(preparations) == 50
-        assert compiler._prepared_resource.cache_info().currsize <= compiler.RESOURCE_MEMO_SIZE
+        assert len(compiler._resource_memo) == compiler.RESOURCE_MEMO_SIZE
+
+    def test_least_recently_used_goes_first(self, preparations, rng):
+        target = haar_unitary(rng)
+        entanglers = [cphase(np.pi / (k + 2)) for k in range(compiler.RESOURCE_MEMO_SIZE + 1)]
+        for entangler in entanglers[:-1]:
+            synthesize(target, entangler)
+        synthesize(target, entanglers[0])  # a hit makes the oldest entry the newest
+        synthesize(target, entanglers[-1])  # a miss on a full memo drops entanglers[1]
+        assert len(preparations) == compiler.RESOURCE_MEMO_SIZE + 1
+        synthesize(target, entanglers[0])
+        assert len(preparations) == compiler.RESOURCE_MEMO_SIZE + 1
+        synthesize(target, entanglers[1])
+        assert len(preparations) == compiler.RESOURCE_MEMO_SIZE + 2
 
     @pytest.mark.parametrize("entangler", [SWAP, zz_interaction(4e-5), np.ones((4, 4))],
                              ids=["swap_class", "above_cap", "non_unitary"])
-    def test_errors_are_not_cached(self, preparations, rng, entangler):
+    def test_errors_are_not_cached(self, preparations, monkeypatch, rng, entangler):
+        # Every call misses: the stacked KAK refuses a non-unitary entangler,
+        # prepare_resource the others.
+        rows = spy_kak_rows(monkeypatch)
         target = haar_unitary(rng)
         for _ in range(3):
             with pytest.raises(ValueError):
                 synthesize(target, entangler)
-        assert len(preparations) == 3
+        assert rows == [2, 2, 2]
+        assert len(preparations) == (0 if unitarity_error(entangler) > 1e-10 else 3)
+        assert not compiler._resource_memo
 
     def test_mutating_a_result_leaves_the_memo_intact(self, preparations, rng):
         target = haar_unitary(rng)
@@ -655,22 +769,24 @@ class TestPerBlockRepetition:
                 below_bound += report.entangler_count < report.bound
         assert below_bound > 0
 
-    def test_cap_case_memo_entry_stays_the_same_size(self, rng):
+    def test_cap_case_memo_entry_stays_the_same_size(self, monkeypatch, rng):
         entangler = zz_interaction(np.pi / 4 / 16666)
-        compiler._prepared_resource.cache_clear()
+        compiler._resource_memo.clear()
         try:
             synthesize(haar_unitary(rng), entangler)
-            entry = compiler._prepared_resource(entangler.shape, entangler.tobytes(), DEFAULT_TOL)
+            entry = compiler._resource_memo[(entangler.shape, entangler.tobytes(), DEFAULT_TOL)]
             size = (len(entry.core), len(entry.powers))
             assert entry.n == 16666 and len(entry.powers) == (entry.n - 1).bit_length()
+            rows = spy_kak_rows(monkeypatch)
             for _ in range(3):
                 _, report = synthesize(haar_unitary(rng), entangler)
                 assert report.residual < DEFAULT_TOL.verify_tol
                 assert report.entangler_count <= report.bound == 99996
-            assert compiler._prepared_resource.cache_info().hits == 4
+            assert rows == [1, 1, 1]  # three memo hits
+            assert list(compiler._resource_memo.values()) == [entry]
             assert (len(entry.core), len(entry.powers)) == size
         finally:
-            compiler._prepared_resource.cache_clear()
+            compiler._resource_memo.clear()
 
 
 ISWAP = np.array([[1, 0, 0, 0], [0, 0, 1j, 0], [0, 1j, 0, 0], [0, 0, 0, 1]], dtype=complex)

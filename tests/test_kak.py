@@ -10,7 +10,7 @@ from gatesynth.gates import B_GATE, CNOT, CZ, SQRT_SWAP, SWAP, cphase
 from gatesynth.kak import (CanonicalVector, GateClass, canonicalize, classify,
                            kak_decompose, snap_angle)
 from gatesynth.matcore import (DEFAULT_TOL, ROUNDOFF, SIGMA_X, SIGMA_Y, SIGMA_Z,
-                               interaction, phase_distance, tensor)
+                               interaction, phase_distance, tensor, unitarity_error)
 
 from conftest import dress, haar_unitary, random_local
 
@@ -507,9 +507,12 @@ class TestKakHelpersBitIdentical:
                 assert want[0] == g
                 assert np.array_equal(want[1], a) and np.array_equal(want[2], b)
         assert ties > 0  # undressed landmarks tie for the pivot
-        for m2, atol in recorded["_simultaneous_diagonalize"]:
-            want, got = diagonalize_fresh_rng(m2, atol), kak._simultaneous_diagonalize(m2, atol)
-            assert np.array_equal(want[0], got[0]) and np.array_equal(want[1], got[1])
+        for m2s, atol in recorded["_simultaneous_diagonalize"]:
+            assert m2s.shape == (1, 4, 4)
+            got = kak._simultaneous_diagonalize(m2s, atol)
+            for m2, p, theta in zip(m2s, *got, strict=True):
+                want = diagonalize_fresh_rng(m2, atol)
+                assert np.array_equal(want[0], p) and np.array_equal(want[1], theta)
 
     def test_exact_tensor_products_with_ties(self):
         # Every entry of H (x) H has magnitude 1/2: the pivot is the first one.
@@ -551,6 +554,86 @@ class TestKakHelpersBitIdentical:
     def test_draws_match_per_call_generator(self):
         rng = np.random.default_rng(kak._DIAG_SEED)
         assert np.array_equal(kak._DIAG_DRAWS, [rng.normal(size=2) for _ in range(32)])
+
+
+def _assert_same_decomposition(got, want) -> None:
+    for x, y in zip((got.k1.a, got.k1.b, got.k2.a, got.k2.b),
+                    (want.k1.a, want.k1.b, want.k2.a, want.k2.b), strict=True):
+        assert x.tobytes() == y.tobytes()
+    assert got.c.as_tuple() == want.c.as_tuple()
+    assert np.complex128(got.phase).tobytes() == np.complex128(want.phase).tobytes()
+    assert got.unitarity_error == want.unitarity_error
+
+
+def needs_redraw(rng: np.random.Generator) -> np.ndarray:
+    """A unitary whose first _DIAG_DRAWS draw leaves M2 undiagonalized: two of
+    M2's eigenphases sit symmetrically about that draw's direction, so the
+    real combination has a degenerate eigenvalue that M2 does not."""
+    wr, wi = kak._DIAG_DRAWS[0]
+    phi = np.arctan2(wi, wr)
+    theta = np.array([phi + 0.4, phi - 0.4, 0.7, -2 * phi - 0.7])  # det(M2) = 1
+    o1, o2 = (np.linalg.qr(rng.normal(size=(4, 4)))[0] for _ in range(2))
+    return kak.MAGIC @ o1 @ np.diag(np.exp(0.5j * theta)) @ o2 @ kak.MAGIC_DAG
+
+
+class TestStackedKak:
+    """Every stage runs once on a stack; row i equals the call on row i alone."""
+
+    def test_rows_match_single_calls(self, rng):
+        ms = [haar_unitary(rng) for _ in range(40)] + list(KAK_LANDMARKS)
+        ms += [dress(u, rng) for u in KAK_LANDMARKS for _ in range(2)]
+        singles = [kak_decompose(m) for m in ms]
+        stacked = kak_decompose(np.array(ms))
+        assert isinstance(stacked, list) and len(stacked) == len(ms)
+        for got, want in zip(stacked, singles, strict=True):
+            _assert_same_decomposition(got, want)
+        # Pairs, as synthesize stacks a target with a new entangler, and stacks of one.
+        for k in range(0, len(ms) - 1, 2):
+            for got, want in zip(kak_decompose(np.array(ms[k:k + 2])), singles[k:k + 2]):
+                _assert_same_decomposition(got, want)
+        for m, want in zip(ms, singles):
+            (got,) = kak_decompose(m[None])
+            _assert_same_decomposition(got, want)
+
+    def test_only_the_failing_row_is_redrawn(self, monkeypatch, rng):
+        hard = needs_redraw(rng)
+        ms = np.array([haar_unitary(rng), hard, CNOT, haar_unitary(rng)])
+        singles = [kak_decompose(m) for m in ms]
+        redrawn, real = [], kak._redraw
+
+        def spy(m2, re, im, p, d, todo, atol):
+            redrawn.append(todo.tolist())
+            return real(m2, re, im, p, d, todo, atol)
+
+        monkeypatch.setattr(kak, "_redraw", spy)
+        stacked = kak_decompose(ms)
+        assert redrawn == [[1]]
+        for got, want in zip(stacked, singles, strict=True):
+            _assert_same_decomposition(got, want)
+        assert phase_distance(stacked[1].reconstruct(), hard) < 1e-9
+
+    def test_a_bad_row_is_named(self, rng):
+        good = haar_unitary(rng)
+        with pytest.raises(ValueError, match="^input row 1 is not unitary"):
+            kak_decompose(np.array([good, np.ones((4, 4)), good]))
+        with pytest.raises(ValueError, match="^input row 2 has non-finite"):
+            kak_decompose(np.array([good, good, np.full((4, 4), np.nan)]))
+        with pytest.raises(ValueError, match="^second is not unitary"):
+            kak_decompose(np.array([good, 2 * good]), names=("first", "second"))
+        with pytest.raises(ValueError, match="^input is not unitary"):
+            kak_decompose(2 * good)
+
+    @pytest.mark.parametrize("shape", [(0, 4, 4), (2, 2, 4, 4), (3, 4, 3), (4,)])
+    def test_rejects_other_shapes(self, shape):
+        with pytest.raises(ValueError, match="expected a 4x4 matrix"):
+            kak_decompose(np.ones(shape))
+
+    def test_records_each_rows_unitarity_error(self, rng):
+        u = haar_unitary(rng)
+        rough = np.round(u, 11)
+        decs = kak_decompose(np.array([u, rough]))
+        assert [d.unitarity_error for d in decs] == unitarity_error(np.array([u, rough])).tolist()
+        assert decs[1].unitarity_error > decs[0].unitarity_error
 
 
 def test_snap_angle():
