@@ -2,7 +2,7 @@
 
 from .matcore import (Circuit, CircuitElement, EntanglerApp, LocalPair,
                       ToleranceConfig, DEFAULT_TOL, evaluate, interaction,
-                      phase_distance, project_special, tensor, zz_interaction)
+                      phase_distance, tensor, zz_interaction)
 from .kak import (CanonicalVector, GateClass, KakDecomposition, classify,
                   kak_decompose)
 from .zzsynth import ZzResource, ZzTemplate, amplify, extract_zz, prepare_resource

@@ -137,8 +137,8 @@ def controlled_u_circuit(spec: AxisAngle,
 
 def controlled_u_gamma(u: np.ndarray, tol: ToleranceConfig = DEFAULT_TOL) -> float:
     """Interval coordinate in [0, pi/2] of the Controlled-u local class."""
-    u = require_unitary(u, tol.unitarity_tol, "input")
-    if u.shape != (2, 2):
+    require_unitary(u, tol.unitarity_tol, "input")
+    if np.shape(u) != (2, 2):
         raise ValueError("expected a 2x2 matrix")
     cu = np.eye(4, dtype=complex)
     cu[2:, 2:] = u

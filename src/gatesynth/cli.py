@@ -51,13 +51,13 @@ def _run_synth(args) -> int:
 def _run_classify(args) -> int:
     tol = _tolerances(args)
     gate, _ = resolve_gate(args.gate, tol)
-    c = kak_decompose(gate, tol).c
-    kind = classify(c, tol)
+    dec = kak_decompose(gate, tol)
+    kind = classify(dec.c, tol)
     # Snapped, as every decision reads it: roundoff never leaves the chamber.
-    print(f"canonical: ({', '.join(map(_fmt, snap_vector(c, tol.snap_tol)))})")
+    print(f"canonical: ({', '.join(map(_fmt, snap_vector(dec.c, tol.snap_tol)))})")
     print(f"class: {kind.value}")
     if kind is GateClass.ENTANGLING:
-        report = upper_bound(gate, tol)
+        report = upper_bound(gate, dec, tol)
         print(f"gamma: {_fmt(report.gamma)}")
         print(f"apps_per_unit: {report.apps_per_unit}")
         print(f"n: {report.n}")

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .blocksynth import controlled_u_gamma, synth_zz_block
-from .kak import kak_decompose, snap_vector
+from .kak import KakDecomposition, kak_decompose, snap_vector
 from .matcore import (DEFAULT_TOL, Circuit, LocalPair, ToleranceConfig, evaluate,
                       merge_locals, phase_distance)
 from .zzsynth import (KX_DAG, KX_KY_DAG, KY_FACTOR, ZzTemplate, _Run, block_repetitions,
@@ -47,14 +47,15 @@ class SynthesisReport:
         self.bound = uniform_bound(self.n, self.apps_per_unit)
 
 
-def upper_bound(entangler: np.ndarray,
+def upper_bound(entangler: np.ndarray, dec: KakDecomposition | None = None,
                 tol: ToleranceConfig = DEFAULT_TOL) -> SynthesisReport:
     """Uniform bound on entangler applications for any two-qubit target.
 
     Computed from the unit synthesize would repeat; the n-fold circuit is
-    never built.
+    never built. dec is the entangler's KAK when the caller has it already
+    (classify prints its vector); without it the entangler is decomposed.
     """
-    unit = choose_unit(entangler, tol)
+    unit = choose_unit(entangler, tol, dec)
     n = repetitions(unit.gamma)
     return SynthesisReport(n * unit.gamma, unit.apps_per_unit, n)
 

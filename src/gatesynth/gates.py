@@ -118,7 +118,8 @@ def resolve_descriptor(desc: dict, tol: ToleranceConfig = DEFAULT_TOL) -> np.nda
     try:
         if "matrix" in desc:
             matrix = decode_matrix(desc["matrix"], (4, 4))
-            return require_unitary(matrix, tol.unitarity_tol, "gate matrix")
+            require_unitary(matrix, tol.unitarity_tol, "gate matrix")
+            return matrix
         name = desc["name"]
         if name in _FIXED_GATES:
             return _FIXED_GATES[name].copy()

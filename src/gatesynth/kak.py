@@ -343,7 +343,7 @@ def kak_decompose(u: np.ndarray, tol: ToleranceConfig = DEFAULT_TOL,
     n = len(us)
     if names is None and u.ndim == 2:
         names = ("input",)
-    su, proj_phases, errors = project_special_rows(us, tol, names)
+    su, proj_phases, errors = project_special_rows(us, tol, names.__getitem__ if names else "input")
 
     v = MAGIC_DAG @ su @ MAGIC
     p, phases = _simultaneous_diagonalize(v.transpose(0, 2, 1) @ v, tol.verify_tol)

@@ -68,14 +68,32 @@ def unitarity_error(m: np.ndarray) -> np.ndarray:
 
 
 def require_unitary(m: np.ndarray, tol: float = DEFAULT_TOL.unitarity_tol,
-                    what: str = "matrix") -> np.ndarray:
-    """Validate and return a finite unitary matrix as complex128."""
+                    what="matrix") -> np.ndarray:
+    """Check one square matrix, or each of an (N, k, k) stack, for finite
+    unitarity within tol; return each matrix's unitarity_error.
+
+    ValueError names the first bad matrix: what, or in a stack what(i) (a
+    string gives "{what} row {i}"). Non-finite entries are reported first;
+    entries too large to square are not unitary and raise no numpy warning.
+    """
     m = np.asarray(m, dtype=complex)
-    if not np.all(np.isfinite(m)):
-        raise ValueError(f"{what} has non-finite entries")
-    if m.ndim != 2 or m.shape[0] != m.shape[1] or not unitarity_error(m) <= tol:
-        raise ValueError(f"{what} is not unitary within tolerance {tol:g}")
-    return m
+
+    def name(i) -> str:
+        return what(i) if callable(what) else f"{what} row {i}" if m.ndim == 3 else what
+
+    if m.ndim not in (2, 3) or m.shape[-1] != m.shape[-2]:
+        raise ValueError(f"{name(0)} is not unitary within tolerance {tol:g}")
+    small = np.abs(m) <= 2  # false for NaN; a unitary's entries are at most 1 in modulus
+    if not small.all():
+        finite = np.isfinite(m).all(axis=(-2, -1))
+        if not finite.all():
+            raise ValueError(f"{name(finite.argmin())} has non-finite entries")
+        m = np.where(small, m, 2)  # squares without overflow; not unitary within any tol < 3
+    errors = unitarity_error(m)
+    ok = errors <= tol
+    if not ok.all():
+        raise ValueError(f"{name(ok.argmin())} is not unitary within tolerance {tol:g}")
+    return errors
 
 
 def dagger(m: np.ndarray) -> np.ndarray:
@@ -134,36 +152,16 @@ def phase_distance(a: np.ndarray, b: np.ndarray) -> float:
     return float(np.linalg.norm(np.asarray(a) - phi * np.asarray(b), "fro"))
 
 
-def project_special(u: np.ndarray,
-                    tol: ToleranceConfig = DEFAULT_TOL) -> tuple[np.ndarray, complex]:
-    """Rescale a 4x4 unitary to unit determinant.
-
-    Returns (v, phase) with u = phase * v, det(v) = 1 and phase the
-    principal fourth root of det(u).
-    """
-    v, phases, _ = project_special_rows(np.asarray(u, dtype=complex)[None], tol, ("input",))
-    return v[0], complex(phases[0])
-
-
 def project_special_rows(us: np.ndarray, tol: ToleranceConfig = DEFAULT_TOL,
-                         names=None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Check a complex (N, 4, 4) stack and rescale each matrix to unit determinant.
+                         what="input") -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Check a complex (N, 4, 4) stack with require_unitary, what naming its
+    rows, and rescale each matrix to unit determinant.
 
     Returns (v, phases, errors) with us[i] = phases[i] * v[i], det(v[i]) = 1,
     phases[i] the principal fourth root of det(us[i]) and errors[i] its
-    unitarity_error. The first matrix that is not a finite unitary raises
-    ValueError naming it by names[i] ("input row i" without names);
-    non-finite entries are reported before unitarity.
+    unitarity_error.
     """
-    def name(i) -> str:
-        return names[i] if names else f"input row {i}"
-
-    if not np.isfinite(us).all():
-        raise ValueError(f"{name(np.isfinite(us).all(axis=(1, 2)).argmin())} has non-finite entries")
-    errors = unitarity_error(us)
-    if not errors.max() <= tol.unitarity_tol:
-        raise ValueError(f"{name(np.argmax(~(errors <= tol.unitarity_tol)))} is not unitary "
-                         f"within tolerance {tol.unitarity_tol:g}")
+    errors = require_unitary(us, tol.unitarity_tol, what)
     det = np.linalg.det(us)
     phases = np.exp(1j * np.arctan2(det.imag, det.real) / 4)  # np.angle
     return us / phases[:, None, None], phases, errors
@@ -220,7 +218,7 @@ def evaluate(circuit: Circuit, entangler: np.ndarray,
     against the entangler it was built from, which was checked then.
     """
     if any(isinstance(e, EntanglerApp) for e in circuit.elements):
-        entangler = require_unitary(entangler, tol.unitarity_tol, "entangler")
+        require_unitary(entangler, tol.unitarity_tol, "entangler")
     return circuit.phase * _product(circuit.elements, entangler)
 
 

@@ -11,7 +11,7 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .matcore import Circuit, EntanglerApp, LocalPair, ToleranceConfig, unitarity_error
+from .matcore import Circuit, EntanglerApp, LocalPair, ToleranceConfig, require_unitary
 
 DOCUMENT_FORMAT = "gatesynth-circuit-v1"
 
@@ -81,19 +81,6 @@ def emit_circuit_document(doc: CircuitDocument) -> str:
     return json.dumps(payload)
 
 
-def _require_unitary_layers(elements: list, tol: float) -> None:
-    """ValueError naming the first local layer not unitary within tol; one stacked check."""
-    slots = [i for i, e in enumerate(elements) if isinstance(e, LocalPair)]
-    if not slots:
-        return
-    stack = np.array([m for i in slots for m in (elements[i].a, elements[i].b)], dtype=complex)
-    with np.errstate(invalid="ignore", over="ignore"):  # non-finite entries fail below
-        bad = np.flatnonzero(~(unitarity_error(stack) <= tol))
-    if bad.size:
-        raise ValueError(f"local layer at element {slots[bad[0] // 2]} is not unitary "
-                         f"within tolerance {tol:g}")
-
-
 def parse_circuit_document(text: str) -> CircuitDocument:
     try:
         payload = json.loads(text)
@@ -112,12 +99,16 @@ def parse_circuit_document(text: str) -> CircuitDocument:
                                           decode_matrix(record["b"], (2, 2))))
             else:
                 raise ValueError(f"unknown element kind {record['kind']!r}")
-        _require_unitary_layers(elements, tolerances.unitarity_tol)
+        slots = [i for i, e in enumerate(elements) if isinstance(e, LocalPair)]
+        layers = np.array([m for i in slots for m in (elements[i].a, elements[i].b)])
+        require_unitary(layers.reshape(-1, 2, 2), tolerances.unitarity_tol,
+                        lambda k: f"local layer at element {slots[k // 2]}")
         phase = _decode_entry(payload["phase"])
-        # Not unitarity_tol: the phase of a circuit near the application cap
-        # is a product of ~1e5 factors and drifts ~1e-10 off unit modulus.
-        # Written so that a NaN modulus fails too.
-        if not abs(abs(phase) - 1.0) <= 1e-9:
+        # A circuit near the application cap multiplies ~1e5 phases, which
+        # drift ~1e-10 off unit modulus. A modulus off by e adds 2e to the
+        # residual of a 4x4 unitary, which verify_tol already bounds. Written
+        # so that a NaN modulus fails too.
+        if not abs(abs(phase) - 1.0) <= tolerances.verify_tol / 2:
             raise ValueError(f"circuit phase has modulus {abs(phase)!r}, expected 1")
         circuit = Circuit(elements, phase)
         return CircuitDocument(entangler=payload["entangler"], circuit=circuit,

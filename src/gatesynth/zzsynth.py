@@ -202,7 +202,8 @@ def _best_axis(g: tuple[float, float, float]) -> int:
     return min(axes, key=lambda k: (uniform_bound(repetitions(h[k]), 2), -h[k]))
 
 
-def choose_unit(entangler: np.ndarray, tol: ToleranceConfig = DEFAULT_TOL) -> ZzResource:
+def choose_unit(entangler: np.ndarray, tol: ToleranceConfig = DEFAULT_TOL,
+                dec: KakDecomposition | None = None) -> ZzResource:
     """The folded unit of smallest uniform bound: extract_zz's, or another doubling.
 
     Case 1 and case 2 keep the paper's unit: no doubling beats case 1's
@@ -210,9 +211,9 @@ def choose_unit(entangler: np.ndarray, tol: ToleranceConfig = DEFAULT_TOL) -> Zz
     and 4 every doubling is ranked by arithmetic on the snapped vector,
     and only the winner is built. A moved unit doubles like the paper's case 3 or 4
     with no smaller gamma and no larger n, so no block needs more
-    applications.
+    applications. dec is the entangler's KAK, decomposed here when None.
     """
-    return _folded_unit(kak_decompose(entangler, tol), tol, _best_axis)
+    return _folded_unit(kak_decompose(entangler, tol) if dec is None else dec, tol, _best_axis)
 
 
 @dataclass(eq=False)

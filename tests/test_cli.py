@@ -4,6 +4,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from gatesynth import cli, zzsynth
 from gatesynth.cli import EXIT_INPUT, EXIT_OK, EXIT_VERIFY, build_parser, main
 from gatesynth.gates import CNOT
 from gatesynth.matcore import interaction, zz_interaction
@@ -131,6 +132,25 @@ class TestSynth:
         assert "not entangling" in err
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("command", ["synth_target", "synth_entangler", "classify", "verify"])
+def test_entries_too_large_to_square_are_invalid_input(capsys, tmp_path, command):
+    # Finite entries whose squares overflow: one error line, no numpy warning.
+    path = tmp_path / "big.json"
+    path.write_text(matrix_json(np.full((4, 4), 1e200)))
+    big = f"MATRIX({path})"
+    doc = tmp_path / "circ.json"
+    assert run(capsys, "synth", "--target", "CNOT", "--entangler", "CNOT",
+               "--out", str(doc))[0] == EXIT_OK
+    argv = {"synth_target": ("synth", "--target", big, "--entangler", "CNOT"),
+            "synth_entangler": ("synth", "--target", "CNOT", "--entangler", big),
+            "classify": ("classify", "--gate", big),
+            "verify": ("verify", "--circuit", str(doc), "--target", big)}[command]
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (EXIT_INPUT, "")
+    assert err.splitlines() == [f"error: {big}: gate matrix is not unitary within tolerance 1e-10"]
+
+
 class TestClassify:
     def test_cnot(self, capsys):
         code, out, _ = run(capsys, "classify", "--gate", "CNOT")
@@ -162,6 +182,20 @@ class TestClassify:
         assert code == EXIT_INPUT
         assert out == ""
         assert err.splitlines() == ["error: angle '1e400' is not finite"]
+
+    def test_decomposes_the_gate_once(self, capsys, monkeypatch):
+        calls = []
+        for module in (cli, zzsynth):
+            real = module.kak_decompose
+
+            def spy(*args, real=real, **kwargs):
+                calls.append(args[0])
+                return real(*args, **kwargs)
+
+            monkeypatch.setattr(module, "kak_decompose", spy)
+        code, out, _ = run(capsys, "classify", "--gate", "CNOT")
+        assert code == EXIT_OK and "bound: 6" in out.splitlines()
+        assert len(calls) == 1
 
     def test_weak_entangler_bound_is_computed(self, capsys):
         # The bound comes from arithmetic: building the 78,539,817-fold
@@ -221,6 +255,17 @@ class TestAmplifiedEntanglerError:
         assert code == EXIT_OK
         code, out, _ = run(capsys, "verify", "--circuit", str(doc), "--target", "ZZ(pi/8)")
         assert code == EXIT_OK and "verdict: PASS" in out
+
+    def test_cphase_document_verifies(self, capsys, tmp_path, rounded_weak_zz):
+        # The circuit phase's modulus is 1.9e-9 off 1: inside verify_tol / 2.
+        doc = tmp_path / "circuit.json"
+        code, _, _ = run(capsys, "synth", "--target", "CPHASE(pi/2)",
+                         "--entangler", rounded_weak_zz, "--out", str(doc))
+        assert code == EXIT_OK
+        phase = complex(*json.loads(doc.read_text())["phase"])
+        assert 1e-9 < abs(phase) - 1 < 5e-9
+        code, out, err = run(capsys, "verify", "--circuit", str(doc), "--target", "CPHASE(pi/2)")
+        assert (code, err) == (EXIT_OK, "") and "verdict: PASS" in out
 
 
 class TestClassifyChosenUnit:
@@ -293,6 +338,20 @@ class TestVerify:
         assert code == EXIT_INPUT
         assert "PASS" not in out
         assert err.startswith("error:")
+
+    def test_phase_window_scales_with_the_documents_tolerance(self, capsys, tmp_path):
+        # The window is verify_tol / 2: a modulus 4e-7 off 1 passes at --tol 1e-6 only.
+        for tol, want in ((None, EXIT_INPUT), ("1e-6", EXIT_OK)):
+            path = tmp_path / "circ.json"
+            code, _, _ = run(capsys, "synth", "--target", "SQRT_SWAP", "--entangler",
+                             "CPHASE(2pi/3)", "--out", str(path), *(("--tol", tol) if tol else ()))
+            assert code == EXIT_OK
+            doc = json.loads(path.read_text())
+            doc["phase"] = [x * (1 + 4e-7) for x in doc["phase"]]
+            path.write_text(json.dumps(doc))
+            code, out, err = run(capsys, "verify", "--circuit", str(path), "--target", "SQRT_SWAP")
+            assert code == want
+            assert ("verdict: PASS" in out) if want == EXIT_OK else "modulus" in err
 
     def test_malformed_document(self, capsys, tmp_path):
         path = tmp_path / "junk.json"

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from gatesynth import blocksynth, compiler, gates, kak, matcore, serialize, zzsynth
-from gatesynth.blocksynth import synth_zz_block
+from gatesynth.blocksynth import controlled_u_gamma, synth_zz_block
 from gatesynth.compiler import (efficient_as_cnot, merge_locals, synthesize,
                                 upper_bound)
 from gatesynth.gates import B_GATE, CNOT, SQRT_SWAP, SWAP, cphase, phase_gate
@@ -22,23 +22,18 @@ from conftest import dress, expanded, haar_unitary, near_edge, random_local, rep
 
 
 def spy_unitarity_checks(monkeypatch) -> list:
-    """Every matrix an input check sees from now on, in order: each row of a
-    stacked check (kak_decompose's) and each require_unitary argument."""
+    """Every matrix the input check (require_unitary) sees from now on, in
+    order: each row of a stack, or the one matrix."""
     checked = []
-    real_rows, real_one = matcore.project_special_rows, matcore.require_unitary
+    real = matcore.require_unitary
 
-    def rows(us, *args, **kwargs):
-        checked.extend(us)
-        return real_rows(us, *args, **kwargs)
-
-    def one(m, *args, **kwargs):
-        checked.append(m)
-        return real_one(m, *args, **kwargs)
+    def spy(m, *args, **kwargs):
+        checked.extend(m if np.ndim(m) == 3 else [m])
+        return real(m, *args, **kwargs)
 
     for module in (matcore, kak, compiler, blocksynth, gates, serialize, zzsynth):
-        for name, spy in (("project_special_rows", rows), ("require_unitary", one)):
-            if hasattr(module, name):
-                monkeypatch.setattr(module, name, spy)
+        if hasattr(module, "require_unitary"):
+            monkeypatch.setattr(module, "require_unitary", spy)
     return checked
 
 
@@ -150,6 +145,18 @@ class TestSynthesize:
     def test_rejects_non_unitary_target(self):
         with pytest.raises(ValueError, match="not unitary"):
             synthesize(np.ones((4, 4)), CNOT)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_refuses_entries_too_large_to_square(self):
+        big = np.full((4, 4), 1e200)
+        with pytest.raises(ValueError, match="^target is not unitary"):
+            synthesize(big, CNOT)
+        with pytest.raises(ValueError, match="^entangler is not unitary"):
+            synthesize(CNOT, big)
+        with pytest.raises(ValueError, match="^entangler is not unitary"):
+            evaluate(Circuit([EntanglerApp()]), big)
+        with pytest.raises(ValueError, match="^input is not unitary"):
+            controlled_u_gamma(np.full((2, 2), 1e200))
 
 
 class TestAmplifiedEntanglerError:
@@ -329,6 +336,16 @@ class TestUpperBound:
         assert report.entangler_count is None
         assert report.local_count is None
         assert report.residual is None
+
+    def test_takes_the_callers_decomposition(self, monkeypatch):
+        gate = interaction(1.1, 0.7, 0.2)
+        dec, want = kak_decompose(gate), upper_bound(gate)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("upper_bound decomposed the gate again")
+
+        monkeypatch.setattr(zzsynth, "kak_decompose", refuse)
+        assert upper_bound(gate, dec) == want
 
 
 class TestMergeLocals:

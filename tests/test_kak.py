@@ -623,6 +623,14 @@ class TestStackedKak:
         with pytest.raises(ValueError, match="^input is not unitary"):
             kak_decompose(2 * good)
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_refuses_entries_too_large_to_square(self, rng):
+        big = np.full((4, 4), 1e200)
+        with pytest.raises(ValueError, match="^input is not unitary"):
+            kak_decompose(big)
+        with pytest.raises(ValueError, match="^input row 1 is not unitary"):
+            kak_decompose(np.array([haar_unitary(rng), big]))
+
     @pytest.mark.parametrize("shape", [(0, 4, 4), (2, 2, 4, 4), (3, 4, 3), (4,)])
     def test_rejects_other_shapes(self, shape):
         with pytest.raises(ValueError, match="expected a 4x4 matrix"):

@@ -5,7 +5,7 @@ from hypothesis import given, settings, strategies as st
 from gatesynth.matcore import (Circuit, EntanglerApp, LocalPair,
                                SIGMA_X, SIGMA_Y, SIGMA_Z, ToleranceConfig,
                                evaluate, exp_pauli, interaction,
-                               phase_distance, project_special,
+                               phase_distance, project_special_rows,
                                require_unitary, tensor, unitarity_error,
                                zz_interaction)
 
@@ -126,6 +126,12 @@ class TestEvaluate:
             evaluate(Circuit([EntanglerApp()]), np.ones((4, 4), dtype=complex))
 
 
+def project_special(u):
+    """(v, phase) of project_special_rows on the 1-row stack of u."""
+    v, phases, _ = project_special_rows(np.asarray(u, dtype=complex)[None])
+    return v[0], complex(phases[0])
+
+
 class TestProjectSpecial:
     def test_identity(self):
         v, phase = project_special(ID4)
@@ -193,6 +199,34 @@ class TestRequireUnitary:
     def test_rejects_non_unitary_and_non_square(self, m):
         with pytest.raises(ValueError, match="not unitary"):
             require_unitary(m)
+
+    def test_returns_each_matrixs_error(self, rng):
+        u, rough = haar_unitary(rng), np.round(haar_unitary(rng), 11)
+        assert require_unitary(u) == unitarity_error(u)
+        stack = np.array([u, rough])
+        assert require_unitary(stack).tolist() == unitarity_error(stack).tolist()
+        assert require_unitary(np.empty((0, 2, 2))).shape == (0,)
+
+    def test_names_the_first_bad_matrix(self, rng):
+        good, bad = haar_unitary(rng), np.ones((4, 4))
+        with pytest.raises(ValueError, match="^gate is not unitary"):
+            require_unitary(bad, what="gate")
+        with pytest.raises(ValueError, match="^gate row 1 is not unitary"):
+            require_unitary(np.array([good, bad, bad]), what="gate")
+        with pytest.raises(ValueError, match="^layer 4 is not unitary"):
+            require_unitary(np.array([good, good, bad]), what=lambda i: f"layer {2 * i}")
+
+    def test_reports_non_finite_entries_first(self, rng):
+        good, nan = haar_unitary(rng), np.full((4, 4), np.nan)
+        with pytest.raises(ValueError, match="^matrix row 2 has non-finite entries"):
+            require_unitary(np.array([good, np.ones((4, 4)), nan]))
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("shape", [(4, 4), (2, 2), (3, 4, 4)])
+    def test_refuses_entries_too_large_to_square(self, shape):
+        # Finite, but their squares overflow: refused without a numpy warning.
+        with pytest.raises(ValueError, match="^big( row 0)? is not unitary"):
+            require_unitary(np.full(shape, 1e200 + 1e200j), what="big")
 
 
 def test_interaction_is_commuting_product():

@@ -50,6 +50,11 @@ class TestMatrixFormat:
         with pytest.raises(ValueError, match="unitary"):
             resolve_descriptor(matrix_descriptor(matrix_json(np.ones((4, 4)))))
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_rejects_entries_too_large_to_square(self):
+        with pytest.raises(ValueError, match="^gate matrix is not unitary"):
+            resolve_descriptor(matrix_descriptor(matrix_json(np.full((4, 4), 1e200))))
+
     def test_rejects_malformed_json(self, tmp_path):
         path = tmp_path / "gate.json"
         path.write_text("{not json")
@@ -175,6 +180,19 @@ class TestCircuitDocument:
         with pytest.raises(ValueError, match="modulus"):
             parse_circuit_document(json.dumps(payload))
 
+    @pytest.mark.parametrize("verify_tol", [1e-8, 1e-6])
+    def test_phase_window_is_half_verify_tol(self, rng, verify_tol):
+        doc = self._sample_doc(rng)
+        doc.tolerances = ToleranceConfig(verify_tol=verify_tol)
+        payload = json.loads(emit_circuit_document(doc))
+        for offset, accepted in ((0.4, True), (0.6, False)):
+            payload["phase"] = [1 + offset * verify_tol, 0.0]
+            if accepted:
+                assert abs(parse_circuit_document(json.dumps(payload)).circuit.phase) > 1
+            else:
+                with pytest.raises(ValueError, match="modulus"):
+                    parse_circuit_document(json.dumps(payload))
+
     def test_rejects_non_2x2_local_layer(self, rng):
         doc = self._sample_doc(rng)
         payload = json.loads(emit_circuit_document(doc))
@@ -182,13 +200,15 @@ class TestCircuitDocument:
         with pytest.raises(ValueError, match="2x2"):
             parse_circuit_document(json.dumps(payload))
 
-    @pytest.mark.parametrize("layer", [np.zeros((2, 2)), 1.5 * np.eye(2),
-                                       np.array([[1, 0], [0, np.nan]])],
-                             ids=["zero", "scaled", "nan"])
-    def test_rejects_non_unitary_local_layer(self, rng, layer):
+    @pytest.mark.parametrize("layer,wording", [
+        (np.zeros((2, 2)), "is not unitary"), (1.5 * np.eye(2), "is not unitary"),
+        (np.array([[1, 0], [0, np.nan]]), "has non-finite entries"),
+        (np.full((2, 2), 1e200), "is not unitary")],  # squares overflow: no numpy warning
+                             ids=["zero", "scaled", "nan", "too_large_to_square"])
+    def test_rejects_non_unitary_local_layer(self, rng, layer, wording):
         doc = self._sample_doc(rng)
         doc.circuit.elements[2].b = layer
-        with pytest.raises(ValueError, match="element 2 is not unitary"):
+        with pytest.raises(ValueError, match=f"element 2 {wording}"):
             parse_circuit_document(emit_circuit_document(doc))
 
     def test_unitarity_uses_document_tolerance(self, rng):
