@@ -87,25 +87,43 @@ def u1_u2(params: BlockParams) -> tuple[np.ndarray, np.ndarray]:
     return u1, u2
 
 
+def block_locals(c: float, h: float, pre: LocalPair, post: LocalPair,
+                 gamma: float) -> tuple[np.ndarray, ...]:
+    """The target-dependent halves of the layers of exp(c (i/2) ZZ), with
+    (h, pre, post) from fold_angle(c), over a resource of angle gamma.
+
+    At h = 0 (c = 0 or pi), (a, b) of the block's one local layer;
+    otherwise (pre.a, u2, mid, post.a, u1) of its layers pre.a (x) u2,
+    then the resource, I (x) mid, the resource again and post.a (x) u1.
+    fold_angle's Pauli layers join the u2 and u1 layers, so folding adds
+    no layer.
+    """
+    if h == 0.0:
+        return post.a @ pre.a, post.b @ pre.b
+    params = block_params(h, gamma)
+    u1, u2 = u1_u2(params)
+    if h != c:  # join the fold's Pauli layers; their products round nothing
+        u1, u2 = post.b @ u1, u2 @ pre.b
+    return pre.a, u2, exp_pauli("y", (params.b + np.pi) / 2), post.a, u1
+
+
 def synth_zz_block(c: float, resource: ZzResource) -> Circuit:
     """Simulate exp(c (i/2) ZZ), c in [0, pi], with two resource insertions.
 
-    fold_angle's Pauli layers join the u2 and u1 layers, so folding adds no
-    layer; at h = 0 (c = 0 or pi) the block is one local layer.
+    The layers are block_locals'; at h = 0 (c = 0 or pi) the block is one
+    local layer.
     """
     if not 0.0 <= c <= np.pi:
         raise ValueError(f"block angle c = {c} outside [0, pi]")
     h, pre, post, phase = fold_angle(c)
+    halves = block_locals(c, h, pre, post, resource.gamma)
     if h == 0.0:
-        return Circuit([LocalPair(post.a @ pre.a, post.b @ pre.b)], phase)
-    params = block_params(h, resource.gamma)
-    u1, u2 = u1_u2(params)
-    mid = LocalPair(ID2, exp_pauli("y", (params.b + np.pi) / 2))
-    block_phase = resource.circuit.phase ** 2
-    if h != c:  # join the fold's Pauli layers; their products round nothing
-        u1, u2, block_phase = post.b @ u1, u2 @ pre.b, phase * block_phase
-    elems = ([LocalPair(pre.a, u2)] + resource.circuit.elements + [mid]
-             + resource.circuit.elements + [LocalPair(post.a, u1)])
+        return Circuit([LocalPair(*halves)], phase)
+    pre_a, u2, mid, post_a, u1 = halves
+    unit = resource.circuit
+    block_phase = unit.phase ** 2 if h == c else phase * unit.phase ** 2
+    elems = ([LocalPair(pre_a, u2)] + unit.elements + [LocalPair(ID2, mid)]
+             + unit.elements + [LocalPair(post_a, u1)])
     return Circuit(elems, phase=block_phase)
 
 

@@ -40,7 +40,10 @@ def _run_synth(args) -> int:
     )
     text = emit_circuit_document(doc)
     if args.out:
-        Path(args.out).write_text(text + "\n")
+        try:
+            Path(args.out).write_text(text + "\n")
+        except OSError as exc:
+            raise ValueError(f"cannot write circuit document {args.out}: {exc}") from exc
         print(f"wrote {args.out}: entangler_count={report.entangler_count} "
               f"local_count={report.local_count} residual={_fmt(report.residual)}")
     else:
@@ -62,6 +65,9 @@ def _run_classify(args) -> int:
         print(f"apps_per_unit: {report.apps_per_unit}")
         print(f"n: {report.n}")
         print(f"bound: {report.bound}")
+        # The risk synth reports when the final check fails: the entangler's
+        # unitarity error amplified over the bound's applications.
+        print(f"amplified_unitarity_error: {report.bound * dec.unitarity_error:.2g}")
     return EXIT_OK
 
 

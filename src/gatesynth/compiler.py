@@ -7,22 +7,27 @@ count never exceeds zzsynth.uniform_bound. That bound depends only on the
 entangler's canonical vector.
 
 synthesize keeps each entangler's zzsynth.prepare_resource template in
-a small memo, verifies the circuit on the template's runs, and expands
-the runs and counts the gates in one pass at emission.
+a small memo, writes a target's local layers straight into one stack
+fused by a plan memoized per pattern of local blocks, verifies the
+circuit on the template's runs, and expands the runs and counts the
+gates in one pass at emission.
 """
 
+import functools
 from collections import OrderedDict
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .blocksynth import controlled_u_gamma, synth_zz_block
+# merge_locals and synth_zz_block stay bound here, where the package and
+# perfbench's tracer look them up; synthesize fuses through fuse_layers.
+from .blocksynth import block_locals, controlled_u_gamma, synth_zz_block
 from .kak import KakDecomposition, kak_decompose, snap_vector
-from .matcore import (DEFAULT_TOL, Circuit, LocalPair, ToleranceConfig, evaluate,
-                      merge_locals, phase_distance)
+from .matcore import (DEFAULT_TOL, ID2, Circuit, FusionPlan, LocalPair, StackedCircuit,
+                      ToleranceConfig, evaluate, fuse_layers, fusion_plan, merge_locals,
+                      phase_distance)
 from .zzsynth import (KX_DAG, KX_KY_DAG, KY_FACTOR, ZzTemplate, _Run, block_repetitions,
-                      choose_unit, fold_angle, prepare_resource, repetitions,
-                      uniform_bound)
+                      choose_unit, fold_angle, prepare_resource, repetitions, uniform_bound)
 
 
 @dataclass
@@ -81,12 +86,34 @@ AMPLIFIED_ERROR_FACTOR = 8.0
 _INPUT_NAMES = ("target", "entangler")
 
 
-def _emitted(skeleton: Circuit) -> tuple[Circuit, int, int]:
+# The fixed interleavers after the c3 and c2 blocks, as (a, b) halves.
+_INTERLEAVERS = ((KY_FACTOR, KY_FACTOR), (KX_KY_DAG, KX_KY_DAG))
+
+
+@functools.lru_cache(maxsize=8)
+def _skeleton_plan(local: tuple[bool, bool, bool]) -> FusionPlan:
+    """The plan fusing a skeleton's chains of local layers, local[i] true when
+    block i (c3, c2, c1) is local. Runs are opaque, so the chains depend on
+    this alone: at most 8 plans.
+
+    The skeleton is k2, then per block its one layer (local) or pre, first,
+    run, last, mid, first, run, last, post (block_locals and the template's
+    first and last layers), then the block's interleaver.
+    """
+    lengths = [1]
+    for is_local in local:
+        lengths[-1] += 2  # the local layer and the interleaver, or pre and first
+        if not is_local:
+            lengths += [3, 3]  # last, mid, first; last, post, interleaver
+    return fusion_plan(tuple(lengths))
+
+
+def _emitted(skeleton: StackedCircuit) -> tuple[Circuit, int, int]:
     """The circuit with every template run replaced by fresh copies of its
-    elements, and its entangler and local counts: a run is reps cores
-    joined by reps - 1 seam layers."""
+    elements, and its entangler and local counts: the skeleton's fused
+    layers, and per run reps cores joined by reps - 1 seam layers."""
     elements: list = []
-    apps = layers = 0
+    apps, layers = 0, len(skeleton.layers)
     for elem in skeleton.elements:
         if isinstance(elem, _Run):
             elements += elem.expanded()
@@ -94,11 +121,44 @@ def _emitted(skeleton: Circuit) -> tuple[Circuit, int, int]:
             layers += elem.reps * (len(elem.core) - elem.apps + 1) - 1
         else:
             elements.append(elem)
-            if isinstance(elem, LocalPair):
-                layers += 1
-            else:
-                apps += 1
     return Circuit(elements, skeleton.phase), apps, layers
+
+
+def _skeleton(c: tuple[float, float, float], dec: KakDecomposition,
+              template: ZzTemplate) -> StackedCircuit:
+    """The fused circuit of blocks c = (c1, c2, c3), snapped, between dec's
+    local pairs, with the template's runs unexpanded.
+
+    Application order per the three-block form: c3 block, k_y, c2 block,
+    k_x k_y^dag, c1 block, k1 k_x^dag; a block at angle 0 or pi is one
+    local layer and merges with its neighbors. Every local layer goes
+    straight into the list of halves fuse_layers stacks, on the plan of
+    this pattern of local blocks.
+    """
+    first, last = template.first, template.last
+    halves, runs, local, phase = [dec.k2.a, dec.k2.b], [], [], dec.phase
+    k1_layer = (dec.k1.a @ KX_DAG, dec.k1.b @ KX_DAG)
+    for c_i, interleaver in zip(c[::-1], _INTERLEAVERS + (k1_layer,)):
+        h, pre, post, fold_phase = fold_angle(c_i)
+        if h == 0.0:
+            halves += block_locals(c_i, h, pre, post, template.gamma)
+            phase *= fold_phase
+        else:
+            m = block_repetitions(h, template.gamma, template.n)
+            run, unit_phase = template.run(m)
+            pre_a, u2, mid, post_a, u1 = block_locals(c_i, h, pre, post, m * template.gamma)
+            halves += (pre_a, u2, first.a, first.b, last.a, last.b, ID2, mid,
+                       first.a, first.b, last.a, last.b, post_a, u1)
+            runs += (run, run)
+            phase *= unit_phase ** 2 if h == c_i else fold_phase * unit_phase ** 2
+        halves += interleaver
+        local.append(h == 0.0)
+    layers, phase = fuse_layers(halves, _skeleton_plan(tuple(local)), phase)
+    pairs = [LocalPair(a, b) for a, b in layers]
+    elements = [pairs[0]]
+    for run, pair in zip(runs, pairs[1:]):
+        elements += (run, pair)
+    return StackedCircuit(elements, phase, layers=layers)
 
 
 def synthesize(target: np.ndarray, entangler: np.ndarray,
@@ -109,8 +169,11 @@ def synthesize(target: np.ndarray, entangler: np.ndarray,
     c2, c1 with the fixed interleavers from the three-block rewriting;
     a block whose coefficient snaps to 0 or pi costs no application. A
     block of folded angle h inserts block_repetitions(h, ...) <= n units,
-    not the n of the uniform bound. The result is verified against the
-    target before returning, with the runs' products, and then expanded.
+    not the n of the uniform bound. The local layers go into one stack,
+    fused as merge_locals fuses (matcore.fuse_layers) on a plan memoized
+    per pattern of local blocks, with the template's runs opaque between
+    them. The result is verified against the target before returning,
+    with the runs' products, and then expanded.
 
     A memo miss decomposes the target and the entangler in one stacked
     KAK; a hit decomposes the target alone. Raises ValueError for invalid
@@ -136,22 +199,7 @@ def synthesize(target: np.ndarray, entangler: np.ndarray,
         dec, = kak_decompose(target[None], tol, _INPUT_NAMES)
         _resource_memo.move_to_end(key)
 
-    c1, c2, c3 = snap_vector(dec.c, tol.snap_tol)
-    # Application order per the three-block form: c3 block, k_y,
-    # c2 block, k_x k_y^dag, c1 block, k1 k_x^dag; a block at angle 0 or
-    # pi is one local layer and merges with its neighbors.
-    elements, phase = [dec.k2], dec.phase
-    for c, interleaver in ((c3, LocalPair(KY_FACTOR, KY_FACTOR)),
-                           (c2, LocalPair(KX_KY_DAG, KX_KY_DAG)),
-                           (c1, LocalPair(dec.k1.a @ KX_DAG, dec.k1.b @ KX_DAG))):
-        m = block_repetitions(fold_angle(c)[0], template.gamma, template.n)
-        block = synth_zz_block(c, template.resource(m))
-        elements += block.elements
-        phase *= block.phase
-        elements.append(interleaver)
-
-    skeleton = merge_locals(Circuit(elements, phase))
-
+    skeleton = _skeleton(snap_vector(dec.c, tol.snap_tol), dec, template)
     residual = phase_distance(evaluate(skeleton, entangler, tol), target)
     circuit, entangler_count, local_count = _emitted(skeleton)
     if residual >= tol.verify_tol:

@@ -49,11 +49,45 @@ _DIAG_XYZ = np.array([_DIAG_XX, _DIAG_YY, _DIAG_ZZ])
 
 _SNAP_POINTS = (0.0, np.pi / 4, np.pi / 2, np.pi)
 
-# Real combinations for breaking eigenvalue degeneracies, drawn once from a
-# fixed seed: every call tries them in the same order, so results do not
-# depend on call ordering.
+# Real combinations for breaking eigenvalue degeneracies, in a fixed order
+# that every call tries, so results do not depend on call ordering. They are
+# np.random.default_rng(_DIAG_SEED).normal(size=(32, 2)), written out so
+# that importing gatesynth does not load numpy.random.
 _DIAG_SEED = 7
-_DIAG_DRAWS = np.random.default_rng(_DIAG_SEED).normal(size=(32, 2))
+_DIAG_DRAWS = np.array([
+    (0.0012301533574825742, 0.2987455375084699),
+    (-0.2741378553622176, -0.8905918387572742),
+    (-0.45467078517172255, -0.9916465549964624),
+    (0.060143602597438485, 1.3402152455545335),
+    (-0.49220651855132963, -0.6204748998199404),
+    (0.4898420501851982, 0.35688700816006075),
+    (0.10541424899789856, -0.9304680447082047),
+    (-0.02925182246327349, 0.6953031944582878),
+    (-1.344214547285082, -0.45761576104021817),
+    (-1.901222739800844, -1.289537739784976),
+    (-1.8417350377917323, -0.23509113107468127),
+    (-1.2674464814437032, 0.2712643588217015),
+    (0.15675108662422516, -0.18693094462995438),
+    (-2.516759710820513, -0.5386928958466366),
+    (-0.048500945401071985, 0.11330898600330756),
+    (-1.5301357655053935, -0.47775327603393064),
+    (-0.9785190780566395, -0.8088372394255993),
+    (1.0608986233860787, -0.8075346753318965),
+    (-0.0325217049455206, 0.8843898673831739),
+    (-0.583600432743302, -0.11170194958415963),
+    (0.11046414324948059, 0.06378177425506196),
+    (-1.2250558264176934, 0.0761402303770081),
+    (1.3588234217415376, -1.5471446781284823),
+    (0.8593826880215982, 0.11935402569658124),
+    (-0.6414703941072214, 2.000416546342423),
+    (0.7622597120847118, -1.1992889021052233),
+    (0.07451622877146342, 0.5766895836701853),
+    (-0.1887821253507493, 0.682910267195206),
+    (-0.06651732014941557, 0.6672475608343279),
+    (1.438522591656152, -0.6756622510056528),
+    (0.20313861038960904, -0.46330757653841514),
+    (0.12726841122583082, -1.18719452785014),
+])
 # Entry weights of _squared_norms: every entry, or the off-diagonal ones.
 _ALL_ENTRIES = np.ones(16)
 _OFF_DIAGONAL = 1.0 - np.eye(4).ravel()

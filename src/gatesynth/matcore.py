@@ -209,6 +209,15 @@ class Circuit:
         return sum(isinstance(e, LocalPair) for e in self.elements)
 
 
+@dataclass(eq=False)
+class StackedCircuit(Circuit):
+    """A circuit whose local layers are the rows of one (N, 2, 2, 2) stack,
+    in circuit order, each LocalPair viewing its row; evaluate reads the
+    stack instead of gathering the layers."""
+
+    layers: np.ndarray = field(kw_only=True)
+
+
 def evaluate(circuit: Circuit, entangler: np.ndarray,
              tol: ToleranceConfig = DEFAULT_TOL) -> np.ndarray:
     """Multiply out a circuit against a concrete entangler matrix.
@@ -219,63 +228,79 @@ def evaluate(circuit: Circuit, entangler: np.ndarray,
     """
     if any(isinstance(e, EntanglerApp) for e in circuit.elements):
         require_unitary(entangler, tol.unitarity_tol, "entangler")
-    return circuit.phase * _product(circuit.elements, entangler)
+    layers = circuit.layers if isinstance(circuit, StackedCircuit) else None
+    return circuit.phase * _product(circuit.elements, entangler, layers)
 
 
-def _product(elements: list, entangler: np.ndarray) -> np.ndarray:
+def _product(elements: list, entangler: np.ndarray,
+             layers: np.ndarray | None = None) -> np.ndarray:
     """The elements' matrix product, entangler already checked; evaluate's loop.
 
-    Every local layer's Kronecker product comes from one stacked tensor call.
+    Every local layer's Kronecker product comes from one stacked tensor
+    call, on layers (the local layers stacked in order) when given, else
+    on the layers gathered from elements.
     """
-    pairs = [e for e in elements if isinstance(e, LocalPair)]
-    layers = iter(tensor(np.array([p.a for p in pairs]), np.array([p.b for p in pairs]))
-                  if pairs else ())
+    if layers is None:
+        pairs = [e for e in elements if isinstance(e, LocalPair)]
+        a, b = np.array([p.a for p in pairs]), np.array([p.b for p in pairs])
+    else:
+        a, b = layers[:, 0], layers[:, 1]
+    krons = iter(tensor(a, b) if len(a) else ())
     out = ID4.copy()
     for elem in elements:
         if isinstance(elem, LocalPair):
-            m = next(layers)
+            m = next(krons)
         else:
             m = entangler if isinstance(elem, EntanglerApp) else elem.matrix()
         out = m @ out
     return out
 
 
-def merge_locals(circuit: Circuit) -> Circuit:
-    """Fuse adjacent local layers and move scalar factors into the phase.
+@dataclass(frozen=True)
+class FusionPlan:
+    """How fuse_layers fuses chains of adjacent local layers, from their lengths alone.
 
-    Every surviving local pair is renormalized to unit determinant per
-    qubit, with the extracted scalars folded into the circuit phase, so
-    output layers are canonical, freshly allocated, and no two local
-    layers are adjacent. Every other element passes through.
-
-    All chains of adjacent layers fuse at once: one stacked matmul per
-    depth d multiplies layer d of every chain that has one onto that
-    chain's product of layers 0 to d - 1. Each product is the same 2x2
-    matmul, in the same order, as fusing one chain at a time.
+    The layers are stacked depth-major: counts[d] chains have a layer at
+    depth d, longest chains first, so those chains are a prefix of each
+    depth's rows. gather lists, row by row, the index of each layer's two
+    halves (a, b) in the chains' circuit-order list of halves; positions[k]
+    is the row of chain k's product among the fused layers. Plans are
+    shared: callers only read the lists.
     """
-    merged: list = []
-    slots: list = []
-    chains: list = []
-    for elem in circuit.elements:
-        if not isinstance(elem, LocalPair):
-            merged.append(elem)
-        elif slots and slots[-1] == len(merged) - 1:
-            chains[-1].append(elem)
-        else:
-            slots.append(len(merged))
-            merged.append(None)  # the fused layer, once normalized below
-            chains.append([elem])
-    phase = circuit.phase
-    if not slots:
-        return Circuit(merged, phase)
+
+    gather: list[int]
+    counts: list[int]
+    positions: list[int]
+
+
+def fusion_plan(lengths: tuple[int, ...]) -> FusionPlan:
+    """The plan fusing chains of lengths[k] >= 1 layers, chain k in circuit order."""
     # Longest chains first, so the chains with a layer at depth d are a
     # prefix of the stack. No chain is padded: a product with an identity
-    # can flip the sign of an exact zero.
-    order = sorted(range(len(chains)), key=lambda k: -len(chains[k]))
-    counts = [sum(len(chain) > d for chain in chains) for d in range(len(chains[order[0]]))]
-    layers = np.concatenate([m for d, count in enumerate(counts) for k in order[:count]
-                             for m in (chains[k][d].a, chains[k][d].b)],
-                            dtype=complex).reshape(-1, 2, 2, 2)
+    # can flip the sign of an exact zero. Lists, not tuples of generators:
+    # building a tuple from a generator grew the process's RSS by about
+    # 2 MB over a few thousand plans.
+    order = sorted(range(len(lengths)), key=lambda k: -lengths[k])
+    counts = [sum(n > d for n in lengths) for d in range(lengths[order[0]])]
+    starts = [sum(lengths[:k]) for k in range(len(lengths))]
+    gather = [2 * (starts[k] + d) + half for d, count in enumerate(counts)
+              for k in order[:count] for half in (0, 1)]
+    return FusionPlan(gather, counts, sorted(range(len(lengths)), key=order.__getitem__))
+
+
+def fuse_layers(halves: list, plan: FusionPlan, phase: complex) -> tuple[np.ndarray, complex]:
+    """Fuse chains of local layers by plan and normalize each product to unit
+    determinant per qubit.
+
+    halves holds each layer's a and b, chain after chain in circuit order.
+    Returns the fused layers stacked (chains, 2, 2, 2) in circuit order, and
+    phase times the scalars taken out, in circuit order. One stacked matmul
+    per depth d multiplies layer d of every chain that has one onto that
+    chain's product of layers 0 to d - 1: each product is the same 2x2
+    matmul, in the same order, as fusing one chain at a time.
+    """
+    layers = np.array([halves[i] for i in plan.gather], dtype=complex).reshape(-1, 2, 2, 2)
+    counts = plan.counts
     fused = layers[:counts[0]]
     start = counts[0]
     for count in counts[1:]:
@@ -285,9 +310,39 @@ def merge_locals(circuit: Circuit) -> Circuit:
     # loop, without a LAPACK call per layer.
     scale = np.sqrt(np.linalg.det(fused))
     fused /= scale[..., None, None]
-    # Slots in circuit order, so the phase takes its factors in that order;
-    # slot k's chain sits at stack position j.
-    for k, j in enumerate(sorted(range(len(chains)), key=order.__getitem__)):
+    for j in plan.positions:
         phase *= scale[j, 0] * scale[j, 1]
-        merged[slots[k]] = LocalPair(fused[j, 0], fused[j, 1])
+    return fused[plan.positions], phase
+
+
+def merge_locals(circuit: Circuit) -> Circuit:
+    """Fuse adjacent local layers and move scalar factors into the phase.
+
+    Every surviving local pair is renormalized to unit determinant per
+    qubit, with the extracted scalars folded into the circuit phase, so
+    output layers are canonical, freshly allocated, and no two local
+    layers are adjacent. Every other element passes through. All chains
+    of adjacent layers fuse at once, by fuse_layers on the plan of their
+    lengths.
+    """
+    merged: list = []
+    slots: list = []
+    lengths: list = []
+    halves: list = []
+    for elem in circuit.elements:
+        if not isinstance(elem, LocalPair):
+            merged.append(elem)
+            continue
+        if slots and slots[-1] == len(merged) - 1:
+            lengths[-1] += 1
+        else:
+            slots.append(len(merged))
+            merged.append(None)  # the fused layer, once normalized below
+            lengths.append(1)
+        halves += (elem.a, elem.b)
+    if not slots:
+        return Circuit(merged, circuit.phase)
+    fused, phase = fuse_layers(halves, fusion_plan(tuple(lengths)), circuit.phase)
+    for slot, (a, b) in zip(slots, fused):
+        merged[slot] = LocalPair(a, b)
     return Circuit(merged, phase)

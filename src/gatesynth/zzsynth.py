@@ -262,14 +262,18 @@ class ZzTemplate:
     powers: list = field(default_factory=list)
     unitarity_error: float = 0.0  # the entangler's, set by prepare_resource
 
-    def resource(self, m: int) -> ZzResource:
-        """The m-fold unit as a [first, run, last] resource of angle m * gamma."""
+    def run(self, m: int) -> tuple[_Run, complex]:
+        """The run of m repetitions, and the phase of the m-fold unit."""
         product = self.core_product
         for k, power in enumerate(self.powers):
             if (m - 1) >> k & 1:
                 product = product @ power
         phase = self.phase if m == 1 else self.phase * self.step_phase ** (m - 1)
-        run = _Run(self.core, self.seam, m, self.apps_per_unit, product)
+        return _Run(self.core, self.seam, m, self.apps_per_unit, product), phase
+
+    def resource(self, m: int) -> ZzResource:
+        """The m-fold unit as a [first, run, last] resource of angle m * gamma."""
+        run, phase = self.run(m)
         return ZzResource(Circuit([self.first, run, self.last], phase), m * self.gamma,
                           self.apps_per_unit)
 

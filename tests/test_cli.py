@@ -6,7 +6,8 @@ import pytest
 
 from gatesynth import cli, zzsynth
 from gatesynth.cli import EXIT_INPUT, EXIT_OK, EXIT_VERIFY, build_parser, main
-from gatesynth.gates import CNOT
+from gatesynth.gates import CNOT, resolve_gate
+from gatesynth.kak import kak_decompose
 from gatesynth.matcore import interaction, zz_interaction
 from gatesynth.serialize import encode_matrix
 
@@ -34,6 +35,14 @@ class TestSynth:
         doc = json.loads(out_path.read_text())
         assert doc["report"]["entangler_count"] == 6
         assert doc["report"]["local_count"] == 7
+
+    def test_out_into_missing_directory(self, capsys, tmp_path):
+        path = tmp_path / "missing" / "circ.json"
+        code, out, err = run(capsys, "synth", "--target", "CNOT", "--entangler", "CNOT",
+                             "--out", str(path))
+        assert (code, out) == (EXIT_INPUT, "")
+        assert len(err.splitlines()) == 1
+        assert err.startswith(f"error: cannot write circuit document {path}: ")
 
     def test_identity_matrix_target(self, capsys, tmp_path):
         path = tmp_path / "id.json"
@@ -206,17 +215,25 @@ class TestClassify:
         assert "bound: 471238902" in out
 
 
+def amplified(gate: str, bound: int) -> str:
+    """classify's last line for an entangling gate: the bound times the
+    unitarity error of the gate's KAK."""
+    error = kak_decompose(resolve_gate(gate)[0]).unitarity_error
+    return f"amplified_unitarity_error: {bound * error:.2g}"
+
+
 NAMED_GATE_CLASSIFY = {
     "CNOT": ((np.pi / 2, 0, 0), ["class: entangling", "gamma: 1.5707963267948966",
-                                 "apps_per_unit: 1", "n: 1", "bound: 6"]),
+                                 "apps_per_unit: 1", "n: 1", "bound: 6", amplified("CNOT", 6)]),
     "CZ": ((np.pi / 2, 0, 0), ["class: entangling", "gamma: 1.5707963267948966",
-                               "apps_per_unit: 1", "n: 1", "bound: 6"]),
+                               "apps_per_unit: 1", "n: 1", "bound: 6", amplified("CZ", 6)]),
     "SWAP": ((np.pi / 2, np.pi / 2, np.pi / 2), ["class: swap"]),
     "SQRT_SWAP": ((np.pi / 4, np.pi / 4, np.pi / 4), [
         "class: entangling", "gamma: 1.5707963267948966", "apps_per_unit: 2", "n: 1",
-        "bound: 12"]),
+        "bound: 12", amplified("SQRT_SWAP", 12)]),
     "B": ((np.pi / 2, np.pi / 4, 0), ["class: entangling", "gamma: 1.5707963267948966",
-                                      "apps_per_unit: 2", "n: 1", "bound: 12"]),
+                                      "apps_per_unit: 2", "n: 1", "bound: 12",
+                                      amplified("B", 12)]),
 }
 
 
@@ -230,6 +247,12 @@ class TestAmplifiedEntanglerError:
         path = tmp_path / "zz_pi_400_rounded.json"
         path.write_text(matrix_json(np.round(zz_interaction(np.pi / 400), 10)))
         return f"MATRIX({path})"
+
+    def test_classify_shows_the_amplified_error(self, capsys, rounded_weak_zz):
+        # 606 applications x 3.7e-11, printed before synth is tried.
+        code, out, _ = run(capsys, "classify", "--gate", rounded_weak_zz)
+        assert code == EXIT_OK
+        assert out.splitlines()[-2:] == ["bound: 606", "amplified_unitarity_error: 2.2e-08"]
 
     def test_swap_exits_2_with_the_cause(self, capsys, tmp_path, rounded_weak_zz):
         code, out, err = run(capsys, "synth", "--target", "SWAP", "--entangler", rounded_weak_zz,

@@ -8,15 +8,15 @@ from gatesynth.blocksynth import controlled_u_gamma, synth_zz_block
 from gatesynth.compiler import (efficient_as_cnot, merge_locals, synthesize,
                                 upper_bound)
 from gatesynth.gates import B_GATE, CNOT, SQRT_SWAP, SWAP, cphase, phase_gate
-from gatesynth.kak import kak_decompose
+from gatesynth.kak import CanonicalVector, KakDecomposition, kak_decompose
 from gatesynth.matcore import (DEFAULT_TOL, ROUNDOFF, Circuit, EntanglerApp, LocalPair,
                                SIGMA_X, ToleranceConfig, evaluate, interaction,
                                phase_distance, tensor, unitarity_error,
                                zz_interaction)
 from gatesynth.kak import snap_vector
 from gatesynth.zzsynth import (KX_DAG, KX_KY_DAG, KY_FACTOR, MAX_APPLICATIONS, ZzResource,
-                               block_repetitions, choose_unit, extract_zz, fold_angle,
-                               prepare_resource, repetitions, uniform_bound)
+                               ZzTemplate, block_repetitions, choose_unit, extract_zz,
+                               fold_angle, prepare_resource, repetitions, uniform_bound)
 
 from conftest import dress, expanded, haar_unitary, near_edge, random_local, repeated
 
@@ -451,27 +451,55 @@ SKELETON_ENTANGLERS = ("cnot", "cphase_pi_9", "b", "sqrt_swap", "case3_dressed",
                        "case4_dressed")
 
 
+def object_assembly(c: tuple[float, float, float], dec: KakDecomposition,
+                    template: ZzTemplate) -> Circuit:
+    """Reference for compiler._skeleton, unmerged: the blocks c = (c1, c2, c3)
+    as LocalPair objects, synth_zz_block on template.resource(m) per block,
+    the interleavers between and dec's local pairs around."""
+    c1, c2, c3 = c
+    elements, phase = [dec.k2], dec.phase
+    for c_i, interleaver in ((c3, LocalPair(KY_FACTOR, KY_FACTOR)),
+                             (c2, LocalPair(KX_KY_DAG, KX_KY_DAG)),
+                             (c1, LocalPair(dec.k1.a @ KX_DAG, dec.k1.b @ KX_DAG))):
+        m = block_repetitions(fold_angle(c_i)[0], template.gamma, template.n)
+        block = synth_zz_block(c_i, template.resource(m))
+        elements += block.elements + [interleaver]
+        phase *= block.phase
+    return Circuit(elements, phase)
+
+
 def captured_calls(monkeypatch, rng) -> list:
-    """(entangler, merge_locals input, evaluate input) of synthesize calls
-    against each SKELETON_ENTANGLERS entry, on Haar and dressed landmark targets."""
+    """(entangler, object_assembly of the target, the stacked skeleton
+    synthesize evaluates) of synthesize calls against each SKELETON_ENTANGLERS
+    entry, on Haar, identity-class, CNOT-class and dressed landmark targets;
+    the last has c1 snapped to pi."""
     calls = []
     with monkeypatch.context() as patch:
-        def merge_spy(circuit):
-            calls.append([circuit])
-            return merge_locals(circuit)
-
         def evaluate_spy(circuit, entangler, tol=DEFAULT_TOL):
-            calls[-1] += [circuit, entangler]
+            calls.append(circuit)
             return evaluate(circuit, entangler, tol)
-        patch.setattr(compiler, "merge_locals", merge_spy)
         patch.setattr(compiler, "evaluate", evaluate_spy)
+        captured = []
         for name in SKELETON_ENTANGLERS:
             entangler = TEMPLATE_ENTANGLERS[name](rng)
+            template = prepare_resource(entangler)
             targets = [haar_unitary(rng) for _ in range(4)]
-            targets += [dress(u, rng) for u in (CNOT, SWAP, SQRT_SWAP, B_GATE)]
+            targets += [dress(u, rng) for u in (np.eye(4), CNOT, SWAP, SQRT_SWAP, B_GATE,
+                                                interaction(np.pi - 1e-10, 5e-11, 5e-11))]
             for target in targets:
                 synthesize(target, entangler)
-    return [(entangler, raw, skeleton) for raw, skeleton, entangler in calls]
+                dec = kak_decompose(target)
+                raw = object_assembly(snap_vector(dec.c), dec, template)
+                captured.append((entangler, raw, calls.pop()))
+    return captured
+
+
+def block_pattern_angles(local: tuple[bool, bool, bool], k: int) -> tuple[float, ...]:
+    """Block angles (c1, c2, c3) with block i local where local[i]: 0 or pi, else
+    below pi/2, pi/2, or above (fold_angle's folded branch), picked by k."""
+    return tuple((0.0, np.pi)[(k + i) % 2] if is_local
+                 else (0.4, np.pi / 2, 2.3, np.pi - 1e-3)[(k + i) % 4]
+                 for i, is_local in enumerate(local))
 
 
 class TestStackedLayersBitIdentical:
@@ -482,6 +510,37 @@ class TestStackedLayersBitIdentical:
             merged = merge_locals(raw)
             assert_bit_identical(merged, merge_locals_loop(raw))
             assert_bit_identical(merged, skeleton)
+
+    @pytest.mark.parametrize("name", SKELETON_ENTANGLERS)
+    def test_every_local_block_pattern(self, name, rng):
+        # The chamber (c1 >= c2 >= c3) lets synthesize meet 4 of the 8
+        # patterns of local blocks; the stacked assembly takes any angles.
+        entangler = TEMPLATE_ENTANGLERS[name](rng)
+        template = prepare_resource(entangler)
+        for k in range(2):
+            for local in itertools.product((True, False), repeat=3):
+                c = block_pattern_angles(local, k)
+                dec = KakDecomposition(LocalPair(haar_unitary(rng, 2), haar_unitary(rng, 2)),
+                                       CanonicalVector(0.0, 0.0, 0.0),
+                                       LocalPair(haar_unitary(rng, 2), haar_unitary(rng, 2)),
+                                       complex(np.exp(1j * rng.uniform(0, 2 * np.pi))), 0.0)
+                skeleton = compiler._skeleton(c, dec, template)
+                raw = object_assembly(c, dec, template)
+                assert_bit_identical(skeleton, merge_locals(raw))
+                assert_bit_identical(skeleton, merge_locals_loop(raw))
+                assert (evaluate(skeleton, entangler).tobytes()
+                        == evaluate(merge_locals(raw), entangler).tobytes())
+
+    def test_one_plan_per_local_block_pattern(self, monkeypatch, rng):
+        compiler._skeleton_plan.cache_clear()
+        template = prepare_resource(cphase(np.pi / 9))
+        dec = kak_decompose(haar_unitary(rng))
+        for k in range(4):
+            for local in itertools.product((True, False), repeat=3):
+                compiler._skeleton(block_pattern_angles(local, k), dec, template)
+        captured_calls(monkeypatch, rng)
+        info = compiler._skeleton_plan.cache_info()
+        assert (info.currsize, info.misses) == (8, 8)
 
     def test_merge_locals_in_amplify(self, monkeypatch, rng):
         # The unit and, for n > 1, the rotated unit that zzsynth.amplify

@@ -1,5 +1,9 @@
 import contextlib
 import itertools
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -554,6 +558,20 @@ class TestKakHelpersBitIdentical:
     def test_draws_match_per_call_generator(self):
         rng = np.random.default_rng(kak._DIAG_SEED)
         assert np.array_equal(kak._DIAG_DRAWS, [rng.normal(size=2) for _ in range(32)])
+        # The literal is byte for byte the seeded draw it replaced.
+        seeded = np.random.default_rng(kak._DIAG_SEED).normal(size=(32, 2))
+        assert kak._DIAG_DRAWS.dtype == seeded.dtype
+        assert kak._DIAG_DRAWS.tobytes() == seeded.tobytes()
+
+    def test_import_loads_no_numpy_random(self):
+        # Beyond what importing numpy itself loads.
+        code = ("import sys, numpy; before = set(sys.modules); import gatesynth; "
+                "print(sorted(m for m in set(sys.modules) - before "
+                "if m.startswith('numpy.random')))")
+        env = {**os.environ, "PYTHONPATH": str(Path(kak.__file__).parents[1])}
+        out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                             text=True, check=True, timeout=120).stdout
+        assert out.strip() == "[]"
 
 
 def _assert_same_decomposition(got, want) -> None:
