@@ -60,7 +60,7 @@ def _run_classify(args) -> int:
     print(f"canonical: ({', '.join(map(_fmt, snap_vector(dec.c, tol.snap_tol)))})")
     print(f"class: {kind.value}")
     if kind is GateClass.ENTANGLING:
-        report = upper_bound(gate, dec, tol)
+        report = upper_bound(gate, tol, dec=dec)
         print(f"gamma: {_fmt(report.gamma)}")
         print(f"apps_per_unit: {report.apps_per_unit}")
         print(f"n: {report.n}")

@@ -7,13 +7,12 @@ count never exceeds zzsynth.uniform_bound. That bound depends only on the
 entangler's canonical vector.
 
 synthesize keeps each entangler's zzsynth.prepare_resource template in
-a small memo, writes a target's local layers straight into one stack
-fused by a plan memoized per pattern of local blocks, verifies the
-circuit on the template's runs, and expands the runs and counts the
-gates in one pass at emission.
+a small memo, writes a target's local layers as chains of known lengths
+and fuses them in one matcore.fuse_layers call, verifies the circuit on
+the template's runs, and expands the runs and counts the gates in one
+pass at emission.
 """
 
-import functools
 from collections import OrderedDict
 from dataclasses import dataclass, field
 
@@ -23,9 +22,8 @@ import numpy as np
 # perfbench's tracer look them up; synthesize fuses through fuse_layers.
 from .blocksynth import block_locals, controlled_u_gamma, synth_zz_block
 from .kak import KakDecomposition, kak_decompose, snap_vector
-from .matcore import (DEFAULT_TOL, ID2, Circuit, FusionPlan, LocalPair, StackedCircuit,
-                      ToleranceConfig, evaluate, fuse_layers, fusion_plan, merge_locals,
-                      phase_distance)
+from .matcore import (DEFAULT_TOL, ID2, Circuit, LocalPair, StackedCircuit, ToleranceConfig,
+                      evaluate, fuse_layers, merge_locals, phase_distance)
 from .zzsynth import (KX_DAG, KX_KY_DAG, KY_FACTOR, ZzTemplate, _Run, block_repetitions,
                       choose_unit, fold_angle, prepare_resource, repetitions, uniform_bound)
 
@@ -52,15 +50,15 @@ class SynthesisReport:
         self.bound = uniform_bound(self.n, self.apps_per_unit)
 
 
-def upper_bound(entangler: np.ndarray, dec: KakDecomposition | None = None,
-                tol: ToleranceConfig = DEFAULT_TOL) -> SynthesisReport:
+def upper_bound(entangler: np.ndarray, tol: ToleranceConfig = DEFAULT_TOL, *,
+                dec: KakDecomposition | None = None) -> SynthesisReport:
     """Uniform bound on entangler applications for any two-qubit target.
 
     Computed from the unit synthesize would repeat; the n-fold circuit is
     never built. dec is the entangler's KAK when the caller has it already
     (classify prints its vector); without it the entangler is decomposed.
     """
-    unit = choose_unit(entangler, tol, dec)
+    unit = choose_unit(entangler, tol, dec=dec)
     n = repetitions(unit.gamma)
     return SynthesisReport(n * unit.gamma, unit.apps_per_unit, n)
 
@@ -90,24 +88,6 @@ _INPUT_NAMES = ("target", "entangler")
 _INTERLEAVERS = ((KY_FACTOR, KY_FACTOR), (KX_KY_DAG, KX_KY_DAG))
 
 
-@functools.lru_cache(maxsize=8)
-def _skeleton_plan(local: tuple[bool, bool, bool]) -> FusionPlan:
-    """The plan fusing a skeleton's chains of local layers, local[i] true when
-    block i (c3, c2, c1) is local. Runs are opaque, so the chains depend on
-    this alone: at most 8 plans.
-
-    The skeleton is k2, then per block its one layer (local) or pre, first,
-    run, last, mid, first, run, last, post (block_locals and the template's
-    first and last layers), then the block's interleaver.
-    """
-    lengths = [1]
-    for is_local in local:
-        lengths[-1] += 2  # the local layer and the interleaver, or pre and first
-        if not is_local:
-            lengths += [3, 3]  # last, mid, first; last, post, interleaver
-    return fusion_plan(tuple(lengths))
-
-
 def _emitted(skeleton: StackedCircuit) -> tuple[Circuit, int, int]:
     """The circuit with every template run replaced by fresh copies of its
     elements, and its entangler and local counts: the skeleton's fused
@@ -132,14 +112,15 @@ def _skeleton(c: tuple[float, float, float], dec: KakDecomposition,
     Application order per the three-block form: c3 block, k_y, c2 block,
     k_x k_y^dag, c1 block, k1 k_x^dag; a block at angle 0 or pi is one
     local layer and merges with its neighbors. Every local layer goes
-    straight into the list of halves fuse_layers stacks, on the plan of
-    this pattern of local blocks.
+    straight into the list of halves fuse_layers stacks, and lengths counts
+    the layers of each chain between runs as they are written.
     """
     first, last = template.first, template.last
-    halves, runs, local, phase = [dec.k2.a, dec.k2.b], [], [], dec.phase
+    halves, lengths, runs, phase = [dec.k2.a, dec.k2.b], [1], [], dec.phase
     k1_layer = (dec.k1.a @ KX_DAG, dec.k1.b @ KX_DAG)
     for c_i, interleaver in zip(c[::-1], _INTERLEAVERS + (k1_layer,)):
         h, pre, post, fold_phase = fold_angle(c_i)
+        lengths[-1] += 2  # the local layer and the interleaver, or pre and first
         if h == 0.0:
             halves += block_locals(c_i, h, pre, post, template.gamma)
             phase *= fold_phase
@@ -150,10 +131,10 @@ def _skeleton(c: tuple[float, float, float], dec: KakDecomposition,
             halves += (pre_a, u2, first.a, first.b, last.a, last.b, ID2, mid,
                        first.a, first.b, last.a, last.b, post_a, u1)
             runs += (run, run)
+            lengths += [3, 3]  # last, mid, first; last, post, interleaver
             phase *= unit_phase ** 2 if h == c_i else fold_phase * unit_phase ** 2
         halves += interleaver
-        local.append(h == 0.0)
-    layers, phase = fuse_layers(halves, _skeleton_plan(tuple(local)), phase)
+    layers, phase = fuse_layers(halves, tuple(lengths), phase)
     pairs = [LocalPair(a, b) for a, b in layers]
     elements = [pairs[0]]
     for run, pair in zip(runs, pairs[1:]):
@@ -170,10 +151,9 @@ def synthesize(target: np.ndarray, entangler: np.ndarray,
     a block whose coefficient snaps to 0 or pi costs no application. A
     block of folded angle h inserts block_repetitions(h, ...) <= n units,
     not the n of the uniform bound. The local layers go into one stack,
-    fused as merge_locals fuses (matcore.fuse_layers) on a plan memoized
-    per pattern of local blocks, with the template's runs opaque between
-    them. The result is verified against the target before returning,
-    with the runs' products, and then expanded.
+    fused as merge_locals fuses (matcore.fuse_layers), with the template's
+    runs opaque between them. The result is verified against the target
+    before returning, with the runs' products, and then expanded.
 
     A memo miss decomposes the target and the entangler in one stacked
     KAK; a hit decomposes the target alone. Raises ValueError for invalid
@@ -191,7 +171,7 @@ def synthesize(target: np.ndarray, entangler: np.ndarray,
     if template is None:
         # A miss: the target and the new entangler take one stacked KAK.
         dec, entangler_dec = kak_decompose(np.stack((target, entangler)), tol, _INPUT_NAMES)
-        template = prepare_resource(entangler, entangler_dec, tol)
+        template = prepare_resource(entangler, tol, dec=entangler_dec)
         _resource_memo[key] = template
         if len(_resource_memo) > RESOURCE_MEMO_SIZE:
             _resource_memo.popitem(last=False)

@@ -6,6 +6,7 @@ Circuits are ordered element lists; element 0 acts first on the state, so
 the evaluated matrix is the right-to-left product of the element matrices.
 """
 
+import functools
 from dataclasses import astuple, dataclass, field
 
 import numpy as np
@@ -177,9 +178,6 @@ class LocalPair:
     def matrix(self) -> np.ndarray:
         return tensor(self.a, self.b)
 
-    def dag(self) -> "LocalPair":
-        return LocalPair(dagger(self.a), dagger(self.b))
-
 
 @dataclass(frozen=True)
 class EntanglerApp:
@@ -273,6 +271,8 @@ class FusionPlan:
     positions: list[int]
 
 
+# Closed-form layouts are few: 8 skeleton patterns, 5 unit and 5 seam layouts.
+@functools.lru_cache(maxsize=64)
 def fusion_plan(lengths: tuple[int, ...]) -> FusionPlan:
     """The plan fusing chains of lengths[k] >= 1 layers, chain k in circuit order."""
     # Longest chains first, so the chains with a layer at depth d are a
@@ -288,17 +288,21 @@ def fusion_plan(lengths: tuple[int, ...]) -> FusionPlan:
     return FusionPlan(gather, counts, sorted(range(len(lengths)), key=order.__getitem__))
 
 
-def fuse_layers(halves: list, plan: FusionPlan, phase: complex) -> tuple[np.ndarray, complex]:
-    """Fuse chains of local layers by plan and normalize each product to unit
-    determinant per qubit.
+def fuse_layers(halves: list, lengths: tuple[int, ...],
+                phase: complex) -> tuple[np.ndarray, complex]:
+    """Fuse chains of local layers and normalize each product to unit
+    determinant per qubit: the one fusion every circuit goes through.
 
-    halves holds each layer's a and b, chain after chain in circuit order.
-    Returns the fused layers stacked (chains, 2, 2, 2) in circuit order, and
-    phase times the scalars taken out, in circuit order. One stacked matmul
-    per depth d multiplies layer d of every chain that has one onto that
-    chain's product of layers 0 to d - 1: each product is the same 2x2
-    matmul, in the same order, as fusing one chain at a time.
+    halves holds each layer's a and b, chain after chain in circuit order;
+    chain k has lengths[k] >= 1 layers. Returns the fused layers stacked
+    (chains, 2, 2, 2) in circuit order, and phase times the scalars taken
+    out, in circuit order. The plan of each tuple of lengths is memoized
+    (fusion_plan). One stacked matmul per depth d multiplies layer d of
+    every chain that has one onto that chain's product of layers 0 to
+    d - 1: each product is the same 2x2 matmul, in the same order, as
+    fusing one chain at a time.
     """
+    plan = fusion_plan(lengths)
     layers = np.array([halves[i] for i in plan.gather], dtype=complex).reshape(-1, 2, 2, 2)
     counts = plan.counts
     fused = layers[:counts[0]]
@@ -322,8 +326,7 @@ def merge_locals(circuit: Circuit) -> Circuit:
     qubit, with the extracted scalars folded into the circuit phase, so
     output layers are canonical, freshly allocated, and no two local
     layers are adjacent. Every other element passes through. All chains
-    of adjacent layers fuse at once, by fuse_layers on the plan of their
-    lengths.
+    of adjacent layers fuse at once, by fuse_layers on their lengths.
     """
     merged: list = []
     slots: list = []
@@ -342,7 +345,7 @@ def merge_locals(circuit: Circuit) -> Circuit:
         halves += (elem.a, elem.b)
     if not slots:
         return Circuit(merged, circuit.phase)
-    fused, phase = fuse_layers(halves, fusion_plan(tuple(lengths)), circuit.phase)
+    fused, phase = fuse_layers(halves, tuple(lengths), circuit.phase)
     for slot, (a, b) in zip(slots, fused):
         merged[slot] = LocalPair(a, b)
     return Circuit(merged, phase)

@@ -13,9 +13,13 @@ followed by one exact Pauli fold (fold_angle) so gamma lands in
 (0, pi/2]. Repeating the folded unit n = repetitions(gamma) times lifts
 the angle into [pi/4, pi/2] and sets the paper's uniform bound; a block
 of folded angle h needs only block_repetitions(h, ...) <= n units.
-amplify returns that repetition as a ZzTemplate, the unit merged once
+amplify returns that repetition as a ZzTemplate, the unit fused once
 with the products any m <= n repetitions need; the n-fold circuit is
 never built.
+
+The unit is built as chains of local layers, one chain before each
+application and one after the last, as the closed forms give them; every
+fusion goes through matcore.fuse_layers on the chains' lengths.
 
 Doubling works on every axis, A s_k A s_k = exp(i g_k s_k s_k), so
 choose_unit keeps the paper's unit unless doubling another coordinate
@@ -25,14 +29,14 @@ KAK from a caller that has it (synthesize decomposes it with the target).
 """
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .kak import GateClass, KakDecomposition, classify, kak_decompose, snap_vector
 from .matcore import (DEFAULT_TOL, ID2, PAULIS, ROUNDOFF, SIGMA_X, SIGMA_Z, Circuit,
                       EntanglerApp, LocalPair, ToleranceConfig, _product, dagger,
-                      exp_pauli, merge_locals)
+                      exp_pauli, fuse_layers)
 
 # Fixed rotations, built once: _QUARTER[axis, s] = exp(i s (pi/4) sigma_axis).
 _QUARTER = {(axis, s): exp_pauli(axis, s * np.pi / 4) for axis in "xyz" for s in (1, -1)}
@@ -51,20 +55,29 @@ KX_DAG = dagger(KX_FACTOR)
 
 @dataclass(eq=False)
 class ZzResource:
-    """A circuit over one fixed entangler realizing exp(gamma (i/2) ZZ).
+    """A unit over one fixed entangler realizing exp(gamma (i/2) ZZ), up to phase.
 
-    apps_per_unit is the entangler count of one unamplified unit (1 or 2).
+    chains[k] lists the (a, b) local layers applied before application k,
+    and chains[-1] those after the last; apps_per_unit, the entangler count
+    of the unit (1 or 2), is len(chains) - 1.
     """
 
-    circuit: Circuit
+    chains: list
+    phase: complex
     gamma: float
     apps_per_unit: int
 
+    @property
+    def circuit(self) -> Circuit:
+        """The unit as a circuit: each chain's layers, one EntanglerApp between chains."""
+        elements = [LocalPair(a, b) for a, b in self.chains[0]]
+        for chain in self.chains[1:]:
+            elements += [EntanglerApp()] + [LocalPair(a, b) for a, b in chain]
+        return Circuit(elements, self.phase)
 
-def _conjugated(circ: Circuit, k: np.ndarray) -> Circuit:
-    """Wrap a circuit as L . circ . L^dag with L = k (x) k."""
-    return Circuit([LocalPair(dagger(k), dagger(k))] + circ.elements + [LocalPair(k, k)],
-                   circ.phase)
+
+def _dag(layer: LocalPair) -> tuple[np.ndarray, np.ndarray]:
+    return dagger(layer.a), dagger(layer.b)
 
 
 def _paper_axis(g: tuple[float, float, float]) -> int:
@@ -81,32 +94,46 @@ def _folded_unit(dec: KakDecomposition, tol: ToleranceConfig, axis) -> ZzResourc
     if kind is not GateClass.ENTANGLING:
         raise ValueError(f"resource gate is {kind.value}, not entangling")
 
-    # Circuit computing the entangler's pure interaction factor
-    # A = k_l^dag U_g k_r^dag, KAK locals folded into flanking layers.
-    a_circ = Circuit([dec.k2.dag(), EntanglerApp(), dec.k1.dag()],
-                     phase=np.conj(dec.phase))
+    # The entangler's pure interaction factor A = k_l^dag U_g k_r^dag is the
+    # application between the inverses of its KAK locals.
+    k2_dag, k1_dag, phase = _dag(dec.k2), _dag(dec.k1), np.conj(dec.phase)
     g1, g2, g3 = g = snap_vector(dec.c, tol.snap_tol)
 
     if g3 == 0.0 and g2 == 0.0:
         # case 1: A is a pure XX rotation; k_x conjugation moves it to ZZ
-        circuit = _conjugated(a_circ, KX_FACTOR)
-        resource = ZzResource(circuit, g1, apps_per_unit=1)
+        chains = [[(KX_DAG, KX_DAG), k2_dag], [k1_dag, (KX_FACTOR, KX_FACTOR)]]
+        gamma, apps = g1, 1
     elif g3 == 0.0 and g1 == np.pi / 2 and g2 == np.pi / 2:
         # case 2: two applications interleaved with fixed locals
-        elems = (
-            [LocalPair(_QUARTER["y", 1], ID2),
-             LocalPair(_QUARTER["z", -1], _QUARTER["z", 1])]
-            + a_circ.elements
-            + [LocalPair(_QUARTER["z", 1], _QUARTER["z", -1]),
-               LocalPair(ID2, _QUARTER["y", 1])]
-            + a_circ.elements
-            + [LocalPair(_QUARTER["y", -1], ID2)]
-        )
-        circuit = Circuit(elems, phase=a_circ.phase ** 2)
-        resource = ZzResource(circuit, np.pi / 2, apps_per_unit=2)
+        chains = [[(_QUARTER["y", 1], ID2), (_QUARTER["z", -1], _QUARTER["z", 1]), k2_dag],
+                  [k1_dag, (_QUARTER["z", 1], _QUARTER["z", -1]), (ID2, _QUARTER["y", 1]),
+                   k2_dag],
+                  [k1_dag, (_QUARTER["y", -1], ID2)]]
+        gamma, apps, phase = np.pi / 2, 2, phase ** 2
     else:
-        resource = _doubling(a_circ, g, axis(g))
-    return fold_resource(resource)
+        # cases 3 and 4: A s_k^1 A s_k^1 = exp(i g_k s_k s_k); k_x or k_y
+        # conjugation moves a doubled XX or YY angle onto ZZ
+        k = axis(g)
+        s_k = (PAULIS["xyz"[k]], ID2)
+        chains = [[s_k, k2_dag], [k1_dag, s_k, k2_dag], [k1_dag]]
+        if k < 2:
+            k_factor = (KX_FACTOR, KY_FACTOR)[k]
+            chains[0].insert(0, (dagger(k_factor), dagger(k_factor)))
+            chains[-1].append((k_factor, k_factor))
+        gamma, apps, phase = 2 * g[k], 2, phase ** 2
+
+    # Fold gamma from [0, 2pi) into (0, pi/2] with Pauli layers; gamma = 0
+    # or pi is local. gamma passes pi only when a doubling takes c1 > pi/2:
+    # case 3 where c3 snapped to 0, e.g. (2.6, 0.13, 5e-11), or
+    # choose_unit's doubling on x.
+    h, pre, post, fold_phase = fold_angle(gamma)
+    if h == 0.0:
+        raise ValueError(f"gamma = {gamma} has no entangling reduction")
+    if h != gamma:
+        chains[0].insert(0, _dag(pre))
+        chains[-1].append(_dag(post))
+        phase = np.conj(fold_phase) * phase
+    return ZzResource(chains, phase, h, apps)
 
 
 def extract_zz(entangler: np.ndarray, tol: ToleranceConfig = DEFAULT_TOL) -> ZzResource:
@@ -117,15 +144,6 @@ def extract_zz(entangler: np.ndarray, tol: ToleranceConfig = DEFAULT_TOL) -> ZzR
     cannot serve as the entangling resource.
     """
     return _folded_unit(kak_decompose(entangler, tol), tol, _paper_axis)
-
-
-def _doubling(a_circ: Circuit, g: tuple[float, float, float], k: int) -> ZzResource:
-    """A s_k^1 A s_k^1 = exp(i g_k s_k s_k), its axis moved onto ZZ, before the fold."""
-    s_k = LocalPair(PAULIS["xyz"[k]], ID2)
-    doubled = Circuit(([s_k] + a_circ.elements) * 2, phase=a_circ.phase ** 2)
-    if k < 2:  # k_x or k_y moves the doubled XX or YY angle onto ZZ
-        doubled = _conjugated(doubled, (KX_FACTOR, KY_FACTOR)[k])
-    return ZzResource(doubled, 2 * g[k], apps_per_unit=2)
 
 
 def fold_angle(g: float) -> tuple[float, LocalPair, LocalPair, complex]:
@@ -145,22 +163,6 @@ def fold_angle(g: float) -> tuple[float, LocalPair, LocalPair, complex]:
     if g <= 3 * np.pi / 2:  # shift by pi
         return g - np.pi, _NO_FOLD, _ZZ, 1j
     return 2 * np.pi - g, _X1, _X1, -1.0  # negate, then shift by 2 pi
-
-
-def fold_resource(r: ZzResource) -> ZzResource:
-    """Fold gamma from [0, 2pi) into (0, pi/2]; r itself if already there.
-
-    gamma = 0 or pi is local and rejected. gamma passes pi only when a
-    doubling takes c1 > pi/2: case 3 where c3 snapped to 0, e.g.
-    (2.6, 0.13, 5e-11), or choose_unit's doubling on x.
-    """
-    h, pre, post, phase = fold_angle(r.gamma)
-    if h == 0.0:
-        raise ValueError(f"gamma = {r.gamma} has no entangling reduction")
-    if h == r.gamma:
-        return r
-    elems = [pre.dag()] + r.circuit.elements + [post.dag()]
-    return replace(r, circuit=Circuit(elems, np.conj(phase) * r.circuit.phase), gamma=h)
 
 
 # Larger uniform bounds are refused before amplifying: an emitted circuit
@@ -202,7 +204,7 @@ def _best_axis(g: tuple[float, float, float]) -> int:
     return min(axes, key=lambda k: (uniform_bound(repetitions(h[k]), 2), -h[k]))
 
 
-def choose_unit(entangler: np.ndarray, tol: ToleranceConfig = DEFAULT_TOL,
+def choose_unit(entangler: np.ndarray, tol: ToleranceConfig = DEFAULT_TOL, *,
                 dec: KakDecomposition | None = None) -> ZzResource:
     """The folded unit of smallest uniform bound: extract_zz's, or another doubling.
 
@@ -271,39 +273,43 @@ class ZzTemplate:
         phase = self.phase if m == 1 else self.phase * self.step_phase ** (m - 1)
         return _Run(self.core, self.seam, m, self.apps_per_unit, product), phase
 
-    def resource(self, m: int) -> ZzResource:
-        """The m-fold unit as a [first, run, last] resource of angle m * gamma."""
-        run, phase = self.run(m)
-        return ZzResource(Circuit([self.first, run, self.last], phase), m * self.gamma,
-                          self.apps_per_unit)
+
+def _fused(chains: list, phase: complex) -> tuple[np.ndarray, complex]:
+    """fuse_layers on chains of (a, b) layers."""
+    halves = [half for chain in chains for layer in chain for half in layer]
+    return fuse_layers(halves, tuple(map(len, chains)), phase)
 
 
 def amplify(unit: ZzResource, entangler: np.ndarray) -> ZzTemplate:
     """The template repeating a folded unit up to n = repetitions(gamma) times.
 
-    The unit's layers are merged and normalized, and its products against
+    The unit's chains are fused and normalized, and its products against
     the entangler taken, once; the n-fold circuit is never built.
     """
     n = repetitions(unit.gamma)
-    merged = merge_locals(unit.circuit)
-    first, *core, last = merged.elements
+    layers, phase = _fused(unit.chains, unit.phase)
+    first, *inner, last = (LocalPair(a, b) for a, b in layers)
+    core = [EntanglerApp()]
+    for layer in inner:
+        core += (layer, EntanglerApp())
     template = ZzTemplate(unit.gamma, unit.apps_per_unit, n, first, core, last,
-                          merged.phase, _product(core, entangler))
+                          phase, _product(core, entangler))
     if n > 1:
-        # The unit rotated to start at its first application merges to
-        # [core, seam], with the phase one more repetition adds.
-        elements = unit.circuit.elements
-        k = next(i for i, e in enumerate(elements) if isinstance(e, EntanglerApp))
-        step = merge_locals(Circuit(elements[k:] + elements[:k], unit.circuit.phase))
-        template.seam, template.step_phase = step.elements[-1], step.phase
+        # The unit rotated to start at its first application: its inner
+        # chains, then its last chain joined to its first, which fuses to
+        # the seam, with the phase one more repetition adds.
+        chains = unit.chains
+        rotated, template.step_phase = _fused(chains[1:-1] + [chains[-1] + chains[0]],
+                                              unit.phase)
+        template.seam = LocalPair(*rotated[-1])
         template.powers.append(template.seam.matrix() @ template.core_product)
         while len(template.powers) < (n - 1).bit_length():
             template.powers.append(template.powers[-1] @ template.powers[-1])
     return template
 
 
-def prepare_resource(entangler: np.ndarray, dec: KakDecomposition | None = None,
-                     tol: ToleranceConfig = DEFAULT_TOL) -> ZzTemplate:
+def prepare_resource(entangler: np.ndarray, tol: ToleranceConfig = DEFAULT_TOL, *,
+                     dec: KakDecomposition | None = None) -> ZzTemplate:
     """choose_unit's unit as a template; ValueError if its bound exceeds the cap.
 
     dec is the entangler's KAK when the caller has it already (synthesize

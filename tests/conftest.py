@@ -1,11 +1,31 @@
 import json
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
 
 from gatesynth.matcore import Circuit
 from gatesynth.serialize import encode_matrix
-from gatesynth.zzsynth import ZzResource, ZzTemplate, _Run
+from gatesynth.zzsynth import ZzTemplate, _Run
+
+
+# Entanglers by the fold their unit takes, the same as the paper's unit and
+# as choose_unit's: (canonical vector, folded gamma, chain lengths). Case 1
+# has chains (2, 2) and case 2 (3, 4, 2); a doubling has (2, 3, 1), or
+# (3, 3, 2) when k_x or k_y conjugation moves it onto ZZ. A fold adds one
+# layer at each end: "reflect" takes gamma in (pi/2, pi] to pi - gamma,
+# "shift" gamma in (pi, 3pi/2] to gamma - pi, "negate_2pi" gamma above
+# 3pi/2 to 2pi - gamma; "none" leaves gamma in (0, pi/2].
+FOLD_BRANCHES = {
+    "none_cnot": ((np.pi / 2, 0.0, 0.0), np.pi / 2, [2, 2]),
+    "none_b": ((np.pi / 2, np.pi / 4, 0.0), np.pi / 2, [3, 3, 2]),
+    "none_sqrt_swap": ((np.pi / 4, np.pi / 4, np.pi / 4), np.pi / 2, [2, 3, 1]),
+    "case2": ((np.pi / 2, np.pi / 2, 0.0), np.pi / 2, [3, 4, 2]),
+    "reflect_z": ((1.2, 1.0, 0.9), np.pi - 1.8, [3, 3, 2]),
+    "reflect_x": ((1.0, 0.5, 0.0), np.pi - 2.0, [4, 3, 3]),
+    "shift": ((2.0, 0.13, 5e-11), 4.0 - np.pi, [4, 3, 3]),
+    "negate_2pi": ((2.6, 0.13, 5e-11), 2 * np.pi - 5.2, [4, 3, 3]),
+}
 
 
 def haar_unitary(rng: np.random.Generator, dim: int = 4) -> np.ndarray:
@@ -44,10 +64,26 @@ def expanded(circuit: Circuit) -> Circuit:
     return Circuit(elements, circuit.phase)
 
 
-def repeated(template: ZzTemplate, m: int) -> ZzResource:
-    """template.resource(m) with its run expanded: the m-fold unit as a plain circuit."""
-    r = template.resource(m)
-    return ZzResource(expanded(r.circuit), r.gamma, r.apps_per_unit)
+@dataclass
+class CircuitResource:
+    """A ZZ resource given as a circuit: what synth_zz_block reads of a unit."""
+
+    circuit: Circuit
+    gamma: float
+    apps_per_unit: int
+
+
+def run_resource(template: ZzTemplate, m: int) -> CircuitResource:
+    """The template's m-fold unit as a [first, run, last] resource of angle m * gamma."""
+    run, phase = template.run(m)
+    return CircuitResource(Circuit([template.first, run, template.last], phase),
+                           m * template.gamma, template.apps_per_unit)
+
+
+def repeated(template: ZzTemplate, m: int) -> CircuitResource:
+    """run_resource(template, m) with its run expanded: the m-fold unit as a plain circuit."""
+    r = run_resource(template, m)
+    return CircuitResource(expanded(r.circuit), r.gamma, r.apps_per_unit)
 
 
 def matrix_json(m: np.ndarray) -> str:

@@ -13,8 +13,7 @@ from gatesynth.blocksynth import (AxisAngle, block_params, controlled_u_circuit,
 from gatesynth.compiler import efficient_as_cnot, synthesize, upper_bound
 from gatesynth.gates import CNOT, SQRT_SWAP, SWAP, cphase, phase_gate
 from gatesynth.kak import kak_decompose, snap_angle
-from gatesynth.matcore import (Circuit, EntanglerApp, evaluate, interaction,
-                               phase_distance, zz_interaction)
+from gatesynth.matcore import evaluate, interaction, phase_distance, zz_interaction
 from gatesynth.zzsynth import ZzResource, extract_zz
 
 from conftest import dress, haar_unitary
@@ -80,7 +79,7 @@ def test_criterion_4_block_identity_grid():
     worst_eval = 0.0
     count = 0
     for gamma in (np.pi / 4, np.pi / 3, 2 * np.pi / 5, np.pi / 2):
-        resource = ZzResource(Circuit([EntanglerApp()]), gamma, apps_per_unit=1)
+        resource = ZzResource([[], []], 1.0, gamma, apps_per_unit=1)
         for c in (0.1, np.pi / 8, np.pi / 4, 3 * np.pi / 8, np.pi / 2):
             if c > 2 * gamma:
                 continue

@@ -10,13 +10,14 @@ from gatesynth.matcore import (Circuit, EntanglerApp, LocalPair, SIGMA_X, SIGMA_
                                evaluate, exp_pauli, phase_distance, tensor, zz_interaction)
 from gatesynth.zzsynth import ZzResource, choose_unit, prepare_resource, repetitions
 
-from conftest import expanded, haar_unitary, repeated
+from conftest import expanded, haar_unitary, repeated, run_resource
 
 ID2 = np.eye(2, dtype=complex)
 
 
 def exact_resource(gamma: float) -> ZzResource:
-    return ZzResource(Circuit([EntanglerApp()]), gamma, apps_per_unit=1)
+    """One bare application of zz_interaction(gamma): no local layer around it."""
+    return ZzResource([[], []], 1.0, gamma, apps_per_unit=1)
 
 
 def unfolded_block(c: float, resource: ZzResource) -> Circuit:
@@ -141,7 +142,7 @@ class TestSynthZzBlock:
 
     def test_exactly_two_insertions(self):
         template = prepare_resource(cphase(np.pi / 5))
-        resource = template.resource(template.n)
+        resource = run_resource(template, template.n)
         circ = expanded(synth_zz_block(0.3, resource))
         assert circ.entangler_count == 2 * expanded(resource.circuit).entangler_count == 6
 

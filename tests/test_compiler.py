@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 
 import numpy as np
@@ -18,7 +19,8 @@ from gatesynth.zzsynth import (KX_DAG, KX_KY_DAG, KY_FACTOR, MAX_APPLICATIONS, Z
                                ZzTemplate, block_repetitions, choose_unit, extract_zz,
                                fold_angle, prepare_resource, repetitions, uniform_bound)
 
-from conftest import dress, expanded, haar_unitary, near_edge, random_local, repeated
+from conftest import (FOLD_BRANCHES, CircuitResource, dress, expanded, haar_unitary,
+                      near_edge, random_local, repeated, run_resource)
 
 
 def spy_unitarity_checks(monkeypatch) -> list:
@@ -345,7 +347,20 @@ class TestUpperBound:
             raise AssertionError("upper_bound decomposed the gate again")
 
         monkeypatch.setattr(zzsynth, "kak_decompose", refuse)
-        assert upper_bound(gate, dec) == want
+        assert upper_bound(gate, dec=dec) == want
+
+
+class TestToleranceArgument:
+    @pytest.mark.parametrize("helper", [upper_bound, choose_unit, prepare_resource])
+    def test_positional_tol_matches_keyword(self, helper):
+        # snap_tol 1e-6 snaps c2 = 1e-7 to 0, so the gate is case 1 (one
+        # application); the default snap keeps case 3 (two).
+        tol = ToleranceConfig(snap_tol=1e-6)
+        gate = interaction(np.pi / 4, 1e-7, 0.0)
+        positional, keyword, default = helper(gate, tol), helper(gate, tol=tol), helper(gate)
+        assert positional.apps_per_unit == keyword.apps_per_unit == 1
+        assert default.apps_per_unit == 2
+        assert positional.gamma == keyword.gamma
 
 
 class TestMergeLocals:
@@ -454,7 +469,7 @@ SKELETON_ENTANGLERS = ("cnot", "cphase_pi_9", "b", "sqrt_swap", "case3_dressed",
 def object_assembly(c: tuple[float, float, float], dec: KakDecomposition,
                     template: ZzTemplate) -> Circuit:
     """Reference for compiler._skeleton, unmerged: the blocks c = (c1, c2, c3)
-    as LocalPair objects, synth_zz_block on template.resource(m) per block,
+    as LocalPair objects, synth_zz_block on run_resource(template, m) per block,
     the interleavers between and dec's local pairs around."""
     c1, c2, c3 = c
     elements, phase = [dec.k2], dec.phase
@@ -462,7 +477,7 @@ def object_assembly(c: tuple[float, float, float], dec: KakDecomposition,
                              (c2, LocalPair(KX_KY_DAG, KX_KY_DAG)),
                              (c1, LocalPair(dec.k1.a @ KX_DAG, dec.k1.b @ KX_DAG))):
         m = block_repetitions(fold_angle(c_i)[0], template.gamma, template.n)
-        block = synth_zz_block(c_i, template.resource(m))
+        block = synth_zz_block(c_i, run_resource(template, m))
         elements += block.elements + [interleaver]
         phase *= block.phase
     return Circuit(elements, phase)
@@ -502,6 +517,29 @@ def block_pattern_angles(local: tuple[bool, bool, bool], k: int) -> tuple[float,
                  for i, is_local in enumerate(local))
 
 
+def rotated_to_first_application(circuit: Circuit) -> Circuit:
+    k = next(i for i, e in enumerate(circuit.elements) if isinstance(e, EntanglerApp))
+    return Circuit(circuit.elements[k:] + circuit.elements[:k], circuit.phase)
+
+
+def amplified_units(rng) -> list:
+    """(unit, amplify's template of it) over every extraction case, doubling
+    axis and fold branch, and TEMPLATE_ENTANGLERS' units; each unit also at
+    gamma pi/8, where n = 2 builds the seam."""
+    units = [(choose_unit(make(rng)), make(rng)) for make in TEMPLATE_ENTANGLERS.values()]
+    for g, _, _ in FOLD_BRANCHES.values():
+        for entangler in (interaction(*g), dress(interaction(*g), rng)):
+            dec = kak_decompose(entangler)
+            for k in range(3):
+                try:
+                    unit = zzsynth._folded_unit(dec, DEFAULT_TOL, lambda g, k=k: k)
+                except ValueError:  # a doubling whose folded angle is 0
+                    continue
+                units.append((unit, entangler))
+    return [(u, zzsynth.amplify(u, entangler)) for unit, entangler in units
+            for u in (unit, dataclasses.replace(unit, gamma=np.pi / 8))]
+
+
 class TestStackedLayersBitIdentical:
     """Stacked fusion, evaluation and Kronecker products change no bit."""
 
@@ -532,33 +570,34 @@ class TestStackedLayersBitIdentical:
                         == evaluate(merge_locals(raw), entangler).tobytes())
 
     def test_one_plan_per_local_block_pattern(self, monkeypatch, rng):
-        compiler._skeleton_plan.cache_clear()
         template = prepare_resource(cphase(np.pi / 9))
         dec = kak_decompose(haar_unitary(rng))
+        matcore.fusion_plan.cache_clear()
         for k in range(4):
             for local in itertools.product((True, False), repeat=3):
                 compiler._skeleton(block_pattern_angles(local, k), dec, template)
-        captured_calls(monkeypatch, rng)
-        info = compiler._skeleton_plan.cache_info()
+        info = matcore.fusion_plan.cache_info()
         assert (info.currsize, info.misses) == (8, 8)
+        # Units and seams add a few layouts of their own; none is evicted.
+        captured_calls(monkeypatch, rng)
+        info = matcore.fusion_plan.cache_info()
+        assert info.currsize == info.misses < info.maxsize
 
-    def test_merge_locals_in_amplify(self, monkeypatch, rng):
-        # The unit and, for n > 1, the rotated unit that zzsynth.amplify
-        # merges; synthesize's merges never see these.
-        raws = []
-        with monkeypatch.context() as patch:
-            def merge_spy(circuit):
-                raws.append(circuit)
-                return merge_locals(circuit)
-            patch.setattr(zzsynth, "merge_locals", merge_spy)
-            for make in TEMPLATE_ENTANGLERS.values():
-                prepare_resource(make(rng))
-        # cphase_pi_9 and zz_pi_5 repeat their unit (n > 1): two merges each.
-        assert len(raws) == len(TEMPLATE_ENTANGLERS) + 2
+    def test_merge_locals_in_amplify(self, rng):
+        # amplify fuses the unit's chains, and for n > 1 the chains rotated
+        # to the first application, as merge_locals fuses the circuits.
+        for unit, template in amplified_units(rng):
+            merged = merge_locals(unit.circuit)
+            assert_bit_identical(merged, merge_locals_loop(unit.circuit))
+            assert_bit_identical(Circuit([template.first, *template.core, template.last],
+                                         template.phase), merged)
+            if template.n > 1:
+                step = merge_locals(rotated_to_first_application(unit.circuit))
+                assert_bit_identical(Circuit([*template.core, template.seam],
+                                             template.step_phase), step)
         layer = LocalPair(haar_unitary(rng, 2), haar_unitary(rng, 2))
-        raws += [Circuit([EntanglerApp()], phase=1j), Circuit([layer], phase=-1j),
-                 Circuit([EntanglerApp(), layer, EntanglerApp()])]
-        for raw in raws:
+        for raw in (Circuit([EntanglerApp()], phase=1j), Circuit([layer], phase=-1j),
+                    Circuit([EntanglerApp(), layer, EntanglerApp()])):
             assert_bit_identical(merge_locals(raw), merge_locals_loop(raw))
 
     def test_exact_zeros_keep_their_sign(self, rng):
@@ -606,9 +645,9 @@ class TestResourceMemo:
         calls = []
         original = compiler.prepare_resource
 
-        def counting(entangler, dec=None, tol=DEFAULT_TOL):
+        def counting(entangler, tol=DEFAULT_TOL, *, dec=None):
             calls.append(tol)
-            return original(entangler, dec, tol)
+            return original(entangler, tol, dec=dec)
 
         compiler._resource_memo.clear()
         monkeypatch.setattr(compiler, "prepare_resource", counting)
@@ -725,7 +764,7 @@ def synthesize_expanded(target: np.ndarray, entangler: np.ndarray,
                            (c1, LocalPair(dec.k1.a @ KX_DAG, dec.k1.b @ KX_DAG))):
         m = max(1, int(np.ceil(min(c, np.pi - c) / (2 * unit.gamma))))
         m_units = Circuit(unit.circuit.elements * m, unit.circuit.phase ** m)
-        resource = ZzResource(merge_locals(m_units), m * unit.gamma, unit.apps_per_unit)
+        resource = CircuitResource(merge_locals(m_units), m * unit.gamma, unit.apps_per_unit)
         block = synth_zz_block(c, resource)
         elements += block.elements + [interleaver]
         phase *= block.phase

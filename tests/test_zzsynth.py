@@ -2,28 +2,22 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from gatesynth.gates import CNOT
-from gatesynth.kak import snap_angle
-from gatesynth.matcore import (ID2, ROUNDOFF, Circuit, EntanglerApp, LocalPair, evaluate,
-                               interaction, phase_distance, zz_interaction)
+from gatesynth.gates import B_GATE, CNOT
+from gatesynth.kak import kak_decompose, snap_angle
+from gatesynth.matcore import (DEFAULT_TOL, ID2, ROUNDOFF, evaluate, interaction,
+                               phase_distance, zz_interaction)
 from gatesynth import zzsynth
 from gatesynth.zzsynth import (MAX_APPLICATIONS, ZzResource, amplify, block_repetitions,
-                               choose_unit, extract_zz, fold_angle, fold_resource,
-                               prepare_resource, repetitions, uniform_bound)
+                               choose_unit, extract_zz, fold_angle, prepare_resource,
+                               repetitions, uniform_bound)
 
-from conftest import dress, random_local, repeated
-
-
-def raw_zz_resource(gamma: float) -> ZzResource:
-    """Resource whose circuit is a bare application of zz_interaction(gamma)."""
-    return ZzResource(Circuit([EntanglerApp()]), gamma, apps_per_unit=1)
+from conftest import FOLD_BRANCHES, dress, random_local, repeated, run_resource
 
 
 def flanked_zz_unit(gamma: float) -> ZzResource:
-    """Unit whose circuit is one application of zz_interaction(gamma) between
-    identity layers; every extracted unit starts and ends with a local layer."""
-    return ZzResource(Circuit([LocalPair(ID2, ID2), EntanglerApp(), LocalPair(ID2, ID2)]),
-                      gamma, apps_per_unit=1)
+    """Unit of one application of zz_interaction(gamma) between identity
+    layers; every extracted unit starts and ends with a local layer."""
+    return ZzResource([[(ID2, ID2)], [(ID2, ID2)]], 1.0, gamma, apps_per_unit=1)
 
 
 def check_resource(r: ZzResource, entangler: np.ndarray, tol: float = 1e-9) -> None:
@@ -123,7 +117,7 @@ class TestChooseUnit:
         # Both units move off the paper's axis; only the winner is built,
         # from the one KAK.
         ent = dress(interaction(*triple), rng)
-        calls = {"kak_decompose": 0, "_doubling": 0}
+        calls = {"kak_decompose": 0, "_folded_unit": 0}
         with monkeypatch.context() as patch:
             for name in calls:
                 def counting(*args, _name=name, _original=getattr(zzsynth, name), **kwargs):
@@ -131,7 +125,7 @@ class TestChooseUnit:
                     return _original(*args, **kwargs)
                 patch.setattr(zzsynth, name, counting)
             unit = choose_unit(ent)
-        assert calls == {"kak_decompose": 1, "_doubling": 1}
+        assert calls == {"kak_decompose": 1, "_folded_unit": 1}
         # choose_unit's order: bound, then applications, then the larger angle.
         cost = lambda r: (uniform_bound(repetitions(r.gamma), r.apps_per_unit),
                           r.apps_per_unit, -r.gamma)
@@ -178,41 +172,75 @@ class TestFoldAngle:
             fold_angle(g)
 
 
+class TestUnitFold:
+    """The unit's chains and its fold into (0, pi/2], for every fold branch."""
+
+    @pytest.mark.parametrize("name", FOLD_BRANCHES)
+    @pytest.mark.parametrize("build", [extract_zz, choose_unit], ids=["paper", "best_axis"])
+    def test_branch(self, name, build, rng):
+        g, gamma, lengths = FOLD_BRANCHES[name]
+        for ent in (interaction(*g), dress(interaction(*g), rng)):
+            unit = build(ent)
+            assert 0.0 < unit.gamma <= np.pi / 2
+            assert unit.gamma == pytest.approx(gamma, abs=1e-9)
+            assert [len(chain) for chain in unit.chains] == lengths
+            assert unit.circuit.entangler_count == unit.apps_per_unit == len(lengths) - 1
+            assert phase_distance(evaluate(unit.circuit, ent), zz_interaction(unit.gamma)) < 1e-9
+
+
 class TestReduceAngle:
-    """fold_resource shifting gamma in (pi, 3pi/2] down by pi."""
+    """The unit's fold shifting gamma in (pi, 3pi/2] down by pi."""
 
     def test_reduces_three_half_pi(self):
-        r = raw_zz_resource(3 * np.pi / 2)
-        out = fold_resource(r)
-        assert out.gamma == pytest.approx(np.pi / 2, abs=1e-15)
-        got = evaluate(out.circuit, zz_interaction(3 * np.pi / 2))
-        np.testing.assert_allclose(got, zz_interaction(np.pi / 2), atol=1e-14)
+        # c3 snaps to 0 but keeps c1 = 3pi/4 off the base fold; the paper
+        # doubles c1 to 3pi/2, conjugated from XX onto ZZ, and the fold adds
+        # a layer at each end.
+        ent = interaction(3 * np.pi / 4, 0.3, 5e-11)
+        unit = extract_zz(ent)
+        assert unit.gamma == pytest.approx(np.pi / 2, abs=1e-12)
+        assert [len(chain) for chain in unit.chains] == [4, 3, 3]
+        check_resource(unit, ent)
 
     def test_below_pi_unchanged(self):
-        r = raw_zz_resource(np.pi / 3)
-        assert fold_resource(r) is r
+        # Case 1 at pi/3 needs no fold: k_x conjugation only.
+        ent = interaction(np.pi / 3, 0.0, 0.0)
+        unit = extract_zz(ent)
+        assert unit.gamma == pytest.approx(np.pi / 3, abs=1e-12)
+        assert [len(chain) for chain in unit.chains] == [2, 2]
+        check_resource(unit, ent)
 
     def test_pi_rejected(self):
-        with pytest.raises(ValueError):
-            fold_resource(raw_zz_resource(np.pi))
+        # Doubling B's c1 = pi/2 gives the local angle pi, which no fold
+        # reduces; only a custom axis reaches it.
+        with pytest.raises(ValueError, match="no entangling reduction"):
+            zzsynth._folded_unit(kak_decompose(B_GATE), DEFAULT_TOL, lambda g: 0)
 
 
 class TestReflectAngle:
-    """fold_resource reflecting gamma in (pi/2, pi) to pi - gamma."""
+    """The unit's fold reflecting gamma in (pi/2, pi) to pi - gamma."""
 
     def test_reflects(self):
-        out = fold_resource(raw_zz_resource(3 * np.pi / 4))
-        assert out.gamma == pytest.approx(np.pi / 4, abs=1e-15)
-        got = evaluate(out.circuit, zz_interaction(3 * np.pi / 4))
-        np.testing.assert_allclose(got, zz_interaction(np.pi / 4), atol=1e-14)
+        # Doubling c3 = 0.9 gives 1.8; no conjugation, one fold layer each side.
+        ent = interaction(1.2, 1.0, 0.9)
+        unit = extract_zz(ent)
+        assert unit.gamma == pytest.approx(np.pi - 1.8, abs=1e-12)
+        assert [len(chain) for chain in unit.chains] == [3, 3, 2]
+        check_resource(unit, ent)
 
     def test_boundary_kept(self):
-        r = raw_zz_resource(np.pi / 2)
-        assert fold_resource(r) is r
+        # B doubles c2 = pi/4 to pi/2, conjugated from YY onto ZZ; no fold.
+        unit = extract_zz(B_GATE)
+        assert unit.gamma == pytest.approx(np.pi / 2, abs=1e-12)
+        assert [len(chain) for chain in unit.chains] == [3, 3, 2]
+        check_resource(unit, B_GATE)
 
     def test_below_half_pi_unchanged(self):
-        r = raw_zz_resource(np.pi / 5)
-        assert fold_resource(r) is r
+        # Doubling c3 = 0.3 gives 0.6: no conjugation and no fold.
+        ent = interaction(1.0, 0.8, 0.3)
+        unit = extract_zz(ent)
+        assert unit.gamma == pytest.approx(0.6, abs=1e-12)
+        assert [len(chain) for chain in unit.chains] == [2, 3, 1]
+        check_resource(unit, ent)
 
 
 class TestAmplify:
@@ -224,7 +252,7 @@ class TestAmplify:
         assert template.n == n
         assert len(template.powers) == (n - 1).bit_length()
         for m in range(1, n + 1):
-            run, out = template.resource(m), repeated(template, m)
+            run, out = run_resource(template, m), repeated(template, m)
             assert out.gamma == pytest.approx(m * gamma)
             assert out.circuit.entangler_count == m
             got = evaluate(out.circuit, zz_interaction(gamma))
@@ -237,7 +265,7 @@ class TestAmplify:
     @given(st.floats(min_value=1e-4, max_value=np.pi / 2))
     def test_minimality_and_range(self, gamma):
         template = amplify(flanked_zz_unit(gamma), zz_interaction(gamma))
-        out = template.resource(template.n)
+        out = run_resource(template, template.n)
         assert np.pi / 4 <= out.gamma <= np.pi / 2 + 1e-12
         assert (template.n - 1) * gamma < np.pi / 4
 
