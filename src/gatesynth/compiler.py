@@ -7,10 +7,10 @@ count never exceeds zzsynth.uniform_bound. That bound depends only on the
 entangler's canonical vector.
 
 synthesize keeps each entangler's zzsynth.prepare_resource template in
-a small memo, writes a target's local layers as chains of known lengths
-and fuses them in one matcore.fuse_layers call, verifies the circuit on
-the template's runs, and expands the runs and counts the gates in one
-pass at emission.
+a small memo, writes a target's local layers as chains between the
+template's runs and fuses them in one matcore.fuse_layers call, verifies
+the circuit on the runs, and expands the runs and counts the gates in
+one pass at emission.
 """
 
 from collections import OrderedDict
@@ -111,30 +111,28 @@ def _skeleton(c: tuple[float, float, float], dec: KakDecomposition,
 
     Application order per the three-block form: c3 block, k_y, c2 block,
     k_x k_y^dag, c1 block, k1 k_x^dag; a block at angle 0 or pi is one
-    local layer and merges with its neighbors. Every local layer goes
-    straight into the list of halves fuse_layers stacks, and lengths counts
-    the layers of each chain between runs as they are written.
+    local layer and merges with its neighbors. Every local layer's halves
+    go straight into its chain between runs, and fuse_layers fuses the
+    chains.
     """
     first, last = template.first, template.last
-    halves, lengths, runs, phase = [dec.k2.a, dec.k2.b], [1], [], dec.phase
+    chains, runs, phase = [[dec.k2.a, dec.k2.b]], [], dec.phase
     k1_layer = (dec.k1.a @ KX_DAG, dec.k1.b @ KX_DAG)
     for c_i, interleaver in zip(c[::-1], _INTERLEAVERS + (k1_layer,)):
         h, pre, post, fold_phase = fold_angle(c_i)
-        lengths[-1] += 2  # the local layer and the interleaver, or pre and first
         if h == 0.0:
-            halves += block_locals(c_i, h, pre, post, template.gamma)
+            chains[-1] += block_locals(c_i, h, pre, post, template.gamma)
             phase *= fold_phase
         else:
             m = block_repetitions(h, template.gamma, template.n)
             run, unit_phase = template.run(m)
             pre_a, u2, mid, post_a, u1 = block_locals(c_i, h, pre, post, m * template.gamma)
-            halves += (pre_a, u2, first.a, first.b, last.a, last.b, ID2, mid,
-                       first.a, first.b, last.a, last.b, post_a, u1)
+            chains[-1] += (pre_a, u2, first.a, first.b)
+            chains += [[last.a, last.b, ID2, mid, first.a, first.b], [last.a, last.b, post_a, u1]]
             runs += (run, run)
-            lengths += [3, 3]  # last, mid, first; last, post, interleaver
             phase *= unit_phase ** 2 if h == c_i else fold_phase * unit_phase ** 2
-        halves += interleaver
-    layers, phase = fuse_layers(halves, tuple(lengths), phase)
+        chains[-1] += interleaver
+    layers, phase = fuse_layers(chains, phase)
     pairs = [LocalPair(a, b) for a, b in layers]
     elements = [pairs[0]]
     for run, pair in zip(runs, pairs[1:]):

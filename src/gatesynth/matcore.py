@@ -6,7 +6,6 @@ Circuits are ordered element lists; element 0 acts first on the state, so
 the evaluated matrix is the right-to-left product of the element matrices.
 """
 
-import functools
 from dataclasses import astuple, dataclass, field
 
 import numpy as np
@@ -254,69 +253,31 @@ def _product(elements: list, entangler: np.ndarray,
     return out
 
 
-@dataclass(frozen=True)
-class FusionPlan:
-    """How fuse_layers fuses chains of adjacent local layers, from their lengths alone.
-
-    The layers are stacked depth-major: counts[d] chains have a layer at
-    depth d, longest chains first, so those chains are a prefix of each
-    depth's rows. gather lists, row by row, the index of each layer's two
-    halves (a, b) in the chains' circuit-order list of halves; positions[k]
-    is the row of chain k's product among the fused layers. Plans are
-    shared: callers only read the lists.
-    """
-
-    gather: list[int]
-    counts: list[int]
-    positions: list[int]
-
-
-# Closed-form layouts are few: 8 skeleton patterns, 5 unit and 5 seam layouts.
-@functools.lru_cache(maxsize=64)
-def fusion_plan(lengths: tuple[int, ...]) -> FusionPlan:
-    """The plan fusing chains of lengths[k] >= 1 layers, chain k in circuit order."""
-    # Longest chains first, so the chains with a layer at depth d are a
-    # prefix of the stack. No chain is padded: a product with an identity
-    # can flip the sign of an exact zero. Lists, not tuples of generators:
-    # building a tuple from a generator grew the process's RSS by about
-    # 2 MB over a few thousand plans.
-    order = sorted(range(len(lengths)), key=lambda k: -lengths[k])
-    counts = [sum(n > d for n in lengths) for d in range(lengths[order[0]])]
-    starts = [sum(lengths[:k]) for k in range(len(lengths))]
-    gather = [2 * (starts[k] + d) + half for d, count in enumerate(counts)
-              for k in order[:count] for half in (0, 1)]
-    return FusionPlan(gather, counts, sorted(range(len(lengths)), key=order.__getitem__))
-
-
-def fuse_layers(halves: list, lengths: tuple[int, ...],
-                phase: complex) -> tuple[np.ndarray, complex]:
+def fuse_layers(chains: list, phase: complex) -> tuple[np.ndarray, complex]:
     """Fuse chains of local layers and normalize each product to unit
     determinant per qubit: the one fusion every circuit goes through.
 
-    halves holds each layer's a and b, chain after chain in circuit order;
-    chain k has lengths[k] >= 1 layers. Returns the fused layers stacked
-    (chains, 2, 2, 2) in circuit order, and phase times the scalars taken
-    out, in circuit order. The plan of each tuple of lengths is memoized
-    (fusion_plan). One stacked matmul per depth d multiplies layer d of
-    every chain that has one onto that chain's product of layers 0 to
-    d - 1: each product is the same 2x2 matmul, in the same order, as
-    fusing one chain at a time.
+    Each chain is a flat list of the halves a, b of its layers, at least
+    one layer, in circuit order. Returns the fused layers stacked
+    (chains, 2, 2, 2) in chain order, and phase times the scalars taken
+    out, in chain order. Every chain is padded with ID2 layers to the
+    longest one, and one stacked matmul per depth multiplies the next
+    layer of every chain onto its product so far. A padded identity
+    changes no value, but may turn an exact -0.0 into +0.0.
     """
-    plan = fusion_plan(lengths)
-    layers = np.array([halves[i] for i in plan.gather], dtype=complex).reshape(-1, 2, 2, 2)
-    counts = plan.counts
-    fused = layers[:counts[0]]
-    start = counts[0]
-    for count in counts[1:]:
-        fused[:count] = layers[start:start + count] @ fused[:count]
-        start += count
+    depth = max(map(len, chains))
+    layers = np.array([half for chain in chains for half in chain + [ID2] * (depth - len(chain))],
+                      dtype=complex).reshape(len(chains), depth // 2, 2, 2, 2)
+    fused = layers[:, 0]
+    for d in range(1, depth // 2):
+        fused = layers[:, d] @ fused
     # Stacked det, sqrt and divide: the same per-matrix arithmetic as a
     # loop, without a LAPACK call per layer.
     scale = np.sqrt(np.linalg.det(fused))
     fused /= scale[..., None, None]
-    for j in plan.positions:
-        phase *= scale[j, 0] * scale[j, 1]
-    return fused[plan.positions], phase
+    for s in scale:
+        phase *= s[0] * s[1]
+    return fused, phase
 
 
 def merge_locals(circuit: Circuit) -> Circuit:
@@ -326,26 +287,23 @@ def merge_locals(circuit: Circuit) -> Circuit:
     qubit, with the extracted scalars folded into the circuit phase, so
     output layers are canonical, freshly allocated, and no two local
     layers are adjacent. Every other element passes through. All chains
-    of adjacent layers fuse at once, by fuse_layers on their lengths.
+    of adjacent layers fuse at once, by fuse_layers.
     """
     merged: list = []
     slots: list = []
-    lengths: list = []
-    halves: list = []
+    chains: list = []
     for elem in circuit.elements:
         if not isinstance(elem, LocalPair):
             merged.append(elem)
             continue
-        if slots and slots[-1] == len(merged) - 1:
-            lengths[-1] += 1
-        else:
+        if not slots or slots[-1] != len(merged) - 1:
             slots.append(len(merged))
             merged.append(None)  # the fused layer, once normalized below
-            lengths.append(1)
-        halves += (elem.a, elem.b)
-    if not slots:
+            chains.append([])
+        chains[-1] += (elem.a, elem.b)
+    if not chains:
         return Circuit(merged, circuit.phase)
-    fused, phase = fuse_layers(halves, tuple(lengths), circuit.phase)
+    fused, phase = fuse_layers(chains, circuit.phase)
     for slot, (a, b) in zip(slots, fused):
         merged[slot] = LocalPair(a, b)
     return Circuit(merged, phase)

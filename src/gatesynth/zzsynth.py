@@ -19,7 +19,7 @@ never built.
 
 The unit is built as chains of local layers, one chain before each
 application and one after the last, as the closed forms give them; every
-fusion goes through matcore.fuse_layers on the chains' lengths.
+fusion goes through matcore.fuse_layers.
 
 Doubling works on every axis, A s_k A s_k = exp(i g_k s_k s_k), so
 choose_unit keeps the paper's unit unless doubling another coordinate
@@ -57,9 +57,9 @@ KX_DAG = dagger(KX_FACTOR)
 class ZzResource:
     """A unit over one fixed entangler realizing exp(gamma (i/2) ZZ), up to phase.
 
-    chains[k] lists the (a, b) local layers applied before application k,
-    and chains[-1] those after the last; apps_per_unit, the entangler count
-    of the unit (1 or 2), is len(chains) - 1.
+    chains[k] lists the halves a, b of the local layers applied before
+    application k, and chains[-1] those after the last; apps_per_unit, the
+    entangler count of the unit (1 or 2), is len(chains) - 1.
     """
 
     chains: list
@@ -70,9 +70,10 @@ class ZzResource:
     @property
     def circuit(self) -> Circuit:
         """The unit as a circuit: each chain's layers, one EntanglerApp between chains."""
-        elements = [LocalPair(a, b) for a, b in self.chains[0]]
-        for chain in self.chains[1:]:
-            elements += [EntanglerApp()] + [LocalPair(a, b) for a, b in chain]
+        layers = [[LocalPair(a, b) for a, b in zip(c[::2], c[1::2])] for c in self.chains]
+        elements = layers[0]
+        for chain in layers[1:]:
+            elements += [EntanglerApp(), *chain]
         return Circuit(elements, self.phase)
 
 
@@ -101,25 +102,24 @@ def _folded_unit(dec: KakDecomposition, tol: ToleranceConfig, axis) -> ZzResourc
 
     if g3 == 0.0 and g2 == 0.0:
         # case 1: A is a pure XX rotation; k_x conjugation moves it to ZZ
-        chains = [[(KX_DAG, KX_DAG), k2_dag], [k1_dag, (KX_FACTOR, KX_FACTOR)]]
+        chains = [[KX_DAG, KX_DAG, *k2_dag], [*k1_dag, KX_FACTOR, KX_FACTOR]]
         gamma, apps = g1, 1
     elif g3 == 0.0 and g1 == np.pi / 2 and g2 == np.pi / 2:
         # case 2: two applications interleaved with fixed locals
-        chains = [[(_QUARTER["y", 1], ID2), (_QUARTER["z", -1], _QUARTER["z", 1]), k2_dag],
-                  [k1_dag, (_QUARTER["z", 1], _QUARTER["z", -1]), (ID2, _QUARTER["y", 1]),
-                   k2_dag],
-                  [k1_dag, (_QUARTER["y", -1], ID2)]]
+        chains = [[_QUARTER["y", 1], ID2, _QUARTER["z", -1], _QUARTER["z", 1], *k2_dag],
+                  [*k1_dag, _QUARTER["z", 1], _QUARTER["z", -1], ID2, _QUARTER["y", 1], *k2_dag],
+                  [*k1_dag, _QUARTER["y", -1], ID2]]
         gamma, apps, phase = np.pi / 2, 2, phase ** 2
     else:
         # cases 3 and 4: A s_k^1 A s_k^1 = exp(i g_k s_k s_k); k_x or k_y
         # conjugation moves a doubled XX or YY angle onto ZZ
         k = axis(g)
-        s_k = (PAULIS["xyz"[k]], ID2)
-        chains = [[s_k, k2_dag], [k1_dag, s_k, k2_dag], [k1_dag]]
+        s_k = PAULIS["xyz"[k]]
+        chains = [[s_k, ID2, *k2_dag], [*k1_dag, s_k, ID2, *k2_dag], [*k1_dag]]
         if k < 2:
             k_factor = (KX_FACTOR, KY_FACTOR)[k]
-            chains[0].insert(0, (dagger(k_factor), dagger(k_factor)))
-            chains[-1].append((k_factor, k_factor))
+            chains[0][:0] = (dagger(k_factor), dagger(k_factor))
+            chains[-1] += (k_factor, k_factor)
         gamma, apps, phase = 2 * g[k], 2, phase ** 2
 
     # Fold gamma from [0, 2pi) into (0, pi/2] with Pauli layers; gamma = 0
@@ -130,8 +130,8 @@ def _folded_unit(dec: KakDecomposition, tol: ToleranceConfig, axis) -> ZzResourc
     if h == 0.0:
         raise ValueError(f"gamma = {gamma} has no entangling reduction")
     if h != gamma:
-        chains[0].insert(0, _dag(pre))
-        chains[-1].append(_dag(post))
+        chains[0][:0] = _dag(pre)
+        chains[-1] += _dag(post)
         phase = np.conj(fold_phase) * phase
     return ZzResource(chains, phase, h, apps)
 
@@ -274,12 +274,6 @@ class ZzTemplate:
         return _Run(self.core, self.seam, m, self.apps_per_unit, product), phase
 
 
-def _fused(chains: list, phase: complex) -> tuple[np.ndarray, complex]:
-    """fuse_layers on chains of (a, b) layers."""
-    halves = [half for chain in chains for layer in chain for half in layer]
-    return fuse_layers(halves, tuple(map(len, chains)), phase)
-
-
 def amplify(unit: ZzResource, entangler: np.ndarray) -> ZzTemplate:
     """The template repeating a folded unit up to n = repetitions(gamma) times.
 
@@ -287,7 +281,7 @@ def amplify(unit: ZzResource, entangler: np.ndarray) -> ZzTemplate:
     the entangler taken, once; the n-fold circuit is never built.
     """
     n = repetitions(unit.gamma)
-    layers, phase = _fused(unit.chains, unit.phase)
+    layers, phase = fuse_layers(unit.chains, unit.phase)
     first, *inner, last = (LocalPair(a, b) for a, b in layers)
     core = [EntanglerApp()]
     for layer in inner:
@@ -299,8 +293,8 @@ def amplify(unit: ZzResource, entangler: np.ndarray) -> ZzTemplate:
         # chains, then its last chain joined to its first, which fuses to
         # the seam, with the phase one more repetition adds.
         chains = unit.chains
-        rotated, template.step_phase = _fused(chains[1:-1] + [chains[-1] + chains[0]],
-                                              unit.phase)
+        rotated, template.step_phase = fuse_layers(chains[1:-1] + [chains[-1] + chains[0]],
+                                                   unit.phase)
         template.seam = LocalPair(*rotated[-1])
         template.powers.append(template.seam.matrix() @ template.core_product)
         while len(template.powers) < (n - 1).bit_length():

@@ -10,7 +10,7 @@ from gatesynth.zzsynth import ZzTemplate, _Run
 
 
 # Entanglers by the fold their unit takes, the same as the paper's unit and
-# as choose_unit's: (canonical vector, folded gamma, chain lengths). Case 1
+# as choose_unit's: (canonical vector, folded gamma, layers per chain). Case 1
 # has chains (2, 2) and case 2 (3, 4, 2); a doubling has (2, 3, 1), or
 # (3, 3, 2) when k_x or k_y conjugation moves it onto ZZ. A fold adds one
 # layer at each end: "reflect" takes gamma in (pi/2, pi] to pi - gamma,

@@ -4,7 +4,7 @@ from hypothesis import given, settings, strategies as st
 
 from gatesynth.matcore import (Circuit, EntanglerApp, LocalPair,
                                SIGMA_X, SIGMA_Y, SIGMA_Z, ToleranceConfig,
-                               evaluate, exp_pauli, interaction,
+                               evaluate, exp_pauli, fuse_layers, interaction,
                                phase_distance, project_special_rows,
                                require_unitary, tensor, unitarity_error,
                                zz_interaction)
@@ -238,3 +238,29 @@ def test_interaction_is_commuting_product():
     )]
     np.testing.assert_allclose(interaction(*c), factors[0] @ factors[1] @ factors[2], atol=1e-15)
     np.testing.assert_allclose(interaction(*c), factors[2] @ factors[0] @ factors[1], atol=1e-14)
+
+
+def fuse_chain_loop(chain: list, phase: complex):
+    """Reference fusion of one chain: one matmul per layer, one det and sqrt per qubit."""
+    a, b = chain[0], chain[1]
+    for next_a, next_b in zip(chain[2::2], chain[3::2]):
+        a, b = next_a @ a, next_b @ b
+    scale_a, scale_b = np.sqrt(np.linalg.det(a)), np.sqrt(np.linalg.det(b))
+    return (a / scale_a, b / scale_b), phase * (scale_a * scale_b)
+
+
+def test_fuse_layers_matches_per_chain_loop():
+    # Padding every chain with identities to the longest changes no bit
+    # of layers without exact zeros.
+    rng = np.random.default_rng(22)
+    for _ in range(40):
+        lengths = rng.integers(1, 8, size=rng.integers(1, 9))
+        chains = [[haar_unitary(rng, 2) for _ in range(2 * n)] for n in lengths]
+        phase = complex(np.exp(1j * rng.uniform(0, 2 * np.pi)))
+        fused, got_phase = fuse_layers(chains, phase)
+        assert fused.shape == (len(chains), 2, 2, 2)
+        want_phase = phase
+        for chain, layer in zip(chains, fused):
+            (a, b), want_phase = fuse_chain_loop(chain, want_phase)
+            assert layer[0].tobytes() == a.tobytes() and layer[1].tobytes() == b.tobytes()
+        assert np.complex128(got_phase).tobytes() == np.complex128(want_phase).tobytes()

@@ -17,7 +17,7 @@ from conftest import FOLD_BRANCHES, dress, random_local, repeated, run_resource
 def flanked_zz_unit(gamma: float) -> ZzResource:
     """Unit of one application of zz_interaction(gamma) between identity
     layers; every extracted unit starts and ends with a local layer."""
-    return ZzResource([[(ID2, ID2)], [(ID2, ID2)]], 1.0, gamma, apps_per_unit=1)
+    return ZzResource([[ID2, ID2], [ID2, ID2]], 1.0, gamma, apps_per_unit=1)
 
 
 def check_resource(r: ZzResource, entangler: np.ndarray, tol: float = 1e-9) -> None:
@@ -183,7 +183,7 @@ class TestUnitFold:
             unit = build(ent)
             assert 0.0 < unit.gamma <= np.pi / 2
             assert unit.gamma == pytest.approx(gamma, abs=1e-9)
-            assert [len(chain) for chain in unit.chains] == lengths
+            assert [len(chain) // 2 for chain in unit.chains] == lengths
             assert unit.circuit.entangler_count == unit.apps_per_unit == len(lengths) - 1
             assert phase_distance(evaluate(unit.circuit, ent), zz_interaction(unit.gamma)) < 1e-9
 
@@ -198,7 +198,7 @@ class TestReduceAngle:
         ent = interaction(3 * np.pi / 4, 0.3, 5e-11)
         unit = extract_zz(ent)
         assert unit.gamma == pytest.approx(np.pi / 2, abs=1e-12)
-        assert [len(chain) for chain in unit.chains] == [4, 3, 3]
+        assert [len(chain) // 2 for chain in unit.chains] == [4, 3, 3]
         check_resource(unit, ent)
 
     def test_below_pi_unchanged(self):
@@ -206,7 +206,7 @@ class TestReduceAngle:
         ent = interaction(np.pi / 3, 0.0, 0.0)
         unit = extract_zz(ent)
         assert unit.gamma == pytest.approx(np.pi / 3, abs=1e-12)
-        assert [len(chain) for chain in unit.chains] == [2, 2]
+        assert [len(chain) // 2 for chain in unit.chains] == [2, 2]
         check_resource(unit, ent)
 
     def test_pi_rejected(self):
@@ -224,14 +224,14 @@ class TestReflectAngle:
         ent = interaction(1.2, 1.0, 0.9)
         unit = extract_zz(ent)
         assert unit.gamma == pytest.approx(np.pi - 1.8, abs=1e-12)
-        assert [len(chain) for chain in unit.chains] == [3, 3, 2]
+        assert [len(chain) // 2 for chain in unit.chains] == [3, 3, 2]
         check_resource(unit, ent)
 
     def test_boundary_kept(self):
         # B doubles c2 = pi/4 to pi/2, conjugated from YY onto ZZ; no fold.
         unit = extract_zz(B_GATE)
         assert unit.gamma == pytest.approx(np.pi / 2, abs=1e-12)
-        assert [len(chain) for chain in unit.chains] == [3, 3, 2]
+        assert [len(chain) // 2 for chain in unit.chains] == [3, 3, 2]
         check_resource(unit, B_GATE)
 
     def test_below_half_pi_unchanged(self):
@@ -239,7 +239,7 @@ class TestReflectAngle:
         ent = interaction(1.0, 0.8, 0.3)
         unit = extract_zz(ent)
         assert unit.gamma == pytest.approx(0.6, abs=1e-12)
-        assert [len(chain) for chain in unit.chains] == [2, 3, 1]
+        assert [len(chain) // 2 for chain in unit.chains] == [2, 3, 1]
         check_resource(unit, ent)
 
 
