@@ -334,27 +334,25 @@ def _factor_locals(ms: np.ndarray, atol: float) -> tuple[list[complex], np.ndarr
 
     Returns the gs and f with f[i] = (a, b) of ms[i]; every residual must be
     below atol in Frobenius norm. Each matrix's factors come from the
-    rows/columns through its largest-magnitude entry, which is safe because
-    a true tensor product has rank-1 block structure everywhere.
+    rows/columns through its first largest-magnitude entry, which is safe
+    because a true tensor product has rank-1 block structure everywhere.
     """
-    mags = [abs(z) for z in ms.ravel().tolist()]
-    # First maximum in row-major order.
-    pivots = [row.index(max(row)) for row in (mags[k:k + 16] for k in range(0, len(mags), 16))]
-    f = ms.reshape(-1, 16)[np.arange(len(ms))[:, None, None, None], _PIVOT_GATHER[pivots]]
+    rows = np.arange(len(ms))
+    flat = ms.reshape(-1, 16)
+    pivots = np.abs(flat).argmax(axis=1)
+    f = flat[rows[:, None, None, None], _PIVOT_GATHER[pivots]]
     det = np.linalg.det(f)
     det[det == 0] = 1  # a singular factor: not a product, the residual check refuses it
     f /= np.sqrt(det)[..., None, None]
-    gs = []
-    for m, (f1, f2), (r, c) in zip(ms, f, (divmod(p, 4) for p in pivots)):
-        g = m[r, c] / (f1[r >> 1, c >> 1] * f2[r & 1, c & 1])
-        if g.real < 0:
-            np.negative(f1, out=f1)
-            g = -g
-        gs.append(g)
-    residual = ms - np.array(gs)[:, None, None] * tensor(f[:, 0], f[:, 1])
+    r, c = np.divmod(pivots, 4)
+    g = flat[rows, pivots] / (f[rows, 0, r >> 1, c >> 1] * f[rows, 1, r & 1, c & 1])
+    negative = g.real < 0
+    np.negative(f[:, 0], out=f[:, 0], where=negative[:, None, None])
+    np.negative(g, out=g, where=negative)
+    residual = ms - g[:, None, None] * tensor(f[:, 0], f[:, 1])
     if not _squared_norms(residual).max() < atol * atol:
         raise ArithmeticError("matrix is not a tensor product of single-qubit gates")
-    return [complex(g) for g in gs], f
+    return g.tolist(), f
 
 
 def kak_decompose(u: np.ndarray, tol: ToleranceConfig = DEFAULT_TOL,

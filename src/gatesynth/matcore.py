@@ -16,6 +16,9 @@ SIGMA_X = np.array([[0, 1], [1, 0]], dtype=complex)
 SIGMA_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
 SIGMA_Z = np.array([[1, 0], [0, -1]], dtype=complex)
 PAULIS = {"x": SIGMA_X, "y": SIGMA_Y, "z": SIGMA_Z}
+# Read-only: circuits and units share these arrays, so a write would corrupt later results.
+for _m in (ID2, ID4, SIGMA_X, SIGMA_Y, SIGMA_Z):
+    _m.flags.writeable = False
 
 
 @dataclass(frozen=True)

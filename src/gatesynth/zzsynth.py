@@ -51,6 +51,9 @@ KY_FACTOR = _QUARTER["x", 1]  # k_y = this on both qubits moves ZZ <-> YY
 # The interleavers synthesize places between its c3, c2 and c1 blocks.
 KX_KY_DAG = KX_FACTOR @ dagger(KY_FACTOR)
 KX_DAG = dagger(KX_FACTOR)
+# Read-only, as matcore's constants: units, templates and fold_angle share these arrays.
+for _m in (*_QUARTER.values(), KX_KY_DAG, KX_DAG, _ZZ_X1.a):
+    _m.flags.writeable = False
 
 
 @dataclass(eq=False)
@@ -96,8 +99,10 @@ def _folded_unit(dec: KakDecomposition, tol: ToleranceConfig, axis) -> ZzResourc
         raise ValueError(f"resource gate is {kind.value}, not entangling")
 
     # The entangler's pure interaction factor A = k_l^dag U_g k_r^dag is the
-    # application between the inverses of its KAK locals.
-    k2_dag, k1_dag, phase = _dag(dec.k2), _dag(dec.k1), np.conj(dec.phase)
+    # application between the inverses of its KAK locals. 1 / phase, not
+    # its conjugate: it also cancels a scale by which the entangler misses
+    # unit modulus (a matrix rounded to a few decimals).
+    k2_dag, k1_dag, phase = _dag(dec.k2), _dag(dec.k1), 1 / dec.phase
     g1, g2, g3 = g = snap_vector(dec.c, tol.snap_tol)
 
     if g3 == 0.0 and g2 == 0.0:
@@ -289,13 +294,10 @@ def amplify(unit: ZzResource, entangler: np.ndarray) -> ZzTemplate:
     template = ZzTemplate(unit.gamma, unit.apps_per_unit, n, first, core, last,
                           phase, _product(core, entangler))
     if n > 1:
-        # The unit rotated to start at its first application: its inner
-        # chains, then its last chain joined to its first, which fuses to
-        # the seam, with the phase one more repetition adds.
-        chains = unit.chains
-        rotated, template.step_phase = fuse_layers(chains[1:-1] + [chains[-1] + chains[0]],
-                                                   unit.phase)
-        template.seam = LocalPair(*rotated[-1])
+        # The seam is the merged last layer times the merged first, with
+        # the phase one more repetition adds.
+        (seam,), template.step_phase = fuse_layers([[last.a, last.b, first.a, first.b]], phase)
+        template.seam = LocalPair(*seam)
         template.powers.append(template.seam.matrix() @ template.core_product)
         while len(template.powers) < (n - 1).bit_length():
             template.powers.append(template.powers[-1] @ template.powers[-1])

@@ -248,19 +248,44 @@ class TestAmplifiedEntanglerError:
         path.write_text(matrix_json(np.round(zz_interaction(np.pi / 400), 10)))
         return f"MATRIX({path})"
 
+    @pytest.fixture
+    def perturbed_weak_zz(self, tmp_path):
+        # ZZ(pi/400) plus a dense perturbation: unitarity error 3e-11, bound 606.
+        path = tmp_path / "zz_pi_400_perturbed.json"
+        path.write_text(matrix_json(near_edge(zz_interaction(np.pi / 400), 3e-11,
+                                              np.random.default_rng(0))))
+        return f"MATRIX({path})"
+
     def test_classify_shows_the_amplified_error(self, capsys, rounded_weak_zz):
         # 606 applications x 3.7e-11, printed before synth is tried.
         code, out, _ = run(capsys, "classify", "--gate", rounded_weak_zz)
         assert code == EXIT_OK
         assert out.splitlines()[-2:] == ["bound: 606", "amplified_unitarity_error: 2.2e-08"]
 
-    def test_swap_exits_2_with_the_cause(self, capsys, tmp_path, rounded_weak_zz):
-        code, out, err = run(capsys, "synth", "--target", "SWAP", "--entangler", rounded_weak_zz,
-                             "--out", str(tmp_path / "circuit.json"))
+    def test_swap_exits_2_with_the_cause(self, capsys, tmp_path, perturbed_weak_zz):
+        code, out, err = run(capsys, "synth", "--target", "SWAP", "--entangler",
+                             perturbed_weak_zz, "--out", str(tmp_path / "circuit.json"))
         assert (code, out) == (EXIT_INPUT, "")
-        assert err.startswith("error: entangler unitarity error 3.7e-11 over 606 applications "
-                              "exceeds verify_tol 1e-08 (residual 4.4")
+        assert err.startswith("error: entangler unitarity error 3e-11 over 606 applications "
+                              "exceeds verify_tol 1e-08 (residual 2.8")
         assert len(err.splitlines()) == 1
+
+    def test_rounded_swap_compiles(self, capsys, tmp_path, rounded_weak_zz):
+        # The unit's phase cancels the rounded matrix's scale, so all 606
+        # applications verify. The circuit phase makes up that scale over
+        # 606 applications: its modulus, 1.1e-8 off 1, is outside the
+        # document window verify_tol / 2, so verify refuses the document.
+        doc = tmp_path / "circuit.json"
+        code, _, err = run(capsys, "synth", "--target", "SWAP",
+                           "--entangler", rounded_weak_zz, "--out", str(doc))
+        assert (code, err) == (EXIT_OK, "")
+        payload = json.loads(doc.read_text())
+        assert payload["report"]["entangler_count"] == 606
+        assert payload["report"]["residual"] < 1e-12
+        assert 5e-9 < abs(abs(complex(*payload["phase"])) - 1) < 2e-8
+        code, out, err = run(capsys, "verify", "--circuit", str(doc), "--target", "SWAP")
+        assert (code, out) == (EXIT_INPUT, "")
+        assert err.startswith("error: circuit phase has modulus 0.99999998")
 
     @pytest.mark.parametrize("target,count", [("CPHASE(pi/2)", 102), ("ZZ(pi/8)", 52)])
     def test_fewer_applications_still_compile(self, capsys, tmp_path, rounded_weak_zz,
@@ -286,7 +311,7 @@ class TestAmplifiedEntanglerError:
                          "--entangler", rounded_weak_zz, "--out", str(doc))
         assert code == EXIT_OK
         phase = complex(*json.loads(doc.read_text())["phase"])
-        assert 1e-9 < abs(phase) - 1 < 5e-9
+        assert 1e-9 < abs(abs(phase) - 1) < 5e-9
         code, out, err = run(capsys, "verify", "--circuit", str(doc), "--target", "CPHASE(pi/2)")
         assert (code, err) == (EXIT_OK, "") and "verdict: PASS" in out
 

@@ -2,11 +2,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from gatesynth.gates import B_GATE, CNOT
+from gatesynth.gates import B_GATE, CNOT, cphase
 from gatesynth.kak import kak_decompose, snap_angle
 from gatesynth.matcore import (DEFAULT_TOL, ID2, ROUNDOFF, evaluate, interaction,
                                phase_distance, zz_interaction)
-from gatesynth import zzsynth
+from gatesynth import synthesize, zzsynth
 from gatesynth.zzsynth import (MAX_APPLICATIONS, ZzResource, amplify, block_repetitions,
                                choose_unit, extract_zz, fold_angle, prepare_resource,
                                repetitions, uniform_bound)
@@ -32,6 +32,19 @@ class TestExtractZz:
         assert r.gamma == pytest.approx(np.pi / 2, abs=1e-12)
         assert r.apps_per_unit == 1
         check_resource(r, CNOT)
+
+    def test_units_cannot_write_module_constants(self):
+        # The unit's last layer is zzsynth.KX_FACTOR itself; it is read-only,
+        # so a caller's write cannot corrupt later syntheses.
+        layer = extract_zz(CNOT).circuit.elements[-1]
+        assert layer.a is zzsynth.KX_FACTOR
+        with pytest.raises(ValueError, match="read-only"):
+            layer.a[...] = np.eye(2)
+        for layer in fold_angle(2.0)[1:3]:  # every fold layer is shared too
+            with pytest.raises(ValueError, match="read-only"):
+                layer.a[...] = np.eye(2)
+        _, report = synthesize(CNOT, cphase(np.pi / 3))
+        assert report.residual < DEFAULT_TOL.verify_tol
 
     def test_case2(self, rng):
         ent = dress(interaction(np.pi / 2, np.pi / 2, 0.0), rng)
