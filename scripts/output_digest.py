@@ -1,13 +1,16 @@
 #!/usr/bin/env python3
-"""Print a sha256 of synthesize's output over each API workload's count prefix.
+"""Print a sha256 of the program's output over each workload's count prefix.
 
     PYTHONPATH=src python scripts/output_digest.py --seed 3 7
 
-The ops are perfbench/corpus.py's make_op for the workloads that call
-synthesize directly (haar_cnot, haar_weak, mixed_entangler), over the
-prefix perfbench/run.py takes its count means on. Each digest covers the
-bytes of every emitted local layer, the order of layers and applications,
-the circuit phase and every report field. A change that keeps these
+The ops are perfbench/corpus.py's make_op, over the prefix perfbench/run.py
+takes its count means on. For the workloads that call synthesize directly
+(haar_cnot, haar_weak, mixed_entangler) a digest covers the bytes of every
+emitted local layer, the order of layers and applications, the circuit
+phase and every report field. For cli_docs it covers, per op, the exit
+code, stdout and stderr of `synth` on the op's MATRIX target file and of
+`verify` on the document synth wrote (both run in process, the temporary
+directory masked), and the document's bytes. A change that keeps these
 digests emits the same bits. Bits depend on the numpy/BLAS build, so
 compare digests taken on one machine.
 """
@@ -19,9 +22,12 @@ for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ[_var] = "1"
 
 import argparse
+import contextlib
 import dataclasses
 import hashlib
+import io
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
@@ -29,13 +35,43 @@ import numpy as np
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
 import corpus  # noqa: E402
 
-from gatesynth import LocalPair, synthesize  # noqa: E402
+from gatesynth import LocalPair, cli, synthesize  # noqa: E402
 
-# perfbench/run.py's count_ops of each API workload.
-COUNT_OPS = {"haar_cnot": 512, "haar_weak": 512, "mixed_entangler": 2048}
+# perfbench/run.py's count_ops of each workload.
+COUNT_OPS = {"haar_cnot": 512, "haar_weak": 512, "mixed_entangler": 2048, "cli_docs": 224}
+
+
+def _cli_run(h, argv: list, tmp: str) -> int:
+    """Run one CLI command in process and hash its exit code and output."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(argv)
+    h.update(f"{code}\0{out.getvalue()}\0{err.getvalue()}\0".replace(tmp, "<tmp>").encode())
+    return code
+
+
+def cli_digest(seed: int) -> str:
+    """synth then verify, as perfbench/run.py's CliOps runs them, per op."""
+    h = hashlib.sha256()
+    with tempfile.TemporaryDirectory() as tmp:
+        doc = Path(tmp) / "circuit.json"
+        for i in range(COUNT_OPS["cli_docs"]):
+            op = corpus.make_op("cli_docs", seed, i)
+            target_file = Path(tmp) / op.target_file
+            target_file.write_text(corpus.matrix_text(op.target))
+            target = f"MATRIX({target_file})"
+            synth = ["synth", "--target", target, "--entangler", op.gate_name, "--out", str(doc)]
+            if _cli_run(h, synth, tmp) == 0:
+                _cli_run(h, ["verify", "--circuit", str(doc), "--target", target], tmp)
+                h.update(doc.read_bytes())
+                doc.unlink()
+            target_file.unlink()
+    return h.hexdigest()
 
 
 def digest(workload: str, seed: int) -> str:
+    if workload == "cli_docs":
+        return cli_digest(seed)
     h = hashlib.sha256()
     for i in range(COUNT_OPS[workload]):
         op = corpus.make_op(workload, seed, i)

@@ -127,12 +127,12 @@ def synth_zz_block(c: float, resource: ZzResource) -> Circuit:
     return Circuit(elems, phase=block_phase)
 
 
-def _controlled_u1(axis: tuple[float, float, float], snap: float) -> np.ndarray:
+def _controlled_u1(axis: tuple[float, float, float]) -> np.ndarray:
     """The conjugating gate of the Controlled-U construction (three branches)."""
     nx, ny, nz = axis
-    if abs(nz - 1.0) <= snap:
+    if abs(nz - 1.0) <= ToleranceConfig.snap_tol:
         return SIGMA_X.copy()
-    if abs(nz + 1.0) <= snap:
+    if abs(nz + 1.0) <= ToleranceConfig.snap_tol:
         return ID2.copy()
     return np.array([
         [1j * np.sqrt((1 - nz) / 2), np.sqrt((1 + nz) / 2)],
@@ -140,14 +140,13 @@ def _controlled_u1(axis: tuple[float, float, float], snap: float) -> np.ndarray:
     ], dtype=complex)
 
 
-def controlled_u_circuit(spec: AxisAngle,
-                         tol: ToleranceConfig = DEFAULT_TOL) -> Circuit:
+def controlled_u_circuit(spec: AxisAngle) -> Circuit:
     """Simulate diag(I, exp(i gamma n.sigma)) with one ZZ interaction.
 
     The interaction insertion is an opaque EntanglerApp; evaluate the
     returned circuit against zz_interaction(spec.gamma).
     """
-    u1 = _controlled_u1(spec.axis, tol.snap_tol)
+    u1 = _controlled_u1(spec.axis)
     first = LocalPair(ID2, exp_pauli("z", -spec.gamma / 2) @ dagger(u1))
     elems = [first, EntanglerApp(), LocalPair(ID2, u1)]
     return Circuit(elems)
@@ -155,7 +154,7 @@ def controlled_u_circuit(spec: AxisAngle,
 
 def controlled_u_gamma(u: np.ndarray, tol: ToleranceConfig = DEFAULT_TOL) -> float:
     """Interval coordinate in [0, pi/2] of the Controlled-u local class."""
-    require_unitary(u, tol.unitarity_tol, "input")
+    require_unitary(u, "input")
     if np.shape(u) != (2, 2):
         raise ValueError("expected a 2x2 matrix")
     cu = np.eye(4, dtype=complex)

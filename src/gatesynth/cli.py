@@ -21,16 +21,10 @@ def _fmt(x: float) -> str:
     return format(float(x), ".17g")
 
 
-def _tolerances(args) -> ToleranceConfig:
-    if getattr(args, "tol", None) is None:
-        return DEFAULT_TOL
-    return ToleranceConfig(verify_tol=args.tol)
-
-
 def _run_synth(args) -> int:
-    tol = _tolerances(args)
-    target, _ = resolve_gate(args.target, tol)
-    entangler, entangler_desc = resolve_gate(args.entangler, tol)
+    tol = ToleranceConfig(args.tol)
+    target, _ = resolve_gate(args.target)
+    entangler, entangler_desc = resolve_gate(args.entangler)
     circuit, report = synthesize(target, entangler, tol)
     doc = CircuitDocument(
         entangler=entangler_desc,
@@ -52,12 +46,12 @@ def _run_synth(args) -> int:
 
 
 def _run_classify(args) -> int:
-    tol = _tolerances(args)
-    gate, _ = resolve_gate(args.gate, tol)
+    tol = ToleranceConfig(args.tol)
+    gate, _ = resolve_gate(args.gate)
     dec = kak_decompose(gate, tol)
-    kind = classify(dec.c, tol)
+    kind = classify(dec.c)
     # Snapped, as every decision reads it: roundoff never leaves the chamber.
-    print(f"canonical: ({', '.join(map(_fmt, snap_vector(dec.c, tol.snap_tol)))})")
+    print(f"canonical: ({', '.join(map(_fmt, snap_vector(dec.c)))})")
     print(f"class: {kind.value}")
     if kind is GateClass.ENTANGLING:
         report = upper_bound(gate, tol, dec=dec)
@@ -78,9 +72,10 @@ def _run_verify(args) -> int:
         raise ValueError(f"cannot read circuit document {args.circuit}: {exc}") from exc
     doc = parse_circuit_document(text)
     tol = doc.tolerances
-    entangler = resolve_descriptor(doc.entangler, tol)
-    target, _ = resolve_gate(args.target, tol)
-    residual = phase_distance(evaluate(doc.circuit, entangler, tol), target)
+    entangler = resolve_descriptor(doc.entangler)
+    target, _ = resolve_gate(args.target)
+    doc.check_phase(entangler)  # before evaluating: a phase off the window is invalid input
+    residual = phase_distance(evaluate(doc.circuit, entangler), target)
     verdict = "PASS" if residual < tol.verify_tol else "FAIL"
     print(f"residual: {_fmt(residual)}")
     print(f"verdict: {verdict} (verify_tol {_fmt(tol.verify_tol)})")
@@ -100,12 +95,14 @@ def build_parser() -> argparse.ArgumentParser:
     p_synth.add_argument("--target", required=True,
                          help="target gate (named, CPHASE(..), ZZ(..), MATRIX(path))")
     p_synth.add_argument("--entangler", required=True, help="entangling resource gate")
-    p_synth.add_argument("--tol", type=float, help="verification tolerance override")
+    p_synth.add_argument("--tol", type=float, default=DEFAULT_TOL.verify_tol,
+                         help="verification tolerance override")
     p_synth.add_argument("--out", help="write the circuit document here instead of stdout")
 
     p_classify = sub.add_parser("classify", help="canonical vector, class and bound")
     p_classify.add_argument("--gate", required=True, help="gate to classify")
-    p_classify.add_argument("--tol", type=float, help="verification tolerance override")
+    p_classify.add_argument("--tol", type=float, default=DEFAULT_TOL.verify_tol,
+                            help="verification tolerance override")
 
     p_verify = sub.add_parser("verify", help="re-verify an emitted circuit document")
     p_verify.add_argument("--circuit", required=True, help="path to a circuit document")

@@ -21,7 +21,7 @@ import numpy as np
 # merge_locals and synth_zz_block stay bound here, where the package and
 # perfbench's tracer look them up; synthesize fuses through fuse_layers.
 from .blocksynth import block_locals, controlled_u_gamma, synth_zz_block
-from .kak import KakDecomposition, kak_decompose, snap_vector
+from .kak import KakDecomposition, kak_decompose, snap_angle, snap_vector
 from .matcore import (DEFAULT_TOL, ID2, Circuit, LocalPair, StackedCircuit, ToleranceConfig,
                       evaluate, fuse_layers, merge_locals, phase_distance)
 from .zzsynth import (KX_DAG, KX_KY_DAG, KY_FACTOR, ZzTemplate, _Run, block_repetitions,
@@ -177,8 +177,8 @@ def synthesize(target: np.ndarray, entangler: np.ndarray,
         dec, = kak_decompose(target[None], tol, _INPUT_NAMES)
         _resource_memo.move_to_end(key)
 
-    skeleton = _skeleton(snap_vector(dec.c, tol.snap_tol), dec, template)
-    residual = phase_distance(evaluate(skeleton, entangler, tol), target)
+    skeleton = _skeleton(snap_vector(dec.c), dec, template)
+    residual = phase_distance(evaluate(skeleton, entangler), target)
     circuit, entangler_count, local_count = _emitted(skeleton)
     if residual >= tol.verify_tol:
         error = template.unitarity_error
@@ -201,7 +201,7 @@ def efficient_as_cnot(u: np.ndarray, tol: ToleranceConfig = DEFAULT_TOL) -> bool
     """Whether Controlled-u shares the CNOT gate's uniform bound of 6.
 
     True exactly on the upper half [pi/4, pi/2] of the Controlled-U
-    coordinate interval.
+    coordinate interval, where the snapped coordinate needs one repetition.
     """
-    coord = controlled_u_gamma(u, tol)
-    return coord >= np.pi / 4 - tol.snap_tol
+    coord = snap_angle(controlled_u_gamma(u, tol))
+    return coord > 0.0 and repetitions(coord) == 1

@@ -13,7 +13,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .matcore import DEFAULT_TOL, ToleranceConfig, interaction, require_unitary, zz_interaction
+from .matcore import interaction, require_unitary, zz_interaction
 from .serialize import decode_matrix, encode_matrix
 
 CNOT = np.array([[1, 0, 0, 0],
@@ -80,7 +80,7 @@ _PARAM_GATES = {"CPHASE": cphase, "ZZ": zz_interaction}
 _CALL_RE = re.compile(r"^\s*(?P<name>[A-Za-z_]+)\s*\(\s*(?P<arg>.*?)\s*\)\s*$")
 
 
-def resolve_gate(text: str, tol: ToleranceConfig = DEFAULT_TOL) -> tuple[np.ndarray, dict]:
+def resolve_gate(text: str) -> tuple[np.ndarray, dict]:
     """A gate argument's matrix plus the descriptor a document records for it."""
     bare = text.strip().upper()
     call = _CALL_RE.match(text.strip())
@@ -101,7 +101,7 @@ def resolve_gate(text: str, tol: ToleranceConfig = DEFAULT_TOL) -> tuple[np.ndar
         raise ValueError(f"unknown gate {text!r}; expected one of "
                          f"{sorted(_FIXED_GATES)} or CPHASE(..), ZZ(..), MATRIX(path)")
     try:
-        matrix = resolve_descriptor(desc, tol)
+        matrix = resolve_descriptor(desc)
     except ValueError as exc:  # name the argument: a command takes two gates
         raise ValueError(f"{text.strip()}: {exc}") from exc
     if "matrix" in desc:  # the file's entries, written back as floats
@@ -109,7 +109,7 @@ def resolve_gate(text: str, tol: ToleranceConfig = DEFAULT_TOL) -> tuple[np.ndar
     return matrix, desc
 
 
-def resolve_descriptor(desc: dict, tol: ToleranceConfig = DEFAULT_TOL) -> np.ndarray:
+def resolve_descriptor(desc: dict) -> np.ndarray:
     """The checked matrix of a gate descriptor; ValueError if malformed.
 
     A descriptor is {"name"} for a named gate, {"name", "angle"} for a
@@ -118,7 +118,7 @@ def resolve_descriptor(desc: dict, tol: ToleranceConfig = DEFAULT_TOL) -> np.nda
     try:
         if "matrix" in desc:
             matrix = decode_matrix(desc["matrix"], (4, 4))
-            require_unitary(matrix, tol.unitarity_tol, "gate matrix")
+            require_unitary(matrix, "gate matrix")
             return matrix
         name = desc["name"]
         if name in _FIXED_GATES:

@@ -123,7 +123,7 @@ class CanonicalVector:
     c3: float
 
     def __post_init__(self) -> None:
-        slack = DEFAULT_TOL.snap_tol
+        slack = ToleranceConfig.snap_tol
         ok = (np.pi - self.c2 + slack >= self.c1 >= self.c2 - slack
               and self.c2 + slack >= self.c3 >= -slack)
         if not ok:
@@ -145,16 +145,16 @@ class KakDecomposition:
         return self.phase * self.k1.matrix() @ interaction(*self.c.as_tuple()) @ self.k2.matrix()
 
 
-def snap_angle(x: float, tol: float = DEFAULT_TOL.snap_tol) -> float:
-    """Snap an angle to {0, pi/4, pi/2, pi} when within tol of one."""
+def snap_angle(x: float) -> float:
+    """Snap an angle to {0, pi/4, pi/2, pi} when within snap_tol of one."""
     for point in _SNAP_POINTS:
-        if abs(x - point) <= tol:
+        if abs(x - point) <= ToleranceConfig.snap_tol:
             return point
     return float(x)
 
 
-def snap_vector(c: CanonicalVector, tol: float = DEFAULT_TOL.snap_tol) -> tuple[float, float, float]:
-    return tuple(snap_angle(x, tol) for x in c.as_tuple())
+def snap_vector(c: CanonicalVector) -> tuple[float, float, float]:
+    return tuple(snap_angle(x) for x in c.as_tuple())
 
 
 class _MoveTracker:
@@ -375,7 +375,7 @@ def kak_decompose(u: np.ndarray, tol: ToleranceConfig = DEFAULT_TOL,
     n = len(us)
     if names is None and u.ndim == 2:
         names = ("input",)
-    su, proj_phases, errors = project_special_rows(us, tol, names.__getitem__ if names else "input")
+    su, proj_phases, errors = project_special_rows(us, names.__getitem__ if names else "input")
 
     v = MAGIC_DAG @ su @ MAGIC
     p, phases = _simultaneous_diagonalize(v.transpose(0, 2, 1) @ v, tol.verify_tol)
@@ -440,9 +440,9 @@ def _reconstruction_error(decomps: list[KakDecomposition], us: np.ndarray) -> np
     return _squared_norms(k[:, 0] @ inter @ k[:, 1] - us)
 
 
-def classify(c: CanonicalVector, tol: ToleranceConfig = DEFAULT_TOL) -> GateClass:
+def classify(c: CanonicalVector) -> GateClass:
     """Classify a canonical vector after snapping to special angles."""
-    s = snap_vector(c, tol.snap_tol)
+    s = snap_vector(c)
     if s == (0.0, 0.0, 0.0) or s == (np.pi, 0.0, 0.0):
         return GateClass.LOCAL
     if s == (np.pi / 2, np.pi / 2, np.pi / 2):

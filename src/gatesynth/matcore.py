@@ -6,7 +6,8 @@ Circuits are ordered element lists; element 0 acts first on the state, so
 the evaluated matrix is the right-to-left product of the element matrices.
 """
 
-from dataclasses import astuple, dataclass, field
+from dataclasses import dataclass, field
+from typing import ClassVar
 
 import numpy as np
 
@@ -25,26 +26,20 @@ for _m in (ID2, ID4, SIGMA_X, SIGMA_Y, SIGMA_Z):
 class ToleranceConfig:
     """Numerical tolerances used across the pipeline.
 
-    unitarity_tol bounds the largest entry of |U U^dag - I| at input
-    boundaries, snap_tol is the window for snapping angles to special
-    values before discrete decisions (classification, case selection), and
-    verify_tol bounds every residual: a reconstruction passes when its
-    Frobenius distance is below it, and so does each internal KAK step.
-    All three must be positive and below MAX_TOLERANCE, and snap_tol at
-    least unitarity_tol and ROUNDOFF.
+    verify_tol, the one setting, in (0, MAX_TOLERANCE), bounds every residual
+    (a Frobenius distance): the final check and each internal KAK step. Two
+    windows are fixed: unitarity_tol bounds max |U U^dag - I| of every input,
+    and snap_tol snaps angles to special values before discrete decisions.
     """
 
-    unitarity_tol: float = 1e-10
-    snap_tol: float = 1e-9
+    unitarity_tol: ClassVar[float] = 1e-10
+    snap_tol: ClassVar[float] = 1e-9  # >= unitarity_tol and ROUNDOFF, the chamber's slack
     verify_tol: float = 1e-8
 
     def __post_init__(self) -> None:
         # Rejects NaN too: every comparison with NaN is false.
-        if not all(0 < t < MAX_TOLERANCE for t in astuple(self)):
+        if not 0 < self.verify_tol < MAX_TOLERANCE:
             raise ValueError(f"tolerances must be finite and strictly positive, < {MAX_TOLERANCE}")
-        # Chamber coordinates may lie ROUNDOFF outside [0, pi]; snapping must catch them.
-        if self.snap_tol < max(self.unitarity_tol, ROUNDOFF):
-            raise ValueError(f"snap_tol must be >= unitarity_tol and >= {ROUNDOFF:g}")
 
 
 # Floating-point slack of exact comparisons (chamber faces, block-angle
@@ -70,16 +65,16 @@ def unitarity_error(m: np.ndarray) -> np.ndarray:
     return np.abs(gram).max(axis=-1)
 
 
-def require_unitary(m: np.ndarray, tol: float = DEFAULT_TOL.unitarity_tol,
-                    what="matrix") -> np.ndarray:
+def require_unitary(m: np.ndarray, what="matrix") -> np.ndarray:
     """Check one square matrix, or each of an (N, k, k) stack, for finite
-    unitarity within tol; return each matrix's unitarity_error.
+    unitarity within unitarity_tol; return each matrix's unitarity_error.
 
     ValueError names the first bad matrix: what, or in a stack what(i) (a
     string gives "{what} row {i}"). Non-finite entries are reported first;
     entries too large to square are not unitary and raise no numpy warning.
     """
     m = np.asarray(m, dtype=complex)
+    tol = ToleranceConfig.unitarity_tol
 
     def name(i) -> str:
         return what(i) if callable(what) else f"{what} row {i}" if m.ndim == 3 else what
@@ -155,7 +150,7 @@ def phase_distance(a: np.ndarray, b: np.ndarray) -> float:
     return float(np.linalg.norm(np.asarray(a) - phi * np.asarray(b), "fro"))
 
 
-def project_special_rows(us: np.ndarray, tol: ToleranceConfig = DEFAULT_TOL,
+def project_special_rows(us: np.ndarray,
                          what="input") -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Check a complex (N, 4, 4) stack with require_unitary, what naming its
     rows, and rescale each matrix to unit determinant.
@@ -164,7 +159,7 @@ def project_special_rows(us: np.ndarray, tol: ToleranceConfig = DEFAULT_TOL,
     phases[i] the principal fourth root of det(us[i]) and errors[i] its
     unitarity_error.
     """
-    errors = require_unitary(us, tol.unitarity_tol, what)
+    errors = require_unitary(us, what)
     det = np.linalg.det(us)
     phases = np.exp(1j * np.arctan2(det.imag, det.real) / 4)  # np.angle
     return us / phases[:, None, None], phases, errors
@@ -218,8 +213,7 @@ class StackedCircuit(Circuit):
     layers: np.ndarray = field(kw_only=True)
 
 
-def evaluate(circuit: Circuit, entangler: np.ndarray,
-             tol: ToleranceConfig = DEFAULT_TOL) -> np.ndarray:
+def evaluate(circuit: Circuit, entangler: np.ndarray) -> np.ndarray:
     """Multiply out a circuit against a concrete entangler matrix.
 
     The entangler is checked for unitarity only when the circuit applies it
@@ -227,7 +221,7 @@ def evaluate(circuit: Circuit, entangler: np.ndarray,
     against the entangler it was built from, which was checked then.
     """
     if any(isinstance(e, EntanglerApp) for e in circuit.elements):
-        require_unitary(entangler, tol.unitarity_tol, "entangler")
+        require_unitary(entangler, "entangler")
     layers = circuit.layers if isinstance(circuit, StackedCircuit) else None
     return circuit.phase * _product(circuit.elements, entangler, layers)
 

@@ -14,6 +14,7 @@ import numpy as np
 from .matcore import Circuit, EntanglerApp, LocalPair, ToleranceConfig, require_unitary
 
 DOCUMENT_FORMAT = "gatesynth-circuit-v1"
+_FIXED_WINDOWS = {k: getattr(ToleranceConfig, k) for k in ("unitarity_tol", "snap_tol")}
 
 
 def encode_matrix(m) -> list:
@@ -54,6 +55,15 @@ class CircuitDocument:
     tolerances: ToleranceConfig = field(default_factory=ToleranceConfig)
     report: dict | None = None
 
+    def check_phase(self, entangler: np.ndarray) -> None:
+        """ValueError unless |phase| |det E|^(k/4) is 1 within verify_tol / 2, k the
+        applications: the phase makes up a scaled entangler (a rounded matrix), and a
+        modulus off by e adds 2e to a 4x4 residual, which verify_tol bounds."""
+        scale = float(abs(np.linalg.det(entangler))) ** (self.circuit.entangler_count / 4)
+        if not abs(abs(self.circuit.phase) * scale - 1.0) <= self.tolerances.verify_tol / 2:
+            raise ValueError(f"circuit phase has modulus {abs(self.circuit.phase)!r}, "
+                             f"expected {1 / scale:.12g}")
+
 
 def _element_records(elements: list) -> list:
     """One record per element; all local layers are encoded in one stacked call."""
@@ -73,7 +83,7 @@ def emit_circuit_document(doc: CircuitDocument) -> str:
     payload = {
         "format": DOCUMENT_FORMAT,
         "entangler": doc.entangler,
-        "tolerances": asdict(doc.tolerances),
+        "tolerances": _FIXED_WINDOWS | asdict(doc.tolerances),  # as every document has
         "elements": _element_records(doc.circuit.elements),
         "phase": [doc.circuit.phase.real, doc.circuit.phase.imag],
         "report": doc.report,
@@ -89,7 +99,11 @@ def parse_circuit_document(text: str) -> CircuitDocument:
     if not isinstance(payload, dict) or payload.get("format") != DOCUMENT_FORMAT:
         raise ValueError("not a gatesynth circuit document")
     try:
-        tolerances = ToleranceConfig(**payload["tolerances"])
+        tolerances = {**payload["tolerances"]}
+        for key, fixed in _FIXED_WINDOWS.items():
+            if (value := tolerances.pop(key, fixed)) != fixed:
+                raise ValueError(f"document {key} {value!r} is not the fixed {fixed:g}")
+        tolerances = ToleranceConfig(**tolerances)
         elements: list = []
         for record in payload["elements"]:
             if record["kind"] == "entangler":
@@ -101,17 +115,12 @@ def parse_circuit_document(text: str) -> CircuitDocument:
                 raise ValueError(f"unknown element kind {record['kind']!r}")
         slots = [i for i, e in enumerate(elements) if isinstance(e, LocalPair)]
         layers = np.array([m for i in slots for m in (elements[i].a, elements[i].b)])
-        require_unitary(layers.reshape(-1, 2, 2), tolerances.unitarity_tol,
+        require_unitary(layers.reshape(-1, 2, 2),
                         lambda k: f"local layer at element {slots[k // 2]}")
         phase = _decode_entry(payload["phase"])
-        # A circuit near the application cap multiplies ~1e5 phases, which
-        # drift ~1e-10 off unit modulus. A modulus off by e adds 2e to the
-        # residual of a 4x4 unitary, which verify_tol already bounds. Written
-        # so that a NaN modulus fails too.
-        if not abs(abs(phase) - 1.0) <= tolerances.verify_tol / 2:
-            raise ValueError(f"circuit phase has modulus {abs(phase)!r}, expected 1")
-        circuit = Circuit(elements, phase)
-        return CircuitDocument(entangler=payload["entangler"], circuit=circuit,
+        if not np.isfinite(phase):
+            raise ValueError(f"circuit phase has non-finite modulus {abs(phase)!r}")
+        return CircuitDocument(entangler=payload["entangler"], circuit=Circuit(elements, phase),
                                tolerances=tolerances, report=payload.get("report"))
     except (KeyError, TypeError, IndexError) as exc:
         raise ValueError(f"malformed circuit document: {exc}") from exc

@@ -90,11 +90,11 @@ def _paper_axis(g: tuple[float, float, float]) -> int:
     return 2 if g[2] > 0.0 else 1 if g[0] == np.pi / 2 else 0
 
 
-def _folded_unit(dec: KakDecomposition, tol: ToleranceConfig, axis) -> ZzResource:
+def _folded_unit(dec: KakDecomposition, axis) -> ZzResource:
     """The folded unit of case 1 or 2, or in cases 3 and 4 the doubling of
     g_k, k = axis(g), on the snapped canonical vector g of the entangler's
     KAK: one unit."""
-    kind = classify(dec.c, tol)
+    kind = classify(dec.c)
     if kind is not GateClass.ENTANGLING:
         raise ValueError(f"resource gate is {kind.value}, not entangling")
 
@@ -103,7 +103,7 @@ def _folded_unit(dec: KakDecomposition, tol: ToleranceConfig, axis) -> ZzResourc
     # its conjugate: it also cancels a scale by which the entangler misses
     # unit modulus (a matrix rounded to a few decimals).
     k2_dag, k1_dag, phase = _dag(dec.k2), _dag(dec.k1), 1 / dec.phase
-    g1, g2, g3 = g = snap_vector(dec.c, tol.snap_tol)
+    g1, g2, g3 = g = snap_vector(dec.c)
 
     if g3 == 0.0 and g2 == 0.0:
         # case 1: A is a pure XX rotation; k_x conjugation moves it to ZZ
@@ -148,7 +148,7 @@ def extract_zz(entangler: np.ndarray, tol: ToleranceConfig = DEFAULT_TOL) -> ZzR
     Raises ValueError when the gate is local or in the SWAP class, which
     cannot serve as the entangling resource.
     """
-    return _folded_unit(kak_decompose(entangler, tol), tol, _paper_axis)
+    return _folded_unit(kak_decompose(entangler, tol), _paper_axis)
 
 
 def fold_angle(g: float) -> tuple[float, LocalPair, LocalPair, complex]:
@@ -220,7 +220,7 @@ def choose_unit(entangler: np.ndarray, tol: ToleranceConfig = DEFAULT_TOL, *,
     with no smaller gamma and no larger n, so no block needs more
     applications. dec is the entangler's KAK, decomposed here when None.
     """
-    return _folded_unit(kak_decompose(entangler, tol) if dec is None else dec, tol, _best_axis)
+    return _folded_unit(kak_decompose(entangler, tol) if dec is None else dec, _best_axis)
 
 
 @dataclass(eq=False)
@@ -315,7 +315,7 @@ def prepare_resource(entangler: np.ndarray, tol: ToleranceConfig = DEFAULT_TOL, 
     """
     if dec is None:
         dec = kak_decompose(entangler, tol)
-    r = _folded_unit(dec, tol, _best_axis)
+    r = _folded_unit(dec, _best_axis)
     bound = uniform_bound(repetitions(r.gamma), r.apps_per_unit)
     if bound > MAX_APPLICATIONS:
         raise ValueError(f"entangler needs up to {bound} applications per target, "

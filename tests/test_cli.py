@@ -273,8 +273,8 @@ class TestAmplifiedEntanglerError:
     def test_rounded_swap_compiles(self, capsys, tmp_path, rounded_weak_zz):
         # The unit's phase cancels the rounded matrix's scale, so all 606
         # applications verify. The circuit phase makes up that scale over
-        # 606 applications: its modulus, 1.1e-8 off 1, is outside the
-        # document window verify_tol / 2, so verify refuses the document.
+        # 606 applications: its modulus is 1.1e-8 off 1, and verify's window
+        # takes the embedded entangler's scale out, so the document verifies.
         doc = tmp_path / "circuit.json"
         code, _, err = run(capsys, "synth", "--target", "SWAP",
                            "--entangler", rounded_weak_zz, "--out", str(doc))
@@ -284,8 +284,13 @@ class TestAmplifiedEntanglerError:
         assert payload["report"]["residual"] < 1e-12
         assert 5e-9 < abs(abs(complex(*payload["phase"])) - 1) < 2e-8
         code, out, err = run(capsys, "verify", "--circuit", str(doc), "--target", "SWAP")
+        assert (code, err) == (EXIT_OK, "") and "verdict: PASS" in out
+        # Off that scale by the same amount, the phase is refused.
+        payload["phase"] = [x / abs(complex(*payload["phase"])) for x in payload["phase"]]
+        doc.write_text(json.dumps(payload))
+        code, out, err = run(capsys, "verify", "--circuit", str(doc), "--target", "SWAP")
         assert (code, out) == (EXIT_INPUT, "")
-        assert err.startswith("error: circuit phase has modulus 0.99999998")
+        assert err.startswith("error: circuit phase has modulus 1.0, expected 0.99999998")
 
     @pytest.mark.parametrize("target,count", [("CPHASE(pi/2)", 102), ("ZZ(pi/8)", 52)])
     def test_fewer_applications_still_compile(self, capsys, tmp_path, rounded_weak_zz,
@@ -493,6 +498,28 @@ class TestVerify:
         code, out, _ = run(capsys, "verify", "--circuit", str(path), "--target", "CNOT")
         assert code == EXIT_OK
         assert out.splitlines()[0] == "residual: 5.6844649472618385e-15"
+
+    @pytest.mark.parametrize("key", ["unitarity_tol", "snap_tol"])
+    def test_document_window_off_the_constant(self, capsys, emitted, key):
+        # Every document synth writes records the fixed windows.
+        doc = json.loads(emitted.read_text())
+        doc["tolerances"][key] = 1e-6
+        emitted.write_text(json.dumps(doc))
+        code, out, err = run(capsys, "verify", "--circuit", str(emitted),
+                             "--target", "SQRT_SWAP")
+        assert (code, out) == (EXIT_INPUT, "")
+        assert err.splitlines() == [f"error: document {key} 1e-06 is not the fixed "
+                                    f"{'1e-10' if key == 'unitarity_tol' else '1e-09'}"]
+
+    def test_huge_phase_is_invalid_input(self, capsys, emitted):
+        # Checked before the circuit is evaluated: exit 2, no numpy warning.
+        doc = json.loads(emitted.read_text())
+        doc["phase"] = [1e200, 0.0]
+        emitted.write_text(json.dumps(doc))
+        code, out, err = run(capsys, "verify", "--circuit", str(emitted),
+                             "--target", "SQRT_SWAP")
+        assert (code, out) == (EXIT_INPUT, "")
+        assert err.splitlines() == ["error: circuit phase has modulus 1e+200, expected 1"]
 
     def test_nan_phase_is_invalid_input(self, capsys, emitted):
         doc = json.loads(emitted.read_text())

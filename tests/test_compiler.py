@@ -245,7 +245,9 @@ class TestNormalForm:
             assert report.n == 5
 
 
-LOOSE_TOL = ToleranceConfig(unitarity_tol=1e-7, snap_tol=1e-7, verify_tol=1e-6)
+LOOSE_TOL = ToleranceConfig(verify_tol=1e-6)
+# A unitarity error just inside the fixed window.
+NEAR_EDGE_ERROR = 0.99 * ToleranceConfig.unitarity_tol
 
 
 class TestNearEdgeTargets:
@@ -262,12 +264,14 @@ class TestNearEdgeTargets:
     @pytest.mark.parametrize("entangler", [CNOT, cphase(np.pi / 9)], ids=["cnot", "cphase_pi_9"])
     def test_loose_tolerances(self, entangler, rng):
         for _ in range(10):
-            target = near_edge(haar_unitary(rng), 1e-9, rng)
+            target = near_edge(haar_unitary(rng), NEAR_EDGE_ERROR, rng)
+            assert 9e-11 < unitarity_error(target) <= ToleranceConfig.unitarity_tol
             _, report = synthesize(target, entangler, LOOSE_TOL)
             assert report.residual < LOOSE_TOL.verify_tol
 
     def test_near_edge_entangler(self, rng):
-        entangler = near_edge(dress(cphase(np.pi / 3), rng), 1e-9, rng)
+        entangler = near_edge(dress(cphase(np.pi / 3), rng), NEAR_EDGE_ERROR, rng)
+        assert 9e-11 < unitarity_error(entangler) <= ToleranceConfig.unitarity_tol
         _, report = synthesize(haar_unitary(rng), entangler, LOOSE_TOL)
         assert report.residual < LOOSE_TOL.verify_tol
 
@@ -299,13 +303,13 @@ class TestNearLandmarkTargets:
             assert report.residual < DEFAULT_TOL.verify_tol
 
     @pytest.mark.parametrize("entangler", [CNOT, cphase(np.pi / 9)], ids=["cnot", "cphase_pi_9"])
-    def test_near_pi_block_under_tight_snap_tol(self, entangler):
-        # c1 = pi - 5e-10 is not snapped at snap_tol 1e-10, so it is a
-        # block angle just below pi, reflected to a 5e-10 block.
-        tol = ToleranceConfig(snap_tol=1e-10)
-        target = interaction(np.pi - 5e-10, 3e-10, 2e-10)
-        _, report = synthesize(target, entangler, tol)
-        assert report.residual < tol.verify_tol
+    def test_near_pi_block_outside_snap_tol(self, entangler):
+        # c1 = pi - 5e-9 is outside snap_tol (1e-9), so it is a block angle
+        # just below pi, reflected to a 5e-9 block.
+        target = interaction(np.pi - 5e-9, 3e-9, 2e-9)
+        assert snap_vector(kak_decompose(target).c)[0] < np.pi
+        _, report = synthesize(target, entangler)
+        assert report.residual < DEFAULT_TOL.verify_tol
 
 
 class TestUpperBound:
@@ -361,14 +365,13 @@ class TestUpperBound:
 class TestToleranceArgument:
     @pytest.mark.parametrize("helper", [upper_bound, choose_unit, prepare_resource])
     def test_positional_tol_matches_keyword(self, helper):
-        # snap_tol 1e-6 snaps c2 = 1e-7 to 0, so the gate is case 1 (one
-        # application); the default snap keeps case 3 (two).
-        tol = ToleranceConfig(snap_tol=1e-6)
-        gate = interaction(np.pi / 4, 1e-7, 0.0)
+        # snap_tol (1e-9) snaps c2 = 5e-10 to 0, so the gate is case 1 (one
+        # application) whatever verify_tol.
+        tol = ToleranceConfig(verify_tol=1e-9)
+        gate = interaction(np.pi / 4, 5e-10, 0.0)
         positional, keyword, default = helper(gate, tol), helper(gate, tol=tol), helper(gate)
-        assert positional.apps_per_unit == keyword.apps_per_unit == 1
-        assert default.apps_per_unit == 2
-        assert positional.gamma == keyword.gamma
+        assert positional.apps_per_unit == keyword.apps_per_unit == default.apps_per_unit == 1
+        assert positional.gamma == keyword.gamma == default.gamma
 
 
 class TestMergeLocals:
@@ -498,9 +501,9 @@ def captured_calls(monkeypatch, rng) -> list:
     the last has c1 snapped to pi."""
     calls = []
     with monkeypatch.context() as patch:
-        def evaluate_spy(circuit, entangler, tol=DEFAULT_TOL):
+        def evaluate_spy(circuit, entangler):
             calls.append(circuit)
-            return evaluate(circuit, entangler, tol)
+            return evaluate(circuit, entangler)
         patch.setattr(compiler, "evaluate", evaluate_spy)
         captured = []
         for name in SKELETON_ENTANGLERS:
@@ -535,7 +538,7 @@ def amplified_units(rng) -> list:
             dec = kak_decompose(entangler)
             for k in range(3):
                 try:
-                    unit = zzsynth._folded_unit(dec, DEFAULT_TOL, lambda g, k=k: k)
+                    unit = zzsynth._folded_unit(dec, lambda g, k=k: k)
                 except ValueError:  # a doubling whose folded angle is 0
                     continue
                 units.append((unit, entangler))
@@ -738,7 +741,7 @@ def block_units(target: np.ndarray, unit_gamma: float,
     """Units each of the target's blocks needs: the fewest m with h <= 2 m gamma
     (up to ROUNDOFF) for its folded angle h; 0 for a block of angle 0 or pi."""
     ms = []
-    for c in snap_vector(kak_decompose(target, tol).c, tol.snap_tol):
+    for c in snap_vector(kak_decompose(target, tol).c):
         h = min(c, np.pi - c)
         ms.append(0 if h == 0 else next(m for m in itertools.count(1)
                                         if h <= 2 * m * unit_gamma + ROUNDOFF))
@@ -753,7 +756,7 @@ def synthesize_expanded(target: np.ndarray, entangler: np.ndarray,
     dec = kak_decompose(target, tol)
     unit = choose_unit(entangler, tol)
     merged = merge_locals(unit.circuit)
-    c1, c2, c3 = snap_vector(dec.c, tol.snap_tol)
+    c1, c2, c3 = snap_vector(dec.c)
     elements, phase = [dec.k2], dec.phase
     for c, interleaver in ((c3, LocalPair(KY_FACTOR, KY_FACTOR)),
                            (c2, LocalPair(KX_KY_DAG, KX_KY_DAG)),
@@ -910,7 +913,7 @@ def paper_bound(unit: ZzResource) -> int:
 def paper_count(target: np.ndarray, paper: ZzResource) -> int:
     """Applications the paper's unit needs for a target, by arithmetic."""
     n = repetitions(paper.gamma)
-    hs = [fold_angle(c)[0] for c in snap_vector(kak_decompose(target).c, DEFAULT_TOL.snap_tol)]
+    hs = [fold_angle(c)[0] for c in snap_vector(kak_decompose(target).c)]
     return 2 * paper.apps_per_unit * sum(block_repetitions(h, paper.gamma, n)
                                          for h in hs if h > 0.0)
 

@@ -13,7 +13,7 @@ from gatesynth import kak
 from gatesynth.gates import B_GATE, CNOT, CZ, SQRT_SWAP, SWAP, cphase
 from gatesynth.kak import (CanonicalVector, GateClass, canonicalize, classify,
                            kak_decompose, snap_angle)
-from gatesynth.matcore import (DEFAULT_TOL, ROUNDOFF, SIGMA_X, SIGMA_Y, SIGMA_Z,
+from gatesynth.matcore import (ROUNDOFF, SIGMA_X, SIGMA_Y, SIGMA_Z, ToleranceConfig,
                                interaction, phase_distance, tensor, unitarity_error)
 
 from conftest import dress, haar_unitary, random_local
@@ -412,7 +412,7 @@ def locally_equivalent(u: np.ndarray, v: np.ndarray) -> bool:
     """Whether two gates share a canonical vector within snap_tol."""
     cu = kak_decompose(u).c.as_tuple()
     cv = kak_decompose(v).c.as_tuple()
-    return all(abs(a - b) <= DEFAULT_TOL.snap_tol for a, b in zip(cu, cv))
+    return all(abs(a - b) <= ToleranceConfig.snap_tol for a, b in zip(cu, cv))
 
 
 class TestLocallyEquivalent:

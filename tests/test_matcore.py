@@ -1,8 +1,10 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from gatesynth.matcore import (Circuit, EntanglerApp, LocalPair,
+from gatesynth.matcore import (MAX_TOLERANCE, Circuit, EntanglerApp, LocalPair,
                                SIGMA_X, SIGMA_Y, SIGMA_Z, ToleranceConfig,
                                evaluate, exp_pauli, fuse_layers, interaction,
                                phase_distance, project_special_rows,
@@ -173,18 +175,24 @@ class TestToleranceConfig:
     def test_defaults(self):
         tol = ToleranceConfig()
         assert (tol.unitarity_tol, tol.snap_tol, tol.verify_tol) == (1e-10, 1e-9, 1e-8)
+        # verify_tol is the one setting; the two windows are fixed.
+        assert [f.name for f in dataclasses.fields(ToleranceConfig)] == ["verify_tol"]
+        assert ToleranceConfig(verify_tol=1e-6).snap_tol == ToleranceConfig.snap_tol
 
     @pytest.mark.parametrize("kwargs", [
-        {"unitarity_tol": 0.0}, {"snap_tol": -1e-9}, {"verify_tol": 0.0},
-        {"unitarity_tol": 1e-8, "snap_tol": 1e-10},
-        {"verify_tol": float("inf")}, {"snap_tol": float("inf")},
-        {"unitarity_tol": float("nan")}, {"verify_tol": float("nan")},
-        {"verify_tol": 3.0}, {"snap_tol": 0.5},
-        {"unitarity_tol": 1e-13, "snap_tol": 1e-13},
+        {"verify_tol": 0.0}, {"verify_tol": -0.0}, {"verify_tol": -1e-9},
+        {"verify_tol": -1e300}, {"verify_tol": float("inf")}, {"verify_tol": float("-inf")},
+        {"verify_tol": float("nan")}, {"verify_tol": 3.0}, {"verify_tol": 0.5},
+        {"verify_tol": MAX_TOLERANCE}, {"verify_tol": 2 * MAX_TOLERANCE},
     ])
     def test_rejects_bad_values(self, kwargs):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^tolerances must be finite and strictly positive"):
             ToleranceConfig(**kwargs)
+
+    @pytest.mark.parametrize("window", ["unitarity_tol", "snap_tol"])
+    def test_windows_are_not_settable(self, window):
+        with pytest.raises(TypeError, match=window):
+            ToleranceConfig(**{window: 1e-6})
 
 
 def test_is_unitary_rejects_nan():

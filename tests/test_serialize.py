@@ -5,8 +5,8 @@ import numpy as np
 import pytest
 
 from gatesynth.gates import CNOT, SQRT_SWAP, resolve_descriptor, resolve_gate
-from gatesynth.matcore import Circuit, EntanglerApp, LocalPair, ToleranceConfig
-from gatesynth.serialize import (CircuitDocument, emit_circuit_document,
+from gatesynth.matcore import Circuit, EntanglerApp, LocalPair, ToleranceConfig, zz_interaction
+from gatesynth.serialize import (CircuitDocument, emit_circuit_document, encode_matrix,
                                  parse_circuit_document)
 
 from conftest import haar_unitary, matrix_json
@@ -153,11 +153,13 @@ class TestCircuitDocument:
             parse_circuit_document(json.dumps(payload))
 
     def test_rejects_nonunit_phase(self, rng):
+        # The document parses; check_phase, which verify runs, refuses it.
         doc = self._sample_doc(rng)
         payload = json.loads(emit_circuit_document(doc))
         payload["phase"] = [2.0, 0.0]
-        with pytest.raises(ValueError, match="modulus"):
-            parse_circuit_document(json.dumps(payload))
+        back = parse_circuit_document(json.dumps(payload))
+        with pytest.raises(ValueError, match="^circuit phase has modulus 2.0, expected 1$"):
+            back.check_phase(resolve_descriptor(back.entangler))
 
     @pytest.mark.parametrize("phase", [[1.0, 0.0, 123.0], [True, 0], [1.0], ["1", 0],
                                        [10**400, 0]],
@@ -187,11 +189,30 @@ class TestCircuitDocument:
         payload = json.loads(emit_circuit_document(doc))
         for offset, accepted in ((0.4, True), (0.6, False)):
             payload["phase"] = [1 + offset * verify_tol, 0.0]
+            back = parse_circuit_document(json.dumps(payload))
+            assert abs(back.circuit.phase) > 1
             if accepted:
-                assert abs(parse_circuit_document(json.dumps(payload)).circuit.phase) > 1
+                back.check_phase(resolve_descriptor(back.entangler))
             else:
                 with pytest.raises(ValueError, match="modulus"):
-                    parse_circuit_document(json.dumps(payload))
+                    back.check_phase(resolve_descriptor(back.entangler))
+
+    def test_phase_window_takes_out_the_entanglers_scale(self):
+        # ZZ(pi/400) rounded to 10 decimals misses unit modulus by a scale,
+        # which the phase of a circuit applying it 606 times makes up: 1.1e-8
+        # off 1, outside verify_tol / 2 unless the scale is taken out.
+        entangler = np.round(zz_interaction(np.pi / 400), 10)
+        scale = abs(np.linalg.det(entangler)) ** (606 / 4)
+        assert 1e-8 < scale - 1 < 1.2e-8
+        for phase, accepted in ((1 / scale, True), (1.0, False)):
+            doc = CircuitDocument({"matrix": encode_matrix(entangler)},
+                                  Circuit([EntanglerApp()] * 606, phase))
+            if accepted:
+                doc.check_phase(entangler)
+            else:
+                with pytest.raises(ValueError, match="^circuit phase has modulus 1.0, "
+                                                     "expected 0.9999999888"):
+                    doc.check_phase(entangler)
 
     def test_rejects_non_2x2_local_layer(self, rng):
         doc = self._sample_doc(rng)
@@ -211,11 +232,19 @@ class TestCircuitDocument:
         with pytest.raises(ValueError, match=f"element 2 {wording}"):
             parse_circuit_document(emit_circuit_document(doc))
 
-    def test_unitarity_uses_document_tolerance(self, rng):
+    def test_unitarity_tolerance_is_fixed(self, rng):
         doc = self._sample_doc(rng)
         doc.circuit.elements[0].a = doc.circuit.elements[0].a * (1 + 1e-8)
-        loose = CircuitDocument(doc.entangler, doc.circuit,
-                                ToleranceConfig(unitarity_tol=1e-7, snap_tol=1e-7))
-        assert parse_circuit_document(emit_circuit_document(loose)).tolerances == loose.tolerances
-        with pytest.raises(ValueError, match="element 0 is not unitary"):
+        with pytest.raises(ValueError, match="element 0 is not unitary within tolerance 1e-10"):
             parse_circuit_document(emit_circuit_document(doc))
+
+    @pytest.mark.parametrize("key", ["unitarity_tol", "snap_tol"])
+    def test_recorded_windows_must_be_the_constants(self, rng, key):
+        payload = json.loads(emit_circuit_document(self._sample_doc(rng)))
+        assert list(payload["tolerances"]) == ["unitarity_tol", "snap_tol", "verify_tol"]
+        assert payload["tolerances"][key] == getattr(ToleranceConfig, key)
+        payload["tolerances"][key] = 1e-6
+        with pytest.raises(ValueError, match=f"^document {key} 1e-06 is not the fixed 1e-"):
+            parse_circuit_document(json.dumps(payload))
+        del payload["tolerances"][key]  # absent: the constant
+        assert parse_circuit_document(json.dumps(payload)).tolerances == ToleranceConfig()

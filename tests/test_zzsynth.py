@@ -226,7 +226,7 @@ class TestReduceAngle:
         # Doubling B's c1 = pi/2 gives the local angle pi, which no fold
         # reduces; only a custom axis reaches it.
         with pytest.raises(ValueError, match="no entangling reduction"):
-            zzsynth._folded_unit(kak_decompose(B_GATE), DEFAULT_TOL, lambda g: 0)
+            zzsynth._folded_unit(kak_decompose(B_GATE), lambda g: 0)
 
 
 class TestReflectAngle:
