@@ -104,7 +104,10 @@ def block_locals(c: float, h: float, pre: LocalPair, post: LocalPair,
     u1, u2 = u1_u2(params)
     if h != c:  # join the fold's Pauli layers; their products round nothing
         u1, u2 = post.b @ u1, u2 @ pre.b
-    return pre.a, u2, exp_pauli("y", (params.b + np.pi) / 2), post.a, u1
+    # exp_pauli("y", alpha) bit for bit, in one array call.
+    alpha = (params.b + np.pi) / 2
+    cos, sin = np.cos(alpha), np.sin(alpha)
+    return pre.a, u2, np.array([[cos, sin], [-sin, cos]], dtype=complex), post.a, u1
 
 
 def synth_zz_block(c: float, resource: ZzResource) -> Circuit:

@@ -179,6 +179,13 @@ def synthesize(target: np.ndarray, entangler: np.ndarray,
 
     skeleton = _skeleton(snap_vector(dec.c), dec, template)
     residual = phase_distance(evaluate(skeleton, entangler), target)
+    if residual >= tol.verify_tol:
+        # A snap is taken only when it verifies: build once more from the
+        # unsnapped vector, roundoff below 0 taken as 0.
+        unsnapped = _skeleton(tuple(max(x, 0.0) for x in dec.c.as_tuple()), dec, template)
+        unsnapped_residual = phase_distance(evaluate(unsnapped, entangler), target)
+        if unsnapped_residual < tol.verify_tol:
+            skeleton, residual = unsnapped, unsnapped_residual
     circuit, entangler_count, local_count = _emitted(skeleton)
     if residual >= tol.verify_tol:
         error = template.unitarity_error

@@ -50,44 +50,20 @@ _DIAG_XYZ = np.array([_DIAG_XX, _DIAG_YY, _DIAG_ZZ])
 _SNAP_POINTS = (0.0, np.pi / 4, np.pi / 2, np.pi)
 
 # Real combinations for breaking eigenvalue degeneracies, in a fixed order
-# that every call tries, so results do not depend on call ordering. They are
-# np.random.default_rng(_DIAG_SEED).normal(size=(32, 2)), written out so
-# that importing gatesynth does not load numpy.random.
+# that every call tries, so results do not depend on call ordering: the rows
+# of np.random.default_rng(_DIAG_SEED).normal(size=(32, 2)). Every call
+# takes the first, written out so that importing gatesynth does not load
+# numpy.random; the rest are drawn on the first redraw.
 _DIAG_SEED = 7
-_DIAG_DRAWS = np.array([
-    (0.0012301533574825742, 0.2987455375084699),
-    (-0.2741378553622176, -0.8905918387572742),
-    (-0.45467078517172255, -0.9916465549964624),
-    (0.060143602597438485, 1.3402152455545335),
-    (-0.49220651855132963, -0.6204748998199404),
-    (0.4898420501851982, 0.35688700816006075),
-    (0.10541424899789856, -0.9304680447082047),
-    (-0.02925182246327349, 0.6953031944582878),
-    (-1.344214547285082, -0.45761576104021817),
-    (-1.901222739800844, -1.289537739784976),
-    (-1.8417350377917323, -0.23509113107468127),
-    (-1.2674464814437032, 0.2712643588217015),
-    (0.15675108662422516, -0.18693094462995438),
-    (-2.516759710820513, -0.5386928958466366),
-    (-0.048500945401071985, 0.11330898600330756),
-    (-1.5301357655053935, -0.47775327603393064),
-    (-0.9785190780566395, -0.8088372394255993),
-    (1.0608986233860787, -0.8075346753318965),
-    (-0.0325217049455206, 0.8843898673831739),
-    (-0.583600432743302, -0.11170194958415963),
-    (0.11046414324948059, 0.06378177425506196),
-    (-1.2250558264176934, 0.0761402303770081),
-    (1.3588234217415376, -1.5471446781284823),
-    (0.8593826880215982, 0.11935402569658124),
-    (-0.6414703941072214, 2.000416546342423),
-    (0.7622597120847118, -1.1992889021052233),
-    (0.07451622877146342, 0.5766895836701853),
-    (-0.1887821253507493, 0.682910267195206),
-    (-0.06651732014941557, 0.6672475608343279),
-    (1.438522591656152, -0.6756622510056528),
-    (0.20313861038960904, -0.46330757653841514),
-    (0.12726841122583082, -1.18719452785014),
-])
+_FIRST_DRAW = (0.0012301533574825742, 0.2987455375084699)
+
+
+@functools.cache
+def _later_draws() -> np.ndarray:
+    from numpy.random import default_rng
+    return default_rng(_DIAG_SEED).normal(size=(32, 2))[1:]
+
+
 # Entry weights of _squared_norms: every entry, or the off-diagonal ones.
 _ALL_ENTRIES = np.ones(16)
 _OFF_DIAGONAL = 1.0 - np.eye(4).ravel()
@@ -288,7 +264,7 @@ def _simultaneous_diagonalize(m2: np.ndarray, atol: float) -> tuple[np.ndarray, 
     # complex sum adds the real and imaginary parts exactly as apart.
     sym = m2 + m2.transpose(0, 2, 1)
     re, im = sym.real / 2, sym.imag / 2
-    wr, wi = _DIAG_DRAWS[0]
+    wr, wi = _FIRST_DRAW
     _, p = np.linalg.eigh(wr * re + wi * im)
     d = p.transpose(0, 2, 1) @ m2 @ p
     ok = _squared_norms(d, _OFF_DIAGONAL) < atol * atol
@@ -304,7 +280,7 @@ def _simultaneous_diagonalize(m2: np.ndarray, atol: float) -> tuple[np.ndarray, 
 def _redraw(m2, re, im, p, d, todo: np.ndarray, atol: float) -> None:
     """Diagonalize the rows todo of the stack again through the later draws, in
     order, writing each row's first success into p and d."""
-    for wr, wi in _DIAG_DRAWS[1:]:
+    for wr, wi in _later_draws():
         _, pk = np.linalg.eigh(wr * re[todo] + wi * im[todo])
         dk = pk.transpose(0, 2, 1) @ m2[todo] @ pk
         ok = _squared_norms(dk, _OFF_DIAGONAL) < atol * atol
@@ -327,6 +303,10 @@ def _squared_norms(ms: np.ndarray, weights: np.ndarray = _ALL_ENTRIES) -> np.nda
 _FLAT = np.arange(16).reshape(4, 4)
 _PIVOT_GATHER = np.array([(_FLAT[r & 1::2, c & 1::2], _FLAT[r & 2:(r & 2) + 2, c & 2:(c & 2) + 2])
                           for r in range(4) for c in range(4)])
+# Flat indices into the factor pair (2, 2, 2) of the two entries that divide
+# out g through each pivot (r, c): f1[r >> 1, c >> 1] and f2[r & 1, c & 1].
+_G_GATHER = np.array([(2 * (r >> 1) + (c >> 1), 4 + 2 * (r & 1) + (c & 1))
+                      for r in range(4) for c in range(4)])
 
 
 def _factor_locals(ms: np.ndarray, atol: float) -> tuple[list[complex], np.ndarray]:
@@ -344,8 +324,8 @@ def _factor_locals(ms: np.ndarray, atol: float) -> tuple[list[complex], np.ndarr
     det = np.linalg.det(f)
     det[det == 0] = 1  # a singular factor: not a product, the residual check refuses it
     f /= np.sqrt(det)[..., None, None]
-    r, c = np.divmod(pivots, 4)
-    g = flat[rows, pivots] / (f[rows, 0, r >> 1, c >> 1] * f[rows, 1, r & 1, c & 1])
+    e1, e2 = f.reshape(-1, 8)[rows[:, None], _G_GATHER[pivots]].T
+    g = flat[rows, pivots] / (e1 * e2)
     negative = g.real < 0
     np.negative(f[:, 0], out=f[:, 0], where=negative[:, None, None])
     np.negative(g, out=g, where=negative)

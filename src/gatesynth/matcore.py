@@ -6,6 +6,7 @@ Circuits are ordered element lists; element 0 acts first on the state, so
 the evaluated matrix is the right-to-left product of the element matrices.
 """
 
+import math
 from dataclasses import dataclass, field
 from typing import ClassVar
 
@@ -143,11 +144,15 @@ def phase_distance(a: np.ndarray, b: np.ndarray) -> float:
 
     Equals sqrt(8 - 2 |tr(a^dag b)|), but is evaluated at the explicit
     minimizing phase tr/|tr|: the closed form loses half the significant
-    digits near zero, where these residuals are actually read.
+    digits near zero, where these residuals are actually read. The norm
+    is np.linalg.norm's "fro" arithmetic for a 2-D array, without its
+    wrapper.
     """
-    overlap = np.trace(dagger(a) @ b)
+    a, b = np.asarray(a), np.asarray(b)
+    overlap = (a.conj().T @ b).trace()
     phi = np.conj(overlap) / abs(overlap) if abs(overlap) > 0 else 1.0
-    return float(np.linalg.norm(np.asarray(a) - phi * np.asarray(b), "fro"))
+    d = (a - phi * b).ravel()
+    return math.sqrt(d.real.dot(d.real) + d.imag.dot(d.imag))
 
 
 def project_special_rows(us: np.ndarray,
@@ -272,9 +277,12 @@ def fuse_layers(chains: list, phase: complex) -> tuple[np.ndarray, complex]:
     # loop, without a LAPACK call per layer.
     scale = np.sqrt(np.linalg.det(fused))
     fused /= scale[..., None, None]
-    for s in scale:
-        phase *= s[0] * s[1]
-    return fused, phase
+    # Python complex products round as numpy's scalar ones. The phase stays
+    # an np.complex128: templates raise it to powers, where the two differ.
+    phase = complex(phase)
+    for s1, s2 in scale.tolist():
+        phase *= s1 * s2
+    return fused, np.complex128(phase)
 
 
 def merge_locals(circuit: Circuit) -> Circuit:

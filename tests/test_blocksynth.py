@@ -2,13 +2,15 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from gatesynth.blocksynth import (AxisAngle, block_params, controlled_u_circuit,
-                                  controlled_u_gamma, synth_zz_block, u1_u2)
+from gatesynth import blocksynth
+from gatesynth.blocksynth import (AxisAngle, BlockParams, block_locals, block_params,
+                                  controlled_u_circuit, controlled_u_gamma, synth_zz_block,
+                                  u1_u2)
 from gatesynth.gates import CNOT, cphase, phase_gate
 from gatesynth.kak import kak_decompose
 from gatesynth.matcore import (Circuit, EntanglerApp, LocalPair, SIGMA_X, SIGMA_Z,
                                evaluate, exp_pauli, phase_distance, tensor, zz_interaction)
-from gatesynth.zzsynth import ZzResource, choose_unit, prepare_resource, repetitions
+from gatesynth.zzsynth import ZzResource, choose_unit, fold_angle, prepare_resource, repetitions
 
 from conftest import expanded, haar_unitary, repeated, run_resource
 
@@ -107,6 +109,20 @@ class TestU1U2:
         u1, u2 = u1_u2(block_params(c, gamma))
         np.testing.assert_allclose(u1 @ u1.conj().T, ID2, atol=1e-12)
         np.testing.assert_allclose(u2 @ u2.conj().T, ID2, atol=1e-12)
+
+
+def test_middle_layer_is_exp_pauli_y(monkeypatch):
+    # block_locals writes exp(i ((b + pi)/2) Y) as one array: bit for bit
+    # exp_pauli's, on a grid of b in [0, pi] with both endpoints.
+    grid = np.linspace(0, np.pi, 2001)
+    assert grid[0] == 0.0 and grid[-1] == np.pi
+    for b in grid:
+        monkeypatch.setattr(blocksynth, "block_params",
+                            lambda c, gamma, b=b: BlockParams(c, gamma, b, 0.6, 0.8))
+        h, pre, post, _ = fold_angle(0.5)
+        mid = block_locals(0.5, h, pre, post, np.pi / 2)[2]
+        assert mid.dtype == complex
+        assert mid.tobytes() == exp_pauli("y", (b + np.pi) / 2).tobytes()
 
 
 class TestSynthZzBlock:

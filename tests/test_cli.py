@@ -361,6 +361,20 @@ class TestClassifyChosenUnit:
         assert rest == lines
 
 
+def test_snapped_target_falls_back_to_unsnapped(capsys, tmp_path):
+    # CPHASE's c1 sits 8.9e-10 below pi/2: the snapped CZ circuit misses
+    # --tol 5e-10, the unsnapped one passes, and verify accepts its document.
+    path = tmp_path / "circ.json"
+    target = "CPHASE(3.1415926518)"
+    code, _, err = run(capsys, "synth", "--target", target, "--entangler", "CNOT",
+                       "--tol", "5e-10", "--out", str(path))
+    assert code == EXIT_OK, err
+    assert json.loads(path.read_text())["report"]["entangler_count"] == 2
+    code, out, _ = run(capsys, "verify", "--circuit", str(path), "--target", target)
+    assert code == EXIT_OK
+    assert "PASS" in out
+
+
 class TestVerify:
     @pytest.fixture
     def emitted(self, capsys, tmp_path):

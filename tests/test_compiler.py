@@ -312,6 +312,55 @@ class TestNearLandmarkTargets:
         assert report.residual < DEFAULT_TOL.verify_tol
 
 
+# Chamber landmarks: identity, sqrt(CNOT), CNOT, sqrt(iSWAP), B, iSWAP,
+# sqrt(SWAP), two points of the face c1 = pi/2, SWAP and sqrt(SWAP)^dag.
+CHAMBER_LANDMARKS = [(0.0, 0.0, 0.0), (np.pi / 4, 0.0, 0.0), (np.pi / 2, 0.0, 0.0),
+                     (np.pi / 4, np.pi / 4, 0.0), (np.pi / 2, np.pi / 4, 0.0),
+                     (np.pi / 2, np.pi / 2, 0.0), (np.pi / 4, np.pi / 4, np.pi / 4),
+                     (np.pi / 2, np.pi / 4, np.pi / 4), (np.pi / 2, np.pi / 2, np.pi / 4),
+                     (np.pi / 2, np.pi / 2, np.pi / 2), (3 * np.pi / 4, np.pi / 4, np.pi / 4)]
+
+
+class TestSnapFallback:
+    """A target-side snap is taken only when the circuit it builds verifies;
+    otherwise synthesize builds once more from the unsnapped vector."""
+
+    def test_cphase_just_below_cz(self):
+        # c1 sits 8.9e-10 below pi/2 and snaps onto CZ, which misses a
+        # verify_tol of 5e-10; the unsnapped block verifies.
+        target, tol = cphase(3.1415926518), ToleranceConfig(verify_tol=5e-10)
+        circuit, report = synthesize(target, CNOT, tol)
+        assert report.entangler_count == 2
+        assert report.residual < 1e-14
+        assert phase_distance(evaluate(circuit, CNOT), target) < tol.verify_tol
+
+    @pytest.mark.parametrize("verify_tol", [1e-8, 1e-9])
+    def test_near_landmark_targets_verify(self, verify_tol):
+        rng = np.random.default_rng(2401)
+        tol = ToleranceConfig(verify_tol=verify_tol)
+        for entangler in (CNOT, cphase(np.pi / 9), B_GATE):
+            for landmark in CHAMBER_LANDMARKS:
+                for k in (0.1, 0.5, 0.9):
+                    for sign in (1.0, -1.0):
+                        offset = sign * k * ToleranceConfig.snap_tol * rng.choice([-1.0, 1.0], 3)
+                        target = dress(interaction(*(np.array(landmark) + offset)), rng)
+                        circuit, report = synthesize(target, entangler, tol)
+                        assert report.residual < verify_tol
+                        got = evaluate(circuit, entangler)
+                        assert phase_distance(got, target) < verify_tol
+
+    def test_verifying_target_builds_one_skeleton(self, monkeypatch, rng):
+        built, real = [], compiler._skeleton
+
+        def spy(c, dec, template):
+            built.append(c)
+            return real(c, dec, template)
+
+        monkeypatch.setattr(compiler, "_skeleton", spy)
+        synthesize(haar_unitary(rng), CNOT)
+        assert len(built) == 1
+
+
 class TestUpperBound:
     def test_cnot(self):
         assert upper_bound(CNOT).bound == 6

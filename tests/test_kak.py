@@ -560,11 +560,14 @@ class TestKakHelpersBitIdentical:
 
     def test_draws_match_per_call_generator(self):
         rng = np.random.default_rng(kak._DIAG_SEED)
-        assert np.array_equal(kak._DIAG_DRAWS, [rng.normal(size=2) for _ in range(32)])
-        # The literal is byte for byte the seeded draw it replaced.
+        draws = [kak._FIRST_DRAW, *kak._later_draws()]
+        assert np.array_equal(draws, [rng.normal(size=2) for _ in range(32)])
+        # The written-out first draw and the lazily drawn rest are byte for
+        # byte the seeded (32, 2) draw.
         seeded = np.random.default_rng(kak._DIAG_SEED).normal(size=(32, 2))
-        assert kak._DIAG_DRAWS.dtype == seeded.dtype
-        assert kak._DIAG_DRAWS.tobytes() == seeded.tobytes()
+        assert np.array(kak._FIRST_DRAW).tobytes() == seeded[0].tobytes()
+        assert kak._later_draws().dtype == seeded.dtype
+        assert kak._later_draws().tobytes() == seeded[1:].tobytes()
 
     def test_import_loads_no_numpy_random(self):
         # Beyond what importing numpy itself loads.
@@ -587,10 +590,10 @@ def _assert_same_decomposition(got, want) -> None:
 
 
 def needs_redraw(rng: np.random.Generator) -> np.ndarray:
-    """A unitary whose first _DIAG_DRAWS draw leaves M2 undiagonalized: two of
-    M2's eigenphases sit symmetrically about that draw's direction, so the
+    """A unitary whose first draw (_FIRST_DRAW) leaves M2 undiagonalized: two
+    of M2's eigenphases sit symmetrically about that draw's direction, so the
     real combination has a degenerate eigenvalue that M2 does not."""
-    wr, wi = kak._DIAG_DRAWS[0]
+    wr, wi = kak._FIRST_DRAW
     phi = np.arctan2(wi, wr)
     theta = np.array([phi + 0.4, phi - 0.4, 0.7, -2 * phi - 0.7])  # det(M2) = 1
     o1, o2 = (np.linalg.qr(rng.normal(size=(4, 4)))[0] for _ in range(2))

@@ -91,6 +91,30 @@ class TestPhaseDistance:
         assert phase_distance(a, np.exp(1j * angle) * b) == pytest.approx(d, abs=1e-9)
 
 
+def phase_distance_reference(a, b):
+    """phase_distance through np.trace and np.linalg.norm(..., "fro")."""
+    overlap = np.trace(a.conj().T @ b)
+    phi = np.conj(overlap) / abs(overlap) if abs(overlap) > 0 else 1.0
+    return float(np.linalg.norm(a - phi * b, "fro"))
+
+
+def test_phase_distance_bit_identical_to_trace_and_norm():
+    rng = np.random.default_rng(24)
+    pairs = [(ID4, tensor(SIGMA_Z, ID2))]  # zero overlap: the phase is 1
+    for _ in range(200):
+        a = haar_unitary(rng)
+        noise = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
+        pairs += [(a, haar_unitary(rng)), (a, a),
+                  (a, np.exp(1j * rng.uniform(0, 2 * np.pi)) * a),
+                  (a, a + rng.uniform(1e-17, 1e-15) * noise)]
+    got = [phase_distance(a, b) for a, b in pairs]
+    assert all(type(d) is float for d in got)
+    assert np.array(got).tobytes() == np.array([phase_distance_reference(a, b)
+                                                for a, b in pairs]).tobytes()
+    assert 0.0 in got  # equal inputs
+    assert sum(1e-16 < d < 1e-14 for d in got) > 100  # residuals near 1e-15
+
+
 class TestEvaluate:
     def test_empty(self):
         np.testing.assert_array_equal(evaluate(Circuit([]), zz_interaction(1.0)), ID4)
@@ -259,13 +283,16 @@ def fuse_chain_loop(chain: list, phase: complex):
 
 def test_fuse_layers_matches_per_chain_loop():
     # Padding every chain with identities to the longest changes no bit
-    # of layers without exact zeros.
+    # of layers without exact zeros. The phase is the per-row numpy
+    # product, in chain order, and stays an np.complex128 whether the
+    # phase passed in is a Python complex or an np.complex128.
     rng = np.random.default_rng(22)
-    for _ in range(40):
+    for i in range(40):
         lengths = rng.integers(1, 8, size=rng.integers(1, 9))
         chains = [[haar_unitary(rng, 2) for _ in range(2 * n)] for n in lengths]
-        phase = complex(np.exp(1j * rng.uniform(0, 2 * np.pi)))
+        phase = (complex, np.complex128)[i % 2](np.exp(1j * rng.uniform(0, 2 * np.pi)))
         fused, got_phase = fuse_layers(chains, phase)
+        assert type(got_phase) is np.complex128
         assert fused.shape == (len(chains), 2, 2, 2)
         want_phase = phase
         for chain, layer in zip(chains, fused):
