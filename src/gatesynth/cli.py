@@ -3,7 +3,7 @@
 import argparse
 import functools
 import sys
-from dataclasses import asdict
+from dataclasses import fields
 from pathlib import Path
 
 from .compiler import synthesize, upper_bound
@@ -30,7 +30,7 @@ def _run_synth(args) -> int:
         entangler=entangler_desc,
         circuit=circuit,
         tolerances=tol,
-        report=asdict(report),
+        report={f.name: getattr(report, f.name) for f in fields(report)},  # no deep copy
     )
     text = emit_circuit_document(doc)
     if args.out:
@@ -68,7 +68,7 @@ def _run_classify(args) -> int:
 def _run_verify(args) -> int:
     try:
         text = Path(args.circuit).read_text()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ValueError(f"cannot read circuit document {args.circuit}: {exc}") from exc
     doc = parse_circuit_document(text)
     tol = doc.tolerances

@@ -93,9 +93,9 @@ def resolve_gate(text: str) -> tuple[np.ndarray, dict]:
         path = Path(call.group("arg"))
         try:
             desc = {"matrix": json.loads(path.read_text())}
-        except OSError as exc:
+        except (OSError, UnicodeDecodeError) as exc:
             raise ValueError(f"cannot read matrix file {path}: {exc}") from exc
-        except json.JSONDecodeError as exc:
+        except (json.JSONDecodeError, RecursionError) as exc:  # RecursionError: nested too deep
             raise ValueError(f"malformed matrix file {path}: {exc}") from exc
     else:
         raise ValueError(f"unknown gate {text!r}; expected one of "

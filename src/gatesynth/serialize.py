@@ -8,10 +8,12 @@ document can be re-verified without any outside context.
 
 import json
 from dataclasses import asdict, dataclass, field
+from itertools import chain
 
 import numpy as np
 
-from .matcore import Circuit, EntanglerApp, LocalPair, ToleranceConfig, require_unitary
+from .matcore import (Circuit, EntanglerApp, LocalPair, StackedCircuit, ToleranceConfig,
+                      require_unitary)
 
 DOCUMENT_FORMAT = "gatesynth-circuit-v1"
 _FIXED_WINDOWS = {k: getattr(ToleranceConfig, k) for k in ("unitarity_tol", "snap_tol")}
@@ -19,8 +21,8 @@ _FIXED_WINDOWS = {k: getattr(ToleranceConfig, k) for k in ("unitarity_tol", "sna
 
 def encode_matrix(m) -> list:
     """A complex matrix, or a stack of them, as JSON-ready row-major [re, im] pairs."""
-    m = np.asarray(m, dtype=complex)
-    return np.stack((m.real, m.imag), axis=-1).tolist()
+    m = np.ascontiguousarray(m, dtype=complex)
+    return m.view(float).reshape(m.shape + (2,)).tolist()
 
 
 def _decode_entry(pair) -> complex:
@@ -35,13 +37,45 @@ def _decode_entry(pair) -> complex:
     raise ValueError(f"malformed entry {pair!r}: expected [re, im], two real numbers")
 
 
-def decode_matrix(rows: list, shape: tuple[int, int] | None = None) -> np.ndarray:
-    """Inverse of encode_matrix; ValueError if malformed or not of the given shape."""
+def _stacked(rows, shape: tuple) -> np.ndarray | None:
+    """rows, nested lists of [re, im] pairs, as one complex array of the given
+    shape, decoded in one numpy call; None if a list has the wrong length, a
+    leaf is not an int or float (a bool is neither), or an int is too large
+    for a float.
+
+    Level by level, every node's length is checked and the level flattened,
+    so numpy sees only the flat leaves: nesting deeper than shape stops at the
+    type check. The pairs are reinterpreted, not computed: every bit equals
+    complex(re, im), -0.0 and NaN included.
+    """
+    level = [rows]
+    try:
+        for size in shape + (2,):
+            if set(map(len, level)) - {size}:  # any other length
+                return None
+            level = list(chain.from_iterable(level))
+        if not set(map(type, level)) <= {int, float}:
+            return None
+        m = np.array(level, dtype=float)
+    except (TypeError, OverflowError):  # a number where a list belongs; 10**400
+        return None
+    return m.view(complex).reshape(shape)
+
+
+def decode_matrix(rows: list, shape: tuple[int, int]) -> np.ndarray:
+    """Inverse of encode_matrix; ValueError if malformed or not of the given shape.
+
+    Rows _stacked refuses go through the per-entry loop, which names the first
+    bad entry.
+    """
+    m = _stacked(rows, shape)
+    if m is not None:
+        return m
     try:
         m = np.array([[_decode_entry(pair) for pair in row] for row in rows])
     except TypeError as exc:
         raise ValueError(f"malformed matrix entries: {exc}") from exc
-    if shape is not None and m.shape != shape:
+    if m.shape != shape:
         raise ValueError(f"matrix has shape {m.shape}, expected {shape[0]}x{shape[1]}")
     return m
 
@@ -91,10 +125,40 @@ def emit_circuit_document(doc: CircuitDocument) -> str:
     return json.dumps(payload)
 
 
+def _decode_records(records) -> tuple[list, np.ndarray]:
+    """Each element record's kind, and the local records' a and b stacked
+    (L, 2, 2, 2), decoded in one call.
+
+    A record that is not a dict of kind local or entangler, or a stack
+    _stacked refuses, goes through the per-record loop, which raises the
+    first bad record's error.
+    """
+    try:
+        kinds = [record["kind"] for record in records]
+        local = [[r["a"], r["b"]] for r, kind in zip(records, kinds) if kind == "local"]
+    except (KeyError, TypeError):
+        local = None
+    if local is not None and len(local) + kinds.count("entangler") == len(kinds):
+        layers = _stacked(local, (len(local), 2, 2, 2))
+        if layers is not None:
+            return kinds, layers
+    kinds, pairs = [], []
+    for record in records:
+        if record["kind"] == "local":
+            pairs.append((decode_matrix(record["a"], (2, 2)), decode_matrix(record["b"], (2, 2))))
+        elif record["kind"] != "entangler":
+            raise ValueError(f"unknown element kind {record['kind']!r}")
+        kinds.append(record["kind"])
+    return kinds, np.array(pairs, dtype=complex).reshape(-1, 2, 2, 2)
+
+
 def parse_circuit_document(text: str) -> CircuitDocument:
+    """The document's circuit is a StackedCircuit: its local layers are one
+    (L, 2, 2, 2) stack, checked for unitarity in one call, each LocalPair
+    viewing its row."""
     try:
         payload = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:  # RecursionError: nested too deep
         raise ValueError(f"malformed circuit document: {exc}") from exc
     if not isinstance(payload, dict) or payload.get("format") != DOCUMENT_FORMAT:
         raise ValueError("not a gatesynth circuit document")
@@ -104,23 +168,18 @@ def parse_circuit_document(text: str) -> CircuitDocument:
             if (value := tolerances.pop(key, fixed)) != fixed:
                 raise ValueError(f"document {key} {value!r} is not the fixed {fixed:g}")
         tolerances = ToleranceConfig(**tolerances)
-        elements: list = []
-        for record in payload["elements"]:
-            if record["kind"] == "entangler":
-                elements.append(EntanglerApp())
-            elif record["kind"] == "local":
-                elements.append(LocalPair(decode_matrix(record["a"], (2, 2)),
-                                          decode_matrix(record["b"], (2, 2))))
-            else:
-                raise ValueError(f"unknown element kind {record['kind']!r}")
-        slots = [i for i, e in enumerate(elements) if isinstance(e, LocalPair)]
-        layers = np.array([m for i in slots for m in (elements[i].a, elements[i].b)])
+        kinds, layers = _decode_records(payload["elements"])
+        slots = [i for i, kind in enumerate(kinds) if kind == "local"]
         require_unitary(layers.reshape(-1, 2, 2),
                         lambda k: f"local layer at element {slots[k // 2]}")
+        elements: list = [EntanglerApp()] * len(kinds)
+        for i, a, b in zip(slots, layers[:, 0], layers[:, 1]):
+            elements[i] = LocalPair(a, b)
         phase = _decode_entry(payload["phase"])
         if not np.isfinite(phase):
             raise ValueError(f"circuit phase has non-finite modulus {abs(phase)!r}")
-        return CircuitDocument(entangler=payload["entangler"], circuit=Circuit(elements, phase),
+        return CircuitDocument(entangler=payload["entangler"],
+                               circuit=StackedCircuit(elements, phase, layers=layers),
                                tolerances=tolerances, report=payload.get("report"))
     except (KeyError, TypeError, IndexError) as exc:
         raise ValueError(f"malformed circuit document: {exc}") from exc

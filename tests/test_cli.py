@@ -1,4 +1,5 @@
 import json
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -6,6 +7,7 @@ import pytest
 
 from gatesynth import cli, zzsynth
 from gatesynth.cli import EXIT_INPUT, EXIT_OK, EXIT_VERIFY, build_parser, main
+from gatesynth.compiler import synthesize
 from gatesynth.gates import CNOT, resolve_gate
 from gatesynth.kak import kak_decompose
 from gatesynth.matcore import interaction, zz_interaction
@@ -26,6 +28,12 @@ class TestSynth:
         assert code == EXIT_OK
         doc = json.loads(out)
         assert doc["report"]["entangler_count"] == 2
+
+    def test_report_is_the_synthesis_report(self, capsys):
+        code, out, _ = run(capsys, "synth", "--target", "CNOT", "--entangler", "ZZ(pi/3)")
+        assert code == EXIT_OK
+        report = asdict(synthesize(CNOT, zz_interaction(np.pi / 3))[1])
+        assert list(json.loads(out)["report"].items()) == list(report.items())
 
     def test_sqrt_swap_counts(self, capsys, tmp_path):
         out_path = tmp_path / "circ.json"
@@ -563,6 +571,38 @@ class TestVerify:
         code, _, err = run(capsys, "verify", "--circuit", str(tmp_path / "nope.json"),
                            "--target", "CNOT")
         assert code == EXIT_INPUT
+
+
+# Files json cannot read: nested past the recursion limit, and not UTF-8.
+UNREADABLE = {"nested_200000_deep": b"[" * 200_000 + b"]" * 200_000, "not_utf8": b"\xff\xfe[]"}
+
+
+class TestUnreadableFiles:
+    """A file the reader cannot take is invalid input: exit 2 and one error line."""
+
+    @pytest.mark.parametrize("name", UNREADABLE)
+    @pytest.mark.parametrize("role", ["--target", "--entangler"])
+    def test_matrix_file(self, capsys, tmp_path, name, role):
+        path = tmp_path / "gate.json"
+        path.write_bytes(UNREADABLE[name])
+        gates = {"--target": "CNOT", "--entangler": "CNOT", role: f"MATRIX({path})"}
+        code, out, err = run(capsys, "synth", *[x for kv in gates.items() for x in kv])
+        assert (code, out) == (EXIT_INPUT, "")
+        assert len(err.splitlines()) == 1
+        reason = "malformed" if name.startswith("nested") else "cannot read"
+        assert err.startswith(f"error: {reason} matrix file {path}: ")
+
+    @pytest.mark.parametrize("name", UNREADABLE)
+    def test_circuit_document(self, capsys, tmp_path, name):
+        path = tmp_path / "circ.json"
+        path.write_bytes(UNREADABLE[name])
+        code, out, err = run(capsys, "verify", "--circuit", str(path), "--target", "CNOT")
+        assert (code, out) == (EXIT_INPUT, "")
+        assert len(err.splitlines()) == 1
+        # A malformed document is named by its role, as for every other parse error.
+        assert err.startswith("error: malformed circuit document: maximum recursion depth"
+                              if name.startswith("nested")
+                              else f"error: cannot read circuit document {path}: ")
 
 
 class TestRepeatedMain:

@@ -4,10 +4,13 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from gatesynth import serialize
+from gatesynth.compiler import synthesize
 from gatesynth.gates import CNOT, SQRT_SWAP, resolve_descriptor, resolve_gate
-from gatesynth.matcore import Circuit, EntanglerApp, LocalPair, ToleranceConfig, zz_interaction
-from gatesynth.serialize import (CircuitDocument, emit_circuit_document, encode_matrix,
-                                 parse_circuit_document)
+from gatesynth.matcore import (Circuit, EntanglerApp, LocalPair, StackedCircuit, ToleranceConfig,
+                               zz_interaction)
+from gatesynth.serialize import (CircuitDocument, decode_matrix, emit_circuit_document,
+                                 encode_matrix, parse_circuit_document)
 
 from conftest import haar_unitary, matrix_json
 
@@ -248,3 +251,199 @@ class TestCircuitDocument:
             parse_circuit_document(json.dumps(payload))
         del payload["tolerances"][key]  # absent: the constant
         assert parse_circuit_document(json.dumps(payload)).tolerances == ToleranceConfig()
+
+
+def loop_decode_matrix(rows, shape):
+    """The per-entry reference decoder: complex(re, im) per [re, im] pair, one
+    Python call each, with the messages the CLI has always printed."""
+    def entry(pair):
+        if isinstance(pair, list) and len(pair) == 2:
+            re, im = pair
+            if (isinstance(re, (int, float)) and isinstance(im, (int, float))
+                    and not isinstance(re, bool) and not isinstance(im, bool)):
+                try:
+                    return complex(re, im)
+                except OverflowError:
+                    pass
+        raise ValueError(f"malformed entry {pair!r}: expected [re, im], two real numbers")
+
+    try:
+        m = np.array([[entry(pair) for pair in row] for row in rows])
+    except TypeError as exc:
+        raise ValueError(f"malformed matrix entries: {exc}") from exc
+    if m.shape != shape:
+        raise ValueError(f"matrix has shape {m.shape}, expected {shape[0]}x{shape[1]}")
+    return m
+
+
+def loop_elements(records) -> list:
+    """The per-record reference: each record decoded on its own, in order,
+    with parse_circuit_document's wording for a missing key or a wrong type."""
+    try:
+        elements = []
+        for record in records:
+            if record["kind"] == "entangler":
+                elements.append(EntanglerApp())
+            elif record["kind"] == "local":
+                elements.append(LocalPair(loop_decode_matrix(record["a"], (2, 2)),
+                                          loop_decode_matrix(record["b"], (2, 2))))
+            else:
+                raise ValueError(f"unknown element kind {record['kind']!r}")
+        return elements
+    except (KeyError, TypeError, IndexError) as exc:
+        raise ValueError(f"malformed circuit document: {exc}") from exc
+
+
+def raised(fn, *args) -> str:
+    with pytest.raises(ValueError) as info:
+        fn(*args)
+    return str(info.value)
+
+
+# Leaves the stacked decode must carry bit for bit: ints, an int a float
+# rounds, ints beyond int64, signed zeros, NaN, infinities, subnormals.
+SPECIAL_LEAVES = [0, 1, -3, 2**53 + 1, -(2**53 + 1), 10**30, -10**30, 2**64 + 1, -0.0, 0.0,
+                  float("nan"), float("inf"), -float("inf"), 5e-324, 0.1]
+
+# One entry of a 4x4 identity replaced, each malformed in its own way.
+BAD_ENTRIES = {"bool": [True, 0.0], "string": ["1", 0.0], "three_numbers": [1.0, 0.0, 123.0],
+               "one_number": [1.0], "nested_pair": [[1.0, 0.0], [0.0, 0.0]],
+               "int_beyond_float": [10**400, 0], "object": {"re": 1.0, "im": 0.0},
+               "bare_string": "x", "bare_number": 1.0, "null": None}
+
+
+class TestStackedDecode:
+    """decode_matrix and parse_circuit_document decode in one numpy call, bit
+    for bit as the per-entry loop, and fall back to it only to name a bad entry."""
+
+    def test_matrix_bits_equal_per_entry_complex(self, rng, monkeypatch):
+        # The per-entry loop is not reached: a valid matrix decodes without it.
+        monkeypatch.setattr(serialize, "_decode_entry", None)
+        for _ in range(50):
+            rows = rng.normal(size=(4, 4, 2)).tolist()
+            for i, j, k in rng.integers(0, [4, 4, 2], size=(6, 3)):
+                rows[i][j][k] = SPECIAL_LEAVES[rng.integers(len(SPECIAL_LEAVES))]
+            got = decode_matrix(rows, (4, 4))
+            want = np.array([[complex(re, im) for re, im in row] for row in rows])
+            assert got.dtype == want.dtype and got.shape == (4, 4)
+            assert got.tobytes() == want.tobytes()
+        square = [[[re, im] for im in SPECIAL_LEAVES] for re in SPECIAL_LEAVES]
+        got = decode_matrix(square, (len(SPECIAL_LEAVES),) * 2)
+        assert got.tobytes() == np.array([[complex(*p) for p in row] for row in square]).tobytes()
+
+    @pytest.mark.parametrize("entangler", ["CNOT", "B", "SQRT_SWAP", "CPHASE(2pi/3)"])
+    def test_document_bits_equal_per_entry_complex(self, rng, monkeypatch, entangler):
+        monkeypatch.setattr(serialize, "decode_matrix", None)  # no per-record decode
+        matrix, desc = resolve_gate(entangler)
+        for _ in range(4):
+            circuit, report = synthesize(haar_unitary(rng), matrix)
+            payload = json.loads(emit_circuit_document(CircuitDocument(desc, circuit)))
+            # An exact layer written with ints and signed zeros decodes as written.
+            payload["elements"].append({"kind": "local",
+                                        "a": [[[1, -0.0], [0, 0]], [[-0.0, 0], [1, 0]]],
+                                        "b": [[[0.0, -0.0], [-1, 0]], [[1, 0], [-0.0, -0.0]]]})
+            back = parse_circuit_document(json.dumps(payload)).circuit
+            local = [r for r in payload["elements"] if r["kind"] == "local"]
+            want = np.array([[[[complex(*p) for p in row] for row in r[half]] for half in "ab"]
+                             for r in local])
+            assert back.layers.tobytes() == want.tobytes()
+            assert len(back.elements) == report.entangler_count + report.local_count + 1
+
+    def test_parsed_document_is_stacked(self, rng):
+        doc = TestCircuitDocument()._sample_doc(rng)
+        circuit = parse_circuit_document(emit_circuit_document(doc)).circuit
+        assert isinstance(circuit, StackedCircuit)
+        assert circuit.layers.shape == (2, 2, 2, 2)
+        pairs = [e for e in circuit.elements if isinstance(e, LocalPair)]
+        for row, pair in zip(circuit.layers, pairs):
+            assert np.shares_memory(pair.a, row) and np.shares_memory(pair.b, row)
+            assert np.array_equal(pair.a, row[0]) and np.array_equal(pair.b, row[1])
+
+    def test_document_without_local_layers(self, monkeypatch):
+        monkeypatch.setattr(serialize, "decode_matrix", None)
+        payload = json.loads(emit_circuit_document(CircuitDocument(
+            {"name": "CNOT"}, Circuit([EntanglerApp()] * 3))))
+        circuit = parse_circuit_document(json.dumps(payload)).circuit
+        assert circuit.layers.shape == (0, 2, 2, 2)
+        assert circuit.entangler_count == 3
+
+    @pytest.mark.parametrize("name", BAD_ENTRIES)
+    def test_matrix_messages_equal_per_entry_loop(self, name):
+        rows = encode_matrix(np.eye(4))
+        rows[1][2] = BAD_ENTRIES[name]
+        assert raised(decode_matrix, rows, (4, 4)) == raised(loop_decode_matrix, rows, (4, 4))
+
+    @pytest.mark.parametrize("rows", [
+        [[[1, 0]] * 4] * 3, [[[1, 0]] * 4] * 3 + [[[1, 0]] * 3], [[[1, 0]] * 5] * 4,
+        [[1, 0]] * 4, 5, [5] * 4, "abcd", {"a": 1}, [], [[[[1, 0]] * 4]] * 4],
+                             ids=["three_rows", "ragged", "five_columns", "rows_of_pairs",
+                                  "number", "row_numbers", "string", "object", "empty",
+                                  "too_deep"])
+    def test_matrix_shape_messages_equal_per_entry_loop(self, rows):
+        assert raised(decode_matrix, rows, (4, 4)) == raised(loop_decode_matrix, rows, (4, 4))
+
+    @pytest.mark.parametrize("name", ["bool", "string", "three_numbers", "nested_pair",
+                                      "int_beyond_float", "ragged", "missing_a"])
+    @pytest.mark.parametrize("unknown_kind", [None, "before", "after"])
+    def test_document_messages_equal_per_record_loop(self, rng, name, unknown_kind):
+        payload = json.loads(emit_circuit_document(TestCircuitDocument()._sample_doc(rng)))
+        bad = payload["elements"][2]  # the second local record
+        if name == "ragged":
+            bad["a"][1] = bad["a"][1][:1]
+        elif name == "missing_a":
+            del bad["a"]
+        else:
+            bad["b"][0][1] = BAD_ENTRIES[name]
+        if unknown_kind:
+            payload["elements"][0 if unknown_kind == "before" else 1]["kind"] = "mystery"
+            if unknown_kind == "after":
+                payload["elements"] += [payload["elements"].pop(1)]
+        want = raised(loop_elements, payload["elements"])
+        assert raised(parse_circuit_document, json.dumps(payload)) == want
+        assert ("mystery" in want) == (unknown_kind == "before")
+
+    @pytest.mark.parametrize("elements", [
+        5, "ab", {"kind": "local"}, [{"kind": "entangler"}, ["local"]],
+        [{"kind": "entangler"}, {"a": 1}], [{"kind": ["local"]}],
+        [{"kind": "entangler"}, "entangler"]],
+                             ids=["number", "string", "object", "list_record", "no_kind",
+                                  "list_kind", "string_record"])
+    def test_record_messages_equal_per_record_loop(self, rng, elements):
+        payload = json.loads(emit_circuit_document(TestCircuitDocument()._sample_doc(rng)))
+        payload["elements"] = elements
+        assert raised(parse_circuit_document, json.dumps(payload)) == raised(loop_elements,
+                                                                           elements)
+
+
+class TestEncodeMatrix:
+    """encode_matrix writes the floats np.stack((m.real, m.imag), -1).tolist() does."""
+
+    @staticmethod
+    def assert_same_floats(m):
+        got, want = encode_matrix(m), np.stack((np.real(m), np.imag(m)), -1).tolist()
+        assert np.shape(got) == np.shape(want)
+        assert np.array(got).tobytes() == np.array(want).tobytes()
+        assert json.dumps(got) == json.dumps(want)
+
+    @pytest.mark.parametrize("value", [-0.0, float("nan"), float("inf"), -float("inf")])
+    @pytest.mark.parametrize("part", ["real", "imag"])
+    def test_special_values(self, rng, value, part):
+        m = haar_unitary(rng)
+        m[3, 0] = complex(-0.0, -0.0)
+        re, im = m[1, 2].real, m[1, 2].imag
+        m[1, 2] = complex(value, im) if part == "real" else complex(re, value)
+        self.assert_same_floats(m)
+
+    def test_transposed_view(self, rng):
+        m = haar_unitary(rng).T
+        assert not m.flags.c_contiguous
+        self.assert_same_floats(m)
+
+    def test_list_of_pairs(self, rng):
+        pairs = [(haar_unitary(rng, 2), haar_unitary(rng, 2)) for _ in range(3)]
+        self.assert_same_floats(np.array(pairs))
+        assert encode_matrix(pairs) == encode_matrix(np.array(pairs))
+
+    def test_stack(self, rng):
+        self.assert_same_floats(np.array([haar_unitary(rng, 2) for _ in range(10)]).reshape(
+            5, 2, 2, 2))
