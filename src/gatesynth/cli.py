@@ -10,7 +10,8 @@ from .compiler import synthesize, upper_bound
 from .gates import resolve_descriptor, resolve_gate
 from .kak import GateClass, classify, kak_decompose, snap_vector
 from .matcore import DEFAULT_TOL, ToleranceConfig, evaluate, phase_distance
-from .serialize import CircuitDocument, emit_circuit_document, parse_circuit_document
+from .serialize import (CircuitDocument, emit_circuit_document, encode_matrix,
+                        parse_circuit_document)
 
 EXIT_OK = 0
 EXIT_INPUT = 2
@@ -25,6 +26,8 @@ def _run_synth(args) -> int:
     tol = ToleranceConfig(args.tol)
     target, _ = resolve_gate(args.target)
     entangler, entangler_desc = resolve_gate(args.entangler)
+    if "matrix" in entangler_desc:  # the file's entries, written back as floats
+        entangler_desc = {"matrix": encode_matrix(entangler)}
     circuit, report = synthesize(target, entangler, tol)
     doc = CircuitDocument(
         entangler=entangler_desc,
@@ -66,15 +69,16 @@ def _run_classify(args) -> int:
 
 
 def _run_verify(args) -> int:
-    try:
-        text = Path(args.circuit).read_text()
+    target, _ = resolve_gate(args.target)
+    try:  # every message about the document names it
+        doc = parse_circuit_document(Path(args.circuit).read_text())
+        entangler = resolve_descriptor(doc.entangler)
+        doc.check_phase(entangler)  # before evaluating: a phase off the window is invalid input
     except (OSError, UnicodeDecodeError) as exc:
         raise ValueError(f"cannot read circuit document {args.circuit}: {exc}") from exc
-    doc = parse_circuit_document(text)
+    except ValueError as exc:
+        raise ValueError(f"{args.circuit}: {exc}") from exc
     tol = doc.tolerances
-    entangler = resolve_descriptor(doc.entangler)
-    target, _ = resolve_gate(args.target)
-    doc.check_phase(entangler)  # before evaluating: a phase off the window is invalid input
     residual = phase_distance(evaluate(doc.circuit, entangler), target)
     verdict = "PASS" if residual < tol.verify_tol else "FAIL"
     print(f"residual: {_fmt(residual)}")

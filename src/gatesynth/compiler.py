@@ -8,9 +8,9 @@ entangler's canonical vector.
 
 synthesize keeps each entangler's zzsynth.prepare_resource template in
 a small memo, writes a target's local layers as chains between the
-template's runs and fuses them in one matcore.fuse_layers call, verifies
-the circuit on the runs, and expands the runs and counts the gates in
-one pass at emission.
+template's runs and fuses them in one matcore.fuse_layers call. The
+fused layers, with one run in each slot between them, are the circuit it
+verifies, counts by arithmetic on the runs, and returns.
 """
 
 from collections import OrderedDict
@@ -22,10 +22,10 @@ import numpy as np
 # perfbench's tracer look them up; synthesize fuses through fuse_layers.
 from .blocksynth import block_locals, controlled_u_gamma, synth_zz_block
 from .kak import KakDecomposition, kak_decompose, snap_angle, snap_vector
-from .matcore import (DEFAULT_TOL, ID2, Circuit, LocalPair, StackedCircuit, ToleranceConfig,
-                      evaluate, fuse_layers, merge_locals, phase_distance)
-from .zzsynth import (KX_DAG, KX_KY_DAG, KY_FACTOR, ZzTemplate, _Run, block_repetitions,
-                      choose_unit, fold_angle, prepare_resource, repetitions, uniform_bound)
+from .matcore import (DEFAULT_TOL, ID2, Circuit, ToleranceConfig, evaluate, fuse_layers,
+                      merge_locals, phase_distance)
+from .zzsynth import (KX_DAG, KX_KY_DAG, KY_FACTOR, ZzTemplate, block_repetitions, choose_unit,
+                      fold_angle, prepare_resource, repetitions, uniform_bound)
 
 
 @dataclass
@@ -69,8 +69,8 @@ RESOURCE_MEMO_SIZE = 8
 # (shape, complex128 bytes, tolerances) of an entangler -> its prepare_resource
 # template, least recently used first; errors are never stored. The template
 # keeps the unitarity error the entangler's KAK measured, so a hit does not
-# check the entangler again. Callers only read a template: synthesize emits
-# fresh copies of every layer.
+# check the entangler again. Callers only read a template: the runs a returned
+# circuit shares with it are read-only, and its elements are fresh copies.
 _resource_memo: OrderedDict = OrderedDict()
 
 # A failed final check is the entangler's fault when the residual is at most
@@ -88,26 +88,10 @@ _INPUT_NAMES = ("target", "entangler")
 _INTERLEAVERS = ((KY_FACTOR, KY_FACTOR), (KX_KY_DAG, KX_KY_DAG))
 
 
-def _emitted(skeleton: StackedCircuit) -> tuple[Circuit, int, int]:
-    """The circuit with every template run replaced by fresh copies of its
-    elements, and its entangler and local counts: the skeleton's fused
-    layers, and per run reps cores joined by reps - 1 seam layers."""
-    elements: list = []
-    apps, layers = 0, len(skeleton.layers)
-    for elem in skeleton.elements:
-        if isinstance(elem, _Run):
-            elements += elem.expanded()
-            apps += elem.reps * elem.apps
-            layers += elem.reps * (len(elem.core) - elem.apps + 1) - 1
-        else:
-            elements.append(elem)
-    return Circuit(elements, skeleton.phase), apps, layers
-
-
 def _skeleton(c: tuple[float, float, float], dec: KakDecomposition,
-              template: ZzTemplate) -> StackedCircuit:
-    """The fused circuit of blocks c = (c1, c2, c3), snapped, between dec's
-    local pairs, with the template's runs unexpanded.
+              template: ZzTemplate) -> Circuit:
+    """The circuit of blocks c = (c1, c2, c3), snapped, between dec's local
+    pairs: the fused layers, with the template's runs between them.
 
     Application order per the three-block form: c3 block, k_y, c2 block,
     k_x k_y^dag, c1 block, k1 k_x^dag; a block at angle 0 or pi is one
@@ -133,11 +117,7 @@ def _skeleton(c: tuple[float, float, float], dec: KakDecomposition,
             phase *= unit_phase ** 2 if h == c_i else fold_phase * unit_phase ** 2
         chains[-1] += interleaver
     layers, phase = fuse_layers(chains, phase)
-    pairs = [LocalPair(a, b) for a, b in layers]
-    elements = [pairs[0]]
-    for run, pair in zip(runs, pairs[1:]):
-        elements += (run, pair)
-    return StackedCircuit(elements, phase, layers=layers)
+    return Circuit.stacked(layers, [0, *runs, 0], phase)
 
 
 def synthesize(target: np.ndarray, entangler: np.ndarray,
@@ -150,8 +130,8 @@ def synthesize(target: np.ndarray, entangler: np.ndarray,
     block of folded angle h inserts block_repetitions(h, ...) <= n units,
     not the n of the uniform bound. The local layers go into one stack,
     fused as merge_locals fuses (matcore.fuse_layers), with the template's
-    runs opaque between them. The result is verified against the target
-    before returning, with the runs' products, and then expanded.
+    runs between them: the circuit, verified against the target with the
+    runs' products, is returned in that array form.
 
     A memo miss decomposes the target and the entangler in one stacked
     KAK; a hit decomposes the target alone. Raises ValueError for invalid
@@ -177,16 +157,16 @@ def synthesize(target: np.ndarray, entangler: np.ndarray,
         dec, = kak_decompose(target[None], tol, _INPUT_NAMES)
         _resource_memo.move_to_end(key)
 
-    skeleton = _skeleton(snap_vector(dec.c), dec, template)
-    residual = phase_distance(evaluate(skeleton, entangler), target)
+    circuit = _skeleton(snap_vector(dec.c), dec, template)
+    residual = phase_distance(evaluate(circuit, entangler), target)
     if residual >= tol.verify_tol:
         # A snap is taken only when it verifies: build once more from the
         # unsnapped vector, roundoff below 0 taken as 0.
         unsnapped = _skeleton(tuple(max(x, 0.0) for x in dec.c.as_tuple()), dec, template)
         unsnapped_residual = phase_distance(evaluate(unsnapped, entangler), target)
         if unsnapped_residual < tol.verify_tol:
-            skeleton, residual = unsnapped, unsnapped_residual
-    circuit, entangler_count, local_count = _emitted(skeleton)
+            circuit, residual = unsnapped, unsnapped_residual
+    entangler_count, local_count = circuit.counts()
     if residual >= tol.verify_tol:
         error = template.unitarity_error
         if residual <= AMPLIFIED_ERROR_FACTOR * entangler_count * error:

@@ -14,7 +14,7 @@ from pathlib import Path
 import numpy as np
 
 from .matcore import interaction, require_unitary, zz_interaction
-from .serialize import decode_matrix, encode_matrix
+from .serialize import decode_matrix
 
 CNOT = np.array([[1, 0, 0, 0],
                  [0, 1, 0, 0],
@@ -81,7 +81,7 @@ _CALL_RE = re.compile(r"^\s*(?P<name>[A-Za-z_]+)\s*\(\s*(?P<arg>.*?)\s*\)\s*$")
 
 
 def resolve_gate(text: str) -> tuple[np.ndarray, dict]:
-    """A gate argument's matrix plus the descriptor a document records for it."""
+    """A gate argument's matrix plus its descriptor (a MATRIX file's entries as read)."""
     bare = text.strip().upper()
     call = _CALL_RE.match(text.strip())
     name = call.group("name").upper() if call else None
@@ -104,8 +104,6 @@ def resolve_gate(text: str) -> tuple[np.ndarray, dict]:
         matrix = resolve_descriptor(desc)
     except ValueError as exc:  # name the argument: a command takes two gates
         raise ValueError(f"{text.strip()}: {exc}") from exc
-    if "matrix" in desc:  # the file's entries, written back as floats
-        desc = {"matrix": encode_matrix(matrix)}
     return matrix, desc
 
 

@@ -2,12 +2,15 @@
 
 All gates are plain numpy arrays of dtype complex128: 2x2 for single-qubit
 gates, 4x4 for two-qubit gates (qubit 1 is the high-order tensor factor).
-Circuits are ordered element lists; element 0 acts first on the state, so
-the evaluated matrix is the right-to-left product of the element matrices.
+A circuit is its local layers stacked (L, 2, 2, 2), one slot between each
+two (bare entangler applications or a template run), and a phase; element
+0 acts first on the state, so the evaluated matrix is the right-to-left
+product of the element matrices.
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 from typing import ClassVar
 
 import numpy as np
@@ -170,7 +173,7 @@ def project_special_rows(us: np.ndarray,
     return us / phases[:, None, None], phases, errors
 
 
-@dataclass(eq=False)
+@dataclass(eq=False, slots=True)
 class LocalPair:
     """A pair of single-qubit gates applied simultaneously, a (x) b."""
 
@@ -189,69 +192,115 @@ class EntanglerApp:
 CircuitElement = LocalPair | EntanglerApp
 
 
-@dataclass(eq=False)
 class Circuit:
-    """Ordered gate list plus an explicit unit-modulus global phase.
+    """A circuit in array form: its local layers stacked (L, 2, 2, 2), slots
+    around and between them, and an explicit global phase. slots[i] comes
+    before layer i, slots[L] after the last: an int, that many bare entangler
+    applications, or a template run (zzsynth._Run), which carries its product
+    against the entangler it was built for. Element 0 acts first on the state.
 
-    Element 0 is applied first to the state and therefore appears
-    rightmost in the evaluated matrix product.
+    Circuit(elements, phase) reads the form off an element list on first use;
+    the list stays its elements. Circuit.stacked(layers, slots, phase) builds
+    its elements on first read: fresh LocalPair and EntanglerApp objects over
+    one fresh copy of the layers, every run expanded.
     """
 
-    elements: list[CircuitElement] = field(default_factory=list)
-    phase: complex = 1.0 + 0.0j
+    def __init__(self, elements: list | None = None, phase: complex = 1.0 + 0.0j):
+        self._elements = [] if elements is None else elements
+        self.phase = phase
+
+    @classmethod
+    def stacked(cls, layers: np.ndarray, slots: list, phase: complex) -> "Circuit":
+        circuit = cls(None, phase)
+        circuit.form, circuit._elements = (layers, slots), None
+        return circuit
+
+    @cached_property
+    def form(self) -> tuple[np.ndarray, list]:
+        pairs, slots = [], [0]
+        for elem in self._elements:
+            if isinstance(elem, LocalPair):
+                pairs += (elem.a, elem.b)
+                slots.append(0)
+            elif isinstance(elem, EntanglerApp) and isinstance(slots[-1], int):
+                slots[-1] += 1
+            elif slots[-1] == 0:
+                slots[-1] = elem
+            else:
+                raise ValueError("a template run must stand alone between local layers")
+        return np.array(pairs, dtype=complex).reshape(-1, 2, 2, 2), slots
+
+    layers = property(lambda self: self.form[0])
+    slots = property(lambda self: self.form[1])
 
     @property
-    def entangler_count(self) -> int:
-        return sum(isinstance(e, EntanglerApp) for e in self.elements)
+    def elements(self) -> list:
+        if self._elements is None:
+            stack, index, kinds = self.expand()
+            layers = stack.take(index, axis=0)
+            app, pairs = EntanglerApp(), map(LocalPair, layers[:, 0], layers[:, 1])
+            self._elements = [next(pairs) if local else app for local in kinds]
+        return self._elements
 
-    @property
-    def local_count(self) -> int:
-        return sum(isinstance(e, LocalPair) for e in self.elements)
+    def counts(self) -> tuple[int, int]:
+        """(entangler_count, local_count) by arithmetic on the slots: a run of
+        reps x apps applications holds one layer between each two."""
+        layers, slots = self.form
+        runs = [slot.reps * slot.apps for slot in slots if not isinstance(slot, int)]
+        apps = sum(slot for slot in slots if isinstance(slot, int)) + sum(runs)
+        return apps, len(layers) + sum(runs) - len(runs)
 
+    entangler_count = property(lambda self: self.counts()[0])
+    local_count = property(lambda self: self.counts()[1])
 
-@dataclass(eq=False)
-class StackedCircuit(Circuit):
-    """A circuit whose local layers are the rows of one (N, 2, 2, 2) stack,
-    in circuit order, each LocalPair viewing its row; evaluate reads the
-    stack instead of gathering the layers."""
-
-    layers: np.ndarray = field(kw_only=True)
+    def expand(self) -> tuple[np.ndarray, list, list]:
+        """The elements, runs expanded, as (stack, index, kinds): the layers,
+        then each run's stack; the stack row of each local layer in element
+        order; per element, True for a local layer. A run's application k
+        (from 1) is followed by row (k - 1) % apps of its stack."""
+        layers, slots = self.form
+        kinds, index, start, stacks, base = [], [], 0, [layers], len(layers)
+        for i, slot in enumerate(slots):
+            if i:
+                kinds.append(True)
+            if isinstance(slot, int):
+                kinds += [False] * slot
+                continue
+            apps = slot.reps * slot.apps
+            kinds += [False] + [True, False] * (apps - 1)
+            if apps > 1:
+                index += range(start, i)
+                index += (list(range(base, base + slot.apps)) * slot.reps)[:-1]
+                start, base = i, base + len(slot.layers)
+                stacks.append(slot.layers)
+        index += range(start, len(layers))
+        return np.concatenate(stacks) if len(stacks) > 1 else layers, index, kinds
 
 
 def evaluate(circuit: Circuit, entangler: np.ndarray) -> np.ndarray:
-    """Multiply out a circuit against a concrete entangler matrix.
-
-    The entangler is checked for unitarity only when the circuit applies it
-    bare, as an EntanglerApp element. A template run carries its product
-    against the entangler it was built from, which was checked then.
-    """
-    if any(isinstance(e, EntanglerApp) for e in circuit.elements):
+    """Multiply out a circuit against a concrete entangler matrix. The
+    entangler is checked for unitarity only when a slot applies it bare: a
+    template run carries its product against the entangler it was built
+    from, checked then."""
+    layers, slots = circuit.form
+    if any(isinstance(slot, int) and slot for slot in slots):
         require_unitary(entangler, "entangler")
-    layers = circuit.layers if isinstance(circuit, StackedCircuit) else None
-    return circuit.phase * _product(circuit.elements, entangler, layers)
+    return circuit.phase * _product(layers, slots, entangler)
 
 
-def _product(elements: list, entangler: np.ndarray,
-             layers: np.ndarray | None = None) -> np.ndarray:
-    """The elements' matrix product, entangler already checked; evaluate's loop.
-
-    Every local layer's Kronecker product comes from one stacked tensor
-    call, on layers (the local layers stacked in order) when given, else
-    on the layers gathered from elements.
-    """
-    if layers is None:
-        pairs = [e for e in elements if isinstance(e, LocalPair)]
-        a, b = np.array([p.a for p in pairs]), np.array([p.b for p in pairs])
-    else:
-        a, b = layers[:, 0], layers[:, 1]
-    krons = iter(tensor(a, b) if len(a) else ())
+def _product(layers: np.ndarray, slots: list, entangler: np.ndarray) -> np.ndarray:
+    """evaluate's product, entangler already checked; every layer's
+    Kronecker product comes from one stacked tensor call."""
+    krons = tensor(layers[:, 0], layers[:, 1]) if len(layers) else ()
     out = ID4.copy()
-    for elem in elements:
-        if isinstance(elem, LocalPair):
-            m = next(krons)
+    for i, slot in enumerate(slots):
+        if i:
+            out = krons[i - 1] @ out
+        if isinstance(slot, int):
+            for _ in range(slot):
+                out = entangler @ out
         else:
-            m = entangler if isinstance(elem, EntanglerApp) else elem.matrix()
-        out = m @ out
+            out = slot.product @ out
     return out
 
 
@@ -289,26 +338,18 @@ def merge_locals(circuit: Circuit) -> Circuit:
     """Fuse adjacent local layers and move scalar factors into the phase.
 
     Every surviving local pair is renormalized to unit determinant per
-    qubit, with the extracted scalars folded into the circuit phase, so
-    output layers are canonical, freshly allocated, and no two local
-    layers are adjacent. Every other element passes through. All chains
-    of adjacent layers fuse at once, by fuse_layers.
+    qubit, the scalars folded into the phase, so no two layers are adjacent.
+    Every other slot passes through. All chains fuse at once, by fuse_layers.
     """
-    merged: list = []
-    slots: list = []
-    chains: list = []
-    for elem in circuit.elements:
-        if not isinstance(elem, LocalPair):
-            merged.append(elem)
-            continue
-        if not slots or slots[-1] != len(merged) - 1:
-            slots.append(len(merged))
-            merged.append(None)  # the fused layer, once normalized below
-            chains.append([])
-        chains[-1] += (elem.a, elem.b)
+    layers, slots = circuit.form
+    chains, kept = [], []
+    for (a, b), slot in zip(layers, slots):
+        if chains and slot == 0:
+            chains[-1] += (a, b)
+        else:
+            chains.append([a, b])
+            kept.append(slot)
     if not chains:
-        return Circuit(merged, circuit.phase)
+        return Circuit.stacked(layers, slots, circuit.phase)
     fused, phase = fuse_layers(chains, circuit.phase)
-    for slot, (a, b) in zip(slots, fused):
-        merged[slot] = LocalPair(a, b)
-    return Circuit(merged, phase)
+    return Circuit.stacked(fused, kept + slots[-1:], phase)

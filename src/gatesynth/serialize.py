@@ -2,20 +2,22 @@
 
 Matrices travel as row-major JSON arrays of [re, im] pairs. A circuit
 document bundles the entangler descriptor, tolerances, the ordered
-element list, the global phase, and the synthesis report, so that a
-document can be re-verified without any outside context.
+element list (every template run expanded), the global phase, and the
+synthesis report, so that a document can be re-verified without any
+outside context.
 """
 
 import json
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 from itertools import chain
 
 import numpy as np
 
-from .matcore import (Circuit, EntanglerApp, LocalPair, StackedCircuit, ToleranceConfig,
-                      require_unitary)
+from .matcore import Circuit, ToleranceConfig, require_unitary
 
 DOCUMENT_FORMAT = "gatesynth-circuit-v1"
+# json.dumps's encoder minus its circular-reference check (a dict op per container).
+_ENCODER = json.JSONEncoder(check_circular=False)
 _FIXED_WINDOWS = {k: getattr(ToleranceConfig, k) for k in ("unitarity_tol", "snap_tol")}
 
 
@@ -99,30 +101,22 @@ class CircuitDocument:
                              f"expected {1 / scale:.12g}")
 
 
-def _element_records(elements: list) -> list:
-    """One record per element; all local layers are encoded in one stacked call."""
-    layers = iter(encode_matrix([(e.a, e.b) for e in elements if isinstance(e, LocalPair)]))
-    records = []
-    for elem in elements:
-        if isinstance(elem, LocalPair):
-            a, b = next(layers)
-            records.append({"kind": "local", "a": a, "b": b})
-        else:
-            records.append({"kind": "entangler"})
-    return records
-
-
 def emit_circuit_document(doc: CircuitDocument) -> str:
-    """The document as one line of compact JSON (json's C encoder)."""
+    """The document as one line of compact JSON (json's C encoder), the text
+    json.dumps writes. One record per element, runs expanded: the layer
+    stacks are encoded in one call, and a row a run repeats shares its record."""
+    stack, index, kinds = doc.circuit.expand()
+    rows = [{"kind": "local", "a": a, "b": b} for a, b in encode_matrix(stack)]
+    local, entangler = map(rows.__getitem__, index), {"kind": "entangler"}
     payload = {
         "format": DOCUMENT_FORMAT,
         "entangler": doc.entangler,
-        "tolerances": _FIXED_WINDOWS | asdict(doc.tolerances),  # as every document has
-        "elements": _element_records(doc.circuit.elements),
+        "tolerances": _FIXED_WINDOWS | vars(doc.tolerances),  # as every document has
+        "elements": [next(local) if is_local else entangler for is_local in kinds],
         "phase": [doc.circuit.phase.real, doc.circuit.phase.imag],
         "report": doc.report,
     }
-    return json.dumps(payload)
+    return _ENCODER.encode(payload)
 
 
 def _decode_records(records) -> tuple[list, np.ndarray]:
@@ -153,9 +147,8 @@ def _decode_records(records) -> tuple[list, np.ndarray]:
 
 
 def parse_circuit_document(text: str) -> CircuitDocument:
-    """The document's circuit is a StackedCircuit: its local layers are one
-    (L, 2, 2, 2) stack, checked for unitarity in one call, each LocalPair
-    viewing its row."""
+    """The document's circuit in array form: its local layers one stack, checked
+    in one call, and the counts of entangler records around them as its slots."""
     try:
         payload = json.loads(text)
     except (json.JSONDecodeError, RecursionError) as exc:  # RecursionError: nested too deep
@@ -169,17 +162,14 @@ def parse_circuit_document(text: str) -> CircuitDocument:
                 raise ValueError(f"document {key} {value!r} is not the fixed {fixed:g}")
         tolerances = ToleranceConfig(**tolerances)
         kinds, layers = _decode_records(payload["elements"])
-        slots = [i for i, kind in enumerate(kinds) if kind == "local"]
-        require_unitary(layers.reshape(-1, 2, 2),
-                        lambda k: f"local layer at element {slots[k // 2]}")
-        elements: list = [EntanglerApp()] * len(kinds)
-        for i, a, b in zip(slots, layers[:, 0], layers[:, 1]):
-            elements[i] = LocalPair(a, b)
+        at = [i for i, kind in enumerate(kinds) if kind == "local"]
+        require_unitary(layers.reshape(-1, 2, 2), lambda k: f"local layer at element {at[k // 2]}")
+        slots = [j - i - 1 for i, j in zip([-1, *at], [*at, len(kinds)])]
         phase = _decode_entry(payload["phase"])
         if not np.isfinite(phase):
             raise ValueError(f"circuit phase has non-finite modulus {abs(phase)!r}")
         return CircuitDocument(entangler=payload["entangler"],
-                               circuit=StackedCircuit(elements, phase, layers=layers),
+                               circuit=Circuit.stacked(layers, slots, phase),
                                tolerances=tolerances, report=payload.get("report"))
     except (KeyError, TypeError, IndexError) as exc:
         raise ValueError(f"malformed circuit document: {exc}") from exc

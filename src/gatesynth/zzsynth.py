@@ -29,6 +29,7 @@ KAK from a caller that has it (synthesize decomposes it with the target).
 """
 
 import math
+from collections import namedtuple
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -223,26 +224,10 @@ def choose_unit(entangler: np.ndarray, tol: ToleranceConfig = DEFAULT_TOL, *,
     return _folded_unit(kak_decompose(entangler, tol) if dec is None else dec, _best_axis)
 
 
-@dataclass(eq=False)
-class _Run:
-    """reps copies of a template core, joined by its seam layer, standing in
-    as one element with its product against the one entangler it was built
-    for; evaluate reads the product. The core holds apps applications."""
-
-    core: list
-    seam: LocalPair | None
-    reps: int
-    apps: int
-    product: np.ndarray
-
-    def matrix(self) -> np.ndarray:
-        return self.product
-
-    def expanded(self) -> list:
-        """Fresh copies of the run's elements: core, then (seam, core) reps - 1 times."""
-        elements = self.core + ([self.seam] + self.core) * (self.reps - 1)
-        return [LocalPair(e.a.copy(), e.b.copy()) if isinstance(e, LocalPair) else e
-                for e in elements]
+# A template run, one circuit slot: reps repetitions of a unit of apps
+# applications, with its product against the entangler it was built for.
+# Expanded, application k (from 1) is followed by layers[(k - 1) % apps].
+_Run = namedtuple("_Run", "layers reps apps product")
 
 
 @dataclass(eq=False)
@@ -251,19 +236,20 @@ class ZzTemplate:
 
     m repetitions are first, core, then (seam, core) m - 1 times, then last,
     with phase * step_phase ** (m - 1); the seam is the unit's last layer
-    fused with its first, normalized once. powers[k] is (seam . core)^(2^k)
-    up to the largest m = n needs, so a run's product C (S C)^(m-1) takes
-    O(log m) matmuls and the template holds O(log n) matrices whatever n.
+    fused with its first, normalized once. run_layers stacks the core's
+    apps_per_unit - 1 inner layers, then the seam. powers[k] is
+    (seam . core)^(2^k) up to the largest m = n needs, so a run's product
+    C (S C)^(m-1) takes O(log m) matmuls and O(log n) matrices whatever n.
     """
 
     gamma: float
     apps_per_unit: int
     n: int
     first: LocalPair
-    core: list
     last: LocalPair
     phase: complex
     core_product: np.ndarray
+    run_layers: np.ndarray
     seam: LocalPair | None = None
     step_phase: complex = 1.0
     powers: list = field(default_factory=list)
@@ -276,7 +262,7 @@ class ZzTemplate:
             if (m - 1) >> k & 1:
                 product = product @ power
         phase = self.phase if m == 1 else self.phase * self.step_phase ** (m - 1)
-        return _Run(self.core, self.seam, m, self.apps_per_unit, product), phase
+        return _Run(self.run_layers, m, self.apps_per_unit, product), phase
 
 
 def amplify(unit: ZzResource, entangler: np.ndarray) -> ZzTemplate:
@@ -285,22 +271,21 @@ def amplify(unit: ZzResource, entangler: np.ndarray) -> ZzTemplate:
     The unit's chains are fused and normalized, and its products against
     the entangler taken, once; the n-fold circuit is never built.
     """
-    n = repetitions(unit.gamma)
+    n, apps = repetitions(unit.gamma), unit.apps_per_unit
     layers, phase = fuse_layers(unit.chains, unit.phase)
-    first, *inner, last = (LocalPair(a, b) for a, b in layers)
-    core = [EntanglerApp()]
-    for layer in inner:
-        core += (layer, EntanglerApp())
-    template = ZzTemplate(unit.gamma, unit.apps_per_unit, n, first, core, last,
-                          phase, _product(core, entangler))
+    template = ZzTemplate(unit.gamma, apps, n, LocalPair(*layers[0]), LocalPair(*layers[-1]),
+                          phase, _product(layers[1:-1], [1] * apps, entangler), layers[1:-1])
     if n > 1:
         # The seam is the merged last layer times the merged first, with
         # the phase one more repetition adds.
-        (seam,), template.step_phase = fuse_layers([[last.a, last.b, first.a, first.b]], phase)
+        (seam,), template.step_phase = fuse_layers([[*layers[-1], *layers[0]]], phase)
         template.seam = LocalPair(*seam)
+        template.run_layers = np.concatenate((template.run_layers, [seam]))
         template.powers.append(template.seam.matrix() @ template.core_product)
         while len(template.powers) < (n - 1).bit_length():
             template.powers.append(template.powers[-1] @ template.powers[-1])
+    # Runs in returned circuits share these; a write would corrupt the memo.
+    template.run_layers.flags.writeable = template.core_product.flags.writeable = False
     return template
 
 

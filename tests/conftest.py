@@ -4,9 +4,9 @@ from dataclasses import dataclass
 import numpy as np
 import pytest
 
-from gatesynth.matcore import Circuit
+from gatesynth.matcore import Circuit, EntanglerApp, LocalPair
 from gatesynth.serialize import encode_matrix
-from gatesynth.zzsynth import ZzTemplate, _Run
+from gatesynth.zzsynth import ZzTemplate
 
 
 # Entanglers by the fold their unit takes, the same as the paper's unit and
@@ -52,16 +52,48 @@ def near_edge(u: np.ndarray, error: float, rng: np.random.Generator) -> np.ndarr
     return u + e * (error / first_order)
 
 
-def expanded(circuit: Circuit) -> Circuit:
-    """The circuit with each template run replaced by its elements.
+def slot_elements(circuit: Circuit) -> list:
+    """A circuit's layers and slots as one element list, a run kept whole."""
+    elements, layers = [], circuit.layers
+    for i, slot in enumerate(circuit.slots):
+        if i:
+            elements.append(LocalPair(*layers[i - 1]))
+        elements += [EntanglerApp()] * slot if isinstance(slot, int) else [slot]
+    return elements
 
-    Circuit.entangler_count does not see inside a run, so a count must be
-    read from this.
-    """
+
+def expanded(circuit: Circuit) -> Circuit:
+    """Reference expansion: slot_elements with each template run replaced by
+    the loop synthesize once ran at emission, its core (E, then a core layer
+    and E per further application of the unit) and then (seam, core) reps - 1
+    times; every layer a fresh copy."""
     elements = []
-    for elem in circuit.elements:
-        elements += elem.expanded() if isinstance(elem, _Run) else [elem]
-    return Circuit(elements, circuit.phase)
+    for elem in slot_elements(circuit):
+        if isinstance(elem, (LocalPair, EntanglerApp)):
+            elements.append(elem)
+            continue
+        core = [EntanglerApp()]
+        for a, b in elem.layers[:elem.apps - 1]:
+            core += [LocalPair(a, b), EntanglerApp()]
+        seam = [LocalPair(*elem.layers[-1])] if elem.reps > 1 else []
+        elements += core + (seam + core) * (elem.reps - 1)
+    return Circuit([LocalPair(e.a.copy(), e.b.copy()) if isinstance(e, LocalPair) else e
+                    for e in elements], circuit.phase)
+
+
+def product_loop(elements: list, entangler: np.ndarray) -> np.ndarray:
+    """Reference evaluate loop: one np.kron and one matmul per local layer; a
+    template run multiplies in its product."""
+    out = np.eye(4, dtype=complex)
+    for elem in elements:
+        if isinstance(elem, EntanglerApp):
+            m = entangler
+        elif isinstance(elem, LocalPair):
+            m = np.kron(elem.a, elem.b)
+        else:
+            m = elem.product
+        out = m @ out
+    return out
 
 
 @dataclass

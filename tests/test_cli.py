@@ -298,7 +298,7 @@ class TestAmplifiedEntanglerError:
         doc.write_text(json.dumps(payload))
         code, out, err = run(capsys, "verify", "--circuit", str(doc), "--target", "SWAP")
         assert (code, out) == (EXIT_INPUT, "")
-        assert err.startswith("error: circuit phase has modulus 1.0, expected 0.99999998")
+        assert err.startswith(f"error: {doc}: circuit phase has modulus 1.0, expected 0.99999998")
 
     @pytest.mark.parametrize("target,count", [("CPHASE(pi/2)", 102), ("ZZ(pi/8)", 52)])
     def test_fewer_applications_still_compile(self, capsys, tmp_path, rounded_weak_zz,
@@ -435,6 +435,9 @@ class TestVerify:
                            "--target", "CNOT")
         assert code == EXIT_INPUT
         assert "malformed" in err
+        # The one error line names the document, as the read errors do.
+        assert len(err.splitlines()) == 1
+        assert err.startswith(f"error: {path}: malformed circuit document: ")
 
     @pytest.mark.parametrize("entangler", [
         {"matrix": [[1, 2]]}, {}, {"name": "CPHASE"}, {"matrix": [[[1, 0], [0, 0]], [[0, 0], [1, 0]]]},
@@ -467,6 +470,16 @@ class TestVerify:
         assert code == EXIT_OK, err
         assert "PASS" in out
 
+    def test_matrix_entangler_of_integers_recorded_as_floats(self, capsys, tmp_path):
+        # The document records encode_matrix's floats, not the file's integers.
+        gate_path, doc_path = tmp_path / "entangler.json", tmp_path / "circ.json"
+        gate_path.write_text(json.dumps(np.stack((CNOT.real, CNOT.imag), -1).astype(int).tolist()))
+        code, _, err = run(capsys, "synth", "--target", "SQRT_SWAP",
+                           "--entangler", f"MATRIX({gate_path})", "--out", str(doc_path))
+        assert code == EXIT_OK, err
+        entangler = json.loads(doc_path.read_text())["entangler"]
+        assert json.dumps(entangler) == json.dumps({"matrix": encode_matrix(CNOT)})
+
     @pytest.mark.parametrize("angle", ["Infinity", "-Infinity", "NaN"])
     def test_non_finite_entangler_angle(self, capsys, emitted, angle):
         # json reads these non-standard literals as floats; none may reach cphase.
@@ -479,7 +492,8 @@ class TestVerify:
         assert code == EXIT_INPUT
         assert out == ""
         assert len(err.splitlines()) == 1
-        assert err.startswith("error: malformed gate descriptor") and "not finite" in err
+        assert err.startswith(f"error: {emitted}: malformed gate descriptor")
+        assert "not finite" in err
 
     def test_non_2x2_local_layer(self, capsys, emitted):
         doc = json.loads(emitted.read_text())
@@ -530,7 +544,7 @@ class TestVerify:
         code, out, err = run(capsys, "verify", "--circuit", str(emitted),
                              "--target", "SQRT_SWAP")
         assert (code, out) == (EXIT_INPUT, "")
-        assert err.splitlines() == [f"error: document {key} 1e-06 is not the fixed "
+        assert err.splitlines() == [f"error: {emitted}: document {key} 1e-06 is not the fixed "
                                     f"{'1e-10' if key == 'unitarity_tol' else '1e-09'}"]
 
     def test_huge_phase_is_invalid_input(self, capsys, emitted):
@@ -541,7 +555,8 @@ class TestVerify:
         code, out, err = run(capsys, "verify", "--circuit", str(emitted),
                              "--target", "SQRT_SWAP")
         assert (code, out) == (EXIT_INPUT, "")
-        assert err.splitlines() == ["error: circuit phase has modulus 1e+200, expected 1"]
+        assert err.splitlines() == [f"error: {emitted}: circuit phase has modulus 1e+200, "
+                                    "expected 1"]
 
     def test_nan_phase_is_invalid_input(self, capsys, emitted):
         doc = json.loads(emitted.read_text())
@@ -599,9 +614,9 @@ class TestUnreadableFiles:
         code, out, err = run(capsys, "verify", "--circuit", str(path), "--target", "CNOT")
         assert (code, out) == (EXIT_INPUT, "")
         assert len(err.splitlines()) == 1
-        # A malformed document is named by its role, as for every other parse error.
-        assert err.startswith("error: malformed circuit document: maximum recursion depth"
-                              if name.startswith("nested")
+        # Both name the document's path.
+        assert err.startswith(f"error: {path}: malformed circuit document: maximum recursion "
+                              "depth" if name.startswith("nested")
                               else f"error: cannot read circuit document {path}: ")
 
 

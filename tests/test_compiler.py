@@ -20,7 +20,8 @@ from gatesynth.zzsynth import (KX_DAG, KX_KY_DAG, KY_FACTOR, MAX_APPLICATIONS, Z
                                fold_angle, prepare_resource, repetitions, uniform_bound)
 
 from conftest import (FOLD_BRANCHES, CircuitResource, dress, expanded, haar_unitary,
-                      near_edge, random_local, repeated, run_resource)
+                      near_edge, product_loop, random_local, repeated, run_resource,
+                      slot_elements)
 
 
 def spy_unitarity_checks(monkeypatch) -> list:
@@ -475,8 +476,10 @@ def merge_locals_loop(circuit: Circuit) -> Circuit:
 
 
 def assert_bit_identical(x: Circuit, y: Circuit) -> None:
-    """Equal bytes, so a zero of the other sign differs too."""
+    """Equal bytes, so a zero of the other sign differs too; a template run
+    compares by its expansion, so a run slot equals an element list holding it."""
     assert np.complex128(x.phase).tobytes() == np.complex128(y.phase).tobytes()
+    x, y = expanded(x), expanded(y)
     assert [type(e) for e in x.elements] == [type(e) for e in y.elements]
     for ex, ey in zip(x.elements, y.elements):
         if isinstance(ex, LocalPair):
@@ -506,20 +509,6 @@ class TestMergeLocalsBitIdentity:
 
     def test_empty(self):
         assert_bit_identical(merge_locals(Circuit()), merge_locals_loop(Circuit()))
-
-
-def product_loop(elements: list, entangler: np.ndarray) -> np.ndarray:
-    """Reference evaluate loop: one np.kron and one matmul per local layer."""
-    out = np.eye(4, dtype=complex)
-    for elem in elements:
-        if isinstance(elem, EntanglerApp):
-            m = entangler
-        elif isinstance(elem, LocalPair):
-            m = np.kron(elem.a, elem.b)
-        else:
-            m = elem.matrix()  # a template run's product
-        out = m @ out
-    return out
 
 
 SKELETON_ENTANGLERS = ("cnot", "cphase_pi_9", "b", "sqrt_swap", "case3_dressed",
@@ -631,8 +620,8 @@ class TestStackedLayersBitIdentical:
         for unit, template in amplified_units(rng):
             merged = merge_locals(unit.circuit)
             assert_bit_identical(merged, merge_locals_loop(unit.circuit))
-            assert_bit_identical(Circuit([template.first, *template.core, template.last],
-                                         template.phase), merged)
+            # One repetition: first, the core (a run of one), last.
+            assert_bit_identical(run_resource(template, 1).circuit, merged)
             if template.n > 1:
                 seam = merge_locals(Circuit(merged.elements[-1:] + merged.elements[:1],
                                             merged.phase))
@@ -659,14 +648,15 @@ class TestStackedLayersBitIdentical:
     def test_evaluate(self, monkeypatch, rng):
         for entangler, _, skeleton in captured_calls(monkeypatch, rng):
             for circ in (skeleton, expanded(skeleton)):
-                want = circ.phase * product_loop(circ.elements, entangler)
+                want = circ.phase * product_loop(slot_elements(circ), entangler)
                 assert evaluate(circ, entangler).tobytes() == want.tobytes()
 
     def test_template_core_product(self):
         for name in SKELETON_ENTANGLERS:
             entangler = TEMPLATE_ENTANGLERS[name](np.random.default_rng(5))
             template = prepare_resource(entangler)
-            want = product_loop(template.core, entangler)
+            core = expanded(run_resource(template, 1).circuit).elements[1:-1]
+            want = product_loop(core, entangler)
             assert template.core_product.tobytes() == want.tobytes()
 
     def test_stacked_tensor(self, monkeypatch, rng):
@@ -938,7 +928,7 @@ class TestPerBlockRepetition:
         try:
             synthesize(haar_unitary(rng), entangler)
             entry = compiler._resource_memo[(entangler.shape, entangler.tobytes(), DEFAULT_TOL)]
-            size = (len(entry.core), len(entry.powers))
+            size = (len(entry.run_layers), len(entry.powers))
             assert entry.n == 16666 and len(entry.powers) == (entry.n - 1).bit_length()
             rows = spy_kak_rows(monkeypatch)
             for _ in range(3):
@@ -947,7 +937,7 @@ class TestPerBlockRepetition:
                 assert report.entangler_count <= report.bound == 99996
             assert rows == [1, 1, 1]  # three memo hits
             assert list(compiler._resource_memo.values()) == [entry]
-            assert (len(entry.core), len(entry.powers)) == size
+            assert (len(entry.run_layers), len(entry.powers)) == size
         finally:
             compiler._resource_memo.clear()
 

@@ -98,14 +98,16 @@ class TestResolveGate:
         np.testing.assert_allclose(m, interaction(0, 0, np.pi / 3), atol=1e-15)
 
     def test_matrix_file(self, tmp_path):
-        # The descriptor holds floats even where the file has integers.
+        # The descriptor holds the file's entries as read, integers included;
+        # synth writes an entangler's back as floats (test_cli's
+        # test_matrix_entangler_of_integers_recorded_as_floats).
         path = tmp_path / "gate.json"
         as_ints = json.dumps(np.stack((SWAP.real, SWAP.imag), -1).astype(int).tolist())
         for text in (matrix_json(SWAP), as_ints):
             path.write_text(text)
             m, desc = resolve_gate(f"MATRIX({path})")
             np.testing.assert_allclose(m, SWAP, atol=1e-15)
-            assert json.dumps(desc) == json.dumps({"matrix": encode_matrix(SWAP)})
+            assert json.dumps(desc) == json.dumps({"matrix": json.loads(text)})
 
     def test_matrix_file_rejects_nonunitary(self, tmp_path):
         path = tmp_path / "bad.json"

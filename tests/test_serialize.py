@@ -7,8 +7,7 @@ import pytest
 from gatesynth import serialize
 from gatesynth.compiler import synthesize
 from gatesynth.gates import CNOT, SQRT_SWAP, resolve_descriptor, resolve_gate
-from gatesynth.matcore import (Circuit, EntanglerApp, LocalPair, StackedCircuit, ToleranceConfig,
-                               zz_interaction)
+from gatesynth.matcore import Circuit, EntanglerApp, LocalPair, ToleranceConfig, zz_interaction
 from gatesynth.serialize import (CircuitDocument, decode_matrix, emit_circuit_document,
                                  encode_matrix, parse_circuit_document)
 
@@ -350,13 +349,15 @@ class TestStackedDecode:
             assert len(back.elements) == report.entangler_count + report.local_count + 1
 
     def test_parsed_document_is_stacked(self, rng):
+        # The array form: the layers stacked, the entangler records between
+        # them counted as slots; the elements are fresh copies of the rows.
         doc = TestCircuitDocument()._sample_doc(rng)
         circuit = parse_circuit_document(emit_circuit_document(doc)).circuit
-        assert isinstance(circuit, StackedCircuit)
         assert circuit.layers.shape == (2, 2, 2, 2)
+        assert circuit.slots == [0, 1, 0]
         pairs = [e for e in circuit.elements if isinstance(e, LocalPair)]
         for row, pair in zip(circuit.layers, pairs):
-            assert np.shares_memory(pair.a, row) and np.shares_memory(pair.b, row)
+            assert not np.shares_memory(pair.a, row) and not np.shares_memory(pair.b, row)
             assert np.array_equal(pair.a, row[0]) and np.array_equal(pair.b, row[1])
 
     def test_document_without_local_layers(self, monkeypatch):
