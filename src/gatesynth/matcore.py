@@ -10,7 +10,6 @@ product of the element matrices.
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
 from typing import ClassVar
 
 import numpy as np
@@ -199,24 +198,26 @@ class Circuit:
     applications, or a template run (zzsynth._Run), which carries its product
     against the entangler it was built for. Element 0 acts first on the state.
 
-    Circuit(elements, phase) reads the form off an element list on first use;
-    the list stays its elements. Circuit.stacked(layers, slots, phase) builds
-    its elements on first read: fresh LocalPair and EntanglerApp objects over
-    one fresh copy of the layers, every run expanded.
+    Circuit(elements, phase) keeps its element list and reads the form off it
+    on each use. Circuit.stacked(layers, slots, phase) builds its elements on
+    first read: fresh LocalPair and EntanglerApp objects over one fresh copy
+    of the layers, every run expanded.
     """
 
     def __init__(self, elements: list | None = None, phase: complex = 1.0 + 0.0j):
         self._elements = [] if elements is None else elements
-        self.phase = phase
+        self._stack, self.phase = None, phase
 
     @classmethod
     def stacked(cls, layers: np.ndarray, slots: list, phase: complex) -> "Circuit":
         circuit = cls(None, phase)
-        circuit.form, circuit._elements = (layers, slots), None
+        circuit._elements, circuit._stack = None, (layers, slots)
         return circuit
 
-    @cached_property
+    @property
     def form(self) -> tuple[np.ndarray, list]:
+        if self._stack is not None:
+            return self._stack
         pairs, slots = [], [0]
         for elem in self._elements:
             if isinstance(elem, LocalPair):
