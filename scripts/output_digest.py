@@ -10,9 +10,10 @@ emitted local layer, the order of layers and applications, the circuit
 phase and every report field. For cli_docs it covers, per op, the exit
 code, stdout and stderr of `synth` on the op's MATRIX target file and of
 `verify` on the document synth wrote (both run in process, the temporary
-directory masked), and the document's bytes. A change that keeps these
-digests emits the same bits. Bits depend on the numpy/BLAS build, so
-compare digests taken on one machine.
+directory masked), and the document's bytes; each op's document is written
+over the previous op's. A change that keeps these digests emits the same
+bits. Bits depend on the numpy/BLAS build, so compare digests taken on one
+machine.
 """
 
 import os
@@ -51,7 +52,8 @@ def _cli_run(h, argv: list, tmp: str) -> int:
 
 
 def cli_digest(seed: int) -> str:
-    """synth then verify, as perfbench/run.py's CliOps runs them, per op."""
+    """synth then verify, as perfbench/run.py's CliOps runs them, per op: each
+    document is written over the previous one, so a stale tail would show."""
     h = hashlib.sha256()
     with tempfile.TemporaryDirectory() as tmp:
         doc = Path(tmp) / "circuit.json"
@@ -63,8 +65,7 @@ def cli_digest(seed: int) -> str:
             synth = ["synth", "--target", target, "--entangler", op.gate_name, "--out", str(doc)]
             if _cli_run(h, synth, tmp) == 0:
                 _cli_run(h, ["verify", "--circuit", str(doc), "--target", target], tmp)
-                h.update(doc.read_bytes())
-                doc.unlink()
+                h.update(doc.read_bytes())  # the next op writes over it
             target_file.unlink()
     return h.hexdigest()
 

@@ -2,6 +2,8 @@
 
 import argparse
 import functools
+import os
+import stat
 import sys
 from dataclasses import fields
 from pathlib import Path
@@ -22,6 +24,18 @@ def _fmt(x: float) -> str:
     return format(float(x), ".17g")
 
 
+def _write_over(path: str, text: str) -> None:
+    """Write text over the file at path in place, then cut a regular file to
+    the length written: the bytes, encoding and new-file mode of
+    Path.write_text, without its O_TRUNC, which on ext4 frees the file's
+    blocks and reallocates them on every overwrite. Not atomic, not fsynced;
+    a device such as /dev/null is written but not cut."""
+    with open(os.open(path, os.O_WRONLY | os.O_CREAT, 0o666), "w") as f:
+        f.write(text)
+        if stat.S_ISREG(os.fstat(f.fileno()).st_mode):
+            f.truncate()
+
+
 def _run_synth(args) -> int:
     tol = ToleranceConfig(args.tol)
     target, _ = resolve_gate(args.target)
@@ -38,7 +52,7 @@ def _run_synth(args) -> int:
     text = emit_circuit_document(doc)
     if args.out:
         try:
-            Path(args.out).write_text(text + "\n")
+            _write_over(args.out, text + "\n")
         except OSError as exc:
             raise ValueError(f"cannot write circuit document {args.out}: {exc}") from exc
         print(f"wrote {args.out}: entangler_count={report.entangler_count} "

@@ -68,15 +68,21 @@ def decode_matrix(rows: list, shape: tuple[int, int]) -> np.ndarray:
     """Inverse of encode_matrix; ValueError if malformed or not of the given shape.
 
     Rows _stacked refuses go through the per-entry loop, which names the first
-    bad entry.
+    bad entry, then, if the rows are ragged, the first row of the wrong length.
     """
     m = _stacked(rows, shape)
     if m is not None:
         return m
     try:
-        m = np.array([[_decode_entry(pair) for pair in row] for row in rows])
+        entries = [[_decode_entry(pair) for pair in row] for row in rows]
     except TypeError as exc:
         raise ValueError(f"malformed matrix entries: {exc}") from exc
+    widths = list(map(len, entries))
+    if len(set(widths)) > 1:  # ragged: name the first row of the wrong length
+        i = next(i for i, width in enumerate(widths) if width != shape[1])
+        raise ValueError(f"malformed row {i}: expected {shape[1]} [re, im] entries, "
+                         f"got {widths[i]}")
+    m = np.array(entries)
     if m.shape != shape:
         raise ValueError(f"matrix has shape {m.shape}, expected {shape[0]}x{shape[1]}")
     return m

@@ -1,4 +1,6 @@
 import json
+import os
+import stat
 from dataclasses import asdict
 from pathlib import Path
 
@@ -140,6 +142,17 @@ class TestSynth:
         assert err.startswith(f"error: MATRIX({entangler}): ") and "not unitary" in err
         assert str(target) not in err
 
+    def test_matrix_row_of_three_entries(self, capsys, tmp_path):
+        rows = encode_matrix(np.eye(4))
+        rows[2] = rows[2][:3]
+        path = tmp_path / "ragged.json"
+        path.write_text(json.dumps(rows))
+        code, out, err = run(capsys, "synth", "--target", f"MATRIX({path})",
+                             "--entangler", "CNOT")
+        assert (code, out) == (EXIT_INPUT, "")
+        assert err.splitlines() == [f"error: MATRIX({path}): malformed row 2: "
+                                    "expected 4 [re, im] entries, got 3"]
+
     def test_rejects_local_entangler(self, capsys, tmp_path):
         path = tmp_path / "local.json"
         path.write_text(matrix_json(np.diag([1, 1j, 1, 1j])))
@@ -147,6 +160,67 @@ class TestSynth:
                            "--entangler", f"MATRIX({path})")
         assert code == EXIT_INPUT
         assert "not entangling" in err
+
+
+class TestSynthOut:
+    """synth --out writes over the file in place: the bytes synth prints, cut to
+    their length, the file's inode and mode kept, and a new file made as open() does."""
+
+    SHORT = ("synth", "--target", "CNOT", "--entangler", "ZZ(pi/3)")
+    LONG = ("synth", "--target", "SWAP", "--entangler", "CPHASE(pi/9)")
+
+    def synth_out(self, capsys, argv, path) -> bytes:
+        """Run argv with --out path; return what argv prints without --out, as bytes."""
+        code, printed, _ = run(capsys, *argv)
+        assert code == EXIT_OK
+        code, out, err = run(capsys, *argv, "--out", str(path))
+        assert (code, err) == (EXIT_OK, "")
+        assert out.startswith(f"wrote {path}: ")
+        return printed.encode()
+
+    @pytest.mark.parametrize("first, second", [(LONG, SHORT), (SHORT, LONG)],
+                             ids=["over_longer", "over_shorter"])
+    def test_over_an_existing_document(self, capsys, tmp_path, first, second):
+        path = tmp_path / "circ.json"
+        self.synth_out(capsys, first, path)
+        before = path.stat().st_size
+        want = self.synth_out(capsys, second, path)
+        assert path.read_bytes() == want  # no stale tail of the first document
+        assert (len(want) < before) == (first is self.LONG)
+
+    def test_new_file_mode_follows_the_umask(self, capsys, tmp_path):
+        path = tmp_path / "circ.json"
+        old = os.umask(0o027)
+        try:
+            want = self.synth_out(capsys, self.SHORT, path)
+        finally:
+            os.umask(old)
+        assert path.read_bytes() == want
+        assert stat.S_IMODE(path.stat().st_mode) == 0o666 & ~0o027
+
+    def test_existing_file_keeps_inode_mode_and_links(self, capsys, tmp_path):
+        path, link = tmp_path / "circ.json", tmp_path / "link.json"
+        path.write_text("x" * 100_000)
+        path.chmod(0o600)
+        os.link(path, link)
+        inode = path.stat().st_ino
+        want = self.synth_out(capsys, self.SHORT, path)
+        assert path.stat().st_ino == inode
+        assert stat.S_IMODE(path.stat().st_mode) == 0o600
+        assert link.read_bytes() == path.read_bytes() == want
+
+    def test_out_to_a_device(self, capsys):
+        # A character device cannot be cut to length; writing to it is enough.
+        code, out, err = run(capsys, *self.SHORT, "--out", os.devnull)
+        assert (code, err) == (EXIT_OK, "")
+        assert out.startswith(f"wrote {os.devnull}: entangler_count=2 ")
+
+    def test_out_to_a_directory(self, capsys, tmp_path):
+        # As test_out_into_missing_directory: exit 2 and one error line.
+        code, out, err = run(capsys, *self.SHORT, "--out", str(tmp_path))
+        assert (code, out) == (EXIT_INPUT, "")
+        assert len(err.splitlines()) == 1
+        assert err.startswith(f"error: cannot write circuit document {tmp_path}: ")
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
@@ -505,6 +579,17 @@ class TestVerify:
         assert code == EXIT_INPUT
         assert err.startswith("error:")
         assert "2x2" in err
+
+    def test_local_layer_row_of_one_entry(self, capsys, emitted):
+        doc = json.loads(emitted.read_text())
+        layer = next(e for e in doc["elements"] if e["kind"] == "local")
+        layer["a"] = [[[1, 0], [0, 0]], [[0, 0]]]
+        emitted.write_text(json.dumps(doc))
+        code, out, err = run(capsys, "verify", "--circuit", str(emitted),
+                             "--target", "SQRT_SWAP")
+        assert (code, out) == (EXIT_INPUT, "")
+        assert err.splitlines() == [f"error: {emitted}: malformed row 1: "
+                                    "expected 2 [re, im] entries, got 1"]
 
     def test_non_unitary_local_layer(self, capsys, emitted):
         doc = json.loads(emitted.read_text())

@@ -2,8 +2,8 @@
 document and every `synth` or `verify` on a mutated MATRIX file exits 0, 2 or
 3; an exit of 2 or 3 prints exactly one `error:` or `verification failure:`
 line (a `verify` whose verdict is FAIL prints that verdict instead, and
-nothing on stderr); nothing raises out of main(), and no RuntimeWarning is
-issued.
+nothing on stderr), never numpy's own ragged-array text; nothing raises out
+of main(), and no RuntimeWarning is issued.
 
 Each mutation picks a random path in the JSON value (a key, an index, or the
 whole value) and deletes it, retypes it, makes it non-finite or 10**400, nests
@@ -32,6 +32,8 @@ RETYPED = ("text", 7, 0.5, True, None, [], {})
 # Past the JSON reader's recursion limit, and well inside it.
 NEST_DEPTHS = (3, 200, 100_000)
 PER_SOURCE = 120
+# numpy's text for a ragged nested list; no message passes it through.
+NUMPY_RAGGED = "setting an array element with a sequence"
 _DELETE = object()
 _NEST = "\0nest\0"  # stands in for the nested text, spliced in after json.dumps
 
@@ -119,6 +121,7 @@ def assert_contract(argv: list, what: str) -> int:
     elif code != EXIT_OK:
         prefix = "error:" if code == EXIT_INPUT else ("error:", "verification failure:")
         assert len(lines) == 1 and lines[0].startswith(prefix), (what, code, err)
+        assert NUMPY_RAGGED not in err, (what, err)  # a bad row names itself
         assert "verdict" not in out, (what, out)
     return code
 

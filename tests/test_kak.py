@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from gatesynth import kak
+from gatesynth.cli import EXIT_VERIFY, main
 from gatesynth.gates import B_GATE, CNOT, CZ, SQRT_SWAP, SWAP, cphase
 from gatesynth.kak import (CanonicalVector, GateClass, canonicalize, classify,
                            kak_decompose, snap_angle)
@@ -673,3 +674,41 @@ def test_snap_angle():
     assert snap_angle(np.pi / 2 + 1e-10) == np.pi / 2
     assert snap_angle(np.pi / 4 - 1e-10) == np.pi / 4
     assert snap_angle(0.3) == 0.3
+
+
+class TestKakChecksRaise:
+    """A stage whose output misses its check raises ArithmeticError naming the
+    check, and synth turns it into exit 3 with one `verification failure:` line."""
+
+    @staticmethod
+    def unreal_local_factor(monkeypatch):
+        real = kak._simultaneous_diagonalize
+
+        def shifted(m2, atol):  # every eigenphase off by 0.3: q1 picks up exp(-0.15i)
+            p, phases = real(m2, atol)
+            return p, phases + 0.3
+
+        monkeypatch.setattr(kak, "_simultaneous_diagonalize", shifted)
+        return "local factor failed to come out real in the magic basis"
+
+    @staticmethod
+    def wrong_reconstruction(monkeypatch):
+        real = kak.canonicalize
+
+        def negated(raw):  # the chamber moves' phase negated: the product is -u
+            vec, pre, post, phase = real(raw)
+            return vec, pre, post, -phase
+
+        monkeypatch.setattr(kak, "canonicalize", negated)
+        return "KAK reconstruction failed verification"
+
+    @pytest.mark.parametrize("corrupt", ["unreal_local_factor", "wrong_reconstruction"])
+    def test_corrupted_stage_raises(self, monkeypatch, capsys, rng, corrupt):
+        message = getattr(self, corrupt)(monkeypatch)
+        for u in (haar_unitary(rng), np.array([haar_unitary(rng), CNOT])):
+            with pytest.raises(ArithmeticError, match=f"^{message}$"):
+                kak_decompose(u)
+        code = main(["synth", "--target", "SQRT_SWAP", "--entangler", "CNOT"])
+        out, err = capsys.readouterr()
+        assert (code, out) == (EXIT_VERIFY, "")
+        assert err.splitlines() == [f"verification failure: {message}"]

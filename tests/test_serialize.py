@@ -254,7 +254,9 @@ class TestCircuitDocument:
 
 def loop_decode_matrix(rows, shape):
     """The per-entry reference decoder: complex(re, im) per [re, im] pair, one
-    Python call each, with the messages the CLI has always printed."""
+    Python call each, with the messages the CLI prints: the first bad entry,
+    else, if the rows are ragged, the first row of the wrong length, else the
+    shape."""
     def entry(pair):
         if isinstance(pair, list) and len(pair) == 2:
             re, im = pair
@@ -267,9 +269,15 @@ def loop_decode_matrix(rows, shape):
         raise ValueError(f"malformed entry {pair!r}: expected [re, im], two real numbers")
 
     try:
-        m = np.array([[entry(pair) for pair in row] for row in rows])
+        entries = [[entry(pair) for pair in row] for row in rows]
     except TypeError as exc:
         raise ValueError(f"malformed matrix entries: {exc}") from exc
+    widths = list(map(len, entries))
+    if len(set(widths)) > 1:  # ragged: name the first row of the wrong length
+        i = next(i for i, width in enumerate(widths) if width != shape[1])
+        raise ValueError(f"malformed row {i}: expected {shape[1]} [re, im] entries, "
+                         f"got {widths[i]}")
+    m = np.array(entries)
     if m.shape != shape:
         raise ValueError(f"matrix has shape {m.shape}, expected {shape[0]}x{shape[1]}")
     return m
@@ -382,6 +390,17 @@ class TestStackedDecode:
                                   "too_deep"])
     def test_matrix_shape_messages_equal_per_entry_loop(self, rows):
         assert raised(decode_matrix, rows, (4, 4)) == raised(loop_decode_matrix, rows, (4, 4))
+
+    def test_ragged_rows_name_themselves(self, rng):
+        # Not numpy's inhomogeneous-shape error: the row and its length.
+        rows = encode_matrix(np.eye(4))
+        rows[2] = rows[2][:3]
+        assert raised(decode_matrix, rows, (4, 4)) == ("malformed row 2: expected 4 "
+                                                       "[re, im] entries, got 3")
+        payload = json.loads(emit_circuit_document(TestCircuitDocument()._sample_doc(rng)))
+        payload["elements"][2]["a"] = [[[1, 0], [0, 0]], [[0, 0]]]
+        assert raised(parse_circuit_document, json.dumps(payload)) == (
+            "malformed row 1: expected 2 [re, im] entries, got 1")
 
     @pytest.mark.parametrize("name", ["bool", "string", "three_numbers", "nested_pair",
                                       "int_beyond_float", "ragged", "missing_a"])
