@@ -10,9 +10,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .kak import kak_decompose
-from .matcore import (DEFAULT_TOL, ID2, ROUNDOFF, SIGMA_X, SIGMA_Y, SIGMA_Z,
-                      Circuit, EntanglerApp, LocalPair, ToleranceConfig,
-                      dagger, exp_pauli, require_unitary)
+from .matcore import (ID2, ROUNDOFF, SIGMA_X, SIGMA_Y, SIGMA_Z, Circuit, EntanglerApp,
+                      LocalPair, ToleranceConfig, dagger, exp_pauli, require_unitary)
 from .zzsynth import ZzResource, fold_angle
 
 
@@ -155,7 +154,7 @@ def controlled_u_circuit(spec: AxisAngle) -> Circuit:
     return Circuit(elems)
 
 
-def controlled_u_gamma(u: np.ndarray, tol: ToleranceConfig = DEFAULT_TOL) -> float:
+def controlled_u_gamma(u: np.ndarray) -> float:
     """Interval coordinate in [0, pi/2] of the Controlled-u local class."""
     require_unitary(u, "input")
     if np.shape(u) != (2, 2):
@@ -164,4 +163,4 @@ def controlled_u_gamma(u: np.ndarray, tol: ToleranceConfig = DEFAULT_TOL) -> flo
     cu[2:, 2:] = u
     # Controlled gates sit on the c3 = 0 base, where canonicalization
     # already folds c1 into [0, pi/2].
-    return float(kak_decompose(cu, tol).c.c1)
+    return float(kak_decompose(cu).c.c1)

@@ -63,15 +63,14 @@ def _run_synth(args) -> int:
 
 
 def _run_classify(args) -> int:
-    tol = ToleranceConfig(args.tol)
     gate, _ = resolve_gate(args.gate)
-    dec = kak_decompose(gate, tol)
+    dec = kak_decompose(gate)
     kind = classify(dec.c)
     # Snapped, as every decision reads it: roundoff never leaves the chamber.
     print(f"canonical: ({', '.join(map(_fmt, snap_vector(dec.c)))})")
     print(f"class: {kind.value}")
     if kind is GateClass.ENTANGLING:
-        report = upper_bound(gate, tol, dec=dec)
+        report = upper_bound(gate, dec=dec)
         print(f"gamma: {_fmt(report.gamma)}")
         print(f"apps_per_unit: {report.apps_per_unit}")
         print(f"n: {report.n}")
@@ -119,8 +118,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_classify = sub.add_parser("classify", help="canonical vector, class and bound")
     p_classify.add_argument("--gate", required=True, help="gate to classify")
-    p_classify.add_argument("--tol", type=float, default=DEFAULT_TOL.verify_tol,
-                            help="verification tolerance override")
 
     p_verify = sub.add_parser("verify", help="re-verify an emitted circuit document")
     p_verify.add_argument("--circuit", required=True, help="path to a circuit document")

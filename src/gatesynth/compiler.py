@@ -18,8 +18,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-# merge_locals and synth_zz_block stay bound here, where the package and
-# perfbench's tracer look them up; synthesize fuses through fuse_layers.
+# merge_locals and synth_zz_block stay bound here, where perfbench's tracer
+# looks them up; synthesize fuses through fuse_layers.
 from .blocksynth import block_locals, controlled_u_gamma, synth_zz_block
 from .kak import KakDecomposition, kak_decompose, snap_angle, snap_vector
 from .matcore import (DEFAULT_TOL, ID2, Circuit, ToleranceConfig, evaluate, fuse_layers,
@@ -50,15 +50,14 @@ class SynthesisReport:
         self.bound = uniform_bound(self.n, self.apps_per_unit)
 
 
-def upper_bound(entangler: np.ndarray, tol: ToleranceConfig = DEFAULT_TOL, *,
-                dec: KakDecomposition | None = None) -> SynthesisReport:
+def upper_bound(entangler: np.ndarray, *, dec: KakDecomposition | None = None) -> SynthesisReport:
     """Uniform bound on entangler applications for any two-qubit target.
 
     Computed from the unit synthesize would repeat; the n-fold circuit is
     never built. dec is the entangler's KAK when the caller has it already
-    (classify prints its vector); without it the entangler is decomposed.
+    (classify prints its vector); without it, it is decomposed at DEFAULT_TOL.
     """
-    unit = choose_unit(entangler, tol, dec=dec)
+    unit = choose_unit(entangler, dec=dec)
     n = repetitions(unit.gamma)
     return SynthesisReport(n * unit.gamma, unit.apps_per_unit, n)
 
@@ -149,7 +148,7 @@ def synthesize(target: np.ndarray, entangler: np.ndarray,
     if template is None:
         # A miss: the target and the new entangler take one stacked KAK.
         dec, entangler_dec = kak_decompose(np.stack((target, entangler)), tol, _INPUT_NAMES)
-        template = prepare_resource(entangler, tol, dec=entangler_dec)
+        template = prepare_resource(entangler, dec=entangler_dec)
         _resource_memo[key] = template
         if len(_resource_memo) > RESOURCE_MEMO_SIZE:
             _resource_memo.popitem(last=False)
@@ -184,11 +183,11 @@ def synthesize(target: np.ndarray, entangler: np.ndarray,
     return circuit, report
 
 
-def efficient_as_cnot(u: np.ndarray, tol: ToleranceConfig = DEFAULT_TOL) -> bool:
+def efficient_as_cnot(u: np.ndarray) -> bool:
     """Whether Controlled-u shares the CNOT gate's uniform bound of 6.
 
     True exactly on the upper half [pi/4, pi/2] of the Controlled-U
     coordinate interval, where the snapped coordinate needs one repetition.
     """
-    coord = snap_angle(controlled_u_gamma(u, tol))
+    coord = snap_angle(controlled_u_gamma(u))
     return coord > 0.0 and repetitions(coord) == 1

@@ -188,9 +188,6 @@ class EntanglerApp:
     """Opaque application of the circuit's single fixed entangling gate."""
 
 
-CircuitElement = LocalPair | EntanglerApp
-
-
 class Circuit:
     """A circuit in array form: its local layers stacked (L, 2, 2, 2), slots
     around and between them, and an explicit global phase. slots[i] comes

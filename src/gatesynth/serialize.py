@@ -131,7 +131,7 @@ def _decode_records(records) -> tuple[list, np.ndarray]:
 
     A record that is not a dict of kind local or entangler, or a stack
     _stacked refuses, goes through the per-record loop, which raises the
-    first bad record's error.
+    first bad record's error, a layer's naming its element and half.
     """
     try:
         kinds = [record["kind"] for record in records]
@@ -142,14 +142,18 @@ def _decode_records(records) -> tuple[list, np.ndarray]:
         layers = _stacked(local, (len(local), 2, 2, 2))
         if layers is not None:
             return kinds, layers
-    kinds, pairs = [], []
-    for record in records:
+    kinds, halves = [], []
+    for i, record in enumerate(records):
         if record["kind"] == "local":
-            pairs.append((decode_matrix(record["a"], (2, 2)), decode_matrix(record["b"], (2, 2))))
+            for half in "ab":
+                try:
+                    halves.append(decode_matrix(record[half], (2, 2)))
+                except ValueError as exc:
+                    raise ValueError(f"local layer at element {i} ({half}): {exc}") from exc
         elif record["kind"] != "entangler":
             raise ValueError(f"unknown element kind {record['kind']!r}")
         kinds.append(record["kind"])
-    return kinds, np.array(pairs, dtype=complex).reshape(-1, 2, 2, 2)
+    return kinds, np.array(halves, dtype=complex).reshape(-1, 2, 2, 2)
 
 
 def parse_circuit_document(text: str) -> CircuitDocument:

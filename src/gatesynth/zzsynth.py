@@ -35,9 +35,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .kak import GateClass, KakDecomposition, classify, kak_decompose, snap_vector
-from .matcore import (DEFAULT_TOL, ID2, PAULIS, ROUNDOFF, SIGMA_X, SIGMA_Z, Circuit,
-                      EntanglerApp, LocalPair, ToleranceConfig, _product, dagger,
-                      exp_pauli, fuse_layers)
+from .matcore import (ID2, PAULIS, ROUNDOFF, SIGMA_X, SIGMA_Z, Circuit, EntanglerApp,
+                      LocalPair, _product, dagger, exp_pauli, fuse_layers)
 
 # Fixed rotations, built once: _QUARTER[axis, s] = exp(i s (pi/4) sigma_axis).
 _QUARTER = {(axis, s): exp_pauli(axis, s * np.pi / 4) for axis in "xyz" for s in (1, -1)}
@@ -142,14 +141,14 @@ def _folded_unit(dec: KakDecomposition, axis) -> ZzResource:
     return ZzResource(chains, phase, h, apps)
 
 
-def extract_zz(entangler: np.ndarray, tol: ToleranceConfig = DEFAULT_TOL) -> ZzResource:
+def extract_zz(entangler: np.ndarray) -> ZzResource:
     """Build exp(gamma (i/2) ZZ), gamma in (0, pi/2], from <= 2 applications
     by the paper's four cases.
 
     Raises ValueError when the gate is local or in the SWAP class, which
     cannot serve as the entangling resource.
     """
-    return _folded_unit(kak_decompose(entangler, tol), _paper_axis)
+    return _folded_unit(kak_decompose(entangler), _paper_axis)
 
 
 def fold_angle(g: float) -> tuple[float, LocalPair, LocalPair, complex]:
@@ -210,8 +209,7 @@ def _best_axis(g: tuple[float, float, float]) -> int:
     return min(axes, key=lambda k: (uniform_bound(repetitions(h[k]), 2), -h[k]))
 
 
-def choose_unit(entangler: np.ndarray, tol: ToleranceConfig = DEFAULT_TOL, *,
-                dec: KakDecomposition | None = None) -> ZzResource:
+def choose_unit(entangler: np.ndarray, *, dec: KakDecomposition | None = None) -> ZzResource:
     """The folded unit of smallest uniform bound: extract_zz's, or another doubling.
 
     Case 1 and case 2 keep the paper's unit: no doubling beats case 1's
@@ -219,9 +217,9 @@ def choose_unit(entangler: np.ndarray, tol: ToleranceConfig = DEFAULT_TOL, *,
     and 4 every doubling is ranked by arithmetic on the snapped vector,
     and only the winner is built. A moved unit doubles like the paper's case 3 or 4
     with no smaller gamma and no larger n, so no block needs more
-    applications. dec is the entangler's KAK, decomposed here when None.
+    applications. dec is the entangler's KAK, decomposed at DEFAULT_TOL when None.
     """
-    return _folded_unit(kak_decompose(entangler, tol) if dec is None else dec, _best_axis)
+    return _folded_unit(kak_decompose(entangler) if dec is None else dec, _best_axis)
 
 
 # A template run, one circuit slot: reps repetitions of a unit of apps
@@ -289,17 +287,16 @@ def amplify(unit: ZzResource, entangler: np.ndarray) -> ZzTemplate:
     return template
 
 
-def prepare_resource(entangler: np.ndarray, tol: ToleranceConfig = DEFAULT_TOL, *,
-                     dec: KakDecomposition | None = None) -> ZzTemplate:
+def prepare_resource(entangler: np.ndarray, *, dec: KakDecomposition | None = None) -> ZzTemplate:
     """choose_unit's unit as a template; ValueError if its bound exceeds the cap.
 
     dec is the entangler's KAK when the caller has it already (synthesize
     decomposes the target and the entangler in one call); without it the
-    entangler is decomposed here. The template keeps the entangler's
-    unitarity error.
+    entangler is decomposed here, at DEFAULT_TOL. The template keeps the
+    entangler's unitarity error.
     """
     if dec is None:
-        dec = kak_decompose(entangler, tol)
+        dec = kak_decompose(entangler)
     r = _folded_unit(dec, _best_axis)
     bound = uniform_bound(repetitions(r.gamma), r.apps_per_unit)
     if bound > MAX_APPLICATIONS:

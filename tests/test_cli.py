@@ -296,6 +296,13 @@ class TestClassify:
         assert "n: 78539817" in out
         assert "bound: 471238902" in out
 
+    def test_takes_no_tolerance(self, capsys):
+        # classify checks no residual, so no tolerance changes what it prints.
+        with pytest.raises(SystemExit) as exc:
+            main(["classify", "--gate", "CNOT", "--tol", "1e-9"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --tol 1e-9" in capsys.readouterr().err
+
 
 def amplified(gate: str, bound: int) -> str:
     """classify's last line for an entangling gate: the bound times the
@@ -582,14 +589,14 @@ class TestVerify:
 
     def test_local_layer_row_of_one_entry(self, capsys, emitted):
         doc = json.loads(emitted.read_text())
-        layer = next(e for e in doc["elements"] if e["kind"] == "local")
+        i, layer = next((i, e) for i, e in enumerate(doc["elements"]) if e["kind"] == "local")
         layer["a"] = [[[1, 0], [0, 0]], [[0, 0]]]
         emitted.write_text(json.dumps(doc))
         code, out, err = run(capsys, "verify", "--circuit", str(emitted),
                              "--target", "SQRT_SWAP")
         assert (code, out) == (EXIT_INPUT, "")
-        assert err.splitlines() == [f"error: {emitted}: malformed row 1: "
-                                    "expected 2 [re, im] entries, got 1"]
+        assert err.splitlines() == [f"error: {emitted}: local layer at element {i} (a): "
+                                    "malformed row 1: expected 2 [re, im] entries, got 1"]
 
     def test_non_unitary_local_layer(self, capsys, emitted):
         doc = json.loads(emitted.read_text())

@@ -411,17 +411,12 @@ class TestUpperBound:
         monkeypatch.setattr(zzsynth, "kak_decompose", refuse)
         assert upper_bound(gate, dec=dec) == want
 
-
-class TestToleranceArgument:
-    @pytest.mark.parametrize("helper", [upper_bound, choose_unit, prepare_resource])
-    def test_positional_tol_matches_keyword(self, helper):
-        # snap_tol (1e-9) snaps c2 = 5e-10 to 0, so the gate is case 1 (one
-        # application) whatever verify_tol.
-        tol = ToleranceConfig(verify_tol=1e-9)
+    def test_snapped_coordinate_keeps_case_one(self):
+        # snap_tol (1e-9) snaps c2 = 5e-10 to 0, so the gate is case 1: one application.
         gate = interaction(np.pi / 4, 5e-10, 0.0)
-        positional, keyword, default = helper(gate, tol), helper(gate, tol=tol), helper(gate)
-        assert positional.apps_per_unit == keyword.apps_per_unit == default.apps_per_unit == 1
-        assert positional.gamma == keyword.gamma == default.gamma
+        unit, report, template = choose_unit(gate), upper_bound(gate), prepare_resource(gate)
+        assert unit.apps_per_unit == report.apps_per_unit == template.apps_per_unit == 1
+        assert unit.gamma == report.gamma == template.gamma
 
 
 class TestMergeLocals:
@@ -681,9 +676,9 @@ class TestResourceMemo:
         calls = []
         original = compiler.prepare_resource
 
-        def counting(entangler, tol=DEFAULT_TOL, *, dec=None):
-            calls.append(tol)
-            return original(entangler, tol, dec=dec)
+        def counting(entangler, *, dec=None):
+            calls.append(entangler)
+            return original(entangler, dec=dec)
 
         compiler._resource_memo.clear()
         monkeypatch.setattr(compiler, "prepare_resource", counting)
@@ -793,7 +788,7 @@ def synthesize_expanded(target: np.ndarray, entangler: np.ndarray,
     m times, then one merge of the circuit, which fuses the seams; no
     template, no powers."""
     dec = kak_decompose(target, tol)
-    unit = choose_unit(entangler, tol)
+    unit = choose_unit(entangler)
     merged = merge_locals(unit.circuit)
     c1, c2, c3 = snap_vector(dec.c)
     elements, phase = [dec.k2], dec.phase

@@ -285,15 +285,22 @@ def loop_decode_matrix(rows, shape):
 
 def loop_elements(records) -> list:
     """The per-record reference: each record decoded on its own, in order,
-    with parse_circuit_document's wording for a missing key or a wrong type."""
+    with parse_circuit_document's wording for a missing key or a wrong type;
+    a layer's decode error names its element and half."""
+    def layer_half(i, record, half):
+        matrix = record[half]  # a missing key is the document's error, not the layer's
+        try:
+            return loop_decode_matrix(matrix, (2, 2))
+        except ValueError as exc:
+            raise ValueError(f"local layer at element {i} ({half}): {exc}") from exc
+
     try:
         elements = []
-        for record in records:
+        for i, record in enumerate(records):
             if record["kind"] == "entangler":
                 elements.append(EntanglerApp())
             elif record["kind"] == "local":
-                elements.append(LocalPair(loop_decode_matrix(record["a"], (2, 2)),
-                                          loop_decode_matrix(record["b"], (2, 2))))
+                elements.append(LocalPair(layer_half(i, record, "a"), layer_half(i, record, "b")))
             else:
                 raise ValueError(f"unknown element kind {record['kind']!r}")
         return elements
@@ -400,7 +407,7 @@ class TestStackedDecode:
         payload = json.loads(emit_circuit_document(TestCircuitDocument()._sample_doc(rng)))
         payload["elements"][2]["a"] = [[[1, 0], [0, 0]], [[0, 0]]]
         assert raised(parse_circuit_document, json.dumps(payload)) == (
-            "malformed row 1: expected 2 [re, im] entries, got 1")
+            "local layer at element 2 (a): malformed row 1: expected 2 [re, im] entries, got 1")
 
     @pytest.mark.parametrize("name", ["bool", "string", "three_numbers", "nested_pair",
                                       "int_beyond_float", "ragged", "missing_a"])
