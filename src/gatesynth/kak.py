@@ -297,42 +297,41 @@ def _squared_norms(ms: np.ndarray, weights: np.ndarray = _ALL_ENTRIES) -> np.nda
     return (abs(ms) ** 2).reshape(len(ms), 16) @ weights
 
 
-# Flat indices of both factors read off a 4x4 tensor product through each
-# pivot (r, c), at row 4r + c: f1[i, j] = m[2i + r%2, 2j + c%2] and
-# f2[i, j] = m[r - r%2 + i, c - c%2 + j].
-_FLAT = np.arange(16).reshape(4, 4)
-_PIVOT_GATHER = np.array([(_FLAT[r & 1::2, c & 1::2], _FLAT[r & 2:(r & 2) + 2, c & 2:(c & 2) + 2])
-                          for r in range(4) for c in range(4)])
-# Flat indices into the factor pair (2, 2, 2) of the two entries that divide
-# out g through each pivot (r, c): f1[r >> 1, c >> 1] and f2[r & 1, c & 1].
-_G_GATHER = np.array([(2 * (r >> 1) + (c >> 1), 4 + 2 * (r & 1) + (c & 1))
-                      for r in range(4) for c in range(4)])
+# The double cover SU(2) x SU(2) -> SO(4) in the magic basis (quant-ph/0209120):
+# with the units u_k of (I, iX, iY, iZ), row k of _UNITS, MAGIC^dag (a (x) b) MAGIC
+# is the real o with vec(o) @ _QUAT = vec(p q^T), where a = sum_k p_k u_k and
+# b = sum_l q_l u_l. Each MAGIC^dag (u_k (x) u_l) MAGIC is a signed permutation,
+# so the entries are exactly 0 and +-1/4, and _QUAT^T _QUAT = I / 4.
+_UNITS = np.array([ID2, 1j * SIGMA_X, 1j * SIGMA_Y, 1j * SIGMA_Z]).reshape(4, 4)
+_QUAT = (MAGIC_DAG @ tensor(_UNITS.reshape(4, 1, 2, 2), _UNITS.reshape(4, 2, 2))
+         @ MAGIC).real.round().reshape(16, 16).T / 4
 
 
-def _factor_locals(ms: np.ndarray, atol: float) -> tuple[list[complex], np.ndarray]:
-    """Split each m of a stack as g * (a (x) b) with det(a) = det(b) = 1.
+def _factor_locals(os: np.ndarray, atol: float) -> tuple[list[float], np.ndarray]:
+    """Split each real o of a stack as MAGIC o MAGIC^dag = g * (a (x) b), with
+    g > 0 and det(a) = det(b) = 1.
 
-    Returns the gs and f with f[i] = (a, b) of ms[i]; every residual must be
-    below atol in Frobenius norm. Each matrix's factors come from the
-    rows/columns through its first largest-magnitude entry, which is safe
-    because a true tensor product has rank-1 block structure everywhere.
+    Returns the gs and f with f[i] = (a, b) of os[i]; every residual must be
+    below atol in Frobenius norm. p is the first largest column of the read
+    vec(o) @ _QUAT, normalized, and g q = p^T times the read. _QUAT / 2 is
+    orthogonal, so the residual is twice the distance of the read from the
+    rank-one p (g q)^T.
     """
-    rows = np.arange(len(ms))
-    flat = ms.reshape(-1, 16)
-    pivots = np.abs(flat).argmax(axis=1)
-    f = flat[rows[:, None, None, None], _PIVOT_GATHER[pivots]]
-    det = np.linalg.det(f)
-    det[det == 0] = 1  # a singular factor: not a product, the residual check refuses it
-    f /= np.sqrt(det)[..., None, None]
-    e1, e2 = f.reshape(-1, 8)[rows[:, None], _G_GATHER[pivots]].T
-    g = flat[rows, pivots] / (e1 * e2)
-    negative = g.real < 0
-    np.negative(f[:, 0], out=f[:, 0], where=negative[:, None, None])
-    np.negative(g, out=g, where=negative)
-    residual = ms - g[:, None, None] * tensor(f[:, 0], f[:, 1])
-    if not _squared_norms(residual).max() < atol * atol:
+    n = len(os)
+    rows = np.arange(n)
+    pq = (os.reshape(n, 1, 16) @ _QUAT).reshape(n, 4, 4)
+    norms = (pq * pq).sum(axis=1)
+    col = norms.argmax(axis=1)
+    norm = np.sqrt(norms[rows, col])
+    norm[norm == 0] = np.nan  # the zero matrix: not a product, the residual check refuses it
+    p = pq[rows, :, col] / norm[:, None]
+    gq = p[:, None] @ pq
+    residual = pq - p[:, :, None] * gq
+    if not 4 * (residual * residual).sum(axis=(1, 2)).max() < atol * atol:
         raise ArithmeticError("matrix is not a tensor product of single-qubit gates")
-    return g.tolist(), f
+    g = np.sqrt((gq * gq).sum(axis=2))
+    f = np.concatenate((p[:, None], gq / g[:, :, None]), axis=1) @ _UNITS
+    return g.ravel().tolist(), f.reshape(n, 2, 2, 2)
 
 
 def kak_decompose(u: np.ndarray, tol: ToleranceConfig = DEFAULT_TOL,
@@ -371,17 +370,12 @@ def kak_decompose(u: np.ndarray, tol: ToleranceConfig = DEFAULT_TOL,
     if flip.any():
         p[flip, :, 0] = -p[flip, :, 0]
 
-    # Delta^dag, built as an exact diagonal so that q1 is the same matmul
-    # as for one matrix.
-    delta_dag = np.zeros((n, 16), dtype=complex)
-    delta_dag[:, ::5] = np.exp(0.5j * phases).conj()
-    q1 = v @ p @ delta_dag.reshape(n, 4, 4)
+    q1 = v @ p * np.exp(-0.5j * phases)[:, None, :]  # v p Delta^dag
     if not _squared_norms(q1.imag).max() < tol.verify_tol ** 2:
         raise ArithmeticError("local factor failed to come out real in the magic basis")
 
     # Rows 0..n-1 are the q1 factors, rows n..2n-1 the q2 = p^T factors.
-    gs, f = _factor_locals(MAGIC @ np.concatenate((q1.real, p.transpose(0, 2, 1))) @ MAGIC_DAG,
-                           tol.verify_tol)
+    gs, f = _factor_locals(np.concatenate((q1.real, p.transpose(0, 2, 1))), tol.verify_tol)
 
     decomps = []
     for i, (proj_phase, error) in enumerate(zip(proj_phases.tolist(), errors.tolist())):

@@ -135,7 +135,8 @@ def _folded_unit(dec: KakDecomposition, axis) -> ZzResource:
     if h == 0.0:
         raise ValueError(f"gamma = {gamma} has no entangling reduction")
     if h != gamma:
-        chains[0][:0] = _dag(pre)
+        if pre is not _NO_FOLD:
+            chains[0][:0] = _dag(pre)
         chains[-1] += _dag(post)
         phase = np.conj(fold_phase) * phase
     return ZzResource(chains, phase, h, apps)

@@ -23,7 +23,7 @@ FOLD_BRANCHES = {
     "case2": ((np.pi / 2, np.pi / 2, 0.0), np.pi / 2, [3, 4, 2]),
     "reflect_z": ((1.2, 1.0, 0.9), np.pi - 1.8, [3, 3, 2]),
     "reflect_x": ((1.0, 0.5, 0.0), np.pi - 2.0, [4, 3, 3]),
-    "shift": ((2.0, 0.13, 5e-11), 4.0 - np.pi, [4, 3, 3]),
+    "shift": ((2.0, 0.13, 5e-11), 4.0 - np.pi, [3, 3, 3]),
     "negate_2pi": ((2.6, 0.13, 5e-11), 2 * np.pi - 5.2, [4, 3, 3]),
 }
 

@@ -356,7 +356,7 @@ class TestAmplifiedEntanglerError:
                              perturbed_weak_zz, "--out", str(tmp_path / "circuit.json"))
         assert (code, out) == (EXIT_INPUT, "")
         assert err.startswith("error: entangler unitarity error 3e-11 over 606 applications "
-                              "exceeds verify_tol 1e-08 (residual 2.8")
+                              "exceeds verify_tol 1e-08 (residual 1.57")
         assert len(err.splitlines()) == 1
 
     def test_rounded_swap_compiles(self, capsys, tmp_path, rounded_weak_zz):
@@ -379,7 +379,9 @@ class TestAmplifiedEntanglerError:
         doc.write_text(json.dumps(payload))
         code, out, err = run(capsys, "verify", "--circuit", str(doc), "--target", "SWAP")
         assert (code, out) == (EXIT_INPUT, "")
-        assert err.startswith(f"error: {doc}: circuit phase has modulus 1.0, expected 0.99999998")
+        modulus = abs(complex(*payload["phase"]))
+        assert err.startswith(f"error: {doc}: circuit phase has modulus {modulus!r}, "
+                              "expected 0.99999998")
 
     @pytest.mark.parametrize("target,count", [("CPHASE(pi/2)", 102), ("ZZ(pi/8)", 52)])
     def test_fewer_applications_still_compile(self, capsys, tmp_path, rounded_weak_zz,

@@ -3,6 +3,7 @@ import itertools
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -14,7 +15,7 @@ from gatesynth.cli import EXIT_VERIFY, main
 from gatesynth.gates import B_GATE, CNOT, CZ, SQRT_SWAP, SWAP, cphase
 from gatesynth.kak import (CanonicalVector, GateClass, canonicalize, classify,
                            kak_decompose, snap_angle)
-from gatesynth.matcore import (ROUNDOFF, SIGMA_X, SIGMA_Y, SIGMA_Z, ToleranceConfig,
+from gatesynth.matcore import (ID2, ROUNDOFF, SIGMA_X, SIGMA_Y, SIGMA_Z, ToleranceConfig,
                                interaction, phase_distance, tensor, unitarity_error)
 
 from conftest import dress, haar_unitary, random_local
@@ -439,28 +440,33 @@ class TestLocallyEquivalent:
             assert not locally_equivalent(u, v)
 
 
-def factor_local_loop(m: np.ndarray, atol: float):
-    """Reference _factor_locals: per-entry factor copies through the first
-    largest-magnitude entry."""
-    r, c = divmod(int(np.abs(m).argmax()), 4)
-    f1 = np.zeros((2, 2), dtype=complex)
-    f2 = np.zeros((2, 2), dtype=complex)
-    for i in range(2):
-        for j in range(2):
-            f1[(r >> 1) ^ i, (c >> 1) ^ j] = m[r ^ (i << 1), c ^ (j << 1)]
-            f2[(r & 1) ^ i, (c & 1) ^ j] = m[r ^ i, c ^ j]
-    with np.errstate(divide="ignore", invalid="ignore"):
-        f1 /= np.sqrt(np.linalg.det(f1)) or 1
-        f2 /= np.sqrt(np.linalg.det(f2)) or 1
-    # np.multiply, the stacked product's ufunc: numpy's scalar * on complex
-    # rounds differently in the last bit on about 40% of values.
-    g = m[r, c] / np.multiply(f1[r >> 1, c >> 1], f2[r & 1, c & 1])
-    if g.real < 0:
-        f1 = -f1
-        g = -g
-    if not np.linalg.norm(m - g * tensor(f1, f2)) < atol:
+def factor_local_loop(o: np.ndarray, atol: float):
+    """Reference _factor_locals: the double-cover split of one real matrix."""
+    pq = (o.reshape(1, 16) @ kak._QUAT).reshape(4, 4)
+    norms = (pq * pq).sum(axis=0)
+    col = int(norms.argmax())
+    p = pq[:, col] / np.sqrt(norms[col])
+    gq = p @ pq
+    residual = pq - p[:, None] * gq
+    if not 2 * np.sqrt((residual * residual).sum()) < atol:
         raise ArithmeticError("matrix is not a tensor product of single-qubit gates")
-    return complex(g), f1, f2
+    g = np.sqrt((gq * gq).sum())
+    a, b = np.array([p, gq / g]) @ kak._UNITS
+    return float(g), a.reshape(2, 2), b.reshape(2, 2)
+
+
+def magic_real(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """The real SO(4) matrix MAGIC^dag (a (x) b) MAGIC of an SU(2) pair."""
+    o = kak.MAGIC_DAG @ tensor(a, b) @ kak.MAGIC
+    assert np.abs(o.imag).max() < 1e-15
+    return o.real.copy()
+
+
+def seeded_so4(rng: np.random.Generator, count: int) -> np.ndarray:
+    """count real orthogonal 4x4 matrices of determinant +1."""
+    q = np.linalg.qr(rng.normal(size=(count, 4, 4)))[0]
+    q[np.linalg.det(q) < 0, :, 0] *= -1
+    return q
 
 
 def diagonalize_fresh_rng(m2: np.ndarray, atol: float):
@@ -488,8 +494,26 @@ KAK_LANDMARKS = (np.eye(4, dtype=complex), CNOT, CZ, SWAP, SQRT_SWAP, B_GATE, IS
                  cphase(np.pi / 9), tensor(HADAMARD, SIGMA_X), interaction(np.pi / 4, 0, 0))
 
 
+def su2(rng: np.random.Generator) -> np.ndarray:
+    q = haar_unitary(rng, 2)
+    return q / np.sqrt(np.linalg.det(q))
+
+
+SU2_UNITS = (ID2, 1j * SIGMA_X, 1j * SIGMA_Y, 1j * SIGMA_Z)
+
+
+def assert_split_matches_loop(os: np.ndarray, atol: float = 1e-8) -> None:
+    """The stacked split equals the reference loop on every row, bit for bit."""
+    gs, f = kak._factor_locals(os, atol)
+    assert len(gs) == len(f) == len(os)
+    for o, g, (a, b) in zip(os, gs, f, strict=True):
+        want = factor_local_loop(o, atol)
+        assert want[0] == g
+        assert want[1].tobytes() == a.tobytes() and want[2].tobytes() == b.tobytes()
+
+
 class TestKakHelpersBitIdentical:
-    """The constant-building and stacking rewrites of the KAK helpers change no bit."""
+    """The stacked KAK helpers equal their one-matrix references bit for bit."""
 
     def test_seeded_haar_and_dressed_landmarks(self, monkeypatch, rng):
         targets = [haar_unitary(rng) for _ in range(100)]
@@ -505,16 +529,13 @@ class TestKakHelpersBitIdentical:
                 kak_decompose(u)
         assert len(recorded["_factor_locals"]) == len(targets)
         ties = 0
-        for ms, atol in recorded["_factor_locals"]:
-            assert ms.shape == (2, 4, 4)
-            gs, f = kak._factor_locals(ms, atol)
-            for m, g, (a, b) in zip(ms, gs, f, strict=True):
-                mags = np.abs(m).ravel()
-                ties += np.count_nonzero(mags == mags.max()) > 1
-                want = factor_local_loop(m, atol)
-                assert want[0] == g
-                assert np.array_equal(want[1], a) and np.array_equal(want[2], b)
-        assert ties > 0  # undressed landmarks tie for the pivot
+        for os, atol in recorded["_factor_locals"]:
+            assert os.shape == (2, 4, 4) and os.dtype == float
+            assert_split_matches_loop(os, atol)
+            for o in os:
+                norms = ((o.reshape(16) @ kak._QUAT).reshape(4, 4) ** 2).sum(axis=0)
+                ties += np.count_nonzero(norms == norms.max()) > 1
+        assert ties > 0  # undressed landmarks tie for the largest column
         for m2s, atol in recorded["_simultaneous_diagonalize"]:
             assert m2s.shape == (1, 4, 4)
             got = kak._simultaneous_diagonalize(m2s, atol)
@@ -523,41 +544,55 @@ class TestKakHelpersBitIdentical:
                 assert np.array_equal(want[0], p) and np.array_equal(want[1], theta)
 
     def test_exact_tensor_products_with_ties(self):
-        # Every entry of H (x) H has magnitude 1/2: the pivot is the first one.
-        ms = np.array([1j * tensor(a, b) for a, b in (
-            (HADAMARD, HADAMARD), (SIGMA_X, SIGMA_Y), (HADAMARD, SIGMA_Z),
-            (np.eye(2, dtype=complex), SIGMA_Y))])
+        # iH = (iX + iZ) / sqrt(2): two of its quaternion coordinates are equal,
+        # so two columns tie for the largest and the first is taken.
+        ih = 1j * HADAMARD
+        os = np.array([magic_real(a, b) for a, b in (
+            (ih, ih), (1j * SIGMA_X, 1j * SIGMA_Y), (ih, 1j * SIGMA_Z), (ID2, 1j * SIGMA_Y))])
         # One call per matrix, and all of them in one stack: stacking mixes nothing.
-        calls = [kak._factor_locals(m[None], 1e-8) for m in ms]
-        stacked = kak._factor_locals(ms, 1e-8)
-        for k, m in enumerate(ms):
-            want = factor_local_loop(m, 1e-8)
-            for gs, f in calls[k:k + 1] + [(stacked[0][k:k + 1], stacked[1][k:k + 1])]:
-                assert want[0] == gs[0]
-                assert np.array_equal(want[1], f[0, 0]) and np.array_equal(want[2], f[0, 1])
+        for o in os:
+            assert_split_matches_loop(o[None])
+        assert_split_matches_loop(os)
 
-    def test_every_pivot_position(self):
-        # a (x) b has its one largest entry at (r, c) when a's is at
-        # (r >> 1, c >> 1) and b's at (r & 1, c & 1), so each of the 16
-        # pivots, and each row of the gather table, is read once.
-        def peaked(i, j):
-            m = np.array([[1, 0.5], [0.25, 0.75]]) * np.exp(1j * np.array([[0.3, 1.1], [-0.7, 2.0]]))
-            m[i, j] = 2 * np.exp(0.9j)
-            return m
-        ms = np.array([tensor(peaked(r >> 1, c >> 1), peaked(r & 1, c & 1))
-                       for r in range(4) for c in range(4)])
-        assert [int(np.argmax(np.abs(m))) for m in ms] == list(range(16))
-        stacked = kak._factor_locals(ms, 1e-8)
-        for k, m in enumerate(ms):
-            want = factor_local_loop(m, 1e-8)
-            for gs, f in (kak._factor_locals(m[None], 1e-8), (stacked[0][k:], stacked[1][k:])):
-                assert want[0] == gs[0]
-                assert np.array_equal(want[1], f[0, 0]) and np.array_equal(want[2], f[0, 1])
+    def test_every_pivot_position(self, rng):
+        # b's largest quaternion coordinate at l puts o's largest column at l,
+        # so each of the four columns is taken once.
+        def peaked(l):
+            q = np.array([0.3, -0.2, 0.25, 0.1])
+            q[l] = -0.9
+            return sum(x * u for x, u in zip(q / np.linalg.norm(q), SU2_UNITS))
+        os = np.array([magic_real(su2(rng), peaked(l)) for l in range(4)])
+        pqs = (os.reshape(4, 16) @ kak._QUAT).reshape(4, 4, 4)
+        assert (pqs ** 2).sum(axis=1).argmax(axis=1).tolist() == [0, 1, 2, 3]
+        for o in os:
+            assert_split_matches_loop(o[None])
+        assert_split_matches_loop(os)
+
+    @pytest.mark.parametrize("count", [1, 2, 37])
+    def test_stacks_match_the_loop(self, rng, count):
+        assert_split_matches_loop(seeded_so4(rng, count))
+
+    def test_quat_is_exact(self):
+        assert set(kak._QUAT.ravel().tolist()) == {0.0, 0.25, -0.25}
+        assert np.array_equal(kak._QUAT.T @ kak._QUAT, np.eye(16) / 4)
+
+    def test_split_is_the_double_cover(self, rng):
+        os = seeded_so4(rng, 200)
+        gs, f = kak._factor_locals(os, 1e-8)
+        for o, g, (a, b) in zip(os, gs, f, strict=True):
+            assert g > 0
+            np.testing.assert_allclose(kak.MAGIC @ o @ kak.MAGIC_DAG, g * tensor(a, b),
+                                       rtol=0, atol=1e-14)
+            assert abs(np.linalg.det(a) - 1) < 1e-14 and abs(np.linalg.det(b) - 1) < 1e-14
 
     def test_rejects_a_stack_with_one_non_product(self, rng):
-        good = tensor(haar_unitary(rng, 2), haar_unitary(rng, 2))
-        with pytest.raises(ArithmeticError, match="not a tensor product"):
-            kak._factor_locals(np.array([good, CNOT]), 1e-8)
+        good = magic_real(su2(rng), su2(rng))
+        reflection = np.diag([1.0, 1.0, 1.0, -1.0]) @ good
+        for bad in (reflection, rng.normal(size=(4, 4)), np.zeros((4, 4))):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                with pytest.raises(ArithmeticError, match="not a tensor product"):
+                    kak._factor_locals(np.array([good, bad]), 1e-8)
 
     def test_draws_match_per_call_generator(self):
         rng = np.random.default_rng(kak._DIAG_SEED)

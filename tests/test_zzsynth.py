@@ -207,12 +207,30 @@ class TestReduceAngle:
     def test_reduces_three_half_pi(self):
         # c3 snaps to 0 but keeps c1 = 3pi/4 off the base fold; the paper
         # doubles c1 to 3pi/2, conjugated from XX onto ZZ, and the fold adds
-        # a layer at each end.
+        # ZZ after the last application; its pre is the identity, so no layer
+        # goes before the first.
         ent = interaction(3 * np.pi / 4, 0.3, 5e-11)
         unit = extract_zz(ent)
         assert unit.gamma == pytest.approx(np.pi / 2, abs=1e-12)
-        assert [len(chain) // 2 for chain in unit.chains] == [4, 3, 3]
+        assert [len(chain) // 2 for chain in unit.chains] == [3, 3, 3]
         check_resource(unit, ent)
+
+    @pytest.mark.parametrize("c1,n", [(3 * np.pi / 4, 1), (1.7, 4)])
+    def test_template_as_with_an_identity_layer(self, c1, n):
+        # 1.7 doubles to gamma = 3.4 - pi, n = 4, so the template has a seam.
+        ent = interaction(c1, 0.3, 5e-11)
+        unit = extract_zz(ent)
+        padded = ZzResource([[ID2, ID2, *unit.chains[0]], *unit.chains[1:]], unit.phase,
+                            unit.gamma, unit.apps_per_unit)
+        got, want = amplify(unit, ent), amplify(padded, ent)
+        assert got.n == want.n == n
+        pairs = [(got.first, want.first), (got.last, want.last)]
+        if n > 1:
+            pairs.append((got.seam, want.seam))
+        for x, y in pairs:
+            np.testing.assert_allclose(x.matrix(), y.matrix(), rtol=0, atol=1e-15)
+        np.testing.assert_allclose(got.core_product, want.core_product, rtol=0, atol=1e-15)
+        assert got.phase == want.phase and got.step_phase == want.step_phase
 
     def test_below_pi_unchanged(self):
         # Case 1 at pi/3 needs no fold: k_x conjugation only.
