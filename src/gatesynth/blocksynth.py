@@ -1,8 +1,9 @@
 """Closed-form synthesis of ZZ blocks and Controlled-U gates.
 
 An arbitrary block exp(c (i/2) ZZ) is built from exactly two insertions
-of a ZZ resource with c <= 2*gamma and gamma <= pi/2; any Controlled-U
-gate is built from a single ZZ interaction plus locals.
+of a ZZ resource with c <= 2*gamma and gamma <= pi/2; synth_zz_block
+gets there by repeating a template's unit. Any Controlled-U gate is
+built from a single ZZ interaction plus locals.
 """
 
 from dataclasses import dataclass
@@ -12,7 +13,7 @@ import numpy as np
 from .kak import kak_decompose
 from .matcore import (ID2, ROUNDOFF, SIGMA_X, SIGMA_Y, SIGMA_Z, Circuit, EntanglerApp,
                       LocalPair, ToleranceConfig, dagger, exp_pauli, require_unitary)
-from .zzsynth import ZzResource, fold_angle
+from .zzsynth import ZzTemplate, block_repetitions, fold_angle
 
 
 @dataclass(frozen=True)
@@ -109,24 +110,28 @@ def block_locals(c: float, h: float, pre: LocalPair, post: LocalPair,
     return pre.a, u2, np.array([[cos, sin], [-sin, cos]], dtype=complex), post.a, u1
 
 
-def synth_zz_block(c: float, resource: ZzResource) -> Circuit:
-    """Simulate exp(c (i/2) ZZ), c in [0, pi], with two resource insertions.
+def synth_zz_block(c: float, template: ZzTemplate) -> tuple[list, list, complex]:
+    """Simulate exp(c (i/2) ZZ), c in [0, pi], with two insertions of the
+    template's unit repeated m = block_repetitions(h, ...) times.
 
-    The layers are block_locals'; at h = 0 (c = 0 or pi) the block is one
-    local layer.
+    Returns (chains, runs, phase): the halves of the block's local layers
+    as chains, one before each run and one after the last, its runs
+    ([run, run], or [] at h = 0, c = 0 or pi, where the block is one local
+    layer), and its phase factor. The layers are block_locals' with the
+    template's first and last layers on either side of each run.
     """
     if not 0.0 <= c <= np.pi:
         raise ValueError(f"block angle c = {c} outside [0, pi]")
-    h, pre, post, phase = fold_angle(c)
-    halves = block_locals(c, h, pre, post, resource.gamma)
+    h, pre, post, fold_phase = fold_angle(c)
     if h == 0.0:
-        return Circuit([LocalPair(*halves)], phase)
-    pre_a, u2, mid, post_a, u1 = halves
-    unit = resource.circuit
-    block_phase = unit.phase ** 2 if h == c else phase * unit.phase ** 2
-    elems = ([LocalPair(pre_a, u2)] + unit.elements + [LocalPair(ID2, mid)]
-             + unit.elements + [LocalPair(post_a, u1)])
-    return Circuit(elems, phase=block_phase)
+        return [list(block_locals(c, h, pre, post, template.gamma))], [], fold_phase
+    m = block_repetitions(h, template.gamma, template.n)
+    run, unit_phase = template.run(m)
+    pre_a, u2, mid, post_a, u1 = block_locals(c, h, pre, post, m * template.gamma)
+    first, last = template.first, template.last
+    chains = [[pre_a, u2, first.a, first.b], [last.a, last.b, ID2, mid, first.a, first.b],
+              [last.a, last.b, post_a, u1]]
+    return chains, [run, run], unit_phase ** 2 if h == c else fold_phase * unit_phase ** 2
 
 
 def _controlled_u1(axis: tuple[float, float, float]) -> np.ndarray:
@@ -156,9 +161,9 @@ def controlled_u_circuit(spec: AxisAngle) -> Circuit:
 
 def controlled_u_gamma(u: np.ndarray) -> float:
     """Interval coordinate in [0, pi/2] of the Controlled-u local class."""
-    require_unitary(u, "input")
     if np.shape(u) != (2, 2):
-        raise ValueError("expected a 2x2 matrix")
+        raise ValueError(f"expected a 2x2 matrix, got shape {np.shape(u)}")
+    require_unitary(u, "input")
     cu = np.eye(4, dtype=complex)
     cu[2:, 2:] = u
     # Controlled gates sit on the c3 = 0 base, where canonicalization

@@ -7,10 +7,11 @@ count never exceeds zzsynth.uniform_bound. That bound depends only on the
 entangler's canonical vector.
 
 synthesize keeps each entangler's zzsynth.prepare_resource template in
-a small memo, writes a target's local layers as chains between the
-template's runs and fuses them in one matcore.fuse_layers call. The
-fused layers, with one run in each slot between them, are the circuit it
-verifies, counts by arithmetic on the runs, and returns.
+a small memo, builds each block as chains of local layers between the
+template's runs (blocksynth.synth_zz_block) and fuses the target's
+chains in one matcore.merge_locals call. The fused layers, with one run
+in each slot between them, are the circuit it verifies, counts by
+arithmetic on the runs, and returns.
 """
 
 from collections import OrderedDict
@@ -18,14 +19,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-# merge_locals and synth_zz_block stay bound here, where perfbench's tracer
-# looks them up; synthesize fuses through fuse_layers.
-from .blocksynth import block_locals, controlled_u_gamma, synth_zz_block
+from .blocksynth import controlled_u_gamma, synth_zz_block
 from .kak import KakDecomposition, kak_decompose, snap_angle, snap_vector
-from .matcore import (DEFAULT_TOL, ID2, Circuit, ToleranceConfig, evaluate, fuse_layers,
-                      merge_locals, phase_distance)
-from .zzsynth import (KX_DAG, KX_KY_DAG, KY_FACTOR, ZzTemplate, block_repetitions, choose_unit,
-                      fold_angle, prepare_resource, repetitions, uniform_bound)
+from .matcore import (DEFAULT_TOL, Circuit, ToleranceConfig, evaluate, merge_locals,
+                      phase_distance)
+from .zzsynth import (KX_DAG, KX_KY_DAG, KY_FACTOR, ZzTemplate, choose_unit, prepare_resource,
+                      repetitions, uniform_bound)
 
 
 @dataclass
@@ -93,29 +92,20 @@ def _skeleton(c: tuple[float, float, float], dec: KakDecomposition,
     pairs: the fused layers, with the template's runs between them.
 
     Application order per the three-block form: c3 block, k_y, c2 block,
-    k_x k_y^dag, c1 block, k1 k_x^dag; a block at angle 0 or pi is one
-    local layer and merges with its neighbors. Every local layer's halves
-    go straight into its chain between runs, and fuse_layers fuses the
-    chains.
+    k_x k_y^dag, c1 block, k1 k_x^dag. Each block's chains (synth_zz_block)
+    join their neighbors' local layers, so a block at angle 0 or pi, one
+    local layer, merges with them; merge_locals fuses the chains.
     """
-    first, last = template.first, template.last
     chains, runs, phase = [[dec.k2.a, dec.k2.b]], [], dec.phase
     k1_layer = (dec.k1.a @ KX_DAG, dec.k1.b @ KX_DAG)
     for c_i, interleaver in zip(c[::-1], _INTERLEAVERS + (k1_layer,)):
-        h, pre, post, fold_phase = fold_angle(c_i)
-        if h == 0.0:
-            chains[-1] += block_locals(c_i, h, pre, post, template.gamma)
-            phase *= fold_phase
-        else:
-            m = block_repetitions(h, template.gamma, template.n)
-            run, unit_phase = template.run(m)
-            pre_a, u2, mid, post_a, u1 = block_locals(c_i, h, pre, post, m * template.gamma)
-            chains[-1] += (pre_a, u2, first.a, first.b)
-            chains += [[last.a, last.b, ID2, mid, first.a, first.b], [last.a, last.b, post_a, u1]]
-            runs += (run, run)
-            phase *= unit_phase ** 2 if h == c_i else fold_phase * unit_phase ** 2
+        block_chains, block_runs, block_phase = synth_zz_block(c_i, template)
+        chains[-1] += block_chains[0]
+        chains += block_chains[1:]
         chains[-1] += interleaver
-    layers, phase = fuse_layers(chains, phase)
+        runs += block_runs
+        phase *= block_phase
+    layers, phase = merge_locals(chains, phase)
     return Circuit.stacked(layers, [0, *runs, 0], phase)
 
 
@@ -128,9 +118,9 @@ def synthesize(target: np.ndarray, entangler: np.ndarray,
     a block whose coefficient snaps to 0 or pi costs no application. A
     block of folded angle h inserts block_repetitions(h, ...) <= n units,
     not the n of the uniform bound. The local layers go into one stack,
-    fused as merge_locals fuses (matcore.fuse_layers), with the template's
-    runs between them: the circuit, verified against the target with the
-    runs' products, is returned in that array form.
+    fused by merge_locals, with the template's runs between them: the
+    circuit, verified against the target with the runs' products, is
+    returned in that array form.
 
     A memo miss decomposes the target and the entangler in one stacked
     KAK; a hit decomposes the target alone. Raises ValueError for invalid

@@ -302,7 +302,7 @@ def _product(layers: np.ndarray, slots: list, entangler: np.ndarray) -> np.ndarr
     return out
 
 
-def fuse_layers(chains: list, phase: complex) -> tuple[np.ndarray, complex]:
+def merge_locals(chains: list, phase: complex) -> tuple[np.ndarray, complex]:
     """Fuse chains of local layers and normalize each product to unit
     determinant per qubit: the one fusion every circuit goes through.
 
@@ -330,24 +330,3 @@ def fuse_layers(chains: list, phase: complex) -> tuple[np.ndarray, complex]:
     for s1, s2 in scale.tolist():
         phase *= s1 * s2
     return fused, np.complex128(phase)
-
-
-def merge_locals(circuit: Circuit) -> Circuit:
-    """Fuse adjacent local layers and move scalar factors into the phase.
-
-    Every surviving local pair is renormalized to unit determinant per
-    qubit, the scalars folded into the phase, so no two layers are adjacent.
-    Every other slot passes through. All chains fuse at once, by fuse_layers.
-    """
-    layers, slots = circuit.form
-    chains, kept = [], []
-    for (a, b), slot in zip(layers, slots):
-        if chains and slot == 0:
-            chains[-1] += (a, b)
-        else:
-            chains.append([a, b])
-            kept.append(slot)
-    if not chains:
-        return Circuit.stacked(layers, slots, circuit.phase)
-    fused, phase = fuse_layers(chains, circuit.phase)
-    return Circuit.stacked(fused, kept + slots[-1:], phase)

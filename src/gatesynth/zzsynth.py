@@ -19,7 +19,7 @@ never built.
 
 The unit is built as chains of local layers, one chain before each
 application and one after the last, as the closed forms give them; every
-fusion goes through matcore.fuse_layers.
+fusion goes through matcore.merge_locals.
 
 Doubling works on every axis, A s_k A s_k = exp(i g_k s_k s_k), so
 choose_unit keeps the paper's unit unless doubling another coordinate
@@ -35,8 +35,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .kak import GateClass, KakDecomposition, classify, kak_decompose, snap_vector
-from .matcore import (ID2, PAULIS, ROUNDOFF, SIGMA_X, SIGMA_Z, Circuit, EntanglerApp,
-                      LocalPair, _product, dagger, exp_pauli, fuse_layers)
+from .matcore import (ID2, PAULIS, ROUNDOFF, SIGMA_X, SIGMA_Z, LocalPair, _product, dagger,
+                      exp_pauli, merge_locals)
 
 # Fixed rotations, built once: _QUARTER[axis, s] = exp(i s (pi/4) sigma_axis).
 _QUARTER = {(axis, s): exp_pauli(axis, s * np.pi / 4) for axis in "xyz" for s in (1, -1)}
@@ -69,15 +69,6 @@ class ZzResource:
     phase: complex
     gamma: float
     apps_per_unit: int
-
-    @property
-    def circuit(self) -> Circuit:
-        """The unit as a circuit: each chain's layers, one EntanglerApp between chains."""
-        layers = [[LocalPair(a, b) for a, b in zip(c[::2], c[1::2])] for c in self.chains]
-        elements = layers[0]
-        for chain in layers[1:]:
-            elements += [EntanglerApp(), *chain]
-        return Circuit(elements, self.phase)
 
 
 def _dag(layer: LocalPair) -> tuple[np.ndarray, np.ndarray]:
@@ -271,13 +262,13 @@ def amplify(unit: ZzResource, entangler: np.ndarray) -> ZzTemplate:
     the entangler taken, once; the n-fold circuit is never built.
     """
     n, apps = repetitions(unit.gamma), unit.apps_per_unit
-    layers, phase = fuse_layers(unit.chains, unit.phase)
+    layers, phase = merge_locals(unit.chains, unit.phase)
     template = ZzTemplate(unit.gamma, apps, n, LocalPair(*layers[0]), LocalPair(*layers[-1]),
                           phase, _product(layers[1:-1], [1] * apps, entangler), layers[1:-1])
     if n > 1:
         # The seam is the merged last layer times the merged first, with
         # the phase one more repetition adds.
-        (seam,), template.step_phase = fuse_layers([[*layers[-1], *layers[0]]], phase)
+        (seam,), template.step_phase = merge_locals([[*layers[-1], *layers[0]]], phase)
         template.seam = LocalPair(*seam)
         template.run_layers = np.concatenate((template.run_layers, [seam]))
         template.powers.append(template.seam.matrix() @ template.core_product)
@@ -298,7 +289,7 @@ def prepare_resource(entangler: np.ndarray, *, dec: KakDecomposition | None = No
     """
     if dec is None:
         dec = kak_decompose(entangler)
-    r = _folded_unit(dec, _best_axis)
+    r = choose_unit(entangler, dec=dec)
     bound = uniform_bound(repetitions(r.gamma), r.apps_per_unit)
     if bound > MAX_APPLICATIONS:
         raise ValueError(f"entangler needs up to {bound} applications per target, "

@@ -4,9 +4,10 @@ from dataclasses import dataclass
 import numpy as np
 import pytest
 
-from gatesynth.matcore import Circuit, EntanglerApp, LocalPair
+from gatesynth.blocksynth import synth_zz_block
+from gatesynth.matcore import ID2, Circuit, EntanglerApp, LocalPair, zz_interaction
 from gatesynth.serialize import encode_matrix
-from gatesynth.zzsynth import ZzTemplate
+from gatesynth.zzsynth import ZzResource, ZzTemplate, amplify
 
 
 # Entanglers by the fold their unit takes, the same as the paper's unit and
@@ -96,9 +97,42 @@ def product_loop(elements: list, entangler: np.ndarray) -> np.ndarray:
     return out
 
 
+def chains_circuit(chains: list, between: list, phase: complex) -> Circuit:
+    """Chains of layer halves a, b as a circuit of LocalPair objects, with
+    between[k] (an EntanglerApp or a template run) after chain k."""
+    layers = [[LocalPair(a, b) for a, b in zip(c[::2], c[1::2])] for c in chains]
+    elements = layers[0]
+    for slot, chain in zip(between, layers[1:]):
+        elements += [slot, *chain]
+    return Circuit(elements, phase)
+
+
+def unit_circuit(unit: ZzResource) -> Circuit:
+    """A unit as a circuit: each chain's layers, one EntanglerApp between chains."""
+    return chains_circuit(unit.chains, [EntanglerApp()] * unit.apps_per_unit, unit.phase)
+
+
+def block_circuit(c: float, template: ZzTemplate) -> Circuit:
+    """synth_zz_block(c, template) as a circuit: its chains' layers, its runs between them."""
+    chains, runs, phase = synth_zz_block(c, template)
+    return chains_circuit(chains, runs, phase)
+
+
+def flanked_zz_unit(gamma: float) -> ZzResource:
+    """Unit of one application of zz_interaction(gamma) between identity
+    layers; every extracted unit starts and ends with a local layer."""
+    return ZzResource([[ID2, ID2], [ID2, ID2]], 1.0, gamma, apps_per_unit=1)
+
+
+def exact_template(gamma: float) -> ZzTemplate:
+    """The template of flanked_zz_unit(gamma) against zz_interaction(gamma):
+    repetitions of one bare application, identity layers at either end."""
+    return amplify(flanked_zz_unit(gamma), zz_interaction(gamma))
+
+
 @dataclass
 class CircuitResource:
-    """A ZZ resource given as a circuit: what synth_zz_block reads of a unit."""
+    """A ZZ resource given as a circuit: a unit's circuit, angle and applications."""
 
     circuit: Circuit
     gamma: float

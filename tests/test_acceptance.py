@@ -8,15 +8,14 @@ import time
 
 import numpy as np
 
-from gatesynth.blocksynth import (AxisAngle, block_params, controlled_u_circuit,
-                                  synth_zz_block)
+from gatesynth.blocksynth import AxisAngle, block_params, controlled_u_circuit
 from gatesynth.compiler import efficient_as_cnot, synthesize, upper_bound
 from gatesynth.gates import CNOT, SQRT_SWAP, SWAP, cphase, phase_gate
 from gatesynth.kak import kak_decompose, snap_angle
 from gatesynth.matcore import evaluate, interaction, phase_distance, zz_interaction
-from gatesynth.zzsynth import ZzResource, extract_zz
+from gatesynth.zzsynth import extract_zz
 
-from conftest import dress, haar_unitary
+from conftest import block_circuit, dress, exact_template, haar_unitary, unit_circuit
 
 
 def _verdict(num: int, ok: bool, detail: str) -> None:
@@ -66,9 +65,9 @@ def test_criterion_3_extraction_corpus():
             ent = dress(interaction(*triple), rng)
             r = extract_zz(ent)
             ok &= 0 < r.gamma <= np.pi / 2 + 1e-12
-            ok &= r.circuit.entangler_count <= 2
-            worst = max(worst, phase_distance(evaluate(r.circuit, ent),
-                                              zz_interaction(r.gamma)))
+            circuit = unit_circuit(r)
+            ok &= circuit.entangler_count <= 2
+            worst = max(worst, phase_distance(evaluate(circuit, ent), zz_interaction(r.gamma)))
     ok &= worst < 1e-9
     _verdict(3, ok, f"extraction over 5 canonical classes x 4 dressings, "
                     f"worst evaluation error {worst:.3e}")
@@ -79,7 +78,7 @@ def test_criterion_4_block_identity_grid():
     worst_eval = 0.0
     count = 0
     for gamma in (np.pi / 4, np.pi / 3, 2 * np.pi / 5, np.pi / 2):
-        resource = ZzResource([[], []], 1.0, gamma, apps_per_unit=1)
+        template = exact_template(gamma)
         for c in (0.1, np.pi / 8, np.pi / 4, 3 * np.pi / 8, np.pi / 2):
             if c > 2 * gamma:
                 continue
@@ -92,7 +91,7 @@ def test_criterion_4_block_identity_grid():
                 abs(np.sin(c / 2) - np.sin(gamma) * np.sin(b / 2)),
                 abs(p * q - np.cos(b / 2) / (2 * np.cos(c / 2))),
             )
-            got = evaluate(synth_zz_block(c, resource), zz_interaction(gamma))
+            got = evaluate(block_circuit(c, template), zz_interaction(gamma))
             worst_eval = max(worst_eval, phase_distance(got, zz_interaction(c)))
     ok = worst_identity < 1e-12 and worst_eval < 1e-9
     _verdict(4, ok, f"{count} grid points, worst identity error {worst_identity:.3e}, "

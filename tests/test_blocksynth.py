@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -6,23 +8,20 @@ from gatesynth import blocksynth
 from gatesynth.blocksynth import (AxisAngle, BlockParams, block_locals, block_params,
                                   controlled_u_circuit, controlled_u_gamma, synth_zz_block,
                                   u1_u2)
+from gatesynth.compiler import efficient_as_cnot
 from gatesynth.gates import CNOT, cphase, phase_gate
 from gatesynth.kak import kak_decompose
 from gatesynth.matcore import (Circuit, EntanglerApp, LocalPair, SIGMA_X, SIGMA_Z,
                                evaluate, exp_pauli, phase_distance, tensor, zz_interaction)
-from gatesynth.zzsynth import ZzResource, choose_unit, fold_angle, prepare_resource, repetitions
+from gatesynth.zzsynth import block_repetitions, fold_angle, prepare_resource, repetitions
 
-from conftest import expanded, haar_unitary, repeated, run_resource
+from conftest import (CircuitResource, block_circuit, exact_template, expanded, haar_unitary,
+                      repeated, run_resource)
 
 ID2 = np.eye(2, dtype=complex)
 
 
-def exact_resource(gamma: float) -> ZzResource:
-    """One bare application of zz_interaction(gamma): no local layer around it."""
-    return ZzResource([[], []], 1.0, gamma, apps_per_unit=1)
-
-
-def unfolded_block(c: float, resource: ZzResource) -> Circuit:
+def unfolded_block(c: float, resource: CircuitResource) -> Circuit:
     """Reference block for c in (0, pi/2]: u2, resource, mid, resource, u1; no fold."""
     params = block_params(c, resource.gamma)
     u1, u2 = u1_u2(params)
@@ -127,7 +126,7 @@ def test_middle_layer_is_exp_pauli_y(monkeypatch):
 
 class TestSynthZzBlock:
     def test_cnot_resource_half_pi_block(self):
-        circ = synth_zz_block(np.pi / 2, exact_resource(np.pi / 2))
+        circ = block_circuit(np.pi / 2, exact_template(np.pi / 2))
         got = evaluate(circ, zz_interaction(np.pi / 2))
         assert phase_distance(got, zz_interaction(np.pi / 2)) < 1e-10
         assert circ.entangler_count == 2
@@ -135,37 +134,42 @@ class TestSynthZzBlock:
     def test_cphase_derived_resource(self):
         # the worked example: quarter-pi block from a controlled-PHASE gate
         for phi in (np.pi / 2, 2 * np.pi / 3, np.pi):
-            resource = choose_unit(cphase(phi))
-            assert repetitions(resource.gamma) == 1
-            assert resource.gamma == pytest.approx(phi / 2, abs=1e-9)
-            circ = synth_zz_block(np.pi / 4, resource)
+            template = prepare_resource(cphase(phi))
+            assert template.n == repetitions(template.gamma) == 1
+            assert template.gamma == pytest.approx(phi / 2, abs=1e-9)
+            circ = block_circuit(np.pi / 4, template)
             got = evaluate(circ, cphase(phi))
             assert phase_distance(got, zz_interaction(np.pi / 4)) < 1e-9
 
     def test_boundary_c_equals_two_gamma(self):
         gamma = np.pi / 4
-        circ = synth_zz_block(2 * gamma, exact_resource(gamma))
+        circ = block_circuit(2 * gamma, exact_template(gamma))
         got = evaluate(circ, zz_interaction(gamma))
         assert phase_distance(got, zz_interaction(2 * gamma)) < 1e-6
 
     def test_reflected_range(self):
         # c in (pi/2, pi) folds to pi - c through Pauli layers
         c = 2.5
-        circ = synth_zz_block(c, exact_resource(np.pi / 2))
+        circ = block_circuit(c, exact_template(np.pi / 2))
         got = evaluate(circ, zz_interaction(np.pi / 2))
         np.testing.assert_allclose(got, zz_interaction(c), atol=1e-12)
         assert circ.entangler_count == 2
 
     def test_exactly_two_insertions(self):
+        # At h = pi/2 the block repeats the unit all n = 3 times, in each of
+        # its two insertions.
         template = prepare_resource(cphase(np.pi / 5))
-        resource = run_resource(template, template.n)
-        circ = expanded(synth_zz_block(0.3, resource))
-        assert circ.entangler_count == 2 * expanded(resource.circuit).entangler_count == 6
+        chains, runs, _ = synth_zz_block(np.pi / 2, template)
+        assert len(chains) == 3 and len(runs) == 2
+        assert [run.reps for run in runs] == [template.n] * 2
+        circ = expanded(block_circuit(np.pi / 2, template))
+        unit = expanded(run_resource(template, template.n).circuit)
+        assert circ.entangler_count == 2 * unit.entangler_count == 6
 
     def test_block_diagonal_structure(self):
         # evaluated block is diag(W, V) with V = W^{-1} = e^{-c(i/2)sz}
         for c, gamma in [(0.4, np.pi / 4), (np.pi / 2, np.pi / 2), (1.2, 2 * np.pi / 5)]:
-            got = evaluate(synth_zz_block(c, exact_resource(gamma)), zz_interaction(gamma))
+            got = evaluate(block_circuit(c, exact_template(gamma)), zz_interaction(gamma))
             np.testing.assert_allclose(got[:2, 2:], 0, atol=1e-10)
             np.testing.assert_allclose(got[2:, :2], 0, atol=1e-10)
             w, v = got[:2, :2], got[2:, 2:]
@@ -173,34 +177,33 @@ class TestSynthZzBlock:
 
     def test_pi_is_local(self):
         # exp(pi (i/2) ZZ) = i ZZ: one local layer, no insertion
-        circ = synth_zz_block(np.pi, exact_resource(np.pi / 2))
+        circ = block_circuit(np.pi, exact_template(np.pi / 2))
         assert circ.entangler_count == 0
         assert circ.local_count == 1
         np.testing.assert_array_equal(evaluate(circ, zz_interaction(np.pi / 2)),
                                       1j * np.kron(SIGMA_Z, SIGMA_Z))
 
     def test_zero_is_identity_layer(self):
-        circ = synth_zz_block(0.0, exact_resource(np.pi / 2))
+        circ = block_circuit(0.0, exact_template(np.pi / 2))
         assert (circ.entangler_count, circ.local_count) == (0, 1)
         np.testing.assert_array_equal(evaluate(circ, zz_interaction(np.pi / 2)), np.eye(4))
 
     @pytest.mark.parametrize("c", [-1e-12, np.nextafter(np.pi, 4.0)])
     def test_rejects_outside_range(self, c):
         with pytest.raises(ValueError, match="outside"):
-            synth_zz_block(c, exact_resource(np.pi / 2))
+            synth_zz_block(c, exact_template(np.pi / 2))
 
     def test_unfolded_blocks_bit_identical(self, rng):
         # c <= pi/2 needs no fold, so the block is the unfolded construction
-        # to the bit; includes the q = 0 corner c = 2 gamma = pi/2.
-        resources = [exact_resource(g) for g in (np.pi / 4, np.pi / 3, np.pi / 2)]
-        templates = [prepare_resource(ent) for ent in (CNOT, cphase(np.pi / 9))]
-        resources += [repeated(t, t.n) for t in templates]
+        # on its m-fold unit to the bit; includes the q = 0 corner c = 2 gamma = pi/2.
+        templates = [exact_template(g) for g in (np.pi / 4, np.pi / 3, np.pi / 2)]
+        templates += [prepare_resource(ent) for ent in (CNOT, cphase(np.pi / 9))]
         angles = [np.pi / 2, np.pi / 4, 1e-10] + list(rng.uniform(0.0, np.pi / 2, 40))
-        for resource in resources:
+        for template in templates:
             for c in angles:
-                if c > 2 * resource.gamma:
-                    continue
-                got, want = synth_zz_block(c, resource), unfolded_block(c, resource)
+                m = block_repetitions(c, template.gamma, template.n)
+                got = expanded(block_circuit(c, template))
+                want = unfolded_block(c, repeated(template, m))
                 assert np.complex128(got.phase).tobytes() == np.complex128(want.phase).tobytes()
                 assert [type(e) for e in got.elements] == [type(e) for e in want.elements]
                 for g, w in zip(got.elements, want.elements):
@@ -209,16 +212,22 @@ class TestSynthZzBlock:
                         assert g.b.tobytes() == w.b.tobytes()
 
     def test_rejects_out_of_range_gamma(self):
-        for c, gamma in ((0.5, 0.2), (0.3, 0.0), (0.3, np.pi / 2 + 1e-9)):
-            with pytest.raises(ValueError):
-                synth_zz_block(c, exact_resource(gamma))
+        # A resource angle outside (0, pi/2] has no template, so no block.
+        for gamma in (0.0, np.pi / 2 + 1e-9):
+            with pytest.raises(ValueError, match="outside"):
+                synth_zz_block(0.3, exact_template(gamma))
 
     def test_weak_resource_block(self):
         # c <= 2 gamma suffices: 0.3 from two insertions of ZZ(0.2).
-        circ = synth_zz_block(0.3, exact_resource(0.2))
+        circ = block_circuit(0.3, exact_template(0.2))
         got = evaluate(circ, zz_interaction(0.2))
         assert phase_distance(got, zz_interaction(0.3)) < 1e-12
         assert circ.entangler_count == 2
+        # Past 2 gamma the unit repeats: 0.5 from two insertions of ZZ(0.2) twice.
+        circ = block_circuit(0.5, exact_template(0.2))
+        got = evaluate(circ, zz_interaction(0.2))
+        assert phase_distance(got, zz_interaction(0.5)) < 1e-12
+        assert circ.entangler_count == 4
 
 
 class TestControlledU:
@@ -275,8 +284,17 @@ class TestControlledUGamma:
 
     def test_rejects_two_qubit_input(self):
         # A 4x4 unitary passes the unitarity check; it must not reach the 2x2 slot.
-        with pytest.raises(ValueError, match="expected a 2x2 matrix"):
+        with pytest.raises(ValueError, match=re.escape("expected a 2x2 matrix, got shape (4, 4)")):
             controlled_u_gamma(CNOT)
+
+    @pytest.mark.parametrize("u", [np.zeros(3), np.zeros((2, 1))], ids=["vector", "column"])
+    def test_names_a_wrong_shape(self, u):
+        # The shape is checked before unitarity: neither is a 2x2 matrix
+        # that fails the unitarity check.
+        want = re.escape(f"expected a 2x2 matrix, got shape {u.shape}")
+        for f in (controlled_u_gamma, efficient_as_cnot):
+            with pytest.raises(ValueError, match=want):
+                f(u)
 
     @pytest.mark.parametrize("phi", [0.3, np.pi / 4, np.pi / 2, np.pi])
     def test_phase_gate_coordinate(self, phi):

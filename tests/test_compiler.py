@@ -5,12 +5,12 @@ import numpy as np
 import pytest
 
 from gatesynth import blocksynth, compiler, gates, kak, matcore, serialize, zzsynth
-from gatesynth.blocksynth import controlled_u_gamma, synth_zz_block
+from gatesynth.blocksynth import block_locals, controlled_u_gamma
 from gatesynth.compiler import (efficient_as_cnot, merge_locals, synthesize,
                                 upper_bound)
 from gatesynth.gates import B_GATE, CNOT, SQRT_SWAP, SWAP, cphase, phase_gate
 from gatesynth.kak import CanonicalVector, KakDecomposition, kak_decompose
-from gatesynth.matcore import (DEFAULT_TOL, ROUNDOFF, Circuit, EntanglerApp, LocalPair,
+from gatesynth.matcore import (DEFAULT_TOL, ID2, ROUNDOFF, Circuit, EntanglerApp, LocalPair,
                                SIGMA_X, ToleranceConfig, evaluate, interaction,
                                phase_distance, tensor, unitarity_error,
                                zz_interaction)
@@ -19,9 +19,9 @@ from gatesynth.zzsynth import (KX_DAG, KX_KY_DAG, KY_FACTOR, MAX_APPLICATIONS, Z
                                ZzTemplate, block_repetitions, choose_unit, extract_zz,
                                fold_angle, prepare_resource, repetitions, uniform_bound)
 
-from conftest import (FOLD_BRANCHES, CircuitResource, dress, expanded, haar_unitary,
-                      near_edge, product_loop, random_local, repeated, run_resource,
-                      slot_elements)
+from conftest import (FOLD_BRANCHES, CircuitResource, block_circuit, dress, expanded,
+                      haar_unitary, near_edge, product_loop, random_local, run_resource,
+                      slot_elements, unit_circuit)
 
 
 def spy_unitarity_checks(monkeypatch) -> list:
@@ -362,6 +362,30 @@ class TestSnapFallback:
         assert len(built) == 1
 
 
+class TestNamedStages:
+    """synthesize builds every block with synth_zz_block and fuses each
+    circuit's chains with one merge_locals call, the bindings a tracer wraps."""
+
+    @pytest.fixture
+    def calls(self, monkeypatch) -> dict:
+        counts = {"synth_zz_block": 0, "merge_locals": 0}
+        for name in counts:
+            def spy(*args, name=name, real=getattr(compiler, name)):
+                counts[name] += 1
+                return real(*args)
+            monkeypatch.setattr(compiler, name, spy)
+        return counts
+
+    def test_one_synthesis(self, calls, rng):
+        synthesize(haar_unitary(rng), CNOT)
+        assert calls == {"synth_zz_block": 3, "merge_locals": 1}
+
+    def test_rebuild_from_the_unsnapped_vector(self, calls):
+        # TestSnapFallback's target: the snapped circuit fails, so a second one is built.
+        synthesize(cphase(3.1415926518), CNOT, ToleranceConfig(verify_tol=5e-10))
+        assert calls == {"synth_zz_block": 6, "merge_locals": 2}
+
+
 class TestUpperBound:
     def test_cnot(self):
         assert upper_bound(CNOT).bound == 6
@@ -419,19 +443,36 @@ class TestUpperBound:
         assert unit.gamma == report.gamma == template.gamma
 
 
+def fused(circuit: Circuit) -> Circuit:
+    """circuit with its adjacent local layers (a 0 slot between them) fused
+    by merge_locals, one chain per such run of layers; every other slot kept."""
+    layers, slots = circuit.form
+    chains, kept = [], []
+    for (a, b), slot in zip(layers, slots):
+        if chains and slot == 0:
+            chains[-1] += (a, b)
+        else:
+            chains.append([a, b])
+            kept.append(slot)
+    if not chains:
+        return Circuit.stacked(layers, slots, circuit.phase)
+    layers, phase = merge_locals(chains, circuit.phase)
+    return Circuit.stacked(layers, kept + slots[-1:], phase)
+
+
 class TestMergeLocals:
     def test_two_locals_merge(self, rng):
         l1 = LocalPair(haar_unitary(rng, 2), haar_unitary(rng, 2))
         l2 = LocalPair(haar_unitary(rng, 2), haar_unitary(rng, 2))
         circ = Circuit([l1, l2])
-        merged = merge_locals(circ)
+        merged = fused(circ)
         assert merged.local_count == 1
         np.testing.assert_allclose(evaluate(merged, CNOT), evaluate(circ, CNOT), atol=1e-12)
 
     def test_merge_between_entanglers_only(self, rng):
         mk = lambda: LocalPair(haar_unitary(rng, 2), haar_unitary(rng, 2))
         circ = Circuit([mk(), EntanglerApp(), mk(), mk(), EntanglerApp()])
-        merged = merge_locals(circ)
+        merged = fused(circ)
         kinds = [type(e).__name__ for e in merged.elements]
         assert kinds == ["LocalPair", "EntanglerApp", "LocalPair", "EntanglerApp"]
         np.testing.assert_allclose(evaluate(merged, CNOT), evaluate(circ, CNOT), atol=1e-12)
@@ -439,7 +480,7 @@ class TestMergeLocals:
     def test_no_adjacent_locals_and_det_one(self, rng):
         circ = Circuit([LocalPair(haar_unitary(rng, 2), haar_unitary(rng, 2))
                         for _ in range(5)], phase=1j)
-        merged = merge_locals(circ)
+        merged = fused(circ)
         assert merged.local_count == 1
         layer = merged.elements[0]
         assert abs(np.linalg.det(layer.a) - 1) < 1e-12
@@ -448,11 +489,11 @@ class TestMergeLocals:
 
     def test_preserves_entangler_count(self, rng):
         circ, _ = synthesize(haar_unitary(rng), CNOT)
-        assert merge_locals(circ).entangler_count == circ.entangler_count
+        assert fused(circ).entangler_count == circ.entangler_count
 
 
 def merge_locals_loop(circuit: Circuit) -> Circuit:
-    """Reference merge_locals: one det, sqrt and divide per layer, in a loop."""
+    """Reference for fused: one det, sqrt and divide per layer, in a loop."""
     merged: list = []
     for elem in circuit.elements:
         if isinstance(elem, LocalPair) and merged and isinstance(merged[-1], LocalPair):
@@ -488,32 +529,46 @@ class TestMergeLocalsBitIdentity:
                         else LocalPair(haar_unitary(rng, 2), haar_unitary(rng, 2))
                         for _ in range(rng.integers(1, 40))]
             circ = Circuit(elements, phase=complex(np.exp(1j * rng.uniform(0, 2 * np.pi))))
-            assert_bit_identical(merge_locals(circ), merge_locals_loop(circ))
+            assert_bit_identical(fused(circ), merge_locals_loop(circ))
 
     def test_unmerged_block_circuits(self, rng):
         for ent in (CNOT, cphase(np.pi / 9), dress(interaction(1.0, 0.6, 0.3), rng)):
             template = prepare_resource(ent)
-            resource = repeated(template, template.n)
-            first, second = synth_zz_block(0.7, resource), synth_zz_block(2.1, resource)
+            first, second = block_circuit(0.7, template), block_circuit(2.1, template)
             circ = Circuit(first.elements + second.elements, first.phase * second.phase)
-            assert_bit_identical(merge_locals(circ), merge_locals_loop(circ))
+            assert_bit_identical(fused(circ), merge_locals_loop(circ))
 
     def test_entangler_only(self):
         circ = Circuit([EntanglerApp(), EntanglerApp()], phase=1j)
-        assert_bit_identical(merge_locals(circ), merge_locals_loop(circ))
+        assert_bit_identical(fused(circ), merge_locals_loop(circ))
 
     def test_empty(self):
-        assert_bit_identical(merge_locals(Circuit()), merge_locals_loop(Circuit()))
+        assert_bit_identical(fused(Circuit()), merge_locals_loop(Circuit()))
 
 
 SKELETON_ENTANGLERS = ("cnot", "cphase_pi_9", "b", "sqrt_swap", "case3_dressed",
                        "case4_dressed")
 
 
+def object_block(c: float, resource: CircuitResource) -> Circuit:
+    """Reference block in object form: block_locals' layers as LocalPair
+    objects around two copies of the resource's circuit, which the block
+    inserts once each; at h = 0 (c = 0 or pi) one local layer."""
+    h, pre, post, fold_phase = fold_angle(c)
+    halves = block_locals(c, h, pre, post, resource.gamma)
+    if h == 0.0:
+        return Circuit([LocalPair(*halves)], fold_phase)
+    pre_a, u2, mid, post_a, u1 = halves
+    unit = resource.circuit
+    elements = ([LocalPair(pre_a, u2)] + unit.elements + [LocalPair(ID2, mid)]
+                + unit.elements + [LocalPair(post_a, u1)])
+    return Circuit(elements, unit.phase ** 2 if h == c else fold_phase * unit.phase ** 2)
+
+
 def object_assembly(c: tuple[float, float, float], dec: KakDecomposition,
                     template: ZzTemplate) -> Circuit:
     """Reference for compiler._skeleton, unmerged: the blocks c = (c1, c2, c3)
-    as LocalPair objects, synth_zz_block on run_resource(template, m) per block,
+    as LocalPair objects, object_block on run_resource(template, m) per block,
     the interleavers between and dec's local pairs around."""
     c1, c2, c3 = c
     elements, phase = [dec.k2], dec.phase
@@ -521,7 +576,7 @@ def object_assembly(c: tuple[float, float, float], dec: KakDecomposition,
                              (c2, LocalPair(KX_KY_DAG, KX_KY_DAG)),
                              (c1, LocalPair(dec.k1.a @ KX_DAG, dec.k1.b @ KX_DAG))):
         m = block_repetitions(fold_angle(c_i)[0], template.gamma, template.n)
-        block = synth_zz_block(c_i, run_resource(template, m))
+        block = object_block(c_i, run_resource(template, m))
         elements += block.elements + [interleaver]
         phase *= block.phase
     return Circuit(elements, phase)
@@ -584,7 +639,7 @@ class TestStackedLayersBitIdentical:
 
     def test_merge_locals(self, monkeypatch, rng):
         for _, raw, skeleton in captured_calls(monkeypatch, rng):
-            merged = merge_locals(raw)
+            merged = fused(raw)
             assert_bit_identical(merged, merge_locals_loop(raw))
             assert_bit_identical(merged, skeleton)
 
@@ -603,37 +658,36 @@ class TestStackedLayersBitIdentical:
                                        complex(np.exp(1j * rng.uniform(0, 2 * np.pi))), 0.0)
                 skeleton = compiler._skeleton(c, dec, template)
                 raw = object_assembly(c, dec, template)
-                assert_bit_identical(skeleton, merge_locals(raw))
+                assert_bit_identical(skeleton, fused(raw))
                 assert_bit_identical(skeleton, merge_locals_loop(raw))
                 assert (evaluate(skeleton, entangler).tobytes()
-                        == evaluate(merge_locals(raw), entangler).tobytes())
+                        == evaluate(fused(raw), entangler).tobytes())
 
     def test_merge_locals_in_amplify(self, rng):
-        # amplify fuses the unit's chains once, as merge_locals fuses the
-        # unit's circuit; for n > 1 the seam fuses the merged unit's last
-        # layer with its first, as merge_locals fuses those two layers.
+        # amplify fuses the unit's chains once, as fused fuses the unit's
+        # circuit; for n > 1 the seam fuses the merged unit's last layer
+        # with its first, as fused fuses those two layers.
         for unit, template in amplified_units(rng):
-            merged = merge_locals(unit.circuit)
-            assert_bit_identical(merged, merge_locals_loop(unit.circuit))
+            merged = fused(unit_circuit(unit))
+            assert_bit_identical(merged, merge_locals_loop(unit_circuit(unit)))
             # One repetition: first, the core (a run of one), last.
             assert_bit_identical(run_resource(template, 1).circuit, merged)
             if template.n > 1:
-                seam = merge_locals(Circuit(merged.elements[-1:] + merged.elements[:1],
-                                            merged.phase))
+                seam = fused(Circuit(merged.elements[-1:] + merged.elements[:1], merged.phase))
                 assert_bit_identical(Circuit([template.seam], template.step_phase), seam)
         layer = LocalPair(haar_unitary(rng, 2), haar_unitary(rng, 2))
         for raw in (Circuit([EntanglerApp()], phase=1j), Circuit([layer], phase=-1j),
                     Circuit([EntanglerApp(), layer, EntanglerApp()])):
-            assert_bit_identical(merge_locals(raw), merge_locals_loop(raw))
+            assert_bit_identical(fused(raw), merge_locals_loop(raw))
 
     def test_exact_zeros_keep_their_values(self, rng):
-        # fuse_layers pads a one-layer chain with identities to the depth of
+        # merge_locals pads a one-layer chain with identities to the depth of
         # the longest; a product with an identity turns -0.0 into +0.0, so
         # only the values of exact zeros are kept, not their signs.
         signed = np.array([[1, complex(-0.0, -0.0)], [complex(-0.0, 0.0), 1]])
         long = [LocalPair(haar_unitary(rng, 2), haar_unitary(rng, 2)) for _ in range(3)]
         circ = Circuit(long + [EntanglerApp(), LocalPair(signed, signed.copy())])
-        merged, want = merge_locals(circ), merge_locals_loop(circ)
+        merged, want = fused(circ), merge_locals_loop(circ)
         assert merged.phase == want.phase
         for got, ref in zip(merged.elements, want.elements):
             if isinstance(got, LocalPair):
@@ -789,7 +843,7 @@ def synthesize_expanded(target: np.ndarray, entangler: np.ndarray,
     template, no powers."""
     dec = kak_decompose(target, tol)
     unit = choose_unit(entangler)
-    merged = merge_locals(unit.circuit)
+    merged = fused(unit_circuit(unit))
     c1, c2, c3 = snap_vector(dec.c)
     elements, phase = [dec.k2], dec.phase
     for c, interleaver in ((c3, LocalPair(KY_FACTOR, KY_FACTOR)),
@@ -798,10 +852,10 @@ def synthesize_expanded(target: np.ndarray, entangler: np.ndarray,
         m = max(1, int(np.ceil(min(c, np.pi - c) / (2 * unit.gamma))))
         m_units = Circuit(merged.elements * m, merged.phase ** m)
         resource = CircuitResource(m_units, m * unit.gamma, unit.apps_per_unit)
-        block = synth_zz_block(c, resource)
+        block = object_block(c, resource)
         elements += block.elements + [interleaver]
         phase *= block.phase
-    return merge_locals(Circuit(elements, phase))
+    return fused(Circuit(elements, phase))
 
 
 TEMPLATE_ENTANGLERS = {

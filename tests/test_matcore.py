@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from gatesynth.matcore import (MAX_TOLERANCE, Circuit, EntanglerApp, LocalPair,
                                SIGMA_X, SIGMA_Y, SIGMA_Z, ToleranceConfig,
-                               evaluate, exp_pauli, fuse_layers, interaction,
+                               evaluate, exp_pauli, interaction, merge_locals,
                                phase_distance, project_special_rows,
                                require_unitary, tensor, unitarity_error,
                                zz_interaction)
@@ -281,7 +281,7 @@ def fuse_chain_loop(chain: list, phase: complex):
     return (a / scale_a, b / scale_b), phase * (scale_a * scale_b)
 
 
-def test_fuse_layers_matches_per_chain_loop():
+def test_merge_locals_matches_per_chain_loop():
     # Padding every chain with identities to the longest changes no bit
     # of layers without exact zeros. The phase is the per-row numpy
     # product, in chain order, and stays an np.complex128 whether the
@@ -291,7 +291,7 @@ def test_fuse_layers_matches_per_chain_loop():
         lengths = rng.integers(1, 8, size=rng.integers(1, 9))
         chains = [[haar_unitary(rng, 2) for _ in range(2 * n)] for n in lengths]
         phase = (complex, np.complex128)[i % 2](np.exp(1j * rng.uniform(0, 2 * np.pi)))
-        fused, got_phase = fuse_layers(chains, phase)
+        fused, got_phase = merge_locals(chains, phase)
         assert type(got_phase) is np.complex128
         assert fused.shape == (len(chains), 2, 2, 2)
         want_phase = phase

@@ -11,19 +11,14 @@ from gatesynth.zzsynth import (MAX_APPLICATIONS, ZzResource, amplify, block_repe
                                choose_unit, extract_zz, fold_angle, prepare_resource,
                                repetitions, uniform_bound)
 
-from conftest import FOLD_BRANCHES, dress, random_local, repeated, run_resource
-
-
-def flanked_zz_unit(gamma: float) -> ZzResource:
-    """Unit of one application of zz_interaction(gamma) between identity
-    layers; every extracted unit starts and ends with a local layer."""
-    return ZzResource([[ID2, ID2], [ID2, ID2]], 1.0, gamma, apps_per_unit=1)
+from conftest import (FOLD_BRANCHES, dress, flanked_zz_unit, random_local, repeated,
+                      run_resource, unit_circuit)
 
 
 def check_resource(r: ZzResource, entangler: np.ndarray, tol: float = 1e-9) -> None:
-    got = evaluate(r.circuit, entangler)
-    assert phase_distance(got, zz_interaction(r.gamma)) < tol
-    assert r.circuit.entangler_count == r.apps_per_unit
+    circuit = unit_circuit(r)
+    assert phase_distance(evaluate(circuit, entangler), zz_interaction(r.gamma)) < tol
+    assert circuit.entangler_count == r.apps_per_unit
 
 
 class TestExtractZz:
@@ -36,7 +31,7 @@ class TestExtractZz:
     def test_units_cannot_write_module_constants(self):
         # The unit's last layer is zzsynth.KX_FACTOR itself; it is read-only,
         # so a caller's write cannot corrupt later syntheses.
-        layer = extract_zz(CNOT).circuit.elements[-1]
+        layer = unit_circuit(extract_zz(CNOT)).elements[-1]
         assert layer.a is zzsynth.KX_FACTOR
         with pytest.raises(ValueError, match="read-only"):
             layer.a[...] = np.eye(2)
@@ -197,8 +192,9 @@ class TestUnitFold:
             assert 0.0 < unit.gamma <= np.pi / 2
             assert unit.gamma == pytest.approx(gamma, abs=1e-9)
             assert [len(chain) // 2 for chain in unit.chains] == lengths
-            assert unit.circuit.entangler_count == unit.apps_per_unit == len(lengths) - 1
-            assert phase_distance(evaluate(unit.circuit, ent), zz_interaction(unit.gamma)) < 1e-9
+            circuit = unit_circuit(unit)
+            assert circuit.entangler_count == unit.apps_per_unit == len(lengths) - 1
+            assert phase_distance(evaluate(circuit, ent), zz_interaction(unit.gamma)) < 1e-9
 
 
 class TestReduceAngle:
