@@ -43,7 +43,7 @@ import numpy as np
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
 import corpus  # noqa: E402
 
-from gatesynth import LocalPair, cli, kak_decompose, synthesize  # noqa: E402
+from gatesynth import cli, kak_decompose, synthesize  # noqa: E402
 from gatesynth.gates import resolve_gate  # noqa: E402
 
 # perfbench/run.py's count_ops of each workload.
@@ -97,9 +97,12 @@ def digest(workload: str, seed: int) -> tuple[str, str, str]:
     for i in range(COUNT_OPS[workload]):
         op = corpus.make_op(workload, seed, i)
         circuit, report = synthesize(op.target, op.entangler)
-        for elem in circuit.elements:
-            if isinstance(elem, LocalPair):
-                layers.update(b"L" + elem.a.tobytes() + elem.b.tobytes())
+        stack, index, kinds = circuit.expand()
+        rows = iter(index)
+        for local in kinds:
+            if local:
+                k = next(rows)
+                layers.update(b"L" + stack[k, 0].tobytes() + stack[k, 1].tobytes())
             else:
                 layers.update(b"E")
         layers.update(np.complex128(circuit.phase).tobytes())

@@ -1,6 +1,6 @@
 """Exact two-qubit gate synthesis from a fixed entangling gate and local gates."""
 
-from .matcore import LocalPair, zz_interaction
+from .matcore import zz_interaction
 from .kak import kak_decompose
 from .compiler import efficient_as_cnot, synthesize, upper_bound
 

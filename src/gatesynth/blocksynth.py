@@ -11,8 +11,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .kak import kak_decompose
-from .matcore import (ID2, ROUNDOFF, SIGMA_X, SIGMA_Y, SIGMA_Z, Circuit, EntanglerApp,
-                      LocalPair, ToleranceConfig, dagger, exp_pauli, require_unitary)
+from .matcore import (ID2, ROUNDOFF, SIGMA_X, SIGMA_Y, SIGMA_Z, Circuit, LocalPair,
+                      ToleranceConfig, dagger, exp_pauli, require_unitary)
 from .zzsynth import ZzTemplate, block_repetitions, fold_angle
 
 
@@ -150,13 +150,12 @@ def _controlled_u1(axis: tuple[float, float, float]) -> np.ndarray:
 def controlled_u_circuit(spec: AxisAngle) -> Circuit:
     """Simulate diag(I, exp(i gamma n.sigma)) with one ZZ interaction.
 
-    The interaction insertion is an opaque EntanglerApp; evaluate the
+    Two local layers with one bare application between them; evaluate the
     returned circuit against zz_interaction(spec.gamma).
     """
     u1 = _controlled_u1(spec.axis)
-    first = LocalPair(ID2, exp_pauli("z", -spec.gamma / 2) @ dagger(u1))
-    elems = [first, EntanglerApp(), LocalPair(ID2, u1)]
-    return Circuit(elems)
+    layers = np.array([(ID2, exp_pauli("z", -spec.gamma / 2) @ dagger(u1)), (ID2, u1)])
+    return Circuit(layers, [0, 1, 0])
 
 
 def controlled_u_gamma(u: np.ndarray) -> float:

@@ -68,7 +68,7 @@ RESOURCE_MEMO_SIZE = 8
 # template, least recently used first; errors are never stored. The template
 # keeps the unitarity error the entangler's KAK measured, so a hit does not
 # check the entangler again. Callers only read a template: the runs a returned
-# circuit shares with it are read-only, and its elements are fresh copies.
+# circuit shares with it are read-only.
 _resource_memo: OrderedDict = OrderedDict()
 
 # A failed final check is the entangler's fault when the residual is at most
@@ -106,7 +106,7 @@ def _skeleton(c: tuple[float, float, float], dec: KakDecomposition,
         runs += block_runs
         phase *= block_phase
     layers, phase = merge_locals(chains, phase)
-    return Circuit.stacked(layers, [0, *runs, 0], phase)
+    return Circuit(layers, [0, *runs, 0], phase)
 
 
 def synthesize(target: np.ndarray, entangler: np.ndarray,

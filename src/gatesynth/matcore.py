@@ -2,10 +2,11 @@
 
 All gates are plain numpy arrays of dtype complex128: 2x2 for single-qubit
 gates, 4x4 for two-qubit gates (qubit 1 is the high-order tensor factor).
-A circuit is its local layers stacked (L, 2, 2, 2), one slot between each
-two (bare entangler applications or a template run), and a phase; element
-0 acts first on the state, so the evaluated matrix is the right-to-left
-product of the element matrices.
+A circuit, Circuit(layers, slots, phase), is its local layers stacked
+(L, 2, 2, 2), one slot around and between them (bare entangler
+applications or a template run), and a phase; element 0 acts first on the
+state, so the evaluated matrix is the right-to-left product of the element
+matrices.
 """
 
 import math
@@ -188,65 +189,37 @@ class EntanglerApp:
     """Opaque application of the circuit's single fixed entangling gate."""
 
 
+@dataclass(eq=False)
 class Circuit:
     """A circuit in array form: its local layers stacked (L, 2, 2, 2), slots
     around and between them, and an explicit global phase. slots[i] comes
     before layer i, slots[L] after the last: an int, that many bare entangler
     applications, or a template run (zzsynth._Run), which carries its product
-    against the entangler it was built for. Element 0 acts first on the state.
+    against the entangler it was built for and that entangler's bytes.
+    Element 0 acts first on the state.
 
-    Circuit(elements, phase) keeps its element list and reads the form off it
-    on each use. Circuit.stacked(layers, slots, phase) builds its elements on
-    first read: fresh LocalPair and EntanglerApp objects over one fresh copy
-    of the layers, every run expanded.
+    elements, a fresh list of LocalPair layers and EntanglerApp markers with
+    every run expanded, is built on each read; it stays only because the
+    benchmark's independent checker reads a circuit through it.
     """
 
-    def __init__(self, elements: list | None = None, phase: complex = 1.0 + 0.0j):
-        self._elements = [] if elements is None else elements
-        self._stack, self.phase = None, phase
-
-    @classmethod
-    def stacked(cls, layers: np.ndarray, slots: list, phase: complex) -> "Circuit":
-        circuit = cls(None, phase)
-        circuit._elements, circuit._stack = None, (layers, slots)
-        return circuit
-
-    @property
-    def form(self) -> tuple[np.ndarray, list]:
-        if self._stack is not None:
-            return self._stack
-        pairs, slots = [], [0]
-        for elem in self._elements:
-            if isinstance(elem, LocalPair):
-                pairs += (elem.a, elem.b)
-                slots.append(0)
-            elif isinstance(elem, EntanglerApp) and isinstance(slots[-1], int):
-                slots[-1] += 1
-            elif slots[-1] == 0:
-                slots[-1] = elem
-            else:
-                raise ValueError("a template run must stand alone between local layers")
-        return np.array(pairs, dtype=complex).reshape(-1, 2, 2, 2), slots
-
-    layers = property(lambda self: self.form[0])
-    slots = property(lambda self: self.form[1])
+    layers: np.ndarray
+    slots: list
+    phase: complex = 1.0 + 0.0j
 
     @property
     def elements(self) -> list:
-        if self._elements is None:
-            stack, index, kinds = self.expand()
-            layers = stack.take(index, axis=0)
-            app, pairs = EntanglerApp(), map(LocalPair, layers[:, 0], layers[:, 1])
-            self._elements = [next(pairs) if local else app for local in kinds]
-        return self._elements
+        stack, index, kinds = self.expand()
+        layers = stack.take(index, axis=0)
+        app, pairs = EntanglerApp(), map(LocalPair, layers[:, 0], layers[:, 1])
+        return [next(pairs) if local else app for local in kinds]
 
     def counts(self) -> tuple[int, int]:
         """(entangler_count, local_count) by arithmetic on the slots: a run of
         reps x apps applications holds one layer between each two."""
-        layers, slots = self.form
-        runs = [slot.reps * slot.apps for slot in slots if not isinstance(slot, int)]
-        apps = sum(slot for slot in slots if isinstance(slot, int)) + sum(runs)
-        return apps, len(layers) + sum(runs) - len(runs)
+        runs = [slot.reps * slot.apps for slot in self.slots if not isinstance(slot, int)]
+        apps = sum(slot for slot in self.slots if isinstance(slot, int)) + sum(runs)
+        return apps, len(self.layers) + sum(runs) - len(runs)
 
     entangler_count = property(lambda self: self.counts()[0])
     local_count = property(lambda self: self.counts()[1])
@@ -256,9 +229,9 @@ class Circuit:
         then each run's stack; the stack row of each local layer in element
         order; per element, True for a local layer. A run's application k
         (from 1) is followed by row (k - 1) % apps of its stack."""
-        layers, slots = self.form
+        layers = self.layers
         kinds, index, start, stacks, base = [], [], 0, [layers], len(layers)
-        for i, slot in enumerate(slots):
+        for i, slot in enumerate(self.slots):
             if i:
                 kinds.append(True)
             if isinstance(slot, int):
@@ -276,19 +249,24 @@ class Circuit:
 
 
 def evaluate(circuit: Circuit, entangler: np.ndarray) -> np.ndarray:
-    """Multiply out a circuit against a concrete entangler matrix. The
-    entangler is checked for unitarity only when a slot applies it bare: a
-    template run carries its product against the entangler it was built
-    from, checked then."""
-    layers, slots = circuit.form
-    if any(isinstance(slot, int) and slot for slot in slots):
+    """Multiply out a circuit against a concrete entangler matrix. A template
+    run multiplies in its product only against the entangler it was built
+    for (the same bytes), checked then; any other entangler is checked for
+    unitarity when a slot applies it, bare or in a run multiplied out."""
+    entangler = np.asarray(entangler, dtype=complex)
+    built_for = entangler.tobytes()
+    if any(slot if isinstance(slot, int) else slot.entangler != built_for
+           for slot in circuit.slots):
         require_unitary(entangler, "entangler")
-    return circuit.phase * _product(layers, slots, entangler)
+    return circuit.phase * _product(circuit.layers, circuit.slots, entangler, built_for)
 
 
-def _product(layers: np.ndarray, slots: list, entangler: np.ndarray) -> np.ndarray:
+def _product(layers: np.ndarray, slots: list, entangler: np.ndarray,
+             built_for: bytes = b"") -> np.ndarray:
     """evaluate's product, entangler already checked; every layer's
-    Kronecker product comes from one stacked tensor call."""
+    Kronecker product comes from one stacked tensor call. A run built for
+    other entangler bytes than built_for is multiplied out as expand
+    orders it."""
     krons = tensor(layers[:, 0], layers[:, 1]) if len(layers) else ()
     out = ID4.copy()
     for i, slot in enumerate(slots):
@@ -297,8 +275,13 @@ def _product(layers: np.ndarray, slots: list, entangler: np.ndarray) -> np.ndarr
         if isinstance(slot, int):
             for _ in range(slot):
                 out = entangler @ out
-        else:
+        elif slot.entangler == built_for:
             out = slot.product @ out
+        else:
+            run = tensor(slot.layers[:, 0], slot.layers[:, 1])
+            out = entangler @ out
+            for k in range(slot.reps * slot.apps - 1):
+                out = entangler @ (run[k % slot.apps] @ out)
     return out
 
 

@@ -179,7 +179,7 @@ def parse_circuit_document(text: str) -> CircuitDocument:
         if not np.isfinite(phase):
             raise ValueError(f"circuit phase has non-finite modulus {abs(phase)!r}")
         return CircuitDocument(entangler=payload["entangler"],
-                               circuit=Circuit.stacked(layers, slots, phase),
+                               circuit=Circuit(layers, slots, phase),
                                tolerances=tolerances, report=payload.get("report"))
     except (KeyError, TypeError, IndexError) as exc:
         raise ValueError(f"malformed circuit document: {exc}") from exc

@@ -215,9 +215,10 @@ def choose_unit(entangler: np.ndarray, *, dec: KakDecomposition | None = None) -
 
 
 # A template run, one circuit slot: reps repetitions of a unit of apps
-# applications, with its product against the entangler it was built for.
-# Expanded, application k (from 1) is followed by layers[(k - 1) % apps].
-_Run = namedtuple("_Run", "layers reps apps product")
+# applications, with its product against the entangler it was built for,
+# whose complex128 bytes it keeps. Expanded, application k (from 1) is
+# followed by layers[(k - 1) % apps].
+_Run = namedtuple("_Run", "layers reps apps product entangler")
 
 
 @dataclass(eq=False)
@@ -230,6 +231,7 @@ class ZzTemplate:
     apps_per_unit - 1 inner layers, then the seam. powers[k] is
     (seam . core)^(2^k) up to the largest m = n needs, so a run's product
     C (S C)^(m-1) takes O(log m) matmuls and O(log n) matrices whatever n.
+    The products are taken against the entangler whose bytes it keeps.
     """
 
     gamma: float
@@ -240,6 +242,7 @@ class ZzTemplate:
     phase: complex
     core_product: np.ndarray
     run_layers: np.ndarray
+    entangler: bytes
     seam: LocalPair | None = None
     step_phase: complex = 1.0
     powers: list = field(default_factory=list)
@@ -252,7 +255,7 @@ class ZzTemplate:
             if (m - 1) >> k & 1:
                 product = product @ power
         phase = self.phase if m == 1 else self.phase * self.step_phase ** (m - 1)
-        return _Run(self.run_layers, m, self.apps_per_unit, product), phase
+        return _Run(self.run_layers, m, self.apps_per_unit, product, self.entangler), phase
 
 
 def amplify(unit: ZzResource, entangler: np.ndarray) -> ZzTemplate:
@@ -263,8 +266,10 @@ def amplify(unit: ZzResource, entangler: np.ndarray) -> ZzTemplate:
     """
     n, apps = repetitions(unit.gamma), unit.apps_per_unit
     layers, phase = merge_locals(unit.chains, unit.phase)
+    entangler = np.asarray(entangler, dtype=complex)
     template = ZzTemplate(unit.gamma, apps, n, LocalPair(*layers[0]), LocalPair(*layers[-1]),
-                          phase, _product(layers[1:-1], [1] * apps, entangler), layers[1:-1])
+                          phase, _product(layers[1:-1], [1] * apps, entangler), layers[1:-1],
+                          entangler.tobytes())
     if n > 1:
         # The seam is the merged last layer times the merged first, with
         # the phase one more repetition adds.

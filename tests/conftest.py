@@ -53,6 +53,23 @@ def near_edge(u: np.ndarray, error: float, rng: np.random.Generator) -> np.ndarr
     return u + e * (error / first_order)
 
 
+def circuit_of(elements: list, phase: complex = 1.0 + 0.0j) -> Circuit:
+    """Reference array form of an element list of LocalPair layers,
+    EntanglerApp markers and template runs, each run alone between layers."""
+    pairs, slots = [], [0]
+    for elem in elements:
+        if isinstance(elem, LocalPair):
+            pairs += (elem.a, elem.b)
+            slots.append(0)
+        elif isinstance(elem, EntanglerApp) and isinstance(slots[-1], int):
+            slots[-1] += 1
+        elif slots[-1] == 0:
+            slots[-1] = elem
+        else:
+            raise ValueError("a template run must stand alone between local layers")
+    return Circuit(np.array(pairs, dtype=complex).reshape(-1, 2, 2, 2), slots, phase)
+
+
 def slot_elements(circuit: Circuit) -> list:
     """A circuit's layers and slots as one element list, a run kept whole."""
     elements, layers = [], circuit.layers
@@ -78,8 +95,8 @@ def expanded(circuit: Circuit) -> Circuit:
             core += [LocalPair(a, b), EntanglerApp()]
         seam = [LocalPair(*elem.layers[-1])] if elem.reps > 1 else []
         elements += core + (seam + core) * (elem.reps - 1)
-    return Circuit([LocalPair(e.a.copy(), e.b.copy()) if isinstance(e, LocalPair) else e
-                    for e in elements], circuit.phase)
+    return circuit_of([LocalPair(e.a.copy(), e.b.copy()) if isinstance(e, LocalPair) else e
+                       for e in elements], circuit.phase)
 
 
 def product_loop(elements: list, entangler: np.ndarray) -> np.ndarray:
@@ -104,7 +121,7 @@ def chains_circuit(chains: list, between: list, phase: complex) -> Circuit:
     elements = layers[0]
     for slot, chain in zip(between, layers[1:]):
         elements += [slot, *chain]
-    return Circuit(elements, phase)
+    return circuit_of(elements, phase)
 
 
 def unit_circuit(unit: ZzResource) -> Circuit:
@@ -142,7 +159,7 @@ class CircuitResource:
 def run_resource(template: ZzTemplate, m: int) -> CircuitResource:
     """The template's m-fold unit as a [first, run, last] resource of angle m * gamma."""
     run, phase = template.run(m)
-    return CircuitResource(Circuit([template.first, run, template.last], phase),
+    return CircuitResource(circuit_of([template.first, run, template.last], phase),
                            m * template.gamma, template.apps_per_unit)
 
 

@@ -6,10 +6,11 @@ import pytest
 from gatesynth import compiler
 from gatesynth.compiler import synthesize
 from gatesynth.gates import B_GATE, CNOT, SQRT_SWAP, SWAP, cphase
-from gatesynth.matcore import DEFAULT_TOL, Circuit, EntanglerApp, LocalPair, evaluate, interaction
+from gatesynth.matcore import (DEFAULT_TOL, Circuit, EntanglerApp, LocalPair, evaluate,
+                               interaction, phase_distance)
 from gatesynth.zzsynth import _Run
 
-from conftest import dress, expanded, haar_unitary, product_loop, slot_elements
+from conftest import circuit_of, dress, expanded, haar_unitary, product_loop, slot_elements
 
 ENTANGLERS = {
     "cnot": lambda rng: CNOT,
@@ -51,7 +52,7 @@ def test_form_agrees_with_its_view(name):
         # more than one application its product rounds differently.
         walked = circuit.phase * product_loop(slot_elements(circuit), entangler)
         assert got.tobytes() == walked.tobytes()
-        flat = evaluate(Circuit(view, circuit.phase), entangler)
+        flat = evaluate(circuit_of(view, circuit.phase), entangler)
         runs = [s for s in circuit.slots if isinstance(s, _Run)]
         if all(run.reps * run.apps == 1 for run in runs):
             assert got.tobytes() == flat.tobytes()
@@ -96,19 +97,31 @@ def test_element_lists_with_bare_applications(rng):
     for elements, slots in (([], [0]), ([app] * 3, [3]), ([layer()], [0, 0]),
                             ([app, layer(), layer(), app, app], [1, 0, 2]),
                             ([layer(), app, app, layer(), app], [0, 2, 1])):
-        circuit = Circuit(elements, 1j)
-        assert circuit.slots == slots and circuit.layers.shape == (len(slots) - 1, 2, 2, 2)
-        assert circuit.counts() == counted(elements)
+        layers = np.array([(e.a, e.b) for e in elements if isinstance(e, LocalPair)],
+                          dtype=complex).reshape(-1, 2, 2, 2)
+        circuit = Circuit(layers, slots, 1j)
+        assert circuit_of(elements, 1j).slots == slots
+        assert circuit.counts() == counted(elements) == counted(circuit.elements)
         flags = [isinstance(e, LocalPair) for e in elements]
         stack, index, kinds = circuit.expand()
         assert kinds == flags and index == list(range(len(stack)))
-        assert stack.tobytes() == np.array([(e.a, e.b) for e in elements if isinstance(
-            e, LocalPair)], dtype=complex).reshape(-1, 2, 2, 2).tobytes()
+        assert stack.tobytes() == layers.tobytes()
+        assert_same_elements(circuit, circuit_of(elements, 1j))
 
 
-def test_run_must_stand_alone_between_layers(rng):
-    circuit, _ = synthesize(haar_unitary(rng), cphase(np.pi / 9))
-    run = next(s for s in circuit.slots if isinstance(s, _Run))
-    for elements in ([EntanglerApp(), run], [run, run], [run, EntanglerApp()]):
-        with pytest.raises(ValueError, match="stand alone"):
-            Circuit(elements).counts()
+def test_evaluate_honours_its_entangler():
+    # A run multiplies in its product only against the entangler it was built
+    # for; against any other it is multiplied out, as its expansion is.
+    circuit, report = synthesize(SWAP, cphase(np.pi / 9))
+    assert any(isinstance(s, _Run) and s.reps > 1 for s in circuit.slots)
+    assert phase_distance(evaluate(circuit, cphase(np.pi / 9)), SWAP) == report.residual
+    assert phase_distance(evaluate(circuit, np.eye(4)), SWAP) > 1
+    # CNOT's runs are one application each, with no bare slot.
+    circuit, report = synthesize(SWAP, CNOT)
+    assert not any(isinstance(s, int) and s for s in circuit.slots)
+    miscalibrated = interaction(np.pi / 2 - 0.05, 0.0, 0.0)
+    got = evaluate(circuit, miscalibrated)
+    assert got.tobytes() == evaluate(expanded(circuit), miscalibrated).tobytes()
+    assert phase_distance(got, SWAP) > 1
+    with pytest.raises(ValueError, match="^entangler is not unitary"):
+        evaluate(circuit, np.ones((4, 4)))

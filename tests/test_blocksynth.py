@@ -15,8 +15,8 @@ from gatesynth.matcore import (Circuit, EntanglerApp, LocalPair, SIGMA_X, SIGMA_
                                evaluate, exp_pauli, phase_distance, tensor, zz_interaction)
 from gatesynth.zzsynth import block_repetitions, fold_angle, prepare_resource, repetitions
 
-from conftest import (CircuitResource, block_circuit, exact_template, expanded, haar_unitary,
-                      repeated, run_resource)
+from conftest import (CircuitResource, block_circuit, circuit_of, exact_template, expanded,
+                      haar_unitary, repeated, run_resource, slot_elements)
 
 ID2 = np.eye(2, dtype=complex)
 
@@ -27,11 +27,11 @@ def unfolded_block(c: float, resource: CircuitResource) -> Circuit:
     u1, u2 = u1_u2(params)
     mid = LocalPair(ID2, exp_pauli("y", (params.b + np.pi) / 2))
     elems = ([LocalPair(ID2, u2)]
-             + resource.circuit.elements
+             + slot_elements(resource.circuit)
              + [mid]
-             + resource.circuit.elements
+             + slot_elements(resource.circuit)
              + [LocalPair(ID2, u1)])
-    return Circuit(elems, phase=resource.circuit.phase ** 2)
+    return circuit_of(elems, phase=resource.circuit.phase ** 2)
 
 
 class TestBlockParams:

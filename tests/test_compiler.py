@@ -19,9 +19,9 @@ from gatesynth.zzsynth import (KX_DAG, KX_KY_DAG, KY_FACTOR, MAX_APPLICATIONS, Z
                                ZzTemplate, block_repetitions, choose_unit, extract_zz,
                                fold_angle, prepare_resource, repetitions, uniform_bound)
 
-from conftest import (FOLD_BRANCHES, CircuitResource, block_circuit, dress, expanded,
-                      haar_unitary, near_edge, product_loop, random_local, run_resource,
-                      slot_elements, unit_circuit)
+from conftest import (FOLD_BRANCHES, CircuitResource, block_circuit, circuit_of, dress,
+                      expanded, haar_unitary, near_edge, product_loop, random_local,
+                      run_resource, slot_elements, unit_circuit)
 
 
 def spy_unitarity_checks(monkeypatch) -> list:
@@ -157,7 +157,7 @@ class TestSynthesize:
         with pytest.raises(ValueError, match="^entangler is not unitary"):
             synthesize(CNOT, big)
         with pytest.raises(ValueError, match="^entangler is not unitary"):
-            evaluate(Circuit([EntanglerApp()]), big)
+            evaluate(circuit_of([EntanglerApp()]), big)
         with pytest.raises(ValueError, match="^input is not unitary"):
             controlled_u_gamma(np.full((2, 2), 1e200))
 
@@ -446,7 +446,7 @@ class TestUpperBound:
 def fused(circuit: Circuit) -> Circuit:
     """circuit with its adjacent local layers (a 0 slot between them) fused
     by merge_locals, one chain per such run of layers; every other slot kept."""
-    layers, slots = circuit.form
+    layers, slots = circuit.layers, circuit.slots
     chains, kept = [], []
     for (a, b), slot in zip(layers, slots):
         if chains and slot == 0:
@@ -455,31 +455,31 @@ def fused(circuit: Circuit) -> Circuit:
             chains.append([a, b])
             kept.append(slot)
     if not chains:
-        return Circuit.stacked(layers, slots, circuit.phase)
+        return Circuit(layers, slots, circuit.phase)
     layers, phase = merge_locals(chains, circuit.phase)
-    return Circuit.stacked(layers, kept + slots[-1:], phase)
+    return Circuit(layers, kept + slots[-1:], phase)
 
 
 class TestMergeLocals:
     def test_two_locals_merge(self, rng):
         l1 = LocalPair(haar_unitary(rng, 2), haar_unitary(rng, 2))
         l2 = LocalPair(haar_unitary(rng, 2), haar_unitary(rng, 2))
-        circ = Circuit([l1, l2])
+        circ = circuit_of([l1, l2])
         merged = fused(circ)
         assert merged.local_count == 1
         np.testing.assert_allclose(evaluate(merged, CNOT), evaluate(circ, CNOT), atol=1e-12)
 
     def test_merge_between_entanglers_only(self, rng):
         mk = lambda: LocalPair(haar_unitary(rng, 2), haar_unitary(rng, 2))
-        circ = Circuit([mk(), EntanglerApp(), mk(), mk(), EntanglerApp()])
+        circ = circuit_of([mk(), EntanglerApp(), mk(), mk(), EntanglerApp()])
         merged = fused(circ)
         kinds = [type(e).__name__ for e in merged.elements]
         assert kinds == ["LocalPair", "EntanglerApp", "LocalPair", "EntanglerApp"]
         np.testing.assert_allclose(evaluate(merged, CNOT), evaluate(circ, CNOT), atol=1e-12)
 
     def test_no_adjacent_locals_and_det_one(self, rng):
-        circ = Circuit([LocalPair(haar_unitary(rng, 2), haar_unitary(rng, 2))
-                        for _ in range(5)], phase=1j)
+        circ = circuit_of([LocalPair(haar_unitary(rng, 2), haar_unitary(rng, 2))
+                           for _ in range(5)], phase=1j)
         merged = fused(circ)
         assert merged.local_count == 1
         layer = merged.elements[0]
@@ -495,7 +495,7 @@ class TestMergeLocals:
 def merge_locals_loop(circuit: Circuit) -> Circuit:
     """Reference for fused: one det, sqrt and divide per layer, in a loop."""
     merged: list = []
-    for elem in circuit.elements:
+    for elem in slot_elements(circuit):
         if isinstance(elem, LocalPair) and merged and isinstance(merged[-1], LocalPair):
             prev = merged[-1]
             merged[-1] = LocalPair(elem.a @ prev.a, elem.b @ prev.b)
@@ -508,7 +508,7 @@ def merge_locals_loop(circuit: Circuit) -> Circuit:
             scale_b = np.sqrt(np.linalg.det(elem.b))
             phase *= scale_a * scale_b
             merged[i] = LocalPair(elem.a / scale_a, elem.b / scale_b)
-    return Circuit(merged, phase)
+    return circuit_of(merged, phase)
 
 
 def assert_bit_identical(x: Circuit, y: Circuit) -> None:
@@ -528,22 +528,23 @@ class TestMergeLocalsBitIdentity:
             elements = [EntanglerApp() if rng.random() < 0.3
                         else LocalPair(haar_unitary(rng, 2), haar_unitary(rng, 2))
                         for _ in range(rng.integers(1, 40))]
-            circ = Circuit(elements, phase=complex(np.exp(1j * rng.uniform(0, 2 * np.pi))))
+            circ = circuit_of(elements, phase=complex(np.exp(1j * rng.uniform(0, 2 * np.pi))))
             assert_bit_identical(fused(circ), merge_locals_loop(circ))
 
     def test_unmerged_block_circuits(self, rng):
         for ent in (CNOT, cphase(np.pi / 9), dress(interaction(1.0, 0.6, 0.3), rng)):
             template = prepare_resource(ent)
             first, second = block_circuit(0.7, template), block_circuit(2.1, template)
-            circ = Circuit(first.elements + second.elements, first.phase * second.phase)
+            circ = circuit_of(slot_elements(first) + slot_elements(second),
+                              first.phase * second.phase)
             assert_bit_identical(fused(circ), merge_locals_loop(circ))
 
     def test_entangler_only(self):
-        circ = Circuit([EntanglerApp(), EntanglerApp()], phase=1j)
+        circ = circuit_of([EntanglerApp(), EntanglerApp()], phase=1j)
         assert_bit_identical(fused(circ), merge_locals_loop(circ))
 
     def test_empty(self):
-        assert_bit_identical(fused(Circuit()), merge_locals_loop(Circuit()))
+        assert_bit_identical(fused(circuit_of([])), merge_locals_loop(circuit_of([])))
 
 
 SKELETON_ENTANGLERS = ("cnot", "cphase_pi_9", "b", "sqrt_swap", "case3_dressed",
@@ -557,12 +558,12 @@ def object_block(c: float, resource: CircuitResource) -> Circuit:
     h, pre, post, fold_phase = fold_angle(c)
     halves = block_locals(c, h, pre, post, resource.gamma)
     if h == 0.0:
-        return Circuit([LocalPair(*halves)], fold_phase)
+        return circuit_of([LocalPair(*halves)], fold_phase)
     pre_a, u2, mid, post_a, u1 = halves
     unit = resource.circuit
-    elements = ([LocalPair(pre_a, u2)] + unit.elements + [LocalPair(ID2, mid)]
-                + unit.elements + [LocalPair(post_a, u1)])
-    return Circuit(elements, unit.phase ** 2 if h == c else fold_phase * unit.phase ** 2)
+    elements = ([LocalPair(pre_a, u2)] + slot_elements(unit) + [LocalPair(ID2, mid)]
+                + slot_elements(unit) + [LocalPair(post_a, u1)])
+    return circuit_of(elements, unit.phase ** 2 if h == c else fold_phase * unit.phase ** 2)
 
 
 def object_assembly(c: tuple[float, float, float], dec: KakDecomposition,
@@ -577,9 +578,9 @@ def object_assembly(c: tuple[float, float, float], dec: KakDecomposition,
                              (c1, LocalPair(dec.k1.a @ KX_DAG, dec.k1.b @ KX_DAG))):
         m = block_repetitions(fold_angle(c_i)[0], template.gamma, template.n)
         block = object_block(c_i, run_resource(template, m))
-        elements += block.elements + [interleaver]
+        elements += slot_elements(block) + [interleaver]
         phase *= block.phase
-    return Circuit(elements, phase)
+    return circuit_of(elements, phase)
 
 
 def captured_calls(monkeypatch, rng) -> list:
@@ -673,11 +674,12 @@ class TestStackedLayersBitIdentical:
             # One repetition: first, the core (a run of one), last.
             assert_bit_identical(run_resource(template, 1).circuit, merged)
             if template.n > 1:
-                seam = fused(Circuit(merged.elements[-1:] + merged.elements[:1], merged.phase))
-                assert_bit_identical(Circuit([template.seam], template.step_phase), seam)
+                ends = slot_elements(merged)
+                seam = fused(circuit_of(ends[-1:] + ends[:1], merged.phase))
+                assert_bit_identical(circuit_of([template.seam], template.step_phase), seam)
         layer = LocalPair(haar_unitary(rng, 2), haar_unitary(rng, 2))
-        for raw in (Circuit([EntanglerApp()], phase=1j), Circuit([layer], phase=-1j),
-                    Circuit([EntanglerApp(), layer, EntanglerApp()])):
+        for raw in (circuit_of([EntanglerApp()], phase=1j), circuit_of([layer], phase=-1j),
+                    circuit_of([EntanglerApp(), layer, EntanglerApp()])):
             assert_bit_identical(fused(raw), merge_locals_loop(raw))
 
     def test_exact_zeros_keep_their_values(self, rng):
@@ -686,7 +688,7 @@ class TestStackedLayersBitIdentical:
         # only the values of exact zeros are kept, not their signs.
         signed = np.array([[1, complex(-0.0, -0.0)], [complex(-0.0, 0.0), 1]])
         long = [LocalPair(haar_unitary(rng, 2), haar_unitary(rng, 2)) for _ in range(3)]
-        circ = Circuit(long + [EntanglerApp(), LocalPair(signed, signed.copy())])
+        circ = circuit_of(long + [EntanglerApp(), LocalPair(signed, signed.copy())])
         merged, want = fused(circ), merge_locals_loop(circ)
         assert merged.phase == want.phase
         for got, ref in zip(merged.elements, want.elements):
@@ -797,8 +799,9 @@ class TestResourceMemo:
     def test_mutating_a_result_leaves_the_memo_intact(self, preparations, rng):
         target = haar_unitary(rng)
         first, _ = synthesize(target, cphase(np.pi / 9))
-        snapshot = Circuit([LocalPair(e.a.copy(), e.b.copy()) if isinstance(e, LocalPair)
-                            else e for e in first.elements], first.phase)
+        view = first.elements  # built fresh on each read: this one list is written below
+        snapshot = circuit_of([LocalPair(e.a.copy(), e.b.copy()) if isinstance(e, LocalPair)
+                               else e for e in view], first.phase)
         # A block of m units (E L E ... E) holds m - 1 seam layers per
         # insertion, all equal to the memo's seam; the first one is mutated,
         # and only it may change.
@@ -808,17 +811,18 @@ class TestResourceMemo:
                              and np.array_equal(e.b, f.b))
         index = next(i for i, e in enumerate(snapshot.elements) if isinstance(e, LocalPair)
                      and sum(same(f, e) for f in snapshot.elements) > 1)
-        inner = first.elements[index]
+        inner = view[index]
         repeats = [i for i, e in enumerate(snapshot.elements) if same(e, inner)]
         assert len(repeats) == 2 * sum(m - 1 for m in ms if m)
         inner.a[...] = 0
-        for i, (elem, kept) in enumerate(zip(first.elements, snapshot.elements)):
+        for i, (elem, kept) in enumerate(zip(view, snapshot.elements)):
             if isinstance(elem, LocalPair) and i != index:
                 assert np.array_equal(elem.a, kept.a) and np.array_equal(elem.b, kept.b)
-        for elem in first.elements:
+        for elem in view:
             if isinstance(elem, LocalPair):
                 elem.a[...] = 0
                 elem.b[...] = 0
+        assert_bit_identical(first, snapshot)
         second, _ = synthesize(target, cphase(np.pi / 9))
         assert len(preparations) == 1
         assert_bit_identical(second, snapshot)
@@ -850,12 +854,12 @@ def synthesize_expanded(target: np.ndarray, entangler: np.ndarray,
                            (c2, LocalPair(KX_KY_DAG, KX_KY_DAG)),
                            (c1, LocalPair(dec.k1.a @ KX_DAG, dec.k1.b @ KX_DAG))):
         m = max(1, int(np.ceil(min(c, np.pi - c) / (2 * unit.gamma))))
-        m_units = Circuit(merged.elements * m, merged.phase ** m)
+        m_units = circuit_of(merged.elements * m, merged.phase ** m)
         resource = CircuitResource(m_units, m * unit.gamma, unit.apps_per_unit)
         block = object_block(c, resource)
         elements += block.elements + [interleaver]
         phase *= block.phase
-    return fused(Circuit(elements, phase))
+    return fused(circuit_of(elements, phase))
 
 
 TEMPLATE_ENTANGLERS = {

@@ -4,14 +4,14 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from gatesynth.matcore import (MAX_TOLERANCE, Circuit, EntanglerApp, LocalPair,
+from gatesynth.matcore import (MAX_TOLERANCE, EntanglerApp, LocalPair,
                                SIGMA_X, SIGMA_Y, SIGMA_Z, ToleranceConfig,
                                evaluate, exp_pauli, interaction, merge_locals,
                                phase_distance, project_special_rows,
                                require_unitary, tensor, unitarity_error,
                                zz_interaction)
 
-from conftest import haar_unitary
+from conftest import circuit_of, haar_unitary
 
 ID2 = np.eye(2, dtype=complex)
 ID4 = np.eye(4, dtype=complex)
@@ -117,11 +117,11 @@ def test_phase_distance_bit_identical_to_trace_and_norm():
 
 class TestEvaluate:
     def test_empty(self):
-        np.testing.assert_array_equal(evaluate(Circuit([]), zz_interaction(1.0)), ID4)
+        np.testing.assert_array_equal(evaluate(circuit_of([]), zz_interaction(1.0)), ID4)
 
     def test_single_local(self, rng):
         a, b = haar_unitary(rng, 2), haar_unitary(rng, 2)
-        got = evaluate(Circuit([LocalPair(a, b)]), zz_interaction(1.0))
+        got = evaluate(circuit_of([LocalPair(a, b)]), zz_interaction(1.0))
         np.testing.assert_allclose(got, tensor(a, b), atol=1e-15)
 
     def test_block_circuit_matches_product_oracle(self):
@@ -131,8 +131,8 @@ class TestEvaluate:
         u1 = np.array([[1j * p, 1j * q], [-q, p]])
         u2 = np.array([[1j * p, -q], [-1j * q, -p]])
         mid = exp_pauli("y", (np.pi / 2 + np.pi) / 2)
-        circ = Circuit([LocalPair(ID2, u2), EntanglerApp(),
-                        LocalPair(ID2, mid), EntanglerApp(), LocalPair(ID2, u1)])
+        circ = circuit_of([LocalPair(ID2, u2), EntanglerApp(),
+                           LocalPair(ID2, mid), EntanglerApp(), LocalPair(ID2, u1)])
         res = zz_interaction(np.pi / 2)
         oracle = (tensor(ID2, u1) @ res @ tensor(ID2, mid) @ res @ tensor(ID2, u2))
         got = evaluate(circ, res)
@@ -140,16 +140,16 @@ class TestEvaluate:
         assert phase_distance(got, zz_interaction(np.pi / 2)) < 1e-14
 
     def test_concat_is_reversed_product(self, rng):
-        a = Circuit([LocalPair(haar_unitary(rng, 2), haar_unitary(rng, 2))], phase=1j)
-        b = Circuit([EntanglerApp(), LocalPair(haar_unitary(rng, 2), haar_unitary(rng, 2))])
+        a = circuit_of([LocalPair(haar_unitary(rng, 2), haar_unitary(rng, 2))], phase=1j)
+        b = circuit_of([EntanglerApp(), LocalPair(haar_unitary(rng, 2), haar_unitary(rng, 2))])
         ent = haar_unitary(rng)
         np.testing.assert_allclose(
-            evaluate(Circuit(a.elements + b.elements, a.phase * b.phase), ent),
+            evaluate(circuit_of(a.elements + b.elements, a.phase * b.phase), ent),
             evaluate(b, ent) @ evaluate(a, ent), atol=1e-13)
 
     def test_rejects_nonunitary_entangler(self):
         with pytest.raises(ValueError):
-            evaluate(Circuit([EntanglerApp()]), np.ones((4, 4), dtype=complex))
+            evaluate(circuit_of([EntanglerApp()]), np.ones((4, 4), dtype=complex))
 
 
 def project_special(u):

@@ -13,7 +13,7 @@ README = (Path(__file__).resolve().parents[1] / "README.md").read_text()
 MODULES = ("blocksynth", "cli", "compiler", "gates", "kak", "matcore", "serialize", "zzsynth")
 # What README, scripts/ and perfbench/ import from the package root.
 ROOT_NAMES = {"synthesize", "upper_bound", "kak_decompose", "efficient_as_cnot",
-              "zz_interaction", "LocalPair"}
+              "zz_interaction"}
 
 
 def qualified_names(text: str) -> list[str]:

@@ -11,7 +11,7 @@ from gatesynth.matcore import Circuit, EntanglerApp, LocalPair, ToleranceConfig,
 from gatesynth.serialize import (CircuitDocument, decode_matrix, emit_circuit_document,
                                  encode_matrix, parse_circuit_document)
 
-from conftest import haar_unitary, matrix_json
+from conftest import circuit_of, haar_unitary, matrix_json
 
 # Written by an earlier version (indented JSON): CNOT from ZZ(pi/3).
 INDENTED_DOCUMENT = Path(__file__).parent / "data" / "cnot_from_zz_pi3_indented.json"
@@ -85,7 +85,7 @@ class TestMatrixFormat:
 
 class TestCircuitDocument:
     def _sample_doc(self, rng) -> CircuitDocument:
-        circuit = Circuit(
+        circuit = circuit_of(
             [LocalPair(haar_unitary(rng, 2), haar_unitary(rng, 2)),
              EntanglerApp(),
              LocalPair(haar_unitary(rng, 2), haar_unitary(rng, 2))],
@@ -102,8 +102,9 @@ class TestCircuitDocument:
     def test_roundtrip_lossless(self, rng):
         doc = self._sample_doc(rng)
         # Signed zeros and subnormals must survive the stacked encode.
-        doc.circuit.elements.append(LocalPair(np.array([[1, -0.0], [5e-324j, -1]]),
-                                              np.array([[-0.0 - 0.0j, 1], [1, 2.2e-308]])))
+        layer = (np.array([[1, -0.0], [5e-324j, -1]]), np.array([[-0.0 - 0.0j, 1], [1, 2.2e-308]]))
+        doc.circuit.layers = np.concatenate((doc.circuit.layers, [layer]))
+        doc.circuit.slots.append(0)
         text = emit_circuit_document(doc)
         assert "\n" not in text
         assert text == json.dumps(json.loads(text))
@@ -208,7 +209,7 @@ class TestCircuitDocument:
         assert 1e-8 < scale - 1 < 1.2e-8
         for phase, accepted in ((1 / scale, True), (1.0, False)):
             doc = CircuitDocument({"matrix": encode_matrix(entangler)},
-                                  Circuit([EntanglerApp()] * 606, phase))
+                                  circuit_of([EntanglerApp()] * 606, phase))
             if accepted:
                 doc.check_phase(entangler)
             else:
@@ -230,13 +231,13 @@ class TestCircuitDocument:
                              ids=["zero", "scaled", "nan", "too_large_to_square"])
     def test_rejects_non_unitary_local_layer(self, rng, layer, wording):
         doc = self._sample_doc(rng)
-        doc.circuit.elements[2].b = layer
+        doc.circuit.layers[1, 1] = layer  # element 2's b
         with pytest.raises(ValueError, match=f"element 2 {wording}"):
             parse_circuit_document(emit_circuit_document(doc))
 
     def test_unitarity_tolerance_is_fixed(self, rng):
         doc = self._sample_doc(rng)
-        doc.circuit.elements[0].a = doc.circuit.elements[0].a * (1 + 1e-8)
+        doc.circuit.layers[0, 0] *= 1 + 1e-8  # element 0's a
         with pytest.raises(ValueError, match="element 0 is not unitary within tolerance 1e-10"):
             parse_circuit_document(emit_circuit_document(doc))
 
@@ -378,7 +379,7 @@ class TestStackedDecode:
     def test_document_without_local_layers(self, monkeypatch):
         monkeypatch.setattr(serialize, "decode_matrix", None)
         payload = json.loads(emit_circuit_document(CircuitDocument(
-            {"name": "CNOT"}, Circuit([EntanglerApp()] * 3))))
+            {"name": "CNOT"}, circuit_of([EntanglerApp()] * 3))))
         circuit = parse_circuit_document(json.dumps(payload)).circuit
         assert circuit.layers.shape == (0, 2, 2, 2)
         assert circuit.entangler_count == 3

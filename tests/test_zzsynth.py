@@ -29,12 +29,12 @@ class TestExtractZz:
         check_resource(r, CNOT)
 
     def test_units_cannot_write_module_constants(self):
-        # The unit's last layer is zzsynth.KX_FACTOR itself; it is read-only,
-        # so a caller's write cannot corrupt later syntheses.
-        layer = unit_circuit(extract_zz(CNOT)).elements[-1]
-        assert layer.a is zzsynth.KX_FACTOR
+        # The unit's last layer is zzsynth.KX_FACTOR itself on each qubit; it
+        # is read-only, so a caller's write cannot corrupt later syntheses.
+        half = extract_zz(CNOT).chains[-1][-2]
+        assert half is zzsynth.KX_FACTOR
         with pytest.raises(ValueError, match="read-only"):
-            layer.a[...] = np.eye(2)
+            half[...] = np.eye(2)
         for layer in fold_angle(2.0)[1:3]:  # every fold layer is shared too
             with pytest.raises(ValueError, match="read-only"):
                 layer.a[...] = np.eye(2)
