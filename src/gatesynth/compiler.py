@@ -126,7 +126,8 @@ def synthesize(target: np.ndarray, entangler: np.ndarray,
     KAK; a hit decomposes the target alone. Raises ValueError for invalid
     input, naming the target or the entangler, and when the entangler's
     unitarity error amplified over its applications explains a failed
-    check; ArithmeticError for any other failed check.
+    check; ArithmeticError for any other failed check, or a circuit over
+    the uniform bound.
     """
     target = np.asarray(target, dtype=complex)
     entangler = np.asarray(entangler, dtype=complex)
@@ -169,7 +170,9 @@ def synthesize(target: np.ndarray, entangler: np.ndarray,
     report = SynthesisReport(template.n * template.gamma, template.apps_per_unit, template.n,
                              entangler_count=entangler_count,
                              local_count=local_count, residual=residual)
-    assert report.entangler_count <= report.bound
+    if report.entangler_count > report.bound:  # the paper's bound; kept under python -O
+        raise ArithmeticError(f"{report.entangler_count} applications exceed the uniform "
+                              f"bound {report.bound}")
     return circuit, report
 
 

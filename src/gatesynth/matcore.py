@@ -266,23 +266,24 @@ def _product(layers: np.ndarray, slots: list, entangler: np.ndarray,
     """evaluate's product, entangler already checked; every layer's
     Kronecker product comes from one stacked tensor call. A run built for
     other entangler bytes than built_for is multiplied out as expand
-    orders it."""
+    orders it. The product starts at the first element, not at the
+    identity, and is a fresh array."""
     krons = tensor(layers[:, 0], layers[:, 1]) if len(layers) else ()
-    out = ID4.copy()
+    out = None  # no element yet
     for i, slot in enumerate(slots):
         if i:
-            out = krons[i - 1] @ out
+            out = krons[i - 1] if out is None else krons[i - 1] @ out
         if isinstance(slot, int):
             for _ in range(slot):
-                out = entangler @ out
+                out = entangler.copy() if out is None else entangler @ out
         elif slot.entangler == built_for:
-            out = slot.product @ out
+            out = slot.product.copy() if out is None else slot.product @ out
         else:
             run = tensor(slot.layers[:, 0], slot.layers[:, 1])
-            out = entangler @ out
+            out = entangler.copy() if out is None else entangler @ out
             for k in range(slot.reps * slot.apps - 1):
                 out = entangler @ (run[k % slot.apps] @ out)
-    return out
+    return ID4.copy() if out is None else out
 
 
 def merge_locals(chains: list, phase: complex) -> tuple[np.ndarray, complex]:

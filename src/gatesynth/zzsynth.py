@@ -220,6 +220,11 @@ def choose_unit(entangler: np.ndarray, *, dec: KakDecomposition | None = None) -
 # followed by layers[(k - 1) % apps].
 _Run = namedtuple("_Run", "layers reps apps product entangler")
 
+# A template stores its runs of m <= RUN_TABLE_SIZE repetitions, whatever n
+# is: an entry (the run, its 4x4 product and its phase) takes about 640
+# bytes, so a full table 41 KB (measured). Longer runs are built per call.
+RUN_TABLE_SIZE = 64
+
 
 @dataclass(eq=False)
 class ZzTemplate:
@@ -232,6 +237,11 @@ class ZzTemplate:
     (seam . core)^(2^k) up to the largest m = n needs, so a run's product
     C (S C)^(m-1) takes O(log m) matmuls and O(log n) matrices whatever n.
     The products are taken against the entangler whose bytes it keeps.
+
+    run_table keeps the (run, phase) of each m <= RUN_TABLE_SIZE once built,
+    so a reused template multiplies no run twice; its products are
+    read-only, shared by every circuit that holds the run. Two threads may
+    both build an entry: the same bits, and both return the one stored.
     """
 
     gamma: float
@@ -247,15 +257,25 @@ class ZzTemplate:
     step_phase: complex = 1.0
     powers: list = field(default_factory=list)
     unitarity_error: float = 0.0  # the entangler's, set by prepare_resource
+    run_table: dict = field(default_factory=dict, repr=False)
 
     def run(self, m: int) -> tuple[_Run, complex]:
-        """The run of m repetitions, and the phase of the m-fold unit."""
+        """The run of m repetitions, m in 1..n, and the phase of the m-fold unit."""
+        stored = self.run_table.get(m)
+        if stored is not None:
+            return stored
+        if not 1 <= m <= self.n:
+            raise ValueError(f"{m} repetitions outside 1..{self.n}")
         product = self.core_product
         for k, power in enumerate(self.powers):
             if (m - 1) >> k & 1:
                 product = product @ power
         phase = self.phase if m == 1 else self.phase * self.step_phase ** (m - 1)
-        return _Run(self.run_layers, m, self.apps_per_unit, product, self.entangler), phase
+        built = _Run(self.run_layers, m, self.apps_per_unit, product, self.entangler), phase
+        if m > RUN_TABLE_SIZE:
+            return built
+        product.flags.writeable = False
+        return self.run_table.setdefault(m, built)
 
 
 def amplify(unit: ZzResource, entangler: np.ndarray) -> ZzTemplate:

@@ -7,7 +7,7 @@ import pytest
 from gatesynth.blocksynth import synth_zz_block
 from gatesynth.matcore import ID2, Circuit, EntanglerApp, LocalPair, zz_interaction
 from gatesynth.serialize import encode_matrix
-from gatesynth.zzsynth import ZzResource, ZzTemplate, amplify
+from gatesynth.zzsynth import ZzResource, ZzTemplate, _Run, amplify
 
 
 # Entanglers by the fold their unit takes, the same as the paper's unit and
@@ -154,6 +154,17 @@ class CircuitResource:
     circuit: Circuit
     gamma: float
     apps_per_unit: int
+
+
+def uncached_run(template: ZzTemplate, m: int) -> tuple[_Run, complex]:
+    """Reference template.run(m), built afresh: the core product times the
+    powers of (seam . core) the bits of m - 1 select, and the phase power."""
+    product = template.core_product
+    for k, power in enumerate(template.powers):
+        if (m - 1) >> k & 1:
+            product = product @ power
+    phase = template.phase if m == 1 else template.phase * template.step_phase ** (m - 1)
+    return _Run(template.run_layers, m, template.apps_per_unit, product, template.entangler), phase
 
 
 def run_resource(template: ZzTemplate, m: int) -> CircuitResource:

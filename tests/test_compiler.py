@@ -4,7 +4,7 @@ import itertools
 import numpy as np
 import pytest
 
-from gatesynth import blocksynth, compiler, gates, kak, matcore, serialize, zzsynth
+from gatesynth import blocksynth, cli, compiler, gates, kak, matcore, serialize, zzsynth
 from gatesynth.blocksynth import block_locals, controlled_u_gamma
 from gatesynth.compiler import (efficient_as_cnot, merge_locals, synthesize,
                                 upper_bound)
@@ -216,6 +216,17 @@ class TestAmplifiedEntanglerError:
         monkeypatch.setattr(compiler, "phase_distance", lambda a, b: 1e-3)
         with pytest.raises(ArithmeticError, match="synthesis verification failed"):
             synthesize(SWAP, entangler)
+
+    def test_a_circuit_over_the_uniform_bound_raises(self, monkeypatch, capsys):
+        # The bound's check is a raise, not an assert, so python -O keeps it;
+        # SWAP from CNOT applies it 6 times, one more than this bound.
+        monkeypatch.setattr(compiler, "uniform_bound", lambda n, apps: 6 * n * apps - 1)
+        with pytest.raises(ArithmeticError, match="^6 applications exceed the uniform bound 5$"):
+            synthesize(SWAP, CNOT)
+        assert cli.main(["synth", "--target", "SWAP", "--entangler", "CNOT"]) == cli.EXIT_VERIFY
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == "verification failure: 6 applications exceed the uniform bound 5\n"
 
 
 NORMAL_FORM_ENTANGLERS = {
@@ -823,8 +834,15 @@ class TestResourceMemo:
                 elem.a[...] = 0
                 elem.b[...] = 0
         assert_bit_identical(first, snapshot)
+        # Its runs are the template's stored ones: their products are read-only.
+        runs = [slot for slot in first.slots if not isinstance(slot, int)]
+        assert any(run.reps > 1 for run in runs)
+        for run in runs:
+            with pytest.raises(ValueError, match="read-only"):
+                run.product[0, 0] = 0
         second, _ = synthesize(target, cphase(np.pi / 9))
         assert len(preparations) == 1
+        assert all(a is b for a, b in zip(second.slots, first.slots))
         assert_bit_identical(second, snapshot)
 
 
@@ -991,6 +1009,7 @@ class TestPerBlockRepetition:
             assert rows == [1, 1, 1]  # three memo hits
             assert list(compiler._resource_memo.values()) == [entry]
             assert (len(entry.run_layers), len(entry.powers)) == size
+            assert len(entry.run_table) <= zzsynth.RUN_TABLE_SIZE
         finally:
             compiler._resource_memo.clear()
 

@@ -4,14 +4,16 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from gatesynth.matcore import (MAX_TOLERANCE, EntanglerApp, LocalPair,
+from gatesynth.matcore import (MAX_TOLERANCE, Circuit, EntanglerApp, LocalPair,
                                SIGMA_X, SIGMA_Y, SIGMA_Z, ToleranceConfig,
                                evaluate, exp_pauli, interaction, merge_locals,
                                phase_distance, project_special_rows,
                                require_unitary, tensor, unitarity_error,
                                zz_interaction)
 
-from conftest import circuit_of, haar_unitary
+from gatesynth.zzsynth import _Run
+
+from conftest import circuit_of, haar_unitary, slot_elements
 
 ID2 = np.eye(2, dtype=complex)
 ID4 = np.eye(4, dtype=complex)
@@ -146,6 +148,31 @@ class TestEvaluate:
         np.testing.assert_allclose(
             evaluate(circuit_of(a.elements + b.elements, a.phase * b.phase), ent),
             evaluate(b, ent) @ evaluate(a, ent), atol=1e-13)
+
+    def test_starts_at_the_first_element(self, rng):
+        # Bit for bit the walk that starts at the first element's matrix, not
+        # at the identity: empty, leading bare applications, and a hand-built
+        # run in slot 0, multiplied in (built for ent) or out (other bytes).
+        def walk(elements):
+            out = None
+            for e in elements:
+                m = (ent if isinstance(e, EntanglerApp) else np.kron(e.a, e.b)
+                     if isinstance(e, LocalPair) else e.product)
+                out = m if out is None else m @ out
+            return out
+
+        ent = haar_unitary(rng)
+        layers = np.array([(haar_unitary(rng, 2), haar_unitary(rng, 2)) for _ in range(2)])
+        empty = Circuit(np.empty((0, 2, 2, 2), dtype=complex), [0], 1j)
+        assert evaluate(empty, ent).tobytes() == (1j * ID4).tobytes()
+        bare = Circuit(layers, [1, 0, 2], 1j)
+        assert evaluate(bare, ent).tobytes() == (1j * walk(bare.elements)).tobytes()
+        run_layers = np.array([(haar_unitary(rng, 2), haar_unitary(rng, 2)) for _ in range(2)])
+        for built_for in (ent.tobytes(), b"other"):
+            run = _Run(run_layers, 2, 2, haar_unitary(rng), built_for)
+            circuit = Circuit(layers, [run, 0, 1], 1j)
+            elements = circuit.elements if built_for == b"other" else slot_elements(circuit)
+            assert evaluate(circuit, ent).tobytes() == (1j * walk(elements)).tobytes()
 
     def test_rejects_nonunitary_entangler(self):
         with pytest.raises(ValueError):

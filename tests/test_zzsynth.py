@@ -6,13 +6,16 @@ from gatesynth.gates import B_GATE, CNOT, cphase
 from gatesynth.kak import kak_decompose, snap_angle
 from gatesynth.matcore import (DEFAULT_TOL, ID2, ROUNDOFF, evaluate, interaction,
                                phase_distance, zz_interaction)
-from gatesynth import synthesize, zzsynth
-from gatesynth.zzsynth import (MAX_APPLICATIONS, ZzResource, amplify, block_repetitions,
-                               choose_unit, extract_zz, fold_angle, prepare_resource,
-                               repetitions, uniform_bound)
+from gatesynth import compiler, synthesize, zzsynth
+from gatesynth.zzsynth import (MAX_APPLICATIONS, RUN_TABLE_SIZE, ZzResource, amplify,
+                               block_repetitions, choose_unit, extract_zz, fold_angle,
+                               prepare_resource, repetitions, uniform_bound)
 
-from conftest import (FOLD_BRANCHES, dress, flanked_zz_unit, random_local, repeated,
-                      run_resource, unit_circuit)
+from conftest import (FOLD_BRANCHES, dress, flanked_zz_unit, haar_unitary, random_local,
+                      repeated, run_resource, uncached_run, unit_circuit)
+
+# ZZ(pi/66664): n = 16666, the largest n under the application cap.
+WEAKEST_ZZ = zz_interaction(np.pi / 66664)
 
 
 def check_resource(r: ZzResource, entangler: np.ndarray, tol: float = 1e-9) -> None:
@@ -299,6 +302,85 @@ class TestAmplify:
     def test_rejects_out_of_range(self):
         with pytest.raises(ValueError):
             amplify(flanked_zz_unit(2.0), zz_interaction(2.0))
+
+    def test_core_product_is_a_copy(self):
+        # A one-application unit's core product is the entangler's matrix:
+        # a read-only copy, so the caller's array stays writable.
+        entangler = zz_interaction(np.pi / 5)
+        template = amplify(flanked_zz_unit(np.pi / 5), entangler)
+        assert template.core_product.tobytes() == entangler.tobytes()
+        assert entangler.flags.writeable and not template.core_product.flags.writeable
+
+
+class TestRunTable:
+    def test_runs_equal_the_uncached_loop(self):
+        weak, cap = prepare_resource(cphase(np.pi / 9)), prepare_resource(WEAKEST_ZZ)
+        assert (weak.n, cap.n) == (5, 16666)
+        sampled = [1, 2, 3, RUN_TABLE_SIZE, RUN_TABLE_SIZE + 1, 4097, 8333, 16665, 16666]
+        for template, ms in ((weak, range(1, weak.n + 1)), (cap, sampled)):
+            for m in ms:
+                want, want_phase = uncached_run(template, m)
+                for _ in range(2):  # built, then read from the table (m <= RUN_TABLE_SIZE)
+                    run, phase = template.run(m)
+                    assert run.layers is template.run_layers
+                    assert run[1:3] == want[1:3] and run.entangler == want.entangler
+                    assert run.product.tobytes() == want.product.tobytes()
+                    assert type(phase) is type(want_phase)
+                    assert np.complex128(phase).tobytes() == np.complex128(want_phase).tobytes()
+
+    def test_each_run_is_built_once(self, monkeypatch, rng):
+        built = []
+
+        class Spy(zzsynth._Run):
+            __slots__ = ()
+
+            def __new__(cls, *fields):
+                built.append(fields[1])
+                return super().__new__(cls, *fields)
+
+        monkeypatch.setattr(zzsynth, "_Run", Spy)
+        template = prepare_resource(cphase(np.pi / 9))
+        for m in [1, 2, 3, 4, 5] * 3:
+            assert template.run(m)[0] is template.run(m)[0]
+        assert built == [1, 2, 3, 4, 5]
+        # synthesize builds each block's run once per memoized template.
+        built.clear()
+        compiler._resource_memo.clear()
+        try:
+            used = set()
+            for _ in range(12):
+                circuit, _ = synthesize(haar_unitary(rng), cphase(np.pi / 9))
+                used |= {slot.reps for slot in circuit.slots if not isinstance(slot, int)}
+        finally:
+            compiler._resource_memo.clear()
+        assert len(used) > 2 and sorted(built) == sorted(used)
+
+    def test_stored_products_are_read_only(self):
+        template = prepare_resource(cphase(np.pi / 9))
+        for m in range(1, template.n + 1):
+            run, _ = template.run(m)
+            with pytest.raises(ValueError, match="read-only"):
+                run.product[0, 0] = 0
+        assert sorted(template.run_table) == [1, 2, 3, 4, 5]
+
+    def test_table_never_exceeds_its_cap(self):
+        template = prepare_resource(zz_interaction(np.pi / 400))
+        assert template.n > RUN_TABLE_SIZE
+        for m in range(1, template.n + 1):
+            template.run(m)
+            assert len(template.run_table) == min(m, RUN_TABLE_SIZE)
+        assert sorted(template.run_table) == list(range(1, RUN_TABLE_SIZE + 1))
+        # A longer run is built on each call, as before the table.
+        assert template.run(template.n)[0].product is not template.run(template.n)[0].product
+
+    def test_refuses_repetitions_outside_one_to_n(self):
+        # Out of range, the loop would build a run whose product is not its
+        # expansion (m = 9 on this n = 5 template); nothing is stored.
+        template = prepare_resource(cphase(np.pi / 9))
+        for m in (0, -1, 6, 9):
+            with pytest.raises(ValueError, match=r"outside 1\.\.5$"):
+                template.run(m)
+        assert template.run_table == {}
 
 
 class TestBlockRepetitions:
