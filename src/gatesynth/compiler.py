@@ -64,7 +64,7 @@ def upper_bound(entangler: np.ndarray, *, dec: KakDecomposition | None = None) -
 # Entanglers (with their tolerances) whose resource template synthesize keeps,
 # least recently used dropped first; a caller cycling through a few still hits.
 RESOURCE_MEMO_SIZE = 8
-# (shape, complex128 bytes, tolerances) of an entangler -> its prepare_resource
+# (complex128 bytes, tolerances) of a 4x4 entangler -> its prepare_resource
 # template, least recently used first; errors are never stored. The template
 # keeps the unitarity error the entangler's KAK measured, so a hit does not
 # check the entangler again. Callers only read a template: the runs a returned
@@ -134,7 +134,7 @@ def synthesize(target: np.ndarray, entangler: np.ndarray,
     for name, m in zip(_INPUT_NAMES, (target, entangler)):
         if m.shape != (4, 4):
             raise ValueError(f"expected a 4x4 matrix as the {name}, got shape {m.shape}")
-    key = (entangler.shape, entangler.tobytes(), tol)
+    key = (entangler.tobytes(), tol)
     template = _resource_memo.get(key)
     if template is None:
         # A miss: the target and the new entangler take one stacked KAK.

@@ -133,34 +133,6 @@ def snap_vector(c: CanonicalVector) -> tuple[float, float, float]:
     return tuple(snap_angle(x) for x in c.as_tuple())
 
 
-class _MoveTracker:
-    """Reduces an interaction triple, recording each exact local move.
-
-    The moves are ("swap", i, j), ("negate", i, j) and ("shift", k, m % 4);
-    the local corrections depend on that sequence alone, and _move_locals
-    builds them once per distinct sequence.
-    """
-
-    def __init__(self, raw: tuple[float, float, float]):
-        self.c = list(raw)
-        self.moves: list[tuple] = []
-
-    def swap(self, i: int, j: int) -> None:
-        self.moves.append(("swap", i, j))
-        self.c[i], self.c[j] = self.c[j], self.c[i]
-
-    def negate_pair(self, i: int, j: int) -> None:
-        self.moves.append(("negate", i, j))
-        self.c[i] = -self.c[i]
-        self.c[j] = -self.c[j]
-
-    def shift(self, k: int, m: int) -> None:
-        if m == 0:
-            return
-        self.moves.append(("shift", k, m % 4))
-        self.c[k] = self.c[k] + m * np.pi
-
-
 # Distinct move sequences a sweep of raw triples in [-30, 30]^3 and around
 # chamber landmarks produced: about 4,700. The bound caps memory regardless.
 _MOVE_MEMO_SIZE = 8192
@@ -196,12 +168,13 @@ def _move_locals(moves: tuple) -> tuple[tuple[np.ndarray, ...], complex]:
     return locals_, phase
 
 
-def _sort_descending(t: _MoveTracker) -> None:
+def _sort_descending(c: list, moves: list) -> None:
     # Exact comparisons: equal values never swap, and a near-tie must not
     # hide the true smallest coordinate from the base test below.
     for i, j in ((0, 1), (1, 2), (0, 1)):
-        if t.c[i] < t.c[j]:
-            t.swap(i, j)
+        if c[i] < c[j]:
+            moves.append(("swap", i, j))
+            c[i], c[j] = c[j], c[i]
 
 
 def canonicalize(raw: tuple[float, float, float]) -> tuple[
@@ -218,35 +191,39 @@ def canonicalize(raw: tuple[float, float, float]) -> tuple[
     the fold keep the identity move, so a canonical triple maps to
     itself with identity locals and unit phase. The local matrices are
     read-only: calls with the same moves share them.
+
+    Each move is recorded as ("swap", i, j), ("negate", i, j) or ("shift", k, m % 4),
+    and _move_locals builds the local corrections once per distinct sequence.
     """
-    t = _MoveTracker(tuple(float(x) for x in raw))
+    c = [float(x) for x in raw]
+    moves = []
     # (1) Each coordinate into [-ROUNDOFF, pi - ROUNDOFF) by whole pi shifts.
     for k in range(3):
-        m = -math.floor((t.c[k] + ROUNDOFF) / np.pi)
+        m = -math.floor((c[k] + ROUNDOFF) / np.pi)
         # x + m*pi can round across an edge; land inside so that a second
         # pass over the result shifts nothing.
-        if t.c[k] + m * np.pi < -ROUNDOFF:
+        if c[k] + m * np.pi < -ROUNDOFF:
             m += 1
-        elif t.c[k] + m * np.pi >= np.pi - ROUNDOFF:
+        elif c[k] + m * np.pi >= np.pi - ROUNDOFF:
             m -= 1
-        t.shift(k, m)
+        if m:
+            moves.append(("shift", k, m % 4))
+            c[k] = c[k] + m * np.pi
     # (2) c1 >= c2 >= c3.
-    _sort_descending(t)
+    _sort_descending(c, moves)
     # (3) Reflect through the face c1 + c2 = pi: (pi - c2, pi - c1, c3).
-    if t.c[0] + t.c[1] > np.pi + ROUNDOFF:
-        t.negate_pair(0, 1)
-        t.shift(0, 1)
-        t.shift(1, 1)
-        t.swap(0, 1)
-        _sort_descending(t)
+    if c[0] + c[1] > np.pi + ROUNDOFF:
+        moves += ("negate", 0, 1), ("shift", 0, 1), ("shift", 1, 1), ("swap", 0, 1)
+        c[0], c[1] = np.pi - c[1], np.pi - c[0]
+        _sort_descending(c, moves)
     # (4) Base identification on c3 = 0: (pi - c1, c2, -c3).
-    if abs(t.c[2]) <= ROUNDOFF and t.c[0] > np.pi / 2 + ROUNDOFF:
-        t.negate_pair(0, 2)
-        t.shift(0, 1)
-        _sort_descending(t)
+    if abs(c[2]) <= ROUNDOFF and c[0] > np.pi / 2 + ROUNDOFF:
+        moves += ("negate", 0, 2), ("shift", 0, 1)
+        c[0], c[2] = np.pi - c[0], -c[2]
+        _sort_descending(c, moves)
 
-    vec = CanonicalVector(*(x + 0.0 for x in t.c))  # -0.0 -> +0.0
-    (pre_a, pre_b, post_a, post_b), phase = _move_locals(tuple(t.moves))
+    vec = CanonicalVector(*(x + 0.0 for x in c))  # -0.0 -> +0.0
+    (pre_a, pre_b, post_a, post_b), phase = _move_locals(tuple(moves))
     return vec, LocalPair(pre_a, pre_b), LocalPair(post_a, post_b), phase
 
 

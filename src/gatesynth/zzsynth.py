@@ -36,7 +36,7 @@ import numpy as np
 
 from .kak import GateClass, KakDecomposition, classify, kak_decompose, snap_vector
 from .matcore import (ID2, PAULIS, ROUNDOFF, SIGMA_X, SIGMA_Z, LocalPair, _product, dagger,
-                      exp_pauli, merge_locals)
+                      exp_pauli, merge_locals, tensor)
 
 # Fixed rotations, built once: _QUARTER[axis, s] = exp(i s (pi/4) sigma_axis).
 _QUARTER = {(axis, s): exp_pauli(axis, s * np.pi / 4) for axis in "xyz" for s in (1, -1)}
@@ -253,9 +253,8 @@ class ZzTemplate:
     core_product: np.ndarray
     run_layers: np.ndarray
     entangler: bytes
-    seam: LocalPair | None = None
-    step_phase: complex = 1.0
-    powers: list = field(default_factory=list)
+    step_phase: complex
+    powers: list
     unitarity_error: float = 0.0  # the entangler's, set by prepare_resource
     run_table: dict = field(default_factory=dict, repr=False)
 
@@ -287,21 +286,20 @@ def amplify(unit: ZzResource, entangler: np.ndarray) -> ZzTemplate:
     n, apps = repetitions(unit.gamma), unit.apps_per_unit
     layers, phase = merge_locals(unit.chains, unit.phase)
     entangler = np.asarray(entangler, dtype=complex)
-    template = ZzTemplate(unit.gamma, apps, n, LocalPair(*layers[0]), LocalPair(*layers[-1]),
-                          phase, _product(layers[1:-1], [1] * apps, entangler), layers[1:-1],
-                          entangler.tobytes())
+    core = _product(layers[1:-1], [1] * apps, entangler)
+    run_layers, step_phase, powers = layers[1:-1], 1.0, []
     if n > 1:
         # The seam is the merged last layer times the merged first, with
         # the phase one more repetition adds.
-        (seam,), template.step_phase = merge_locals([[*layers[-1], *layers[0]]], phase)
-        template.seam = LocalPair(*seam)
-        template.run_layers = np.concatenate((template.run_layers, [seam]))
-        template.powers.append(template.seam.matrix() @ template.core_product)
-        while len(template.powers) < (n - 1).bit_length():
-            template.powers.append(template.powers[-1] @ template.powers[-1])
+        (seam,), step_phase = merge_locals([[*layers[-1], *layers[0]]], phase)
+        run_layers = np.concatenate((run_layers, [seam]))
+        powers.append(tensor(*seam) @ core)
+        while len(powers) < (n - 1).bit_length():
+            powers.append(powers[-1] @ powers[-1])
     # Runs in returned circuits share these; a write would corrupt the memo.
-    template.run_layers.flags.writeable = template.core_product.flags.writeable = False
-    return template
+    run_layers.flags.writeable = core.flags.writeable = False
+    return ZzTemplate(unit.gamma, apps, n, LocalPair(*layers[0]), LocalPair(*layers[-1]),
+                      phase, core, run_layers, entangler.tobytes(), step_phase, powers)
 
 
 def prepare_resource(entangler: np.ndarray, *, dec: KakDecomposition | None = None) -> ZzTemplate:

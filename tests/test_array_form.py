@@ -84,7 +84,7 @@ def test_view_is_fresh_and_writable(rng):
     assert_same_elements(expanded(first), want)
     second, _ = synthesize(target, entangler)
     assert_same_elements(second, want)
-    template = compiler._resource_memo[(entangler.shape, entangler.tobytes(), DEFAULT_TOL)]
+    template = compiler._resource_memo[(entangler.tobytes(), DEFAULT_TOL)]
     with pytest.raises(ValueError, match="read-only"):
         template.run_layers[0, 0, 0, 0] = 0
     with pytest.raises(ValueError, match="read-only"):

@@ -687,7 +687,8 @@ class TestStackedLayersBitIdentical:
             if template.n > 1:
                 ends = slot_elements(merged)
                 seam = fused(circuit_of(ends[-1:] + ends[:1], merged.phase))
-                assert_bit_identical(circuit_of([template.seam], template.step_phase), seam)
+                stored = LocalPair(*template.run_layers[-1])  # the seam is the last run layer
+                assert_bit_identical(circuit_of([stored], template.step_phase), seam)
         layer = LocalPair(haar_unitary(rng, 2), haar_unitary(rng, 2))
         for raw in (circuit_of([EntanglerApp()], phase=1j), circuit_of([layer], phase=-1j),
                     circuit_of([EntanglerApp(), layer, EntanglerApp()])):
@@ -998,7 +999,7 @@ class TestPerBlockRepetition:
         compiler._resource_memo.clear()
         try:
             synthesize(haar_unitary(rng), entangler)
-            entry = compiler._resource_memo[(entangler.shape, entangler.tobytes(), DEFAULT_TOL)]
+            entry = compiler._resource_memo[(entangler.tobytes(), DEFAULT_TOL)]
             size = (len(entry.run_layers), len(entry.powers))
             assert entry.n == 16666 and len(entry.powers) == (entry.n - 1).bit_length()
             rows = spy_kak_rows(monkeypatch)

@@ -5,6 +5,7 @@ import subprocess
 import sys
 import warnings
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -255,7 +256,8 @@ class MoveTrackerLoop:
     """Reference move tracker: one 2x2 matmul per move and local factor.
 
     Maintains A(raw) = phase * (pre.a (x) pre.b) @ A(c) @ (post.a (x) post.b)
-    exactly through every move.
+    exactly through every move, and records the moves in the form
+    kak._move_locals takes: a shift by m = 0 is no move.
     """
 
     def __init__(self, raw):
@@ -265,8 +267,10 @@ class MoveTrackerLoop:
         self.post_a = np.eye(2, dtype=complex)
         self.post_b = np.eye(2, dtype=complex)
         self.phase = 1.0 + 0j
+        self.moves = []
 
     def swap(self, i, j):
+        self.moves.append(("swap", i, j))
         h = kak._AXIS_SWAP[(i, j)]
         self.pre_a = self.pre_a @ h
         self.pre_b = self.pre_b @ h
@@ -275,6 +279,7 @@ class MoveTrackerLoop:
         self.c[i], self.c[j] = self.c[j], self.c[i]
 
     def negate_pair(self, i, j):
+        self.moves.append(("negate", i, j))
         s = kak._PAIR_NEGATE[(i, j)]
         self.pre_a = self.pre_a @ s
         self.post_a = s @ self.post_a
@@ -284,6 +289,7 @@ class MoveTrackerLoop:
     def shift(self, k, m):
         if m == 0:
             return
+        self.moves.append(("shift", k, m % 4))
         self.phase *= kak._SHIFT_PHASE[m % 4]
         if m % 2:
             s = (SIGMA_X, SIGMA_Y, SIGMA_Z)[k]
@@ -318,18 +324,32 @@ def canonicalize_loop(raw):
         t.negate_pair(0, 2)
         t.shift(0, 1)
         t.sort_descending()
-    return (tuple(x + 0.0 for x in t.c), (t.pre_a, t.pre_b, t.post_a, t.post_b), t.phase)
+    return (tuple(x + 0.0 for x in t.c), (t.pre_a, t.pre_b, t.post_a, t.post_b), t.phase,
+            tuple(t.moves))
+
+
+# Signed zeros, pi-shift edges, and exact ties of the reflection
+# (c1 + c2 = pi) and the base fold (c1 = pi/2), the fold also one ulp off.
+_TIE_VALUES = (-0.0, 0.0, np.pi / 2, -np.pi / 2, np.pi, -np.pi, np.pi / 4, 3 * np.pi / 4,
+               np.nextafter(np.pi / 2, 0.0), np.nextafter(np.pi / 2, np.pi), 1e-12, -1e-12,
+               np.pi - 1e-12)
 
 
 def _assert_matches_loop(raws) -> None:
-    for raw in raws:
-        raw = tuple(float(x) for x in raw)
-        vec, pre, post, phase = canonicalize(raw)
-        want_vec, want_locals, want_phase = canonicalize_loop(raw)
-        assert vec.as_tuple() == want_vec, raw
-        assert np.complex128(phase).tobytes() == np.complex128(want_phase).tobytes(), raw
-        for got, want in zip((pre.a, pre.b, post.a, post.b), want_locals, strict=True):
-            assert got.tobytes() == want.tobytes(), raw
+    """canonicalize against the reference, bit for bit, and the memo key it
+    passes against the reference's exact move sequence."""
+    keys = []
+    memo = kak._move_locals
+    with mock.patch.object(kak, "_move_locals", lambda moves: keys.append(moves) or memo(moves)):
+        for raw in raws:
+            raw = tuple(float(x) for x in raw)
+            vec, pre, post, phase = canonicalize(raw)
+            want_vec, want_locals, want_phase, want_moves = canonicalize_loop(raw)
+            assert keys.pop() == want_moves, raw
+            assert np.array(vec.as_tuple()).tobytes() == np.array(want_vec).tobytes(), raw
+            assert np.complex128(phase).tobytes() == np.complex128(want_phase).tobytes(), raw
+            for got, want in zip((pre.a, pre.b, post.a, post.b), want_locals, strict=True):
+                assert got.tobytes() == want.tobytes(), raw
 
 
 class TestCanonicalizeMemoBitIdentical:
@@ -350,6 +370,11 @@ class TestCanonicalizeMemoBitIdentical:
 
     def test_shift_boundary_triples(self):
         _assert_matches_loop(_shift_boundary_triples())
+
+    def test_signed_zeros_and_exact_ties(self):
+        triples = list(itertools.product(_TIE_VALUES, repeat=3))
+        assert len(triples) == 2197
+        _assert_matches_loop(triples)
 
 
 class TestMoveMemoIsolation:

@@ -4,7 +4,7 @@ from hypothesis import given, settings, strategies as st
 
 from gatesynth.gates import B_GATE, CNOT, cphase
 from gatesynth.kak import kak_decompose, snap_angle
-from gatesynth.matcore import (DEFAULT_TOL, ID2, ROUNDOFF, evaluate, interaction,
+from gatesynth.matcore import (DEFAULT_TOL, ID2, ROUNDOFF, LocalPair, evaluate, interaction,
                                phase_distance, zz_interaction)
 from gatesynth import compiler, synthesize, zzsynth
 from gatesynth.zzsynth import (MAX_APPLICATIONS, RUN_TABLE_SIZE, ZzResource, amplify,
@@ -225,7 +225,7 @@ class TestReduceAngle:
         assert got.n == want.n == n
         pairs = [(got.first, want.first), (got.last, want.last)]
         if n > 1:
-            pairs.append((got.seam, want.seam))
+            pairs.append((LocalPair(*got.run_layers[-1]), LocalPair(*want.run_layers[-1])))
         for x, y in pairs:
             np.testing.assert_allclose(x.matrix(), y.matrix(), rtol=0, atol=1e-15)
         np.testing.assert_allclose(got.core_product, want.core_product, rtol=0, atol=1e-15)
