@@ -11,8 +11,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .kak import kak_decompose
-from .matcore import (ID2, ROUNDOFF, SIGMA_X, SIGMA_Y, SIGMA_Z, Circuit, LocalPair,
-                      ToleranceConfig, dagger, exp_pauli, require_unitary)
+from .matcore import (ID2, ROUNDOFF, SIGMA_X, Circuit, ToleranceConfig, dagger, exp_pauli,
+                      require_unitary)
 from .zzsynth import ZzTemplate, block_repetitions, fold_angle
 
 
@@ -44,15 +44,6 @@ class AxisAngle:
             raise ValueError("gamma must be positive and finite")
         if np.shape(self.axis) != (3,) or not abs(np.linalg.norm(self.axis) - 1.0) <= ROUNDOFF:
             raise ValueError("axis must be a 3-vector of unit norm")
-
-    def matrix(self) -> np.ndarray:
-        nx, ny, nz = self.axis
-        return exp_pauli(nx * SIGMA_X + ny * SIGMA_Y + nz * SIGMA_Z, self.gamma)
-
-    def controlled_matrix(self) -> np.ndarray:
-        out = np.eye(4, dtype=complex)
-        out[2:, 2:] = self.matrix()
-        return out
 
 
 def block_params(c: float, gamma: float) -> BlockParams:
@@ -87,27 +78,27 @@ def u1_u2(params: BlockParams) -> tuple[np.ndarray, np.ndarray]:
     return u1, u2
 
 
-def block_locals(c: float, h: float, pre: LocalPair, post: LocalPair,
+def block_locals(c: float, h: float, pre: tuple, post: tuple,
                  gamma: float) -> tuple[np.ndarray, ...]:
     """The target-dependent halves of the layers of exp(c (i/2) ZZ), with
     (h, pre, post) from fold_angle(c), over a resource of angle gamma.
 
     At h = 0 (c = 0 or pi), (a, b) of the block's one local layer;
-    otherwise (pre.a, u2, mid, post.a, u1) of its layers pre.a (x) u2,
-    then the resource, I (x) mid, the resource again and post.a (x) u1.
+    otherwise (pre[0], u2, mid, post[0], u1) of its layers pre[0] (x) u2,
+    then the resource, I (x) mid, the resource again and post[0] (x) u1.
     fold_angle's Pauli layers join the u2 and u1 layers, so folding adds
     no layer.
     """
     if h == 0.0:
-        return post.a @ pre.a, post.b @ pre.b
+        return post[0] @ pre[0], post[1] @ pre[1]
     params = block_params(h, gamma)
     u1, u2 = u1_u2(params)
     if h != c:  # join the fold's Pauli layers; their products round nothing
-        u1, u2 = post.b @ u1, u2 @ pre.b
+        u1, u2 = post[1] @ u1, u2 @ pre[1]
     # exp_pauli("y", alpha) bit for bit, in one array call.
     alpha = (params.b + np.pi) / 2
     cos, sin = np.cos(alpha), np.sin(alpha)
-    return pre.a, u2, np.array([[cos, sin], [-sin, cos]], dtype=complex), post.a, u1
+    return pre[0], u2, np.array([[cos, sin], [-sin, cos]], dtype=complex), post[0], u1
 
 
 def synth_zz_block(c: float, template: ZzTemplate) -> tuple[list, list, complex]:
@@ -129,8 +120,7 @@ def synth_zz_block(c: float, template: ZzTemplate) -> tuple[list, list, complex]
     run, unit_phase = template.run(m)
     pre_a, u2, mid, post_a, u1 = block_locals(c, h, pre, post, m * template.gamma)
     first, last = template.first, template.last
-    chains = [[pre_a, u2, first.a, first.b], [last.a, last.b, ID2, mid, first.a, first.b],
-              [last.a, last.b, post_a, u1]]
+    chains = [[pre_a, u2, *first], [*last, ID2, mid, *first], [*last, post_a, u1]]
     return chains, [run, run], unit_phase ** 2 if h == c else fold_phase * unit_phase ** 2
 
 

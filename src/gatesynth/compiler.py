@@ -96,8 +96,8 @@ def _skeleton(c: tuple[float, float, float], dec: KakDecomposition,
     join their neighbors' local layers, so a block at angle 0 or pi, one
     local layer, merges with them; merge_locals fuses the chains.
     """
-    chains, runs, phase = [[dec.k2.a, dec.k2.b]], [], dec.phase
-    k1_layer = (dec.k1.a @ KX_DAG, dec.k1.b @ KX_DAG)
+    chains, runs, phase = [[*dec.k2]], [], dec.phase
+    k1_layer = (*dec.k1 @ KX_DAG,)  # a tuple: a list += ndarray would broadcast
     for c_i, interleaver in zip(c[::-1], _INTERLEAVERS + (k1_layer,)):
         block_chains, block_runs, block_phase = synth_zz_block(c_i, template)
         chains[-1] += block_chains[0]
@@ -140,12 +140,13 @@ def synthesize(target: np.ndarray, entangler: np.ndarray,
         # A miss: the target and the new entangler take one stacked KAK.
         dec, entangler_dec = kak_decompose(np.stack((target, entangler)), tol, _INPUT_NAMES)
         template = prepare_resource(entangler, dec=entangler_dec)
-        _resource_memo[key] = template
-        if len(_resource_memo) > RESOURCE_MEMO_SIZE:
-            _resource_memo.popitem(last=False)
     else:
         dec, = kak_decompose(target[None], tol, _INPUT_NAMES)
-        _resource_memo.move_to_end(key)
+    # One re-insert stores a miss and refreshes a hit, also one that another
+    # thread evicted during the KAK above.
+    _resource_memo[key] = _resource_memo.pop(key, template)
+    while len(_resource_memo) > RESOURCE_MEMO_SIZE:
+        _resource_memo.popitem(last=False)
 
     circuit = _skeleton(snap_vector(dec.c), dec, template)
     residual = phase_distance(evaluate(circuit, entangler), target)

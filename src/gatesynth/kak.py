@@ -2,7 +2,7 @@
 
 Every 4x4 unitary factors as
 
-    phase * (k1.a (x) k1.b) * exp((i/2)(c1 XX + c2 YY + c3 ZZ)) * (k2.a (x) k2.b)
+    phase * (k1[0] (x) k1[1]) * exp((i/2)(c1 XX + c2 YY + c3 ZZ)) * (k2[0] (x) k2[1])
 
 with the canonical vector (c1, c2, c3) reduced to the chamber
 
@@ -30,8 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .matcore import (DEFAULT_TOL, ID2, PAULIS, ROUNDOFF, SIGMA_X, SIGMA_Y,
-                      SIGMA_Z, LocalPair, ToleranceConfig, interaction,
-                      project_special_rows, tensor)
+                      SIGMA_Z, ToleranceConfig, project_special_rows, tensor)
 
 MAGIC = np.array([[1, 0, 0, 1j],
                   [0, 1j, 1, 0],
@@ -111,14 +110,11 @@ class CanonicalVector:
 
 @dataclass(eq=False)
 class KakDecomposition:
-    k1: LocalPair
+    k1: np.ndarray  # (a, b), stacked (2, 2, 2)
     c: CanonicalVector
-    k2: LocalPair
+    k2: np.ndarray
     phase: complex
     unitarity_error: float  # of the decomposed matrix: max |U U^dag - I|
-
-    def reconstruct(self) -> np.ndarray:
-        return self.phase * self.k1.matrix() @ interaction(*self.c.as_tuple()) @ self.k2.matrix()
 
 
 def snap_angle(x: float) -> float:
@@ -139,32 +135,30 @@ _MOVE_MEMO_SIZE = 8192
 
 
 @functools.lru_cache(maxsize=_MOVE_MEMO_SIZE)
-def _move_locals(moves: tuple) -> tuple[tuple[np.ndarray, ...], complex]:
-    """((pre_a, pre_b, post_a, post_b), phase) of a move sequence, read-only.
+def _move_locals(moves: tuple) -> tuple[np.ndarray, complex]:
+    """((pre, post), phase) of a move sequence: pre and post (a, b) stacks,
+    as one read-only (2, 2, 2, 2) array.
 
-    Maintains A(raw) = phase * (pre.a (x) pre.b) @ A(c) @ (post.a (x) post.b)
+    Maintains A(raw) = phase * (pre[0] (x) pre[1]) @ A(c) @ (post[0] (x) post[1])
     exactly through every move. The chamber reduction is an action of the
     finite Weyl group, so only finitely many sequences occur.
     """
-    pre_a, pre_b, post_a, post_b = ID2.copy(), ID2.copy(), ID2.copy(), ID2.copy()
+    pre, post = np.array((ID2, ID2)), np.array((ID2, ID2))
     phase = 1.0 + 0j
     for kind, i, j in moves:
         if kind == "swap":
             h = _AXIS_SWAP[(i, j)]
-            pre_a, pre_b = pre_a @ h, pre_b @ h
-            post_a, post_b = h @ post_a, h @ post_b
+            pre, post = pre @ h, h @ post
         elif kind == "negate":
             s = _PAIR_NEGATE[(i, j)]
-            pre_a, post_a = pre_a @ s, s @ post_a
+            pre[0], post[0] = pre[0] @ s, s @ post[0]
         else:
             # A(c) = A(c + m*pi e_k) * (-i)^m (sigma_k (x) sigma_k)^m, j = m % 4
             phase *= _SHIFT_PHASE[j]
             if j % 2:
-                s = PAULIS["xyz"[i]]
-                post_a, post_b = s @ post_a, s @ post_b
-    locals_ = (pre_a, pre_b, post_a, post_b)
-    for m in locals_:
-        m.flags.writeable = False
+                post = PAULIS["xyz"[i]] @ post
+    locals_ = np.array((pre, post))
+    locals_.flags.writeable = False
     return locals_, phase
 
 
@@ -178,19 +172,19 @@ def _sort_descending(c: list, moves: list) -> None:
 
 
 def canonicalize(raw: tuple[float, float, float]) -> tuple[
-        CanonicalVector, LocalPair, LocalPair, complex]:
+        CanonicalVector, np.ndarray, np.ndarray, complex]:
     """Reduce an interaction triple to its Weyl-chamber representative.
 
     Returns (c, pre, post, phase) with
 
-        A(raw) = phase * (pre.a (x) pre.b) @ A(c) @ (post.a (x) post.b)
+        A(raw) = phase * (pre[0] (x) pre[1]) @ A(c) @ (post[0] (x) post[1])
 
     exactly. Chamber points are unique except on the c3 = 0 base, where
     (c1, c2, 0) ~ (pi - c1, c2, 0); there the representative with
     c1 <= pi/2 is kept. Near-ties within ROUNDOFF of a chamber face or of
     the fold keep the identity move, so a canonical triple maps to
-    itself with identity locals and unit phase. The local matrices are
-    read-only: calls with the same moves share them.
+    itself with identity locals and unit phase. pre and post are (2, 2, 2)
+    stacks of halves, read-only: calls with the same moves share them.
 
     Each move is recorded as ("swap", i, j), ("negate", i, j) or ("shift", k, m % 4),
     and _move_locals builds the local corrections once per distinct sequence.
@@ -223,8 +217,8 @@ def canonicalize(raw: tuple[float, float, float]) -> tuple[
         _sort_descending(c, moves)
 
     vec = CanonicalVector(*(x + 0.0 for x in c))  # -0.0 -> +0.0
-    (pre_a, pre_b, post_a, post_b), phase = _move_locals(tuple(moves))
-    return vec, LocalPair(pre_a, pre_b), LocalPair(post_a, post_b), phase
+    (pre, post), phase = _move_locals(tuple(moves))
+    return vec, pre, post, phase
 
 
 def _simultaneous_diagonalize(m2: np.ndarray, atol: float) -> tuple[np.ndarray, np.ndarray]:
@@ -314,7 +308,7 @@ def _factor_locals(os: np.ndarray, atol: float) -> tuple[list[float], np.ndarray
 def kak_decompose(u: np.ndarray, tol: ToleranceConfig = DEFAULT_TOL,
                   names=None) -> KakDecomposition | list[KakDecomposition]:
     """Decompose a 4x4 unitary, or each of an (N, 4, 4) stack, into local
-    pairs and a canonical interaction.
+    layers, each an (a, b) stack, and a canonical interaction.
 
     A 4x4 gives one KakDecomposition, a stack a list whose row i is
     bit-identical to the decomposition of u[i] alone: every stage runs once
@@ -366,11 +360,8 @@ def kak_decompose(u: np.ndarray, tol: ToleranceConfig = DEFAULT_TOL,
             float(row @ _DIAG_ZZ) / 4,
         )
         vec, pre, post, move_phase = canonicalize(raw)
-        (a1, b1), (a2, b2) = f[i], f[n + i]
-        k1 = LocalPair(a1 @ pre.a, b1 @ pre.b)
-        k2 = LocalPair(post.a @ a2, post.b @ b2)
         phase = proj_phase * gs[i] * gs[n + i] * np.exp(0.5j * c0) * move_phase
-        decomps.append(KakDecomposition(k1, vec, k2, complex(phase), error))
+        decomps.append(KakDecomposition(f[i] @ pre, vec, post @ f[n + i], complex(phase), error))
 
     if not _reconstruction_error(decomps, us).max() < tol.verify_tol ** 2:
         raise ArithmeticError("KAK reconstruction failed verification")
@@ -386,8 +377,8 @@ def _reconstruction_error(decomps: list[KakDecomposition], us: np.ndarray) -> np
     c = np.array([d.c.as_tuple() for d in decomps])
     phase = np.array([d.phase for d in decomps])
     inter = (MAGIC * (phase[:, None] * np.exp(0.5j * (c @ _DIAG_XYZ)))[:, None, :]) @ MAGIC_DAG
-    factors = np.array([(d.k1.a, d.k1.b, d.k2.a, d.k2.b) for d in decomps])
-    k = tensor(factors[:, 0::2], factors[:, 1::2])  # k[i] = (k1, k2) of row i
+    factors = np.array([(d.k1, d.k2) for d in decomps])
+    k = tensor(factors[:, :, 0], factors[:, :, 1])  # k[i] = (k1, k2) of row i
     return _squared_norms(k[:, 0] @ inter @ k[:, 1] - us)
 
 

@@ -175,13 +175,10 @@ def project_special_rows(us: np.ndarray,
 
 @dataclass(eq=False, slots=True)
 class LocalPair:
-    """A pair of single-qubit gates applied simultaneously, a (x) b."""
+    """A local layer a (x) b as Circuit.elements lists it; the pipeline keeps (a, b) halves."""
 
     a: np.ndarray
     b: np.ndarray
-
-    def matrix(self) -> np.ndarray:
-        return tensor(self.a, self.b)
 
 
 @dataclass(frozen=True)
@@ -252,8 +249,11 @@ def evaluate(circuit: Circuit, entangler: np.ndarray) -> np.ndarray:
     """Multiply out a circuit against a concrete entangler matrix. A template
     run multiplies in its product only against the entangler it was built
     for (the same bytes), checked then; any other entangler is checked for
-    unitarity when a slot applies it, bare or in a run multiplied out."""
+    unitarity when a slot applies it, bare or in a run multiplied out.
+    ValueError for an entangler that is not 4x4."""
     entangler = np.asarray(entangler, dtype=complex)
+    if entangler.shape != (4, 4):
+        raise ValueError(f"expected a 4x4 matrix as the entangler, got shape {entangler.shape}")
     built_for = entangler.tobytes()
     if any(slot if isinstance(slot, int) else slot.entangler != built_for
            for slot in circuit.slots):

@@ -35,16 +35,16 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .kak import GateClass, KakDecomposition, classify, kak_decompose, snap_vector
-from .matcore import (ID2, PAULIS, ROUNDOFF, SIGMA_X, SIGMA_Z, LocalPair, _product, dagger,
-                      exp_pauli, merge_locals, tensor)
+from .matcore import (ID2, PAULIS, ROUNDOFF, SIGMA_X, SIGMA_Z, _product, dagger, exp_pauli,
+                      merge_locals, tensor)
 
 # Fixed rotations, built once: _QUARTER[axis, s] = exp(i s (pi/4) sigma_axis).
 _QUARTER = {(axis, s): exp_pauli(axis, s * np.pi / 4) for axis in "xyz" for s in (1, -1)}
-# fold_angle's Pauli layers.
-_NO_FOLD = LocalPair(ID2, ID2)
-_X1 = LocalPair(SIGMA_X, ID2)
-_ZZ = LocalPair(SIGMA_Z, SIGMA_Z)
-_ZZ_X1 = LocalPair(SIGMA_Z @ SIGMA_X, SIGMA_Z)
+# fold_angle's Pauli layers, as (a, b) halves.
+_NO_FOLD = (ID2, ID2)
+_X1 = (SIGMA_X, ID2)
+_ZZ = (SIGMA_Z, SIGMA_Z)
+_ZZ_X1 = (SIGMA_Z @ SIGMA_X, SIGMA_Z)
 
 KX_FACTOR = _QUARTER["y", 1]  # k_x = this on both qubits moves ZZ <-> XX
 KY_FACTOR = _QUARTER["x", 1]  # k_y = this on both qubits moves ZZ <-> YY
@@ -52,7 +52,7 @@ KY_FACTOR = _QUARTER["x", 1]  # k_y = this on both qubits moves ZZ <-> YY
 KX_KY_DAG = KX_FACTOR @ dagger(KY_FACTOR)
 KX_DAG = dagger(KX_FACTOR)
 # Read-only, as matcore's constants: units, templates and fold_angle share these arrays.
-for _m in (*_QUARTER.values(), KX_KY_DAG, KX_DAG, _ZZ_X1.a):
+for _m in (*_QUARTER.values(), KX_KY_DAG, KX_DAG, _ZZ_X1[0]):
     _m.flags.writeable = False
 
 
@@ -71,8 +71,9 @@ class ZzResource:
     apps_per_unit: int
 
 
-def _dag(layer: LocalPair) -> tuple[np.ndarray, np.ndarray]:
-    return dagger(layer.a), dagger(layer.b)
+def _dag(layer) -> tuple[np.ndarray, np.ndarray]:
+    a, b = layer
+    return dagger(a), dagger(b)
 
 
 def _paper_axis(g: tuple[float, float, float]) -> int:
@@ -143,13 +144,14 @@ def extract_zz(entangler: np.ndarray) -> ZzResource:
     return _folded_unit(kak_decompose(entangler), _paper_axis)
 
 
-def fold_angle(g: float) -> tuple[float, LocalPair, LocalPair, complex]:
+def fold_angle(g: float) -> tuple[float, tuple, tuple, complex]:
     """Return (h, pre, post, phase): exp(g (i/2) ZZ) = phase * post exp(h (i/2) ZZ) pre.
 
     Two Weyl-group moves (quant-ph/0209120) fold g in [0, 2pi) to h in
     [0, pi/2]: exp((h + pi)(i/2) ZZ) = i ZZ exp(h (i/2) ZZ), and X on qubit
-    1 negates the angle. pre and post are Pauli layers, so wrapping with
-    them rounds nothing; they are identities when h is g. h = 0: g = 0 or pi.
+    1 negates the angle. pre and post are Pauli layers, (a, b) tuples of
+    read-only constants, so wrapping with them rounds nothing; they are
+    identities when h is g. h = 0: g = 0 or pi.
     """
     if not 0.0 <= g < 2 * np.pi:
         raise ValueError(f"ZZ angle {g} outside [0, 2pi)")
@@ -247,8 +249,8 @@ class ZzTemplate:
     gamma: float
     apps_per_unit: int
     n: int
-    first: LocalPair
-    last: LocalPair
+    first: tuple  # (a, b) halves of the merged first layer, unpacked into every block
+    last: tuple
     phase: complex
     core_product: np.ndarray
     run_layers: np.ndarray
@@ -298,7 +300,7 @@ def amplify(unit: ZzResource, entangler: np.ndarray) -> ZzTemplate:
             powers.append(powers[-1] @ powers[-1])
     # Runs in returned circuits share these; a write would corrupt the memo.
     run_layers.flags.writeable = core.flags.writeable = False
-    return ZzTemplate(unit.gamma, apps, n, LocalPair(*layers[0]), LocalPair(*layers[-1]),
+    return ZzTemplate(unit.gamma, apps, n, (*layers[0],), (*layers[-1],),
                       phase, core, run_layers, entangler.tobytes(), step_phase, powers)
 
 

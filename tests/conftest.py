@@ -4,8 +4,10 @@ from dataclasses import dataclass
 import numpy as np
 import pytest
 
-from gatesynth.blocksynth import synth_zz_block
-from gatesynth.matcore import ID2, Circuit, EntanglerApp, LocalPair, zz_interaction
+from gatesynth.blocksynth import AxisAngle, synth_zz_block
+from gatesynth.kak import KakDecomposition
+from gatesynth.matcore import (ID2, SIGMA_X, SIGMA_Y, SIGMA_Z, Circuit, EntanglerApp, LocalPair,
+                               exp_pauli, interaction, zz_interaction)
 from gatesynth.serialize import encode_matrix
 from gatesynth.zzsynth import ZzResource, ZzTemplate, _Run, amplify
 
@@ -51,6 +53,19 @@ def near_edge(u: np.ndarray, error: float, rng: np.random.Generator) -> np.ndarr
     e = rng.normal(size=u.shape) + 1j * rng.normal(size=u.shape)
     first_order = np.abs(e @ u.conj().T + u @ e.conj().T).max()
     return u + e * (error / first_order)
+
+
+def reconstruct(dec: KakDecomposition) -> np.ndarray:
+    """Reference product of a KAK: phase * (k1[0] (x) k1[1]) A(c) (k2[0] (x) k2[1])."""
+    return dec.phase * np.kron(*dec.k1) @ interaction(*dec.c.as_tuple()) @ np.kron(*dec.k2)
+
+
+def controlled_matrix(spec: AxisAngle) -> np.ndarray:
+    """Reference diag(I, exp(i gamma n.sigma)), the Controlled-U of spec."""
+    nx, ny, nz = spec.axis
+    out = np.eye(4, dtype=complex)
+    out[2:, 2:] = exp_pauli(nx * SIGMA_X + ny * SIGMA_Y + nz * SIGMA_Z, spec.gamma)
+    return out
 
 
 def circuit_of(elements: list, phase: complex = 1.0 + 0.0j) -> Circuit:
@@ -170,7 +185,8 @@ def uncached_run(template: ZzTemplate, m: int) -> tuple[_Run, complex]:
 def run_resource(template: ZzTemplate, m: int) -> CircuitResource:
     """The template's m-fold unit as a [first, run, last] resource of angle m * gamma."""
     run, phase = template.run(m)
-    return CircuitResource(circuit_of([template.first, run, template.last], phase),
+    return CircuitResource(circuit_of([LocalPair(*template.first), run, LocalPair(*template.last)],
+                                      phase),
                            m * template.gamma, template.apps_per_unit)
 
 

@@ -15,7 +15,8 @@ from gatesynth.kak import kak_decompose, snap_angle
 from gatesynth.matcore import evaluate, interaction, phase_distance, zz_interaction
 from gatesynth.zzsynth import extract_zz
 
-from conftest import block_circuit, dress, exact_template, haar_unitary, unit_circuit
+from conftest import (block_circuit, controlled_matrix, dress, exact_template, haar_unitary,
+                      reconstruct, unit_circuit)
 
 
 def _verdict(num: int, ok: bool, detail: str) -> None:
@@ -31,7 +32,7 @@ def test_criterion_1_kak_roundtrip():
     for _ in range(1000):
         u = haar_unitary(rng)
         d = kak_decompose(u)
-        worst = max(worst, phase_distance(d.reconstruct(), u))
+        worst = max(worst, phase_distance(reconstruct(d), u))
         c1, c2, c3 = (snap_angle(x) for x in d.c.as_tuple())
         chamber_ok &= bool(np.pi - c2 >= c1 >= c2 >= c3 >= 0)
     elapsed = time.perf_counter() - start
@@ -151,7 +152,7 @@ def test_criterion_7_controlled_u():
     for spec in specs:
         got = evaluate(controlled_u_circuit(spec), zz_interaction(spec.gamma))
         worst_off = max(worst_off, np.abs(got[:2, 2:]).max(), np.abs(got[2:, :2]).max())
-        worst_dist = max(worst_dist, phase_distance(got, spec.controlled_matrix()))
+        worst_dist = max(worst_dist, phase_distance(got, controlled_matrix(spec)))
     ok = worst_off < 1e-10 and worst_dist < 1e-10
     _verdict(7, ok, f"{len(specs)} Controlled-U circuits, worst off-diagonal "
                     f"{worst_off:.3e}, worst distance {worst_dist:.3e}")

@@ -1,14 +1,17 @@
 """A circuit's array form (layers, slots, phase) agrees with its elements view."""
 
+import re
+
 import numpy as np
 import pytest
 
 from gatesynth import compiler
 from gatesynth.compiler import synthesize
 from gatesynth.gates import B_GATE, CNOT, SQRT_SWAP, SWAP, cphase
+from gatesynth.kak import kak_decompose
 from gatesynth.matcore import (DEFAULT_TOL, Circuit, EntanglerApp, LocalPair, evaluate,
                                interaction, phase_distance)
-from gatesynth.zzsynth import _Run
+from gatesynth.zzsynth import _Run, fold_angle, prepare_resource
 
 from conftest import circuit_of, dress, expanded, haar_unitary, product_loop, slot_elements
 
@@ -125,3 +128,28 @@ def test_evaluate_honours_its_entangler():
     assert phase_distance(got, SWAP) > 1
     with pytest.raises(ValueError, match="^entangler is not unitary"):
         evaluate(circuit, np.ones((4, 4)))
+
+
+def test_evaluate_refuses_an_entangler_that_is_not_4x4():
+    # SWAP from CNOT is runs built for CNOT: CNOT[None] has CNOT's bytes.
+    circuit, _ = synthesize(SWAP, CNOT)
+    for entangler in (np.stack([CNOT, CNOT]), CNOT[None], np.eye(2)):
+        message = f"expected a 4x4 matrix as the entangler, got shape {entangler.shape}"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            evaluate(circuit, entangler)
+
+
+def test_every_local_layer_is_an_a_b_pair(rng):
+    # Inside the pipeline a local layer is its halves; LocalPair is only the
+    # elements view's element type.
+    dec = kak_decompose(haar_unitary(rng))
+    template = prepare_resource(cphase(np.pi / 9))
+    layers = [dec.k1, dec.k2, template.first, template.last]
+    for g in (0.3, 2.0, 4.0, 5.0):  # fold_angle's four branches
+        layers += fold_angle(g)[1:3]
+    for layer in layers:
+        assert not isinstance(layer, LocalPair)
+        a, b = layer
+        assert a.shape == b.shape == (2, 2)
+    assert dec.k1.shape == dec.k2.shape == (2, 2, 2)
+    assert type(template.first) is type(template.last) is tuple

@@ -1,5 +1,7 @@
 import dataclasses
 import itertools
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -583,10 +585,10 @@ def object_assembly(c: tuple[float, float, float], dec: KakDecomposition,
     as LocalPair objects, object_block on run_resource(template, m) per block,
     the interleavers between and dec's local pairs around."""
     c1, c2, c3 = c
-    elements, phase = [dec.k2], dec.phase
+    elements, phase = [LocalPair(*dec.k2)], dec.phase
     for c_i, interleaver in ((c3, LocalPair(KY_FACTOR, KY_FACTOR)),
                              (c2, LocalPair(KX_KY_DAG, KX_KY_DAG)),
-                             (c1, LocalPair(dec.k1.a @ KX_DAG, dec.k1.b @ KX_DAG))):
+                             (c1, LocalPair(dec.k1[0] @ KX_DAG, dec.k1[1] @ KX_DAG))):
         m = block_repetitions(fold_angle(c_i)[0], template.gamma, template.n)
         block = object_block(c_i, run_resource(template, m))
         elements += slot_elements(block) + [interleaver]
@@ -664,9 +666,9 @@ class TestStackedLayersBitIdentical:
         for k in range(2):
             for local in itertools.product((True, False), repeat=3):
                 c = block_pattern_angles(local, k)
-                dec = KakDecomposition(LocalPair(haar_unitary(rng, 2), haar_unitary(rng, 2)),
+                dec = KakDecomposition(np.array((haar_unitary(rng, 2), haar_unitary(rng, 2))),
                                        CanonicalVector(0.0, 0.0, 0.0),
-                                       LocalPair(haar_unitary(rng, 2), haar_unitary(rng, 2)),
+                                       np.array((haar_unitary(rng, 2), haar_unitary(rng, 2))),
                                        complex(np.exp(1j * rng.uniform(0, 2 * np.pi))), 0.0)
                 skeleton = compiler._skeleton(c, dec, template)
                 raw = object_assembly(c, dec, template)
@@ -794,6 +796,56 @@ class TestResourceMemo:
         synthesize(target, entanglers[1])
         assert len(preparations) == compiler.RESOURCE_MEMO_SIZE + 2
 
+    def test_a_hit_evicted_during_its_kak_is_stored_again(self, preparations, monkeypatch, rng):
+        # A hit reads its template, then decomposes the target; LAPACK releases
+        # the GIL there, so another caller can evict the entry meanwhile. Here
+        # the hit's KAK itself fills the memo with other entanglers.
+        target = haar_unitary(rng)
+        synthesize(target, CNOT)
+        others = [cphase(np.pi / (k + 2)) for k in range(compiler.RESOURCE_MEMO_SIZE + 1)]
+        real = compiler.kak_decompose
+
+        def evicting(u, *args):
+            if len(u) == 1:  # the hit's KAK of the target alone
+                while others:
+                    synthesize(target, others.pop())
+            return real(u, *args)
+
+        monkeypatch.setattr(compiler, "kak_decompose", evicting)
+        circuit, report = synthesize(target, CNOT)
+        assert phase_distance(evaluate(circuit, CNOT), target) == report.residual < 1e-8
+        assert len(preparations) == compiler.RESOURCE_MEMO_SIZE + 2
+        assert len(compiler._resource_memo) == compiler.RESOURCE_MEMO_SIZE
+        assert (CNOT.tobytes(), DEFAULT_TOL) in compiler._resource_memo
+
+    def test_threads_sharing_the_memo(self, preparations):
+        # More threads than cores and a short switch interval: hits, misses
+        # and evictions interleave, and every call still returns.
+        entanglers = [cphase(np.pi / (k + 2)) for k in range(12)]
+        failures = []
+
+        def work(seed):
+            rng = np.random.default_rng(seed)
+            for _ in range(40):
+                try:
+                    synthesize(np.eye(4), entanglers[rng.integers(12)])
+                except Exception as error:  # recorded, so the test sees every escape
+                    failures.append(error)
+
+        threads = [threading.Thread(target=work, args=(seed,)) for seed in range(4)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert failures == []
+        assert len(compiler._resource_memo) <= compiler.RESOURCE_MEMO_SIZE
+
     @pytest.mark.parametrize("entangler", [SWAP, zz_interaction(4e-5), np.ones((4, 4))],
                              ids=["swap_class", "above_cap", "non_unitary"])
     def test_errors_are_not_cached(self, preparations, monkeypatch, rng, entangler):
@@ -868,10 +920,10 @@ def synthesize_expanded(target: np.ndarray, entangler: np.ndarray,
     unit = choose_unit(entangler)
     merged = fused(unit_circuit(unit))
     c1, c2, c3 = snap_vector(dec.c)
-    elements, phase = [dec.k2], dec.phase
+    elements, phase = [LocalPair(*dec.k2)], dec.phase
     for c, interleaver in ((c3, LocalPair(KY_FACTOR, KY_FACTOR)),
                            (c2, LocalPair(KX_KY_DAG, KX_KY_DAG)),
-                           (c1, LocalPair(dec.k1.a @ KX_DAG, dec.k1.b @ KX_DAG))):
+                           (c1, LocalPair(dec.k1[0] @ KX_DAG, dec.k1[1] @ KX_DAG))):
         m = max(1, int(np.ceil(min(c, np.pi - c) / (2 * unit.gamma))))
         m_units = circuit_of(merged.elements * m, merged.phase ** m)
         resource = CircuitResource(m_units, m * unit.gamma, unit.apps_per_unit)

@@ -1,4 +1,3 @@
-import contextlib
 import itertools
 import os
 import subprocess
@@ -19,7 +18,7 @@ from gatesynth.kak import (CanonicalVector, GateClass, canonicalize, classify,
 from gatesynth.matcore import (ID2, ROUNDOFF, SIGMA_X, SIGMA_Y, SIGMA_Z, ToleranceConfig,
                                interaction, phase_distance, tensor, unitarity_error)
 
-from conftest import dress, haar_unitary, random_local
+from conftest import dress, haar_unitary, random_local, reconstruct
 
 angles = st.floats(min_value=-8.0, max_value=8.0, allow_nan=False)
 
@@ -36,15 +35,15 @@ class TestKakDecompose:
     def test_identity(self):
         d = kak_decompose(np.eye(4, dtype=complex))
         assert d.c.as_tuple() == (0.0, 0.0, 0.0)
-        np.testing.assert_allclose(d.k1.matrix(), np.eye(4), atol=1e-12)
-        np.testing.assert_allclose(d.k2.matrix(), np.eye(4), atol=1e-12)
+        np.testing.assert_allclose(tensor(*d.k1), np.eye(4), atol=1e-12)
+        np.testing.assert_allclose(tensor(*d.k2), np.eye(4), atol=1e-12)
         assert d.phase == pytest.approx(1.0, abs=1e-12)
 
     def test_haar_roundtrip(self, rng):
         for _ in range(100):
             u = haar_unitary(rng)
             d = kak_decompose(u)
-            assert phase_distance(d.reconstruct(), u) < 1e-9
+            assert phase_distance(reconstruct(d), u) < 1e-9
             c1, c2, c3 = (snap_angle(x) for x in d.c.as_tuple())
             assert np.pi - c2 >= c1 >= c2 >= c3 >= 0
 
@@ -54,7 +53,7 @@ class TestKakDecompose:
                        (np.pi / 2, np.pi / 2, 0.0), (2.2, 0.9, 0.9)]:
             u = interaction(*triple)
             d = kak_decompose(u)
-            assert np.abs(d.reconstruct() - u).max() < 1e-10
+            assert np.abs(reconstruct(d) - u).max() < 1e-10
 
     def test_rejects_nonunitary(self):
         with pytest.raises(ValueError):
@@ -77,7 +76,7 @@ class TestKakDecompose:
         u = haar_unitary(rng)
         d1, d2 = kak_decompose(u), kak_decompose(u)
         assert d1.c.as_tuple() == d2.c.as_tuple()
-        np.testing.assert_array_equal(d1.k1.a, d2.k1.a)
+        np.testing.assert_array_equal(d1.k1, d2.k1)
         assert d1.phase == d2.phase
 
 
@@ -86,8 +85,8 @@ class TestCanonicalize:
         vec, pre, post, phase = canonicalize((0.0, 0.0, 0.0))
         assert vec.as_tuple() == (0.0, 0.0, 0.0)
         assert phase == 1.0
-        np.testing.assert_allclose(pre.matrix(), np.eye(4), atol=1e-15)
-        np.testing.assert_allclose(post.matrix(), np.eye(4), atol=1e-15)
+        np.testing.assert_allclose(tensor(*pre), np.eye(4), atol=1e-15)
+        np.testing.assert_allclose(tensor(*post), np.eye(4), atol=1e-15)
 
     def test_already_canonical(self):
         vec, _, _, _ = canonicalize((np.pi / 2, 0.0, 0.0))
@@ -98,7 +97,7 @@ class TestCanonicalize:
         vec, pre, post, phase = canonicalize(raw)
         c1, c2, c3 = vec.as_tuple()
         assert np.pi - c2 + 1e-12 >= c1 >= c2 >= c3 >= 0
-        recon = phase * pre.matrix() @ interaction(*vec.as_tuple()) @ post.matrix()
+        recon = phase * tensor(*pre) @ interaction(*vec.as_tuple()) @ tensor(*post)
         np.testing.assert_allclose(recon, interaction(*raw), atol=1e-12)
 
     def test_base_plane_prefers_smaller_c1(self):
@@ -109,7 +108,7 @@ class TestCanonicalize:
     @given(angles, angles, angles)
     def test_reconstruction_property(self, a, b, c):
         vec, pre, post, phase = canonicalize((a, b, c))
-        recon = phase * pre.matrix() @ interaction(*vec.as_tuple()) @ post.matrix()
+        recon = phase * tensor(*pre) @ interaction(*vec.as_tuple()) @ tensor(*post)
         assert np.abs(recon - interaction(a, b, c)).max() < 1e-10
 
     @settings(max_examples=200, deadline=None)
@@ -119,8 +118,8 @@ class TestCanonicalize:
         again, pre, post, phase = canonicalize(vec.as_tuple())
         assert again.as_tuple() == vec.as_tuple()
         assert phase == 1.0
-        np.testing.assert_allclose(pre.matrix(), np.eye(4), atol=1e-15)
-        np.testing.assert_allclose(post.matrix(), np.eye(4), atol=1e-15)
+        np.testing.assert_allclose(tensor(*pre), np.eye(4), atol=1e-15)
+        np.testing.assert_allclose(tensor(*post), np.eye(4), atol=1e-15)
 
 
 _TIE = 1e-12
@@ -177,8 +176,8 @@ def _batched_interaction(c: np.ndarray) -> np.ndarray:
 
 
 def _batched_pair(pairs) -> np.ndarray:
-    a = np.array([p.a for p in pairs])
-    b = np.array([p.b for p in pairs])
+    a = np.array([p[0] for p in pairs])
+    b = np.array([p[1] for p in pairs])
     return np.einsum("nij,nkl->nikjl", a, b).reshape(len(pairs), 4, 4)
 
 
@@ -200,7 +199,7 @@ def _check_against_reference(raw: np.ndarray) -> None:
         again, pre, post, ph = canonicalize(vec.as_tuple())
         assert again.as_tuple() == vec.as_tuple()
         assert ph == 1.0
-        for m in (pre.a, pre.b, post.a, post.b):
+        for m in (*pre, *post):
             assert np.array_equal(m, np.eye(2))
 
 
@@ -255,7 +254,7 @@ class TestCanonicalizeAgainstOrbitSearch:
 class MoveTrackerLoop:
     """Reference move tracker: one 2x2 matmul per move and local factor.
 
-    Maintains A(raw) = phase * (pre.a (x) pre.b) @ A(c) @ (post.a (x) post.b)
+    Maintains A(raw) = phase * (pre_a (x) pre_b) @ A(c) @ (post_a (x) post_b)
     exactly through every move, and records the moves in the form
     kak._move_locals takes: a shift by m = 0 is no move.
     """
@@ -348,7 +347,7 @@ def _assert_matches_loop(raws) -> None:
             assert keys.pop() == want_moves, raw
             assert np.array(vec.as_tuple()).tobytes() == np.array(want_vec).tobytes(), raw
             assert np.complex128(phase).tobytes() == np.complex128(want_phase).tobytes(), raw
-            for got, want in zip((pre.a, pre.b, post.a, post.b), want_locals, strict=True):
+            for got, want in zip((*pre, *post), want_locals, strict=True):
                 assert got.tobytes() == want.tobytes(), raw
 
 
@@ -380,34 +379,28 @@ class TestCanonicalizeMemoBitIdentical:
 class TestMoveMemoIsolation:
     """Results share no writable array with the memo."""
 
-    @staticmethod
-    def _scribble(m: np.ndarray) -> None:
-        with contextlib.suppress(ValueError):  # memo arrays are read-only
-            m[...] = 0
-
     def test_writing_into_canonicalize_results(self):
         raw = (2.5, -1.0, 4.0)
         vec, pre, post, phase = canonicalize(raw)
-        kept = [m.copy() for m in (pre.a, pre.b, post.a, post.b)]
+        kept = [m.copy() for m in (*pre, *post)]
         assert not np.array_equal(kept[0], np.eye(2))
-        for m in (pre.a, pre.b, post.a, post.b):
-            self._scribble(m)
-        pre.a = post.b = np.zeros((2, 2), dtype=complex)
+        for m in (pre, post, *pre, *post):  # views of the read-only memo entry
+            with pytest.raises(ValueError, match="read-only"):
+                m[...] = 0
         again, pre, post, again_phase = canonicalize(raw)
         assert (again.as_tuple(), again_phase) == (vec.as_tuple(), phase)
-        for got, want in zip((pre.a, pre.b, post.a, post.b), kept, strict=True):
+        for got, want in zip((*pre, *post), kept, strict=True):
             assert np.array_equal(got, want)
 
     def test_writing_into_kak_factors(self, rng):
         u = haar_unitary(rng)
         first = kak_decompose(u)
-        kept = [m.copy() for m in (first.k1.a, first.k1.b, first.k2.a, first.k2.b)]
-        for m in (first.k1.a, first.k1.b, first.k2.a, first.k2.b):
-            self._scribble(m)
+        kept = [m.copy() for m in (*first.k1, *first.k2)]
+        for m in (first.k1, first.k2):  # fresh arrays, so the writes land
+            m[...] = 0
         second = kak_decompose(u)
         assert (second.c, second.phase) == (first.c, first.phase)
-        for got, want in zip((second.k1.a, second.k1.b, second.k2.a, second.k2.b), kept,
-                             strict=True):
+        for got, want in zip((*second.k1, *second.k2), kept, strict=True):
             assert np.array_equal(got, want)
 
 
@@ -642,8 +635,7 @@ class TestKakHelpersBitIdentical:
 
 
 def _assert_same_decomposition(got, want) -> None:
-    for x, y in zip((got.k1.a, got.k1.b, got.k2.a, got.k2.b),
-                    (want.k1.a, want.k1.b, want.k2.a, want.k2.b), strict=True):
+    for x, y in zip((*got.k1, *got.k2), (*want.k1, *want.k2), strict=True):
         assert x.tobytes() == y.tobytes()
     assert got.c.as_tuple() == want.c.as_tuple()
     assert np.complex128(got.phase).tobytes() == np.complex128(want.phase).tobytes()
@@ -695,7 +687,7 @@ class TestStackedKak:
         assert redrawn == [[1]]
         for got, want in zip(stacked, singles, strict=True):
             _assert_same_decomposition(got, want)
-        assert phase_distance(stacked[1].reconstruct(), hard) < 1e-9
+        assert phase_distance(reconstruct(stacked[1]), hard) < 1e-9
 
     def test_a_bad_row_is_named(self, rng):
         good = haar_unitary(rng)

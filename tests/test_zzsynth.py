@@ -4,8 +4,8 @@ from hypothesis import given, settings, strategies as st
 
 from gatesynth.gates import B_GATE, CNOT, cphase
 from gatesynth.kak import kak_decompose, snap_angle
-from gatesynth.matcore import (DEFAULT_TOL, ID2, ROUNDOFF, LocalPair, evaluate, interaction,
-                               phase_distance, zz_interaction)
+from gatesynth.matcore import (DEFAULT_TOL, ID2, ROUNDOFF, evaluate, interaction, phase_distance,
+                               zz_interaction)
 from gatesynth import compiler, synthesize, zzsynth
 from gatesynth.zzsynth import (MAX_APPLICATIONS, RUN_TABLE_SIZE, ZzResource, amplify,
                                block_repetitions, choose_unit, extract_zz, fold_angle,
@@ -40,7 +40,7 @@ class TestExtractZz:
             half[...] = np.eye(2)
         for layer in fold_angle(2.0)[1:3]:  # every fold layer is shared too
             with pytest.raises(ValueError, match="read-only"):
-                layer.a[...] = np.eye(2)
+                layer[0][...] = np.eye(2)
         _, report = synthesize(CNOT, cphase(np.pi / 3))
         assert report.residual < DEFAULT_TOL.verify_tol
 
@@ -157,21 +157,21 @@ class TestFoldAngle:
         for g in self.angles():
             h, pre, post, phase = fold_angle(g)
             assert 0.0 <= h <= np.pi / 2, g
-            folded = phase * post.matrix() @ zz_interaction(h) @ pre.matrix()
+            folded = phase * np.kron(*post) @ zz_interaction(h) @ np.kron(*pre)
             np.testing.assert_allclose(folded, zz_interaction(g), rtol=0, atol=1e-15)
 
     def test_layers_are_pauli(self):
         entries = {0, 1, -1, 1j, -1j}
         for g in self.angles():
             _, pre, post, _ = fold_angle(g)
-            for m in (pre.a, pre.b, post.a, post.b):
+            for m in (*pre, *post):
                 assert set(m.ravel().tolist()) <= entries, g
 
     def test_identity_below_half_pi(self):
         for g in (0.0, np.pi / 5, np.pi / 2):
             h, pre, post, phase = fold_angle(g)
             assert (h, phase) == (g, 1.0)
-            for m in (pre.a, pre.b, post.a, post.b):
+            for m in (*pre, *post):
                 np.testing.assert_array_equal(m, np.eye(2))
 
     def test_local_angles_fold_to_zero(self):
@@ -225,9 +225,9 @@ class TestReduceAngle:
         assert got.n == want.n == n
         pairs = [(got.first, want.first), (got.last, want.last)]
         if n > 1:
-            pairs.append((LocalPair(*got.run_layers[-1]), LocalPair(*want.run_layers[-1])))
+            pairs.append((got.run_layers[-1], want.run_layers[-1]))
         for x, y in pairs:
-            np.testing.assert_allclose(x.matrix(), y.matrix(), rtol=0, atol=1e-15)
+            np.testing.assert_allclose(np.kron(*x), np.kron(*y), rtol=0, atol=1e-15)
         np.testing.assert_allclose(got.core_product, want.core_product, rtol=0, atol=1e-15)
         assert got.phase == want.phase and got.step_phase == want.step_phase
 
