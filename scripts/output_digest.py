@@ -61,7 +61,7 @@ def _cli_run(h, argv: list, tmp: str) -> int:
 
 def _vectors_update(h, target: np.ndarray, entangler: np.ndarray) -> None:
     for dec in kak_decompose(np.array([target, entangler])):
-        h.update(np.array(dec.c.as_tuple()).tobytes())
+        h.update(np.array(dec.c).tobytes())
 
 
 def cli_digest(seed: int) -> tuple[str, str, str]:

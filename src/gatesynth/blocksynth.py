@@ -17,21 +17,6 @@ from .zzsynth import ZzTemplate, block_repetitions, fold_angle
 
 
 @dataclass(frozen=True)
-class BlockParams:
-    """Solution of the two-insertion block equations for (c, gamma).
-
-    Satisfies p^2 + q^2 = 1, sin(c/2) = sin(gamma) sin(b/2), and
-    b in [0, pi].
-    """
-
-    c: float
-    gamma: float
-    b: float
-    p: float
-    q: float
-
-
-@dataclass(frozen=True)
 class AxisAngle:
     """Single-qubit rotation exp(i gamma n.sigma), axis a unit 3-vector."""
 
@@ -46,8 +31,10 @@ class AxisAngle:
             raise ValueError("axis must be a 3-vector of unit norm")
 
 
-def block_params(c: float, gamma: float) -> BlockParams:
-    """Solve for the inner rotation angle b and the U1/U2 entries p, q.
+def block_params(c: float, gamma: float) -> tuple[float, float, float]:
+    """Solve the two-insertion block equations for (c, gamma): (b, p, q), the
+    inner rotation angle b in [0, pi] and the U1/U2 entries p, q, with
+    p^2 + q^2 = 1 and sin(c/2) = sin(gamma) sin(b/2).
 
     Requires gamma in (0, pi/2] and c in (0, 2*gamma], which is exactly
     the reachable range of the two-insertion block.
@@ -67,12 +54,11 @@ def block_params(c: float, gamma: float) -> BlockParams:
     ratio = (np.cos(gamma) / np.sin(gamma)) * np.tan(c / 2)
     p = float(np.sqrt(min(max((1 + ratio) / 2, 0.0), 1.0)))
     q = float(np.sqrt(min(max((1 - ratio) / 2, 0.0), 1.0)))
-    return BlockParams(c=float(c), gamma=float(gamma), b=b, p=p, q=q)
+    return b, p, q
 
 
-def u1_u2(params: BlockParams) -> tuple[np.ndarray, np.ndarray]:
+def u1_u2(p: float, q: float) -> tuple[np.ndarray, np.ndarray]:
     """The two single-qubit gates flanking the block construction."""
-    p, q = params.p, params.q
     u1 = np.array([[1j * p, 1j * q], [-q, p]], dtype=complex)
     u2 = np.array([[1j * p, -q], [-1j * q, -p]], dtype=complex)
     return u1, u2
@@ -91,12 +77,12 @@ def block_locals(c: float, h: float, pre: tuple, post: tuple,
     """
     if h == 0.0:
         return post[0] @ pre[0], post[1] @ pre[1]
-    params = block_params(h, gamma)
-    u1, u2 = u1_u2(params)
+    b, p, q = block_params(h, gamma)
+    u1, u2 = u1_u2(p, q)
     if h != c:  # join the fold's Pauli layers; their products round nothing
         u1, u2 = post[1] @ u1, u2 @ pre[1]
     # exp_pauli("y", alpha) bit for bit, in one array call.
-    alpha = (params.b + np.pi) / 2
+    alpha = (b + np.pi) / 2
     cos, sin = np.cos(alpha), np.sin(alpha)
     return pre[0], u2, np.array([[cos, sin], [-sin, cos]], dtype=complex), post[0], u1
 

@@ -153,7 +153,7 @@ def synthesize(target: np.ndarray, entangler: np.ndarray,
     if residual >= tol.verify_tol:
         # A snap is taken only when it verifies: build once more from the
         # unsnapped vector, roundoff below 0 taken as 0.
-        unsnapped = _skeleton(tuple(max(x, 0.0) for x in dec.c.as_tuple()), dec, template)
+        unsnapped = _skeleton(tuple(max(x, 0.0) for x in dec.c), dec, template)
         unsnapped_residual = phase_distance(evaluate(unsnapped, entangler), target)
         if unsnapped_residual < tol.verify_tol:
             circuit, residual = unsnapped, unsnapped_residual

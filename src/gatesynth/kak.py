@@ -26,6 +26,7 @@ import enum
 import functools
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -89,23 +90,12 @@ class GateClass(enum.Enum):
     ENTANGLING = "entangling"
 
 
-@dataclass(frozen=True)
-class CanonicalVector:
+class CanonicalVector(NamedTuple):
     """Weyl-chamber coordinates (radians) of a two-qubit gate class."""
 
     c1: float
     c2: float
     c3: float
-
-    def __post_init__(self) -> None:
-        slack = ToleranceConfig.snap_tol
-        ok = (np.pi - self.c2 + slack >= self.c1 >= self.c2 - slack
-              and self.c2 + slack >= self.c3 >= -slack)
-        if not ok:
-            raise ValueError(f"({self.c1}, {self.c2}, {self.c3}) is outside the chamber")
-
-    def as_tuple(self) -> tuple[float, float, float]:
-        return (self.c1, self.c2, self.c3)
 
 
 @dataclass(eq=False)
@@ -126,7 +116,7 @@ def snap_angle(x: float) -> float:
 
 
 def snap_vector(c: CanonicalVector) -> tuple[float, float, float]:
-    return tuple(snap_angle(x) for x in c.as_tuple())
+    return tuple(snap_angle(x) for x in c)
 
 
 # Distinct move sequences a sweep of raw triples in [-30, 30]^3 and around
@@ -188,6 +178,7 @@ def canonicalize(raw: tuple[float, float, float]) -> tuple[
 
     Each move is recorded as ("swap", i, j), ("negate", i, j) or ("shift", k, m % 4),
     and _move_locals builds the local corrections once per distinct sequence.
+    A result outside the chamber by more than snap_tol raises ArithmeticError.
     """
     c = [float(x) for x in raw]
     moves = []
@@ -216,6 +207,9 @@ def canonicalize(raw: tuple[float, float, float]) -> tuple[
         c[0], c[2] = np.pi - c[0], -c[2]
         _sort_descending(c, moves)
 
+    slack = ToleranceConfig.snap_tol
+    if not (np.pi - c[1] + slack >= c[0] >= c[1] - slack and c[1] + slack >= c[2] >= -slack):
+        raise ArithmeticError(f"({c[0]}, {c[1]}, {c[2]}) is outside the chamber")
     vec = CanonicalVector(*(x + 0.0 for x in c))  # -0.0 -> +0.0
     (pre, post), phase = _move_locals(tuple(moves))
     return vec, pre, post, phase
@@ -374,7 +368,7 @@ def _reconstruction_error(decomps: list[KakDecomposition], us: np.ndarray) -> np
     The interaction is diagonal in the magic basis, with phases
     (c1 dXX + c2 dYY + c3 dZZ) / 2, so the stack takes one exp.
     """
-    c = np.array([d.c.as_tuple() for d in decomps])
+    c = np.array([d.c for d in decomps])
     phase = np.array([d.phase for d in decomps])
     inter = (MAGIC * (phase[:, None] * np.exp(0.5j * (c @ _DIAG_XYZ)))[:, None, :]) @ MAGIC_DAG
     factors = np.array([(d.k1, d.k2) for d in decomps])

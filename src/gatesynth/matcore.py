@@ -30,7 +30,7 @@ for _m in (ID2, ID4, SIGMA_X, SIGMA_Y, SIGMA_Z):
 class ToleranceConfig:
     """Numerical tolerances used across the pipeline.
 
-    verify_tol, the one setting, in (0, MAX_TOLERANCE), bounds every residual
+    verify_tol, the one setting, in [ROUNDOFF, MAX_TOLERANCE), bounds every residual
     (a Frobenius distance): the final check and each internal KAK step. Two
     windows are fixed: unitarity_tol bounds max |U U^dag - I| of every input,
     and snap_tol snaps angles to special values before discrete decisions.
@@ -41,13 +41,14 @@ class ToleranceConfig:
     verify_tol: float = 1e-8
 
     def __post_init__(self) -> None:
-        # Rejects NaN too: every comparison with NaN is false.
-        if not 0 < self.verify_tol < MAX_TOLERANCE:
-            raise ValueError(f"tolerances must be finite and strictly positive, < {MAX_TOLERANCE}")
+        # Rejects NaN too (every comparison with NaN is false), and any floor below roundoff.
+        if not ROUNDOFF <= self.verify_tol < MAX_TOLERANCE:
+            raise ValueError("tolerances must be finite and strictly positive, "
+                             f"in [{ROUNDOFF}, {MAX_TOLERANCE})")
 
 
 # Floating-point slack of exact comparisons (chamber faces, block-angle
-# ranges, unit axes): about 2,000 ulps at pi, far below every tolerance.
+# ranges, unit axes): about 2,000 ulps at pi, and the floor of verify_tol.
 ROUNDOFF = 1e-12
 # Every tolerance is below this. Correct residuals are near 1e-13; a looser
 # verify_tol passes wrong circuits (at 3, a CNOT circuit against SWAP).
@@ -119,10 +120,9 @@ def tensor(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 _XX, _YY, _ZZ = (tensor(s, s) for s in (SIGMA_X, SIGMA_Y, SIGMA_Z))
 
 
-def exp_pauli(axis: str | np.ndarray, alpha: float) -> np.ndarray:
-    """exp(i * alpha * sigma) for a Pauli axis or any 2x2 involution sigma."""
-    sigma = PAULIS[axis] if isinstance(axis, str) else np.asarray(axis, dtype=complex)
-    return np.cos(alpha) * ID2 + 1j * np.sin(alpha) * sigma
+def exp_pauli(axis: str, alpha: float) -> np.ndarray:
+    """exp(i * alpha * sigma) for the Pauli axis "x", "y" or "z"."""
+    return np.cos(alpha) * ID2 + 1j * np.sin(alpha) * PAULIS[axis]
 
 
 def interaction(c1: float, c2: float, c3: float) -> np.ndarray:

@@ -7,7 +7,7 @@ import pytest
 from gatesynth.blocksynth import AxisAngle, synth_zz_block
 from gatesynth.kak import KakDecomposition
 from gatesynth.matcore import (ID2, SIGMA_X, SIGMA_Y, SIGMA_Z, Circuit, EntanglerApp, LocalPair,
-                               exp_pauli, interaction, zz_interaction)
+                               interaction, zz_interaction)
 from gatesynth.serialize import encode_matrix
 from gatesynth.zzsynth import ZzResource, ZzTemplate, _Run, amplify
 
@@ -57,14 +57,15 @@ def near_edge(u: np.ndarray, error: float, rng: np.random.Generator) -> np.ndarr
 
 def reconstruct(dec: KakDecomposition) -> np.ndarray:
     """Reference product of a KAK: phase * (k1[0] (x) k1[1]) A(c) (k2[0] (x) k2[1])."""
-    return dec.phase * np.kron(*dec.k1) @ interaction(*dec.c.as_tuple()) @ np.kron(*dec.k2)
+    return dec.phase * np.kron(*dec.k1) @ interaction(*dec.c) @ np.kron(*dec.k2)
 
 
 def controlled_matrix(spec: AxisAngle) -> np.ndarray:
     """Reference diag(I, exp(i gamma n.sigma)), the Controlled-U of spec."""
     nx, ny, nz = spec.axis
     out = np.eye(4, dtype=complex)
-    out[2:, 2:] = exp_pauli(nx * SIGMA_X + ny * SIGMA_Y + nz * SIGMA_Z, spec.gamma)
+    sigma = nx * SIGMA_X + ny * SIGMA_Y + nz * SIGMA_Z
+    out[2:, 2:] = np.cos(spec.gamma) * ID2 + 1j * np.sin(spec.gamma) * sigma
     return out
 
 

@@ -33,7 +33,7 @@ def test_criterion_1_kak_roundtrip():
         u = haar_unitary(rng)
         d = kak_decompose(u)
         worst = max(worst, phase_distance(reconstruct(d), u))
-        c1, c2, c3 = (snap_angle(x) for x in d.c.as_tuple())
+        c1, c2, c3 = (snap_angle(x) for x in d.c)
         chamber_ok &= bool(np.pi - c2 >= c1 >= c2 >= c3 >= 0)
     elapsed = time.perf_counter() - start
     ok = worst < 1e-9 and chamber_ok and elapsed < 5.0
@@ -50,7 +50,7 @@ def test_criterion_2_canonical_landmarks():
          for phi in (np.pi / 5, np.pi / 2, 2 * np.pi / 3, np.pi)]
     worst = 0.0
     for _, gate, expected in cases:
-        got = kak_decompose(gate).c.as_tuple()
+        got = kak_decompose(gate).c
         worst = max(worst, max(abs(g - e) for g, e in zip(got, expected)))
     _verdict(2, worst < 1e-10, f"{len(cases)} landmark classes, worst coordinate error {worst:.3e}")
 
@@ -84,8 +84,7 @@ def test_criterion_4_block_identity_grid():
             if c > 2 * gamma:
                 continue
             count += 1
-            params = block_params(c, gamma)
-            p, q, b = params.p, params.q, params.b
+            b, p, q = block_params(c, gamma)
             worst_identity = max(
                 worst_identity,
                 abs(p * p + q * q - 1),

@@ -5,9 +5,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from gatesynth import blocksynth
-from gatesynth.blocksynth import (AxisAngle, BlockParams, block_locals, block_params,
-                                  controlled_u_circuit, controlled_u_gamma, synth_zz_block,
-                                  u1_u2)
+from gatesynth.blocksynth import (AxisAngle, block_locals, block_params, controlled_u_circuit,
+                                  controlled_u_gamma, synth_zz_block, u1_u2)
 from gatesynth.compiler import efficient_as_cnot
 from gatesynth.gates import CNOT, cphase, phase_gate
 from gatesynth.kak import kak_decompose
@@ -24,9 +23,9 @@ ID2 = np.eye(2, dtype=complex)
 
 def unfolded_block(c: float, resource: CircuitResource) -> Circuit:
     """Reference block for c in (0, pi/2]: u2, resource, mid, resource, u1; no fold."""
-    params = block_params(c, resource.gamma)
-    u1, u2 = u1_u2(params)
-    mid = LocalPair(ID2, exp_pauli("y", (params.b + np.pi) / 2))
+    b, p, q = block_params(c, resource.gamma)
+    u1, u2 = u1_u2(p, q)
+    mid = LocalPair(ID2, exp_pauli("y", (b + np.pi) / 2))
     elems = ([LocalPair(ID2, u2)]
              + slot_elements(resource.circuit)
              + [mid]
@@ -38,22 +37,22 @@ def unfolded_block(c: float, resource: CircuitResource) -> Circuit:
 class TestBlockParams:
     def test_cnot_endpoint_b_equals_c(self):
         for c in (0.2, np.pi / 4, np.pi / 2):
-            params = block_params(c, np.pi / 2)
-            assert params.b == pytest.approx(c, abs=1e-12)
-            assert params.p == pytest.approx(1 / np.sqrt(2), abs=1e-12)
-            assert params.q == pytest.approx(1 / np.sqrt(2), abs=1e-12)
+            b, p, q = block_params(c, np.pi / 2)
+            assert b == pytest.approx(c, abs=1e-12)
+            assert p == pytest.approx(1 / np.sqrt(2), abs=1e-12)
+            assert q == pytest.approx(1 / np.sqrt(2), abs=1e-12)
 
     def test_reachability_boundary(self):
         # c = 2*gamma forces b = pi and q = 0
         gamma = np.pi / 4
-        params = block_params(2 * gamma, gamma)
-        assert params.p == pytest.approx(1.0, abs=1e-12)
-        assert params.q == pytest.approx(0.0, abs=1e-7)
-        assert params.b == pytest.approx(np.pi, abs=1e-6)
+        b, p, q = block_params(2 * gamma, gamma)
+        assert p == pytest.approx(1.0, abs=1e-12)
+        assert q == pytest.approx(0.0, abs=1e-7)
+        assert b == pytest.approx(np.pi, abs=1e-6)
 
     def test_proof_identities(self):
-        params = block_params(np.pi / 4, np.pi / 3)
-        c, gamma, b, p, q = params.c, params.gamma, params.b, params.p, params.q
+        c, gamma = np.pi / 4, np.pi / 3
+        b, p, q = block_params(c, gamma)
         assert p * p + q * q == pytest.approx(1.0, abs=1e-12)
         assert np.sin(c / 2) == pytest.approx(np.sin(gamma) * np.sin(b / 2), abs=1e-12)
         assert p * q == pytest.approx(np.cos(b / 2) / (2 * np.cos(c / 2)), abs=1e-12)
@@ -61,7 +60,7 @@ class TestBlockParams:
     @pytest.mark.parametrize("c", [1e-10, 1e-8, 1e-4])
     @pytest.mark.parametrize("gamma", [np.pi / 4, np.pi / 3, np.pi / 2])
     def test_half_angle_identity_small_c(self, c, gamma):
-        b = block_params(c, gamma).b
+        b = block_params(c, gamma)[0]
         assert np.sin(gamma) * np.sin(b / 2) == pytest.approx(np.sin(c / 2), rel=1e-9)
 
     def test_rejects_unreachable(self):
@@ -81,22 +80,21 @@ class TestBlockParams:
     def test_weak_gamma_reaches_twice_gamma(self, gamma):
         # Below pi/4 the equations still hold up to c = 2 gamma.
         for c in (gamma / 7, gamma, 2 * gamma):
-            params = block_params(c, gamma)
-            assert params.p ** 2 + params.q ** 2 == pytest.approx(1.0, abs=1e-12)
-            assert np.sin(gamma) * np.sin(params.b / 2) == pytest.approx(np.sin(c / 2),
-                                                                         rel=1e-12)
+            b, p, q = block_params(c, gamma)
+            assert p ** 2 + q ** 2 == pytest.approx(1.0, abs=1e-12)
+            assert np.sin(gamma) * np.sin(b / 2) == pytest.approx(np.sin(c / 2), rel=1e-12)
 
 
 class TestU1U2:
     def test_equal_weights_closed_form(self):
-        params = block_params(0.9, np.pi / 2)
-        u1, u2 = u1_u2(params)
+        _, p, q = block_params(0.9, np.pi / 2)
+        u1, u2 = u1_u2(p, q)
         np.testing.assert_allclose(u1, np.array([[1j, 1j], [-1, 1]]) / np.sqrt(2), atol=1e-12)
         np.testing.assert_allclose(u2, np.array([[1j, -1], [-1j, -1]]) / np.sqrt(2), atol=1e-12)
 
     def test_degenerate_weights(self):
         gamma = np.pi / 4
-        u1, u2 = u1_u2(block_params(2 * gamma, gamma))
+        u1, u2 = u1_u2(*block_params(2 * gamma, gamma)[1:])
         np.testing.assert_allclose(u1, np.array([[1j, 0], [0, 1]]), atol=1e-7)
         np.testing.assert_allclose(u2, np.array([[1j, 0], [0, -1]]), atol=1e-7)
 
@@ -106,7 +104,7 @@ class TestU1U2:
     def test_always_unitary(self, c, gamma):
         if c > 2 * gamma:
             c = 2 * gamma
-        u1, u2 = u1_u2(block_params(c, gamma))
+        u1, u2 = u1_u2(*block_params(c, gamma)[1:])
         np.testing.assert_allclose(u1 @ u1.conj().T, ID2, atol=1e-12)
         np.testing.assert_allclose(u2 @ u2.conj().T, ID2, atol=1e-12)
 
@@ -118,7 +116,7 @@ def test_middle_layer_is_exp_pauli_y(monkeypatch):
     assert grid[0] == 0.0 and grid[-1] == np.pi
     for b in grid:
         monkeypatch.setattr(blocksynth, "block_params",
-                            lambda c, gamma, b=b: BlockParams(c, gamma, b, 0.6, 0.8))
+                            lambda c, gamma, b=b: (b, 0.6, 0.8))
         h, pre, post, _ = fold_angle(0.5)
         mid = block_locals(0.5, h, pre, post, np.pi / 2)[2]
         assert mid.dtype == complex

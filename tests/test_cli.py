@@ -115,7 +115,8 @@ class TestSynth:
         assert err.startswith("error:")
         assert "117810" in err and "100000" in err
 
-    @pytest.mark.parametrize("tol", ["inf", "nan", "0.01"])
+    # 1e-15 is below matcore.ROUNDOFF, where correct residuals fail.
+    @pytest.mark.parametrize("tol", ["inf", "nan", "0.01", "1e-15"])
     def test_rejects_invalid_tol(self, capsys, tol):
         code, _, err = run(capsys, "synth", "--target", "SWAP", "--entangler", "CNOT",
                            "--tol", tol)

@@ -37,7 +37,7 @@ class TestClosedForms:
 
     def test_b_gate_canonical_point(self):
         c = kak_decompose(B_GATE).c
-        np.testing.assert_allclose(c.as_tuple(), (np.pi / 2, np.pi / 4, 0.0), atol=1e-12)
+        np.testing.assert_allclose(c, (np.pi / 2, np.pi / 4, 0.0), atol=1e-12)
 
     def test_cphase_pi_is_cz(self):
         np.testing.assert_allclose(cphase(np.pi), CZ, atol=1e-15)

@@ -12,13 +12,14 @@ from hypothesis import given, settings, strategies as st
 
 from gatesynth import kak
 from gatesynth.cli import EXIT_VERIFY, main
+from gatesynth.compiler import synthesize
 from gatesynth.gates import B_GATE, CNOT, CZ, SQRT_SWAP, SWAP, cphase
 from gatesynth.kak import (CanonicalVector, GateClass, canonicalize, classify,
                            kak_decompose, snap_angle)
 from gatesynth.matcore import (ID2, ROUNDOFF, SIGMA_X, SIGMA_Y, SIGMA_Z, ToleranceConfig,
                                interaction, phase_distance, tensor, unitarity_error)
 
-from conftest import dress, haar_unitary, random_local, reconstruct
+from conftest import dress, haar_unitary, matrix_json, random_local, reconstruct
 
 angles = st.floats(min_value=-8.0, max_value=8.0, allow_nan=False)
 
@@ -26,15 +27,15 @@ angles = st.floats(min_value=-8.0, max_value=8.0, allow_nan=False)
 class TestKakDecompose:
     def test_cnot_landmark(self):
         c = kak_decompose(CNOT).c
-        np.testing.assert_allclose(c.as_tuple(), (np.pi / 2, 0, 0), atol=1e-10)
+        np.testing.assert_allclose(c, (np.pi / 2, 0, 0), atol=1e-10)
 
     def test_swap_landmark(self):
         c = kak_decompose(SWAP).c
-        np.testing.assert_allclose(c.as_tuple(), (np.pi / 2,) * 3, atol=1e-10)
+        np.testing.assert_allclose(c, (np.pi / 2,) * 3, atol=1e-10)
 
     def test_identity(self):
         d = kak_decompose(np.eye(4, dtype=complex))
-        assert d.c.as_tuple() == (0.0, 0.0, 0.0)
+        assert d.c == (0.0, 0.0, 0.0)
         np.testing.assert_allclose(tensor(*d.k1), np.eye(4), atol=1e-12)
         np.testing.assert_allclose(tensor(*d.k2), np.eye(4), atol=1e-12)
         assert d.phase == pytest.approx(1.0, abs=1e-12)
@@ -44,7 +45,7 @@ class TestKakDecompose:
             u = haar_unitary(rng)
             d = kak_decompose(u)
             assert phase_distance(reconstruct(d), u) < 1e-9
-            c1, c2, c3 = (snap_angle(x) for x in d.c.as_tuple())
+            c1, c2, c3 = (snap_angle(x) for x in d.c)
             assert np.pi - c2 >= c1 >= c2 >= c3 >= 0
 
     def test_interaction_gates_roundtrip(self, rng):
@@ -75,7 +76,7 @@ class TestKakDecompose:
     def test_deterministic(self, rng):
         u = haar_unitary(rng)
         d1, d2 = kak_decompose(u), kak_decompose(u)
-        assert d1.c.as_tuple() == d2.c.as_tuple()
+        assert d1.c == d2.c
         np.testing.assert_array_equal(d1.k1, d2.k1)
         assert d1.phase == d2.phase
 
@@ -83,21 +84,21 @@ class TestKakDecompose:
 class TestCanonicalize:
     def test_zero_identity_corrections(self):
         vec, pre, post, phase = canonicalize((0.0, 0.0, 0.0))
-        assert vec.as_tuple() == (0.0, 0.0, 0.0)
+        assert vec == (0.0, 0.0, 0.0)
         assert phase == 1.0
         np.testing.assert_allclose(tensor(*pre), np.eye(4), atol=1e-15)
         np.testing.assert_allclose(tensor(*post), np.eye(4), atol=1e-15)
 
     def test_already_canonical(self):
         vec, _, _, _ = canonicalize((np.pi / 2, 0.0, 0.0))
-        assert vec.as_tuple() == (np.pi / 2, 0.0, 0.0)
+        assert vec == (np.pi / 2, 0.0, 0.0)
 
     def test_out_of_chamber_reflection(self):
         raw = (3 * np.pi / 4, np.pi / 2, np.pi / 4)
         vec, pre, post, phase = canonicalize(raw)
-        c1, c2, c3 = vec.as_tuple()
+        c1, c2, c3 = vec
         assert np.pi - c2 + 1e-12 >= c1 >= c2 >= c3 >= 0
-        recon = phase * tensor(*pre) @ interaction(*vec.as_tuple()) @ tensor(*post)
+        recon = phase * tensor(*pre) @ interaction(*vec) @ tensor(*post)
         np.testing.assert_allclose(recon, interaction(*raw), atol=1e-12)
 
     def test_base_plane_prefers_smaller_c1(self):
@@ -108,15 +109,15 @@ class TestCanonicalize:
     @given(angles, angles, angles)
     def test_reconstruction_property(self, a, b, c):
         vec, pre, post, phase = canonicalize((a, b, c))
-        recon = phase * tensor(*pre) @ interaction(*vec.as_tuple()) @ tensor(*post)
+        recon = phase * tensor(*pre) @ interaction(*vec) @ tensor(*post)
         assert np.abs(recon - interaction(a, b, c)).max() < 1e-10
 
     @settings(max_examples=200, deadline=None)
     @given(angles, angles, angles)
     def test_idempotent(self, a, b, c):
         vec, _, _, _ = canonicalize((a, b, c))
-        again, pre, post, phase = canonicalize(vec.as_tuple())
-        assert again.as_tuple() == vec.as_tuple()
+        again, pre, post, phase = canonicalize(vec)
+        assert again == vec
         assert phase == 1.0
         np.testing.assert_allclose(tensor(*pre), np.eye(4), atol=1e-15)
         np.testing.assert_allclose(tensor(*post), np.eye(4), atol=1e-15)
@@ -183,7 +184,7 @@ def _batched_pair(pairs) -> np.ndarray:
 
 def _check_against_reference(raw: np.ndarray) -> None:
     results = [canonicalize(tuple(t)) for t in raw]
-    got = np.array([vec.as_tuple() for vec, _, _, _ in results])
+    got = np.array([vec for vec, _, _, _ in results])
     ref = _reference_chamber_points(raw)
     gap = np.abs(got - ref).max(axis=1)
     assert gap.max() <= 1e-11, raw[gap.argmax()]
@@ -196,8 +197,8 @@ def _check_against_reference(raw: np.ndarray) -> None:
     assert err.max() < 1e-10, raw[err.argmax()]
 
     for vec, _, _, _ in results:
-        again, pre, post, ph = canonicalize(vec.as_tuple())
-        assert again.as_tuple() == vec.as_tuple()
+        again, pre, post, ph = canonicalize(vec)
+        assert again == vec
         assert ph == 1.0
         for m in (*pre, *post):
             assert np.array_equal(m, np.eye(2))
@@ -247,8 +248,8 @@ class TestCanonicalizeAgainstOrbitSearch:
         # on the second pass.
         for raw in _shift_boundary_triples():
             vec, _, _, _ = canonicalize(raw)
-            again, _, _, phase = canonicalize(vec.as_tuple())
-            assert again.as_tuple() == vec.as_tuple() and phase == 1.0, raw
+            again, _, _, phase = canonicalize(vec)
+            assert again == vec and phase == 1.0, raw
 
 
 class MoveTrackerLoop:
@@ -345,7 +346,7 @@ def _assert_matches_loop(raws) -> None:
             vec, pre, post, phase = canonicalize(raw)
             want_vec, want_locals, want_phase, want_moves = canonicalize_loop(raw)
             assert keys.pop() == want_moves, raw
-            assert np.array(vec.as_tuple()).tobytes() == np.array(want_vec).tobytes(), raw
+            assert np.array(vec).tobytes() == np.array(want_vec).tobytes(), raw
             assert np.complex128(phase).tobytes() == np.complex128(want_phase).tobytes(), raw
             for got, want in zip((*pre, *post), want_locals, strict=True):
                 assert got.tobytes() == want.tobytes(), raw
@@ -388,7 +389,7 @@ class TestMoveMemoIsolation:
             with pytest.raises(ValueError, match="read-only"):
                 m[...] = 0
         again, pre, post, again_phase = canonicalize(raw)
-        assert (again.as_tuple(), again_phase) == (vec.as_tuple(), phase)
+        assert (again, again_phase) == (vec, phase)
         for got, want in zip((*pre, *post), kept, strict=True):
             assert np.array_equal(got, want)
 
@@ -421,17 +422,11 @@ class TestClassify:
         assert classify(CanonicalVector(np.pi / 2 - eps, np.pi / 2 - eps, np.pi / 2 - eps)) \
             is GateClass.SWAP_CLASS
 
-    def test_chamber_validation(self):
-        with pytest.raises(ValueError):
-            CanonicalVector(0.1, 0.5, 0.0)  # c1 < c2
-        with pytest.raises(ValueError):
-            CanonicalVector(3.0, 0.5, 0.0)  # c1 > pi - c2
-
 
 def locally_equivalent(u: np.ndarray, v: np.ndarray) -> bool:
     """Whether two gates share a canonical vector within snap_tol."""
-    cu = kak_decompose(u).c.as_tuple()
-    cv = kak_decompose(v).c.as_tuple()
+    cu = kak_decompose(u).c
+    cv = kak_decompose(v).c
     return all(abs(a - b) <= ToleranceConfig.snap_tol for a, b in zip(cu, cv))
 
 
@@ -637,7 +632,7 @@ class TestKakHelpersBitIdentical:
 def _assert_same_decomposition(got, want) -> None:
     for x, y in zip((*got.k1, *got.k2), (*want.k1, *want.k2), strict=True):
         assert x.tobytes() == y.tobytes()
-    assert got.c.as_tuple() == want.c.as_tuple()
+    assert got.c == want.c
     assert np.complex128(got.phase).tobytes() == np.complex128(want.phase).tobytes()
     assert got.unitarity_error == want.unitarity_error
 
@@ -764,3 +759,20 @@ class TestKakChecksRaise:
         out, err = capsys.readouterr()
         assert (code, out) == (EXIT_VERIFY, "")
         assert err.splitlines() == [f"verification failure: {message}"]
+
+    def test_result_outside_chamber_raises(self, monkeypatch, capsys, tmp_path):
+        # With the sort undone, the raw triple (-0.9, 0.5, -0.2) of this target
+        # shifts to (pi - 0.9, 0.5, pi - 0.2) and stays there, outside the chamber:
+        # a canonicalize bug, an internal failure rather than invalid input.
+        monkeypatch.setattr(kak, "_sort_descending", lambda c, moves: None)
+        target = interaction(0.9, 0.5, 0.2)
+        for call in (lambda: kak_decompose(target), lambda: synthesize(target, CNOT)):
+            with pytest.raises(ArithmeticError, match="is outside the chamber$"):
+                call()
+        path = tmp_path / "target.json"
+        path.write_text(matrix_json(target))
+        code = main(["synth", "--target", f"MATRIX({path})", "--entangler", "CNOT"])
+        out, err = capsys.readouterr()
+        assert (code, out) == (EXIT_VERIFY, "")
+        assert len(err.splitlines()) == 1
+        assert err.startswith("verification failure: ") and err.endswith("is outside the chamber\n")

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from gatesynth.matcore import (MAX_TOLERANCE, Circuit, EntanglerApp, LocalPair,
+from gatesynth.matcore import (MAX_TOLERANCE, ROUNDOFF, Circuit, EntanglerApp, LocalPair,
                                SIGMA_X, SIGMA_Y, SIGMA_Z, ToleranceConfig,
                                evaluate, exp_pauli, interaction, merge_locals,
                                phase_distance, project_special_rows,
@@ -235,10 +235,15 @@ class TestToleranceConfig:
         {"verify_tol": -1e300}, {"verify_tol": float("inf")}, {"verify_tol": float("-inf")},
         {"verify_tol": float("nan")}, {"verify_tol": 3.0}, {"verify_tol": 0.5},
         {"verify_tol": MAX_TOLERANCE}, {"verify_tol": 2 * MAX_TOLERANCE},
+        # Below ROUNDOFF, correct residuals of built-in gates fail.
+        {"verify_tol": 1e-13}, {"verify_tol": 1e-15}, {"verify_tol": 5e-324},
     ])
     def test_rejects_bad_values(self, kwargs):
         with pytest.raises(ValueError, match="^tolerances must be finite and strictly positive"):
             ToleranceConfig(**kwargs)
+
+    def test_accepts_the_roundoff_floor(self):
+        assert ToleranceConfig(verify_tol=ROUNDOFF).verify_tol == ROUNDOFF
 
     @pytest.mark.parametrize("window", ["unitarity_tol", "snap_tol"])
     def test_windows_are_not_settable(self, window):

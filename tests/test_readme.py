@@ -1,13 +1,16 @@
 """README.md names only what exists: every module-qualified name in its
-inline code, and every name its examples import, resolves."""
+inline code, and every name its examples import, resolves, and its Library
+example runs."""
 
 import importlib
 import re
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import gatesynth
+from gatesynth.gates import CNOT
 
 README = (Path(__file__).resolve().parents[1] / "README.md").read_text()
 MODULES = ("blocksynth", "cli", "compiler", "gates", "kak", "matcore", "serialize", "zzsynth")
@@ -63,3 +66,12 @@ def test_package_root_binds_only_what_callers_import():
     public = {name for name, value in vars(gatesynth).items()
               if not name.startswith("_") and type(value) is not type(gatesynth)}
     assert public == ROOT_NAMES
+
+
+def test_library_example_runs(capsys):
+    blocks = re.findall(r"^```python\n(.*?)^```", README, flags=re.S | re.M)
+    assert len(blocks) == 1
+    exec(compile(blocks[0], "README.md", "exec"), {})
+    # The vector the example prints is the one its comment states.
+    assert capsys.readouterr().out.splitlines()[1] == str((np.pi / 2, 0.0, 0.0))
+    assert gatesynth.kak_decompose(CNOT).c == (np.pi / 2, 0.0, 0.0)
