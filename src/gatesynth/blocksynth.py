@@ -1,9 +1,10 @@
 """Closed-form synthesis of ZZ blocks and Controlled-U gates.
 
 An arbitrary block exp(c (i/2) ZZ) is built from exactly two insertions
-of a ZZ resource with c <= 2*gamma and gamma <= pi/2; synth_zz_block
-gets there by repeating a template's unit. Any Controlled-U gate is
-built from a single ZZ interaction plus locals.
+of a ZZ resource with c <= 2*gamma and gamma <= pi/2, a template's unit
+repeated: plan_blocks solves the blocks and counts their applications
+before any matrix is built, and synth_zz_block builds one. Any
+Controlled-U gate is built from a single ZZ interaction plus locals.
 """
 
 from dataclasses import dataclass
@@ -11,8 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .kak import kak_decompose
-from .matcore import (ID2, ROUNDOFF, SIGMA_X, Circuit, ToleranceConfig, dagger, exp_pauli,
-                      require_unitary)
+from .matcore import ID2, ROUNDOFF, SIGMA_X, Circuit, dagger, exp_pauli, require_unitary
 from .zzsynth import ZzTemplate, block_repetitions, fold_angle
 
 
@@ -27,8 +27,9 @@ class AxisAngle:
         # Negated comparisons: NaN fails every test, so it is rejected too.
         if not 0 < self.gamma < np.inf:
             raise ValueError("gamma must be positive and finite")
-        if np.shape(self.axis) != (3,) or not abs(np.linalg.norm(self.axis) - 1.0) <= ROUNDOFF:
-            raise ValueError("axis must be a 3-vector of unit norm")
+        if (np.shape(self.axis) != (3,) or np.iscomplexobj(self.axis)
+                or not abs(np.linalg.norm(self.axis) - 1.0) <= ROUNDOFF):
+            raise ValueError("axis must be a real 3-vector of unit norm")
 
 
 def block_params(c: float, gamma: float) -> tuple[float, float, float]:
@@ -57,70 +58,64 @@ def block_params(c: float, gamma: float) -> tuple[float, float, float]:
     return b, p, q
 
 
-def u1_u2(p: float, q: float) -> tuple[np.ndarray, np.ndarray]:
-    """The two single-qubit gates flanking the block construction."""
+def plan_blocks(cs, template: ZzTemplate) -> tuple[list[tuple], int]:
+    """(blocks, entangler_count) of the blocks exp(c (i/2) ZZ), c in [0, pi],
+    for the angles cs in the order given, over the template's unit.
+
+    Each block is the tuple (c, h, pre, post, phase, m, b, p, q) of
+    fold_angle(c), m = block_repetitions(h, ...) and block_params(h, m * gamma);
+    at h = 0 (c = 0 or pi), one local layer, m = 0 and b, p, q are None. The
+    count is 2 * apps_per_unit * sum(m).
+    """
+    blocks = []
+    for c in cs:
+        if not 0.0 <= c <= np.pi:
+            raise ValueError(f"block angle c = {c} outside [0, pi]")
+        h, pre, post, phase = fold_angle(c)
+        m = block_repetitions(h, template.gamma, template.n) if h else 0
+        params = block_params(h, m * template.gamma) if m else (None, None, None)
+        blocks.append((c, h, pre, post, phase, m, *params))
+    return blocks, 2 * template.apps_per_unit * sum(block[5] for block in blocks)
+
+
+def synth_zz_block(block: tuple, template: ZzTemplate) -> tuple[list, list, complex]:
+    """Build a plan_blocks block from two runs of the template's unit repeated m times.
+
+    Returns (chains, runs, phase): the halves of the block's local layers
+    as chains, one before each run and one after the last, its runs
+    ([run, run], or [] at m = 0, where the block is one local layer) and its
+    phase factor. The layers are pre[0] (x) u2, a run, I (x) mid, the run
+    again and post[0] (x) u1, with the template's first and last layers on
+    either side of each run; fold_angle's Pauli layers join the u2 and u1
+    layers, so folding adds no layer.
+    """
+    c, h, pre, post, fold_phase, m, b, p, q = block
+    if not m:
+        return [[post[0] @ pre[0], post[1] @ pre[1]]], [], fold_phase
     u1 = np.array([[1j * p, 1j * q], [-q, p]], dtype=complex)
     u2 = np.array([[1j * p, -q], [-1j * q, -p]], dtype=complex)
-    return u1, u2
-
-
-def block_locals(c: float, h: float, pre: tuple, post: tuple,
-                 gamma: float) -> tuple[np.ndarray, ...]:
-    """The target-dependent halves of the layers of exp(c (i/2) ZZ), with
-    (h, pre, post) from fold_angle(c), over a resource of angle gamma.
-
-    At h = 0 (c = 0 or pi), (a, b) of the block's one local layer;
-    otherwise (pre[0], u2, mid, post[0], u1) of its layers pre[0] (x) u2,
-    then the resource, I (x) mid, the resource again and post[0] (x) u1.
-    fold_angle's Pauli layers join the u2 and u1 layers, so folding adds
-    no layer.
-    """
-    if h == 0.0:
-        return post[0] @ pre[0], post[1] @ pre[1]
-    b, p, q = block_params(h, gamma)
-    u1, u2 = u1_u2(p, q)
     if h != c:  # join the fold's Pauli layers; their products round nothing
         u1, u2 = post[1] @ u1, u2 @ pre[1]
     # exp_pauli("y", alpha) bit for bit, in one array call.
     alpha = (b + np.pi) / 2
     cos, sin = np.cos(alpha), np.sin(alpha)
-    return pre[0], u2, np.array([[cos, sin], [-sin, cos]], dtype=complex), post[0], u1
-
-
-def synth_zz_block(c: float, template: ZzTemplate) -> tuple[list, list, complex]:
-    """Simulate exp(c (i/2) ZZ), c in [0, pi], with two insertions of the
-    template's unit repeated m = block_repetitions(h, ...) times.
-
-    Returns (chains, runs, phase): the halves of the block's local layers
-    as chains, one before each run and one after the last, its runs
-    ([run, run], or [] at h = 0, c = 0 or pi, where the block is one local
-    layer), and its phase factor. The layers are block_locals' with the
-    template's first and last layers on either side of each run.
-    """
-    if not 0.0 <= c <= np.pi:
-        raise ValueError(f"block angle c = {c} outside [0, pi]")
-    h, pre, post, fold_phase = fold_angle(c)
-    if h == 0.0:
-        return [list(block_locals(c, h, pre, post, template.gamma))], [], fold_phase
-    m = block_repetitions(h, template.gamma, template.n)
+    mid = np.array([[cos, sin], [-sin, cos]], dtype=complex)
     run, unit_phase = template.run(m)
-    pre_a, u2, mid, post_a, u1 = block_locals(c, h, pre, post, m * template.gamma)
     first, last = template.first, template.last
-    chains = [[pre_a, u2, *first], [*last, ID2, mid, *first], [*last, post_a, u1]]
+    chains = [[pre[0], u2, *first], [*last, ID2, mid, *first], [*last, post[0], u1]]
     return chains, [run, run], unit_phase ** 2 if h == c else fold_phase * unit_phase ** 2
 
 
 def _controlled_u1(axis: tuple[float, float, float]) -> np.ndarray:
-    """The conjugating gate of the Controlled-U construction (three branches)."""
+    """The conjugating gate of the Controlled-U construction, in the axis's polar
+    half-angle and azimuth phase: exact near +-z, and for a norm off 1 by roundoff."""
     nx, ny, nz = axis
-    if abs(nz - 1.0) <= ToleranceConfig.snap_tol:
-        return SIGMA_X.copy()
-    if abs(nz + 1.0) <= ToleranceConfig.snap_tol:
-        return ID2.copy()
-    return np.array([
-        [1j * np.sqrt((1 - nz) / 2), np.sqrt((1 + nz) / 2)],
-        [(ny - 1j * nx) / np.sqrt(2 * (1 - nz)), (nx + 1j * ny) / np.sqrt(2 * (1 + nz))],
-    ], dtype=complex)
+    r = np.hypot(nx, ny)
+    if r == 0.0:
+        return SIGMA_X.copy() if nz > 0 else ID2.copy()
+    half = np.arctan2(r, nz) / 2
+    s, c, e = np.sin(half), np.cos(half), (nx + 1j * ny) / r
+    return np.array([[1j * s, c], [-1j * e * c, e * s]], dtype=complex)
 
 
 def controlled_u_circuit(spec: AxisAngle) -> Circuit:

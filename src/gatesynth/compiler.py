@@ -7,11 +7,10 @@ count never exceeds zzsynth.uniform_bound. That bound depends only on the
 entangler's canonical vector.
 
 synthesize keeps each entangler's zzsynth.prepare_resource template in
-a small memo, builds each block as chains of local layers between the
-template's runs (blocksynth.synth_zz_block) and fuses the target's
-chains in one matcore.merge_locals call. The fused layers, with one run
-in each slot between them, are the circuit it verifies, counts by
-arithmetic on the runs, and returns.
+a small memo, plans the target's blocks and counts (blocksynth.plan_blocks),
+builds each block as chains of local layers between the template's runs
+(blocksynth.synth_zz_block) and fuses the chains in one
+matcore.merge_locals call: the circuit it verifies and returns.
 """
 
 from collections import OrderedDict
@@ -19,7 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .blocksynth import controlled_u_gamma, synth_zz_block
+from .blocksynth import controlled_u_gamma, plan_blocks, synth_zz_block
 from .kak import KakDecomposition, kak_decompose, snap_angle, snap_vector
 from .matcore import (DEFAULT_TOL, Circuit, ToleranceConfig, evaluate, merge_locals,
                       phase_distance)
@@ -86,9 +85,8 @@ _INPUT_NAMES = ("target", "entangler")
 _INTERLEAVERS = ((KY_FACTOR, KY_FACTOR), (KX_KY_DAG, KX_KY_DAG))
 
 
-def _skeleton(c: tuple[float, float, float], dec: KakDecomposition,
-              template: ZzTemplate) -> Circuit:
-    """The circuit of blocks c = (c1, c2, c3), snapped, between dec's local
+def _skeleton(blocks: list, dec: KakDecomposition, template: ZzTemplate) -> Circuit:
+    """The circuit of blocks, planned from (c3, c2, c1), between dec's local
     pairs: the fused layers, with the template's runs between them.
 
     Application order per the three-block form: c3 block, k_y, c2 block,
@@ -98,8 +96,8 @@ def _skeleton(c: tuple[float, float, float], dec: KakDecomposition,
     """
     chains, runs, phase = [[*dec.k2]], [], dec.phase
     k1_layer = (*dec.k1 @ KX_DAG,)  # a tuple: a list += ndarray would broadcast
-    for c_i, interleaver in zip(c[::-1], _INTERLEAVERS + (k1_layer,)):
-        block_chains, block_runs, block_phase = synth_zz_block(c_i, template)
+    for block, interleaver in zip(blocks, _INTERLEAVERS + (k1_layer,)):
+        block_chains, block_runs, block_phase = synth_zz_block(block, template)
         chains[-1] += block_chains[0]
         chains += block_chains[1:]
         chains[-1] += interleaver
@@ -115,12 +113,13 @@ def synthesize(target: np.ndarray, entangler: np.ndarray,
 
     The target's canonical blocks are emitted in application order c3,
     c2, c1 with the fixed interleavers from the three-block rewriting;
-    a block whose coefficient snaps to 0 or pi costs no application. A
-    block of folded angle h inserts block_repetitions(h, ...) <= n units,
-    not the n of the uniform bound. The local layers go into one stack,
-    fused by merge_locals, with the template's runs between them: the
-    circuit, verified against the target with the runs' products, is
-    returned in that array form.
+    a block whose coefficient snaps to 0 or pi costs no application. The
+    plan (blocksynth.plan_blocks) fixes each block's numbers and the count
+    before any layer is built: a block of folded angle h inserts
+    block_repetitions(h, ...) <= n units, not the n of the uniform bound.
+    The built local layers go into one stack, fused by merge_locals, with
+    the template's runs between them: the circuit, verified against the
+    target with the runs' products, is returned in that array form.
 
     A memo miss decomposes the target and the entangler in one stacked
     KAK; a hit decomposes the target alone. Raises ValueError for invalid
@@ -148,16 +147,17 @@ def synthesize(target: np.ndarray, entangler: np.ndarray,
     while len(_resource_memo) > RESOURCE_MEMO_SIZE:
         _resource_memo.popitem(last=False)
 
-    circuit = _skeleton(snap_vector(dec.c), dec, template)
+    blocks, entangler_count = plan_blocks(snap_vector(dec.c)[::-1], template)
+    circuit = _skeleton(blocks, dec, template)
     residual = phase_distance(evaluate(circuit, entangler), target)
     if residual >= tol.verify_tol:
         # A snap is taken only when it verifies: build once more from the
         # unsnapped vector, roundoff below 0 taken as 0.
-        unsnapped = _skeleton(tuple(max(x, 0.0) for x in dec.c), dec, template)
+        blocks, unsnapped_count = plan_blocks([max(x, 0.0) for x in dec.c[::-1]], template)
+        unsnapped = _skeleton(blocks, dec, template)
         unsnapped_residual = phase_distance(evaluate(unsnapped, entangler), target)
         if unsnapped_residual < tol.verify_tol:
-            circuit, residual = unsnapped, unsnapped_residual
-    entangler_count, local_count = circuit.counts()
+            circuit, residual, entangler_count = unsnapped, unsnapped_residual, unsnapped_count
     if residual >= tol.verify_tol:
         error = template.unitarity_error
         if residual <= AMPLIFIED_ERROR_FACTOR * entangler_count * error:
@@ -170,7 +170,7 @@ def synthesize(target: np.ndarray, entangler: np.ndarray,
 
     report = SynthesisReport(template.n * template.gamma, template.apps_per_unit, template.n,
                              entangler_count=entangler_count,
-                             local_count=local_count, residual=residual)
+                             local_count=entangler_count + 1, residual=residual)
     if report.entangler_count > report.bound:  # the paper's bound; kept under python -O
         raise ArithmeticError(f"{report.entangler_count} applications exceed the uniform "
                               f"bound {report.bound}")

@@ -4,12 +4,12 @@ from dataclasses import dataclass
 import numpy as np
 import pytest
 
-from gatesynth.blocksynth import AxisAngle, synth_zz_block
+from gatesynth.blocksynth import AxisAngle, block_params, plan_blocks, synth_zz_block
 from gatesynth.kak import KakDecomposition
 from gatesynth.matcore import (ID2, SIGMA_X, SIGMA_Y, SIGMA_Z, Circuit, EntanglerApp, LocalPair,
-                               interaction, zz_interaction)
+                               exp_pauli, interaction, zz_interaction)
 from gatesynth.serialize import encode_matrix
-from gatesynth.zzsynth import ZzResource, ZzTemplate, _Run, amplify
+from gatesynth.zzsynth import ZzResource, ZzTemplate, _Run, amplify, fold_angle
 
 
 # Entanglers by the fold their unit takes, the same as the paper's unit and
@@ -145,10 +145,35 @@ def unit_circuit(unit: ZzResource) -> Circuit:
     return chains_circuit(unit.chains, [EntanglerApp()] * unit.apps_per_unit, unit.phase)
 
 
+def planned_block(c: float, template: ZzTemplate) -> tuple[list, list, complex]:
+    """(chains, runs, phase) of synth_zz_block on plan_blocks([c], template)'s one block."""
+    (block,), _ = plan_blocks([c], template)
+    return synth_zz_block(block, template)
+
+
 def block_circuit(c: float, template: ZzTemplate) -> Circuit:
-    """synth_zz_block(c, template) as a circuit: its chains' layers, its runs between them."""
-    chains, runs, phase = synth_zz_block(c, template)
-    return chains_circuit(chains, runs, phase)
+    """planned_block(c, template) as a circuit: its chains' layers, its runs between them."""
+    return chains_circuit(*planned_block(c, template))
+
+
+def block_layers(c: float, gamma: float) -> tuple[np.ndarray, ...]:
+    """Reference halves of the target-dependent layers of exp(c (i/2) ZZ)
+    over a resource of angle gamma, from fold_angle and block_params.
+
+    At h = 0 (c = 0 or pi), (a, b) of the block's one local layer;
+    otherwise (pre[0], u2, mid, post[0], u1) of its layers pre[0] (x) u2,
+    then the resource, I (x) mid, the resource again and post[0] (x) u1,
+    the fold's Pauli layers joined to u2 and u1.
+    """
+    h, pre, post, _ = fold_angle(c)
+    if h == 0.0:
+        return post[0] @ pre[0], post[1] @ pre[1]
+    b, p, q = block_params(h, gamma)
+    u1 = np.array([[1j * p, 1j * q], [-q, p]], dtype=complex)
+    u2 = np.array([[1j * p, -q], [-1j * q, -p]], dtype=complex)
+    if h != c:
+        u1, u2 = post[1] @ u1, u2 @ pre[1]
+    return pre[0], u2, exp_pauli("y", (b + np.pi) / 2), post[0], u1
 
 
 def flanked_zz_unit(gamma: float) -> ZzResource:

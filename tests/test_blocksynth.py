@@ -4,31 +4,28 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from gatesynth import blocksynth
-from gatesynth.blocksynth import (AxisAngle, block_locals, block_params, controlled_u_circuit,
-                                  controlled_u_gamma, synth_zz_block, u1_u2)
+from gatesynth.blocksynth import (AxisAngle, block_params, controlled_u_circuit,
+                                  controlled_u_gamma, plan_blocks, synth_zz_block)
 from gatesynth.compiler import efficient_as_cnot
-from gatesynth.gates import CNOT, cphase, phase_gate
+from gatesynth.gates import B_GATE, CNOT, SQRT_SWAP, cphase, phase_gate
 from gatesynth.kak import kak_decompose
 from gatesynth.matcore import (Circuit, EntanglerApp, LocalPair, SIGMA_X, SIGMA_Z,
                                evaluate, exp_pauli, phase_distance, tensor, zz_interaction)
 from gatesynth.zzsynth import block_repetitions, fold_angle, prepare_resource, repetitions
 
-from conftest import (CircuitResource, block_circuit, circuit_of, controlled_matrix,
-                      exact_template, expanded, haar_unitary, repeated, run_resource,
-                      slot_elements)
+from conftest import (CircuitResource, block_circuit, block_layers, chains_circuit, circuit_of,
+                      controlled_matrix, exact_template, expanded, haar_unitary, planned_block,
+                      repeated, run_resource, slot_elements)
 
 ID2 = np.eye(2, dtype=complex)
 
 
 def unfolded_block(c: float, resource: CircuitResource) -> Circuit:
     """Reference block for c in (0, pi/2]: u2, resource, mid, resource, u1; no fold."""
-    b, p, q = block_params(c, resource.gamma)
-    u1, u2 = u1_u2(p, q)
-    mid = LocalPair(ID2, exp_pauli("y", (b + np.pi) / 2))
+    _, u2, mid, _, u1 = block_layers(c, resource.gamma)
     elems = ([LocalPair(ID2, u2)]
              + slot_elements(resource.circuit)
-             + [mid]
+             + [LocalPair(ID2, mid)]
              + slot_elements(resource.circuit)
              + [LocalPair(ID2, u1)])
     return circuit_of(elems, phase=resource.circuit.phase ** 2)
@@ -85,16 +82,23 @@ class TestBlockParams:
             assert np.sin(gamma) * np.sin(b / 2) == pytest.approx(np.sin(c / 2), rel=1e-12)
 
 
+def u1_u2(c: float, gamma: float) -> tuple[np.ndarray, np.ndarray]:
+    """The u1 and u2 halves synth_zz_block builds for the unfolded block c
+    over one repetition of ZZ(gamma), gamma >= pi/4: the last chain's last
+    half and the first chain's second."""
+    chains = planned_block(c, exact_template(gamma))[0]
+    return chains[-1][-1], chains[0][1]
+
+
 class TestU1U2:
     def test_equal_weights_closed_form(self):
-        _, p, q = block_params(0.9, np.pi / 2)
-        u1, u2 = u1_u2(p, q)
+        u1, u2 = u1_u2(0.9, np.pi / 2)
         np.testing.assert_allclose(u1, np.array([[1j, 1j], [-1, 1]]) / np.sqrt(2), atol=1e-12)
         np.testing.assert_allclose(u2, np.array([[1j, -1], [-1j, -1]]) / np.sqrt(2), atol=1e-12)
 
     def test_degenerate_weights(self):
         gamma = np.pi / 4
-        u1, u2 = u1_u2(*block_params(2 * gamma, gamma)[1:])
+        u1, u2 = u1_u2(2 * gamma, gamma)
         np.testing.assert_allclose(u1, np.array([[1j, 0], [0, 1]]), atol=1e-7)
         np.testing.assert_allclose(u2, np.array([[1j, 0], [0, -1]]), atol=1e-7)
 
@@ -104,23 +108,54 @@ class TestU1U2:
     def test_always_unitary(self, c, gamma):
         if c > 2 * gamma:
             c = 2 * gamma
-        u1, u2 = u1_u2(*block_params(c, gamma)[1:])
+        u1, u2 = u1_u2(c, gamma)
         np.testing.assert_allclose(u1 @ u1.conj().T, ID2, atol=1e-12)
         np.testing.assert_allclose(u2 @ u2.conj().T, ID2, atol=1e-12)
 
 
-def test_middle_layer_is_exp_pauli_y(monkeypatch):
-    # block_locals writes exp(i ((b + pi)/2) Y) as one array: bit for bit
-    # exp_pauli's, on a grid of b in [0, pi] with both endpoints.
+def test_middle_layer_is_exp_pauli_y():
+    # synth_zz_block writes exp(i ((b + pi)/2) Y) as one array: bit for bit
+    # exp_pauli's, on a grid of b in [0, pi] with both endpoints. A block is
+    # a plain tuple, so its b is set directly.
     grid = np.linspace(0, np.pi, 2001)
     assert grid[0] == 0.0 and grid[-1] == np.pi
+    template = exact_template(np.pi / 2)
+    (block,), _ = plan_blocks([0.5], template)
     for b in grid:
-        monkeypatch.setattr(blocksynth, "block_params",
-                            lambda c, gamma, b=b: (b, 0.6, 0.8))
-        h, pre, post, _ = fold_angle(0.5)
-        mid = block_locals(0.5, h, pre, post, np.pi / 2)[2]
+        chains = synth_zz_block((*block[:6], b, 0.6, 0.8), template)[0]
+        mid = chains[1][len(template.last) + 1]  # last, then I (x) mid
         assert mid.dtype == complex
         assert mid.tobytes() == exp_pauli("y", (b + np.pi) / 2).tobytes()
+
+
+class TestPlanBlocks:
+    """plan_blocks fixes each block's numbers and the count before any matrix is built."""
+
+    def test_blocks_hold_the_closed_form_numbers(self):
+        template = prepare_resource(cphase(np.pi / 9))  # gamma pi/18, n 5
+        cs = [0.0, 0.1, np.pi / 2, 2.5, np.pi]
+        blocks, count = plan_blocks(cs, template)
+        assert [block[0] for block in blocks] == cs
+        for c, (_, h, pre, post, phase, m, b, p, q) in zip(cs, blocks):
+            assert (h, pre, post, phase) == fold_angle(c)
+            if h == 0.0:
+                assert (m, b, p, q) == (0, None, None, None)
+            else:
+                assert m == block_repetitions(h, template.gamma, template.n)
+                assert (b, p, q) == block_params(h, m * template.gamma)
+        assert [block[5] for block in blocks] == [0, 1, 5, 2, 0]
+        assert count == 2 * template.apps_per_unit * 8 == 16
+
+    @pytest.mark.parametrize("entangler", [CNOT, cphase(np.pi / 9), B_GATE, SQRT_SWAP],
+                             ids=["cnot", "cphase_pi_9", "b", "sqrt_swap"])
+    def test_count_is_the_built_blocks(self, entangler, rng):
+        template = prepare_resource(entangler)
+        angles = [0.0, np.pi, np.pi / 2, 1e-10, *rng.uniform(0.0, np.pi, 12)]
+        blocks, count = plan_blocks(angles, template)
+        built = [chains_circuit(*synth_zz_block(block, template)) for block in blocks]
+        assert count == sum(circuit.entangler_count for circuit in built)
+        for c, circuit in zip(angles, built):
+            assert circuit.entangler_count == plan_blocks([c], template)[1]
 
 
 class TestSynthZzBlock:
@@ -158,7 +193,7 @@ class TestSynthZzBlock:
         # At h = pi/2 the block repeats the unit all n = 3 times, in each of
         # its two insertions.
         template = prepare_resource(cphase(np.pi / 5))
-        chains, runs, _ = synth_zz_block(np.pi / 2, template)
+        chains, runs, _ = planned_block(np.pi / 2, template)
         assert len(chains) == 3 and len(runs) == 2
         assert [run.reps for run in runs] == [template.n] * 2
         circ = expanded(block_circuit(np.pi / 2, template))
@@ -190,7 +225,7 @@ class TestSynthZzBlock:
     @pytest.mark.parametrize("c", [-1e-12, np.nextafter(np.pi, 4.0)])
     def test_rejects_outside_range(self, c):
         with pytest.raises(ValueError, match="outside"):
-            synth_zz_block(c, exact_template(np.pi / 2))
+            plan_blocks([c], exact_template(np.pi / 2))
 
     def test_unfolded_blocks_bit_identical(self, rng):
         # c <= pi/2 needs no fold, so the block is the unfolded construction
@@ -214,7 +249,7 @@ class TestSynthZzBlock:
         # A resource angle outside (0, pi/2] has no template, so no block.
         for gamma in (0.0, np.pi / 2 + 1e-9):
             with pytest.raises(ValueError, match="outside"):
-                synth_zz_block(0.3, exact_template(gamma))
+                plan_blocks([0.3], exact_template(gamma))
 
     def test_weak_resource_block(self):
         # c <= 2 gamma suffices: 0.3 from two insertions of ZZ(0.2).
@@ -269,9 +304,27 @@ class TestControlledU:
         for gamma, axis in ((1.0, (1.0, 1.0, 0.0)), (-1.0, (1.0, 0.0, 0.0)),
                             (np.nan, (1.0, 0.0, 0.0)), (np.inf, (1.0, 0.0, 0.0)),
                             (1.0, (np.nan, 0.0, 0.0)), (1.0, (1.0, np.nan, np.nan)),
-                            (1.0, (0.6, 0.8)), (1.0, (0.6, 0.8, 0.0, 0.0))):
+                            (1.0, (0.6, 0.8)), (1.0, (0.6, 0.8, 0.0, 0.0)),
+                            (0.7, (0.6j, 0.8, 0.0)), (0.7, (0.0, 0.0, 1.0 + 0.0j))):
             with pytest.raises(ValueError):
                 AxisAngle(gamma=gamma, axis=axis)
+
+    @pytest.mark.parametrize("sign", [1.0, -1.0], ids=["plus_z", "minus_z"])
+    def test_axes_near_z_keep_every_digit(self, sign):
+        # Tilts from 1e-15 to 1e-3 off +-z, at norms up to 5e-13 off 1
+        # (AxisAngle accepts 1e-12), and nz = 1 - 1e-9 on a unit axis.
+        axes = [(np.sqrt(1 - (1 - 1e-9) ** 2), 0.0, sign * (1 - 1e-9))]
+        for tilt in np.logspace(-15, -3, 25):
+            for azimuth in (0.0, 0.4, 2.0, 4.0):
+                for norm in (1 - 5e-13, 1.0, 1 + 5e-13):
+                    axes.append((norm * np.sin(tilt) * np.cos(azimuth),
+                                 norm * np.sin(tilt) * np.sin(azimuth),
+                                 norm * sign * np.cos(tilt)))
+        for gamma in (0.7, np.pi / 2, 2.9):
+            for axis in axes:
+                spec = AxisAngle(gamma=gamma, axis=axis)
+                got = evaluate(controlled_u_circuit(spec), zz_interaction(gamma))
+                assert phase_distance(got, controlled_matrix(spec)) < 1e-12, (gamma, axis)
 
 
 class TestControlledUGamma:

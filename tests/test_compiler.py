@@ -1,13 +1,15 @@
 import dataclasses
+import importlib
 import itertools
 import sys
 import threading
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from gatesynth import blocksynth, cli, compiler, gates, kak, matcore, serialize, zzsynth
-from gatesynth.blocksynth import block_locals, controlled_u_gamma
+from gatesynth.blocksynth import controlled_u_gamma, plan_blocks
 from gatesynth.compiler import (efficient_as_cnot, merge_locals, synthesize,
                                 upper_bound)
 from gatesynth.gates import B_GATE, CNOT, SQRT_SWAP, SWAP, cphase, phase_gate
@@ -21,8 +23,8 @@ from gatesynth.zzsynth import (KX_DAG, KX_KY_DAG, KY_FACTOR, MAX_APPLICATIONS, Z
                                ZzTemplate, block_repetitions, choose_unit, extract_zz,
                                fold_angle, prepare_resource, repetitions, uniform_bound)
 
-from conftest import (FOLD_BRANCHES, CircuitResource, block_circuit, circuit_of, dress,
-                      expanded, haar_unitary, near_edge, product_loop, random_local,
+from conftest import (FOLD_BRANCHES, CircuitResource, block_circuit, block_layers, circuit_of,
+                      dress, expanded, haar_unitary, near_edge, product_loop, random_local,
                       run_resource, slot_elements, unit_circuit)
 
 
@@ -565,11 +567,11 @@ SKELETON_ENTANGLERS = ("cnot", "cphase_pi_9", "b", "sqrt_swap", "case3_dressed",
 
 
 def object_block(c: float, resource: CircuitResource) -> Circuit:
-    """Reference block in object form: block_locals' layers as LocalPair
+    """Reference block in object form: block_layers' layers as LocalPair
     objects around two copies of the resource's circuit, which the block
     inserts once each; at h = 0 (c = 0 or pi) one local layer."""
-    h, pre, post, fold_phase = fold_angle(c)
-    halves = block_locals(c, h, pre, post, resource.gamma)
+    h, _, _, fold_phase = fold_angle(c)
+    halves = block_layers(c, resource.gamma)
     if h == 0.0:
         return circuit_of([LocalPair(*halves)], fold_phase)
     pre_a, u2, mid, post_a, u1 = halves
@@ -670,7 +672,8 @@ class TestStackedLayersBitIdentical:
                                        CanonicalVector(0.0, 0.0, 0.0),
                                        np.array((haar_unitary(rng, 2), haar_unitary(rng, 2))),
                                        complex(np.exp(1j * rng.uniform(0, 2 * np.pi))), 0.0)
-                skeleton = compiler._skeleton(c, dec, template)
+                blocks, _ = plan_blocks(c[::-1], template)  # c3 first, as synthesize plans
+                skeleton = compiler._skeleton(blocks, dec, template)
                 raw = object_assembly(c, dec, template)
                 assert_bit_identical(skeleton, fused(raw))
                 assert_bit_identical(skeleton, merge_locals_loop(raw))
@@ -1175,6 +1178,56 @@ class TestReportCounts:
         assert report.entangler_count == circuit.entangler_count
         assert report.local_count == circuit.local_count
         assert report.residual < DEFAULT_TOL.verify_tol
+
+
+# perfbench/run.py's count prefix of each workload that calls synthesize directly.
+COUNT_PREFIXES = {"haar_cnot": 512, "haar_weak": 512, "mixed_entangler": 2048}
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+
+
+class TestPlannedCounts:
+    """The report's counts are the plan's (blocksynth.plan_blocks), computed
+    before any matrix is built; they equal the built circuit's counts()."""
+
+    @pytest.mark.parametrize("workload", COUNT_PREFIXES)
+    def test_workload_count_prefixes(self, workload, monkeypatch):
+        monkeypatch.syspath_prepend(str(PERFBENCH))
+        corpus = importlib.import_module("corpus")
+        for i in range(COUNT_PREFIXES[workload]):
+            op = corpus.make_op(workload, 3, i)
+            circuit, report = synthesize(op.target, op.entangler)
+            assert circuit.counts() == (report.entangler_count, report.local_count), i
+
+    @pytest.mark.parametrize("entangler", [CNOT, cphase(np.pi / 9), B_GATE, SQRT_SWAP],
+                             ids=["cnot", "cphase_pi_9", "b", "sqrt_swap"])
+    def test_landmarks(self, entangler, monkeypatch, rng):
+        def scan(_):
+            raise AssertionError("synthesize counted the built circuit")
+
+        targets = [np.eye(4), CNOT, SWAP, SQRT_SWAP, B_GATE, ISWAP, cphase(np.pi / 3)]
+        for landmark in CHAMBER_LANDMARKS:
+            targets += [interaction(*landmark), dress(interaction(*landmark), rng)]
+        for target in targets:
+            with monkeypatch.context() as patch:
+                patch.setattr(Circuit, "counts", scan)
+                circuit, report = synthesize(target, entangler)
+            assert circuit.counts() == (report.entangler_count, report.local_count)
+
+    def test_snap_fallback_counts_the_unsnapped_plan(self, monkeypatch):
+        # TestSnapFallback's target: the circuit synthesize returns is built
+        # from the unsnapped vector, and so are its counts.
+        planned, real = [], compiler.plan_blocks
+
+        def spy(cs, template):
+            planned.append(real(cs, template))
+            return planned[-1]
+
+        monkeypatch.setattr(compiler, "plan_blocks", spy)
+        circuit, report = synthesize(cphase(3.1415926518), CNOT,
+                                     ToleranceConfig(verify_tol=5e-10))
+        assert len(planned) == 2
+        assert circuit.counts() == (report.entangler_count, report.local_count) == (2, 3)
+        assert report.entangler_count == planned[-1][1]
 
 
 class TestEfficientAsCnot:
