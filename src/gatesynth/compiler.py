@@ -55,7 +55,7 @@ def upper_bound(entangler: np.ndarray, *, dec: KakDecomposition | None = None) -
     never built. dec is the entangler's KAK when the caller has it already
     (classify prints its vector); without it, it is decomposed at DEFAULT_TOL.
     """
-    unit = choose_unit(entangler, dec=dec)
+    unit = choose_unit(kak_decompose(entangler) if dec is None else dec)
     n = repetitions(unit.gamma)
     return SynthesisReport(n * unit.gamma, unit.apps_per_unit, n)
 

@@ -211,16 +211,6 @@ class Circuit:
         app, pairs = EntanglerApp(), map(LocalPair, layers[:, 0], layers[:, 1])
         return [next(pairs) if local else app for local in kinds]
 
-    def counts(self) -> tuple[int, int]:
-        """(entangler_count, local_count) by arithmetic on the slots: a run of
-        reps x apps applications holds one layer between each two."""
-        runs = [slot.reps * slot.apps for slot in self.slots if not isinstance(slot, int)]
-        apps = sum(slot for slot in self.slots if isinstance(slot, int)) + sum(runs)
-        return apps, len(self.layers) + sum(runs) - len(runs)
-
-    entangler_count = property(lambda self: self.counts()[0])
-    local_count = property(lambda self: self.counts()[1])
-
     def expand(self) -> tuple[np.ndarray, list, list]:
         """The elements, runs expanded, as (stack, index, kinds): the layers,
         then each run's stack; the stack row of each local layer in element

@@ -100,8 +100,9 @@ class CircuitDocument:
     def check_phase(self, entangler: np.ndarray) -> None:
         """ValueError unless |phase| |det E|^(k/4) is 1 within verify_tol / 2, k the
         applications: the phase makes up a scaled entangler (a rounded matrix), and a
-        modulus off by e adds 2e to a 4x4 residual, which verify_tol bounds."""
-        scale = float(abs(np.linalg.det(entangler))) ** (self.circuit.entangler_count / 4)
+        modulus off by e adds 2e to a 4x4 residual, which verify_tol bounds. A parsed
+        document's slots are all bare applications, so k is their sum."""
+        scale = float(abs(np.linalg.det(entangler))) ** (sum(self.circuit.slots) / 4)
         if not abs(abs(self.circuit.phase) * scale - 1.0) <= self.tolerances.verify_tol / 2:
             raise ValueError(f"circuit phase has modulus {abs(self.circuit.phase)!r}, "
                              f"expected {1 / scale:.12g}")

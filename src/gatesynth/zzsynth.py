@@ -23,9 +23,9 @@ fusion goes through matcore.merge_locals.
 
 Doubling works on every axis, A s_k A s_k = exp(i g_k s_k s_k), so
 choose_unit keeps the paper's unit unless doubling another coordinate
-gives a smaller uniform bound. It shares extract_zz's one KAK and
-builds only the unit it returns. prepare_resource takes the entangler's
-KAK from a caller that has it (synthesize decomposes it with the target).
+gives a smaller uniform bound. It takes the entangler's KAK and builds
+only the unit it returns; so does prepare_resource (synthesize decomposes
+the entangler with the target).
 """
 
 import math
@@ -98,26 +98,26 @@ def _folded_unit(dec: KakDecomposition, axis) -> ZzResource:
     g1, g2, g3 = g = snap_vector(dec.c)
 
     if g3 == 0.0 and g2 == 0.0:
-        # case 1: A is a pure XX rotation; k_x conjugation moves it to ZZ
-        chains = [[KX_DAG, KX_DAG, *k2_dag], [*k1_dag, KX_FACTOR, KX_FACTOR]]
-        gamma, apps = g1, 1
+        # case 1: A is a pure XX rotation
+        chains, gamma, apps, k = [[*k2_dag], [*k1_dag]], g1, 1, 0
     elif g3 == 0.0 and g1 == np.pi / 2 and g2 == np.pi / 2:
         # case 2: two applications interleaved with fixed locals
         chains = [[_QUARTER["y", 1], ID2, _QUARTER["z", -1], _QUARTER["z", 1], *k2_dag],
                   [*k1_dag, _QUARTER["z", 1], _QUARTER["z", -1], ID2, _QUARTER["y", 1], *k2_dag],
                   [*k1_dag, _QUARTER["y", -1], ID2]]
-        gamma, apps, phase = np.pi / 2, 2, phase ** 2
+        gamma, apps, phase, k = np.pi / 2, 2, phase ** 2, 2
     else:
-        # cases 3 and 4: A s_k^1 A s_k^1 = exp(i g_k s_k s_k); k_x or k_y
-        # conjugation moves a doubled XX or YY angle onto ZZ
+        # cases 3 and 4: A s_k^1 A s_k^1 = exp(i g_k s_k s_k)
         k = axis(g)
         s_k = PAULIS["xyz"[k]]
         chains = [[s_k, ID2, *k2_dag], [*k1_dag, s_k, ID2, *k2_dag], [*k1_dag]]
-        if k < 2:
-            k_factor = (KX_FACTOR, KY_FACTOR)[k]
-            chains[0][:0] = (dagger(k_factor), dagger(k_factor))
-            chains[-1] += (k_factor, k_factor)
         gamma, apps, phase = 2 * g[k], 2, phase ** 2
+    if k < 2:
+        # k_x or k_y conjugation moves the XX or YY angle of A (case 1) or
+        # of its doubling onto ZZ
+        k_factor = (KX_FACTOR, KY_FACTOR)[k]
+        chains[0][:0] = (dagger(k_factor), dagger(k_factor))
+        chains[-1] += (k_factor, k_factor)
 
     # Fold gamma from [0, 2pi) into (0, pi/2] with Pauli layers; gamma = 0
     # or pi is local. gamma passes pi only when a doubling takes c1 > pi/2:
@@ -203,17 +203,18 @@ def _best_axis(g: tuple[float, float, float]) -> int:
     return min(axes, key=lambda k: (uniform_bound(repetitions(h[k]), 2), -h[k]))
 
 
-def choose_unit(entangler: np.ndarray, *, dec: KakDecomposition | None = None) -> ZzResource:
-    """The folded unit of smallest uniform bound: extract_zz's, or another doubling.
+def choose_unit(dec: KakDecomposition) -> ZzResource:
+    """The folded unit of smallest uniform bound over the entangler whose KAK
+    is dec: extract_zz's, or another doubling.
 
     Case 1 and case 2 keep the paper's unit: no doubling beats case 1's
     one application, and every doubling in case 2 is local. In cases 3
     and 4 every doubling is ranked by arithmetic on the snapped vector,
     and only the winner is built. A moved unit doubles like the paper's case 3 or 4
     with no smaller gamma and no larger n, so no block needs more
-    applications. dec is the entangler's KAK, decomposed at DEFAULT_TOL when None.
+    applications.
     """
-    return _folded_unit(kak_decompose(entangler) if dec is None else dec, _best_axis)
+    return _folded_unit(dec, _best_axis)
 
 
 # A template run, one circuit slot: reps repetitions of a unit of apps
@@ -304,17 +305,13 @@ def amplify(unit: ZzResource, entangler: np.ndarray) -> ZzTemplate:
                       phase, core, run_layers, entangler.tobytes(), step_phase, powers)
 
 
-def prepare_resource(entangler: np.ndarray, *, dec: KakDecomposition | None = None) -> ZzTemplate:
+def prepare_resource(entangler: np.ndarray, *, dec: KakDecomposition) -> ZzTemplate:
     """choose_unit's unit as a template; ValueError if its bound exceeds the cap.
 
-    dec is the entangler's KAK when the caller has it already (synthesize
-    decomposes the target and the entangler in one call); without it the
-    entangler is decomposed here, at DEFAULT_TOL. The template keeps the
-    entangler's unitarity error.
+    dec is the entangler's KAK (synthesize decomposes the target and the
+    entangler in one call). The template keeps the entangler's unitarity error.
     """
-    if dec is None:
-        dec = kak_decompose(entangler)
-    r = choose_unit(entangler, dec=dec)
+    r = choose_unit(dec)
     bound = uniform_bound(repetitions(r.gamma), r.apps_per_unit)
     if bound > MAX_APPLICATIONS:
         raise ValueError(f"entangler needs up to {bound} applications per target, "

@@ -5,11 +5,11 @@ import numpy as np
 import pytest
 
 from gatesynth.blocksynth import AxisAngle, block_params, plan_blocks, synth_zz_block
-from gatesynth.kak import KakDecomposition
+from gatesynth.kak import KakDecomposition, kak_decompose
 from gatesynth.matcore import (ID2, SIGMA_X, SIGMA_Y, SIGMA_Z, Circuit, EntanglerApp, LocalPair,
                                exp_pauli, interaction, zz_interaction)
 from gatesynth.serialize import encode_matrix
-from gatesynth.zzsynth import ZzResource, ZzTemplate, _Run, amplify, fold_angle
+from gatesynth.zzsynth import ZzResource, ZzTemplate, _Run, amplify, fold_angle, prepare_resource
 
 
 # Entanglers by the fold their unit takes, the same as the paper's unit and
@@ -130,6 +130,13 @@ def product_loop(elements: list, entangler: np.ndarray) -> np.ndarray:
     return out
 
 
+def counted(elements: list) -> tuple[int, int]:
+    """(entangler_count, local_count) of an element list: its EntanglerApp
+    markers and its LocalPair layers."""
+    return (sum(isinstance(e, EntanglerApp) for e in elements),
+            sum(isinstance(e, LocalPair) for e in elements))
+
+
 def chains_circuit(chains: list, between: list, phase: complex) -> Circuit:
     """Chains of layer halves a, b as a circuit of LocalPair objects, with
     between[k] (an EntanglerApp or a template run) after chain k."""
@@ -180,6 +187,11 @@ def flanked_zz_unit(gamma: float) -> ZzResource:
     """Unit of one application of zz_interaction(gamma) between identity
     layers; every extracted unit starts and ends with a local layer."""
     return ZzResource([[ID2, ID2], [ID2, ID2]], 1.0, gamma, apps_per_unit=1)
+
+
+def prepared(entangler: np.ndarray) -> ZzTemplate:
+    """prepare_resource(entangler) over the entangler's KAK at DEFAULT_TOL."""
+    return prepare_resource(entangler, dec=kak_decompose(entangler))
 
 
 def exact_template(gamma: float) -> ZzTemplate:

@@ -15,8 +15,8 @@ from gatesynth.kak import kak_decompose, snap_angle
 from gatesynth.matcore import evaluate, interaction, phase_distance, zz_interaction
 from gatesynth.zzsynth import extract_zz
 
-from conftest import (block_circuit, controlled_matrix, dress, exact_template, haar_unitary,
-                      reconstruct, unit_circuit)
+from conftest import (block_circuit, controlled_matrix, counted, dress, exact_template,
+                      haar_unitary, reconstruct, unit_circuit)
 
 
 def _verdict(num: int, ok: bool, detail: str) -> None:
@@ -67,7 +67,7 @@ def test_criterion_3_extraction_corpus():
             r = extract_zz(ent)
             ok &= 0 < r.gamma <= np.pi / 2 + 1e-12
             circuit = unit_circuit(r)
-            ok &= circuit.entangler_count <= 2
+            ok &= counted(circuit.elements)[0] <= 2
             worst = max(worst, phase_distance(evaluate(circuit, ent), zz_interaction(r.gamma)))
     ok &= worst < 1e-9
     _verdict(3, ok, f"extraction over 5 canonical classes x 4 dressings, "

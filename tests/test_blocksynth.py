@@ -11,11 +11,11 @@ from gatesynth.gates import B_GATE, CNOT, SQRT_SWAP, cphase, phase_gate
 from gatesynth.kak import kak_decompose
 from gatesynth.matcore import (Circuit, EntanglerApp, LocalPair, SIGMA_X, SIGMA_Z,
                                evaluate, exp_pauli, phase_distance, tensor, zz_interaction)
-from gatesynth.zzsynth import block_repetitions, fold_angle, prepare_resource, repetitions
+from gatesynth.zzsynth import block_repetitions, fold_angle, repetitions
 
 from conftest import (CircuitResource, block_circuit, block_layers, chains_circuit, circuit_of,
-                      controlled_matrix, exact_template, expanded, haar_unitary, planned_block,
-                      repeated, run_resource, slot_elements)
+                      controlled_matrix, counted, exact_template, expanded, haar_unitary,
+                      planned_block, prepared, repeated, run_resource, slot_elements)
 
 ID2 = np.eye(2, dtype=complex)
 
@@ -132,7 +132,7 @@ class TestPlanBlocks:
     """plan_blocks fixes each block's numbers and the count before any matrix is built."""
 
     def test_blocks_hold_the_closed_form_numbers(self):
-        template = prepare_resource(cphase(np.pi / 9))  # gamma pi/18, n 5
+        template = prepared(cphase(np.pi / 9))  # gamma pi/18, n 5
         cs = [0.0, 0.1, np.pi / 2, 2.5, np.pi]
         blocks, count = plan_blocks(cs, template)
         assert [block[0] for block in blocks] == cs
@@ -149,13 +149,13 @@ class TestPlanBlocks:
     @pytest.mark.parametrize("entangler", [CNOT, cphase(np.pi / 9), B_GATE, SQRT_SWAP],
                              ids=["cnot", "cphase_pi_9", "b", "sqrt_swap"])
     def test_count_is_the_built_blocks(self, entangler, rng):
-        template = prepare_resource(entangler)
+        template = prepared(entangler)
         angles = [0.0, np.pi, np.pi / 2, 1e-10, *rng.uniform(0.0, np.pi, 12)]
         blocks, count = plan_blocks(angles, template)
         built = [chains_circuit(*synth_zz_block(block, template)) for block in blocks]
-        assert count == sum(circuit.entangler_count for circuit in built)
+        assert count == sum(counted(circuit.elements)[0] for circuit in built)
         for c, circuit in zip(angles, built):
-            assert circuit.entangler_count == plan_blocks([c], template)[1]
+            assert counted(circuit.elements)[0] == plan_blocks([c], template)[1]
 
 
 class TestSynthZzBlock:
@@ -163,12 +163,12 @@ class TestSynthZzBlock:
         circ = block_circuit(np.pi / 2, exact_template(np.pi / 2))
         got = evaluate(circ, zz_interaction(np.pi / 2))
         assert phase_distance(got, zz_interaction(np.pi / 2)) < 1e-10
-        assert circ.entangler_count == 2
+        assert counted(circ.elements)[0] == 2
 
     def test_cphase_derived_resource(self):
         # the worked example: quarter-pi block from a controlled-PHASE gate
         for phi in (np.pi / 2, 2 * np.pi / 3, np.pi):
-            template = prepare_resource(cphase(phi))
+            template = prepared(cphase(phi))
             assert template.n == repetitions(template.gamma) == 1
             assert template.gamma == pytest.approx(phi / 2, abs=1e-9)
             circ = block_circuit(np.pi / 4, template)
@@ -187,18 +187,18 @@ class TestSynthZzBlock:
         circ = block_circuit(c, exact_template(np.pi / 2))
         got = evaluate(circ, zz_interaction(np.pi / 2))
         np.testing.assert_allclose(got, zz_interaction(c), atol=1e-12)
-        assert circ.entangler_count == 2
+        assert counted(circ.elements)[0] == 2
 
     def test_exactly_two_insertions(self):
         # At h = pi/2 the block repeats the unit all n = 3 times, in each of
         # its two insertions.
-        template = prepare_resource(cphase(np.pi / 5))
+        template = prepared(cphase(np.pi / 5))
         chains, runs, _ = planned_block(np.pi / 2, template)
         assert len(chains) == 3 and len(runs) == 2
         assert [run.reps for run in runs] == [template.n] * 2
         circ = expanded(block_circuit(np.pi / 2, template))
         unit = expanded(run_resource(template, template.n).circuit)
-        assert circ.entangler_count == 2 * unit.entangler_count == 6
+        assert counted(circ.elements)[0] == 2 * counted(unit.elements)[0] == 6
 
     def test_block_diagonal_structure(self):
         # evaluated block is diag(W, V) with V = W^{-1} = e^{-c(i/2)sz}
@@ -212,14 +212,13 @@ class TestSynthZzBlock:
     def test_pi_is_local(self):
         # exp(pi (i/2) ZZ) = i ZZ: one local layer, no insertion
         circ = block_circuit(np.pi, exact_template(np.pi / 2))
-        assert circ.entangler_count == 0
-        assert circ.local_count == 1
+        assert counted(circ.elements) == (0, 1)
         np.testing.assert_array_equal(evaluate(circ, zz_interaction(np.pi / 2)),
                                       1j * np.kron(SIGMA_Z, SIGMA_Z))
 
     def test_zero_is_identity_layer(self):
         circ = block_circuit(0.0, exact_template(np.pi / 2))
-        assert (circ.entangler_count, circ.local_count) == (0, 1)
+        assert counted(circ.elements) == (0, 1)
         np.testing.assert_array_equal(evaluate(circ, zz_interaction(np.pi / 2)), np.eye(4))
 
     @pytest.mark.parametrize("c", [-1e-12, np.nextafter(np.pi, 4.0)])
@@ -231,7 +230,7 @@ class TestSynthZzBlock:
         # c <= pi/2 needs no fold, so the block is the unfolded construction
         # on its m-fold unit to the bit; includes the q = 0 corner c = 2 gamma = pi/2.
         templates = [exact_template(g) for g in (np.pi / 4, np.pi / 3, np.pi / 2)]
-        templates += [prepare_resource(ent) for ent in (CNOT, cphase(np.pi / 9))]
+        templates += [prepared(ent) for ent in (CNOT, cphase(np.pi / 9))]
         angles = [np.pi / 2, np.pi / 4, 1e-10] + list(rng.uniform(0.0, np.pi / 2, 40))
         for template in templates:
             for c in angles:
@@ -256,12 +255,12 @@ class TestSynthZzBlock:
         circ = block_circuit(0.3, exact_template(0.2))
         got = evaluate(circ, zz_interaction(0.2))
         assert phase_distance(got, zz_interaction(0.3)) < 1e-12
-        assert circ.entangler_count == 2
+        assert counted(circ.elements)[0] == 2
         # Past 2 gamma the unit repeats: 0.5 from two insertions of ZZ(0.2) twice.
         circ = block_circuit(0.5, exact_template(0.2))
         got = evaluate(circ, zz_interaction(0.2))
         assert phase_distance(got, zz_interaction(0.5)) < 1e-12
-        assert circ.entangler_count == 4
+        assert counted(circ.elements)[0] == 4
 
 
 class TestControlledU:
@@ -294,7 +293,7 @@ class TestControlledU:
             axis /= np.linalg.norm(axis)
             spec = AxisAngle(gamma=rng.uniform(0.05, 3.0), axis=tuple(axis))
             circ = controlled_u_circuit(spec)
-            assert circ.entangler_count == 1
+            assert counted(circ.elements)[0] == 1
             got = evaluate(circ, zz_interaction(spec.gamma))
             np.testing.assert_allclose(got[:2, 2:], 0, atol=1e-10)
             np.testing.assert_allclose(got[2:, :2], 0, atol=1e-10)

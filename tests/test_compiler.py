@@ -21,11 +21,11 @@ from gatesynth.matcore import (DEFAULT_TOL, ID2, ROUNDOFF, Circuit, EntanglerApp
 from gatesynth.kak import snap_vector
 from gatesynth.zzsynth import (KX_DAG, KX_KY_DAG, KY_FACTOR, MAX_APPLICATIONS, ZzResource,
                                ZzTemplate, block_repetitions, choose_unit, extract_zz,
-                               fold_angle, prepare_resource, repetitions, uniform_bound)
+                               fold_angle, repetitions, uniform_bound)
 
 from conftest import (FOLD_BRANCHES, CircuitResource, block_circuit, block_layers, circuit_of,
-                      dress, expanded, haar_unitary, near_edge, product_loop, random_local,
-                      run_resource, slot_elements, unit_circuit)
+                      counted, dress, expanded, haar_unitary, near_edge, prepared, product_loop,
+                      random_local, run_resource, slot_elements, unit_circuit)
 
 
 def spy_unitarity_checks(monkeypatch) -> list:
@@ -447,13 +447,15 @@ class TestUpperBound:
         def refuse(*args, **kwargs):
             raise AssertionError("upper_bound decomposed the gate again")
 
+        monkeypatch.setattr(compiler, "kak_decompose", refuse)
         monkeypatch.setattr(zzsynth, "kak_decompose", refuse)
         assert upper_bound(gate, dec=dec) == want
 
     def test_snapped_coordinate_keeps_case_one(self):
         # snap_tol (1e-9) snaps c2 = 5e-10 to 0, so the gate is case 1: one application.
         gate = interaction(np.pi / 4, 5e-10, 0.0)
-        unit, report, template = choose_unit(gate), upper_bound(gate), prepare_resource(gate)
+        unit, report = choose_unit(kak_decompose(gate)), upper_bound(gate)
+        template = prepared(gate)
         assert unit.apps_per_unit == report.apps_per_unit == template.apps_per_unit == 1
         assert unit.gamma == report.gamma == template.gamma
 
@@ -481,7 +483,7 @@ class TestMergeLocals:
         l2 = LocalPair(haar_unitary(rng, 2), haar_unitary(rng, 2))
         circ = circuit_of([l1, l2])
         merged = fused(circ)
-        assert merged.local_count == 1
+        assert counted(merged.elements)[1] == 1
         np.testing.assert_allclose(evaluate(merged, CNOT), evaluate(circ, CNOT), atol=1e-12)
 
     def test_merge_between_entanglers_only(self, rng):
@@ -496,7 +498,7 @@ class TestMergeLocals:
         circ = circuit_of([LocalPair(haar_unitary(rng, 2), haar_unitary(rng, 2))
                            for _ in range(5)], phase=1j)
         merged = fused(circ)
-        assert merged.local_count == 1
+        assert counted(merged.elements)[1] == 1
         layer = merged.elements[0]
         assert abs(np.linalg.det(layer.a) - 1) < 1e-12
         assert abs(np.linalg.det(layer.b) - 1) < 1e-12
@@ -504,7 +506,7 @@ class TestMergeLocals:
 
     def test_preserves_entangler_count(self, rng):
         circ, _ = synthesize(haar_unitary(rng), CNOT)
-        assert fused(circ).entangler_count == circ.entangler_count
+        assert counted(fused(circ).elements)[0] == counted(circ.elements)[0]
 
 
 def merge_locals_loop(circuit: Circuit) -> Circuit:
@@ -548,7 +550,7 @@ class TestMergeLocalsBitIdentity:
 
     def test_unmerged_block_circuits(self, rng):
         for ent in (CNOT, cphase(np.pi / 9), dress(interaction(1.0, 0.6, 0.3), rng)):
-            template = prepare_resource(ent)
+            template = prepared(ent)
             first, second = block_circuit(0.7, template), block_circuit(2.1, template)
             circ = circuit_of(slot_elements(first) + slot_elements(second),
                               first.phase * second.phase)
@@ -612,7 +614,7 @@ def captured_calls(monkeypatch, rng) -> list:
         captured = []
         for name in SKELETON_ENTANGLERS:
             entangler = TEMPLATE_ENTANGLERS[name](rng)
-            template = prepare_resource(entangler)
+            template = prepared(entangler)
             targets = [haar_unitary(rng) for _ in range(4)]
             targets += [dress(u, rng) for u in (np.eye(4), CNOT, SWAP, SQRT_SWAP, B_GATE,
                                                 interaction(np.pi - 1e-10, 5e-11, 5e-11))]
@@ -636,7 +638,8 @@ def amplified_units(rng) -> list:
     """(unit, amplify's template of it) over every extraction case, doubling
     axis and fold branch, and TEMPLATE_ENTANGLERS' units; each unit also at
     gamma pi/8, where n = 2 builds the seam."""
-    units = [(choose_unit(make(rng)), make(rng)) for make in TEMPLATE_ENTANGLERS.values()]
+    units = [(choose_unit(kak_decompose(make(rng))), make(rng))
+             for make in TEMPLATE_ENTANGLERS.values()]
     for g, _, _ in FOLD_BRANCHES.values():
         for entangler in (interaction(*g), dress(interaction(*g), rng)):
             dec = kak_decompose(entangler)
@@ -664,7 +667,7 @@ class TestStackedLayersBitIdentical:
         # The chamber (c1 >= c2 >= c3) lets synthesize meet 4 of the 8
         # patterns of local blocks; the stacked assembly takes any angles.
         entangler = TEMPLATE_ENTANGLERS[name](rng)
-        template = prepare_resource(entangler)
+        template = prepared(entangler)
         for k in range(2):
             for local in itertools.product((True, False), repeat=3):
                 c = block_pattern_angles(local, k)
@@ -722,7 +725,7 @@ class TestStackedLayersBitIdentical:
     def test_template_core_product(self):
         for name in SKELETON_ENTANGLERS:
             entangler = TEMPLATE_ENTANGLERS[name](np.random.default_rng(5))
-            template = prepare_resource(entangler)
+            template = prepared(entangler)
             core = expanded(run_resource(template, 1).circuit).elements[1:-1]
             want = product_loop(core, entangler)
             assert template.core_product.tobytes() == want.tobytes()
@@ -920,7 +923,7 @@ def synthesize_expanded(target: np.ndarray, entangler: np.ndarray,
     m times, then one merge of the circuit, which fuses the seams; no
     template, no powers."""
     dec = kak_decompose(target, tol)
-    unit = choose_unit(entangler)
+    unit = choose_unit(kak_decompose(entangler))
     merged = fused(unit_circuit(unit))
     c1, c2, c3 = snap_vector(dec.c)
     elements, phase = [LocalPair(*dec.k2)], dec.phase
@@ -1033,7 +1036,7 @@ class TestPerBlockRepetition:
         below_bound = 0
         for entangler in entanglers:
             # The unit synthesize repeats (choose_unit), against the paper's.
-            unit, paper = choose_unit(entangler), extract_zz(entangler)
+            unit, paper = choose_unit(kak_decompose(entangler)), extract_zz(entangler)
             for target in targets:
                 circuit, report = synthesize(target, entangler)
                 assert report.apps_per_unit == unit.apps_per_unit
@@ -1042,7 +1045,7 @@ class TestPerBlockRepetition:
                 assert report.entangler_count == 2 * unit.apps_per_unit * sum(ms)
                 paper_ms = block_units(target, paper.gamma)
                 assert report.entangler_count <= 2 * paper.apps_per_unit * sum(paper_ms)
-                assert report.entangler_count == circuit.entangler_count <= report.bound
+                assert report.entangler_count == counted(circuit.elements)[0] <= report.bound
                 assert report.bound == 6 * report.n * unit.apps_per_unit
                 assert report.residual < DEFAULT_TOL.verify_tol
                 assert phase_distance(evaluate(circuit, entangler), target) < DEFAULT_TOL.verify_tol
@@ -1159,7 +1162,7 @@ class TestSmallestBoundUnit:
 
 
 class TestReportCounts:
-    """synthesize reads its counts off the template runs, never the expanded circuit."""
+    """synthesize's counts, the plan's, are the expanded circuit's."""
 
     @pytest.mark.parametrize("target, entangler", [
         (SWAP, CNOT),                                      # m = n = 1
@@ -1167,16 +1170,9 @@ class TestReportCounts:
         (CNOT, cphase(np.pi / 9)),                         # one block, m = 3 of n = 5
         (SWAP, zz_interaction(np.pi / 4 / 16666)),         # the cap case, m = n = 16666
     ])
-    def test_counts_match_the_expanded_circuit(self, monkeypatch, target, entangler):
-        def scan(_):
-            raise AssertionError("synthesize scanned the expanded circuit")
-
-        with monkeypatch.context() as patch:
-            patch.setattr(Circuit, "entangler_count", property(scan))
-            patch.setattr(Circuit, "local_count", property(scan))
-            circuit, report = synthesize(target, entangler)
-        assert report.entangler_count == circuit.entangler_count
-        assert report.local_count == circuit.local_count
+    def test_counts_match_the_expanded_circuit(self, target, entangler):
+        circuit, report = synthesize(target, entangler)
+        assert (report.entangler_count, report.local_count) == counted(circuit.elements)
         assert report.residual < DEFAULT_TOL.verify_tol
 
 
@@ -1187,7 +1183,8 @@ PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
 class TestPlannedCounts:
     """The report's counts are the plan's (blocksynth.plan_blocks), computed
-    before any matrix is built; they equal the built circuit's counts()."""
+    before any matrix is built; they equal the counts of the built circuit's
+    elements."""
 
     @pytest.mark.parametrize("workload", COUNT_PREFIXES)
     def test_workload_count_prefixes(self, workload, monkeypatch):
@@ -1196,22 +1193,17 @@ class TestPlannedCounts:
         for i in range(COUNT_PREFIXES[workload]):
             op = corpus.make_op(workload, 3, i)
             circuit, report = synthesize(op.target, op.entangler)
-            assert circuit.counts() == (report.entangler_count, report.local_count), i
+            assert counted(circuit.elements) == (report.entangler_count, report.local_count), i
 
     @pytest.mark.parametrize("entangler", [CNOT, cphase(np.pi / 9), B_GATE, SQRT_SWAP],
                              ids=["cnot", "cphase_pi_9", "b", "sqrt_swap"])
-    def test_landmarks(self, entangler, monkeypatch, rng):
-        def scan(_):
-            raise AssertionError("synthesize counted the built circuit")
-
+    def test_landmarks(self, entangler, rng):
         targets = [np.eye(4), CNOT, SWAP, SQRT_SWAP, B_GATE, ISWAP, cphase(np.pi / 3)]
         for landmark in CHAMBER_LANDMARKS:
             targets += [interaction(*landmark), dress(interaction(*landmark), rng)]
         for target in targets:
-            with monkeypatch.context() as patch:
-                patch.setattr(Circuit, "counts", scan)
-                circuit, report = synthesize(target, entangler)
-            assert circuit.counts() == (report.entangler_count, report.local_count)
+            circuit, report = synthesize(target, entangler)
+            assert counted(circuit.elements) == (report.entangler_count, report.local_count)
 
     def test_snap_fallback_counts_the_unsnapped_plan(self, monkeypatch):
         # TestSnapFallback's target: the circuit synthesize returns is built
@@ -1226,7 +1218,7 @@ class TestPlannedCounts:
         circuit, report = synthesize(cphase(3.1415926518), CNOT,
                                      ToleranceConfig(verify_tol=5e-10))
         assert len(planned) == 2
-        assert circuit.counts() == (report.entangler_count, report.local_count) == (2, 3)
+        assert counted(circuit.elements) == (report.entangler_count, report.local_count) == (2, 3)
         assert report.entangler_count == planned[-1][1]
 
 

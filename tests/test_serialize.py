@@ -11,7 +11,7 @@ from gatesynth.matcore import Circuit, EntanglerApp, LocalPair, ToleranceConfig,
 from gatesynth.serialize import (CircuitDocument, decode_matrix, emit_circuit_document,
                                  encode_matrix, parse_circuit_document)
 
-from conftest import circuit_of, haar_unitary, matrix_json
+from conftest import circuit_of, counted, haar_unitary, matrix_json
 
 # Written by an earlier version (indented JSON): CNOT from ZZ(pi/3).
 INDENTED_DOCUMENT = Path(__file__).parent / "data" / "cnot_from_zz_pi3_indented.json"
@@ -382,7 +382,7 @@ class TestStackedDecode:
             {"name": "CNOT"}, circuit_of([EntanglerApp()] * 3))))
         circuit = parse_circuit_document(json.dumps(payload)).circuit
         assert circuit.layers.shape == (0, 2, 2, 2)
-        assert circuit.entangler_count == 3
+        assert sum(circuit.slots) == counted(circuit.elements)[0] == 3
 
     @pytest.mark.parametrize("name", BAD_ENTRIES)
     def test_matrix_messages_equal_per_entry_loop(self, name):

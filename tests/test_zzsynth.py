@@ -9,10 +9,10 @@ from gatesynth.matcore import (DEFAULT_TOL, ID2, ROUNDOFF, evaluate, interaction
 from gatesynth import compiler, synthesize, zzsynth
 from gatesynth.zzsynth import (MAX_APPLICATIONS, RUN_TABLE_SIZE, ZzResource, amplify,
                                block_repetitions, choose_unit, extract_zz, fold_angle,
-                               prepare_resource, repetitions, uniform_bound)
+                               repetitions, uniform_bound)
 
-from conftest import (FOLD_BRANCHES, dress, flanked_zz_unit, haar_unitary, random_local,
-                      repeated, run_resource, uncached_run, unit_circuit)
+from conftest import (FOLD_BRANCHES, counted, dress, flanked_zz_unit, haar_unitary, prepared,
+                      random_local, repeated, run_resource, uncached_run, unit_circuit)
 
 # ZZ(pi/66664): n = 16666, the largest n under the application cap.
 WEAKEST_ZZ = zz_interaction(np.pi / 66664)
@@ -21,7 +21,7 @@ WEAKEST_ZZ = zz_interaction(np.pi / 66664)
 def check_resource(r: ZzResource, entangler: np.ndarray, tol: float = 1e-9) -> None:
     circuit = unit_circuit(r)
     assert phase_distance(evaluate(circuit, entangler), zz_interaction(r.gamma)) < tol
-    assert circuit.entangler_count == r.apps_per_unit
+    assert counted(circuit.elements)[0] == r.apps_per_unit
 
 
 class TestExtractZz:
@@ -126,7 +126,7 @@ class TestChooseUnit:
                              ids=["dressed_case3", "miscalibrated_cnot"])
     def test_builds_one_unit(self, monkeypatch, rng, triple):
         # Both units move off the paper's axis; only the winner is built,
-        # from the one KAK.
+        # from the caller's KAK, with no KAK of its own.
         ent = dress(interaction(*triple), rng)
         calls = {"kak_decompose": 0, "_folded_unit": 0}
         with monkeypatch.context() as patch:
@@ -135,8 +135,8 @@ class TestChooseUnit:
                     calls[_name] += 1
                     return _original(*args, **kwargs)
                 patch.setattr(zzsynth, name, counting)
-            unit = choose_unit(ent)
-        assert calls == {"kak_decompose": 1, "_folded_unit": 1}
+            unit = choose_unit(kak_decompose(ent))
+        assert calls == {"kak_decompose": 0, "_folded_unit": 1}
         # choose_unit's order: bound, then applications, then the larger angle.
         cost = lambda r: (uniform_bound(repetitions(r.gamma), r.apps_per_unit),
                           r.apps_per_unit, -r.gamma)
@@ -187,7 +187,8 @@ class TestUnitFold:
     """The unit's chains and its fold into (0, pi/2], for every fold branch."""
 
     @pytest.mark.parametrize("name", FOLD_BRANCHES)
-    @pytest.mark.parametrize("build", [extract_zz, choose_unit], ids=["paper", "best_axis"])
+    @pytest.mark.parametrize("build", [extract_zz, lambda ent: choose_unit(kak_decompose(ent))],
+                             ids=["paper", "best_axis"])
     def test_branch(self, name, build, rng):
         g, gamma, lengths = FOLD_BRANCHES[name]
         for ent in (interaction(*g), dress(interaction(*g), rng)):
@@ -196,7 +197,7 @@ class TestUnitFold:
             assert unit.gamma == pytest.approx(gamma, abs=1e-9)
             assert [len(chain) // 2 for chain in unit.chains] == lengths
             circuit = unit_circuit(unit)
-            assert circuit.entangler_count == unit.apps_per_unit == len(lengths) - 1
+            assert counted(circuit.elements)[0] == unit.apps_per_unit == len(lengths) - 1
             assert phase_distance(evaluate(circuit, ent), zz_interaction(unit.gamma)) < 1e-9
 
 
@@ -284,7 +285,7 @@ class TestAmplify:
         for m in range(1, n + 1):
             run, out = run_resource(template, m), repeated(template, m)
             assert out.gamma == pytest.approx(m * gamma)
-            assert out.circuit.entangler_count == m
+            assert counted(out.circuit.elements)[0] == m
             got = evaluate(out.circuit, zz_interaction(gamma))
             np.testing.assert_allclose(got, zz_interaction(m * gamma), atol=1e-13)
             # The run's product stands for its expanded elements.
@@ -314,7 +315,7 @@ class TestAmplify:
 
 class TestRunTable:
     def test_runs_equal_the_uncached_loop(self):
-        weak, cap = prepare_resource(cphase(np.pi / 9)), prepare_resource(WEAKEST_ZZ)
+        weak, cap = prepared(cphase(np.pi / 9)), prepared(WEAKEST_ZZ)
         assert (weak.n, cap.n) == (5, 16666)
         sampled = [1, 2, 3, RUN_TABLE_SIZE, RUN_TABLE_SIZE + 1, 4097, 8333, 16665, 16666]
         for template, ms in ((weak, range(1, weak.n + 1)), (cap, sampled)):
@@ -339,7 +340,7 @@ class TestRunTable:
                 return super().__new__(cls, *fields)
 
         monkeypatch.setattr(zzsynth, "_Run", Spy)
-        template = prepare_resource(cphase(np.pi / 9))
+        template = prepared(cphase(np.pi / 9))
         for m in [1, 2, 3, 4, 5] * 3:
             assert template.run(m)[0] is template.run(m)[0]
         assert built == [1, 2, 3, 4, 5]
@@ -356,7 +357,7 @@ class TestRunTable:
         assert len(used) > 2 and sorted(built) == sorted(used)
 
     def test_stored_products_are_read_only(self):
-        template = prepare_resource(cphase(np.pi / 9))
+        template = prepared(cphase(np.pi / 9))
         for m in range(1, template.n + 1):
             run, _ = template.run(m)
             with pytest.raises(ValueError, match="read-only"):
@@ -364,7 +365,7 @@ class TestRunTable:
         assert sorted(template.run_table) == [1, 2, 3, 4, 5]
 
     def test_table_never_exceeds_its_cap(self):
-        template = prepare_resource(zz_interaction(np.pi / 400))
+        template = prepared(zz_interaction(np.pi / 400))
         assert template.n > RUN_TABLE_SIZE
         for m in range(1, template.n + 1):
             template.run(m)
@@ -376,7 +377,7 @@ class TestRunTable:
     def test_refuses_repetitions_outside_one_to_n(self):
         # Out of range, the loop would build a run whose product is not its
         # expansion (m = 9 on this n = 5 template); nothing is stored.
-        template = prepare_resource(cphase(np.pi / 9))
+        template = prepared(cphase(np.pi / 9))
         for m in (0, -1, 6, 9):
             with pytest.raises(ValueError, match=r"outside 1\.\.5$"):
                 template.run(m)
@@ -411,13 +412,13 @@ class TestBlockRepetitions:
 class TestResourceCap:
     def test_refuses_above_cap(self):
         with pytest.raises(ValueError, match="117810.*100000"):
-            prepare_resource(zz_interaction(4e-5))
+            prepared(zz_interaction(4e-5))
 
     def test_accepts_bound_at_cap(self):
         # ZZ(pi/4/16666) needs n = 16666, bound 99996 <= MAX_APPLICATIONS;
         # the template holds O(log n) matrices, never the 16666-fold circuit.
         gamma = np.pi / 4 / 16666 * (1 + 1e-9)
-        template = prepare_resource(zz_interaction(gamma))
+        template = prepared(zz_interaction(gamma))
         assert template.n == repetitions(template.gamma) == 16666
         assert uniform_bound(template.n, template.apps_per_unit) == 99996 <= MAX_APPLICATIONS
         assert len(template.powers) == (template.n - 1).bit_length()
@@ -429,9 +430,9 @@ def test_full_pipeline_over_case_corpus(rng):
                (np.pi / 7, 0, 0), (1.2, 0.5, 0.4), (2.6, 0.13, 5e-11)]
     for triple in triples:
         ent = dress(interaction(*triple), rng)
-        template = prepare_resource(ent)
+        template = prepared(ent)
         r = repeated(template, template.n)
         assert np.pi / 4 - 1e-12 <= r.gamma <= np.pi / 2 + 1e-12
         got = evaluate(r.circuit, ent)
         assert phase_distance(got, zz_interaction(r.gamma)) < 1e-9
-        assert r.circuit.entangler_count == template.n * r.apps_per_unit <= 2 * template.n
+        assert counted(r.circuit.elements)[0] == template.n * r.apps_per_unit <= 2 * template.n
