@@ -7,13 +7,14 @@ before any matrix is built, and synth_zz_block builds one. Any
 Controlled-U gate is built from a single ZZ interaction plus locals.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .kak import kak_decompose
 from .matcore import ID2, ROUNDOFF, SIGMA_X, Circuit, dagger, exp_pauli, require_unitary
-from .zzsynth import ZzTemplate, block_repetitions, fold_angle
+from .zzsynth import ZzTemplate, fold_angle
 
 
 @dataclass(frozen=True)
@@ -32,10 +33,24 @@ class AxisAngle:
             raise ValueError("axis must be a real 3-vector of unit norm")
 
 
+def block_repetitions(h: float, gamma: float, n: int) -> int:
+    """Unit repetitions a block of folded angle h needs: the fewest m with
+    h <= 2 m gamma, with block_params's ROUNDOFF slack; 1 at h = 0.
+
+    Never above n = repetitions(gamma), since h <= pi/2 <= 2 n gamma: the
+    uniform bound is the worst case over h.
+    """
+    m = max(1, math.ceil(h / (2 * gamma)))
+    if m > 1 and h <= 2 * ((m - 1) * gamma) + ROUNDOFF:
+        m -= 1
+    return min(m, n)
+
+
 def block_params(c: float, gamma: float) -> tuple[float, float, float]:
     """Solve the two-insertion block equations for (c, gamma): (b, p, q), the
     inner rotation angle b in [0, pi] and the U1/U2 entries p, q, with
-    p^2 + q^2 = 1 and sin(c/2) = sin(gamma) sin(b/2).
+    p^2 + q^2 = 1, sin(c/2) = sin(gamma) sin(b/2) and
+    p^2 - q^2 = cot(gamma) tan(c/2).
 
     Requires gamma in (0, pi/2] and c in (0, 2*gamma], which is exactly
     the reachable range of the two-insertion block.
@@ -46,16 +61,13 @@ def block_params(c: float, gamma: float) -> tuple[float, float, float]:
         raise ValueError(f"block angle c = {c} is not positive")
     if c > 2 * gamma + ROUNDOFF:
         raise ValueError(f"c = {c} exceeds reachable range 2*gamma = {2 * gamma}")
-    # Half-angle form sin(c/2) = sin(gamma) sin(b/2): keeps every digit as
-    # c -> 0, unlike arccos of a cos(c) difference. The ratio hits 1 up to
-    # roundoff at c = 2*gamma; clamp before arcsin.
-    b = 2 * float(np.arcsin(min(np.sin(c / 2) / np.sin(gamma), 1.0)))
-    # cot(gamma) * tan(c/2) instead of tan(c/2)/tan(gamma): exact 0 at the
-    # gamma = pi/2 endpoint where tan diverges.
-    ratio = (np.cos(gamma) / np.sin(gamma)) * np.tan(c / 2)
-    p = float(np.sqrt(min(max((1 + ratio) / 2, 0.0), 1.0)))
-    q = float(np.sqrt(min(max((1 - ratio) / 2, 0.0), 1.0)))
-    return b, p, q
+    # Difference forms, every digit kept at both ends: s = sin(c/2) as c -> 0,
+    # and r = sin(gamma) cos(b/2) as c -> 2 gamma, where gamma - c/2 is exact
+    # (Sterbenz) and an overshoot within ROUNDOFF clamps to the edge.
+    s = math.sin(c / 2)
+    r = math.sqrt(max(math.sin(gamma - c / 2), 0.0) * math.sin(gamma + c / 2))
+    theta = math.atan2(r, math.cos(gamma) * s) / 2
+    return 2 * math.atan2(s, r), math.cos(theta), math.sin(theta)
 
 
 def plan_blocks(cs, template: ZzTemplate) -> tuple[list[tuple], int]:

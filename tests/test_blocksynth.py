@@ -4,14 +4,15 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from gatesynth.blocksynth import (AxisAngle, block_params, controlled_u_circuit,
-                                  controlled_u_gamma, plan_blocks, synth_zz_block)
+from gatesynth.blocksynth import (AxisAngle, block_params, block_repetitions,
+                                  controlled_u_circuit, controlled_u_gamma, plan_blocks,
+                                  synth_zz_block)
 from gatesynth.compiler import efficient_as_cnot
 from gatesynth.gates import B_GATE, CNOT, SQRT_SWAP, cphase, phase_gate
 from gatesynth.kak import kak_decompose
 from gatesynth.matcore import (Circuit, EntanglerApp, LocalPair, SIGMA_X, SIGMA_Z,
                                evaluate, exp_pauli, phase_distance, tensor, zz_interaction)
-from gatesynth.zzsynth import block_repetitions, fold_angle, repetitions
+from gatesynth.zzsynth import fold_angle, repetitions
 
 from conftest import (CircuitResource, block_circuit, block_layers, chains_circuit, circuit_of,
                       controlled_matrix, counted, exact_template, expanded, haar_unitary,

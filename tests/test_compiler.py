@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from gatesynth import blocksynth, cli, compiler, gates, kak, matcore, serialize, zzsynth
-from gatesynth.blocksynth import controlled_u_gamma, plan_blocks
+from gatesynth.blocksynth import block_repetitions, controlled_u_gamma, plan_blocks
 from gatesynth.compiler import (efficient_as_cnot, merge_locals, synthesize,
                                 upper_bound)
 from gatesynth.gates import B_GATE, CNOT, SQRT_SWAP, SWAP, cphase, phase_gate
@@ -20,8 +20,8 @@ from gatesynth.matcore import (DEFAULT_TOL, ID2, ROUNDOFF, Circuit, EntanglerApp
                                zz_interaction)
 from gatesynth.kak import snap_vector
 from gatesynth.zzsynth import (KX_DAG, KX_KY_DAG, KY_FACTOR, MAX_APPLICATIONS, ZzResource,
-                               ZzTemplate, block_repetitions, choose_unit, extract_zz,
-                               fold_angle, repetitions, uniform_bound)
+                               ZzTemplate, choose_unit, extract_zz, fold_angle, repetitions,
+                               uniform_bound)
 
 from conftest import (FOLD_BRANCHES, CircuitResource, block_circuit, block_layers, circuit_of,
                       counted, dress, expanded, haar_unitary, near_edge, prepared, product_loop,
@@ -1220,6 +1220,51 @@ class TestPlannedCounts:
         assert len(planned) == 2
         assert counted(circuit.elements) == (report.entangler_count, report.local_count) == (2, 3)
         assert report.entangler_count == planned[-1][1]
+
+
+# Both tolerances every reach-edge case must verify at.
+EDGE_TOLERANCES = (DEFAULT_TOL, ToleranceConfig(verify_tol=1e-10))
+
+
+def edge_offsets(edge: float) -> list:
+    """edge, one ulp either side, and edge +- 1e-15, 1e-14, 1e-13 and 1e-12."""
+    steps = [s * 10.0 ** e for e in range(-15, -11) for s in (1, -1)]
+    return [edge, np.nextafter(edge, 0.0), np.nextafter(edge, 4.0), *(edge + d for d in steps)]
+
+
+class TestReachEdge:
+    """A block of folded angle h at its reach edge h = 2 m gamma has b = pi and
+    q = 0; block_params keeps every digit there, so every case verifies at the
+    default verify_tol and at 1e-10 (synthesize raises otherwise)."""
+
+    def test_landmarks_from_every_zz(self):
+        # At the parent forms SQRT_SWAP and B failed from ZZ(pi/k), k in
+        # {8, 40, 56, 280}, at the default verify_tol, 113 cases at 1e-10.
+        landmarks = (CNOT, SWAP, SQRT_SWAP, B_GATE, ISWAP)
+        for k in range(2, 401):
+            entangler = zz_interaction(np.pi / k)
+            for tol in EDGE_TOLERANCES:
+                for target in landmarks:
+                    _, report = synthesize(target, entangler, tol)
+                    assert report.residual < tol.verify_tol, (k, tol)
+
+    def test_block_edges(self):
+        # Every coordinate of the target on an edge 2 m pi/k of ZZ(pi/k), all
+        # moved by the same offset: the largest edge, the smallest and a
+        # seeded third, each with two seeded lower edges for c2 and c3.
+        rng = np.random.default_rng(37)
+        for k in sorted(rng.choice(np.arange(2, 200), size=24, replace=False).tolist()):
+            gamma = np.pi / k
+            edges = [2 * m * gamma for m in range(1, k) if 2 * m * gamma <= np.pi / 2]
+            entangler = zz_interaction(gamma)
+            for i in sorted({0, len(edges) - 1, int(rng.integers(len(edges)))}):
+                e2, e3 = sorted(rng.choice(edges[:i + 1], size=2), reverse=True)
+                for x in edge_offsets(edges[i]):
+                    d = x - edges[i]
+                    target = interaction(x, e2 + d, e3 + d)
+                    for tol in EDGE_TOLERANCES:
+                        _, report = synthesize(target, entangler, tol)
+                        assert report.residual < tol.verify_tol, (k, i, d, tol)
 
 
 class TestEfficientAsCnot:

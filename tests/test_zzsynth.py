@@ -2,14 +2,14 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from gatesynth.blocksynth import block_repetitions
 from gatesynth.gates import B_GATE, CNOT, cphase
 from gatesynth.kak import kak_decompose, snap_angle
 from gatesynth.matcore import (DEFAULT_TOL, ID2, ROUNDOFF, evaluate, interaction, phase_distance,
                                zz_interaction)
 from gatesynth import compiler, synthesize, zzsynth
 from gatesynth.zzsynth import (MAX_APPLICATIONS, RUN_TABLE_SIZE, ZzResource, amplify,
-                               block_repetitions, choose_unit, extract_zz, fold_angle,
-                               repetitions, uniform_bound)
+                               choose_unit, extract_zz, fold_angle, repetitions, uniform_bound)
 
 from conftest import (FOLD_BRANCHES, counted, dress, flanked_zz_unit, haar_unitary, prepared,
                       random_local, repeated, run_resource, uncached_run, unit_circuit)
@@ -382,6 +382,16 @@ class TestRunTable:
             with pytest.raises(ValueError, match=r"outside 1\.\.5$"):
                 template.run(m)
         assert template.run_table == {}
+
+
+class TestRepetitions:
+    def test_exact_at_fractions_of_quarter_pi(self):
+        # At gamma = pi/(4k) the quotient pi/4 / gamma rounds to either side
+        # of k; a bare ceil gave k + 1 for 747 of these k, and n = 7 (bound
+        # 42) for ZZ(pi/24), whose KAK reads gamma an ulp below pi/24.
+        assert [k for k in range(1, 20000) if repetitions(np.pi / (4 * k)) != k] == []
+        for k in range(2, 401):
+            assert compiler.upper_bound(zz_interaction(np.pi / k)).n == max(1, -(-k // 4)), k
 
 
 class TestBlockRepetitions:
