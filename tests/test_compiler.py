@@ -638,8 +638,8 @@ def amplified_units(rng) -> list:
     """(unit, amplify's template of it) over every extraction case, doubling
     axis and fold branch, and TEMPLATE_ENTANGLERS' units; each unit also at
     gamma pi/8, where n = 2 builds the seam."""
-    units = [(choose_unit(kak_decompose(make(rng))), make(rng))
-             for make in TEMPLATE_ENTANGLERS.values()]
+    entanglers = [make(rng) for make in TEMPLATE_ENTANGLERS.values()]
+    units = [(choose_unit(kak_decompose(entangler)), entangler) for entangler in entanglers]
     for g, _, _ in FOLD_BRANCHES.values():
         for entangler in (interaction(*g), dress(interaction(*g), rng)):
             dec = kak_decompose(entangler)
