@@ -14,7 +14,7 @@ import numpy as np
 
 from .kak import kak_decompose
 from .matcore import ID2, ROUNDOFF, SIGMA_X, Circuit, dagger, exp_pauli, require_unitary
-from .zzsynth import ZzTemplate, fold_angle
+from .zzsynth import ZzTemplate, block_repetitions, fold_angle
 
 
 @dataclass(frozen=True)
@@ -31,19 +31,6 @@ class AxisAngle:
         if (np.shape(self.axis) != (3,) or np.iscomplexobj(self.axis)
                 or not abs(np.linalg.norm(self.axis) - 1.0) <= ROUNDOFF):
             raise ValueError("axis must be a real 3-vector of unit norm")
-
-
-def block_repetitions(h: float, gamma: float, n: int) -> int:
-    """Unit repetitions a block of folded angle h needs: the fewest m with
-    h <= 2 m gamma, with block_params's ROUNDOFF slack; 1 at h = 0.
-
-    Never above n = repetitions(gamma), since h <= pi/2 <= 2 n gamma: the
-    uniform bound is the worst case over h.
-    """
-    m = max(1, math.ceil(h / (2 * gamma)))
-    if m > 1 and h <= 2 * ((m - 1) * gamma) + ROUNDOFF:
-        m -= 1
-    return min(m, n)
 
 
 def block_params(c: float, gamma: float) -> tuple[float, float, float]:
@@ -75,7 +62,7 @@ def plan_blocks(cs, template: ZzTemplate) -> tuple[list[tuple], int]:
     for the angles cs in the order given, over the template's unit.
 
     Each block is the tuple (c, h, pre, post, phase, m, b, p, q) of
-    fold_angle(c), m = block_repetitions(h, ...) and block_params(h, m * gamma);
+    fold_angle(c), m = block_repetitions(h, gamma) and block_params(h, m * gamma);
     at h = 0 (c = 0 or pi), one local layer, m = 0 and b, p, q are None. The
     count is 2 * apps_per_unit * sum(m).
     """
@@ -84,7 +71,7 @@ def plan_blocks(cs, template: ZzTemplate) -> tuple[list[tuple], int]:
         if not 0.0 <= c <= np.pi:
             raise ValueError(f"block angle c = {c} outside [0, pi]")
         h, pre, post, phase = fold_angle(c)
-        m = block_repetitions(h, template.gamma, template.n) if h else 0
+        m = block_repetitions(h, template.gamma) if h else 0
         params = block_params(h, m * template.gamma) if m else (None, None, None)
         blocks.append((c, h, pre, post, phase, m, *params))
     return blocks, 2 * template.apps_per_unit * sum(block[5] for block in blocks)

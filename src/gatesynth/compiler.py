@@ -13,6 +13,7 @@ builds each block as chains of local layers between the template's runs
 matcore.merge_locals call: the circuit it verifies and returns.
 """
 
+import itertools
 from collections import OrderedDict
 from dataclasses import dataclass, field
 
@@ -116,7 +117,7 @@ def synthesize(target: np.ndarray, entangler: np.ndarray,
     a block whose coefficient snaps to 0 or pi costs no application. The
     plan (blocksynth.plan_blocks) fixes each block's numbers and the count
     before any layer is built: a block of folded angle h inserts
-    block_repetitions(h, ...) <= n units, not the n of the uniform bound.
+    zzsynth.block_repetitions(h, gamma) <= n units, not the n of the uniform bound.
     The built local layers go into one stack, fused by merge_locals, with
     the template's runs between them: the circuit, verified against the
     target with the runs' products, is returned in that array form.
@@ -147,17 +148,23 @@ def synthesize(target: np.ndarray, entangler: np.ndarray,
     while len(_resource_memo) > RESOURCE_MEMO_SIZE:
         _resource_memo.popitem(last=False)
 
-    blocks, entangler_count = plan_blocks(snap_vector(dec.c)[::-1], template)
+    snapped = snap_vector(dec.c)
+    blocks, entangler_count = plan_blocks(snapped[::-1], template)
     circuit = _skeleton(blocks, dec, template)
     residual = phase_distance(evaluate(circuit, entangler), target)
     if residual >= tol.verify_tol:
-        # A snap is taken only when it verifies: build once more from the
-        # unsnapped vector, roundoff below 0 taken as 0.
-        blocks, unsnapped_count = plan_blocks([max(x, 0.0) for x in dec.c[::-1]], template)
-        unsnapped = _skeleton(blocks, dec, template)
-        unsnapped_residual = phase_distance(evaluate(unsnapped, entangler), target)
-        if unsnapped_residual < tol.verify_tol:
-            circuit, residual, entangler_count = unsnapped, unsnapped_residual, unsnapped_count
+        # A snap is kept only when it verifies: unsnap each subset of the coordinates
+        # it moved (roundoff below 0 as 0); cheapest plan, then fewest unsnapped, first.
+        raw = [max(x, 0.0) for x in dec.c]
+        moved = [i for i in range(3) if raw[i] != snapped[i]]
+        plans = [plan_blocks([raw[i] if i in subset else snapped[i] for i in (2, 1, 0)], template)
+                 for k in range(1, len(moved) + 1) for subset in itertools.combinations(moved, k)]
+        for blocks, count in sorted(plans, key=lambda plan: plan[1]):
+            built = _skeleton(blocks, dec, template)
+            built_residual = phase_distance(evaluate(built, entangler), target)
+            if built_residual < tol.verify_tol:
+                circuit, residual, entangler_count = built, built_residual, count
+                break
     if residual >= tol.verify_tol:
         error = template.unitarity_error
         if residual <= AMPLIFIED_ERROR_FACTOR * entangler_count * error:

@@ -12,7 +12,7 @@ split runs on the entangler's canonical vector (g1, g2, g3):
 followed by one exact Pauli fold (fold_angle) so gamma lands in
 (0, pi/2]. Repeating the folded unit n = repetitions(gamma) times lifts
 the angle into [pi/4, pi/2] and sets the paper's uniform bound; a block
-of folded angle h needs only blocksynth.block_repetitions(h, ...) <= n units.
+of folded angle h needs only block_repetitions(h, gamma) <= n units.
 amplify returns that repetition as a ZzTemplate, the unit fused once
 with the products any m <= n repetitions need; the n-fold circuit is
 never built.
@@ -169,16 +169,20 @@ def fold_angle(g: float) -> tuple[float, tuple, tuple, complex]:
 MAX_APPLICATIONS = 100_000
 
 
-def repetitions(gamma: float) -> int:
-    """Minimal n with n*gamma in [pi/4, pi/2]; steps of gamma <= pi/2 cannot skip it.
+def block_repetitions(h: float, gamma: float) -> int:
+    """The reach rule: a block of folded angle h needs the fewest m with h <= 2 m gamma,
+    forgiving block_params's ROUNDOFF overshoot; 1 at h = 0. fold_angle's h is at
+    most pi/2, so repetitions, the worst case, bounds every block's m."""
+    m = max(1, math.ceil(h / (2 * gamma)))
+    return m - 1 if m > 1 and h <= 2 * ((m - 1) * gamma) + ROUNDOFF else m
 
-    n*gamma may fall short of pi/4 by ROUNDOFF/2, which block_repetitions
-    forgives: at gamma = pi/(4k) the quotient rounds to either side of k.
-    """
+
+def repetitions(gamma: float) -> int:
+    """Minimal n with n*gamma in [pi/4, pi/2] (steps of gamma <= pi/2 cannot skip
+    it), within ROUNDOFF/2: block_repetitions at h = pi/2."""
     if not 0.0 < gamma <= np.pi / 2:
         raise ValueError(f"gamma = {gamma} outside (0, pi/2]")
-    n = max(1, math.ceil(np.pi / 4 / gamma))
-    return n - 1 if n > 1 and (n - 1) * gamma >= np.pi / 4 - ROUNDOFF / 2 else n
+    return block_repetitions(np.pi / 2, gamma)
 
 
 def uniform_bound(n: int, apps_per_unit: int) -> int:

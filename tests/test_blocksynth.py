@@ -4,15 +4,14 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from gatesynth.blocksynth import (AxisAngle, block_params, block_repetitions,
-                                  controlled_u_circuit, controlled_u_gamma, plan_blocks,
-                                  synth_zz_block)
+from gatesynth.blocksynth import (AxisAngle, block_params, controlled_u_circuit,
+                                  controlled_u_gamma, plan_blocks, synth_zz_block)
 from gatesynth.compiler import efficient_as_cnot
 from gatesynth.gates import B_GATE, CNOT, SQRT_SWAP, cphase, phase_gate
 from gatesynth.kak import kak_decompose
 from gatesynth.matcore import (Circuit, EntanglerApp, LocalPair, SIGMA_X, SIGMA_Z,
                                evaluate, exp_pauli, phase_distance, tensor, zz_interaction)
-from gatesynth.zzsynth import fold_angle, repetitions
+from gatesynth.zzsynth import block_repetitions, fold_angle, repetitions
 
 from conftest import (CircuitResource, block_circuit, block_layers, chains_circuit, circuit_of,
                       controlled_matrix, counted, exact_template, expanded, haar_unitary,
@@ -142,7 +141,7 @@ class TestPlanBlocks:
             if h == 0.0:
                 assert (m, b, p, q) == (0, None, None, None)
             else:
-                assert m == block_repetitions(h, template.gamma, template.n)
+                assert m == block_repetitions(h, template.gamma)
                 assert (b, p, q) == block_params(h, m * template.gamma)
         assert [block[5] for block in blocks] == [0, 1, 5, 2, 0]
         assert count == 2 * template.apps_per_unit * 8 == 16
@@ -235,7 +234,7 @@ class TestSynthZzBlock:
         angles = [np.pi / 2, np.pi / 4, 1e-10] + list(rng.uniform(0.0, np.pi / 2, 40))
         for template in templates:
             for c in angles:
-                m = block_repetitions(c, template.gamma, template.n)
+                m = block_repetitions(c, template.gamma)
                 got = expanded(block_circuit(c, template))
                 want = unfolded_block(c, repeated(template, m))
                 assert np.complex128(got.phase).tobytes() == np.complex128(want.phase).tobytes()

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from gatesynth import blocksynth, cli, compiler, gates, kak, matcore, serialize, zzsynth
-from gatesynth.blocksynth import block_repetitions, controlled_u_gamma, plan_blocks
+from gatesynth.blocksynth import controlled_u_gamma, plan_blocks
 from gatesynth.compiler import (efficient_as_cnot, merge_locals, synthesize,
                                 upper_bound)
 from gatesynth.gates import B_GATE, CNOT, SQRT_SWAP, SWAP, cphase, phase_gate
@@ -20,8 +20,8 @@ from gatesynth.matcore import (DEFAULT_TOL, ID2, ROUNDOFF, Circuit, EntanglerApp
                                zz_interaction)
 from gatesynth.kak import snap_vector
 from gatesynth.zzsynth import (KX_DAG, KX_KY_DAG, KY_FACTOR, MAX_APPLICATIONS, ZzResource,
-                               ZzTemplate, choose_unit, extract_zz, fold_angle, repetitions,
-                               uniform_bound)
+                               ZzTemplate, block_repetitions, choose_unit, extract_zz, fold_angle,
+                               repetitions, uniform_bound)
 
 from conftest import (FOLD_BRANCHES, CircuitResource, block_circuit, block_layers, circuit_of,
                       counted, dress, expanded, haar_unitary, near_edge, prepared, product_loop,
@@ -339,7 +339,8 @@ CHAMBER_LANDMARKS = [(0.0, 0.0, 0.0), (np.pi / 4, 0.0, 0.0), (np.pi / 2, 0.0, 0.
 
 class TestSnapFallback:
     """A target-side snap is taken only when the circuit it builds verifies;
-    otherwise synthesize builds once more from the unsnapped vector."""
+    otherwise synthesize plans each subset of the moved coordinates unsnapped
+    and builds them cheapest first, fewest unsnapped on a tie."""
 
     def test_cphase_just_below_cz(self):
         # c1 sits 8.9e-10 below pi/2 and snaps onto CZ, which misses a
@@ -350,20 +351,56 @@ class TestSnapFallback:
         assert report.residual < 1e-14
         assert phase_distance(evaluate(circuit, CNOT), target) < tol.verify_tol
 
-    @pytest.mark.parametrize("verify_tol", [1e-8, 1e-9])
-    def test_near_landmark_targets_verify(self, verify_tol):
+    @staticmethod
+    def near_landmark_cases():
+        """198 (entangler, target) pairs: each chamber landmark moved by
+        +-k snap_tol per coordinate, k in {0.1, 0.5, 0.9}, then dressed."""
         rng = np.random.default_rng(2401)
-        tol = ToleranceConfig(verify_tol=verify_tol)
         for entangler in (CNOT, cphase(np.pi / 9), B_GATE):
             for landmark in CHAMBER_LANDMARKS:
                 for k in (0.1, 0.5, 0.9):
                     for sign in (1.0, -1.0):
                         offset = sign * k * ToleranceConfig.snap_tol * rng.choice([-1.0, 1.0], 3)
-                        target = dress(interaction(*(np.array(landmark) + offset)), rng)
-                        circuit, report = synthesize(target, entangler, tol)
-                        assert report.residual < verify_tol
-                        got = evaluate(circuit, entangler)
-                        assert phase_distance(got, target) < verify_tol
+                        yield entangler, dress(interaction(*(np.array(landmark) + offset)), rng)
+
+    @pytest.mark.parametrize("verify_tol", [1e-8, 1e-9])
+    def test_near_landmark_targets_verify(self, verify_tol):
+        tol = ToleranceConfig(verify_tol=verify_tol)
+        for entangler, target in self.near_landmark_cases():
+            circuit, report = synthesize(target, entangler, tol)
+            assert report.residual < verify_tol
+            got = evaluate(circuit, entangler)
+            assert phase_distance(got, target) < verify_tol
+
+    def test_fallback_costs_the_fewest_applications(self, monkeypatch):
+        # At 1e-9 about a third of the sweep falls back. Against each target's
+        # default-tolerance circuit, unsnapping all three coordinates cost 160
+        # extra applications in all, a median of 2 per fallback; the cheapest
+        # verifying subset costs 64, a median of 0.
+        builds, real = [], compiler._skeleton
+        monkeypatch.setattr(compiler, "_skeleton", lambda *args: builds.append(1) or real(*args))
+        tol, extra = ToleranceConfig(verify_tol=1e-9), []
+        for entangler, target in self.near_landmark_cases():
+            builds.clear()
+            circuit, report = synthesize(target, entangler, tol)
+            assert phase_distance(evaluate(circuit, entangler), target) < tol.verify_tol
+            if len(builds) > 1:
+                default = synthesize(target, entangler)[1].entangler_count
+                extra.append(report.entangler_count - default)
+        assert len(extra) > 0
+        assert np.median(extra) == 0
+        assert sum(extra) <= 64
+
+    def test_unsnaps_only_the_coordinate_the_check_needs(self):
+        # c1 = pi/2 - 9.9e-10 and c2 = 3e-10 both snap, onto CNOT, which misses
+        # 1e-9. Unsnapping c1 alone verifies (residual 3e-10, c2's part) with 2
+        # applications; unsnapping both takes 4.
+        target = interaction(np.pi / 2 + 9.9e-10, 3e-10, 0.0)
+        tol = ToleranceConfig(verify_tol=1e-9)
+        circuit, report = synthesize(target, CNOT, tol)
+        assert report.entangler_count == 2
+        assert report.residual < tol.verify_tol
+        assert phase_distance(evaluate(circuit, CNOT), target) < tol.verify_tol
 
     def test_verifying_target_builds_one_skeleton(self, monkeypatch, rng):
         built, real = [], compiler._skeleton
@@ -396,7 +433,8 @@ class TestNamedStages:
         assert calls == {"synth_zz_block": 3, "merge_locals": 1}
 
     def test_rebuild_from_the_unsnapped_vector(self, calls):
-        # TestSnapFallback's target: the snapped circuit fails, so a second one is built.
+        # TestSnapFallback's target: the snapped circuit fails, and one coordinate
+        # moved, so one candidate is built.
         synthesize(cphase(3.1415926518), CNOT, ToleranceConfig(verify_tol=5e-10))
         assert calls == {"synth_zz_block": 6, "merge_locals": 2}
 
@@ -593,7 +631,7 @@ def object_assembly(c: tuple[float, float, float], dec: KakDecomposition,
     for c_i, interleaver in ((c3, LocalPair(KY_FACTOR, KY_FACTOR)),
                              (c2, LocalPair(KX_KY_DAG, KX_KY_DAG)),
                              (c1, LocalPair(dec.k1[0] @ KX_DAG, dec.k1[1] @ KX_DAG))):
-        m = block_repetitions(fold_angle(c_i)[0], template.gamma, template.n)
+        m = block_repetitions(fold_angle(c_i)[0], template.gamma)
         block = object_block(c_i, run_resource(template, m))
         elements += slot_elements(block) + [interleaver]
         phase *= block.phase
@@ -1082,10 +1120,8 @@ def paper_bound(unit: ZzResource) -> int:
 
 def paper_count(target: np.ndarray, paper: ZzResource) -> int:
     """Applications the paper's unit needs for a target, by arithmetic."""
-    n = repetitions(paper.gamma)
     hs = [fold_angle(c)[0] for c in snap_vector(kak_decompose(target).c)]
-    return 2 * paper.apps_per_unit * sum(block_repetitions(h, paper.gamma, n)
-                                         for h in hs if h > 0.0)
+    return 2 * paper.apps_per_unit * sum(block_repetitions(h, paper.gamma) for h in hs if h > 0.0)
 
 
 def near_boundary_triples(rng: np.random.Generator) -> list[tuple[float, float, float]]:

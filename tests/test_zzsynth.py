@@ -1,15 +1,17 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from gatesynth.blocksynth import block_repetitions
 from gatesynth.gates import B_GATE, CNOT, cphase
 from gatesynth.kak import kak_decompose, snap_angle
 from gatesynth.matcore import (DEFAULT_TOL, ID2, ROUNDOFF, evaluate, interaction, phase_distance,
                                zz_interaction)
 from gatesynth import compiler, synthesize, zzsynth
 from gatesynth.zzsynth import (MAX_APPLICATIONS, RUN_TABLE_SIZE, ZzResource, amplify,
-                               choose_unit, extract_zz, fold_angle, repetitions, uniform_bound)
+                               block_repetitions, choose_unit, extract_zz, fold_angle, repetitions,
+                               uniform_bound)
 
 from conftest import (FOLD_BRANCHES, counted, dress, flanked_zz_unit, haar_unitary, prepared,
                       random_local, repeated, run_resource, uncached_run, unit_circuit)
@@ -393,6 +395,38 @@ class TestRepetitions:
         for k in range(2, 401):
             assert compiler.upper_bound(zz_interaction(np.pi / k)).n == max(1, -(-k // 4)), k
 
+    @staticmethod
+    def gammas() -> list[float]:
+        """Every pi/(4k) +- 2 ulps, k <= 20,000, and a seeded uniform sample of (0, pi/2]."""
+        gammas = list(np.random.default_rng(38).uniform(0.0, np.pi / 2, 20000)[1:])
+        for k in range(1, 20001):
+            up = down = np.pi / (4 * k)
+            gammas.append(up)
+            for _ in range(2):
+                up, down = np.nextafter(up, 4.0), np.nextafter(down, 0.0)
+                gammas += [up, down]
+        return [g for g in gammas if 0.0 < g <= np.pi / 2]
+
+    def test_worst_case_of_the_reach_rule(self):
+        # repetitions is block_repetitions at the widest folded angle, and both
+        # agree with the minimal n whose n * gamma falls short of pi/4 by at most
+        # ROUNDOFF/2, written out.
+        def minimal_n(gamma):
+            n = max(1, math.ceil(np.pi / 4 / gamma))
+            return n - 1 if n > 1 and (n - 1) * gamma >= np.pi / 4 - ROUNDOFF / 2 else n
+
+        assert [g for g in self.gammas()
+                if not repetitions(g) == block_repetitions(np.pi / 2, g) == minimal_n(g)] == []
+
+    def test_no_block_needs_more_than_n(self):
+        # fold_angle's h is at most pi/2, so the rule's cap n never binds.
+        hs = [np.pi / 2]
+        for _ in range(4):
+            hs.append(np.nextafter(hs[-1], 0.0))
+        assert max(fold_angle(g)[0] for g in np.linspace(0.0, 2 * np.pi, 4001)[:-1]) <= hs[0]
+        assert [g for g in self.gammas()
+                if any(block_repetitions(h, g) > repetitions(g) for h in hs)] == []
+
 
 class TestBlockRepetitions:
     @settings(max_examples=300, deadline=None)
@@ -400,23 +434,23 @@ class TestBlockRepetitions:
            st.floats(min_value=1e-4, max_value=np.pi / 2))
     def test_fewest_units_within_n(self, h, gamma):
         n = repetitions(gamma)
-        m = block_repetitions(h, gamma, n)
+        m = block_repetitions(h, gamma)
         assert 1 <= m <= n
         assert h <= 2 * (m * gamma) + ROUNDOFF
         assert m == 1 or h > 2 * ((m - 1) * gamma) + ROUNDOFF
 
     def test_roundoff_slack_at_twice_gamma(self):
         gamma = np.pi / 18
-        assert block_repetitions(0.0, gamma, 5) == 1
-        assert block_repetitions(2 * gamma + ROUNDOFF / 2, gamma, 5) == 1
-        assert block_repetitions(2 * gamma + 1e-9, gamma, 5) == 2
-        assert block_repetitions(np.pi / 2, gamma, 5) == 5
+        assert block_repetitions(0.0, gamma) == 1
+        assert block_repetitions(2 * gamma + ROUNDOFF / 2, gamma) == 1
+        assert block_repetitions(2 * gamma + 1e-9, gamma) == 2
+        assert block_repetitions(np.pi / 2, gamma) == 5
 
     def test_weakest_unit_at_the_cap(self):
         gamma = np.pi / 4 / 16666
         n = repetitions(gamma)
-        assert block_repetitions(np.pi / 2, gamma, n) == n == 16666
-        assert block_repetitions(np.pi / 4, gamma, n) == 8333
+        assert block_repetitions(np.pi / 2, gamma) == n == 16666
+        assert block_repetitions(np.pi / 4, gamma) == 8333
 
 
 class TestResourceCap:
