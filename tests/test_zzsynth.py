@@ -398,7 +398,7 @@ class TestRepetitions:
     @staticmethod
     def gammas() -> list[float]:
         """Every pi/(4k) +- 2 ulps, k <= 20,000, and a seeded uniform sample of (0, pi/2]."""
-        gammas = list(np.random.default_rng(38).uniform(0.0, np.pi / 2, 20000)[1:])
+        gammas = list(np.random.default_rng(38).uniform(0.0, np.pi / 2, 20000))
         for k in range(1, 20001):
             up = down = np.pi / (4 * k)
             gammas.append(up)
