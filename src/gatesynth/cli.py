@@ -50,7 +50,7 @@ def _run_synth(args) -> int:
         report={f.name: getattr(report, f.name) for f in fields(report)},  # no deep copy
     )
     text = emit_circuit_document(doc)
-    if args.out:
+    if args.out is not None:
         try:
             _write_over(args.out, text + "\n")
         except OSError as exc:

@@ -31,21 +31,18 @@ from typing import NamedTuple
 import numpy as np
 
 from .matcore import (DEFAULT_TOL, ID2, PAULIS, ROUNDOFF, SIGMA_X, SIGMA_Y,
-                      SIGMA_Z, ToleranceConfig, project_special_rows, tensor)
+                      SIGMA_Z, ToleranceConfig, dagger, project_special_rows, tensor)
 
 MAGIC = np.array([[1, 0, 0, 1j],
                   [0, 1j, 1, 0],
                   [0, 1j, -1, 0],
                   [1, 0, 0, -1j]], dtype=complex) / np.sqrt(2)
-MAGIC_DAG = MAGIC.conj().T
+MAGIC_DAG = dagger(MAGIC)
 
-# Diagonal of XX, YY, ZZ in the magic basis; together with the all-ones
-# vector these form an orthogonal basis of R^4, so any diagonal phase
+# Rows: the diagonals dXX, dYY, dZZ of XX, YY, ZZ in the magic basis; with the
+# all-ones vector they form an orthogonal basis of R^4, so any diagonal phase
 # vector resolves exactly into identity + interaction components.
-_DIAG_XX = np.array([1.0, 1.0, -1.0, -1.0])
-_DIAG_YY = np.array([-1.0, 1.0, -1.0, 1.0])
-_DIAG_ZZ = np.array([1.0, -1.0, -1.0, 1.0])
-_DIAG_XYZ = np.array([_DIAG_XX, _DIAG_YY, _DIAG_ZZ])
+_DIAG_XYZ = np.array([[1.0, 1.0, -1.0, -1.0], [-1.0, 1.0, -1.0, 1.0], [1.0, -1.0, -1.0, 1.0]])
 
 _SNAP_POINTS = (0.0, np.pi / 4, np.pi / 2, np.pi)
 
@@ -344,16 +341,12 @@ def kak_decompose(u: np.ndarray, tol: ToleranceConfig = DEFAULT_TOL,
 
     decomps = []
     for i, (proj_phase, error) in enumerate(zip(proj_phases.tolist(), errors.tolist())):
-        # Resolve the phase vector against the orthogonal basis {1, dXX, dYY, dZZ}:
+        # Resolve the phase vector against the orthogonal basis {1, dXX, dYY, dZZ}, one
+        # dot product per axis (a matmul's rounding depends on its kernel and BLAS):
         # identity component becomes global phase, the rest the raw triple.
         row = phases[i]
         c0 = float(row.sum()) / 4
-        raw = (
-            float(row @ _DIAG_XX) / 4,
-            float(row @ _DIAG_YY) / 4,
-            float(row @ _DIAG_ZZ) / 4,
-        )
-        vec, pre, post, move_phase = canonicalize(raw)
+        vec, pre, post, move_phase = canonicalize(tuple(float(row.dot(d)) / 4 for d in _DIAG_XYZ))
         phase = proj_phase * gs[i] * gs[n + i] * np.exp(0.5j * c0) * move_phase
         decomps.append(KakDecomposition(f[i] @ pre, vec, post @ f[n + i], complex(phase), error))
 

@@ -65,7 +65,7 @@ def unitarity_error(m: np.ndarray) -> np.ndarray:
     """
     m = np.asarray(m, dtype=complex)
     n = m.shape[-1]
-    gram = (m @ m.conj().swapaxes(-1, -2)).reshape(m.shape[:-2] + (n * n,))
+    gram = (m @ dagger(m)).reshape(m.shape[:-2] + (n * n,))
     gram[..., ::n + 1] -= 1  # minus the identity
     return np.abs(gram).max(axis=-1)
 
@@ -100,7 +100,8 @@ def require_unitary(m: np.ndarray, what="matrix") -> np.ndarray:
 
 
 def dagger(m: np.ndarray) -> np.ndarray:
-    return np.asarray(m).conj().T
+    """Conjugate transpose of a matrix, or of each matrix of a stack or an (a, b) pair."""
+    return np.asarray(m).conj().swapaxes(-1, -2)
 
 
 def tensor(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -152,7 +153,7 @@ def phase_distance(a: np.ndarray, b: np.ndarray) -> float:
     wrapper.
     """
     a, b = np.asarray(a), np.asarray(b)
-    overlap = (a.conj().T @ b).trace()
+    overlap = (dagger(a) @ b).trace()
     phi = np.conj(overlap) / abs(overlap) if abs(overlap) > 0 else 1.0
     d = (a - phi * b).ravel()
     return math.sqrt(d.real.dot(d.real) + d.imag.dot(d.imag))

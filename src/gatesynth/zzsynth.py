@@ -71,11 +71,6 @@ class ZzResource:
     apps_per_unit: int
 
 
-def _dag(layer) -> tuple[np.ndarray, np.ndarray]:
-    a, b = layer
-    return dagger(a), dagger(b)
-
-
 def _paper_axis(g: tuple[float, float, float]) -> int:
     """Cases 3 and 4 double g_k: z if g3 > 0, else x, or y at g1 = pi/2
     where 2 g1 = pi is local."""
@@ -94,7 +89,7 @@ def _folded_unit(dec: KakDecomposition, axis) -> ZzResource:
     # application between the inverses of its KAK locals. 1 / phase, not
     # its conjugate: it also cancels a scale by which the entangler misses
     # unit modulus (a matrix rounded to a few decimals).
-    k2_dag, k1_dag, phase = _dag(dec.k2), _dag(dec.k1), 1 / dec.phase
+    k2_dag, k1_dag, phase = dagger(dec.k2), dagger(dec.k1), 1 / dec.phase
     g1, g2, g3 = g = snap_vector(dec.c)
 
     if g3 == 0.0 and g2 == 0.0:
@@ -128,8 +123,8 @@ def _folded_unit(dec: KakDecomposition, axis) -> ZzResource:
         raise ValueError(f"gamma = {gamma} has no entangling reduction")
     if h != gamma:
         if pre is not _NO_FOLD:
-            chains[0][:0] = _dag(pre)
-        chains[-1] += _dag(post)
+            chains[0][:0] = dagger(pre)
+        chains[-1].extend(dagger(post))
         phase = np.conj(fold_phase) * phase
     return ZzResource(chains, phase, h, apps)
 

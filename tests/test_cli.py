@@ -223,6 +223,13 @@ class TestSynthOut:
         assert len(err.splitlines()) == 1
         assert err.startswith(f"error: cannot write circuit document {tmp_path}: ")
 
+    def test_out_empty_path(self, capsys):
+        # An empty --out (an unset shell variable) cannot be written: it is not stdout.
+        code, out, err = run(capsys, *self.SHORT, "--out", "")
+        assert (code, out) == (EXIT_INPUT, "")
+        assert len(err.splitlines()) == 1
+        assert err.startswith("error: cannot write circuit document : ")
+
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize("command", ["synth_target", "synth_entangler", "classify", "verify"])

@@ -648,6 +648,16 @@ def needs_redraw(rng: np.random.Generator) -> np.ndarray:
     return kak.MAGIC @ o1 @ np.diag(np.exp(0.5j * theta)) @ o2 @ kak.MAGIC_DAG
 
 
+def needs_two_redraws(rng: np.random.Generator) -> np.ndarray:
+    """As needs_redraw, but the first later draw fails too: eigenphases 1 and 2
+    sit about the first draw's direction phi1, and 2 and 3 about the second's phi2."""
+    phi1, phi2 = (np.arctan2(wi, wr) for wr, wi in (kak._FIRST_DRAW, kak._later_draws()[0]))
+    theta = np.array([2 * phi1 - 0.4, 0.4, 2 * phi2 - 0.4])
+    theta = np.append(theta, -theta.sum())  # det(M2) = 1
+    o1, o2 = (np.linalg.qr(rng.normal(size=(4, 4)))[0] for _ in range(2))
+    return kak.MAGIC @ o1 @ np.diag(np.exp(0.5j * theta)) @ o2 @ kak.MAGIC_DAG
+
+
 class TestStackedKak:
     """Every stage runs once on a stack; row i equals the call on row i alone."""
 
@@ -683,6 +693,21 @@ class TestStackedKak:
         for got, want in zip(stacked, singles, strict=True):
             _assert_same_decomposition(got, want)
         assert phase_distance(reconstruct(stacked[1]), hard) < 1e-9
+
+    def test_a_row_needing_two_redraws(self, monkeypatch, rng):
+        hard = needs_two_redraws(rng)
+        calls, real = [], np.linalg.eigh
+
+        def spy(a):
+            calls.append(len(a))
+            return real(a)
+
+        monkeypatch.setattr(np.linalg, "eigh", spy)
+        alone = kak_decompose(hard)
+        assert calls == [1, 1, 1]  # the first draw and two later ones
+        assert phase_distance(reconstruct(alone), hard) < 1e-13
+        _, stacked = kak_decompose(np.array([haar_unitary(rng), hard]))
+        _assert_same_decomposition(stacked, alone)
 
     def test_a_bad_row_is_named(self, rng):
         good = haar_unitary(rng)

@@ -5,12 +5,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from gatesynth.matcore import (MAX_TOLERANCE, ROUNDOFF, Circuit, EntanglerApp, LocalPair,
-                               SIGMA_X, SIGMA_Y, SIGMA_Z, ToleranceConfig,
+                               SIGMA_X, SIGMA_Y, SIGMA_Z, ToleranceConfig, dagger,
                                evaluate, exp_pauli, interaction, merge_locals,
                                phase_distance, project_special_rows,
                                require_unitary, tensor, unitarity_error,
                                zz_interaction)
 
+from gatesynth.kak import kak_decompose
 from gatesynth.zzsynth import _Run
 
 from conftest import circuit_of, haar_unitary, slot_elements
@@ -56,6 +57,22 @@ class TestTensor:
             assert np.array_equal(tensor(a, b), np.kron(a, b))
         a, b = cplx(3, 2), cplx(2, 5)
         assert np.array_equal(tensor(a, b), np.kron(a, b))
+
+
+class TestDagger:
+    def test_one_matrix_is_the_conjugate_transpose(self, rng):
+        u = haar_unitary(rng)
+        assert np.array_equal(dagger(u), u.conj().T)
+
+    def test_kak_local_stack_per_matrix(self, rng):
+        # A (2, 2, 2) KAK local: each half is daggered, the pair axis stays put.
+        k1 = kak_decompose(haar_unitary(rng)).k1
+        assert np.array_equal(dagger(k1), [k1[0].conj().T, k1[1].conj().T])
+
+    def test_pair_tuple_per_matrix(self, rng):
+        a, b = haar_unitary(rng, 2), haar_unitary(rng, 2)
+        da, db = dagger((a, b))
+        assert np.array_equal(da, a.conj().T) and np.array_equal(db, b.conj().T)
 
 
 class TestPhaseDistance:
